@@ -186,13 +186,12 @@ func TestShardedBrownoutPropagates(t *testing.T) {
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{x[0] + x[1]}, nil
 	}}
-	frng := xrand.New(100)
-	factory := func() Surrogate {
-		s := NewNNSurrogate(2, 1, []int{8}, 0.3, frng.Split())
+	// TrainAll fits the shards concurrently: the factory must be the
+	// goroutine-safe one.
+	factory := NewNNSurrogateFactory(2, 1, []int{8}, 0.3, xrand.New(100), func(s *NNSurrogate) {
 		s.Epochs = 30
 		s.MCPasses = 8
-		return s
-	}
+	})
 	sw := NewShardedWrapper(oracle, factory, ShardedConfig{
 		Shards: 2, MinTrainSamples: 8, UQThreshold: 100,
 	})

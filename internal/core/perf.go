@@ -122,9 +122,10 @@ func (l *Ledger) SurrogateFraction() float64 {
 }
 
 // EffectiveSpeedup evaluates the paper's formula on the measured means,
-// taking the measured simulation time as Tseq and Ttrain (the wrapper runs
-// simulations sequentially; callers with parallel training farms can pass
-// an explicit parallelism factor to scale Ttrain).
+// taking the mean measured run time as Tseq. SimTime sums each run's own
+// duration, so it does not shrink when the wrapper fans runs out over
+// OracleWorkers: trainParallelism is how many ran at once (the worker
+// count, or a training farm's width), and Ttrain is Tseq divided by it.
 func (l *Ledger) EffectiveSpeedup(trainParallelism float64) float64 {
 	if l.NLookup == 0 && l.NTrain == 0 {
 		return math.NaN()

@@ -1178,9 +1178,10 @@ func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 	}
 	res, ferr := pretrainFanout(w.oracle, design, w.cfg.OracleWorkers, w.record)
 	// Keep every successful sample — "no run is wasted" — even when the
-	// campaign aborted on a failure.
-	xs := tensor.NewMatrix(0, w.in)
-	ys := tensor.NewMatrix(0, w.out)
+	// campaign aborted on a failure. Both matrices start empty with room
+	// for the whole design, so AppendRow never regrows them.
+	xs := tensor.NewMatrix(design.Rows, w.in).Reshape(0, w.in)
+	ys := tensor.NewMatrix(design.Rows, w.out).Reshape(0, w.out)
 	for i, r := range res {
 		if r.Err == nil && r.Y != nil {
 			xs.AppendRow(design.Row(i))
@@ -1196,25 +1197,63 @@ func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 	return w.TrainAll()
 }
 
+// fanoutTally accumulates what one oracle fan-out owes the ledger, so the
+// fan-out charges it with one record call instead of one per row.
+type fanoutTally struct {
+	runs, runTime, failed, failedTime atomic.Int64
+}
+
+// run times one oracle call into the tally and returns its result row
+// (Err unwrapped), then yields. The fan-out's goroutines, the querying
+// caller among them, go from run to run without parking; a client that
+// queries in a closed loop would otherwise never reach a scheduling
+// point, and the background refits, which yield after every minibatch,
+// would get one minibatch per time slice (measured on the benchmark's
+// learn_loop: a quarter of the generations published, answers 60 %
+// further off, other callers' workers stalled 10 ms and more behind it).
+// An oracle run is the stack's coarsest unit of work, so one scheduling
+// point per run costs it nothing.
+func (t *fanoutTally) run(oracle Oracle, x []float64) BatchResult {
+	t0 := time.Now()
+	y, err := oracle.Run(x)
+	dt := int64(time.Since(t0))
+	runtime.Gosched()
+	if err != nil {
+		t.failed.Add(1)
+		t.failedTime.Add(dt)
+		return BatchResult{Src: FromSimulation, Err: err}
+	}
+	t.runs.Add(1)
+	t.runTime.Add(dt)
+	return BatchResult{Y: y, Src: FromSimulation}
+}
+
+// charge folds the tally into the ledger: the same totals as one
+// RecordSimulation / RecordFailedRun per row.
+func (t *fanoutTally) charge(record func(func(*Ledger))) {
+	record(func(l *Ledger) {
+		l.NTrain += int(t.runs.Load())
+		l.SimTime += time.Duration(t.runTime.Load())
+		l.NFailed += int(t.failed.Load())
+		l.FailedTime += time.Duration(t.failedTime.Load())
+	})
+}
+
 // oracleFanout runs the oracle on the miss rows of xs with at most workers
 // concurrent goroutines, writing each answer into its res row and charging
 // the ledger through record. Rows are disjoint, so no result locking is
 // needed; oracles must tolerate concurrent Run calls (the contract
 // concurrent wrapper use already imposes). workers <= 1 runs inline.
 func oracleFanout(oracle Oracle, xs *tensor.Matrix, miss []int, res []BatchResult, workers int, record func(func(*Ledger))) {
+	var tally fanoutTally
 	parallel.ForEachBounded(len(miss), workers, func(k int) {
 		i := miss[k]
-		t0 := time.Now()
-		y, err := oracle.Run(xs.Row(i))
-		dt := time.Since(t0)
-		if err != nil {
-			record(func(l *Ledger) { l.RecordFailedRun(dt) })
-			res[i] = BatchResult{Src: FromSimulation, Err: fmt.Errorf("core: oracle: %w", err)}
-			return
+		res[i] = tally.run(oracle, xs.Row(i))
+		if err := res[i].Err; err != nil {
+			res[i].Err = fmt.Errorf("core: oracle: %w", err)
 		}
-		record(func(l *Ledger) { l.RecordSimulation(dt) })
-		res[i] = BatchResult{Y: y, Src: FromSimulation}
 	})
+	tally.charge(record)
 }
 
 // pretrainFanout runs the oracle over every row of design with at most
@@ -1225,23 +1264,17 @@ func oracleFanout(oracle Oracle, xs *tensor.Matrix, miss []int, res []BatchResul
 // successful rows are usable from res either way.
 func pretrainFanout(oracle Oracle, design *tensor.Matrix, workers int, record func(func(*Ledger))) ([]BatchResult, error) {
 	res := make([]BatchResult, design.Rows)
-	var failed atomic.Bool
+	var tally fanoutTally
 	parallel.ForEachBounded(design.Rows, workers, func(i int) {
-		if failed.Load() {
+		if tally.failed.Load() > 0 {
 			return
 		}
-		t0 := time.Now()
-		y, err := oracle.Run(design.Row(i))
-		dt := time.Since(t0)
-		if err != nil {
-			failed.Store(true)
-			record(func(l *Ledger) { l.RecordFailedRun(dt) })
-			res[i] = BatchResult{Src: FromSimulation, Err: fmt.Errorf("core: pretrain point %d: %w", i, err)}
-			return
+		res[i] = tally.run(oracle, design.Row(i))
+		if err := res[i].Err; err != nil {
+			res[i].Err = fmt.Errorf("core: pretrain point %d: %w", i, err)
 		}
-		record(func(l *Ledger) { l.RecordSimulation(dt) })
-		res[i] = BatchResult{Y: y, Src: FromSimulation}
 	})
+	tally.charge(record)
 	for _, r := range res {
 		if r.Err != nil {
 			return res, r.Err

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -683,6 +685,99 @@ func TestPretrainAbortsEarlyKeepsSuccesses(t *testing.T) {
 	}
 	if got := w.TrainingSetSize(); got != 2 {
 		t.Fatalf("kept %d successful samples want 2", got)
+	}
+
+	// Fanned out, with the failing row claimed by the calling goroutine:
+	// the oracle fails on the goroutine that called Pretrain (the only one
+	// with Pretrain's frame on its stack) and holds every other run until
+	// then, so the caller must claim a row. Its failure must come back as
+	// the error, be charged once, and keep what the other workers ran.
+	// (How many rows those start before they see the abort is a race.)
+	var runs atomic.Int64
+	failed := make(chan struct{})
+	sw := NewShardedWrapper(OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
+		runs.Add(1)
+		var stack [4096]byte
+		if bytes.Contains(stack[:runtime.Stack(stack[:], false)], []byte("ShardedWrapper).Pretrain(")) {
+			close(failed)
+			return nil, errors.New("rig crashed")
+		}
+		<-failed
+		return []float64{x[0]}, nil
+	}}, func() Surrogate { return &meanSur{} }, ShardedConfig{Shards: 2, OracleWorkers: 3})
+	if err := sw.Pretrain(tensor.NewMatrix(1000, 2)); err == nil {
+		t.Fatal("sharded pretrain swallowed the caller's oracle failure")
+	}
+	led := sw.Ledger()
+	if led.NFailed != 1 || led.NTrain != int(runs.Load())-1 {
+		t.Fatalf("ledger charged %d failed + %d ok for %d runs, one of them failed", led.NFailed, led.NTrain, runs.Load())
+	}
+	if got := sw.TrainingSetSize(); got != led.NTrain {
+		t.Fatalf("kept %d samples of %d successful runs", got, led.NTrain)
+	}
+}
+
+// TestFanoutChargesLedgerOncePerRow pins the ledger totals of both oracle
+// fan-outs, which charge once per fan-out rather than once per row: every
+// successful run counts into NTrain/SimTime and every failed one into
+// NFailed/FailedTime, each with at least the time the oracle itself saw.
+func TestFanoutChargesLedgerOncePerRow(t *testing.T) {
+	var okTime, failTime atomic.Int64
+	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
+		t0 := time.Now()
+		for time.Since(t0) < 20*time.Microsecond {
+		}
+		if x[0] < 0 {
+			failTime.Add(int64(time.Since(t0)))
+			return nil, errors.New("diverged")
+		}
+		okTime.Add(int64(time.Since(t0)))
+		return []float64{x[0] + x[1]}, nil
+	}}
+	check := func(when string, led Ledger, ok, failed int) {
+		t.Helper()
+		if led.NTrain != ok || led.NFailed != failed {
+			t.Fatalf("%s: ledger has %d ok + %d failed runs, want %d + %d", when, led.NTrain, led.NFailed, ok, failed)
+		}
+		if led.SimTime < time.Duration(okTime.Load()) || led.FailedTime < time.Duration(failTime.Load()) {
+			t.Fatalf("%s: ledger charged %v ok / %v failed, the oracle alone took %v / %v",
+				when, led.SimTime, led.FailedTime, time.Duration(okTime.Load()), time.Duration(failTime.Load()))
+		}
+		if (ok == 0) != (led.SimTime == 0) || (failed == 0) != (led.FailedTime == 0) {
+			t.Fatalf("%s: time charged to the wrong side: %v ok, %v failed", when, led.SimTime, led.FailedTime)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		fresh := func() *ShardedWrapper {
+			okTime.Store(0)
+			failTime.Store(0)
+			return NewShardedWrapper(oracle, func() Surrogate { return &meanSur{} },
+				ShardedConfig{Shards: 2, MinTrainSamples: 1 << 30, OracleWorkers: workers})
+		}
+		w := fresh()
+		design := tensor.NewMatrix(300, 2)
+		design.Fill(0.5)
+		if err := w.Pretrain(design); err != nil {
+			t.Fatal(err)
+		}
+		check("pretrain", w.Ledger(), 300, 0)
+		// No shard of a fresh wrapper serves, so every row of the batch
+		// reaches the query-path fan-out; a third of them fail.
+		w = fresh()
+		batch := tensor.NewMatrix(90, 2)
+		for i := 0; i < batch.Rows; i++ {
+			batch.Row(i)[0] = float64(i%3) - 1 // -1, 0, 1
+		}
+		res, err := w.QueryBatch(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if (r.Err != nil) != (batch.Row(i)[0] < 0) {
+				t.Fatalf("row %d: err %v", i, r.Err)
+			}
+		}
+		check("query batch", w.Ledger(), 60, 30)
 	}
 }
 

@@ -151,9 +151,6 @@ func (t *TwoBranchNet) Fit(x, y *tensor.Matrix, epochs, batchSize int, lr float6
 				copy(bx.Row(bi), xs.Row(id))
 				copy(by.Row(bi), ys.Row(id))
 			}
-			for _, p := range params {
-				p.Grad.Zero()
-			}
 			pred := t.forward(bx, true)
 			if math.IsNaN(loss.Value(pred, by)) {
 				return nn.ErrDiverged

@@ -169,23 +169,21 @@ func TestBindRegistryDriftAutoRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The registry counts the rollback before the binding has reinstalled
+	// the predecessor, so wait for both: the reinstall clears the drift.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st, _ = f.TenantStats("epi")
-		if st.RegistryRollbacks >= 1 {
+		if st.RegistryRollbacks >= 1 && !w.Status()[0].Drifted {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("drift watch never rolled back: %+v", st)
+			t.Fatalf("drift watch never rolled back and reinstalled: %+v, shard %+v", st, w.Status()[0])
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	if st.RegistryGeneration != 1 {
 		t.Fatalf("registry generation %d after rollback, want 1", st.RegistryGeneration)
-	}
-	shard := w.Status()[0]
-	if shard.Drifted {
-		t.Fatal("shard still drifted after reinstall")
 	}
 	// The reinstalled predecessor serves.
 	if res, err := f.Query("epi", []float64{0.1, -0.3}); err != nil || res.Src != core.FromSurrogate {

@@ -22,8 +22,6 @@ func TestDenseForwardBackwardZeroAlloc(t *testing.T) {
 		g.Data[i] = rng.Range(-1, 1)
 	}
 	step := func() {
-		d.GW.Zero()
-		d.GB.Zero()
 		d.Forward(x, true, nil)
 		d.Backward(g)
 	}
@@ -248,14 +246,10 @@ func TestDenseTrainingInputIsCopied(t *testing.T) {
 	x := tensor.FromRows([][]float64{{1, 2}, {3, 4}})
 	g := tensor.FromRows([][]float64{{1, 0}, {0, 1}})
 
-	d.GW.Zero()
-	d.GB.Zero()
 	d.Forward(x, true, nil)
 	d.Backward(g)
 	want := d.GW.Clone()
 
-	d.GW.Zero()
-	d.GB.Zero()
 	d.Forward(x, true, nil)
 	x.Fill(-99) // caller reuses its batch buffer before Backward
 	d.Backward(g)

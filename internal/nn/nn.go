@@ -60,28 +60,58 @@ func (a Activation) apply(x float64) float64 {
 	}
 }
 
-// derivFromOutput returns f'(x) expressed in terms of y = f(x), which all
-// supported activations admit; this avoids storing pre-activations.
-func (a Activation) derivFromOutput(y float64) float64 {
+// applyAll applies the activation to every element of z in place, with
+// the activation selected once for the whole slice.
+func (a Activation) applyAll(z []float64) {
 	switch a {
 	case ReLU:
-		if y > 0 {
-			return 1
+		for i, v := range z {
+			if v < 0 {
+				z[i] = 0
+			}
 		}
-		return 0
 	case Tanh:
-		return 1 - y*y
+		for i, v := range z {
+			z[i] = math.Tanh(v)
+		}
 	case Sigmoid:
-		return y * (1 - y)
+		for i, v := range z {
+			z[i] = 1 / (1 + math.Exp(-v))
+		}
+	}
+}
+
+// mulDeriv stores g[i]·f'(x[i]) into dst, with f' expressed in terms of
+// y = f(x), which all supported activations admit; this avoids storing
+// pre-activations. All three slices have the same length.
+func (a Activation) mulDeriv(dst, g, y []float64) {
+	g, y = g[:len(dst)], y[:len(dst)] // bounds-check elimination hints
+	switch a {
+	case ReLU:
+		for i := range dst {
+			dst[i] = 0
+			if y[i] > 0 {
+				dst[i] = g[i]
+			}
+		}
+	case Tanh:
+		for i := range dst {
+			dst[i] = g[i] * (1 - y[i]*y[i])
+		}
+	case Sigmoid:
+		for i := range dst {
+			dst[i] = g[i] * y[i] * (1 - y[i])
+		}
 	default:
-		return 1
+		copy(dst, g)
 	}
 }
 
 // Layer is one differentiable stage of a network. Forward consumes a batch
 // (rows = samples) and Backward consumes the gradient of the loss with
 // respect to the layer output, returning the gradient with respect to the
-// layer input and accumulating parameter gradients internally.
+// layer input and storing this batch's parameter gradients, which replace
+// the previous step's: a step needs no zeroing sweep.
 type Layer interface {
 	Forward(x *tensor.Matrix, training bool, rng *xrand.Rand) *tensor.Matrix
 	Backward(gradOut *tensor.Matrix) *tensor.Matrix
@@ -89,7 +119,7 @@ type Layer interface {
 	Params() []ParamPair
 }
 
-// ParamPair couples a parameter matrix with its gradient accumulator.
+// ParamPair couples a parameter matrix with its gradient.
 type ParamPair struct {
 	Value *tensor.Matrix
 	Grad  *tensor.Matrix
@@ -98,11 +128,11 @@ type ParamPair struct {
 // Dense is a fully connected layer: out = act(x*W + b).
 //
 // The layer owns all scratch matrices the training hot path needs (input
-// copy, pre/post-activation batch, delta, gradient workspaces), so after
-// the first step of a given batch size, Forward(training=true)+Backward
-// performs zero heap allocations. The input batch is copied into lastIn
-// rather than aliased, so callers may reuse (and overwrite) their batch
-// buffer between steps.
+// copy, post-activation batch, delta, input gradient), so after the first
+// step of a given batch size, Forward(training=true)+Backward performs
+// zero heap allocations. The input batch is copied into lastIn rather
+// than aliased, so callers may reuse (and overwrite) their batch buffer
+// between steps.
 type Dense struct {
 	In, Out int
 	Act     Activation
@@ -113,7 +143,6 @@ type Dense struct {
 	lastIn *tensor.Matrix // owned copy of the input batch
 	z      *tensor.Matrix // owned post-activation output
 	delta  *tensor.Matrix // owned gradOut ⊙ act' workspace
-	gw     *tensor.Matrix // owned per-step weight-gradient workspace
 	gradIn *tensor.Matrix // owned input-gradient output
 	cached bool           // true once Forward(training=true) has run
 }
@@ -152,54 +181,59 @@ func (d *Dense) Forward(x *tensor.Matrix, training bool, _ *xrand.Rand) *tensor.
 		panic(fmt.Sprintf("nn: dense expects %d inputs, got %d", d.In, x.Cols))
 	}
 	if !training {
-		z := tensor.MatMul(x, d.W)
-		d.biasAct(z)
-		return z
+		return d.forwardInto(tensor.NewMatrix(x.Rows, d.Out), x, d.W)
 	}
 	in := reuse(&d.lastIn, x.Rows, d.In)
 	copy(in.Data, x.Data)
-	z := reuse(&d.z, x.Rows, d.Out)
-	tensor.MatMulInto(z, in, d.W)
-	d.biasAct(z)
 	d.cached = true
-	return z
+	return d.forwardInto(reuse(&d.z, x.Rows, d.Out), in, d.W)
 }
 
-// biasAct applies the bias and activation to every row of z in place.
-func (d *Dense) biasAct(z *tensor.Matrix) {
-	for i := 0; i < z.Rows; i++ {
-		row := z.Row(i)
-		for j := range row {
-			row[j] = d.Act.apply(row[j] + d.B.Data[j])
-		}
-	}
+// forwardInto stores act(x*w + b) into dst, the bias seeded into the
+// product and the activation selected once for the batch; w is the
+// layer's W or a masked copy of it.
+func (d *Dense) forwardInto(dst, x, w *tensor.Matrix) *tensor.Matrix {
+	tensor.MatMulBiasInto(dst, x, w, d.B.Data)
+	d.Act.applyAll(dst.Data)
+	return dst
 }
 
 // Backward implements Layer. The returned input-gradient matrix is owned
 // by the layer and valid until its next Backward. Both gradient matmuls
-// run transpose-free (MatMulATBInto / MatMulABTInto), so steady-state
-// Backward allocates nothing.
+// run transpose-free (MatMulATBInto / MatMulABTInto) into owned
+// matrices, so steady-state Backward allocates nothing.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+	return d.backward(gradOut, true)
+}
+
+// backward is Backward; with needInput false it stops after the parameter
+// gradients and returns nil, which is what a network's first layer wants.
+func (d *Dense) backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
 	if !d.cached {
 		panic("nn: Backward before Forward(training=true)")
 	}
 	// delta = gradOut ⊙ act'(out)
-	delta := reuse(&d.delta, gradOut.Rows, gradOut.Cols)
-	for i := range delta.Data {
-		delta.Data[i] = gradOut.Data[i] * d.Act.derivFromOutput(d.z.Data[i])
+	delta := gradOut
+	if d.Act != Identity {
+		delta = reuse(&d.delta, gradOut.Rows, gradOut.Cols)
+		d.Act.mulDeriv(delta.Data, gradOut.Data, d.z.Data)
 	}
-	// Accumulate parameter gradients (mean over batch applied by loss):
-	// GW += lastInᵀ · delta, without materializing the transpose.
-	gw := reuse(&d.gw, d.In, d.Out)
-	tensor.MatMulATBInto(gw, d.lastIn, delta)
-	tensor.Add(d.GW, d.GW, gw)
+	// GW = lastInᵀ · delta and GB = its column sums (the loss applies the
+	// mean over the batch), written straight into the gradients.
+	tensor.MatMulATBInto(d.GW, d.lastIn, delta)
+	gb := d.GB.Data
+	for j := range gb {
+		gb[j] = 0
+	}
 	for i := 0; i < delta.Rows; i++ {
-		row := delta.Row(i)
-		for j := range row {
-			d.GB.Data[j] += row[j]
+		for j, v := range delta.Row(i) {
+			gb[j] += v
 		}
 	}
-	// dX = delta · Wᵀ, again transpose-free.
+	if !needInput {
+		return nil
+	}
+	// dX = delta · Wᵀ
 	return tensor.MatMulABTInto(reuse(&d.gradIn, delta.Rows, d.In), delta, d.W)
 }
 
@@ -248,22 +282,23 @@ func (dr *Dropout) Forward(x *tensor.Matrix, training bool, rng *xrand.Rand) *te
 }
 
 // dropoutSample fills dst with an inverted-dropout sample of x: each
-// element survives with probability 1-p scaled by 1/(1-p), else zero.
-// When mask is non-nil the applied multipliers are recorded for
-// backprop. This is the single home of the sampling semantics shared by
-// training (Dropout.Forward) and MC inference (Predictor.forward).
+// element survives with probability 1-p scaled by 1/(1-p), else zero, and
+// the applied multipliers are recorded in mask for backprop. A unit
+// survives when its 32-bit lane of the stream is below (1-p)·2³², so one
+// Uint64 decides two units; the multiplier is looked up by the sign bit of
+// lane-keep, which keeps the loop free of data-dependent branches.
 func dropoutSample(dst, x, mask []float64, p float64, rng *xrand.Rand) {
-	keep := 1 - p
-	inv := 1 / keep
-	for i, v := range x {
-		m := 0.0
-		if rng.Float64() < keep {
-			m = inv
+	mult := [2]float64{0, 1 / (1 - p)}
+	keep := uint64((1 - p) * (1 << 32))
+	mask, dst = mask[:len(x)], dst[:len(x)] // bounds-check elimination hints
+	for i := 0; i < len(x); i += 2 {
+		lanes := rng.Uint64()
+		m := mult[(lanes&(1<<32-1)-keep)>>63]
+		mask[i], dst[i] = m, x[i]*m
+		if i+1 < len(x) {
+			m = mult[(lanes>>32-keep)>>63]
+			mask[i+1], dst[i+1] = m, x[i+1]*m
 		}
-		if mask != nil {
-			mask[i] = m
-		}
-		dst[i] = v * m
 	}
 }
 
@@ -457,21 +492,17 @@ func (n *Network) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
 	return h
 }
 
-// Backward propagates the loss gradient through all layers, accumulating
-// parameter gradients.
+// Backward propagates the loss gradient through all layers, leaving this
+// batch's parameter gradients in them. Nothing reads the gradient with
+// respect to the network's input, so a first Dense layer skips it.
 func (n *Network) Backward(gradOut *tensor.Matrix) {
 	g := gradOut
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		g = n.Layers[i].Backward(g)
-	}
-}
-
-// ZeroGrad clears all accumulated parameter gradients.
-func (n *Network) ZeroGrad() {
-	for _, l := range n.Layers {
-		for _, p := range l.Params() {
-			p.Grad.Zero()
+		if d, ok := n.Layers[i].(*Dense); ok && i == 0 {
+			d.backward(g, false)
+			return
 		}
+		g = n.Layers[i].Backward(g)
 	}
 }
 
@@ -613,10 +644,7 @@ func (p *Predictor) forwardRange(x *tensor.Matrix, lo, hi int, stochastic bool) 
 	for i := lo; i < hi; i++ {
 		switch ly := p.net.Layers[i].(type) {
 		case *Dense:
-			buf := reuse(&p.bufs[i], h.Rows, ly.Out)
-			tensor.MatMulInto(buf, h, ly.W)
-			ly.biasAct(buf)
-			h = buf
+			h = ly.forwardInto(reuse(&p.bufs[i], h.Rows, ly.Out), h, ly.W)
 		case *Dropout:
 			if !stochastic || ly.P == 0 {
 				continue
@@ -656,10 +684,7 @@ func (p *Predictor) forwardRange(x *tensor.Matrix, lo, hi int, stochastic bool) 
 						}
 					}
 					i++
-					buf := reuse(&p.bufs[i], h.Rows, nd.Out)
-					tensor.MatMulInto(buf, h, mw)
-					nd.biasAct(buf)
-					h = buf
+					h = nd.forwardInto(reuse(&p.bufs[i], h.Rows, nd.Out), h, mw)
 					continue
 				}
 			}

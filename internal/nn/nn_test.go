@@ -31,20 +31,25 @@ func TestActivationValues(t *testing.T) {
 }
 
 func TestActivationDerivativeConsistency(t *testing.T) {
-	// derivFromOutput(f(x)) must match numerical derivative of f at x.
-	for _, act := range []Activation{Identity, Tanh, Sigmoid} {
-		for _, x := range []float64{-2, -0.5, 0.3, 1.7} {
+	// mulDeriv over y = applyAll(x) must give g times the numerical
+	// derivative of apply at x, and applyAll must agree with apply.
+	xs := []float64{-2, -0.5, 0.3, 1.7}
+	g := []float64{1, -2, 0.5, 3}
+	for _, act := range []Activation{Identity, ReLU, Tanh, Sigmoid} {
+		y := append([]float64(nil), xs...)
+		act.applyAll(y)
+		got := make([]float64, len(xs))
+		act.mulDeriv(got, g, y)
+		for i, x := range xs {
+			if y[i] != act.apply(x) {
+				t.Fatalf("%v: applyAll(%g) = %g, apply gives %g", act, x, y[i], act.apply(x))
+			}
 			h := 1e-6
-			num := (act.apply(x+h) - act.apply(x-h)) / (2 * h)
-			got := act.derivFromOutput(act.apply(x))
-			if math.Abs(num-got) > 1e-5 {
-				t.Fatalf("%v'(%g): analytic %g numeric %g", act, x, got, num)
+			num := g[i] * (act.apply(x+h) - act.apply(x-h)) / (2 * h)
+			if math.Abs(num-got[i]) > 1e-5 {
+				t.Fatalf("%v'(%g): analytic %g numeric %g", act, x, got[i], num)
 			}
 		}
-	}
-	// ReLU away from the kink.
-	if ReLU.derivFromOutput(ReLU.apply(2)) != 1 || ReLU.derivFromOutput(ReLU.apply(-2)) != 0 {
-		t.Fatal("relu derivative wrong")
 	}
 }
 
@@ -84,7 +89,6 @@ func gradCheck(t *testing.T, act Activation, seed uint64) {
 		return loss.Value(net.Forward(x, false), y)
 	}
 
-	net.ZeroGrad()
 	pred := net.Forward(x, true)
 	net.Backward(loss.Grad(nil, pred, y))
 
@@ -116,7 +120,6 @@ func TestGradientCheckCrossEntropy(t *testing.T) {
 	x := tensor.FromRows([][]float64{{0.1, -0.5, 0.7, 0.2}, {0.9, 0.4, -0.3, -0.8}})
 	y := tensor.FromRows([][]float64{{1, 0, 0}, {0, 0, 1}})
 	loss := &SoftmaxCrossEntropy{}
-	net.ZeroGrad()
 	pred := net.Forward(x, true)
 	net.Backward(loss.Grad(nil, pred, y))
 	const h = 1e-6

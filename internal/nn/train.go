@@ -224,9 +224,6 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 				copy(bx.Row(bi), x.Row(idx))
 				copy(by.Row(bi), y.Row(idx))
 			}
-			for _, p := range params {
-				p.Grad.Zero()
-			}
 			pred := n.Forward(bx, true)
 			loss := cfg.Loss.Value(pred, by)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {

@@ -1,14 +1,21 @@
 package parallel
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// ForEachBounded runs f(i) for every i in [0, n) using at most workers
-// concurrent goroutines — the bounded fan-out idiom shared by the
-// wrappers' oracle fallback pools, committee training and calibration
-// grid scans. workers is clamped to n; workers <= 1 runs inline on the
-// caller's goroutine with no spawns. f must handle its own error
-// propagation (e.g. write into an index-owned results slot) and must not
-// panic across goroutines. ForEachBounded returns once every f call has.
+// ForEachBounded runs f(i) for every i in [0, n) on at most workers
+// goroutines, the caller's included — the bounded fan-out idiom shared by
+// the wrappers' oracle fallback pools, committee training and calibration
+// grid scans. Every goroutine claims its next index from one shared atomic
+// counter: a claim is one atomic add with no hand-off to wait for, so runs
+// of a few microseconds keep the workers busy, and the caller works
+// instead of feeding the others. workers is clamped to n; workers <= 1
+// runs inline on the caller's goroutine with no spawns. f must handle its
+// own error propagation (e.g. write into an index-owned results slot) and
+// must not panic across goroutines. ForEachBounded returns once every f
+// call has.
 func ForEachBounded(n, workers int, f func(i int)) {
 	if workers > n {
 		workers = n
@@ -19,20 +26,20 @@ func ForEachBounded(n, workers int, f func(i int)) {
 		}
 		return
 	}
-	work := make(chan int)
+	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			f(i)
+		}
+	}
 	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for k := 1; k < workers; k++ {
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				f(i)
-			}
+			claim()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
+	claim()
 	wg.Wait()
 }

@@ -119,9 +119,6 @@ func (p *NNPotential) Fit(configs []*Configuration, energies []float64) error {
 		for _, ci := range order {
 			x := scaled[ci]
 			target := (perAtom[ci] - p.eShift) / p.eScale
-			for _, pp := range params {
-				pp.Grad.Zero()
-			}
 			out := p.net.Forward(x, true)
 			// Predicted normalized per-atom energy is the mean output.
 			mean := 0.0

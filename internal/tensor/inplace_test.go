@@ -37,6 +37,8 @@ var kernelShapes = []struct{ n, m, p int }{
 	{1, 1, 1}, {1, 5, 3}, {2, 3, 4}, {3, 7, 5}, {4, 4, 4},
 	{5, 9, 2}, {7, 8, 9}, {8, 16, 8}, {13, 11, 17}, {33, 34, 35},
 	{64, 8, 64},
+	// The surrogate step's narrow operands: 1- to 3-wide b, a or both.
+	{32, 24, 1}, {32, 1, 24}, {32, 48, 3}, {7, 2, 24}, {32, 3, 2},
 }
 
 func TestMatMulIntoMatchesNaive(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // shapes that exercise the 4-wide panel kernel remainders.
 func TestMatMulBiasIntoMatchesComposition(t *testing.T) {
 	rng := xrand.New(41)
-	for _, shape := range [][3]int{{1, 1, 1}, {3, 5, 2}, {8, 4, 7}, {13, 9, 6}} {
+	for _, shape := range [][3]int{{1, 1, 1}, {3, 5, 2}, {8, 4, 7}, {13, 9, 6}, {32, 24, 1}, {5, 49, 3}} {
 		n, k, p := shape[0], shape[1], shape[2]
 		a := NewMatrix(n, k)
 		b := NewMatrix(k, p)
@@ -36,6 +36,18 @@ func TestMatMulBiasIntoMatchesComposition(t *testing.T) {
 		if !Equal(got, want, 1e-13) {
 			t.Fatalf("MatMulBiasInto (%dx%d)*(%dx%d) differs from matmul+bias", n, k, k, p)
 		}
+		// Whatever loop order the width selects, a row rounds exactly as
+		// the single-row panel kernel does, so batch and row inference
+		// agree to the bit.
+		for i := 0; i < n; i++ {
+			row := append([]float64(nil), bias...)
+			AxpyPanels(row, a.Row(i), b.Data)
+			for j, v := range row {
+				if got.At(i, j) != v {
+					t.Fatalf("MatMulBiasInto (%dx%d)*(%dx%d) row %d rounds differently from AxpyPanels", n, k, k, p, i)
+				}
+			}
+		}
 	}
 }
 
@@ -57,7 +69,7 @@ func TestMatMulBiasIntoParallelMatchesSerial(t *testing.T) {
 	for i := range bias {
 		bias[i] = rng.Range(-1, 1)
 	}
-	ParallelWorkers, ParallelFlopThreshold = 1, 1 << 60
+	ParallelWorkers, ParallelFlopThreshold = 1, 1<<60
 	serial := MatMulBiasInto(NewMatrix(24, 6), a, b, bias)
 	ParallelWorkers, ParallelFlopThreshold = 4, 1
 	par := MatMulBiasInto(NewMatrix(24, 6), a, b, bias)

@@ -294,11 +294,11 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 	}
 	dst = ensure(dst, a.Rows, b.Cols)
 	if !useParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulRange(dst, a, b, 0, a.Rows)
+		matMulBiasRange(dst, a, b, nil, 0, a.Rows)
 		return dst
 	}
 	parallelRanges(a.Rows, func(lo, hi int) {
-		matMulRange(dst, a, b, lo, hi)
+		matMulBiasRange(dst, a, b, nil, lo, hi)
 	})
 	return dst
 }
@@ -327,14 +327,30 @@ func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	return dst
 }
 
-// matMulBiasRange computes rows [lo,hi) of out = a*b + bias with the same
-// ikj panel kernel as matMulRange, seeding each row with the bias instead
-// of zero.
+// narrow is the operand width below which a row is too short to pay for a
+// panel or dot call per element (a surrogate's 1- to 3-wide output layer
+// and its gradients): the kernels switch to inline loops there.
+const narrow = 4
+
+// matMulBiasRange computes rows [lo,hi) of out = a*b + bias (a nil bias
+// is zero) with an ikj loop order that streams b rows sequentially for
+// cache friendliness. Each out row is seeded before the panel-axpy
+// accumulation, so a reused destination never leaks stale values.
 func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 	n, p := a.Cols, b.Cols
+	if p < narrow {
+		matMulNarrowRange(out, a, b, bias, lo, hi)
+		return
+	}
 	for i := lo; i < hi; i++ {
 		outRow := out.Data[i*p : (i+1)*p]
-		copy(outRow, bias)
+		if bias != nil {
+			copy(outRow, bias)
+		} else {
+			for j := range outRow {
+				outRow[j] = 0
+			}
+		}
 		aRow := a.Data[i*n : (i+1)*n]
 		k := 0
 		for ; k+4 <= n; k += 4 {
@@ -346,6 +362,31 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 			if aik := aRow[k]; aik != 0 {
 				axpy4(aik, b.Data[k*p:(k+1)*p], outRow)
 			}
+		}
+	}
+}
+
+// matMulNarrowRange is matMulBiasRange for a narrow b: one strided dot per
+// output element, summed in the panel kernel's order (four products per
+// accumulation) so both paths round alike.
+func matMulNarrowRange(out, a, b *Matrix, bias []float64, lo, hi int) {
+	n, p := a.Cols, b.Cols
+	bd := b.Data
+	for i := lo; i < hi; i++ {
+		aRow := a.Data[i*n : (i+1)*n]
+		for j := 0; j < p; j++ {
+			s := 0.0
+			if bias != nil {
+				s = bias[j]
+			}
+			k := 0
+			for ; k+4 <= n; k += 4 {
+				s += aRow[k]*bd[k*p+j] + aRow[k+1]*bd[(k+1)*p+j] + aRow[k+2]*bd[(k+2)*p+j] + aRow[k+3]*bd[(k+3)*p+j]
+			}
+			for ; k < n; k++ {
+				s += aRow[k] * bd[k*p+j]
+			}
+			out.Data[i*p+j] = s
 		}
 	}
 }
@@ -375,6 +416,27 @@ func MatMulATBInto(dst, a, b *Matrix) *Matrix {
 // matMulATBRange computes dst rows [lo,hi) of dst = aᵀ*b.
 func matMulATBRange(dst, a, b *Matrix, lo, hi int) {
 	n, m, p := a.Rows, a.Cols, b.Cols
+	if p < narrow {
+		// Sample-outermost: dst[j,:] += a[i,j]*b[i,:] with a's rows
+		// contiguous, and for p == 1 dst itself one contiguous axpy.
+		d := dst.Data[lo*p : hi*p]
+		for x := range d {
+			d[x] = 0
+		}
+		for i := 0; i < n; i++ {
+			aRow, bRow := a.Data[i*m+lo:i*m+hi], b.Data[i*p:(i+1)*p]
+			if p == 1 {
+				axpy4(bRow[0], aRow, d)
+				continue
+			}
+			for j, av := range aRow {
+				for c, bv := range bRow {
+					d[j*p+c] += av * bv
+				}
+			}
+		}
+		return
+	}
 	for j := lo; j < hi; j++ {
 		dstRow := dst.Data[j*p : (j+1)*p]
 		for i := range dstRow {
@@ -419,6 +481,19 @@ func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		aRow := a.Data[i*k : (i+1)*k]
 		dstRow := dst.Data[i*m : (i+1)*m]
+		if k > 0 && k < narrow {
+			// One strided sweep of b per a element, not a dot call per
+			// dst element; k == 1 is a scaled copy.
+			for j := range dstRow {
+				dstRow[j] = aRow[0] * b.Data[j*k]
+			}
+			for c := 1; c < k; c++ {
+				for j := range dstRow {
+					dstRow[j] += aRow[c] * b.Data[j*k+c]
+				}
+			}
+			continue
+		}
 		for j := 0; j < m; j++ {
 			dstRow[j] = dot4(aRow, b.Data[j*k:(j+1)*k])
 		}
@@ -484,31 +559,6 @@ func parallelRanges(rows int, f func(lo, hi int)) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// matMulRange computes rows [lo,hi) of out = a*b with an ikj loop order
-// that streams b rows sequentially for cache friendliness. The out rows
-// are zeroed first so a reused destination never leaks stale values.
-func matMulRange(out, a, b *Matrix, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	for i := lo; i < hi; i++ {
-		outRow := out.Data[i*p : (i+1)*p]
-		for j := range outRow {
-			outRow[j] = 0
-		}
-		aRow := a.Data[i*n : (i+1)*n]
-		k := 0
-		for ; k+4 <= n; k += 4 {
-			axpyPanel4(aRow[k], aRow[k+1], aRow[k+2], aRow[k+3],
-				b.Data[k*p:(k+1)*p], b.Data[(k+1)*p:(k+2)*p],
-				b.Data[(k+2)*p:(k+3)*p], b.Data[(k+3)*p:(k+4)*p], outRow)
-		}
-		for ; k < n; k++ {
-			if aik := aRow[k]; aik != 0 {
-				axpy4(aik, b.Data[k*p:(k+1)*p], outRow)
-			}
-		}
-	}
 }
 
 // MulVec returns a * x for a column vector x (len == a.Cols).

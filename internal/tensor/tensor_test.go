@@ -180,7 +180,7 @@ func TestMatMulLargeParallel(t *testing.T) {
 	b := randomMatrix(rng, 53, 61)
 	got := MatMul(a, b)
 	want := NewMatrix(97, 61)
-	matMulRange(want, a, b, 0, 97)
+	matMulBiasRange(want, a, b, nil, 0, 97)
 	if !Equal(got, want, 1e-9) {
 		t.Fatal("parallel matmul differs from serial")
 	}
