@@ -453,6 +453,78 @@ func BenchmarkMatMulParallelSlope(b *testing.B) {
 	}
 }
 
+// BenchmarkMatMulKernels times the three matmul kernels a training step
+// is made of — bias (forward, x·W+b), atb (GW = xᵀ·delta) and abt
+// (dX = delta·Wᵀ) — on one thread, at batch x in x out of the wide
+// batch_sweep layer and of the serving tenants' first layer, where the
+// rows are too short or too few for the vector kernels to matter. ns/MAC
+// is ns/op over batch·in·out multiply-adds.
+func BenchmarkMatMulKernels(b *testing.B) {
+	rng := xrand.New(0x6e55)
+	random := func(rows, cols int) *tensor.Matrix {
+		m := tensor.NewMatrix(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = rng.Range(-1, 1)
+		}
+		return m
+	}
+	for _, kernel := range []string{"bias", "atb", "abt"} {
+		for _, d := range [][3]int{{64, 128, 128}, {32, 2, 24}} {
+			batch, in, out := d[0], d[1], d[2]
+			x, w, delta := random(batch, in), random(in, out), random(batch, out)
+			bias := make([]float64, out)
+			var dst *tensor.Matrix
+			var run func()
+			switch kernel {
+			case "bias":
+				dst = tensor.NewMatrix(batch, out)
+				run = func() { tensor.MatMulBiasInto(dst, x, w, bias) }
+			case "atb":
+				dst = tensor.NewMatrix(in, out)
+				run = func() { tensor.MatMulATBInto(dst, x, delta) }
+			case "abt":
+				dst = tensor.NewMatrix(batch, in)
+				run = func() { tensor.MatMulABTInto(dst, delta, w) }
+			}
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kernel, batch, in, out), func(b *testing.B) {
+				workers := tensor.ParallelWorkers
+				tensor.ParallelWorkers = 1
+				defer func() { tensor.ParallelWorkers = workers }()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*in*out), "ns/MAC")
+			})
+		}
+	}
+}
+
+// BenchmarkQuantSweep times one int8 sweep of a 128x128 panel, the int8
+// counterpart of one row of bias/64x128x128; ns/MAC is ns/op over
+// in·out = 16384 multiply-adds.
+func BenchmarkQuantSweep(b *testing.B) {
+	const in, out = 128, 128
+	rng := xrand.New(0x6e56)
+	q, x := make([]int8, in*out), make([]int8, in)
+	for i := range q {
+		q[i] = int8(rng.Intn(2*tensor.QuantMax+1) - tensor.QuantMax)
+	}
+	for i := range x {
+		x[i] = int8(rng.Intn(2*tensor.QuantMax+1) - tensor.QuantMax)
+	}
+	panel := tensor.PackQuantPanel(q, in, out)
+	acc, ux := make([]int32, out), make([]uint64, in)
+	b.Run("128x128", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			panel.Sweep(acc, x, ux)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*in*out), "ns/MAC")
+	})
+}
+
 // BenchmarkCoalescedQPS measures per-query serving throughput for N
 // concurrent clients issuing independent single-point queries, comparing
 // the direct Query loop (every call pays the full per-pass dispatch

@@ -1,0 +1,12 @@
+//go:build !amd64 || purego
+
+package tensor
+
+// No assembly on this target: the Go loops are the only path, and the
+// kernels below are never reached.
+const useAVX2 = false
+
+func axpyPanel4AVX2(a0, a1, a2, a3 float64, b, y *float64, w, n int)      {}
+func axpy4AVX2(alpha float64, x, y *float64, n int)                       {}
+func dotRows4AVX2(dst, a, b *float64, k, n int)                           {}
+func sweepPairAVX2(c0, c1, ux *uint64, n int) (ae0, ao0, ae1, ao1 uint64) { return }

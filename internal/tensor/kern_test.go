@@ -1,0 +1,382 @@
+package tensor
+
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+
+	"repro/internal/xrand"
+)
+
+// The kernels are checked through the functions that dispatch to them, so
+// the same file passes with the assembly (amd64) and without it (-tags
+// purego, other targets), where both sides are the Go loops.
+
+// TestKernelPath reports which inner kernels this build and CPU selected;
+// scripts/bench.sh records the line as _meta.simd.
+func TestKernelPath(t *testing.T) {
+	path := "none"
+	if useAVX2 {
+		path = "avx2"
+	}
+	t.Logf("simd=%s", path)
+}
+
+// kernLens is every length 0..67 (all tails on both sides of simdMin, with
+// and without the unrolled loop) plus the wide shapes' 128 and an odd 131.
+func kernLens() []int {
+	lens := make([]int, 0, 70)
+	for n := 0; n <= 67; n++ {
+		lens = append(lens, n)
+	}
+	return append(lens, 128, 131)
+}
+
+var specials = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1040, -0x1p-1030, math.Inf(1), math.Inf(-1), math.NaN(),
+	math.MaxFloat64, -math.MaxFloat64, 1, -1,
+}
+
+// fillKern fills s with random finite data; every third call position it
+// plants a special value so signed zeros, denormals, infinities and NaNs
+// meet each other and ordinary numbers in every lane.
+func fillKern(rng *xrand.Rand, s []float64, special bool) {
+	for i := range s {
+		s[i] = rng.Range(-2, 2) * math.Ldexp(1, rng.Intn(40)-20)
+		if special && rng.Intn(3) == 0 {
+			s[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+}
+
+// sameBits is bit equality, with any NaN equal to any NaN: which operand's
+// payload an instruction propagates is not part of the contract.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+func checkSame(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: element %d = %x (%g), reference %x (%g)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// checkAxpyPanels runs AxpyPanels (four rows of a per assembly call, the
+// len(x)%4 last rows through axpy4) and the reference loops on copies of y.
+func checkAxpyPanels(t *testing.T, x, a, y []float64, off int) {
+	t.Helper()
+	w := len(y)
+	got := append(make([]float64, off), y...)[off:]
+	want := append([]float64(nil), y...)
+	AxpyPanels(got, x, a)
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		axpyPanel4(x[i], x[i+1], x[i+2], x[i+3], a[i*w:(i+1)*w], a[(i+1)*w:(i+2)*w], a[(i+2)*w:(i+3)*w], a[(i+3)*w:(i+4)*w], want)
+	}
+	for ; i < len(x); i++ {
+		if x[i] != 0 {
+			naiveAxpy(x[i], a[i*w:(i+1)*w], want)
+		}
+	}
+	checkSame(t, "AxpyPanels", got, want)
+}
+
+// naiveAxpy is axpy4 without the unrolling: element-wise, so there is no
+// order to get wrong.
+func naiveAxpy(alpha float64, x, y []float64) {
+	for i := range x {
+		y[i] += alpha * x[i]
+	}
+}
+
+func TestAxpyPanel4MatchesReference(t *testing.T) {
+	rng := xrand.New(0x5eed01)
+	for _, n := range kernLens() {
+		for off := 0; off < 4; off++ {
+			for _, special := range []bool{false, true} {
+				x := make([]float64, 9) // two panels of four rows and a single one
+				a := make([]float64, off+len(x)*n)[off:]
+				y := make([]float64, n)
+				fillKern(rng, x, special)
+				fillKern(rng, a, special)
+				fillKern(rng, y, special)
+				checkAxpyPanels(t, x, a, y, off)
+			}
+		}
+	}
+}
+
+func checkAxpy4(t *testing.T, alpha float64, x, y []float64, off int) {
+	t.Helper()
+	got := append(make([]float64, off), y...)[off:]
+	want := append([]float64(nil), y...)
+	axpy4(alpha, x, got)
+	naiveAxpy(alpha, x, want)
+	checkSame(t, "axpy4", got, want)
+}
+
+func TestAxpy4MatchesReference(t *testing.T) {
+	rng := xrand.New(0x5eed02)
+	for _, n := range kernLens() {
+		for off := 0; off < 4; off++ {
+			for _, special := range []bool{false, true} {
+				alpha := []float64{0}
+				fillKern(rng, alpha, special)
+				x := make([]float64, off+n)[off:]
+				y := make([]float64, n)
+				fillKern(rng, x, special)
+				fillKern(rng, y, special)
+				checkAxpy4(t, alpha[0], x, y, off)
+			}
+		}
+	}
+}
+
+// checkDotRows runs one a row against the m rows of b through
+// matMulABTRange (four rows a call in the assembly, the m%4 rest in dot4)
+// and compares every element with dot4 itself.
+func checkDotRows(t *testing.T, a, b []float64, m int) {
+	t.Helper()
+	k := len(a)
+	am := &Matrix{Rows: 1, Cols: k, Data: a}
+	bm := &Matrix{Rows: m, Cols: k, Data: b}
+	got := NewMatrix(1, m)
+	matMulABTRange(got, am, bm, 0, 1)
+	want := make([]float64, m)
+	for j := range want {
+		want[j] = dot4(a, b[j*k:(j+1)*k])
+	}
+	checkSame(t, "dot rows", got.Data, want)
+}
+
+func TestDotRowsMatchReference(t *testing.T) {
+	rng := xrand.New(0x5eed03)
+	for _, k := range kernLens() {
+		if k < narrow {
+			continue // matMulABTRange takes no dot there
+		}
+		for off := 0; off < 4; off++ {
+			for _, special := range []bool{false, true} {
+				const m = 7 // one four-row call and three single rows
+				a := make([]float64, off+k)[off:]
+				b := make([]float64, off+m*k)[off:]
+				fillKern(rng, a, special)
+				fillKern(rng, b, special)
+				checkDotRows(t, a, b, m)
+			}
+		}
+	}
+}
+
+// The sums the matmul kernels build from the inner kernels: wide shapes,
+// k and p with tails, against the same product from the reference loops.
+func TestMatMulKernelsMatchReference(t *testing.T) {
+	rng := xrand.New(0x5eed04)
+	for _, d := range [][3]int{{5, 128, 128}, {3, 131, 67}, {4, 7, 24}, {2, 24, 9}} {
+		rows, n, p := d[0], d[1], d[2]
+		a, b := NewMatrix(rows, n), NewMatrix(n, p)
+		fillKern(rng, a.Data, false)
+		fillKern(rng, b.Data, false)
+		a.Data[1] = 0 // the zero-skip of the k tail
+		bias := make([]float64, p)
+		fillKern(rng, bias, false)
+		got := NewMatrix(rows, p)
+		matMulBiasRange(got, a, b, bias, 0, rows)
+		want := NewMatrix(rows, p)
+		for i := 0; i < rows; i++ {
+			y := want.Row(i)
+			copy(y, bias)
+			k := 0
+			for ; k+4 <= n; k += 4 {
+				axpyPanel4(a.At(i, k), a.At(i, k+1), a.At(i, k+2), a.At(i, k+3), b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), y)
+			}
+			for ; k < n; k++ {
+				if v := a.At(i, k); v != 0 {
+					naiveAxpy(v, b.Row(k), y)
+				}
+			}
+		}
+		checkSame(t, "matMulBiasRange", got.Data, want.Data)
+
+		// aᵀ·delta: row j of the result gathers a's column j.
+		delta := NewMatrix(rows, p)
+		fillKern(rng, delta.Data, false)
+		got, want = NewMatrix(n, p), NewMatrix(n, p)
+		matMulATBRange(got, a, delta, 0, n)
+		for j := 0; j < n; j++ {
+			i := 0
+			for ; i+4 <= rows; i += 4 {
+				axpyPanel4(a.At(i, j), a.At(i+1, j), a.At(i+2, j), a.At(i+3, j), delta.Row(i), delta.Row(i+1), delta.Row(i+2), delta.Row(i+3), want.Row(j))
+			}
+			for ; i < rows; i++ {
+				if v := a.At(i, j); v != 0 {
+					naiveAxpy(v, delta.Row(i), want.Row(j))
+				}
+			}
+		}
+		checkSame(t, "matMulATBRange", got.Data, want.Data)
+	}
+}
+
+// sweepCase packs w, moves the words and the scratch to the given 8-byte
+// offsets (the kernel's loads are unaligned) and checks the sweep against
+// the exact integer dot products.
+func sweepCase(t *testing.T, w, x []int8, in, out, off int) {
+	t.Helper()
+	p := PackQuantPanel(w, in, out)
+	p.Words = append(make([]uint64, off), p.Words...)[off:]
+	ux := make([]uint64, off+in)[off:]
+	got, want := make([]int32, out), make([]int32, out)
+	p.Sweep(got, x, ux)
+	refQuantDot(want, x, w, in, out)
+	for j := range want {
+		if got[j] != want[j] {
+			t.Fatalf("sweep %dx%d off %d col %d: got %d want %d", in, out, off, j, got[j], want[j])
+		}
+	}
+}
+
+// TestQuantSweepFullGrid drives every grid value of x against every grid
+// value of w, including the extremes that fill a 16-bit lane
+// (4 * 127 * 127), with dropout-zeroed inputs, for In on both sides of and
+// off the kernel's 16-row step and Out off the 4-channel group.
+func TestQuantSweepFullGrid(t *testing.T) {
+	const span = 2*QuantMax + 1
+	for _, d := range [][2]int{{128, 128}, {127, 126}, {16, 8}, {17, 9}, {31, 11}, {48, 5}, {15, 8}, {33, 3}, {131, 67}} {
+		in, out := d[0], d[1]
+		for off := 0; off < 4; off++ {
+			for shift := 0; shift < span; shift += 9 {
+				w, x := make([]int8, in*out), make([]int8, in)
+				for i := range x {
+					x[i] = int8((i+shift)%span - QuantMax)
+					if i%5 == 2 {
+						x[i] = 0
+					}
+					for j := 0; j < out; j++ {
+						w[i*out+j] = int8((i*7+j*13+shift)%span - QuantMax)
+					}
+				}
+				sweepCase(t, w, x, in, out, off)
+			}
+		}
+		for _, v := range [][2]int8{{QuantMax, QuantMax}, {-QuantMax, -QuantMax}, {QuantMax, -QuantMax}} {
+			w, x := make([]int8, in*out), make([]int8, in)
+			for i := range x {
+				x[i] = v[0]
+			}
+			for i := range w {
+				w[i] = v[1]
+			}
+			sweepCase(t, w, x, in, out, 1)
+		}
+	}
+}
+
+// A zero-length operand must return before any kernel takes the address
+// of its first element.
+func TestKernelsZeroLength(t *testing.T) {
+	var none []float64
+	axpyPanel4(1, 2, 3, 4, none, none, none, none, none)
+	AxpyPanels(none, none, none)
+	axpy4(1, none, none)
+	Axpy(1, []float64{}, []float64{})
+	AxpyPanels(none, []float64{1, 2, 3, 4, 5}, none)
+	if Dot(none, none) != 0 {
+		t.Fatal("empty dot")
+	}
+	MatMulBiasInto(nil, NewMatrix(3, 0), NewMatrix(0, 16), make([]float64, 16))
+	MatMulBiasInto(nil, NewMatrix(3, 16), NewMatrix(16, 0), none)
+	MatMulATBInto(nil, NewMatrix(0, 16), NewMatrix(0, 16))
+	MatMulABTInto(nil, NewMatrix(3, 0), NewMatrix(8, 0))
+	MatMulABTInto(nil, NewMatrix(0, 16), NewMatrix(8, 16))
+	p := PackQuantPanel(nil, 0, 8)
+	p.Sweep(make([]int32, 8), nil, nil)
+	p = PackQuantPanel(nil, 32, 0)
+	p.Sweep(nil, make([]int8, 32), make([]uint64, 32))
+}
+
+// fuzzFloats reads data as little-endian float64 bit patterns, so the
+// fuzzer reaches every NaN, denormal and infinity directly.
+func fuzzFloats(data []byte) []float64 {
+	s := make([]float64, len(data)/8)
+	for i := range s {
+		s[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return s
+}
+
+func fuzzSeeds(f *testing.F) {
+	rng := xrand.New(0xf022)
+	for _, n := range []int{0, 5 * 8, 5 * 12, 5 * 19, 5 * 64} {
+		s := make([]float64, n)
+		fillKern(rng, s, true)
+		data := make([]byte, 8*n)
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(v))
+		}
+		f.Add(data, uint8(n))
+	}
+}
+
+func FuzzAxpyPanel4(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
+		s := fuzzFloats(data)[min(int(off%4), len(data)/8):]
+		n := len(s) / 5
+		if n == 0 {
+			return
+		}
+		checkAxpyPanels(t, []float64{s[0], s[n-1], s[n], s[len(s)-1]}, s[:4*n], s[4*n:5*n], int(off/4%4))
+	})
+}
+
+func FuzzAxpy4(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
+		s := fuzzFloats(data)
+		n := len(s) / 2
+		if n == 0 {
+			return
+		}
+		o := min(int(off%4), n)
+		checkAxpy4(t, s[len(s)-1], s[o:n], s[n:][o:n], int(off/4%4))
+	})
+}
+
+func FuzzDotRows(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte, off uint8) {
+		s := fuzzFloats(data)[min(int(off%4), len(data)/8):]
+		k := len(s) / 6
+		if k < narrow {
+			return
+		}
+		checkDotRows(t, s[:k], s[k:6*k], 5)
+	})
+}
+
+func FuzzQuantSweep(f *testing.F) {
+	f.Add([]byte{1, 2, 3}, uint8(17), uint8(9))
+	f.Add([]byte{0x3f, 0xc1, 0, 0x7f, 0x80}, uint8(128), uint8(128))
+	f.Fuzz(func(t *testing.T, data []byte, in, out uint8) {
+		if len(data) == 0 {
+			return
+		}
+		grid := func(i int) int8 { // any byte, folded onto [-QuantMax, QuantMax]
+			return int8(int(data[i%len(data)])%(2*QuantMax+1) - QuantMax)
+		}
+		w, x := make([]int8, int(in)*int(out)), make([]int8, in)
+		for i := range w {
+			w[i] = grid(i)
+		}
+		for i := range x {
+			x[i] = grid(len(w) + 3*i)
+		}
+		sweepCase(t, w, x, int(in), int(out), int(in)%4)
+	})
+}

@@ -1,7 +1,10 @@
 package tensor
 
 import (
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestAppendRow(t *testing.T) {
@@ -82,10 +85,57 @@ func TestParallelTuningVars(t *testing.T) {
 }
 
 func TestDefaultFlopThreshold(t *testing.T) {
-	if got := defaultFlopThreshold(1); got != 32*32*32 {
-		t.Fatalf("1-core threshold %d want %d", got, 32*32*32)
+	if got := defaultFlopThreshold(2); got != 32*32*32 {
+		t.Fatalf("2-core threshold %d want %d", got, 32*32*32)
 	}
-	if got := defaultFlopThreshold(16); got != 8192*16 {
-		t.Fatalf("16-core threshold %d want %d", got, 8192*16)
+	if got := defaultFlopThreshold(16); got != 16384*16 {
+		t.Fatalf("16-core threshold %d want %d", got, 16384*16)
+	}
+}
+
+// TestParallelRangesCallerWorks holds every range at a barrier, so all of
+// them are running at once, and counts the goroutines that took: one fewer
+// than the ranges, because the caller runs one itself. The ranges must
+// tile [0,rows) exactly.
+func TestParallelRangesCallerWorks(t *testing.T) {
+	oldW := ParallelWorkers
+	defer func() { ParallelWorkers = oldW }()
+	ParallelWorkers = 4
+	base := runtime.NumGoroutine()
+	for _, rows := range []int{2, 3, 4, 5, 7, 10, 64} {
+		// A goroutine of the previous round has called Done but may not
+		// have been torn down yet: give the count a moment.
+		for wait := time.Now(); runtime.NumGoroutine() > base && time.Since(wait) < time.Second; {
+			runtime.Gosched()
+		}
+		workers := min(ParallelWorkers, rows)
+		chunk := (rows + workers - 1) / workers
+		ranges := (rows + chunk - 1) / chunk
+		before := runtime.NumGoroutine()
+		var mu sync.Mutex
+		var barrier sync.WaitGroup
+		barrier.Add(ranges)
+		covered := make([]int, rows)
+		spawned := 0
+		parallelRanges(rows, func(lo, hi int) {
+			barrier.Done()
+			barrier.Wait()
+			mu.Lock()
+			defer mu.Unlock()
+			if g := runtime.NumGoroutine() - before; g > spawned {
+				spawned = g
+			}
+			for i := lo; i < hi; i++ {
+				covered[i]++
+			}
+		})
+		for i, c := range covered {
+			if c != 1 {
+				t.Fatalf("rows=%d: row %d covered %d times", rows, i, c)
+			}
+		}
+		if spawned != ranges-1 {
+			t.Fatalf("rows=%d: %d goroutines spawned for %d ranges, want %d", rows, spawned, ranges, ranges-1)
+		}
 	}
 }

@@ -10,9 +10,13 @@ package tensor
 // any lane splitting is needed. A weight panel therefore packs four
 // output channels per uint64 word (16-bit lanes, group-major: all `in`
 // words of a column group are contiguous), and the sweep runs the whole
-// dense step as plain 64-bit integer multiply-adds — no SIMD intrinsics,
-// no per-element sign handling — splitting lanes into 32-bit
-// accumulators only once every four input rows.
+// dense step as plain 64-bit integer multiply-adds — no per-element sign
+// handling — splitting lanes into 32-bit accumulators only once every
+// four input rows. The layout is also what a vector unit wants: on amd64
+// with AVX2 the first In&^15 rows of each pair of column groups go
+// through sweepPairAVX2 (kern_amd64.s), four words a register, the same
+// 16-bit lane products and the same lane split; the Go loops below are
+// the whole sweep everywhere else and its tail there.
 //
 // Bias arithmetic: with u = x+64 and v = w+64,
 //
@@ -106,6 +110,10 @@ func (p *QuantPanel) Sweep(dst []int32, x []int8, ux []uint64) {
 		c1 = c1[:in]
 		var ae0, ao0, ae1, ao1 uint64
 		i := 0
+		if useAVX2 && in >= 16 {
+			i = in &^ 15
+			ae0, ao0, ae1, ao1 = sweepPairAVX2(&c0[0], &c1[0], &ux[0], i)
+		}
 		for ; i+8 <= in; i += 8 {
 			u0, u1, u2, u3 := ux[i], ux[i+1], ux[i+2], ux[i+3]
 			u4, u5, u6, u7 := ux[i+4], ux[i+5], ux[i+6], ux[i+7]

@@ -342,6 +342,7 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 		matMulNarrowRange(out, a, b, bias, lo, hi)
 		return
 	}
+	wide := useAVX2 && p >= simdMin
 	for i := lo; i < hi; i++ {
 		outRow := out.Data[i*p : (i+1)*p]
 		if bias != nil {
@@ -354,6 +355,10 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 		aRow := a.Data[i*n : (i+1)*n]
 		k := 0
 		for ; k+4 <= n; k += 4 {
+			if wide {
+				axpyPanel4Wide(aRow[k], aRow[k+1], aRow[k+2], aRow[k+3], b.Data[k*p:(k+4)*p], outRow)
+				continue
+			}
 			axpyPanel4(aRow[k], aRow[k+1], aRow[k+2], aRow[k+3],
 				b.Data[k*p:(k+1)*p], b.Data[(k+1)*p:(k+2)*p],
 				b.Data[(k+2)*p:(k+3)*p], b.Data[(k+3)*p:(k+4)*p], outRow)
@@ -437,6 +442,7 @@ func matMulATBRange(dst, a, b *Matrix, lo, hi int) {
 		}
 		return
 	}
+	wide := useAVX2 && p >= simdMin
 	for j := lo; j < hi; j++ {
 		dstRow := dst.Data[j*p : (j+1)*p]
 		for i := range dstRow {
@@ -444,6 +450,10 @@ func matMulATBRange(dst, a, b *Matrix, lo, hi int) {
 		}
 		i := 0
 		for ; i+4 <= n; i += 4 {
+			if wide {
+				axpyPanel4Wide(a.Data[i*m+j], a.Data[(i+1)*m+j], a.Data[(i+2)*m+j], a.Data[(i+3)*m+j], b.Data[i*p:(i+4)*p], dstRow)
+				continue
+			}
 			axpyPanel4(a.Data[i*m+j], a.Data[(i+1)*m+j], a.Data[(i+2)*m+j], a.Data[(i+3)*m+j],
 				b.Data[i*p:(i+1)*p], b.Data[(i+1)*p:(i+2)*p],
 				b.Data[(i+2)*p:(i+3)*p], b.Data[(i+3)*p:(i+4)*p], dstRow)
@@ -494,9 +504,32 @@ func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 			}
 			continue
 		}
-		for j := 0; j < m; j++ {
+		j := 0
+		if useAVX2 && k >= narrow {
+			for ; j+4 <= m; j += 4 {
+				dotRows4(dstRow[j:j+4], aRow, b.Data[j*k:(j+4)*k])
+			}
+		}
+		for ; j < m; j++ {
 			dstRow[j] = dot4(aRow, b.Data[j*k:(j+1)*k])
 		}
+	}
+}
+
+// dotRows4 stores dot4(a, b[r*len(a):(r+1)*len(a)]) into dst[r] for the
+// four consecutive rows r of b: the assembly kernel covers the whole
+// vectors, dot4's scalar tail follows here in dot4's order.
+func dotRows4(dst, a, b []float64) {
+	k := len(a)
+	n := k &^ 3
+	dst, b = dst[:4], b[:4*k]
+	dotRows4AVX2(&dst[0], &a[0], &b[0], k, n)
+	for r := range dst {
+		s := dst[r]
+		for i := n; i < k; i++ {
+			s += a[i] * b[r*k+i]
+		}
+		dst[r] = s
 	}
 }
 
@@ -513,18 +546,21 @@ var (
 	ParallelWorkers = runtime.GOMAXPROCS(0)
 	// ParallelFlopThreshold is the minimum multiply-accumulate count at
 	// which a kernel fans out instead of running inline. Defaults to
-	// ~8Ki flops per potential worker, floored at the classic 32³.
+	// 16Ki multiply-accumulates per potential worker.
 	ParallelFlopThreshold = defaultFlopThreshold(runtime.GOMAXPROCS(0))
 )
 
 // defaultFlopThreshold derives the fan-out break-even point from the worker
-// count: more workers mean more spawn overhead per call, so demand
-// proportionally more total work before paying it.
+// count. BENCH_15.cpus2.json's _meta.parallel_slope_ns (2 CPUs, AVX2
+// kernels, 8192·workers multiply-accumulates a pair) puts the inline
+// kernel at 0.18 ns per multiply-accumulate and a fan-out at half the
+// inline time plus 1.3-1.45 µs per range (workers=2: 3076 vs 4231 ns,
+// =4: 5431 vs 8503, =8: 11570 vs 16257). Two workers break even at
+// 2·2.7 µs of inline work, 30 000 multiply-accumulates: 16Ki each, twice
+// the scalar kernels' 8Ki, because the inline side got twice as fast and
+// a goroutine did not.
 func defaultFlopThreshold(workers int) int {
-	if t := 8192 * workers; t > 32*32*32 {
-		return t
-	}
-	return 32 * 32 * 32
+	return 16384 * workers
 }
 
 // useParallel reports whether a row-sharded kernel should fan out: the
@@ -535,7 +571,8 @@ func useParallel(rows, work int) bool {
 	return work >= ParallelFlopThreshold && rows > 1 && ParallelWorkers > 1
 }
 
-// parallelRanges splits [0,rows) across up to ParallelWorkers goroutines.
+// parallelRanges splits [0,rows) into up to ParallelWorkers ranges: the
+// caller runs the last one itself, each of the others gets a goroutine.
 func parallelRanges(rows int, f func(lo, hi int)) {
 	workers := ParallelWorkers
 	if workers > rows {
@@ -543,21 +580,15 @@ func parallelRanges(rows int, f func(lo, hi int)) {
 	}
 	var wg sync.WaitGroup
 	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		if lo >= hi {
-			break
-		}
+	lo := 0
+	for ; lo+chunk < rows; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(lo int) {
 			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
+			f(lo, lo+chunk)
+		}(lo)
 	}
+	f(lo, rows)
 	wg.Wait()
 }
 
@@ -616,8 +647,13 @@ func AxpyPanels(dst, x, a []float64) {
 	if len(a) != len(x)*w {
 		panic(fmt.Sprintf("tensor: axpy-panels %d x %d panel block of len %d", len(x), w, len(a)))
 	}
+	wide := useAVX2 && w >= simdMin
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
+		if wide {
+			axpyPanel4Wide(x[i], x[i+1], x[i+2], x[i+3], a[i*w:(i+4)*w], dst)
+			continue
+		}
 		axpyPanel4(x[i], x[i+1], x[i+2], x[i+3],
 			a[i*w:(i+1)*w], a[(i+1)*w:(i+2)*w],
 			a[(i+2)*w:(i+3)*w], a[(i+3)*w:(i+4)*w], dst)
@@ -650,11 +686,38 @@ func axpyPanel4(a0, a1, a2, a3 float64, b0, b1, b2, b3, y []float64) {
 	}
 }
 
+// simdMin is the row width from which the axpy assembly kernels are
+// called: measured alone, the panel kernel is level with the inlined Go
+// loop at 8 and ahead above it (2x at 16), axpy4's is within 1 ns of its
+// Go loop from 8 to 15 and ahead from 16. Narrower rows, and the last
+// len%4 elements of any row, stay in the Go loops.
+const simdMin = 8
+
+// axpyPanel4Wide is axpyPanel4 for the four consecutive len(y)-wide rows
+// of b, len(y) >= simdMin: the whole vectors in assembly, the tail in
+// axpyPanel4. The callers choose between the two once per row range, so
+// narrow rows keep axpyPanel4 inlined with no call at all.
+func axpyPanel4Wide(a0, a1, a2, a3 float64, b, y []float64) {
+	w := len(y)
+	n := w &^ 3
+	b = b[:4*w]
+	axpyPanel4AVX2(a0, a1, a2, a3, &b[0], &y[0], w, n)
+	if n < w {
+		axpyPanel4(a0, a1, a2, a3, b[n:w], b[w+n:2*w], b[2*w+n:3*w], b[3*w+n:], y[n:])
+	}
+}
+
 // axpy4 is the unchecked y += alpha*x kernel, 4-way unrolled to cut loop
-// overhead and keep independent stores in flight.
+// overhead and keep independent stores in flight; where there is an
+// assembly kernel it takes the whole vectors of a long enough x and the
+// loops below only the tail.
 func axpy4(alpha float64, x, y []float64) {
 	y = y[:len(x)] // bounds-check elimination hint
 	i := 0
+	if useAVX2 && len(x) >= simdMin {
+		i = len(x) &^ 3
+		axpy4AVX2(alpha, &x[0], &y[0], i)
+	}
 	for ; i+4 <= len(x); i += 4 {
 		x4, y4 := x[i:i+4:i+4], y[i:i+4:i+4]
 		y4[0] += alpha * x4[0]

@@ -15,7 +15,7 @@ if [[ -z "$out" ]]; then
   out="BENCH_${n}.json"
 fi
 
-benches='BenchmarkTrainEpoch$|BenchmarkDenseForwardBackward|BenchmarkQueryBatch$|BenchmarkQueryLoop|BenchmarkQueryDuringRetrain|BenchmarkOracleFanout|BenchmarkOracleCampaign|BenchmarkCompiledForward|BenchmarkCompiledBatch|BenchmarkQuantizedForward|BenchmarkQuantizedQueryBatch|BenchmarkDeepUQ|BenchmarkMatMulParallelSlope|BenchmarkCoalescedQPS|BenchmarkFleetQPS|BenchmarkWireQPS|BenchmarkResilientQPS|BenchmarkRoutedQPS|BenchmarkRegistryColdStart'
+benches='BenchmarkTrainEpoch$|BenchmarkDenseForwardBackward|BenchmarkQueryBatch$|BenchmarkQueryLoop|BenchmarkQueryDuringRetrain|BenchmarkOracleFanout|BenchmarkOracleCampaign|BenchmarkCompiledForward|BenchmarkCompiledBatch|BenchmarkQuantizedForward|BenchmarkQuantizedQueryBatch|BenchmarkDeepUQ|BenchmarkMatMulParallelSlope|BenchmarkMatMulKernels|BenchmarkQuantSweep|BenchmarkCoalescedQPS|BenchmarkFleetQPS|BenchmarkWireQPS|BenchmarkResilientQPS|BenchmarkRoutedQPS|BenchmarkRegistryColdStart'
 raw=$(go test -run=NONE -bench="$benches" -benchtime=1s -count=1 .)
 echo "$raw"
 
@@ -27,8 +27,13 @@ echo "$raw"
 # (see README "Retuning the matmul fan-out threshold") without re-running.
 cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 1)"
 gomaxprocs="${GOMAXPROCS:-$cpus}"
+# Which inner kernels the tensor package selected for this build and CPU
+# ("avx2" or "none"): scalar and vector snapshots do not compare, and
+# bench_diff refuses to.
+simd="$(go test -count=1 -run '^TestKernelPath$' -v ./internal/tensor | sed -n 's/.*simd=\([a-z0-9]*\).*/\1/p' | head -n 1)"
+[[ -n "$simd" ]] || { echo "bench.sh: tensor's TestKernelPath did not report a kernel path" >&2; exit 1; }
 
-echo "$raw" | awk -v out="$out" -v gomaxprocs="$gomaxprocs" -v cpus="$cpus" '
+echo "$raw" | awk -v out="$out" -v gomaxprocs="$gomaxprocs" -v cpus="$cpus" -v simd="$simd" '
   /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
@@ -45,6 +50,7 @@ echo "$raw" | awk -v out="$out" -v gomaxprocs="$gomaxprocs" -v cpus="$cpus" '
       if ($(i + 1) == "ns/sample-epoch") extra = extra sprintf(", \"ns_per_sample_epoch\": %s", $i)
       if ($(i + 1) == "rows/s") extra = extra sprintf(", \"rows_per_s\": %s", $i)
       if ($(i + 1) == "busy-share") extra = extra sprintf(", \"busy_share\": %s", $i)
+      if ($(i + 1) == "ns/MAC") extra = extra sprintf(", \"ns_per_mac\": %s", $i)
     }
     if (ns != "") {
       if (name ~ /^BenchmarkMatMulParallelSlope\//) {
@@ -62,7 +68,7 @@ echo "$raw" | awk -v out="$out" -v gomaxprocs="$gomaxprocs" -v cpus="$cpus" '
     slope = ""
     for (i = 1; i <= m; i++) slope = slope (i > 1 ? ", " : "") slopes[i]
     printf "{\n" > out
-    printf "  \"_meta\": {\"gomaxprocs\": %s, \"cpus\": %s, \"parallel_slope_ns\": {%s}},\n", gomaxprocs, cpus, slope > out
+    printf "  \"_meta\": {\"gomaxprocs\": %s, \"cpus\": %s, \"simd\": \"%s\", \"parallel_slope_ns\": {%s}},\n", gomaxprocs, cpus, simd, slope > out
     for (i = 1; i <= n; i++) printf "%s%s\n", entries[i], (i < n ? "," : "") > out
     printf "}\n" > out
   }

@@ -26,8 +26,11 @@
 // deliberately stalling negative baselines — e.g. the locked wrapper
 // under retrain, whose ns/op is bimodal run to run depending on how many
 // queries land inside a refit window — where a "regression" carries no
-// signal about the code. Entries whose name starts with "_" (snapshot
-// metadata such as _meta.gomaxprocs) are ignored everywhere.
+// signal about the code. Entries whose name starts with "_" are snapshot
+// metadata, not benchmarks: two snapshots whose _meta.cpus,
+// _meta.gomaxprocs or _meta.simd differ are not compared at all (exit 2,
+// both shapes named); a field an older snapshot lacks is not held
+// against it.
 package main
 
 import (
@@ -50,16 +53,50 @@ type benchEntry struct {
 	P99Ns       *float64 `json:"p99_ns"`
 }
 
-func loadSnapshot(path string) (map[string]benchEntry, error) {
+// snapMeta is the machine shape scripts/bench.sh records under "_meta".
+// A field an older snapshot does not carry is nil and is not compared.
+type snapMeta struct {
+	CPUs       *int    `json:"cpus"`
+	GoMaxProcs *int    `json:"gomaxprocs"`
+	SIMD       *string `json:"simd"`
+}
+
+func (m snapMeta) String() string {
+	return fmt.Sprintf("cpus=%s gomaxprocs=%s simd=%s", orUnknown(m.CPUs), orUnknown(m.GoMaxProcs), orUnknown(m.SIMD))
+}
+
+func orUnknown[T any](v *T) string {
+	if v == nil {
+		return "?"
+	}
+	return fmt.Sprint(*v)
+}
+
+// sameShape reports whether two snapshots were taken on the same machine
+// shape, as far as both record it: ns/op from different CPU counts,
+// GOMAXPROCS or inner kernels do not measure the code between them.
+func sameShape(a, b snapMeta) bool {
+	return agree(a.CPUs, b.CPUs) && agree(a.GoMaxProcs, b.GoMaxProcs) && agree(a.SIMD, b.SIMD)
+}
+
+func agree[T comparable](a, b *T) bool { return a == nil || b == nil || *a == *b }
+
+func loadSnapshot(path string) (map[string]benchEntry, snapMeta, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, snapMeta{}, err
 	}
 	var snap map[string]benchEntry
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	var shape struct {
+		Meta snapMeta `json:"_meta"`
 	}
-	return snap, nil
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		return nil, snapMeta{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if err := json.Unmarshal(raw, &shape); err != nil {
+		return nil, snapMeta{}, fmt.Errorf("%s: %w", path, err)
+	}
+	return snap, shape.Meta, nil
 }
 
 // lastTwoSnapshots returns the two highest-n BENCH_<n>.json paths in dir,
@@ -115,14 +152,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	oldSnap, err := loadSnapshot(oldPath)
+	oldSnap, oldMeta, err := loadSnapshot(oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench_diff:", err)
 		os.Exit(2)
 	}
-	newSnap, err := loadSnapshot(newPath)
+	newSnap, newMeta, err := loadSnapshot(newPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench_diff:", err)
+		os.Exit(2)
+	}
+	if !sameShape(oldMeta, newMeta) {
+		fmt.Fprintf(os.Stderr, "bench_diff: machine shapes differ, not comparing: %s is %s, %s is %s\n",
+			oldPath, oldMeta, newPath, newMeta)
 		os.Exit(2)
 	}
 
