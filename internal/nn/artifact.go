@@ -36,8 +36,13 @@ import (
 const (
 	artifactMagic = 0x4153454c // "LESA" little-endian
 	// ArtifactVersion is the current artifact format version; decoders
-	// reject anything newer (fail closed on version skew).
-	ArtifactVersion = 1
+	// reject any other (fail closed on version skew). Version 2 has
+	// version 1's layout: it marks programs whose activations, and so the
+	// int8 lookup tables a decoder rebuilds, are tensor.Tanh/Sigmoid. A
+	// version-1 table was sampled from math.Tanh and can differ in a knot's
+	// last bit, so a version-1 artifact is refused (and refitted) rather
+	// than served with tables its encoder never had.
+	ArtifactVersion = 2
 
 	secMeta     = 1 // opaque caller metadata (the registry stores surrogate config here)
 	secNet      = 2 // trainable Network: layer specs + weights
@@ -700,10 +705,11 @@ func decodeQuantPayload(payload []byte) (*QuantCompiled, error) {
 				st.aFmc = d.floats(out)
 				// LUTs are rebuilt, not stored: BuildQuantLUT is
 				// deterministic, so the rebuilt table is bit-identical to
-				// the one the encoder's program used.
+				// the one the encoder's program used (the encoder is of
+				// this ArtifactVersion, hence of this activation).
 				lut := luts[act]
 				if lut == nil {
-					lut = tensor.BuildQuantLUT(act.apply, lo, hi)
+					lut = tensor.BuildQuantLUT(act.applyAll, lo, hi)
 					luts[act] = lut
 				}
 				st.lut = lut

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -168,13 +169,16 @@ func TestArtifactTruncationDetected(t *testing.T) {
 	}
 }
 
-// Version skew fails closed: a decoder must not guess at a future format.
+// Version skew fails closed: a decoder must not guess at a future format,
+// nor serve a past one (version 1 rebuilt its int8 tables from math.Tanh).
 func TestArtifactVersionSkew(t *testing.T) {
 	_, data := buildArtifact(t, 51)
-	mut := append([]byte(nil), data...)
-	mut[4] = byte(ArtifactVersion + 1)
-	if err := VerifyArtifact(mut); err == nil {
-		t.Fatal("future version passed verification")
+	for _, v := range []int{ArtifactVersion + 1, ArtifactVersion - 1} {
+		mut := append([]byte(nil), data...)
+		mut[4] = byte(v)
+		if err := VerifyArtifact(mut); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("version %d: verification gave %v, want a version error", v, err)
+		}
 	}
 }
 

@@ -178,11 +178,7 @@ func (c *Compiled) forwardRange(ctx *compiledCtx, x []float64, lo, hi int, stoch
 			out := ctx.buf[side][:st.out]
 			copy(out, st.b) // seed with the bias: no zeroing pass
 			tensor.AxpyPanels(out, cur, st.w)
-			if st.act != Identity {
-				for j, v := range out {
-					out[j] = st.act.apply(v)
-				}
-			}
+			st.act.applyAll(out)
 			cur = out
 			side = 1 - side
 		case stepDropout:
@@ -326,16 +322,6 @@ func (c *Compiled) getBatchCtx() *compiledBatchCtx {
 	}
 }
 
-// applyAct applies a to every element of xs in place.
-func applyAct(a Activation, xs []float64) {
-	if a == Identity {
-		return
-	}
-	for i, v := range xs {
-		xs[i] = a.apply(v)
-	}
-}
-
 // growFloats returns *buf resized to n, reallocating only on growth.
 func growFloats(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
@@ -362,7 +348,7 @@ func (c *Compiled) forwardBatchPrefix(ctx *compiledBatchCtx, xs *tensor.Matrix, 
 		}
 		out := reuse(&ctx.buf[side], b, st.out)
 		tensor.MatMulBiasInto(out, cur, st.wm, st.b)
-		applyAct(st.act, out.Data)
+		st.act.applyAll(out.Data)
 		cur = out
 		side = 1 - side
 	}
@@ -485,7 +471,7 @@ func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, 
 		case stepDense:
 			out := reuse(&ctx.tall[side], passes*b, st.out)
 			tensor.MatMulBiasInto(out, tall, st.wm, st.b)
-			applyAct(st.act, out.Data)
+			st.act.applyAll(out.Data)
 			tall = out
 			side = 1 - side
 		}
@@ -552,27 +538,5 @@ func (c *Compiled) predictMCChunkTail(ctx *compiledBatchCtx, xs *tensor.Matrix, 
 	}
 	packY := reuse(&ctx.tall[1], b, passes*out)
 	tensor.MatMulInto(packY, pre, packW)
-	invP := 1 / float64(passes)
-	for r := 0; r < b; r++ {
-		yrow := packY.Data[r*passes*out : (r+1)*passes*out]
-		mrow := mean.Data[(lo+r)*out : (lo+r+1)*out]
-		srow := std.Data[(lo+r)*out : (lo+r+1)*out]
-		for j := 0; j < out; j++ {
-			ref := nd.act.apply(yrow[j] + nd.b[j])
-			sum, ssq := 0.0, 0.0
-			for t := 1; t < passes; t++ {
-				v := nd.act.apply(yrow[t*out+j] + nd.b[j])
-				d := v - ref
-				sum += d
-				ssq += d * d
-			}
-			d := sum * invP
-			mrow[j] = ref + d
-			v := ssq*invP - d*d
-			if v < 0 {
-				v = 0
-			}
-			srow[j] = math.Sqrt(v)
-		}
-	}
+	reducePassPanel(packY, nd.b, nd.act, passes, mean.Data[lo*out:], std.Data[lo*out:])
 }

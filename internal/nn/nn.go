@@ -44,24 +44,12 @@ func (a Activation) String() string {
 	}
 }
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	case Tanh:
-		return math.Tanh(x)
-	case Sigmoid:
-		return 1 / (1 + math.Exp(-x))
-	default:
-		return x
-	}
-}
-
-// applyAll applies the activation to every element of z in place, with
-// the activation selected once for the whole slice.
+// applyAll applies the activation to every element of z in place. It is
+// the one implementation every path evaluates an activation through —
+// training, Predictor, the compiled row and batch programs, the int8
+// program's float stage and its lookup tables — so they agree to the bit,
+// on every platform (tensor.Tanh and tensor.Sigmoid are slice kernels with
+// an accuracy contract, not the math package's per-target routines).
 func (a Activation) applyAll(z []float64) {
 	switch a {
 	case ReLU:
@@ -71,13 +59,9 @@ func (a Activation) applyAll(z []float64) {
 			}
 		}
 	case Tanh:
-		for i, v := range z {
-			z[i] = math.Tanh(v)
-		}
+		tensor.Tanh(z)
 	case Sigmoid:
-		for i, v := range z {
-			z[i] = 1 / (1 + math.Exp(-v))
-		}
+		tensor.Sigmoid(z)
 	}
 }
 
@@ -247,7 +231,8 @@ func (d *Dense) Params() []ParamPair {
 // dropout) so expected activations match eval mode.
 type Dropout struct {
 	P      float64
-	mask   []float64
+	mask   *tensor.Matrix // the multipliers of the last training Forward
+	words  []uint64       // the random words that Forward drew them from
 	active bool           // a mask is live from the last training Forward
 	out    *tensor.Matrix // owned masked output
 	gradIn *tensor.Matrix // owned backward output
@@ -272,34 +257,20 @@ func (dr *Dropout) Forward(x *tensor.Matrix, training bool, rng *xrand.Rand) *te
 		panic("nn: dropout in training mode requires rng")
 	}
 	out := reuse(&dr.out, x.Rows, x.Cols)
-	if cap(dr.mask) < len(x.Data) {
-		dr.mask = make([]float64, len(x.Data))
+	// One Uint64 decides two units (tensor.DropoutMask), each kept when
+	// its 32-bit lane is below (1-p)·2³².
+	n := (len(x.Data) + 1) / 2
+	if cap(dr.words) < n {
+		dr.words = make([]uint64, n)
 	}
-	dr.mask = dr.mask[:len(x.Data)]
+	words := dr.words[:n]
+	for i := range words {
+		words[i] = rng.Uint64()
+	}
 	dr.active = true
-	dropoutSample(out.Data, x.Data, dr.mask, dr.P, rng)
+	tensor.DropoutMask(out.Data, x.Data, reuse(&dr.mask, x.Rows, x.Cols).Data, words,
+		uint64((1-dr.P)*(1<<32)), 1/(1-dr.P))
 	return out
-}
-
-// dropoutSample fills dst with an inverted-dropout sample of x: each
-// element survives with probability 1-p scaled by 1/(1-p), else zero, and
-// the applied multipliers are recorded in mask for backprop. A unit
-// survives when its 32-bit lane of the stream is below (1-p)·2³², so one
-// Uint64 decides two units; the multiplier is looked up by the sign bit of
-// lane-keep, which keeps the loop free of data-dependent branches.
-func dropoutSample(dst, x, mask []float64, p float64, rng *xrand.Rand) {
-	mult := [2]float64{0, 1 / (1 - p)}
-	keep := uint64((1 - p) * (1 << 32))
-	mask, dst = mask[:len(x)], dst[:len(x)] // bounds-check elimination hints
-	for i := 0; i < len(x); i += 2 {
-		lanes := rng.Uint64()
-		m := mult[(lanes&(1<<32-1)-keep)>>63]
-		mask[i], dst[i] = m, x[i]*m
-		if i+1 < len(x) {
-			m = mult[(lanes>>32-keep)>>63]
-			mask[i+1], dst[i+1] = m, x[i+1]*m
-		}
-	}
 }
 
 // Backward implements Layer.
@@ -307,11 +278,7 @@ func (dr *Dropout) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if !dr.active {
 		return gradOut
 	}
-	out := reuse(&dr.gradIn, gradOut.Rows, gradOut.Cols)
-	for i, g := range gradOut.Data {
-		out.Data[i] = g * dr.mask[i]
-	}
-	return out
+	return tensor.Hadamard(reuse(&dr.gradIn, gradOut.Rows, gradOut.Cols), gradOut, dr.mask)
 }
 
 // Params implements Layer.
@@ -805,19 +772,31 @@ func (p *Predictor) predictMCPanel(pre *tensor.Matrix, dr *Dropout, nd *Dense, p
 	tensor.MatMulInto(packY, pre, packW)
 	mean = reuse(&p.mean, pre.Rows, out)
 	std = reuse(&p.std, pre.Rows, out)
+	reducePassPanel(packY, nd.B.Data, nd.Act, passes, mean.Data, std.Data)
+	return mean, std
+}
+
+// reducePassPanel finishes a fused MC panel: each row of packY holds the
+// passes side-by-side pre-bias outputs (len(bias) wide each) of one query.
+// Bias and activation are applied to the whole panel in place, then each
+// row's passes reduce into its row of mean and std, accumulating
+// deviations from the first pass (shifted data) as the generic paths do.
+func reducePassPanel(packY *tensor.Matrix, bias []float64, act Activation, passes int, mean, std []float64) {
+	out := len(bias)
+	for k := 0; k < len(packY.Data); k += out {
+		for j, b := range bias {
+			packY.Data[k+j] += b
+		}
+	}
+	act.applyAll(packY.Data)
 	invP := 1 / float64(passes)
-	for i := 0; i < pre.Rows; i++ {
-		yrow := packY.Row(i)
-		mrow := mean.Row(i)
-		srow := std.Row(i)
-		for j := 0; j < out; j++ {
-			// Shifted-data accumulation around the first pass, matching
-			// the generic path's numerics.
-			ref := nd.Act.apply(yrow[j] + nd.B.Data[j])
+	for r := 0; r < packY.Rows; r++ {
+		yrow := packY.Row(r)
+		mrow, srow := mean[r*out:(r+1)*out], std[r*out:(r+1)*out]
+		for j, ref := range yrow[:out] {
 			sum, ssq := 0.0, 0.0
 			for t := 1; t < passes; t++ {
-				v := nd.Act.apply(yrow[t*out+j] + nd.B.Data[j])
-				d := v - ref
+				d := yrow[t*out+j] - ref
 				sum += d
 				ssq += d * d
 			}
@@ -830,5 +809,4 @@ func (p *Predictor) predictMCPanel(pre *tensor.Matrix, dr *Dropout, nd *Dense, p
 			srow[j] = math.Sqrt(v)
 		}
 	}
-	return mean, std
 }

@@ -11,6 +11,14 @@ import (
 	"repro/internal/xrand"
 )
 
+// apply1 is applyAll on one value: a slice too short for a vector kernel,
+// so it also checks the kernels against their scalar tails.
+func apply1(a Activation, x float64) float64 {
+	z := []float64{x}
+	a.applyAll(z)
+	return z[0]
+}
+
 func TestActivationValues(t *testing.T) {
 	cases := []struct {
 		act  Activation
@@ -24,7 +32,7 @@ func TestActivationValues(t *testing.T) {
 		{Sigmoid, 0, 0.5},
 	}
 	for _, c := range cases {
-		if got := c.act.apply(c.x); math.Abs(got-c.want) > 1e-12 {
+		if got := apply1(c.act, c.x); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("%v(%g) = %g want %g", c.act, c.x, got, c.want)
 		}
 	}
@@ -32,7 +40,8 @@ func TestActivationValues(t *testing.T) {
 
 func TestActivationDerivativeConsistency(t *testing.T) {
 	// mulDeriv over y = applyAll(x) must give g times the numerical
-	// derivative of apply at x, and applyAll must agree with apply.
+	// derivative of the activation at x, and a slice long enough for a
+	// vector kernel must agree with one value at a time.
 	xs := []float64{-2, -0.5, 0.3, 1.7}
 	g := []float64{1, -2, 0.5, 3}
 	for _, act := range []Activation{Identity, ReLU, Tanh, Sigmoid} {
@@ -41,11 +50,11 @@ func TestActivationDerivativeConsistency(t *testing.T) {
 		got := make([]float64, len(xs))
 		act.mulDeriv(got, g, y)
 		for i, x := range xs {
-			if y[i] != act.apply(x) {
-				t.Fatalf("%v: applyAll(%g) = %g, apply gives %g", act, x, y[i], act.apply(x))
+			if y[i] != apply1(act, x) {
+				t.Fatalf("%v: applyAll(%g) = %g, alone it gives %g", act, x, y[i], apply1(act, x))
 			}
 			h := 1e-6
-			num := g[i] * (act.apply(x+h) - act.apply(x-h)) / (2 * h)
+			num := g[i] * (apply1(act, x+h) - apply1(act, x-h)) / (2 * h)
 			if math.Abs(num-got[i]) > 1e-5 {
 				t.Fatalf("%v'(%g): analytic %g numeric %g", act, x, got[i], num)
 			}

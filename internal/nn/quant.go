@@ -282,7 +282,7 @@ func (c *Compiled) Quantize(calib *tensor.Matrix) *QuantCompiled {
 			lo, hi, _ := quantActDomain(st.act)
 			lut := luts[st.act]
 			if lut == nil {
-				lut = tensor.BuildQuantLUT(st.act.apply, lo, hi)
+				lut = tensor.BuildQuantLUT(st.act.applyAll, lo, hi)
 				luts[st.act] = lut
 			}
 			qs.fused = true
@@ -403,15 +403,10 @@ func (q *QuantCompiled) run(ctx *quantCtx, cur []int8, side, lo, hi int, mc bool
 				if mc {
 					sEff = st.sEffMC
 				}
-				if st.act == Identity {
-					for j, a := range acc {
-						dst[j] = float64(a)*sEff[j] + st.b[j]
-					}
-				} else {
-					for j, a := range acc {
-						dst[j] = st.act.apply(float64(a)*sEff[j] + st.b[j])
-					}
+				for j, a := range acc {
+					dst[j] = float64(a)*sEff[j] + st.b[j]
 				}
+				st.act.applyAll(dst[:len(acc)])
 			}
 		case stepDropout:
 			if !mc || st.p == 0 {

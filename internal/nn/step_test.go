@@ -124,3 +124,23 @@ func TestDropoutKeepFraction(t *testing.T) {
 		}
 	}
 }
+
+// TestDropoutMaskStream pins which units a seed drops: Forward draws one
+// Uint64 for every two units, in order, and unit i survives when its 32-bit
+// half of the word (low for even i) is below (1-P)·2³². The vector sweep
+// kept this rule, so a seeded fit drops the units it always did.
+func TestDropoutMaskStream(t *testing.T) {
+	x := tensor.NewMatrix(3, 7) // 21 units: the last word's high half is unused
+	x.Fill(1)
+	p := 0.3
+	out := NewDropout(p).Forward(x, true, xrand.New(5))
+	rng, keep := xrand.New(5), uint64((1-p)*(1<<32))
+	for i := 0; i < len(x.Data); i += 2 {
+		w := rng.Uint64()
+		for j, lane := range []uint64{w & (1<<32 - 1), w >> 32} {
+			if i+j < len(x.Data) && (out.Data[i+j] != 0) != (lane < keep) {
+				t.Fatalf("unit %d: output %g, lane %d, keep %d", i+j, out.Data[i+j], lane, keep)
+			}
+		}
+	}
+}

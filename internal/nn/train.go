@@ -67,7 +67,7 @@ func sgdStep(val, grad, v []float64, lr, momentum float64) {
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
-	t                     int
+	pow1, pow2            float64 // Beta1^t and Beta2^t, as running products
 	m, v                  []*tensor.Matrix
 }
 
@@ -80,10 +80,9 @@ func NewAdam(lr float64) *Adam {
 // Name implements Optimizer.
 func (a *Adam) Name() string { return "adam" }
 
-// Step implements Optimizer. The moment updates and bias-corrected
-// parameter step are fused into one pass per parameter matrix over the
-// preallocated m/v buffers; after the first call (which allocates those
-// buffers) Step performs zero heap allocations.
+// Step implements Optimizer: one fused sweep per parameter matrix
+// (tensor.AdamStep) over the preallocated m/v buffers; after the first
+// call, which allocates those buffers, Step performs zero heap allocations.
 func (a *Adam) Step(params []ParamPair) {
 	if a.m == nil {
 		a.m = make([]*tensor.Matrix, len(params))
@@ -92,32 +91,15 @@ func (a *Adam) Step(params []ParamPair) {
 			a.m[i] = tensor.NewMatrix(p.Value.Rows, p.Value.Cols)
 			a.v[i] = tensor.NewMatrix(p.Value.Rows, p.Value.Cols)
 		}
+		a.pow1, a.pow2 = 1, 1
 	}
-	a.t++
-	invC1 := 1 / (1 - math.Pow(a.Beta1, float64(a.t)))
-	invC2 := 1 / (1 - math.Pow(a.Beta2, float64(a.t)))
+	a.pow1 *= a.Beta1
+	a.pow2 *= a.Beta2
+	invC1 := 1 / (1 - a.pow1)
+	invC2 := 1 / (1 - a.pow2)
 	for i, p := range params {
-		adamStep(p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data,
+		tensor.AdamStep(p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data,
 			a.LR, a.Beta1, a.Beta2, a.Eps, invC1, invC2)
-	}
-}
-
-// adamStep applies one fused Adam update: moment EMAs, bias correction and
-// the parameter step in a single sweep. Hoisting the per-step constants and
-// replacing the two bias-correction divisions with multiplications keeps
-// the loop at one sqrt and one division per element.
-func adamStep(val, grad, m, v []float64, lr, beta1, beta2, eps, invC1, invC2 float64) {
-	grad = grad[:len(val)] // bounds-check elimination hints
-	m = m[:len(val)]
-	v = v[:len(val)]
-	g1, g2 := 1-beta1, 1-beta2
-	for k := range val {
-		g := grad[k]
-		mk := beta1*m[k] + g1*g
-		vk := beta2*v[k] + g2*g*g
-		m[k] = mk
-		v[k] = vk
-		val[k] -= lr * (mk * invC1) / (math.Sqrt(vk*invC2) + eps)
 	}
 }
 

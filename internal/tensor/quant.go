@@ -212,16 +212,21 @@ const (
 // extra guard knot lets the interpolator read i+1 at the top clamp.
 type QuantLUT [QuantLUTKnots + 2]int32
 
-// BuildQuantLUT samples act over [lo, hi] into a fused
+// BuildQuantLUT samples act (an in-place slice activation, the float
+// programs' own) over [lo, hi] into a fused
 // dequant+activation+requant table. Outside [lo, hi] the epilogue
 // clamps to the endpoint values, so [lo, hi] must cover the region
 // where act is still moving at the resolution of the 1/QuantMax grid
 // (e.g. [-4, 4] for tanh, [-8, 8] for sigmoid).
-func BuildQuantLUT(act func(float64) float64, lo, hi float64) *QuantLUT {
+func BuildQuantLUT(act func([]float64), lo, hi float64) *QuantLUT {
 	var lut QuantLUT
+	var knots [QuantLUTKnots + 1]float64
 	step := (hi - lo) / QuantLUTKnots
-	for i := 0; i <= QuantLUTKnots; i++ {
-		v := act(lo + float64(i)*step)
+	for i := range knots {
+		knots[i] = lo + float64(i)*step
+	}
+	act(knots[:])
+	for i, v := range knots {
 		lut[i] = int32(roundHalfEven(quantIdxScale * QuantMax * v))
 	}
 	lut[QuantLUTKnots+1] = lut[QuantLUTKnots] // guard knot

@@ -93,7 +93,7 @@ func TestPackQuantPanelDeterministic(t *testing.T) {
 // under one step of the 1/63 grid (measured ~0.52 including the
 // half-step requant rounding).
 func TestQuantEpilogueError(t *testing.T) {
-	lut := BuildQuantLUT(math.Tanh, -4, 4)
+	lut := BuildQuantLUT(Tanh, -4, 4)
 	scale, bias := 0.00013, 0.37
 	aF, cF := QuantIndexCoeffs(scale, bias, -4, 4)
 	qy := make([]int8, 1)

@@ -254,8 +254,9 @@ func Sub(dst, a, b *Matrix) *Matrix {
 func Hadamard(dst, a, b *Matrix) *Matrix {
 	sameShape(a, b)
 	dst = ensure(dst, a.Rows, a.Cols)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
+	x, y, z := a.Data, b.Data[:len(a.Data)], dst.Data[:len(a.Data)] // bounds-check elimination hints
+	for i, v := range x {
+		z[i] = v * y[i]
 	}
 	return dst
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# bench.sh — run the top-level hot-path benchmarks and snapshot them as
+# bench.sh — run the top-level hot-path benchmarks (and internal/tensor's
+# BenchmarkElementwise) and snapshot them as
 # BENCH_<n>.json (name -> ns/op, allocs/op, B/op) so successive PRs have
 # a perf trajectory to compare against.
 #
@@ -17,6 +18,9 @@ fi
 
 benches='BenchmarkTrainEpoch$|BenchmarkDenseForwardBackward|BenchmarkQueryBatch$|BenchmarkQueryLoop|BenchmarkQueryDuringRetrain|BenchmarkOracleFanout|BenchmarkOracleCampaign|BenchmarkCompiledForward|BenchmarkCompiledBatch|BenchmarkQuantizedForward|BenchmarkQuantizedQueryBatch|BenchmarkDeepUQ|BenchmarkMatMulParallelSlope|BenchmarkMatMulKernels|BenchmarkQuantSweep|BenchmarkCoalescedQPS|BenchmarkFleetQPS|BenchmarkWireQPS|BenchmarkResilientQPS|BenchmarkRoutedQPS|BenchmarkRegistryColdStart'
 raw=$(go test -run=NONE -bench="$benches" -benchtime=1s -count=1 .)
+# The element-wise kernels are timed against their reference loops, which
+# internal/tensor does not export: that benchmark lives beside them.
+raw+=$'\n'$(go test -run=NONE -bench='BenchmarkElementwise' -benchtime=1s -count=1 ./internal/tensor)
 echo "$raw"
 
 # The machine shape is recorded alongside the numbers: the matmul fan-out
@@ -51,6 +55,7 @@ echo "$raw" | awk -v out="$out" -v gomaxprocs="$gomaxprocs" -v cpus="$cpus" -v s
       if ($(i + 1) == "rows/s") extra = extra sprintf(", \"rows_per_s\": %s", $i)
       if ($(i + 1) == "busy-share") extra = extra sprintf(", \"busy_share\": %s", $i)
       if ($(i + 1) == "ns/MAC") extra = extra sprintf(", \"ns_per_mac\": %s", $i)
+      if ($(i + 1) == "ns/elem") extra = extra sprintf(", \"ns_per_elem\": %s", $i)
     }
     if (ns != "") {
       if (name ~ /^BenchmarkMatMulParallelSlope\//) {

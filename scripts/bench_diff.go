@@ -21,7 +21,10 @@
 // at least RATIO× faster than the exactly-named REF benchmark of the
 // same snapshot (ref ns/op ÷ entry ns/op ≥ RATIO), which is how
 // relative perf claims (the int8 quantized forward versus the float
-// compiled forward) are enforced. -ignore exempts name substrings from the
+// compiled forward) are enforced; or a ceiling, "substr:maxns=N": every
+// matching entry must take at most N ns/op, for a benchmark whose former
+// REF got faster under it and left the ratio saying nothing about the
+// entry itself. -ignore exempts name substrings from the
 // ns/op tolerance (still printed, marked "noise"): it exists for
 // deliberately stalling negative baselines — e.g. the locked wrapper
 // under retrain, whose ns/op is bimodal run to run depending on how many
@@ -221,8 +224,9 @@ func main() {
 			if want == "" {
 				continue
 			}
-			// "substr", "substr:allocs=N" or "substr:faster=REF@RATIO".
-			substr, wantAllocs := want, -1.0
+			// "substr", "substr:allocs=N", "substr:faster=REF@RATIO" or
+			// "substr:maxns=N".
+			substr, wantAllocs, maxNs := want, -1.0, 0.0
 			fasterRef, fasterRatio := "", 0.0
 			if cut := strings.Index(want, ":"); cut >= 0 {
 				substr = want[:cut]
@@ -251,6 +255,14 @@ func main() {
 						continue
 					}
 					fasterRef, fasterRatio = spec[:at], v
+				case strings.HasPrefix(cons, "maxns="):
+					v, err := strconv.ParseFloat(strings.TrimPrefix(cons, "maxns="), 64)
+					if err != nil || v <= 0 {
+						fmt.Fprintf(os.Stderr, "bench_diff: bad maxns constraint in %q: %v\n", want, err)
+						failed++
+						continue
+					}
+					maxNs = v
 				default:
 					fmt.Fprintf(os.Stderr, "bench_diff: unknown constraint %q in requirement %q\n", cons, want)
 					failed++
@@ -272,6 +284,11 @@ func main() {
 							name, *entry.AllocsPerOp, want, wantAllocs)
 						failed++
 					}
+				}
+				if maxNs > 0 && entry.NsPerOp > maxNs {
+					fmt.Fprintf(os.Stderr, "bench_diff: %s takes %g ns/op, requirement %q wants at most %g\n",
+						name, entry.NsPerOp, want, maxNs)
+					failed++
 				}
 				if fasterRef != "" {
 					ref, ok := newSnap[fasterRef]
