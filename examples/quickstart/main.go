@@ -1,4 +1,4 @@
-// Quickstart: wrap an expensive simulation in the MLaroundHPC Wrapper and
+// Quickstart: wrap an expensive simulation in the MLaroundHPC wrapper and
 // watch the UQ gate shift traffic from simulation to surrogate while the
 // ledger tracks effective performance (paper §I, §III-D).
 package main
@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/core"
 )
 
 func main() {
@@ -22,9 +21,14 @@ func main() {
 		return []float64{math.Sin(3*x[0]) * math.Cos(2*x[1])}, nil
 	}}
 
-	sur := repro.NewNNSurrogate(2, 1, []int{32, 32}, 0.1, rng)
-	sur.Epochs = 200
-	w := repro.NewWrapper(oracle, sur, repro.WrapperConfig{
+	// Every (re)fit trains a fresh surrogate from the factory, in the
+	// background, while the previous one keeps serving. One shard is the
+	// plain unsharded wrapper.
+	factory := repro.NewNNSurrogateFactory(2, 1, []int{32, 32}, 0.1, rng.Split(), func(s *repro.NNSurrogate) {
+		s.Epochs = 200
+	})
+	w := repro.NewShardedWrapper(oracle, factory, repro.ShardedConfig{
+		Shards:          1,
 		MinTrainSamples: 150,
 		UQThreshold:     0.15,
 	})
@@ -35,6 +39,10 @@ func main() {
 		if _, _, _, err := w.Query(x); err != nil {
 			panic(err)
 		}
+	}
+	// The 150th sample kicked off the first fit; wait for it to publish.
+	if err := w.Wait(); err != nil {
+		panic(err)
 	}
 	fmt.Printf("  after %d queries: %v\n\n", w.TrainingSetSize(), w.Ledger())
 
@@ -47,7 +55,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		if src == core.FromSurrogate {
+		if src == repro.FromSurrogate {
 			surrogateHits++
 		}
 	}

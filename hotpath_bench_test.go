@@ -96,20 +96,22 @@ func BenchmarkDenseForwardBackward(b *testing.B) {
 	}
 }
 
-// benchWrapper builds a pretrained UQ-gated wrapper over a cheap
-// analytic oracle for the serving benchmarks.
-func benchWrapper(b *testing.B) *core.Wrapper {
+// newBenchWrapper pretrains a wide-open-gate wrapper (2→24→1 dropout
+// MLP, 10 MC passes) on designRows points of a cheap analytic oracle.
+func newBenchWrapper(b *testing.B, cfg core.ShardedConfig, designRows int) *core.ShardedWrapper {
 	b.Helper()
 	rng := xrand.New(0x5e4e)
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{24}, 0.1, rng)
-	sur.Epochs = 100
-	sur.MCPasses = 10
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{MinTrainSamples: 10, UQThreshold: 10})
-	design := tensor.NewMatrix(100, 2)
-	for i := 0; i < 100; i++ {
+	factory := core.NewNNSurrogateFactory(2, 1, []int{24}, 0.1, rng, func(s *core.NNSurrogate) {
+		s.Epochs = 100
+		s.MCPasses = 10
+	})
+	cfg.MinTrainSamples, cfg.UQThreshold = 10, 10
+	w := core.NewShardedWrapper(oracle, factory, cfg)
+	design := tensor.NewMatrix(designRows, 2)
+	for i := 0; i < design.Rows; i++ {
 		design.Set(i, 0, rng.Range(-2, 2))
 		design.Set(i, 1, rng.Range(-1, 1))
 	}
@@ -117,6 +119,12 @@ func benchWrapper(b *testing.B) *core.Wrapper {
 		b.Fatal(err)
 	}
 	return w
+}
+
+// benchWrapper is the one-shard (unsharded) wrapper the serving
+// benchmarks run on.
+func benchWrapper(b *testing.B) *core.ShardedWrapper {
+	return newBenchWrapper(b, core.ShardedConfig{Shards: 1}, 100)
 }
 
 func benchBatch(n int) *tensor.Matrix {
@@ -169,7 +177,7 @@ func BenchmarkQueryLoop(b *testing.B) {
 }
 
 // BenchmarkQueryBatchParallel drives the batch path from parallel
-// goroutines, exercising the wrapper's read-lock serving contract.
+// goroutines, exercising the wrapper's lock-free serving contract.
 func BenchmarkQueryBatchParallel(b *testing.B) {
 	w := benchWrapper(b)
 	b.ReportAllocs()
@@ -184,30 +192,9 @@ func BenchmarkQueryBatchParallel(b *testing.B) {
 	})
 }
 
-// benchShardedWrapper builds a pretrained sharded wrapper over the same
-// cheap analytic oracle as benchWrapper.
+// benchShardedWrapper is benchWrapper partitioned two ways.
 func benchShardedWrapper(b *testing.B) *core.ShardedWrapper {
-	b.Helper()
-	rng := xrand.New(0x5e4e)
-	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
-		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
-	}}
-	factory := core.NewNNSurrogateFactory(2, 1, []int{24}, 0.1, rng, func(s *core.NNSurrogate) {
-		s.Epochs = 100
-		s.MCPasses = 10
-	})
-	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
-		Shards: 2, MinTrainSamples: 10, UQThreshold: 10, OracleWorkers: 4,
-	})
-	design := tensor.NewMatrix(128, 2)
-	for i := 0; i < design.Rows; i++ {
-		design.Set(i, 0, rng.Range(-2, 2))
-		design.Set(i, 1, rng.Range(-1, 1))
-	}
-	if err := w.Pretrain(design); err != nil {
-		b.Fatal(err)
-	}
-	return w
+	return newBenchWrapper(b, core.ShardedConfig{Shards: 2, OracleWorkers: 4}, 128)
 }
 
 // reportLatencyPercentiles attaches p50/p99 per-query latency metrics.
@@ -296,24 +283,7 @@ func BenchmarkQuantizedForward(b *testing.B) {
 // answers every row, the UQ-vs-quant-error guardrail re-checks each
 // decision, and a warmed iteration performs zero heap allocations.
 func BenchmarkQuantizedQueryBatch(b *testing.B) {
-	rng := xrand.New(0x5e4e)
-	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
-		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
-	}}
-	sur := core.NewNNSurrogate(2, 1, []int{24}, 0.1, rng)
-	sur.Epochs = 100
-	sur.MCPasses = 10
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{
-		MinTrainSamples: 10, UQThreshold: 10, Quantized: true,
-	})
-	design := tensor.NewMatrix(100, 2)
-	for i := 0; i < 100; i++ {
-		design.Set(i, 0, rng.Range(-2, 2))
-		design.Set(i, 1, rng.Range(-1, 1))
-	}
-	if err := w.Pretrain(design); err != nil {
-		b.Fatal(err)
-	}
+	w := newBenchWrapper(b, core.ShardedConfig{Shards: 1, Quantized: true}, 100)
 	batch := benchBatch(64)
 	res := make([]core.BatchResult, batch.Rows)
 	if err := w.QueryBatchInto(batch, res); err != nil {
@@ -587,13 +557,8 @@ func BenchmarkCoalescedQPS(b *testing.B) {
 //   - sharded/idle, sharded/retrain: the double-buffered ShardedWrapper —
 //     refits train a fresh model off to the side and publish by pointer
 //     swap, so the retrain percentiles should stay within ~2× of idle.
-//   - locked/retrain: the classic single-lock Wrapper with inline refits —
-//     readers block behind the write lock for entire trainings, which is
-//     the stall this PR removes (p99 ≈ full refit duration).
 func BenchmarkQueryDuringRetrain(b *testing.B) {
-	run := func(b *testing.B, w interface {
-		Query(x []float64) ([]float64, core.Source, []float64, error)
-	}, x []float64) {
+	run := func(b *testing.B, w *core.ShardedWrapper, x []float64) {
 		lats := make([]time.Duration, 0, b.N)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -635,33 +600,6 @@ func BenchmarkQueryDuringRetrain(b *testing.B) {
 		close(stop)
 		<-done
 	})
-	b.Run("locked/retrain", func(b *testing.B) {
-		// Classic wrapper: refits hold the write lock for the whole
-		// training run, so every reader blocks behind them. A background
-		// goroutine keeps a refit in flight (Pretrain with an empty
-		// design refits on the existing 128-sample set), which is the
-		// pre-sharding behaviour of any wrapper with RetrainEvery set.
-		wLocked := benchWrapper(b)
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					if err := wLocked.Pretrain(tensor.NewMatrix(0, 2)); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}
-		}()
-		run(b, wLocked, inGate)
-		close(stop)
-		<-done
-	})
 }
 
 // BenchmarkOracleFanout measures QueryBatch when every row must fall back
@@ -684,9 +622,9 @@ func BenchmarkOracleFanout(b *testing.B) {
 				return []float64{x[0] + x[1]}, nil
 			}}
 			// Untrained surrogate: every row misses and runs the oracle.
-			sur := core.NewNNSurrogate(2, 1, []int{8}, 0.1, rng)
-			w := core.NewWrapper(oracle, sur, core.WrapperConfig{
-				MinTrainSamples: 1 << 30, UQThreshold: 0.5, OracleWorkers: workers,
+			factory := core.NewNNSurrogateFactory(2, 1, []int{8}, 0.1, rng, nil)
+			w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
+				Shards: 1, MinTrainSamples: 1 << 30, UQThreshold: 0.5, OracleWorkers: workers,
 			})
 			batch := benchBatch(32)
 			b.ResetTimer()

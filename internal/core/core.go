@@ -1,10 +1,10 @@
 // Package core implements the paper's primary contribution: the Learning
 // Everywhere / MLaroundHPC framework. It defines the Oracle (a simulation)
-// and Surrogate (a learned stand-in) abstractions, the UQ-gated Wrapper
-// that routes queries to the surrogate when the prediction is trustworthy
-// and falls back to simulation otherwise — feeding every fallback run back
-// into the training set ("no run is wasted", §II-C1) — and the effective
-// performance accounting of §III-D.
+// and Surrogate (a learned stand-in) abstractions, the UQ-gated
+// ShardedWrapper that routes queries to the surrogate when the prediction
+// is trustworthy and falls back to simulation otherwise — feeding every
+// fallback run back into the training set ("no run is wasted", §II-C1) —
+// and the effective performance accounting of §III-D.
 package core
 
 import (
@@ -13,7 +13,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -59,7 +58,7 @@ type Surrogate interface {
 
 // BatchSurrogate is a Surrogate that can amortize one network pass across
 // a whole batch of queries — the serving-side analogue of minibatched
-// training. Wrapper.QueryBatch uses it when available.
+// training. ShardedWrapper.QueryBatch uses it when available.
 type BatchSurrogate interface {
 	Surrogate
 	// PredictBatchWithUQ returns per-row predictive means and stds (target
@@ -69,7 +68,7 @@ type BatchSurrogate interface {
 
 // BatchSurrogateInto is a BatchSurrogate that can write its batched UQ
 // predictions into caller-owned matrices — the allocation-free form the
-// wrappers' zero-alloc batch serving loop (QueryBatchInto) prefers.
+// wrapper's zero-alloc batch serving loop (QueryBatchInto) prefers.
 type BatchSurrogateInto interface {
 	BatchSurrogate
 	// PredictBatchWithUQInto writes per-row predictive means and stds
@@ -78,7 +77,7 @@ type BatchSurrogateInto interface {
 	PredictBatchWithUQInto(x, mean, std *tensor.Matrix)
 }
 
-// QuantCapable is the optional Surrogate face the wrappers' quantization
+// QuantCapable is the optional Surrogate face the wrapper's quantization
 // knob drives: enabling it asks the surrogate to derive an int8 program
 // on every (re)fit. A surrogate that cannot quantize simply doesn't
 // implement this and the knob is a no-op.
@@ -87,7 +86,7 @@ type QuantCapable interface {
 	SetQuantize(on bool)
 }
 
-// QuantServing is the optional Surrogate face the wrappers' quantized
+// QuantServing is the optional Surrogate face the wrapper's quantized
 // serving path uses. The contract mirrors the paper's bet: approximate
 // answers are fine exactly when UQ says the decision is clear-cut, so a
 // quantized lookup must expose how large its approximation error can be
@@ -543,7 +542,7 @@ func (s *NNSurrogate) mustBeTrained() {
 	}
 }
 
-// Source identifies which path answered a Wrapper query.
+// Source identifies which path answered a wrapper query.
 type Source int
 
 // Query answer provenance.
@@ -560,272 +559,13 @@ func (s Source) String() string {
 	return "simulation"
 }
 
-// WrapperConfig tunes the MLaroundHPC wrapper.
-type WrapperConfig struct {
-	// MinTrainSamples is how many oracle runs to collect before the first
-	// surrogate fit.
-	MinTrainSamples int
-	// RetrainEvery triggers a refit after this many new oracle runs
-	// post-training ("with new simulation runs, the ML layer gets better
-	// at making predictions", §II-C1 outcome 3). 0 disables refits.
-	RetrainEvery int
-	// UQThreshold is the maximum acceptable predictive std (target units,
-	// per output) for a surrogate answer to be served.
-	UQThreshold float64
-	// OracleWorkers bounds the worker pool QueryBatch fans rejected rows
-	// out over (0 or 1 keeps the sequential fallback). Oracles must
-	// tolerate concurrent Run calls — the same contract concurrent
-	// wrapper use already imposes.
-	OracleWorkers int
-	// Retention bounds the retained training window (sliding window or
-	// reservoir sampling) so long-running servers keep refits O(window)
-	// instead of O(total history). The zero value retains everything.
-	// A bounded window is raised to at least MinTrainSamples.
-	Retention Retention
-	// Quantized serves surrogate lookups from the int8 quantized program
-	// when the surrogate provides one (NNSurrogate with bounded hidden
-	// activations). Lookups whose UQ decision lands within the
-	// surrogate's QuantGateBound of UQThreshold — where the quantization
-	// delta could flip accept into reject or vice versa — and lookups
-	// whose input left the calibrated envelope are transparently re-run
-	// on the retained float program and counted (QuantStats), so the
-	// speedup never silently degrades the gate. The knob also calls
-	// SetQuantize(true) on QuantCapable surrogates at construction.
-	Quantized bool
-}
-
-// Wrapper is the MLaroundHPC runtime: it answers Query calls from the
-// learned surrogate when the UQ gate passes and from the simulation
-// otherwise, accumulating every simulation result as training data and
-// keeping the effective-performance ledger.
-//
-// Wrapper is safe for concurrent use: surrogate lookups run in parallel
-// under a read lock, while training-set appends and surrogate refits take
-// the write lock. The Oracle must itself tolerate concurrent Run calls
-// when the wrapper is queried from multiple goroutines (oracle runs
-// execute outside the wrapper locks so slow simulations never block
-// surrogate serving).
-type Wrapper struct {
-	oracle    Oracle
-	surrogate Surrogate
-	cfg       WrapperConfig
-
-	mu            sync.RWMutex // surrogate state, xs/ys, newSinceTrain
-	xs, ys        *tensor.Matrix
-	retain        retainer
-	newSinceTrain int
-
-	scratch sync.Pool // *batchScratch for QueryBatchInto
-
-	quantQueries   atomic.Uint64 // lookups served through the quantized program
-	quantFallbacks atomic.Uint64 // of those, re-runs on the float program
-
-	// brownout is the current degradation ladder level (BrownoutOff..
-	// BrownoutNoUQ), moved by SetBrownoutLevel.
-	brownout atomic.Int32
-
-	// publishHook, when set, observes every successful (re)train — the
-	// registry-persistence seam.
-	publishHook atomic.Pointer[PublishHook]
-
-	ledgerBox // ledger lock is always acquired after mu
-}
-
 // PublishHook observes a freshly trained surrogate the moment it starts
-// serving: shard is the owning shard index (always 0 for the unsharded
-// Wrapper), sur the model now published, residBase its publish-time
-// in-sample residual (the drift baseline; 0 when drift tracking is
-// off). Hooks run synchronously on the training path — after the swap,
-// never blocking readers — and must not call back into the wrapper.
+// serving: shard is the owning shard index, sur the model now published,
+// residBase its publish-time in-sample residual (the drift baseline; 0
+// when neither drift tracking nor a hook consumes it). Hooks run
+// synchronously on the training path — after the swap, never blocking
+// readers — and must not call back into the wrapper.
 type PublishHook func(shard int, sur Surrogate, residBase float64)
-
-// SetPublishHook installs (or, with nil, removes) the publish observer.
-// Safe for concurrent use with serving and training.
-func (w *Wrapper) SetPublishHook(h PublishHook) {
-	if h == nil {
-		w.publishHook.Store(nil)
-		return
-	}
-	w.publishHook.Store(&h)
-}
-
-// notifyPublish fires the publish hook for a model that just started
-// serving.
-func (w *Wrapper) notifyPublish(sur Surrogate, residBase float64) {
-	if hp := w.publishHook.Load(); hp != nil {
-		(*hp)(0, sur, residBase)
-	}
-}
-
-// WarmStart installs a pre-trained surrogate (typically decoded from a
-// registry artifact) as the serving model, but only while the wrapper
-// has never trained one of its own — a live model always outranks a
-// restored one. The training data window, retrain schedule, and future
-// refits are untouched: the wrapper's next Train replaces the warm
-// model exactly as it would any other. Returns whether the model was
-// installed.
-func (w *Wrapper) WarmStart(sur Surrogate) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.surrogate.Trained() {
-		return false
-	}
-	applyMCCap(sur, int(w.brownout.Load()))
-	w.surrogate = sur
-	return true
-}
-
-// SetBrownoutLevel moves the wrapper to an absolute brownout ladder
-// level (BrownoutOff through BrownoutNoUQ, clamped). A fleet brownout
-// controller steps it one level at a time; operators may jump. Safe for
-// concurrent use with serving — queries in flight finish on whichever
-// level they started.
-func (w *Wrapper) SetBrownoutLevel(level int) {
-	level = clampBrownout(level)
-	w.brownout.Store(int32(level))
-	applyMCCap(w.surrogate, level)
-}
-
-// BrownoutLevel reports the current brownout ladder level.
-func (w *Wrapper) BrownoutLevel() int { return int(w.brownout.Load()) }
-
-// quantPreferred reports whether UQ lookups should try the quantized
-// program: configured Quantized, or browned out to BrownoutPreferQuant
-// or deeper.
-func (w *Wrapper) quantPreferred() bool {
-	return w.cfg.Quantized || w.brownout.Load() >= BrownoutPreferQuant
-}
-
-// batchScratch pools the per-call working state of one QueryBatchInto:
-// the miss index list and the surrogate's mean/std staging, so a warmed
-// steady-state batch query performs zero heap allocations.
-type batchScratch struct {
-	miss      []int
-	mean, std *tensor.Matrix
-	oks       []bool // per-row quantization envelope verdicts
-}
-
-// okBuf returns the scratch ok slice sized to rows, growing on demand.
-func (sc *batchScratch) okBuf(rows int) []bool {
-	if cap(sc.oks) < rows {
-		sc.oks = make([]bool, rows)
-	}
-	sc.oks = sc.oks[:rows]
-	return sc.oks
-}
-
-// mats returns the scratch mean/std matrices reshaped to rows x out,
-// minting them on first use.
-func (sc *batchScratch) mats(rows, out int) (mean, std *tensor.Matrix) {
-	if sc.mean == nil {
-		sc.mean = tensor.NewMatrix(rows, out)
-		sc.std = tensor.NewMatrix(rows, out)
-	} else {
-		sc.mean.Reshape(rows, out)
-		sc.std.Reshape(rows, out)
-	}
-	return sc.mean, sc.std
-}
-
-// NewWrapper constructs a wrapper. The surrogate must provide non-trivial
-// UQ (e.g. MC dropout) for the gate to be meaningful.
-func NewWrapper(oracle Oracle, surrogate Surrogate, cfg WrapperConfig) *Wrapper {
-	if cfg.MinTrainSamples <= 0 {
-		cfg.MinTrainSamples = 50
-	}
-	cfg.Retention = clampRetention(cfg.Retention, cfg.MinTrainSamples)
-	if cfg.Quantized {
-		if qc, ok := surrogate.(QuantCapable); ok {
-			qc.SetQuantize(true)
-		}
-	}
-	in, out := oracle.Dims()
-	return &Wrapper{
-		oracle: oracle, surrogate: surrogate, cfg: cfg,
-		xs: tensor.NewMatrix(0, in), ys: tensor.NewMatrix(0, out),
-		retain: newRetainer(cfg.Retention, 0xd5a75eed),
-	}
-}
-
-// Dims returns the input and output dimensionality served by the wrapper.
-func (w *Wrapper) Dims() (in, out int) { return w.oracle.Dims() }
-
-// TrainingSetSize returns the number of accumulated oracle samples.
-func (w *Wrapper) TrainingSetSize() int {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.xs.Rows
-}
-
-// Query answers one input point, reporting which path served it and, for
-// surrogate answers, the predictive uncertainty. Safe for concurrent use.
-func (w *Wrapper) Query(x []float64) (y []float64, src Source, std []float64, err error) {
-	if mean, sd, ok := w.tryLookup(x); ok {
-		return mean, FromSurrogate, sd, nil
-	}
-	t0 := time.Now()
-	y, err = w.oracle.Run(x)
-	dt := time.Since(t0)
-	if err != nil {
-		w.recordFailedRun(dt)
-		return nil, FromSimulation, nil, fmt.Errorf("core: oracle: %w", err)
-	}
-	w.recordSimulation(dt)
-	if err := w.absorbSample(x, y); err != nil {
-		return nil, FromSimulation, nil, err
-	}
-	return y, FromSimulation, nil, nil
-}
-
-// absorbSample feeds one oracle result into the training set and
-// triggers a refit when due, with the same panic-safe locking as
-// absorbMisses.
-func (w *Wrapper) absorbSample(x, y []float64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.addSampleLocked(x, y)
-	return w.maybeTrainLocked()
-}
-
-// tryLookup serves x from the surrogate under the read lock when the UQ
-// gate passes. Concurrent lookups proceed in parallel; only training
-// excludes them.
-func (w *Wrapper) tryLookup(x []float64) (mean, sd []float64, ok bool) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if !w.surrogate.Trained() {
-		return nil, nil, false
-	}
-	t0 := time.Now()
-	if w.quantPreferred() {
-		if qs, isQ := w.surrogate.(QuantServing); isQ && qs.QuantizedReady() {
-			mean, sd = w.quantLookup(qs, x)
-			dt := time.Since(t0)
-			if maxOf(sd) <= w.cfg.UQThreshold {
-				w.recordLookup(dt)
-				return mean, sd, true
-			}
-			w.recordRejectedLookup(dt)
-			return nil, nil, false
-		}
-	}
-	mean, sd = w.surrogate.PredictWithUQ(x)
-	dt := time.Since(t0)
-	if maxOf(sd) <= w.cfg.UQThreshold {
-		w.recordLookup(dt)
-		return mean, sd, true
-	}
-	// Gate failed: the lookup time is charged as overhead.
-	w.recordRejectedLookup(dt)
-	return nil, nil, false
-}
-
-// quantLookup serves one UQ lookup from the quantized program with the
-// float-fallback guardrail; see quantLookupOne.
-func (w *Wrapper) quantLookup(qs QuantServing, x []float64) (mean, sd []float64) {
-	band := quantBand(qs, w.brownout.Load())
-	return quantLookupOne(qs, w.surrogate, x, w.cfg.UQThreshold, band, &w.quantQueries, &w.quantFallbacks)
-}
 
 // quantLookupOne serves one UQ lookup from a quantized program with the
 // float-fallback guardrail: when the input clipped against the
@@ -833,7 +573,7 @@ func (w *Wrapper) quantLookup(qs QuantServing, x []float64) (mean, sd []float64)
 // threshold (the quantization delta could flip the accept/reject
 // decision), the query re-runs on the retained float program and that
 // answer decides. A negative band disables the boundary re-run (the
-// envelope check still applies). Both wrappers share this loop.
+// envelope check still applies).
 func quantLookupOne(qs QuantServing, sur Surrogate, x []float64, threshold, band float64, queries, fallbacks *atomic.Uint64) (mean, sd []float64) {
 	mean, sd, inRange := qs.PredictWithUQQuant(x)
 	queries.Add(1)
@@ -861,14 +601,6 @@ func quantGuardBatch(sur Surrogate, xs *tensor.Matrix, mean, std *tensor.Matrix,
 	}
 }
 
-// QuantStats reports how many surrogate lookups were served through the
-// quantized program and how many of those fell back to a float re-run
-// (boundary decisions plus out-of-envelope inputs). Zero/zero unless
-// the wrapper runs with Quantized set and a quant-capable surrogate.
-func (w *Wrapper) QuantStats() (queries, fallbacks uint64) {
-	return w.quantQueries.Load(), w.quantFallbacks.Load()
-}
-
 // BatchResult is the answer to one row of a QueryBatch call.
 type BatchResult struct {
 	Y   []float64
@@ -876,72 +608,6 @@ type BatchResult struct {
 	Std []float64 // non-nil only for surrogate answers
 	Err error     // per-row oracle failure
 }
-
-// QueryBatch answers every row of xs, serving all UQ-passing rows from
-// one amortized batched surrogate pass and falling back to the oracle
-// (plus training-set accumulation) for the rest. Per-row oracle failures
-// are reported in the row's Err; a surrogate retraining failure is
-// returned as the batch-level error. The returned results are
-// caller-owned. Safe for concurrent use alongside Query and other
-// QueryBatch calls.
-func (w *Wrapper) QueryBatch(xs *tensor.Matrix) ([]BatchResult, error) {
-	if xs.Rows == 0 {
-		return nil, nil
-	}
-	res := make([]BatchResult, xs.Rows)
-	return res, w.QueryBatchInto(xs, res)
-}
-
-// QueryBatchInto is the buffer-reusing form of QueryBatch: results land
-// in res (len == xs.Rows), and each surrogate-served row's Y/Std slices
-// are overwritten in place when their capacity suffices. A steady-state
-// loop that reuses one res across calls therefore performs zero heap
-// allocations end to end — the shape simulation sweeps and other
-// batch-driving callers want. Rows answered by the oracle receive
-// oracle-owned slices as in QueryBatch.
-func (w *Wrapper) QueryBatchInto(xs *tensor.Matrix, res []BatchResult) error {
-	if xs.Rows == 0 {
-		return nil
-	}
-	if len(res) != xs.Rows {
-		return fmt.Errorf("core: res has %d entries for a %d-row batch", len(res), xs.Rows)
-	}
-	sc := w.getScratch()
-	miss := w.lookupBatch(xs, res, sc)
-	if len(miss) == 0 {
-		w.putScratch(sc)
-		return nil
-	}
-	// Oracle fallback outside the locks, fanned out over the bounded
-	// worker pool when configured.
-	oracleFanout(w.oracle, xs, miss, res, w.cfg.OracleWorkers, w.record)
-	err := w.absorbMisses(xs, miss, res)
-	w.putScratch(sc)
-	return err
-}
-
-// absorbMisses feeds successful oracle fallbacks into the training set
-// and triggers a refit when due. The deferred unlock keeps the wrapper
-// usable even if a user-supplied Surrogate.Train panics.
-func (w *Wrapper) absorbMisses(xs *tensor.Matrix, miss []int, res []BatchResult) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, i := range miss {
-		if res[i].Err == nil {
-			w.addSampleLocked(xs.Row(i), res[i].Y)
-		}
-	}
-	return w.maybeTrainLocked()
-}
-
-func (w *Wrapper) getScratch() *batchScratch {
-	if sc, ok := w.scratch.Get().(*batchScratch); ok {
-		return sc
-	}
-	return &batchScratch{}
-}
-
-func (w *Wrapper) putScratch(sc *batchScratch) { w.scratch.Put(sc) }
 
 // setRow stores one surrogate answer in res[i], reusing the row's Y/Std
 // capacity so steady-state batch loops never reallocate.
@@ -952,18 +618,14 @@ func setRow(res []BatchResult, i int, mean, sd []float64) {
 	res[i].Err = nil
 }
 
-// gateBatchRows applies the UQ gate to every row of a batched surrogate
-// answer: passing rows are stored in res (into the caller's reused
-// buffers when reuse is set, aliasing the surrogate's matrices
+// gateBatchRows applies the UQ gate to every row of one shard's batched
+// surrogate answer: passing rows are stored in res (into the caller's
+// reused buffers when reuse is set, aliasing the surrogate's matrices
 // otherwise) and failing rows are appended to miss. idx maps answer rows
-// to res indices (nil = identity, for unpartitioned batches). This is
-// the single gate loop shared by both wrappers' batch paths.
+// to res indices.
 func gateBatchRows(res []BatchResult, miss, idx []int, mean, std *tensor.Matrix, threshold float64, reuse bool) (newMiss []int, served, rejected int) {
 	for k := 0; k < mean.Rows; k++ {
-		i := k
-		if idx != nil {
-			i = idx[k]
-		}
+		i := idx[k]
 		sd := std.Row(k)
 		if maxOf(sd) <= threshold {
 			if reuse {
@@ -978,144 +640,6 @@ func gateBatchRows(res []BatchResult, miss, idx []int, mean, std *tensor.Matrix,
 		}
 	}
 	return miss, served, rejected
-}
-
-// lookupBatch fills res with surrogate answers for the rows that pass
-// the UQ gate under the read lock and returns the indices (backed by
-// sc.miss) that must fall back to the oracle.
-func (w *Wrapper) lookupBatch(xs *tensor.Matrix, res []BatchResult, sc *batchScratch) []int {
-	miss := sc.miss[:0]
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if w.quantPreferred() && w.surrogate.Trained() {
-		if bq, isBQ := w.surrogate.(BatchQuantServing); isBQ && bq.QuantizedReady() {
-			// Quantized batch path: one int8 MC pass over the batch, then
-			// the guardrail re-runs boundary/out-of-envelope rows on the
-			// float program before the shared gate loop decides.
-			_, out := w.Dims()
-			mean, std := sc.mats(xs.Rows, out)
-			oks := sc.okBuf(xs.Rows)
-			t0 := time.Now()
-			bq.PredictBatchWithUQQuantInto(xs, mean, std, oks)
-			w.quantQueries.Add(uint64(xs.Rows))
-			quantGuardBatch(w.surrogate, xs, mean, std, oks, w.cfg.UQThreshold, quantBand(bq, w.brownout.Load()), &w.quantFallbacks)
-			per := time.Since(t0) / time.Duration(xs.Rows)
-			var served, rejected int
-			miss, served, rejected = gateBatchRows(res, miss, nil, mean, std, w.cfg.UQThreshold, true)
-			w.recordBatchLookups(per, served, rejected)
-			sc.miss = miss
-			return miss
-		}
-	}
-	bsi, isInto := w.surrogate.(BatchSurrogateInto)
-	bs, isBatch := w.surrogate.(BatchSurrogate)
-	switch {
-	case w.surrogate.Trained() && isInto:
-		// Allocation-free batch path: the surrogate writes into pooled
-		// scratch and passing rows are copied into the caller's reusable
-		// result slices.
-		_, out := w.Dims()
-		mean, std := sc.mats(xs.Rows, out)
-		t0 := time.Now()
-		bsi.PredictBatchWithUQInto(xs, mean, std)
-		per := time.Since(t0) / time.Duration(xs.Rows)
-		var served, rejected int
-		miss, served, rejected = gateBatchRows(res, miss, nil, mean, std, w.cfg.UQThreshold, true)
-		w.recordBatchLookups(per, served, rejected)
-	case w.surrogate.Trained() && isBatch:
-		t0 := time.Now()
-		mean, std := bs.PredictBatchWithUQ(xs)
-		per := time.Since(t0) / time.Duration(xs.Rows)
-		var served, rejected int
-		miss, served, rejected = gateBatchRows(res, miss, nil, mean, std, w.cfg.UQThreshold, false)
-		w.recordBatchLookups(per, served, rejected)
-	case w.surrogate.Trained():
-		// Non-batch surrogate: per-row lookups, still under one read lock.
-		for i := 0; i < xs.Rows; i++ {
-			t0 := time.Now()
-			mean, sd := w.surrogate.PredictWithUQ(xs.Row(i))
-			dt := time.Since(t0)
-			if maxOf(sd) <= w.cfg.UQThreshold {
-				res[i] = BatchResult{Y: mean, Src: FromSurrogate, Std: sd}
-				w.recordLookup(dt)
-			} else {
-				miss = append(miss, i)
-				w.recordRejectedLookup(dt)
-			}
-		}
-	default:
-		for i := 0; i < xs.Rows; i++ {
-			miss = append(miss, i)
-		}
-	}
-	sc.miss = miss
-	return miss
-}
-
-// addSampleLocked feeds one oracle result through the retention policy;
-// callers hold w.mu.
-func (w *Wrapper) addSampleLocked(x, y []float64) {
-	w.retain.add(w.xs, w.ys, x, y)
-	w.newSinceTrain++
-}
-
-// maybeTrainLocked refits the surrogate when due; callers hold w.mu.
-func (w *Wrapper) maybeTrainLocked() error {
-	shouldTrain := false
-	if !w.surrogate.Trained() {
-		shouldTrain = w.xs.Rows >= w.cfg.MinTrainSamples
-	} else if w.cfg.RetrainEvery > 0 {
-		shouldTrain = w.newSinceTrain >= w.cfg.RetrainEvery
-	}
-	if !shouldTrain {
-		return nil
-	}
-	t0 := time.Now()
-	if err := w.surrogate.Train(w.xs, w.ys); err != nil {
-		return err
-	}
-	dt := time.Since(t0)
-	rows := w.xs.Rows
-	w.record(func(l *Ledger) { l.RecordTraining(dt, rows) })
-	w.newSinceTrain = 0
-	if w.publishHook.Load() != nil {
-		w.notifyPublish(w.surrogate, driftBaseline(w.surrogate, w.xs, w.ys))
-	}
-	return nil
-}
-
-// Pretrain runs the oracle on the provided design points (through the
-// bounded worker pool when OracleWorkers is set, aborting early on the
-// first failure) and fits the surrogate once, charging the ledger
-// accordingly. It is the batch alternative to the online Query path ("one
-// runs the Ntrain simulations, followed by the learning, and then all the
-// Nlookup inferences", §III-D).
-func (w *Wrapper) Pretrain(design *tensor.Matrix) error {
-	res, ferr := pretrainFanout(w.oracle, design, w.cfg.OracleWorkers, w.record)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	// Keep every successful sample — "no run is wasted" — even when the
-	// campaign aborted on a failure.
-	for i, r := range res {
-		if r.Err == nil && r.Y != nil {
-			w.addSampleLocked(design.Row(i), r.Y)
-		}
-	}
-	if ferr != nil {
-		return ferr
-	}
-	t0 := time.Now()
-	if err := w.surrogate.Train(w.xs, w.ys); err != nil {
-		return err
-	}
-	dt := time.Since(t0)
-	rows := w.xs.Rows
-	w.record(func(l *Ledger) { l.RecordTraining(dt, rows) })
-	w.newSinceTrain = 0
-	if w.publishHook.Load() != nil {
-		w.notifyPublish(w.surrogate, driftBaseline(w.surrogate, w.xs, w.ys))
-	}
-	return nil
 }
 
 func maxOf(xs []float64) float64 {

@@ -123,123 +123,6 @@ func TestNNSurrogatePanicsUntrained(t *testing.T) {
 	newTestSurrogate(xrand.New(4)).Predict([]float64{0, 0})
 }
 
-func TestWrapperColdStartUsesSimulation(t *testing.T) {
-	rng := xrand.New(5)
-	oracle := &toyOracle{}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{MinTrainSamples: 10, UQThreshold: 0.05})
-	y, src, _, err := w.Query([]float64{0.3, 0.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != FromSimulation {
-		t.Fatal("cold wrapper should simulate")
-	}
-	want := math.Sin(0.3) + 0.2
-	if math.Abs(y[0]-want) > 1e-12 {
-		t.Fatalf("wrapper altered simulation answer: %g want %g", y[0], want)
-	}
-	if w.TrainingSetSize() != 1 {
-		t.Fatalf("training set size %d want 1", w.TrainingSetSize())
-	}
-}
-
-func TestWrapperShiftsToSurrogate(t *testing.T) {
-	rng := xrand.New(6)
-	oracle := &toyOracle{}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{
-		MinTrainSamples: 60, RetrainEvery: 0, UQThreshold: 0.2,
-	})
-	// Warm-up: 60 simulated queries trigger the first fit.
-	for i := 0; i < 60; i++ {
-		if _, _, _, err := w.Query([]float64{rng.Range(-2, 2), rng.Range(-1, 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	surrogateHits := 0
-	for i := 0; i < 50; i++ {
-		_, src, _, err := w.Query([]float64{rng.Range(-2, 2), rng.Range(-1, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src == FromSurrogate {
-			surrogateHits++
-		}
-	}
-	if surrogateHits == 0 {
-		t.Fatal("wrapper never served from surrogate after training")
-	}
-	led := w.Ledger()
-	if led.NLookup != surrogateHits {
-		t.Fatalf("ledger lookups %d != observed %d", led.NLookup, surrogateHits)
-	}
-	if led.NTrainingRuns < 1 {
-		t.Fatal("ledger recorded no training runs")
-	}
-	if f := led.SurrogateFraction(); f <= 0 || f >= 1 {
-		t.Fatalf("surrogate fraction %g not in (0,1)", f)
-	}
-}
-
-func TestWrapperStrictGateAlwaysSimulates(t *testing.T) {
-	rng := xrand.New(7)
-	oracle := &toyOracle{}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{
-		MinTrainSamples: 30, UQThreshold: 0, // impossible gate
-	})
-	for i := 0; i < 40; i++ {
-		_, src, _, err := w.Query([]float64{rng.Range(-1, 1), rng.Range(-1, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if src == FromSurrogate {
-			t.Fatal("zero-threshold gate must reject all surrogate answers")
-		}
-	}
-	if w.Ledger().NRejected == 0 {
-		t.Fatal("rejected lookups not recorded")
-	}
-}
-
-func TestWrapperPropagatesOracleError(t *testing.T) {
-	rng := xrand.New(8)
-	oracle := &toyOracle{failWhen: func(x []float64) bool { return x[0] > 0 }}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{MinTrainSamples: 100})
-	if _, _, _, err := w.Query([]float64{1, 0}); err == nil {
-		t.Fatal("oracle failure should propagate")
-	}
-	if w.Ledger().NFailed != 1 {
-		t.Fatal("failed run not recorded")
-	}
-	if w.TrainingSetSize() != 0 {
-		t.Fatal("failed run must not enter the training set")
-	}
-}
-
-func TestWrapperPretrain(t *testing.T) {
-	rng := xrand.New(9)
-	oracle := &toyOracle{}
-	w := NewWrapper(oracle, newTestSurrogate(rng), WrapperConfig{UQThreshold: 0.3})
-	design := tensor.NewMatrix(80, 2)
-	for i := 0; i < 80; i++ {
-		design.Set(i, 0, rng.Range(-2, 2))
-		design.Set(i, 1, rng.Range(-1, 1))
-	}
-	if err := w.Pretrain(design); err != nil {
-		t.Fatal(err)
-	}
-	led := w.Ledger()
-	if led.NTrain != 80 || led.NTrainingRuns != 1 {
-		t.Fatalf("pretrain ledger: %+v", led)
-	}
-	_, src, std, err := w.Query([]float64{0.1, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src == FromSurrogate && (len(std) != 1 || std[0] <= 0) {
-		t.Fatal("surrogate answer missing UQ")
-	}
-}
-
 func TestEffectiveSpeedupFormula(t *testing.T) {
 	// Worked example: Tseq=100, Ttrain=100, Tlearn=1, Tlookup=0.01,
 	// Ntrain=10, Nlookup=1000.

@@ -32,9 +32,9 @@ func SpeedupNoML(tseq, ttrain float64) float64 { return tseq / ttrain }
 // "which can be huge!" (§III-D).
 func SpeedupInfiniteLookup(tseq, tlookup float64) float64 { return tseq / tlookup }
 
-// Ledger accumulates measured times and counts from a Wrapper, yielding
-// the empirical counterpart of the effective-speedup formula. The zero
-// value is ready to use.
+// Ledger accumulates measured times and counts from a ShardedWrapper,
+// yielding the empirical counterpart of the effective-speedup formula.
+// The zero value is ready to use.
 type Ledger struct {
 	// Simulation (oracle) executions that produced training data.
 	NTrain  int
@@ -152,11 +152,11 @@ func (l Ledger) String() string {
 	)
 }
 
-// ledgerBox is the concurrency shell both serving runtimes embed: a
-// Ledger behind its own mutex (always acquired after any wrapper state
-// lock). The single-event recorders below are deliberately closure-free —
-// the per-query serving path calls them, and a captured-variable closure
-// per query is a heap allocation the hot path cannot afford.
+// ledgerBox is the concurrency shell ShardedWrapper embeds: a Ledger
+// behind its own mutex (always acquired after any wrapper state lock).
+// The single-event recorders below are deliberately closure-free — the
+// per-query serving path calls them, and a captured-variable closure per
+// query is a heap allocation the hot path cannot afford.
 type ledgerBox struct {
 	ledMu  sync.Mutex
 	ledger Ledger

@@ -44,13 +44,13 @@ func (p RetentionPolicy) String() string {
 	}
 }
 
-// Retention bounds the training window of a Wrapper or of each
-// ShardedWrapper shard. The zero value retains everything.
+// Retention bounds the training window of each ShardedWrapper shard.
+// The zero value retains everything.
 type Retention struct {
 	// Policy selects the retirement strategy; RetainAll ignores MaxSamples.
 	Policy RetentionPolicy
-	// MaxSamples is the retained window size. The serving wrappers raise
-	// it to at least their MinTrainSamples so the first-fit gate stays
+	// MaxSamples is the retained window size. The wrapper raises it to at
+	// least its MinTrainSamples so the first-fit gate stays
 	// reachable. RetainWindow keeps up to 25% slack above it (dropping the
 	// oldest rows in amortized batches rather than memmoving per sample);
 	// RetainReservoir holds it exactly once full.

@@ -80,39 +80,6 @@ func TestRetainerReservoirBoundedAndCovering(t *testing.T) {
 	}
 }
 
-// TestWrapperRetentionBoundsTrainingSet runs a wrapper whose UQ gate
-// always fails (so every query feeds the training set) and checks the
-// window stays bounded while refits keep succeeding.
-func TestWrapperRetentionBoundsTrainingSet(t *testing.T) {
-	rng := xrand.New(0x7e7a1)
-	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
-		return []float64{x[0] + x[1]}, nil
-	}}
-	sur := NewNNSurrogate(2, 1, []int{8}, 0.1, rng)
-	sur.Epochs = 5
-	sur.MCPasses = 4
-	const window = 30
-	w := NewWrapper(oracle, sur, WrapperConfig{
-		MinTrainSamples: 10, RetrainEvery: 25, UQThreshold: -1, // gate never passes
-		Retention: Retention{Policy: RetainWindow, MaxSamples: window},
-	})
-	for i := 0; i < 300; i++ {
-		x := []float64{rng.Range(-1, 1), rng.Range(-1, 1)}
-		if _, src, _, err := w.Query(x); err != nil || src != FromSimulation {
-			t.Fatalf("query %d: src=%v err=%v", i, src, err)
-		}
-		if n := w.TrainingSetSize(); n > window+window/4 {
-			t.Fatalf("training set grew to %d rows, want <= %d", n, window+window/4)
-		}
-	}
-	if !sur.Trained() {
-		t.Fatal("surrogate never trained under the bounded window")
-	}
-	if w.Ledger().NTrainingRuns < 2 {
-		t.Fatal("refits did not keep firing under retention")
-	}
-}
-
 // TestShardedRetentionBoundsShards ingests a long stream into a sharded
 // wrapper with a reservoir and checks every shard stays bounded.
 func TestShardedRetentionBoundsShards(t *testing.T) {
@@ -158,28 +125,5 @@ func TestShardedRetentionBoundsShards(t *testing.T) {
 	}
 	if math.IsNaN(y[0]) {
 		t.Fatal("NaN prediction from retention-trained shard")
-	}
-}
-
-// TestRetentionClampedToMinTrain checks that a window smaller than
-// MinTrainSamples is raised so the first fit stays reachable.
-func TestRetentionClampedToMinTrain(t *testing.T) {
-	rng := xrand.New(0x7e7a3)
-	oracle := OracleFunc{In: 1, Out: 1, F: func(x []float64) ([]float64, error) {
-		return []float64{2 * x[0]}, nil
-	}}
-	sur := NewNNSurrogate(1, 1, []int{4}, 0.1, rng)
-	sur.Epochs = 5
-	w := NewWrapper(oracle, sur, WrapperConfig{
-		MinTrainSamples: 20, UQThreshold: 100,
-		Retention: Retention{Policy: RetainWindow, MaxSamples: 5}, // below MinTrainSamples
-	})
-	for i := 0; i < 40; i++ {
-		if _, _, _, err := w.Query([]float64{rng.Range(-1, 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sur.Trained() {
-		t.Fatal("first fit never fired: retention window was not clamped to MinTrainSamples")
 	}
 }

@@ -5,57 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/raceflag"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
-
-// servingTestWrapper builds a pretrained wrapper whose UQ gate always
-// passes, so every Query exercises the pure surrogate serving path.
-func servingTestWrapper(t *testing.T) *Wrapper {
-	t.Helper()
-	rng := xrand.New(0xa110c)
-	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
-		return []float64{math.Sin(x[0]) + 0.5*x[1]}, nil
-	}}
-	sur := NewNNSurrogate(2, 1, []int{16}, 0.1, rng)
-	sur.Epochs = 50
-	sur.MCPasses = 10
-	w := NewWrapper(oracle, sur, WrapperConfig{MinTrainSamples: 10, UQThreshold: 100})
-	design := tensor.NewMatrix(40, 2)
-	for i := 0; i < design.Rows; i++ {
-		design.Set(i, 0, rng.Range(-1, 1))
-		design.Set(i, 1, rng.Range(-1, 1))
-	}
-	if err := w.Pretrain(design); err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
-
-// TestQueryServingAllocs pins the single-query serving cost: a
-// surrogate-served Query runs the compiled kernel through pooled staging
-// buffers, leaving only the caller-owned result vector — at most 2
-// allocations per query, down from the ~5/query (320 per 64-query loop)
-// of the interpreted path.
-func TestQueryServingAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("sync.Pool drops items under -race; alloc counts through pooled paths are meaningless")
-	}
-	w := servingTestWrapper(t)
-	x := []float64{0.3, -0.2}
-	if _, src, _, err := w.Query(x); err != nil || src != FromSurrogate {
-		t.Fatalf("warmup query src=%v err=%v, want surrogate hit", src, err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := w.Query(x); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 2 {
-		t.Fatalf("surrogate-served Query allocates %g times, want <= 2", allocs)
-	}
-}
 
 // TestSurrogateCompiledPathMatchesInterpreted checks the compiled serving
 // kernel against the interpreted layer-graph path on the same trained

@@ -13,13 +13,14 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file implements stall-free serving: the ShardedWrapper partitions
-// the input space across shards, gives every shard a double-buffered
-// surrogate (train the next model on a snapshot while the current one
-// serves, publish with an atomic pointer swap), and fans oracle fallbacks
-// out over a bounded worker pool. Query and QueryBatch never block on a
-// refit — the MLaroundHPC loop keeps learning from fresh oracle results
-// without ever freezing its readers.
+// This file implements the MLaroundHPC runtime: the ShardedWrapper
+// partitions the input space across shards (one shard is the unsharded
+// runtime), gives every shard a double-buffered surrogate (train the next
+// model on a snapshot while the current one serves, publish with an
+// atomic pointer swap), and fans oracle fallbacks out over a bounded
+// worker pool. Query and QueryBatch never block on a refit — the loop
+// keeps learning from fresh oracle results without ever freezing its
+// readers.
 
 // Router assigns input points to shards. Implementations must be
 // deterministic pure functions of x — the same point always lands in the
@@ -146,8 +147,10 @@ type SurrogateFactory func() Surrogate
 
 // NewNNSurrogateFactory returns a SurrogateFactory producing independently
 // seeded NNSurrogates for an in→out mapping, each drawing its own
-// deterministic rng stream split off rng. configure (optional) tunes every
-// produced instance, e.g. epochs or MC passes.
+// deterministic rng stream split off rng. The factory owns rng from here
+// on — background refits split it on their own goroutines — so a caller
+// that keeps drawing from its generator passes rng.Split(). configure
+// (optional) tunes every produced instance, e.g. epochs or MC passes.
 func NewNNSurrogateFactory(in, out int, hidden []int, dropout float64, rng *xrand.Rand, configure func(*NNSurrogate)) SurrogateFactory {
 	var mu sync.Mutex
 	return func() Surrogate {
@@ -177,10 +180,10 @@ type ShardedConfig struct {
 	// UQThreshold is the maximum acceptable predictive std (target units)
 	// for a surrogate answer to be served.
 	UQThreshold float64
-	// OracleWorkers bounds the fan-out pool QueryBatch uses for oracle
-	// fallbacks (default GOMAXPROCS; 1 serializes). Oracles must tolerate
-	// concurrent Run calls, the same contract concurrent Wrapper use
-	// already requires.
+	// OracleWorkers bounds the fan-out pool QueryBatch and Pretrain use
+	// for oracle runs (default GOMAXPROCS; 1 serializes). Oracles must
+	// tolerate concurrent Run calls, the same contract querying the
+	// wrapper from several goroutines already imposes.
 	OracleWorkers int
 	// Retention bounds each shard's retained training window (sliding
 	// window or reservoir sampling) so background refits stay O(window)
@@ -201,10 +204,15 @@ type ShardedConfig struct {
 	// (default 0.1).
 	DriftAlpha float64
 	// Quantized serves every shard from its surrogate's int8 quantized
-	// program when available, with the same UQ-gated float fallback and
-	// QuantStats counters as WrapperConfig.Quantized. The knob wraps the
-	// factory so each produced surrogate (including every
-	// recompile-on-publish refit generation) quantizes on Train.
+	// program when the surrogate provides one (NNSurrogate with bounded
+	// hidden activations). Lookups whose UQ decision lands within the
+	// surrogate's QuantGateBound of UQThreshold — where the quantization
+	// delta could flip accept into reject or vice versa — and lookups
+	// whose input left the calibrated envelope are transparently re-run
+	// on the retained float program and counted (QuantStats), so the
+	// speedup never silently degrades the gate. The knob wraps the
+	// factory so each QuantCapable surrogate it produces (including
+	// every recompile-on-publish refit generation) quantizes on Train.
 	Quantized bool
 }
 
@@ -341,16 +349,21 @@ func driftBaseline(sur Surrogate, snapX, snapY *tensor.Matrix) float64 {
 	return sum / float64(len(resids))
 }
 
-// ShardedWrapper is the stall-free MLaroundHPC runtime. It routes every
-// query to an input-space shard, serves it from that shard's published
-// surrogate when the UQ gate passes, and falls back to the oracle
-// otherwise — accumulating fallback results per shard and refitting each
-// shard's surrogate in the background on a snapshot of its data. Publishing
-// is an atomic pointer swap: Query and QueryBatch never block on a refit.
+// ShardedWrapper is the MLaroundHPC runtime. It routes every query to an
+// input-space shard, serves it from that shard's published surrogate when
+// the UQ gate passes, and falls back to the oracle otherwise —
+// accumulating fallback results per shard, keeping the
+// effective-performance ledger, and refitting each shard's surrogate in
+// the background on a snapshot of its data. Publishing is an atomic
+// pointer swap: Query and QueryBatch never block on a refit. With
+// Shards: 1 it is the plain unsharded wrapper; train-then-serve is
+// Pretrain, or Wait after the cold-start queries.
 //
-// All methods are safe for concurrent use. Background refit failures are
-// reported by Wait (training never takes the serving path down — the
-// previous model keeps serving).
+// All methods are safe for concurrent use; the Oracle must itself
+// tolerate concurrent Run calls when the wrapper is queried from several
+// goroutines. Background refit failures — a Train that returns an error
+// or panics — are reported by Wait (training never takes the serving
+// path down: the previous model keeps serving).
 type ShardedWrapper struct {
 	oracle  Oracle
 	factory SurrogateFactory
@@ -636,14 +649,38 @@ func (w *ShardedWrapper) QuantStats() (queries, fallbacks uint64) {
 	return w.quantQueries.Load(), w.quantFallbacks.Load()
 }
 
-// shardScratch pools the per-call working state of one sharded
-// QueryBatchInto: the shard partition, the gather buffer, and the
-// embedded mean/std staging plus miss list shared with the unsharded
-// wrapper's scratch.
+// shardScratch pools the per-call working state of one QueryBatchInto —
+// the shard partition, the gather buffer, the miss index list and the
+// surrogate's mean/std staging — so a warmed steady-state batch query
+// performs zero heap allocations.
 type shardScratch struct {
-	batchScratch
-	byShard [][]int
-	sub     *tensor.Matrix
+	byShard   [][]int
+	sub       *tensor.Matrix
+	miss      []int
+	mean, std *tensor.Matrix
+	oks       []bool // per-row quantization envelope verdicts
+}
+
+// okBuf returns the scratch ok slice sized to rows, growing on demand.
+func (sc *shardScratch) okBuf(rows int) []bool {
+	if cap(sc.oks) < rows {
+		sc.oks = make([]bool, rows)
+	}
+	sc.oks = sc.oks[:rows]
+	return sc.oks
+}
+
+// mats returns the scratch mean/std matrices reshaped to rows x out,
+// minting them on first use.
+func (sc *shardScratch) mats(rows, out int) (mean, std *tensor.Matrix) {
+	if sc.mean == nil {
+		sc.mean = tensor.NewMatrix(rows, out)
+		sc.std = tensor.NewMatrix(rows, out)
+	} else {
+		sc.mean.Reshape(rows, out)
+		sc.std.Reshape(rows, out)
+	}
+	return sc.mean, sc.std
 }
 
 func (w *ShardedWrapper) getScratch() *shardScratch {
@@ -861,15 +898,40 @@ func (w *ShardedWrapper) refitDueLocked(s *shard) (snapX, snapY *tensor.Matrix, 
 	return snapX, snapY, gen, consumed
 }
 
-// refit trains a fresh surrogate on the snapshot and publishes it
-// generation-ordered: serving is never paused, and a fit that finishes
-// after a newer snapshot's model has been published is discarded.
-func (w *ShardedWrapper) refit(s *shard, snapX, snapY *tensor.Matrix, gen, consumed int) {
+// trainAndPublish fits a fresh factory surrogate on snapshot generation
+// gen of s and publishes it generation-ordered: serving is never paused,
+// and a fit that finishes after a newer snapshot's model has been
+// published is discarded. Factory, Train and the publish hook are user
+// code, run here on a refit goroutine or a TrainAll worker with no
+// caller above to recover, so a panic in any of them comes back as the
+// training error instead of taking the process down.
+func (w *ShardedWrapper) trainAndPublish(s *shard, snapX, snapY *tensor.Matrix, gen int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("core: surrogate training panicked: %v", r)
+		}
+	}()
 	sur := w.factory()
 	t0 := time.Now()
-	err := sur.Train(snapX, snapY)
+	if err := sur.Train(snapX, snapY); err != nil {
+		return err
+	}
 	dt := time.Since(t0)
-	if err != nil {
+	w.record(func(l *Ledger) { l.RecordTraining(dt, snapX.Rows) })
+	// A generation trained mid-brownout publishes already capped, so the
+	// swap cannot silently restore full MC cost under overload.
+	applyMCCap(sur, int(w.brownout.Load()))
+	base := w.driftBaselineFor(sur, snapX, snapY)
+	if s.publishIfNewer(sur, gen, base) {
+		w.notifyPublish(s.idx, sur, base)
+	}
+	return nil
+}
+
+// refit is one background trainAndPublish, chained while the shard stays
+// due.
+func (w *ShardedWrapper) refit(s *shard, snapX, snapY *tensor.Matrix, gen, consumed int) {
+	if err := w.trainAndPublish(s, snapX, snapY, gen); err != nil {
 		// Keep serving the previous generation and give back the retrain
 		// credit the snapshot absorbed, so the very next sample retries
 		// instead of waiting for a whole fresh RetrainEvery window.
@@ -879,14 +941,6 @@ func (w *ShardedWrapper) refit(s *shard, snapX, snapY *tensor.Matrix, gen, consu
 		s.mu.Unlock()
 		w.endRefit(err)
 		return
-	}
-	w.record(func(l *Ledger) { l.RecordTraining(dt, snapX.Rows) })
-	// A generation trained mid-brownout publishes already capped, so the
-	// swap cannot silently restore full MC cost under overload.
-	applyMCCap(sur, int(w.brownout.Load()))
-	base := w.driftBaselineFor(sur, snapX, snapY)
-	if s.publishIfNewer(sur, gen, base) {
-		w.notifyPublish(s.idx, sur, base)
 	}
 	// Samples may have piled past the retrain threshold while this fit
 	// ran; chain one follow-up so a busy shard cannot go stale.
@@ -1146,18 +1200,8 @@ func (w *ShardedWrapper) TrainAll() error {
 		}
 		snapX, snapY, gen, _ := s.snapshotLocked()
 		s.mu.Unlock()
-		sur := w.factory()
-		t0 := time.Now()
-		if err := sur.Train(snapX, snapY); err != nil {
+		if err := w.trainAndPublish(s, snapX, snapY, gen); err != nil {
 			errs[si] = fmt.Errorf("core: shard %d: %w", si, err)
-			return
-		}
-		dt := time.Since(t0)
-		w.record(func(l *Ledger) { l.RecordTraining(dt, snapX.Rows) })
-		applyMCCap(sur, int(w.brownout.Load()))
-		base := w.driftBaselineFor(sur, snapX, snapY)
-		if s.publishIfNewer(sur, gen, base) {
-			w.notifyPublish(s.idx, sur, base)
 		}
 	})
 	for _, err := range errs {

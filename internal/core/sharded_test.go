@@ -309,98 +309,43 @@ func TestShardedRoutingDeterministicForSeed(t *testing.T) {
 	}
 }
 
-// shardGateStub serves rows with |x0| <= 2 (std 0) and rejects the rest
-// (std 1), mirroring the single-wrapper batch-semantics stub.
-type shardGateStub struct{ trained bool }
-
-func (s *shardGateStub) Train(x, y *tensor.Matrix) error { s.trained = true; return nil }
-func (s *shardGateStub) Trained() bool                   { return s.trained }
-func (s *shardGateStub) Predict(x []float64) []float64   { return []float64{42} }
-func (s *shardGateStub) PredictWithUQ(x []float64) (mean, std []float64) {
-	sd := 0.0
-	if math.Abs(x[0]) > 2 {
-		sd = 1
-	}
-	return []float64{42}, []float64{sd}
-}
-func (s *shardGateStub) PredictBatchWithUQ(x *tensor.Matrix) (mean, std *tensor.Matrix) {
-	mean = tensor.NewMatrix(x.Rows, 1)
-	std = tensor.NewMatrix(x.Rows, 1)
-	for i := 0; i < x.Rows; i++ {
-		m, sd := s.PredictWithUQ(x.Row(i))
-		mean.Set(i, 0, m[0])
-		std.Set(i, 0, sd[0])
-	}
-	return mean, std
-}
-
-// TestShardedQueryBatchSemantics pins routing, provenance and accounting
-// through the partitioned batch path with fan-out enabled.
+// TestShardedQueryBatchSemantics pins what only a partitioned batch can
+// show: one QueryBatch spanning a published shard and a cold one serves
+// the first from its surrogate and simulates the second, and every
+// simulated row lands in the training set of the shard it routes to.
 func TestShardedQueryBatchSemantics(t *testing.T) {
 	oracle := &atomicOracle{}
-	w := NewShardedWrapper(oracle, func() Surrogate { return &shardGateStub{} }, ShardedConfig{
-		Shards: 2, UQThreshold: 0.5, MinTrainSamples: 1, OracleWorkers: 4,
+	w := NewShardedWrapper(oracle, func() Surrogate { return &gateStub{} }, ShardedConfig{
+		Router: KDRouter{Dim: 1, Cuts: []float64{0}}, UQThreshold: 0.5, MinTrainSamples: 1, OracleWorkers: 4,
 	})
-	rng := xrand.New(91)
-	seedX := tensor.NewMatrix(16, 2)
-	seedY := tensor.NewMatrix(16, 1)
-	for i := 0; i < 16; i++ {
-		seedX.Set(i, 0, rng.Range(-2, 2))
-		seedX.Set(i, 1, rng.Range(-1, 1))
-		seedY.Set(i, 0, 1)
-	}
-	if err := w.Ingest(seedX, seedY); err != nil {
+	// Only the x1 < 0 shard gets data and a model.
+	if err := w.Ingest(tensor.FromRows([][]float64{{0, -1}}), tensor.FromRows([][]float64{{1}})); err != nil {
 		t.Fatal(err)
-	}
-	for _, n := range w.ShardSizes() {
-		if n == 0 {
-			t.Fatal("seed corpus left a shard empty; pick different seed points")
-		}
 	}
 	if err := w.TrainAll(); err != nil {
 		t.Fatal(err)
 	}
-	before := w.TrainingSetSize()
-
-	batch := tensor.NewMatrix(16, 2)
-	for i := 0; i < 8; i++ { // in-gate rows
-		batch.Set(i, 0, rng.Range(-1, 1))
-		batch.Set(i, 1, rng.Range(-1, 1))
-	}
-	for i := 8; i < 16; i++ { // out-of-gate rows must simulate
-		batch.Set(i, 0, rng.Range(80, 100))
-		batch.Set(i, 1, rng.Range(80, 100))
-	}
+	batch := tensor.FromRows([][]float64{
+		{1, -0.5}, {90, -0.5}, {1, 0.5}, {-1, -2}, {90, 0.5}, {0.5, 3},
+	})
+	wantSrc := []Source{FromSurrogate, FromSimulation, FromSimulation, FromSurrogate, FromSimulation, FromSimulation}
 	res, err := w.QueryBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("row %d: %v", i, r.Err)
-		}
-		if i < 8 {
-			if r.Src != FromSurrogate || r.Y[0] != 42 {
-				t.Fatalf("in-gate row %d not served by surrogate: %+v", i, r)
-			}
-		} else {
-			if r.Src != FromSimulation {
-				t.Fatalf("out-of-gate row %d not simulated: %+v", i, r)
-			}
-			truth := math.Sin(batch.At(i, 0)) + 0.5*batch.At(i, 1)
-			if math.Abs(r.Y[0]-truth) > 1e-12 {
-				t.Fatalf("simulated row %d altered: %g want %g", i, r.Y[0], truth)
-			}
+		if r.Err != nil || r.Src != wantSrc[i] {
+			t.Fatalf("row %d served from %v (err %v), want %v", i, r.Src, r.Err, wantSrc[i])
 		}
 	}
-	if got := oracle.calls.Load(); got != 8 {
-		t.Fatalf("oracle ran %d times want 8", got)
+	if got := oracle.calls.Load(); got != 4 {
+		t.Fatalf("oracle ran %d times want 4", got)
 	}
-	if grew := w.TrainingSetSize() - before; grew != 8 {
-		t.Fatalf("training set grew by %d want 8", grew)
+	if sizes := w.ShardSizes(); sizes[0] != 1+1 || sizes[1] != 3 {
+		t.Fatalf("shard sizes %v: want the published shard to keep its 1 rejected row and the cold shard its 3", sizes)
 	}
-	led := w.Ledger()
-	if led.NLookup != 8 || led.NRejected != 8 || led.NTrain != 8 {
+	// Only the cold shard's rows never reached a surrogate.
+	if led := w.Ledger(); led.NLookup != 2 || led.NRejected != 1 || led.NTrain != 4 {
 		t.Fatalf("ledger accounting wrong: %+v", led)
 	}
 	if err := w.Wait(); err != nil {
@@ -428,34 +373,6 @@ func (o *barrierOracle) Run(x []float64) ([]float64, error) {
 		return []float64{x[0]}, nil
 	case <-time.After(10 * time.Second):
 		return nil, errors.New("fan-out never reached target concurrency")
-	}
-}
-
-// TestQueryBatchOracleFanout proves the rejected-row fallback really runs
-// oracles concurrently: with 4 workers and 4 misses, all 4 calls must be
-// in flight at once for any to complete.
-func TestQueryBatchOracleFanout(t *testing.T) {
-	oracle := &barrierOracle{need: 4, release: make(chan struct{})}
-	rng := xrand.New(17)
-	sur := NewNNSurrogate(2, 1, []int{4}, 0.1, rng)
-	w := NewWrapper(oracle, sur, WrapperConfig{
-		MinTrainSamples: 1 << 30, UQThreshold: 0.5, OracleWorkers: 4,
-	})
-	batch := tensor.NewMatrix(4, 2)
-	for i := range batch.Data {
-		batch.Data[i] = rng.Range(-1, 1)
-	}
-	res, err := w.QueryBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("row %d: %v", i, r.Err)
-		}
-		if r.Src != FromSimulation || r.Y[0] != batch.At(i, 0) {
-			t.Fatalf("row %d wrong answer %+v", i, r)
-		}
 	}
 }
 
@@ -667,25 +584,29 @@ func TestPretrainAbortsEarlyKeepsSuccesses(t *testing.T) {
 		}
 		return []float64{x[0]}, nil
 	}}
-	rng := xrand.New(33)
-	sur := NewNNSurrogate(2, 1, []int{4}, 0.1, rng)
-	w := NewWrapper(oracle, sur, WrapperConfig{MinTrainSamples: 1 << 30, UQThreshold: 1})
-	design := tensor.NewMatrix(10, 2)
-	for i := range design.Data {
-		design.Data[i] = rng.Range(-1, 1)
-	}
-	err := w.Pretrain(design)
-	if err == nil {
-		t.Fatal("pretrain swallowed the oracle failure")
-	}
-	// Sequential fallback (OracleWorkers unset): exactly 3 runs happened —
-	// the failure aborted the other 7.
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("oracle ran %d times want 3 (early abort)", got)
-	}
-	if got := w.TrainingSetSize(); got != 2 {
-		t.Fatalf("kept %d successful samples want 2", got)
-	}
+	forShards(t, func(t *testing.T, shards int) {
+		calls.Store(0)
+		w := NewShardedWrapper(oracle, func() Surrogate { return &meanSur{} }, ShardedConfig{
+			Shards: shards, UQThreshold: 1, OracleWorkers: 1,
+		})
+		err := w.Pretrain(uniformRows(xrand.New(33), 10, 1, 1))
+		if err == nil {
+			t.Fatal("pretrain swallowed the oracle failure")
+		}
+		// One worker: exactly 3 runs happened — the failure aborted the
+		// other 7.
+		if got := calls.Load(); got != 3 {
+			t.Fatalf("oracle ran %d times want 3 (early abort)", got)
+		}
+		if got := w.TrainingSetSize(); got != 2 {
+			t.Fatalf("kept %d successful samples want 2", got)
+		}
+		for si, st := range w.Status() {
+			if st.Generation >= 0 {
+				t.Fatalf("aborted campaign still trained shard %d", si)
+			}
+		}
+	})
 
 	// Fanned out, with the failing row claimed by the calling goroutine:
 	// the oracle fails on the goroutine that called Pretrain (the only one
@@ -1041,5 +962,110 @@ func TestDriftResidualFallbackPath(t *testing.T) {
 	}
 	if st := w.Status()[0]; !st.Drifted || st.DriftRatio <= 2 {
 		t.Fatalf("per-row fallback never tripped drift: %+v", st)
+	}
+}
+
+// TestShardedQueryBatchIntoReusesBuffers drives the sharded wrapper's
+// buffer-reusing batch path across chunk-splitting widths and checks the
+// answers stay consistent with the direct QueryBatch results.
+func TestShardedQueryBatchIntoReusesBuffers(t *testing.T) {
+	w := pretrainedWrapper(t, &atomicOracle{}, 2, 0xbb18, 0, ShardedConfig{UQThreshold: 100},
+		func(s *NNSurrogate) { s.MaxBatch = 4 }) // far narrower than the batches served
+	batch := uniformRows(xrand.New(0xbb19), 30, 1, 1)
+	want, err := w.QueryBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make([]BatchResult, batch.Rows)
+	for trial := 0; trial < 3; trial++ { // reuse res across calls
+		if err := w.QueryBatchInto(batch, res); err != nil {
+			t.Fatal(err)
+		}
+		for i := range res {
+			if res[i].Src != FromSurrogate {
+				t.Fatalf("trial %d row %d not surrogate-served", trial, i)
+			}
+			if math.Abs(res[i].Y[0]-want[i].Y[0]) > 1e-12 {
+				t.Fatalf("trial %d row %d: Into %g vs QueryBatch %g", trial, i, res[i].Y[0], want[i].Y[0])
+			}
+		}
+	}
+}
+
+// TestShardedBrownoutPropagates asserts a generation published after the
+// brownout began comes out already capped (the table's ladder rows cover
+// the models serving when the level moves).
+func TestShardedBrownoutPropagates(t *testing.T) {
+	w, _ := brownoutWrapper(t, 2, 100)
+	w.SetBrownoutLevel(BrownoutReducedMC)
+	if err := w.TrainAll(); err != nil {
+		t.Fatal(err)
+	}
+	eachPublished(t, w, func(si int, sur *NNSurrogate) {
+		if st := w.Status()[si]; st.Generation != 1 {
+			t.Fatalf("shard %d serves generation %d, want the mid-brownout refit (1)", si, st.Generation)
+		}
+		if got := sur.passes(); got != brownoutMCPasses {
+			t.Fatalf("shard %d republished uncapped: passes = %d, want %d", si, got, brownoutMCPasses)
+		}
+	})
+	w.SetBrownoutLevel(BrownoutOff)
+	eachPublished(t, w, func(si int, sur *NNSurrogate) {
+		if got := sur.passes(); got != 8 {
+			t.Fatalf("shard %d still capped after recovery: passes = %d", si, got)
+		}
+	})
+}
+
+// TestShardedQuantizedServing checks what the Quantized knob does to the
+// factory: every generation a shard publishes — pretrained or refit —
+// comes out with its int8 program compiled, so the scalar and batched
+// lookup paths keep serving int8 across a refit.
+func TestShardedQuantizedServing(t *testing.T) {
+	rng := xrand.New(0x54)
+	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
+		return []float64{x[0] - x[1]}, nil
+	}}
+	factory := NewNNSurrogateFactory(2, 1, []int{12}, 0, rng, func(s *NNSurrogate) {
+		s.Epochs = 30
+		s.MCPasses = 4
+	})
+	w := NewShardedWrapper(oracle, factory, ShardedConfig{
+		Shards: 2, MinTrainSamples: 10, UQThreshold: 100, Quantized: true,
+	})
+	if err := w.Pretrain(uniformRows(rng, 64, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	batch := uniformRows(rng, 30, 1, 1)
+	res := make([]BatchResult, batch.Rows)
+	served := uint64(0)
+	for gen := 0; gen < 2; gen++ {
+		for si, st := range w.Status() {
+			if st.Generation != gen {
+				t.Fatalf("shard %d serves generation %d, want %d", si, st.Generation, gen)
+			}
+		}
+		for k := 0; k < 8; k++ {
+			if _, src, _, err := w.Query(batch.Row(k)); err != nil || src != FromSurrogate {
+				t.Fatalf("generation %d query %d: src=%v err=%v", gen, k, src, err)
+			}
+		}
+		if err := w.QueryBatchInto(batch, res); err != nil {
+			t.Fatal(err)
+		}
+		for i := range res {
+			if res[i].Src != FromSurrogate {
+				t.Fatalf("generation %d batch row %d not surrogate-served", gen, i)
+			}
+		}
+		served += 8 + uint64(batch.Rows)
+		if q, fallbacks := w.QuantStats(); q != served || fallbacks != 0 {
+			t.Fatalf("generation %d: %d quant queries and %d fallbacks, want %d and 0: factory wrap did not quantize the published generation",
+				gen, q, fallbacks, served)
+		}
+		w.Refit()
+		if err := w.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -202,7 +202,7 @@ func E2NanoSurrogate(scale Scale) (*E2Result, error) {
 	}
 	// Per-target metrics. The whole test set is served in one batched
 	// surrogate pass — the serving path heavy traffic takes through
-	// Wrapper.QueryBatch.
+	// ShardedWrapper.QueryBatch.
 	t0 := time.Now()
 	preds := sur.PredictBatch(test.X)
 	res.MeanLookupSeconds = time.Since(t0).Seconds() / float64(test.Len())

@@ -51,14 +51,16 @@ func (r *E11Result) String() string {
 
 // e11Tenant builds one pretrained UQ-gated wrapper over an analytic
 // oracle stand-in.
-func e11Tenant(rng *xrand.Rand, scale Scale, f func(x []float64) []float64) (*core.Wrapper, error) {
+func e11Tenant(rng *xrand.Rand, scale Scale, f func(x []float64) []float64) (*core.ShardedWrapper, error) {
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return f(x), nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{pick(scale, 16, 32)}, 0.1, rng.Split())
-	sur.Epochs = pick(scale, 60, 200)
-	sur.MCPasses = 8
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{
+	factory := core.NewNNSurrogateFactory(2, 1, []int{pick(scale, 16, 32)}, 0.1, rng.Split(), func(s *core.NNSurrogate) {
+		s.Epochs = pick(scale, 60, 200)
+		s.MCPasses = 8
+	})
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
+		Shards:          1,
 		MinTrainSamples: 10,
 		UQThreshold:     10, // wide open: the experiment measures dispatch, not gating
 	})
@@ -99,7 +101,7 @@ func E11FleetServing(scale Scale) (*E11Result, error) {
 
 	fl := fleet.New(fleet.Config{Coalescer: serve.Config{MaxBatch: 32}})
 	defer fl.Close()
-	wrappers := make([]*core.Wrapper, len(tenants))
+	wrappers := make([]*core.ShardedWrapper, len(tenants))
 	for i, tn := range tenants {
 		w, err := e11Tenant(rng, scale, tn.f)
 		if err != nil {

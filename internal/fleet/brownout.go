@@ -20,8 +20,8 @@ import (
 // BrownoutConfig tunes the fleet's brownout controller. The controller
 // is enabled by setting at least one SLO signal (P99SLO or MaxShedRate);
 // it evaluates every tenant each Interval and acts only on backends that
-// expose SetBrownoutLevel/BrownoutLevel (core.Wrapper and
-// core.ShardedWrapper do); other backends are left alone.
+// expose SetBrownoutLevel/BrownoutLevel (core.ShardedWrapper does);
+// other backends are left alone.
 type BrownoutConfig struct {
 	// P99SLO is the tenant latency objective: a measured p99 (over the
 	// tenant's recent-latency ring) above it is a breach. 0 disables the

@@ -640,7 +640,7 @@ type statuser interface {
 }
 
 // quantStatser is the optional backend face that exposes quantized-serving
-// counters (core.Wrapper and core.ShardedWrapper implement it).
+// counters (core.ShardedWrapper implements it).
 type quantStatser interface {
 	QuantStats() (queries, fallbacks uint64)
 }

@@ -367,18 +367,21 @@ func TestFleetStats(t *testing.T) {
 	}
 }
 
-// TestFleetAgainstWrapper serves a real UQ-gated core.Wrapper tenant end
-// to end through the fleet: coalesced answers must match the backend's
-// own predictions.
+// TestFleetAgainstWrapper serves a real UQ-gated wrapper tenant end to
+// end through the fleet: coalesced answers must match the backend's own
+// predictions.
 func TestFleetAgainstWrapper(t *testing.T) {
 	rng := xrand.New(0xf1e31)
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{x[0]*x[0] - x[1]}, nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{16}, 0, rng)
-	sur.Epochs = 40
-	sur.MCPasses = 4
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{MinTrainSamples: 10, UQThreshold: 100})
+	var sur *core.NNSurrogate // the one model Pretrain publishes
+	factory := core.NewNNSurrogateFactory(2, 1, []int{16}, 0, rng.Split(), func(s *core.NNSurrogate) {
+		s.Epochs = 40
+		s.MCPasses = 4
+		sur = s
+	})
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{Shards: 1, MinTrainSamples: 10, UQThreshold: 100})
 	design := tensor.NewMatrix(40, 2)
 	for i := 0; i < design.Rows; i++ {
 		design.Set(i, 0, rng.Range(-1, 1))
@@ -427,11 +430,12 @@ func TestFleetQuantStats(t *testing.T) {
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{x[0]*x[0] - x[1]}, nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{16}, 0, rng)
-	sur.Epochs = 40
-	sur.MCPasses = 4
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{
-		MinTrainSamples: 10, UQThreshold: 100, Quantized: true,
+	factory := core.NewNNSurrogateFactory(2, 1, []int{16}, 0, rng.Split(), func(s *core.NNSurrogate) {
+		s.Epochs = 40
+		s.MCPasses = 4
+	})
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
+		Shards: 1, MinTrainSamples: 10, UQThreshold: 100, Quantized: true,
 	})
 	design := tensor.NewMatrix(40, 2)
 	for i := 0; i < design.Rows; i++ {

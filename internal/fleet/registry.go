@@ -31,7 +31,6 @@ type RegistryConfig struct {
 	// is rolled back to its previous registry generation. Set it above
 	// the wrapper's own DriftFactor so a refit is the first response and
 	// rollback the defense against a generation that made things worse.
-	// Only sharded backends are watched.
 	RollbackFactor float64
 	// Interval is the drift-watch cadence (default 250ms).
 	Interval time.Duration
@@ -82,10 +81,10 @@ func (b *registryBinding) stats() (gen uint64, s registry.Stats) {
 // BindRegistry attaches the named tenant to a registry: its backend
 // warm-starts from the newest durable generations (the returned count is
 // how many shards restored a model), every generation it publishes from
-// then on is persisted, and, with RollbackFactor set on a sharded
-// backend, the drift watch auto-rolls-back regressions. The backend must
-// be a *core.Wrapper or *core.ShardedWrapper. The binding lives until
-// the tenant is deregistered or the fleet closes.
+// then on is persisted, and, with RollbackFactor set, the drift watch
+// auto-rolls-back regressions. The backend must be a
+// *core.ShardedWrapper. The binding lives until the tenant is
+// deregistered or the fleet closes.
 func (f *Fleet) BindRegistry(name string, cfg RegistryConfig) (warmed int, err error) {
 	if cfg.Registry == nil {
 		return 0, errors.New("fleet: RegistryConfig.Registry is required")
@@ -120,37 +119,22 @@ func (f *Fleet) BindRegistry(name string, cfg RegistryConfig) (warmed int, err e
 		}
 	}
 	rng := xrand.New(seed)
-	b := &registryBinding{reg: cfg.Registry, key: key}
-	switch w := t.backend.(type) {
-	case *core.ShardedWrapper:
-		b.shards = w.NumShards()
-		warmed = registry.WarmStartSharded(cfg.Registry, key, w, rng, func(si int, err error) {
-			onErr(fmt.Sprintf("warm-start shard %d", si), err)
-		})
-		w.SetPublishHook(registry.Publisher(cfg.Registry, key, func(si int, err error) {
-			onErr(fmt.Sprintf("publish shard %d", si), err)
-		}))
-		b.unhook = func() { w.SetPublishHook(nil) }
-		if cfg.RollbackFactor > 0 {
-			b.stop = make(chan struct{})
-			b.done = make(chan struct{})
-			go b.driftWatch(w, cfg, rng, onErr)
-		}
-	case *core.Wrapper:
-		b.shards = 1
-		ok, werr := registry.WarmStartWrapper(cfg.Registry, key, w, rng)
-		if werr != nil {
-			onErr("warm-start", werr)
-		}
-		if ok {
-			warmed = 1
-		}
-		w.SetPublishHook(registry.Publisher(cfg.Registry, key, func(_ int, err error) {
-			onErr("publish", err)
-		}))
-		b.unhook = func() { w.SetPublishHook(nil) }
-	default:
+	w, ok := t.backend.(*core.ShardedWrapper)
+	if !ok {
 		return 0, fmt.Errorf("fleet: tenant %q backend %T cannot bind a registry", name, t.backend)
+	}
+	b := &registryBinding{reg: cfg.Registry, key: key, shards: w.NumShards()}
+	warmed = registry.WarmStartSharded(cfg.Registry, key, w, rng, func(si int, err error) {
+		onErr(fmt.Sprintf("warm-start shard %d", si), err)
+	})
+	w.SetPublishHook(registry.Publisher(cfg.Registry, key, func(si int, err error) {
+		onErr(fmt.Sprintf("publish shard %d", si), err)
+	}))
+	b.unhook = func() { w.SetPublishHook(nil) }
+	if cfg.RollbackFactor > 0 {
+		b.stop = make(chan struct{})
+		b.done = make(chan struct{})
+		go b.driftWatch(w, cfg, rng, onErr)
 	}
 	t.binding.Store(b)
 	return warmed, nil

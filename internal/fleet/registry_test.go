@@ -38,7 +38,7 @@ func regWrapper(oracle core.Oracle, seed uint64, driftFactor float64) *core.Shar
 		s.MCPasses = 4
 	})
 	return core.NewShardedWrapper(oracle, fac, core.ShardedConfig{
-		Router:          core.HashRouter{Shards: 1},
+		Shards:          1, // the unsharded tenant binds like any other
 		MinTrainSamples: 8,
 		UQThreshold:     1e9,
 		DriftFactor:     driftFactor,
@@ -116,6 +116,11 @@ func TestBindRegistryPublishAndWarmStart(t *testing.T) {
 	}
 	if n := oracle2.runs.Load(); n != 0 {
 		t.Fatalf("warm-started tenant ran the oracle %d times", n)
+	}
+	// The artifact's drift baseline was restored with the model: the
+	// residual EWMA starts at the publisher's in-sample residual.
+	if r := w2.Status()[0].DriftRatio; r != 1 {
+		t.Fatalf("warm-started shard's drift ratio %v, want 1 (baseline restored from the artifact)", r)
 	}
 }
 

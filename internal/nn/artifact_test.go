@@ -30,6 +30,24 @@ func buildArtifact(t *testing.T, seed uint64) (*Artifact, []byte) {
 	return a, data
 }
 
+// artifactRoundTrip encodes net alone — no compiled programs, no meta —
+// and decodes it back: the path a restored model that recompiles takes.
+func artifactRoundTrip(t *testing.T, net *Network, rng *xrand.Rand) *Network {
+	t.Helper()
+	data, err := EncodeArtifact(&Artifact{Net: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeArtifact(data, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Compiled != nil || got.Quant != nil || len(got.Meta) != 0 {
+		t.Fatal("network-only artifact decoded with sections it never carried")
+	}
+	return got.Net
+}
+
 // The headline round-trip property the registry warm-start relies on:
 // a decoded artifact serves bit-identical deterministic predictions to
 // the programs that were encoded, for both the float and the quantized
@@ -182,28 +200,28 @@ func TestArtifactVersionSkew(t *testing.T) {
 	}
 }
 
-// Load must reject corrupt geometry instead of panicking later.
+// Decoding must reject corrupt geometry instead of panicking later.
 func TestLoadValidatesGeometry(t *testing.T) {
 	rng := xrand.New(1)
 	cases := []struct {
-		name string
-		spec netSpec
+		name   string
+		layers []layerSpec
 	}{
-		{"no layers", netSpec{}},
-		{"non-positive dims", netSpec{Layers: []layerSpec{{Kind: "dense", In: 0, Out: 4, W: nil, B: make([]float64, 4)}}}},
-		{"negative dims", netSpec{Layers: []layerSpec{{Kind: "dense", In: 3, Out: -2}}}},
-		{"W length mismatch", netSpec{Layers: []layerSpec{{Kind: "dense", In: 2, Out: 2, W: make([]float64, 3), B: make([]float64, 2)}}}},
-		{"B length mismatch", netSpec{Layers: []layerSpec{{Kind: "dense", In: 2, Out: 2, W: make([]float64, 4), B: make([]float64, 1)}}}},
-		{"bad activation", netSpec{Layers: []layerSpec{{Kind: "dense", In: 2, Out: 2, Act: 9, W: make([]float64, 4), B: make([]float64, 2)}}}},
-		{"dropout P high", netSpec{Layers: []layerSpec{{Kind: "dropout", P: 1.0}}}},
-		{"dropout P NaN", netSpec{Layers: []layerSpec{{Kind: "dropout", P: math.NaN()}}}},
-		{"broken width chain", netSpec{Layers: []layerSpec{
+		{"no layers", nil},
+		{"non-positive dims", []layerSpec{{Kind: "dense", In: 0, Out: 4, W: nil, B: make([]float64, 4)}}},
+		{"negative dims", []layerSpec{{Kind: "dense", In: 3, Out: -2}}},
+		{"W length mismatch", []layerSpec{{Kind: "dense", In: 2, Out: 2, W: make([]float64, 3), B: make([]float64, 2)}}},
+		{"B length mismatch", []layerSpec{{Kind: "dense", In: 2, Out: 2, W: make([]float64, 4), B: make([]float64, 1)}}},
+		{"bad activation", []layerSpec{{Kind: "dense", In: 2, Out: 2, Act: 9, W: make([]float64, 4), B: make([]float64, 2)}}},
+		{"dropout P high", []layerSpec{{Kind: "dropout", P: 1.0}}},
+		{"dropout P NaN", []layerSpec{{Kind: "dropout", P: math.NaN()}}},
+		{"broken width chain", []layerSpec{
 			{Kind: "dense", In: 2, Out: 3, W: make([]float64, 6), B: make([]float64, 3)},
 			{Kind: "dense", In: 4, Out: 1, W: make([]float64, 4), B: make([]float64, 1)},
-		}}},
+		}},
 	}
 	for _, tc := range cases {
-		if _, err := buildNetwork(tc.spec.Layers, rng); err == nil {
+		if _, err := buildNetwork(tc.layers, rng); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}

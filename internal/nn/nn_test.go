@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -438,14 +437,7 @@ func TestScalerConstantColumn(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := xrand.New(79)
 	net := NewMLP(rng, Tanh, 0.1, 4, 10, 3)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := Load(&buf, xrand.New(80))
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := artifactRoundTrip(t, net, xrand.New(80))
 	in := []float64{0.1, -0.5, 0.3, 0.9}
 	a := net.Predict(in)
 	b := restored.Predict(in)
@@ -460,8 +452,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadGarbageFails(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob")), xrand.New(1)); err == nil {
-		t.Fatal("loading garbage should fail")
+	for _, garbage := range [][]byte{nil, []byte("not an artifact"), make([]byte, 4096)} {
+		if VerifyArtifact(garbage) == nil {
+			t.Fatalf("%d bytes of garbage passed verification", len(garbage))
+		}
+		if _, err := DecodeArtifact(garbage, xrand.New(1)); err == nil {
+			t.Fatalf("%d bytes of garbage decoded", len(garbage))
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -234,20 +233,14 @@ func TestQuantizeUnsupported(t *testing.T) {
 	}
 }
 
-// Serialize round-trip: deserialize → Compile → Quantize must reproduce
-// bit-identical int8 panels and scales — the groundwork for shipping
-// quantized programs through the artifact registry.
+// Serialize round-trip: a network restored from an artifact that carried
+// no programs must Compile → Quantize to bit-identical int8 panels and
+// scales — what lets a registry artifact drop its quant section and have
+// the reader re-derive it.
 func TestQuantSerializeRoundTrip(t *testing.T) {
 	net, calib := trainQuantNet(t, 150, Tanh, 0.1, 6, 30, 48, 3)
 	q1 := net.Compile().Quantize(calib)
-	var buf bytes.Buffer
-	if err := net.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf, xrand.New(151))
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := artifactRoundTrip(t, net, xrand.New(151))
 	q2 := loaded.Compile().Quantize(calib)
 	if q2 == nil {
 		t.Fatal("restored net did not quantize")

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -11,11 +10,11 @@ import (
 )
 
 // TestSerializeCompileRoundTrip checks the full persistence pipeline:
-// Save → Load → Compile/CompileBatch must reproduce the original
-// network's Predictor outputs exactly, for shallow, deep multi-dropout,
-// and dropout-free architectures. Run under -race in CI, so the
-// concurrent sub-pass also exercises the pooled compiled contexts of a
-// restored model.
+// EncodeArtifact → DecodeArtifact → Compile/CompileBatch must reproduce
+// the original network's Predictor outputs exactly, for shallow, deep
+// multi-dropout, and dropout-free architectures. Run under -race in CI,
+// so the concurrent sub-pass also exercises the pooled compiled contexts
+// of a restored model.
 func TestSerializeCompileRoundTrip(t *testing.T) {
 	rng := xrand.New(51)
 	cases := []struct {
@@ -44,14 +43,7 @@ func TestSerializeCompileRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			var buf bytes.Buffer
-			if err := net.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := Load(&buf, rng.Split())
-			if err != nil {
-				t.Fatal(err)
-			}
+			loaded := artifactRoundTrip(t, net, rng.Split())
 			c := loaded.Compile()
 			cb := loaded.CompileBatch(3) // narrow width: forces chunked serving
 			if c == nil || cb == nil {

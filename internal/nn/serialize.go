@@ -1,14 +1,13 @@
 package nn
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 
 	"repro/internal/xrand"
 )
 
-// layerSpec is the on-wire form of one layer.
+// layerSpec is the decoded form of one layer of an artifact's network
+// section.
 type layerSpec struct {
 	Kind    string // "dense" | "dropout"
 	In, Out int
@@ -17,47 +16,8 @@ type layerSpec struct {
 	P       float64
 }
 
-// netSpec is the on-wire form of a Network.
-type netSpec struct {
-	Layers []layerSpec
-}
-
-// Save writes the network architecture and weights to w using encoding/gob.
-// Optimizer state and cached activations are not persisted.
-func (n *Network) Save(w io.Writer) error {
-	spec := netSpec{}
-	for _, l := range n.Layers {
-		switch layer := l.(type) {
-		case *Dense:
-			spec.Layers = append(spec.Layers, layerSpec{
-				Kind: "dense", In: layer.In, Out: layer.Out, Act: layer.Act,
-				W: append([]float64(nil), layer.W.Data...),
-				B: append([]float64(nil), layer.B.Data...),
-			})
-		case *Dropout:
-			spec.Layers = append(spec.Layers, layerSpec{Kind: "dropout", P: layer.P})
-		default:
-			return fmt.Errorf("nn: cannot serialize layer type %T", l)
-		}
-	}
-	return gob.NewEncoder(w).Encode(spec)
-}
-
-// Load reads a network previously written by Save. The supplied rng powers
-// dropout masks for MC inference on the restored model. The payload is
-// fully validated — geometry, weight lengths, activation and dropout
-// ranges — so a corrupt stream fails closed here instead of panicking
-// later in Compile or NewDense.
-func Load(r io.Reader, rng *xrand.Rand) (*Network, error) {
-	var spec netSpec
-	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
-		return nil, fmt.Errorf("nn: load: %w", err)
-	}
-	return buildNetwork(spec.Layers, rng)
-}
-
-// buildNetwork validates a deserialized layer-spec list (from gob or the
-// binary artifact format) and constructs the network. Nothing in specs is
+// buildNetwork validates a layer-spec list decoded from the binary
+// artifact format and constructs the network. Nothing in specs is
 // trusted: dimensions must be positive and consistent along the layer
 // chain, weight/bias lengths must match the declared geometry, the
 // activation must be a known one and dropout P must be in [0, 1).

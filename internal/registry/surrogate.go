@@ -9,13 +9,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file binds the registry to the core serving wrappers: shard-key
+// This file binds the registry to the core serving wrapper: shard-key
 // naming, publish hooks that persist every generation a wrapper starts
 // serving, warm starts that restore the newest durable generation with
 // zero retraining, and the rollback path that reinstalls a predecessor.
 
 // ShardKey names one shard of a tenant's model sequence in the
-// registry. The unsharded Wrapper publishes as shard 0.
+// registry. A one-shard wrapper publishes as shard 0.
 func ShardKey(tenant string, shard int) string {
 	return fmt.Sprintf("%s/shard-%d", tenant, shard)
 }
@@ -117,24 +117,6 @@ func WarmStartSharded(r *Registry, tenant string, w *core.ShardedWrapper, rng *x
 		}
 	}
 	return warmed
-}
-
-// WarmStartWrapper restores an unsharded Wrapper from the newest
-// generation of tenant's shard-0 key. A missing generation is not an
-// error — the wrapper just starts cold.
-func WarmStartWrapper(r *Registry, tenant string, w *core.Wrapper, rng *xrand.Rand) (bool, error) {
-	sur, _, _, err := LoadSurrogate(r, ShardKey(tenant, 0), rng)
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return false, nil
-		}
-		return false, err
-	}
-	wantIn, wantOut := w.Dims()
-	if in, out := sur.Dims(); in != wantIn || out != wantOut {
-		return false, fmt.Errorf("registry: artifact is %d→%d, wrapper serves %d→%d", in, out, wantIn, wantOut)
-	}
-	return w.WarmStart(sur), nil
 }
 
 // RollbackShard rolls tenant's shard si back one registry generation

@@ -159,8 +159,9 @@ func TestPublishHookWarmStartBitIdentical(t *testing.T) {
 	}
 }
 
-// A wrapper that trained live refuses a warm start, and the unsharded
-// Wrapper warm-starts through the same registry path.
+// A wrapper that trained live refuses a warm start, and a one-shard
+// (unsharded) tenant warm-starts through the same registry path as any
+// other — drift baseline included.
 func TestWarmStartWrapperAndPrecedence(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "reg")
 	reg, err := Open(Config{Dir: dir})
@@ -168,11 +169,15 @@ func TestWarmStartWrapperAndPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reg.Close()
+	warmStart := func(w *core.ShardedWrapper) int {
+		return WarmStartSharded(reg, "single", w, xrand.New(4), func(si int, err error) {
+			t.Errorf("warm-start shard %d: %v", si, err)
+		})
+	}
 
 	oracle := &countingOracle{}
-	sur := core.NewNNSurrogate(2, 1, []int{8}, 0.1, xrand.New(3))
-	sur.Epochs, sur.MCPasses = 40, 4
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{MinTrainSamples: 8, UQThreshold: 1e9})
+	cfg := core.ShardedConfig{Shards: 1, MinTrainSamples: 8, UQThreshold: 1e9}
+	w := core.NewShardedWrapper(oracle, testFactory(xrand.New(3)), cfg)
 	w.SetPublishHook(Publisher(reg, "single", func(_ int, err error) { t.Errorf("publish: %v", err) }))
 	if err := w.Pretrain(testDesign(30, 5)); err != nil {
 		t.Fatal(err)
@@ -182,22 +187,27 @@ func TestWarmStartWrapperAndPrecedence(t *testing.T) {
 	}
 
 	// Live-trained wrapper: warm start must refuse.
-	if ok, err := WarmStartWrapper(reg, "single", w, xrand.New(4)); err != nil || ok {
-		t.Fatalf("warm start over a live model: ok=%v err=%v", ok, err)
+	if n := warmStart(w); n != 0 {
+		t.Fatalf("warm start over a live model installed %d shards", n)
 	}
 
 	// Fresh wrapper: warm start installs and serves oracle-free.
 	oracle2 := &countingOracle{}
-	sur2 := core.NewNNSurrogate(2, 1, []int{8}, 0.1, xrand.New(6))
-	w2 := core.NewWrapper(oracle2, sur2, core.WrapperConfig{MinTrainSamples: 8, UQThreshold: 1e9})
-	if ok, err := WarmStartWrapper(reg, "single", w2, xrand.New(4)); err != nil || !ok {
-		t.Fatalf("warm start: ok=%v err=%v", ok, err)
+	w2 := core.NewShardedWrapper(oracle2, testFactory(xrand.New(6)), cfg)
+	if n := warmStart(w2); n != 1 {
+		t.Fatalf("warm start installed %d shards, want 1", n)
 	}
 	if _, src, _, err := w2.Query([]float64{0.3, -0.2}); err != nil || src != core.FromSurrogate {
 		t.Fatalf("src=%v err=%v", src, err)
 	}
 	if n := oracle2.runs.Load(); n != 0 {
 		t.Fatalf("oracle ran %d times after warm start", n)
+	}
+	// The artifact's drift baseline came along: the restored shard starts
+	// with its residual EWMA at the publisher's (non-zero) in-sample
+	// residual, exactly where the live wrapper's stands.
+	if live, warm := w.Status()[0].DriftRatio, w2.Status()[0].DriftRatio; live != 1 || warm != 1 {
+		t.Fatalf("drift ratio live %v, warm-started %v; want both at their baseline (1)", live, warm)
 	}
 }
 

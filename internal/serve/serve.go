@@ -40,9 +40,8 @@ import (
 )
 
 // Backend is the serving engine a Coalescer (and a fleet of them) drives.
-// Both core.Wrapper and core.ShardedWrapper satisfy it natively; the
-// sharded backend additionally groups each micro-batch's rows by shard so
-// every shard sees one fused batch per dispatch.
+// core.ShardedWrapper satisfies it natively, grouping each micro-batch's
+// rows by shard so every shard sees one fused batch per dispatch.
 type Backend interface {
 	// QueryBatch answers every row of xs; row results must remain valid
 	// after the call returns.
@@ -51,8 +50,7 @@ type Backend interface {
 	// (len == xs.Rows), overwriting each row's Y/Std in place when their
 	// capacity suffices, so a steady-state dispatch loop reusing one res
 	// slice performs zero heap allocations. Every row must be written
-	// (a batch-level error may accompany valid rows, mirroring
-	// core.Wrapper's retrain-failure contract).
+	// (a batch-level error may accompany valid rows).
 	QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error
 	// Dims returns the input and output dimensionality.
 	Dims() (in, out int)
@@ -314,11 +312,9 @@ func (c *Coalescer) query(x, y, std []float64) (Result, error) {
 // the caller's claim on it. Pooled result rows never escape: the row is
 // copied — into fresh caller-owned slices (nil y) or into the caller's
 // reused buffers — before the batch can recycle. A batch-level backend
-// error (e.g. a failed retrain inside core.Wrapper.QueryBatchInto) does
-// not discard row results that were already computed: mirroring the
-// direct QueryBatch contract, each caller receives its row's answer (when
-// one exists) alongside the error, with the row's own error taking
-// precedence.
+// error does not discard row results that were already computed: each
+// caller receives its row's answer (when one exists) alongside the error,
+// with the row's own error taking precedence.
 func (c *Coalescer) collect(b *batch, idx int, y, std []float64) (Result, error) {
 	if pv := b.panicked; pv != nil {
 		c.release(b)

@@ -354,17 +354,18 @@ func TestCoalescerDimsMismatch(t *testing.T) {
 }
 
 // TestCoalescerAgainstWrapper is the integration check: coalesced
-// queries through a real UQ-gated Wrapper return well-formed surrogate
+// queries through a real UQ-gated wrapper return well-formed surrogate
 // answers under concurrent load.
 func TestCoalescerAgainstWrapper(t *testing.T) {
 	rng := xrand.New(0xc0a1)
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{x[0]*x[0] + 0.5*x[1]}, nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{16}, 0.1, rng)
-	sur.Epochs = 60
-	sur.MCPasses = 8
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{MinTrainSamples: 10, UQThreshold: 10})
+	factory := core.NewNNSurrogateFactory(2, 1, []int{16}, 0.1, rng.Split(), func(s *core.NNSurrogate) {
+		s.Epochs = 60
+		s.MCPasses = 8
+	})
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{Shards: 1, MinTrainSamples: 10, UQThreshold: 10})
 	design := tensor.NewMatrix(60, 2)
 	for i := 0; i < design.Rows; i++ {
 		design.Set(i, 0, rng.Range(-1, 1))
@@ -416,11 +417,14 @@ func TestCoalescerBatchWiderThanCompiledWidth(t *testing.T) {
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{x[0]*x[0] - x[1]}, nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{16}, 0, rng)
-	sur.Epochs = 40
-	sur.MCPasses = 4
-	sur.MaxBatch = 8 // compiled width far below the coalescer's MaxBatch
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{MinTrainSamples: 10, UQThreshold: 100})
+	var sur *core.NNSurrogate // the one model Pretrain publishes
+	factory := core.NewNNSurrogateFactory(2, 1, []int{16}, 0, rng.Split(), func(s *core.NNSurrogate) {
+		s.Epochs = 40
+		s.MCPasses = 4
+		s.MaxBatch = 8 // compiled width far below the coalescer's MaxBatch
+		sur = s
+	})
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{Shards: 1, MinTrainSamples: 10, UQThreshold: 100})
 	design := tensor.NewMatrix(40, 2)
 	for i := 0; i < design.Rows; i++ {
 		design.Set(i, 0, rng.Range(-1, 1))
@@ -526,8 +530,9 @@ func TestCoalescerSlowOracleCoalesces(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 		return []float64{x[0] - x[1]}, nil
 	}}
-	sur := core.NewNNSurrogate(2, 1, []int{8}, 0.1, rng)
-	w := core.NewWrapper(oracle, sur, core.WrapperConfig{
+	factory := core.NewNNSurrogateFactory(2, 1, []int{8}, 0.1, rng, nil)
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
+		Shards:          1,
 		MinTrainSamples: 1 << 30, // never trains: every row runs the oracle
 		OracleWorkers:   8,
 	})

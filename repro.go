@@ -9,18 +9,19 @@
 //
 // Quick start:
 //
-//	oracle := core.OracleFunc{In: 2, Out: 1, F: mySimulation}
-//	sur := repro.NewNNSurrogate(2, 1, []int{30, 48}, 0.1, rng)
-//	w := repro.NewWrapper(oracle, sur, repro.WrapperConfig{UQThreshold: 0.05})
+//	oracle := repro.OracleFunc{In: 2, Out: 1, F: mySimulation}
+//	fac := repro.NewNNSurrogateFactory(2, 1, []int{30, 48}, 0.1, rng, nil)
+//	w := repro.NewShardedWrapper(oracle, fac, repro.ShardedConfig{Shards: 1, UQThreshold: 0.05})
 //	y, src, uq, err := w.Query(x) // simulation first, surrogate once trusted
 //	res, err := w.QueryBatch(xs)  // amortized batched serving, concurrency-safe
 //	fmt.Println(w.Ledger().EffectiveSpeedup(1))
 //
-// For serving under heavy traffic, NewShardedWrapper partitions the input
-// space and double-buffers each shard's surrogate so background refits
-// never stall readers, fanning oracle fallbacks over a worker pool:
+// Every fit trains a fresh factory surrogate in the background and
+// publishes it with an atomic swap, so refits never stall readers;
+// w.Pretrain(design) or w.Wait() is the train-then-serve form. Under
+// heavy traffic, more shards partition the input space, each with its
+// own surrogate, and oracle fallbacks fan out over a worker pool:
 //
-//	fac := repro.NewNNSurrogateFactory(2, 1, []int{30, 48}, 0.1, rng, nil)
 //	sw := repro.NewShardedWrapper(oracle, fac, repro.ShardedConfig{
 //		Shards: 8, UQThreshold: 0.05, RetrainEvery: 200, OracleWorkers: 8,
 //	})
@@ -88,19 +89,16 @@ type (
 	// BatchPredictor is the optional deterministic batched point-predict
 	// capability the drift tracker's bulk paths prefer.
 	BatchPredictor = core.BatchPredictor
-	// BatchResult is one row's answer from Wrapper.QueryBatch.
+	// BatchResult is one row's answer from ShardedWrapper.QueryBatch.
 	BatchResult = core.BatchResult
 	// NNSurrogate is the reference MC-dropout MLP surrogate.
 	NNSurrogate = core.NNSurrogate
-	// Wrapper is the MLaroundHPC runtime (UQ-gated surrogate-or-simulate).
-	Wrapper = core.Wrapper
-	// WrapperConfig tunes the wrapper.
-	WrapperConfig = core.WrapperConfig
-	// ShardedWrapper is the stall-free serving runtime: input-space
-	// shards, double-buffered surrogates published by atomic swap, and
-	// bounded parallel oracle fan-out.
+	// ShardedWrapper is the MLaroundHPC runtime (UQ-gated
+	// surrogate-or-simulate): input-space shards — one shard is the
+	// unsharded wrapper — double-buffered surrogates published by atomic
+	// swap, and bounded parallel oracle fan-out.
 	ShardedWrapper = core.ShardedWrapper
-	// ShardedConfig tunes the sharded wrapper.
+	// ShardedConfig tunes the wrapper.
 	ShardedConfig = core.ShardedConfig
 	// Router assigns input points to shards.
 	Router = core.Router
@@ -125,8 +123,8 @@ type (
 	// CoalescedResult is one coalesced query's answer.
 	CoalescedResult = serve.Result
 	// ServeBackend is the engine a Coalescer (and a Fleet tenant) drives;
-	// both Wrapper and ShardedWrapper implement it, including the
-	// zero-alloc QueryBatchInto dispatch form.
+	// ShardedWrapper implements it, including the zero-alloc
+	// QueryBatchInto dispatch form.
 	ServeBackend = serve.Backend
 	// BatchPool recycles coalescer batch state; a fleet's tenants share one.
 	BatchPool = serve.BatchPool
@@ -198,13 +196,9 @@ func NewNNSurrogate(in, out int, hidden []int, dropout float64, rng *Rand) *NNSu
 	return core.NewNNSurrogate(in, out, hidden, dropout, rng)
 }
 
-// NewWrapper wraps an oracle with a UQ-gated surrogate.
-func NewWrapper(oracle Oracle, surrogate Surrogate, cfg WrapperConfig) *Wrapper {
-	return core.NewWrapper(oracle, surrogate, cfg)
-}
-
-// NewShardedWrapper wraps an oracle with sharded, double-buffered
-// surrogates: retraining never stalls serving (see ShardedWrapper).
+// NewShardedWrapper wraps an oracle with UQ-gated, sharded,
+// double-buffered surrogates: retraining never stalls serving (see
+// ShardedWrapper). ShardedConfig{Shards: 1} is the unsharded wrapper.
 func NewShardedWrapper(oracle Oracle, factory SurrogateFactory, cfg ShardedConfig) *ShardedWrapper {
 	return core.NewShardedWrapper(oracle, factory, cfg)
 }
@@ -215,7 +209,7 @@ func NewNNSurrogateFactory(in, out int, hidden []int, dropout float64, rng *Rand
 	return core.NewNNSurrogateFactory(in, out, hidden, dropout, rng, configure)
 }
 
-// Serve wraps a serving backend (Wrapper or ShardedWrapper) in an
+// Serve wraps a serving backend (a ShardedWrapper) in an
 // adaptive micro-batch Coalescer: many concurrent single-point Query
 // calls are gathered into fused batches, so each point pays the batched
 // per-row cost instead of the full per-call dispatch cost. Close the
@@ -225,7 +219,7 @@ func Serve(backend ServeBackend, cfg CoalescerConfig) *Coalescer {
 }
 
 // NewFleet builds an empty multi-tenant serving fleet: Register named
-// backends (Wrapper or ShardedWrapper) and query them by name; every
+// backends (ShardedWrapper) and query them by name; every
 // tenant's coalescer draws on one shared batch pool, admission is
 // bounded per tenant, and Close drains every tenant gracefully.
 func NewFleet(cfg FleetConfig) *Fleet { return fleet.New(cfg) }

@@ -12,13 +12,15 @@ func TestFacadeQuickstart(t *testing.T) {
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{x[0] + 2*x[1]}, nil
 	}}
-	sur := NewNNSurrogate(2, 1, []int{16}, 0.1, rng)
-	sur.Epochs = 120
-	w := NewWrapper(oracle, sur, WrapperConfig{MinTrainSamples: 60, UQThreshold: 0.25})
+	fac := NewNNSurrogateFactory(2, 1, []int{16}, 0.1, rng.Split(), func(s *NNSurrogate) { s.Epochs = 120 })
+	w := NewShardedWrapper(oracle, fac, ShardedConfig{Shards: 1, MinTrainSamples: 60, UQThreshold: 0.25})
 	for i := 0; i < 60; i++ {
 		if _, _, _, err := w.Query([]float64{rng.Float64(), rng.Float64()}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := w.Wait(); err != nil {
+		t.Fatal(err)
 	}
 	hits := 0
 	for i := 0; i < 40; i++ {

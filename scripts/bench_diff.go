@@ -24,12 +24,7 @@
 // compiled forward) are enforced; or a ceiling, "substr:maxns=N": every
 // matching entry must take at most N ns/op, for a benchmark whose former
 // REF got faster under it and left the ratio saying nothing about the
-// entry itself. -ignore exempts name substrings from the
-// ns/op tolerance (still printed, marked "noise"): it exists for
-// deliberately stalling negative baselines — e.g. the locked wrapper
-// under retrain, whose ns/op is bimodal run to run depending on how many
-// queries land inside a refit window — where a "regression" carries no
-// signal about the code. Entries whose name starts with "_" are snapshot
+// entry itself. Entries whose name starts with "_" are snapshot
 // metadata, not benchmarks: two snapshots whose _meta.cpus,
 // _meta.gomaxprocs or _meta.simd differ are not compared at all (exit 2,
 // both shapes named); a field an older snapshot lacks is not held
@@ -130,14 +125,7 @@ func main() {
 	tol := flag.Float64("tol", 15, "max allowed ns/op regression, percent")
 	dir := flag.String("dir", ".", "directory holding BENCH_<n>.json snapshots")
 	require := flag.String("require", "", "comma-separated benchmark-name substrings that must be present in the new snapshot")
-	ignore := flag.String("ignore", "", "comma-separated benchmark-name substrings exempt from the ns/op tolerance (deliberately stalling baselines whose run-to-run variance carries no signal); still printed")
 	flag.Parse()
-	var ignores []string
-	for _, s := range strings.Split(*ignore, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			ignores = append(ignores, s)
-		}
-	}
 
 	var oldPath, newPath string
 	switch flag.NArg() {
@@ -196,15 +184,7 @@ func main() {
 		status := "ok"
 		if deltaPct > *tol {
 			status = "REGRESSION"
-			for _, ig := range ignores {
-				if strings.Contains(name, ig) {
-					status = "noise"
-					break
-				}
-			}
-			if status == "REGRESSION" {
-				regressions++
-			}
+			regressions++
 		}
 		fmt.Printf("  %-5s %-50s %12.0f -> %-12.0f ns/op  %+6.1f%%\n",
 			status, name, od.NsPerOp, nw.NsPerOp, deltaPct)
