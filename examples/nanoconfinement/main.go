@@ -67,7 +67,7 @@ func main() {
 	for i := 0; i < 3; i++ {
 		x := test.X.Row(i)
 		t0 = time.Now()
-		pred := sur.Predict(x)
+		pred := core.Predict(sur, x)
 		lookupSec := time.Since(t0).Seconds()
 		truth := test.Y.Row(i)
 		fmt.Printf("  %-38v %-28v %-28v\n", trunc(x), trunc(pred), trunc(truth))

@@ -211,10 +211,9 @@ func reportLatencyPercentiles(b *testing.B, lats []time.Duration) {
 	b.ReportMetric(pct(0.99), "p99-ns")
 }
 
-// BenchmarkCompiledForward pins the fused inference kernel against the
-// interpreted Predictor path on the paper's 6-30-48-3 autotuning net:
-// the compiled single-query forward must run at 0 allocs/op and at or
-// below the Predictor's ns/op.
+// BenchmarkCompiledForward pins the fused inference kernel on the paper's
+// 6-30-48-3 autotuning net: the compiled single-query forward must run at
+// 0 allocs/op.
 func BenchmarkCompiledForward(b *testing.B) {
 	rng := xrand.New(0xf00d)
 	net := nn.NewMLP(xrand.New(1), nn.Tanh, 0.1, 6, 30, 48, 3)
@@ -231,17 +230,6 @@ func BenchmarkCompiledForward(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c.Predict(x, dst)
-		}
-	})
-	b.Run("predictor", func(b *testing.B) {
-		p := net.NewPredictor()
-		in := tensor.NewMatrix(1, 6)
-		copy(in.Data, x)
-		p.Forward(in)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Forward(in)
 		}
 	})
 }
@@ -302,10 +290,8 @@ func BenchmarkQuantizedQueryBatch(b *testing.B) {
 	b.ReportMetric(float64(f)/float64(q), "fallback-rate")
 }
 
-// BenchmarkCompiledBatch pins the fused batch program against the
-// interpreted Predictor batch pass on the paper's 6-30-48-3 autotuning
-// net at a 64-row batch: the compiled side must run at 0 allocs/op and at
-// or below the Predictor's ns/op.
+// BenchmarkCompiledBatch pins the fused batch program on the paper's
+// 6-30-48-3 autotuning net at a 64-row batch, at 0 allocs/op.
 func BenchmarkCompiledBatch(b *testing.B) {
 	rng := xrand.New(0xf00e)
 	net := nn.NewMLP(xrand.New(1), nn.Tanh, 0.1, 6, 30, 48, 3)
@@ -324,26 +310,16 @@ func BenchmarkCompiledBatch(b *testing.B) {
 			c.PredictBatch(xs, dst)
 		}
 	})
-	b.Run("predictor", func(b *testing.B) {
-		p := net.NewPredictor()
-		p.Forward(xs)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Forward(xs)
-		}
-	})
 }
 
 // BenchmarkDeepUQ pins batched MC-dropout UQ on a deep surrogate with
 // THREE dropout layers (8-64-[drop]-64-[drop]-64-[drop]-1), where the
-// PR-3 tail fusion does not apply and the per-pass path replays the
-// whole suffix every pass (re-masking every weight panel each time). The
-// batch is a realistic coalesced per-shard slice (8 rows), where that
-// per-pass overhead is not hidden by matmul bulk. The pass-stacked
-// compiled path runs all passes through one tall fused matmul per dense
-// stage: 4 matmul sweeps total versus 1 + 3·passes for per-pass replay
-// (the reported matmul-sweeps metric), at 0 allocs/op.
+// canonical-tail fusion does not apply. The batch is a realistic
+// coalesced per-shard slice (8 rows), where per-pass overhead would not
+// be hidden by matmul bulk. The pass-stacked compiled path runs all
+// passes through one tall fused matmul per dense stage: 4 matmul sweeps
+// total (the reported matmul-sweeps metric; replaying the suffix per pass
+// would take 1 + 3·passes), at 0 allocs/op.
 func BenchmarkDeepUQ(b *testing.B) {
 	const passes = 30
 	rng := xrand.New(0xf00f)
@@ -365,17 +341,6 @@ func BenchmarkDeepUQ(b *testing.B) {
 		}
 		// 1 prefix dense + 3 suffix dense stages, passes shared.
 		b.ReportMetric(4, "matmul-sweeps")
-	})
-	b.Run("perpass", func(b *testing.B) {
-		p := net.NewPredictor()
-		p.PredictMCBatch(xs, passes)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.PredictMCBatch(xs, passes)
-		}
-		// 1 prefix dense + 3 fused dropout-dense sweeps per pass.
-		b.ReportMetric(1+3*passes, "matmul-sweeps")
 	})
 }
 
@@ -551,12 +516,10 @@ func BenchmarkCoalescedQPS(b *testing.B) {
 }
 
 // BenchmarkQueryDuringRetrain measures single-query serving latency
-// (p50/p99) with and without a continuous background refit, on both
-// serving architectures:
-//
-//   - sharded/idle, sharded/retrain: the double-buffered ShardedWrapper —
-//     refits train a fresh model off to the side and publish by pointer
-//     swap, so the retrain percentiles should stay within ~2× of idle.
+// (p50/p99) with and without a continuous background refit
+// (sharded/idle, sharded/retrain). The ShardedWrapper is double-buffered —
+// refits train a fresh model off to the side and publish by pointer swap
+// — so the retrain percentiles should stay within ~2× of idle.
 func BenchmarkQueryDuringRetrain(b *testing.B) {
 	run := func(b *testing.B, w *core.ShardedWrapper, x []float64) {
 		lats := make([]time.Duration, 0, b.N)

@@ -115,7 +115,7 @@ func (a *ActiveLearner) Run(pool *tensor.Matrix, testX, testY *tensor.Matrix) ([
 			}
 			cands := make([]cand, len(available))
 			for i, id := range available {
-				_, sd := a.Surrogate.PredictWithUQ(pool.Row(id))
+				_, sd := PredictWithUQ(a.Surrogate, pool.Row(id))
 				cands[i] = cand{pos: i, unc: maxOf(sd)}
 			}
 			sort.Slice(cands, func(i, j int) bool { return cands[i].unc > cands[j].unc })
@@ -145,17 +145,11 @@ func (a *ActiveLearner) testMAE(testX, testY *tensor.Matrix) float64 {
 	if testX == nil || testX.Rows == 0 {
 		return math.NaN()
 	}
-	total := 0.0
-	for j := 0; j < testY.Cols; j++ {
-		pred := make([]float64, testX.Rows)
-		target := make([]float64, testX.Rows)
-		for i := 0; i < testX.Rows; i++ {
-			pred[i] = a.Surrogate.Predict(testX.Row(i))[j]
-			target[i] = testY.At(i, j)
-		}
-		total += stats.MAE(pred, target)
-	}
-	return total / float64(testY.Cols)
+	var pred tensor.Matrix
+	a.Surrogate.PredictInto(testX, &pred, nil)
+	// Equal-length columns: the mean of per-output MAEs is the MAE over
+	// every element.
+	return stats.MAE(pred.Data, testY.Data)
 }
 
 // SamplesToReachMAE returns the training-set size at which the learning
@@ -214,7 +208,7 @@ func (t *Autotuner) Tune(simParams []float64, candidates *tensor.Matrix,
 	for i := 0; i < candidates.Rows; i++ {
 		ctl := candidates.Row(i)
 		copy(feat[t.nSim:], ctl)
-		q := t.Surrogate.Predict(feat)
+		q := Predict(t.Surrogate, feat)
 		if !accept(q) {
 			continue
 		}
@@ -250,7 +244,7 @@ type Controller struct {
 func (c *Controller) Next(candidates *tensor.Matrix) int {
 	best, bestScore := -1, math.Inf(-1)
 	for i := 0; i < candidates.Rows; i++ {
-		mean, std := c.Surrogate.PredictWithUQ(candidates.Row(i))
+		mean, std := PredictWithUQ(c.Surrogate, candidates.Row(i))
 		score := c.Objective(mean) + c.Kappa*maxOf(std)
 		if score > bestScore {
 			bestScore = score

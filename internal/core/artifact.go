@@ -13,11 +13,14 @@ import (
 
 // This file binds NNSurrogate to the nn artifact format: a trained
 // surrogate serializes into one self-verifying blob — network weights,
-// the compiled float program, the int8 quantized program, the fitted
-// scalers, and every serving hyperparameter — and deserializes into a
-// surrogate that predicts bit-identically without retraining,
-// recompiling, or recalibrating. The registry stores these blobs; a
-// warm-started process serves from them directly off an mmap.
+// the compiled float program, the int8 quantized program (when it has
+// one), the fitted scalers, and every serving hyperparameter — and
+// deserializes into a surrogate that predicts bit-identically without
+// retraining or recalibrating. The registry stores these blobs; a
+// warm-started process serves from them directly off an mmap. A blob
+// that carries the network but no compiled section is compiled on load
+// (deterministically, so the answers are the same bits); one whose
+// network has no program is rejected.
 
 // Dims reports the input/output dimensionality the surrogate maps —
 // warm-start paths check it against the serving wrapper before
@@ -49,9 +52,8 @@ type surrogateMeta struct {
 // EncodeArtifact serializes a trained surrogate into the checksummed nn
 // artifact format. residBase is the drift baseline to carry with the
 // model (0 when drift tracking is off). The returned blob round-trips
-// through DecodeNNSurrogate into a surrogate whose Predict,
-// PredictBatch, and quantized serving paths are bit-identical to this
-// one's.
+// through DecodeNNSurrogate into a surrogate whose deterministic and
+// quantized passes are bit-identical to this one's.
 func (s *NNSurrogate) EncodeArtifact(residBase float64) ([]byte, error) {
 	if !s.trained || s.net == nil {
 		return nil, errors.New("core: cannot encode untrained surrogate")
@@ -79,9 +81,9 @@ func (s *NNSurrogate) EncodeArtifact(residBase float64) ([]byte, error) {
 
 // DecodeNNSurrogate reconstructs a trained NNSurrogate from an artifact
 // blob, returning it with the drift baseline recorded at encode time.
-// The surrogate serves immediately — no retraining, recompilation, or
-// recalibration — and its deterministic prediction paths are
-// bit-identical to the encoder's. rng seeds the restored surrogate's
+// The surrogate serves immediately — no retraining or recalibration —
+// and its deterministic prediction paths are bit-identical to the
+// encoder's. rng seeds the restored surrogate's
 // MC-dropout stream (stochastic UQ passes need a live rng; the
 // deterministic paths never touch it).
 func DecodeNNSurrogate(data []byte, rng *xrand.Rand) (*NNSurrogate, float64, error) {
@@ -115,6 +117,11 @@ func DecodeNNSurrogate(data []byte, rng *xrand.Rand) (*NNSurrogate, float64, err
 		net: art.Net, compiled: art.Compiled, qcompiled: art.Quant,
 		qgate: meta.QGate, xScaler: xsc, yScaler: ysc,
 		trained: true,
+	}
+	if s.compiled == nil {
+		if s.compiled = art.Net.CompileBatch(s.batchWidth()); s.compiled == nil {
+			return nil, 0, errors.New("core: artifact network has no dense layer to compile")
+		}
 	}
 	return s, meta.ResidBase, nil
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -43,77 +42,65 @@ func (o OracleFunc) Run(x []float64) ([]float64, error) { return o.F(x) }
 
 // Surrogate is a trainable approximation of an Oracle with uncertainty
 // quantification (§III-B: "one must learn not just the result of a
-// simulation but also the uncertainty of the prediction").
+// simulation but also the uncertainty of the prediction"). The contract is
+// batch-first — a single query is a batch of one row (Predict and
+// PredictWithUQ run it for callers that hold one vector).
 type Surrogate interface {
 	// Train (re)fits the surrogate on the given samples.
 	Train(x, y *tensor.Matrix) error
-	// Predict returns the point prediction for one input.
-	Predict(x []float64) []float64
-	// PredictWithUQ returns the predictive mean and a per-output
-	// uncertainty (standard deviation) in target units.
-	PredictWithUQ(x []float64) (mean, std []float64)
 	// Trained reports whether Train has succeeded at least once.
 	Trained() bool
+	// PredictInto writes the prediction for every row of x into the
+	// caller-owned mean and std, reshaping both to x.Rows x out, in target
+	// units: the predictive mean and a per-output uncertainty (standard
+	// deviation). A nil std asks for the deterministic point prediction
+	// alone — no stochastic pass, the same answer on every call. Safe for
+	// concurrent use once trained; it panics before.
+	PredictInto(x, mean, std *tensor.Matrix)
 }
 
-// BatchSurrogate is a Surrogate that can amortize one network pass across
-// a whole batch of queries — the serving-side analogue of minibatched
-// training. ShardedWrapper.QueryBatch uses it when available.
-type BatchSurrogate interface {
+// Predict returns sur's deterministic point prediction for one input.
+func Predict(sur Surrogate, x []float64) []float64 {
+	var mean tensor.Matrix
+	sur.PredictInto(&tensor.Matrix{Rows: 1, Cols: len(x), Data: x}, &mean, nil)
+	return mean.Data
+}
+
+// PredictWithUQ returns sur's predictive mean and per-output standard
+// deviation for one input.
+func PredictWithUQ(sur Surrogate, x []float64) (mean, std []float64) {
+	var m, s tensor.Matrix
+	sur.PredictInto(&tensor.Matrix{Rows: 1, Cols: len(x), Data: x}, &m, &s)
+	return m.Data, s.Data
+}
+
+// Degradable is the one optional extension of Surrogate: the cheaper,
+// lower-fidelity serving modes that ShardedConfig.Quantized and the
+// brownout ladder drive. The contract mirrors the paper's bet —
+// approximate answers are fine exactly when UQ says the decision is
+// clear-cut — so a quantized pass must expose how large its approximation
+// error can be (QuantGateBound) and flag inputs outside its calibrated
+// envelope (ok) so the wrapper can re-decide those rows with PredictInto.
+// A surrogate without it is served at full fidelity at every level.
+type Degradable interface {
 	Surrogate
-	// PredictBatchWithUQ returns per-row predictive means and stds (target
-	// units) for every row of x. The returned matrices are caller-owned.
-	PredictBatchWithUQ(x *tensor.Matrix) (mean, std *tensor.Matrix)
-}
-
-// BatchSurrogateInto is a BatchSurrogate that can write its batched UQ
-// predictions into caller-owned matrices — the allocation-free form the
-// wrapper's zero-alloc batch serving loop (QueryBatchInto) prefers.
-type BatchSurrogateInto interface {
-	BatchSurrogate
-	// PredictBatchWithUQInto writes per-row predictive means and stds
-	// (target units) into mean/std, reshaping both to x.Rows x out. Both
-	// must be non-nil.
-	PredictBatchWithUQInto(x, mean, std *tensor.Matrix)
-}
-
-// QuantCapable is the optional Surrogate face the wrapper's quantization
-// knob drives: enabling it asks the surrogate to derive an int8 program
-// on every (re)fit. A surrogate that cannot quantize simply doesn't
-// implement this and the knob is a no-op.
-type QuantCapable interface {
-	// SetQuantize toggles quantized program compilation on future Trains.
+	// SetQuantize toggles deriving an int8 program on future Trains.
 	SetQuantize(on bool)
-}
-
-// QuantServing is the optional Surrogate face the wrapper's quantized
-// serving path uses. The contract mirrors the paper's bet: approximate
-// answers are fine exactly when UQ says the decision is clear-cut, so a
-// quantized lookup must expose how large its approximation error can be
-// (QuantGateBound) and flag inputs outside its calibrated envelope (the
-// ok return) so the caller can re-decide on the retained float program.
-type QuantServing interface {
+	// SetMCPassCap bounds UQ prediction to at most n stochastic passes
+	// (0 removes the cap). Safe to call concurrently with serving.
+	SetMCPassCap(n int)
 	// QuantizedReady reports whether a quantized program is compiled and
-	// calibrated (false e.g. for architectures that cannot quantize —
-	// callers then serve the float path as usual).
+	// calibrated; PredictQuantInto may only be called when it is.
 	QuantizedReady() bool
 	// QuantGateBound returns the guardrail half-width in target units:
 	// a UQ decision landing within this distance of its threshold could
 	// be flipped by the quantization delta.
 	QuantGateBound() float64
-	// PredictWithUQQuant is PredictWithUQ on the quantized program.
-	// ok=false means the input left the calibrated envelope and the
-	// result should not be trusted against the error bound.
-	PredictWithUQQuant(x []float64) (mean, std []float64, ok bool)
-}
-
-// BatchQuantServing is QuantServing for the zero-alloc batch loop.
-type BatchQuantServing interface {
-	QuantServing
-	// PredictBatchWithUQQuantInto is PredictBatchWithUQInto on the
-	// quantized program; ok (len x.Rows) receives per-row envelope
-	// verdicts.
-	PredictBatchWithUQQuantInto(x, mean, std *tensor.Matrix, ok []bool)
+	// PredictQuantInto is PredictInto (std non-nil) on the quantized
+	// program; ok (len x.Rows) receives per-row envelope verdicts, false
+	// meaning the row left the calibrated envelope and its answer should
+	// not be trusted against the bound.
+	PredictQuantInto(x, mean, std *tensor.Matrix, ok []bool)
 }
 
 // Brownout ladder levels. A wrapper serving under fleet brownout control
@@ -131,7 +118,7 @@ const (
 	BrownoutPreferQuant = 1
 	// BrownoutReducedMC additionally caps MC-dropout UQ at
 	// brownoutMCPasses stochastic passes (down from the surrogate's
-	// configured count) for surrogates that implement MCTunable.
+	// configured count) for Degradable surrogates.
 	BrownoutReducedMC = 2
 	// BrownoutNoUQ serves a single stochastic pass: the MC-dropout std
 	// degenerates to zero, so the UQ gate always accepts and no oracle
@@ -143,20 +130,12 @@ const (
 // brownoutMCPasses is the capped MC-dropout pass count at BrownoutReducedMC.
 const brownoutMCPasses = 4
 
-// MCTunable is the optional Surrogate face a brownout controller uses to
-// cap MC-dropout passes without retraining. NNSurrogate implements it.
-type MCTunable interface {
-	// SetMCPassCap bounds UQ prediction to at most n stochastic passes
-	// (0 removes the cap). Safe to call concurrently with serving.
-	SetMCPassCap(n int)
-}
-
 // applyMCCap translates a brownout level into a surrogate's MC pass cap:
 // uncapped below BrownoutReducedMC, brownoutMCPasses at it, and a single
 // pass at BrownoutNoUQ (the single pass's zero variance is what turns
-// the UQ gate off). Surrogates without MCTunable are left alone.
+// the UQ gate off). Surrogates that are not Degradable are left alone.
 func applyMCCap(sur Surrogate, level int) {
-	mt, ok := sur.(MCTunable)
+	mt, ok := sur.(Degradable)
 	if !ok {
 		return
 	}
@@ -179,18 +158,6 @@ func clampBrownout(level int) int {
 		return BrownoutNoUQ
 	}
 	return level
-}
-
-// quantBand returns the quantized-serving guardrail half-width for a
-// brownout level: the surrogate's calibrated bound normally, negative
-// (guardrail off, envelope check still applies) at BrownoutNoUQ — there
-// the gate is vacuous, so a float re-run of boundary decisions would
-// throw away exactly the compute the brownout is trying to save.
-func quantBand(qs QuantServing, level int32) float64 {
-	if level >= BrownoutNoUQ {
-		return -1
-	}
-	return qs.QuantGateBound()
 }
 
 // NNSurrogate is the reference Surrogate: a dropout MLP trained on
@@ -230,7 +197,6 @@ type NNSurrogate struct {
 	yScaler   *nn.Scaler
 	trained   bool
 
-	inPool    sync.Pool // *[]float64 scaled-input staging, len inDim
 	stagePool sync.Pool // *tensor.Matrix scaled-batch staging
 
 	// mcCap bounds UQ passes under brownout (0 = uncapped); atomic so a
@@ -238,7 +204,7 @@ type NNSurrogate struct {
 	mcCap atomic.Int32
 }
 
-// SetMCPassCap implements MCTunable: bound UQ prediction to at most n
+// SetMCPassCap implements Degradable: bound UQ prediction to at most n
 // stochastic passes (0 removes the cap).
 func (s *NNSurrogate) SetMCPassCap(n int) { s.mcCap.Store(int32(n)) }
 
@@ -252,17 +218,6 @@ func (s *NNSurrogate) passes() int {
 	return p
 }
 
-// getIn leases a pooled scaled-input buffer; putIn returns it.
-func (s *NNSurrogate) getIn() *[]float64 {
-	if p, ok := s.inPool.Get().(*[]float64); ok {
-		return p
-	}
-	buf := make([]float64, s.inDim)
-	return &buf
-}
-
-func (s *NNSurrogate) putIn(p *[]float64) { s.inPool.Put(p) }
-
 // batchWidth returns the compiled batch chunk width.
 func (s *NNSurrogate) batchWidth() int {
 	if s.MaxBatch > 0 {
@@ -272,7 +227,7 @@ func (s *NNSurrogate) batchWidth() int {
 }
 
 // getStage leases a pooled staging matrix holding the standardized copy
-// of x; putStage returns it.
+// of x; the caller returns it to stagePool.
 func (s *NNSurrogate) getStage(x *tensor.Matrix) *tensor.Matrix {
 	m, ok := s.stagePool.Get().(*tensor.Matrix)
 	if !ok {
@@ -280,8 +235,6 @@ func (s *NNSurrogate) getStage(x *tensor.Matrix) *tensor.Matrix {
 	}
 	return s.xScaler.TransformInto(m, x)
 }
-
-func (s *NNSurrogate) putStage(m *tensor.Matrix) { s.stagePool.Put(m) }
 
 // unscaleRows maps standardized mean rows (and, when std is non-nil,
 // predictive std rows) back to target units in place.
@@ -331,14 +284,12 @@ func (s *NNSurrogate) Train(x, y *tensor.Matrix) error {
 	if err != nil {
 		return fmt.Errorf("core: surrogate training: %w", err)
 	}
-	// Compile the fused inference program — single-point serving runs it
-	// instead of the interpreted layer graph, and the batch entry points
-	// run its chunked batch form (nil means an uncompilable architecture;
-	// the flexible path below then serves).
+	// Compile the inference program every prediction runs on. An MLP
+	// always has a dense layer, so the program always exists.
 	s.compiled = s.net.CompileBatch(s.batchWidth())
 	s.qcompiled = nil
 	s.qgate = 0
-	if s.Quantize && s.compiled != nil {
+	if s.Quantize {
 		// Calibrate against a held-out tail of the training window: the
 		// most recent quarter (capped at 256 rows) fixes the input
 		// envelope and measures the realistic quantization error that
@@ -366,14 +317,15 @@ func (s *NNSurrogate) Train(x, y *tensor.Matrix) error {
 	return nil
 }
 
-// SetQuantize implements QuantCapable: the next Train derives (or stops
+// SetQuantize implements Degradable: the next Train derives (or stops
 // deriving) the int8 program.
 func (s *NNSurrogate) SetQuantize(on bool) { s.Quantize = on }
 
-// QuantizedReady implements QuantServing.
+// QuantizedReady implements Degradable (false e.g. for architectures that
+// cannot quantize — the wrapper then serves the float program as usual).
 func (s *NNSurrogate) QuantizedReady() bool { return s.trained && s.qcompiled != nil }
 
-// QuantGateBound implements QuantServing: the guardrail half-width in
+// QuantGateBound implements Degradable: the guardrail half-width in
 // target units, min(guaranteed bound, 8× calibrated error) mapped
 // through the target scaler.
 func (s *NNSurrogate) QuantGateBound() float64 { return s.qgate }
@@ -394,142 +346,35 @@ func (s *NNSurrogate) QuantErrorBound() float64 {
 	return b
 }
 
-// PredictWithUQQuant implements QuantServing: PredictWithUQ served from
-// the int8 program. When no quantized program is available it degrades
-// to the float path (ok=true — the float answer is exact). Allocation
-// profile matches PredictWithUQ: one result allocation per call.
-func (s *NNSurrogate) PredictWithUQQuant(x []float64) (mean, std []float64, ok bool) {
-	s.mustBeTrained()
-	q := s.qcompiled
-	if q == nil {
-		mean, std = s.PredictWithUQ(x)
-		return mean, std, true
-	}
-	res := make([]float64, 2*s.outDim)
-	mean, std = res[:s.outDim:s.outDim], res[s.outDim:]
-	in := s.getIn()
-	s.xScaler.TransformVecInto(*in, x)
-	_, _, ok = q.PredictMC(*in, s.passes(), mean, std)
-	s.putIn(in)
-	for j := 0; j < s.outDim; j++ {
-		mean[j] = mean[j]*s.yScaler.Std[j] + s.yScaler.Mean[j]
-		std[j] = s.yScaler.InverseScale(j, std[j])
-	}
-	return mean, std, ok
-}
-
-// PredictBatchWithUQQuantInto implements BatchQuantServing: the batched
-// MC-dropout pass on the int8 program, with per-row envelope verdicts
-// in ok. A warmed call with caller-provided buffers allocates nothing.
-func (s *NNSurrogate) PredictBatchWithUQQuantInto(x, mean, std *tensor.Matrix, ok []bool) {
-	s.mustBeTrained()
-	q := s.qcompiled
-	if q == nil {
-		s.PredictBatchWithUQInto(x, mean, std)
-		for i := range ok {
-			ok[i] = true
-		}
-		return
+// PredictQuantInto implements Degradable: the batched MC-dropout pass on
+// the int8 program, with per-row envelope verdicts in ok. A warmed call
+// allocates nothing.
+func (s *NNSurrogate) PredictQuantInto(x, mean, std *tensor.Matrix, ok []bool) {
+	if !s.QuantizedReady() {
+		panic("core: quantized pass without a quantized program")
 	}
 	xs := s.getStage(x)
-	q.PredictMCBatch(xs, s.passes(), mean, std, ok)
-	s.putStage(xs)
+	s.qcompiled.PredictMCBatch(xs, s.passes(), mean, std, ok)
+	s.stagePool.Put(xs)
 	s.unscaleRows(mean, std)
 }
 
-// Predict implements Surrogate. When the network compiled, the forward
-// pass runs the fused program with a pooled input staging buffer: the
-// only allocation left is the returned result vector.
-func (s *NNSurrogate) Predict(x []float64) []float64 {
+// PredictInto implements Surrogate on the compiled batch program. With
+// std it is MC dropout: the MCPasses stochastic evaluations run
+// pass-stacked — every pass of a MaxBatch-row chunk shares one tall fused
+// matmul per dense stage. With Dropout == 0 the std is identically zero
+// (a deterministic surrogate claims perfect confidence, which is why the
+// wrapper requires Dropout > 0 to gate). Without std it is one eval-mode
+// pass. A warmed call allocates nothing, for any batch width.
+func (s *NNSurrogate) PredictInto(x, mean, std *tensor.Matrix) {
 	s.mustBeTrained()
-	out := make([]float64, s.outDim)
-	if c := s.compiled; c != nil {
-		in := s.getIn()
-		s.xScaler.TransformVecInto(*in, x)
-		c.Predict(*in, out)
-		s.putIn(in)
+	xs := s.getStage(x)
+	if std == nil {
+		s.compiled.PredictBatch(xs, mean)
 	} else {
-		copy(out, s.net.Predict(s.xScaler.TransformVec(x)))
+		s.compiled.PredictMCBatch(xs, s.passes(), mean, std)
 	}
-	for j := range out {
-		out[j] = out[j]*s.yScaler.Std[j] + s.yScaler.Mean[j]
-	}
-	return out
-}
-
-// PredictWithUQ implements Surrogate using MC dropout; with Dropout == 0
-// the std is identically zero (a deterministic surrogate claims perfect
-// confidence, which is why the wrapper requires Dropout > 0 to gate).
-// On the compiled path the MC passes run allocation-free; mean and std
-// share one backing array, so a served query costs a single allocation.
-func (s *NNSurrogate) PredictWithUQ(x []float64) (mean, std []float64) {
-	s.mustBeTrained()
-	res := make([]float64, 2*s.outDim)
-	// Cap the mean slice so an appending caller can never grow into std.
-	mean, std = res[:s.outDim:s.outDim], res[s.outDim:]
-	if c := s.compiled; c != nil {
-		in := s.getIn()
-		s.xScaler.TransformVecInto(*in, x)
-		c.PredictMC(*in, s.passes(), mean, std)
-		s.putIn(in)
-	} else {
-		m, sd := s.net.PredictMC(s.xScaler.TransformVec(x), s.passes())
-		copy(mean, m)
-		copy(std, sd)
-	}
-	for j := 0; j < s.outDim; j++ {
-		mean[j] = mean[j]*s.yScaler.Std[j] + s.yScaler.Mean[j]
-		std[j] = s.yScaler.InverseScale(j, std[j])
-	}
-	return mean, std
-}
-
-// PredictBatch returns point predictions (original units) for every row
-// of x. On the compiled path the whole batch runs through the fused
-// batch program (split into MaxBatch-row chunks internally); only the
-// returned matrix is allocated.
-func (s *NNSurrogate) PredictBatch(x *tensor.Matrix) *tensor.Matrix {
-	s.mustBeTrained()
-	var out *tensor.Matrix
-	if c := s.compiled; c != nil {
-		xs := s.getStage(x)
-		out = c.PredictBatch(xs, tensor.NewMatrix(x.Rows, s.outDim))
-		s.putStage(xs)
-	} else {
-		out = s.net.PredictBatch(s.xScaler.Transform(x))
-	}
-	s.unscaleRows(out, nil)
-	return out
-}
-
-// PredictBatchWithUQ implements BatchSurrogate using batched MC dropout.
-// The returned matrices are caller-owned; hot loops that manage their own
-// buffers use PredictBatchWithUQInto.
-func (s *NNSurrogate) PredictBatchWithUQ(x *tensor.Matrix) (mean, std *tensor.Matrix) {
-	mean = tensor.NewMatrix(x.Rows, s.outDim)
-	std = tensor.NewMatrix(x.Rows, s.outDim)
-	s.PredictBatchWithUQInto(x, mean, std)
-	return mean, std
-}
-
-// PredictBatchWithUQInto implements BatchSurrogateInto. On the compiled
-// path the MCPasses stochastic evaluations run pass-stacked — every pass
-// of a chunk shares one tall fused matmul per dense stage instead of
-// replaying the suffix per pass — and a warmed call with caller-provided
-// matrices performs zero heap allocations, for any batch width.
-func (s *NNSurrogate) PredictBatchWithUQInto(x, mean, std *tensor.Matrix) {
-	s.mustBeTrained()
-	if c := s.compiled; c != nil {
-		xs := s.getStage(x)
-		c.PredictMCBatch(xs, s.passes(), mean, std)
-		s.putStage(xs)
-	} else {
-		m, sd := s.net.PredictMCBatch(s.xScaler.Transform(x), s.passes())
-		mean.Reshape(x.Rows, s.outDim)
-		std.Reshape(x.Rows, s.outDim)
-		copy(mean.Data, m.Data)
-		copy(std.Data, sd.Data)
-	}
+	s.stagePool.Put(xs)
 	s.unscaleRows(mean, std)
 }
 
@@ -567,40 +412,6 @@ func (s Source) String() string {
 // readers — and must not call back into the wrapper.
 type PublishHook func(shard int, sur Surrogate, residBase float64)
 
-// quantLookupOne serves one UQ lookup from a quantized program with the
-// float-fallback guardrail: when the input clipped against the
-// calibrated envelope, or the gating std lands within band of the
-// threshold (the quantization delta could flip the accept/reject
-// decision), the query re-runs on the retained float program and that
-// answer decides. A negative band disables the boundary re-run (the
-// envelope check still applies).
-func quantLookupOne(qs QuantServing, sur Surrogate, x []float64, threshold, band float64, queries, fallbacks *atomic.Uint64) (mean, sd []float64) {
-	mean, sd, inRange := qs.PredictWithUQQuant(x)
-	queries.Add(1)
-	if !inRange || math.Abs(maxOf(sd)-threshold) <= band {
-		fallbacks.Add(1)
-		mean, sd = sur.PredictWithUQ(x)
-	}
-	return mean, sd
-}
-
-// quantGuardBatch applies the guardrail to a quantized batch answer:
-// rows whose input clipped (ok=false) or whose gating std lands within
-// band of the threshold are re-run on the float program, overwriting
-// their mean/std rows in place, so the subsequent gate loop decides on
-// exact numbers. xs rows align with answer rows.
-func quantGuardBatch(sur Surrogate, xs *tensor.Matrix, mean, std *tensor.Matrix, oks []bool, threshold, band float64, fallbacks *atomic.Uint64) {
-	for k := 0; k < mean.Rows; k++ {
-		sd := std.Row(k)
-		if !oks[k] || math.Abs(maxOf(sd)-threshold) <= band {
-			fallbacks.Add(1)
-			fm, fsd := sur.PredictWithUQ(xs.Row(k))
-			copy(mean.Row(k), fm)
-			copy(sd, fsd)
-		}
-	}
-}
-
 // BatchResult is the answer to one row of a QueryBatch call.
 type BatchResult struct {
 	Y   []float64
@@ -619,20 +430,15 @@ func setRow(res []BatchResult, i int, mean, sd []float64) {
 }
 
 // gateBatchRows applies the UQ gate to every row of one shard's batched
-// surrogate answer: passing rows are stored in res (into the caller's
-// reused buffers when reuse is set, aliasing the surrogate's matrices
-// otherwise) and failing rows are appended to miss. idx maps answer rows
-// to res indices.
-func gateBatchRows(res []BatchResult, miss, idx []int, mean, std *tensor.Matrix, threshold float64, reuse bool) (newMiss []int, served, rejected int) {
+// surrogate answer: passing rows are copied into res (reusing each row's
+// buffers; mean and std are pooled scratch) and failing rows are appended
+// to miss. idx maps answer rows to res indices.
+func gateBatchRows(res []BatchResult, miss, idx []int, mean, std *tensor.Matrix, threshold float64) (newMiss []int, served, rejected int) {
 	for k := 0; k < mean.Rows; k++ {
 		i := idx[k]
 		sd := std.Row(k)
 		if maxOf(sd) <= threshold {
-			if reuse {
-				setRow(res, i, mean.Row(k), sd)
-			} else {
-				res[i] = BatchResult{Y: mean.Row(k), Src: FromSurrogate, Std: sd}
-			}
+			setRow(res, i, mean.Row(k), sd)
 			served++
 		} else {
 			miss = append(miss, i)

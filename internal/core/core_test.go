@@ -74,7 +74,7 @@ func TestNNSurrogateLearnsOracle(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		in := []float64{rng.Range(-2, 2), rng.Range(-1, 1)}
 		truth, _ := oracle.Run(in)
-		pred := s.Predict(in)
+		pred := Predict(s, in)
 		if e := math.Abs(pred[0] - truth[0]); e > worst {
 			worst = e
 		}
@@ -97,7 +97,7 @@ func TestNNSurrogateUQPositive(t *testing.T) {
 	if err := s.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
-	_, std := s.PredictWithUQ([]float64{0.5, 0.5})
+	_, std := PredictWithUQ(s, []float64{0.5, 0.5})
 	if std[0] <= 0 {
 		t.Fatal("MC-dropout surrogate should report positive uncertainty")
 	}
@@ -120,7 +120,7 @@ func TestNNSurrogatePanicsUntrained(t *testing.T) {
 			t.Fatal("Predict before Train did not panic")
 		}
 	}()
-	newTestSurrogate(xrand.New(4)).Predict([]float64{0, 0})
+	Predict(newTestSurrogate(xrand.New(4)), []float64{0, 0})
 }
 
 func TestEffectiveSpeedupFormula(t *testing.T) {

@@ -82,24 +82,13 @@ func (w *ShardedWrapper) foldFallbackResiduals(s *shard, xs *tensor.Matrix, idx 
 	if surp == nil {
 		return
 	}
-	sur := *surp
+	var mean, std tensor.Matrix
+	(*surp).PredictInto(tensor.GatherRowsInto(nil, xs, rows), &mean, &std)
 	resids := make([]float64, len(rows))
 	exps := make([]float64, len(rows))
-	if bsi, ok := sur.(BatchSurrogateInto); ok {
-		sub := tensor.GatherRowsInto(nil, xs, rows)
-		mean := tensor.NewMatrix(len(rows), w.out)
-		std := tensor.NewMatrix(len(rows), w.out)
-		bsi.PredictBatchWithUQInto(sub, mean, std)
-		for k, i := range rows {
-			resids[k] = meanAbsDiff(mean.Row(k), res[i].Y)
-			exps[k] = meanOf(std.Row(k)) * expectedAbsFactor
-		}
-	} else {
-		for k, i := range rows {
-			mean, sd := sur.PredictWithUQ(xs.Row(i))
-			resids[k] = meanAbsDiff(mean, res[i].Y)
-			exps[k] = meanOf(sd) * expectedAbsFactor
-		}
+	for k, i := range rows {
+		resids[k] = meanAbsDiff(mean.Row(k), res[i].Y)
+		exps[k] = meanOf(std.Row(k)) * expectedAbsFactor
 	}
 	s.mu.Lock()
 	if s.publishedGen == gen {

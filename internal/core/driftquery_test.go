@@ -4,36 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/surrogatetest"
 	"repro/internal/tensor"
 )
 
 // uqSur predicts the mean of its training targets with a fixed claimed
 // uncertainty — a model whose rejected-lookup stream the drift tests
 // can calibrate exactly.
-type uqSur struct {
-	mean    []float64
-	sigma   float64
-	trained bool
-}
-
-func (m *uqSur) Train(x, y *tensor.Matrix) error {
-	m.mean = make([]float64, y.Cols)
-	for i := 0; i < y.Rows; i++ {
-		for j := 0; j < y.Cols; j++ {
-			m.mean[j] += y.At(i, j)
-		}
-	}
-	for j := range m.mean {
-		m.mean[j] /= float64(y.Rows)
-	}
-	m.trained = true
-	return nil
-}
-func (m *uqSur) Trained() bool                 { return m.trained }
-func (m *uqSur) Predict(x []float64) []float64 { return append([]float64(nil), m.mean...) }
-func (m *uqSur) PredictWithUQ(x []float64) (mean, std []float64) {
-	return m.Predict(x), []float64{m.sigma}
-}
+func uqSur(sigma float64) Surrogate { return surrogatetest.Mean(sigma) }
 
 func TestCorrectedResid(t *testing.T) {
 	// A model expecting residuals above the baseline has its observation
@@ -62,7 +40,7 @@ func TestCorrectedResid(t *testing.T) {
 // UQ-rejected (claimed σ above the threshold) so each one falls back to
 // the oracle and feeds the drift tracker.
 func driftQueryWrapper(oracle Oracle) *ShardedWrapper {
-	return NewShardedWrapper(oracle, func() Surrogate { return &uqSur{sigma: 1} }, ShardedConfig{
+	return NewShardedWrapper(oracle, func() Surrogate { return uqSur(1) }, ShardedConfig{
 		Router:          HashRouter{Shards: 1},
 		MinTrainSamples: 4,
 		RetrainEvery:    0,   // drift is the only retrain trigger

@@ -34,8 +34,10 @@ func TestServingTenantFitQuality(t *testing.T) {
 		if err := s.Train(trainX, trainY); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < testX.Rows; i++ {
-			d := s.Predict(testX.Row(i))[0] - testY.Row(i)[0]
+		var pred tensor.Matrix
+		s.PredictInto(testX, &pred, nil)
+		for i, p := range pred.Data {
+			d := p - testY.Data[i]
 			sse += d * d
 		}
 	}

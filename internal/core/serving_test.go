@@ -10,9 +10,9 @@ import (
 )
 
 // TestSurrogateCompiledPathMatchesInterpreted checks the compiled serving
-// kernel against the interpreted layer-graph path on the same trained
-// surrogate: identical point predictions (up to rounding) and consistent
-// UQ behaviour.
+// kernel against the layer graph's own eval-mode forward on the same
+// trained surrogate: identical point predictions (up to rounding) and
+// consistent UQ behaviour.
 func TestSurrogateCompiledPathMatchesInterpreted(t *testing.T) {
 	rng := xrand.New(0xc0de)
 	sur := NewNNSurrogate(2, 1, []int{12}, 0.1, rng)
@@ -32,13 +32,14 @@ func TestSurrogateCompiledPathMatchesInterpreted(t *testing.T) {
 		t.Fatal("trained NNSurrogate did not compile its network")
 	}
 	probe := []float64{0.4, -0.3}
-	got := sur.Predict(probe)
-	// Interpreted reference: run the layer graph directly.
-	want := sur.yScaler.Inverse(sur.net.Predict(sur.xScaler.TransformVec(probe)))
+	got := Predict(sur, probe)
+	// Independent reference: run the layer graph directly.
+	scaled := tensor.FromRows([][]float64{sur.xScaler.TransformVec(probe)})
+	want := sur.yScaler.Inverse(sur.net.Forward(scaled, false).Row(0))
 	if math.Abs(got[0]-want[0]) > 1e-12 {
-		t.Fatalf("compiled Predict %g vs interpreted %g", got[0], want[0])
+		t.Fatalf("compiled Predict %g vs layer graph %g", got[0], want[0])
 	}
-	mean, std := sur.PredictWithUQ(probe)
+	mean, std := PredictWithUQ(sur, probe)
 	if len(mean) != 1 || len(std) != 1 {
 		t.Fatalf("malformed UQ result %v %v", mean, std)
 	}

@@ -92,49 +92,23 @@ func (r KDRouter) Route(x []float64) int {
 	return lo
 }
 
-// BatchPredictor is an optional Surrogate capability: one deterministic
-// point-prediction pass amortized over a whole batch (NNSurrogate serves
-// it from the compiled batch program). The drift tracker's bulk paths —
-// Ingest residuals and the publish-time baseline — prefer it over
-// per-row Predict calls.
-type BatchPredictor interface {
-	// PredictBatch returns per-row point predictions (original units)
-	// for every row of x. The returned matrix is caller-owned.
-	PredictBatch(x *tensor.Matrix) *tensor.Matrix
-}
-
-// batchResiduals computes per-row mean-absolute residuals of sur's
-// predictions for the xs rows indexed by idx (nil idx = all rows)
-// against their ys counterparts, through one batched pass when sur
-// supports it.
+// batchResiduals computes per-row mean-absolute residuals of sur's point
+// predictions for the xs rows indexed by idx (nil idx = all rows) against
+// their ys counterparts, through one deterministic batch pass.
 func batchResiduals(sur Surrogate, xs, ys *tensor.Matrix, idx []int) []float64 {
-	n := len(idx)
-	if idx == nil {
-		n = xs.Rows
+	sub := xs
+	if idx != nil {
+		sub = tensor.GatherRowsInto(nil, xs, idx)
 	}
-	row := func(k int) int {
-		if idx == nil {
-			return k
+	var pred tensor.Matrix
+	sur.PredictInto(sub, &pred, nil)
+	resids := make([]float64, sub.Rows)
+	for k := range resids {
+		i := k
+		if idx != nil {
+			i = idx[k]
 		}
-		return idx[k]
-	}
-	resids := make([]float64, n)
-	if bp, ok := sur.(BatchPredictor); ok {
-		var sub *tensor.Matrix
-		if idx == nil {
-			sub = xs
-		} else {
-			sub = tensor.GatherRowsInto(nil, xs, idx)
-		}
-		pred := bp.PredictBatch(sub)
-		for k := 0; k < n; k++ {
-			resids[k] = meanAbsDiff(pred.Row(k), ys.Row(row(k)))
-		}
-		return resids
-	}
-	for k := 0; k < n; k++ {
-		i := row(k)
-		resids[k] = meanAbsDiff(sur.Predict(xs.Row(i)), ys.Row(i))
+		resids[k] = meanAbsDiff(pred.Row(k), ys.Row(i))
 	}
 	return resids
 }
@@ -211,7 +185,7 @@ type ShardedConfig struct {
 	// whose input left the calibrated envelope are transparently re-run
 	// on the retained float program and counted (QuantStats), so the
 	// speedup never silently degrades the gate. The knob wraps the
-	// factory so each QuantCapable surrogate it produces (including
+	// factory so each Degradable surrogate it produces (including
 	// every recompile-on-publish refit generation) quantizes on Train.
 	Quantized bool
 }
@@ -326,9 +300,8 @@ func (w *ShardedWrapper) driftBaselineFor(sur Surrogate, snapX, snapY *tensor.Ma
 
 // driftBaseline is the published model's in-sample residual: the mean
 // absolute prediction error over (up to driftBaselineRows evenly spaced
-// rows of) its own training snapshot, batched when the surrogate
-// supports it. Computed once per publish, off the serving path, only
-// when drift tracking is enabled.
+// rows of) its own training snapshot, in one batch pass. Computed once
+// per publish, off the serving path, only when drift tracking is enabled.
 func driftBaseline(sur Surrogate, snapX, snapY *tensor.Matrix) float64 {
 	n := snapX.Rows
 	if n == 0 {
@@ -523,8 +496,8 @@ func NewShardedWrapper(oracle Oracle, factory SurrogateFactory, cfg ShardedConfi
 		inner := factory
 		factory = func() Surrogate {
 			s := inner()
-			if qc, ok := s.(QuantCapable); ok {
-				qc.SetQuantize(true)
+			if dg, ok := s.(Degradable); ok {
+				dg.SetQuantize(true)
 			}
 			return s
 		}
@@ -607,38 +580,90 @@ func (w *ShardedWrapper) Query(x []float64) (y []float64, src Source, std []floa
 
 // tryLookup serves x from the shard's published surrogate. The load is a
 // single atomic pointer read — no lock is taken, so lookups proceed at
-// full speed while the shard refits. On a UQ rejection (ok=false with a
-// non-nil surp) mean and sd carry the rejected prediction so the oracle
-// fallback can fold its residual into the drift tracker without a
-// second surrogate pass.
+// full speed while the shard refits — and the lookup is the batch path's,
+// run on a one-row view of x over pooled scratch: the returned mean and sd
+// (one backing array) are the call's only allocation. On a UQ rejection
+// (ok=false with a non-nil surp) mean and sd carry the rejected prediction
+// so the oracle fallback can fold its residual into the drift tracker
+// without a second surrogate pass.
 func (w *ShardedWrapper) tryLookup(s *shard, x []float64) (mean, sd []float64, surp *Surrogate, ok bool) {
 	surp = s.active.Load()
 	if surp == nil {
 		return nil, nil, nil, false
 	}
-	sur := *surp
+	sc := w.getScratch()
+	sc.row = tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
+	t0 := time.Now()
+	w.lookup(*surp, sc, &sc.row)
+	dt := time.Since(t0)
+	n := len(sc.mean.Data)
+	res := make([]float64, 2*n)
+	// Cap the mean slice so an appending caller can never grow into sd.
+	mean, sd = res[:n:n], res[n:]
+	copy(mean, sc.mean.Data)
+	copy(sd, sc.std.Data)
+	sc.row.Data = nil // the pool must not keep the caller's vector alive
+	w.scratch.Put(sc)
+	if ok = maxOf(sd) <= w.cfg.UQThreshold; ok {
+		w.recordLookup(dt)
+	} else {
+		w.recordRejectedLookup(dt)
+	}
+	return mean, sd, surp, ok
+}
+
+// lookup is the one surrogate lookup every query path runs: sur's
+// predictive mean and std for each row of x, left in sc.mean and sc.std.
+// When quantized serving is preferred and sur has an int8 program ready,
+// that program answers first and the guardrail re-decides its doubtful
+// rows on the float program.
+func (w *ShardedWrapper) lookup(sur Surrogate, sc *shardScratch, x *tensor.Matrix) {
 	if w.quantPreferred() {
-		if qs, isQ := sur.(QuantServing); isQ && qs.QuantizedReady() {
-			t0 := time.Now()
-			mean, sd = quantLookupOne(qs, sur, x, w.cfg.UQThreshold, quantBand(qs, w.brownout.Load()), &w.quantQueries, &w.quantFallbacks)
-			dt := time.Since(t0)
-			if maxOf(sd) <= w.cfg.UQThreshold {
-				w.recordLookup(dt)
-				return mean, sd, surp, true
+		if dg, ok := sur.(Degradable); ok && dg.QuantizedReady() {
+			if cap(sc.oks) < x.Rows {
+				sc.oks = make([]bool, x.Rows)
 			}
-			w.recordRejectedLookup(dt)
-			return mean, sd, surp, false
+			oks := sc.oks[:x.Rows]
+			dg.PredictQuantInto(x, &sc.mean, &sc.std, oks)
+			w.quantQueries.Add(uint64(x.Rows))
+			band := dg.QuantGateBound()
+			if w.brownout.Load() >= BrownoutNoUQ {
+				// The gate is vacuous down here: a float re-run of boundary
+				// decisions would throw away the compute the brownout saves.
+				band = -1
+			}
+			w.quantGuard(sur, sc, x, oks, band)
+			return
 		}
 	}
-	t0 := time.Now()
-	mean, sd = sur.PredictWithUQ(x)
-	dt := time.Since(t0)
-	if maxOf(sd) <= w.cfg.UQThreshold {
-		w.recordLookup(dt)
-		return mean, sd, surp, true
+	sur.PredictInto(x, &sc.mean, &sc.std)
+}
+
+// quantGuard applies the float-fallback guardrail to the quantized answer
+// in sc.mean/sc.std: rows whose input clipped against the calibrated
+// envelope (ok=false) or whose gating std lands within band of the
+// threshold (the quantization delta could flip the accept/reject
+// decision) are gathered and re-run in one batch on the float program,
+// overwriting their rows, so the gate decides on exact numbers. A
+// negative band disables the boundary re-run (the envelope check still
+// applies).
+func (w *ShardedWrapper) quantGuard(sur Surrogate, sc *shardScratch, x *tensor.Matrix, oks []bool, band float64) {
+	flagged := sc.flagged[:0]
+	for k, ok := range oks {
+		if !ok || math.Abs(maxOf(sc.std.Row(k))-w.cfg.UQThreshold) <= band {
+			flagged = append(flagged, k)
+		}
 	}
-	w.recordRejectedLookup(dt)
-	return mean, sd, surp, false
+	sc.flagged = flagged
+	if len(flagged) == 0 {
+		return
+	}
+	w.quantFallbacks.Add(uint64(len(flagged)))
+	sur.PredictInto(tensor.GatherRowsInto(&sc.fx, x, flagged), &sc.fmean, &sc.fstd)
+	for j, k := range flagged {
+		copy(sc.mean.Row(k), sc.fmean.Row(j))
+		copy(sc.std.Row(k), sc.fstd.Row(j))
+	}
 }
 
 // QuantStats reports how many lookups across all shards were served through
@@ -649,38 +674,20 @@ func (w *ShardedWrapper) QuantStats() (queries, fallbacks uint64) {
 	return w.quantQueries.Load(), w.quantFallbacks.Load()
 }
 
-// shardScratch pools the per-call working state of one QueryBatchInto —
-// the shard partition, the gather buffer, the miss index list and the
-// surrogate's mean/std staging — so a warmed steady-state batch query
-// performs zero heap allocations.
+// shardScratch pools the per-call working state of one Query or
+// QueryBatchInto — the shard partition, the gather buffer, the miss index
+// list, the surrogate's mean/std staging and the guardrail's re-run batch
+// — so a warmed steady-state batch query performs zero heap allocations.
 type shardScratch struct {
 	byShard   [][]int
-	sub       *tensor.Matrix
+	sub       tensor.Matrix // one shard's rows, gathered
+	row       tensor.Matrix // Query's one-row view of the caller's vector
 	miss      []int
-	mean, std *tensor.Matrix
+	mean, std tensor.Matrix
 	oks       []bool // per-row quantization envelope verdicts
-}
 
-// okBuf returns the scratch ok slice sized to rows, growing on demand.
-func (sc *shardScratch) okBuf(rows int) []bool {
-	if cap(sc.oks) < rows {
-		sc.oks = make([]bool, rows)
-	}
-	sc.oks = sc.oks[:rows]
-	return sc.oks
-}
-
-// mats returns the scratch mean/std matrices reshaped to rows x out,
-// minting them on first use.
-func (sc *shardScratch) mats(rows, out int) (mean, std *tensor.Matrix) {
-	if sc.mean == nil {
-		sc.mean = tensor.NewMatrix(rows, out)
-		sc.std = tensor.NewMatrix(rows, out)
-	} else {
-		sc.mean.Reshape(rows, out)
-		sc.std.Reshape(rows, out)
-	}
-	return sc.mean, sc.std
+	flagged         []int         // rows the quant guardrail re-runs,
+	fx, fmean, fstd tensor.Matrix // their inputs gathered, their float answers
 }
 
 func (w *ShardedWrapper) getScratch() *shardScratch {
@@ -747,56 +754,13 @@ func (w *ShardedWrapper) QueryBatchInto(xs *tensor.Matrix, res []BatchResult) er
 			miss = append(miss, idx...)
 			continue
 		}
-		sur := *surp
-		if w.quantPreferred() {
-			if bq, isQ := sur.(BatchQuantServing); isQ && bq.QuantizedReady() {
-				sc.sub = tensor.GatherRowsInto(sc.sub, xs, idx)
-				mean, std := sc.mats(len(idx), w.out)
-				oks := sc.okBuf(len(idx))
-				t0 := time.Now()
-				bq.PredictBatchWithUQQuantInto(sc.sub, mean, std, oks)
-				w.quantQueries.Add(uint64(len(idx)))
-				quantGuardBatch(sur, sc.sub, mean, std, oks, w.cfg.UQThreshold, quantBand(bq, w.brownout.Load()), &w.quantFallbacks)
-				per := time.Since(t0) / time.Duration(len(idx))
-				var served, rejected int
-				miss, served, rejected = gateBatchRows(res, miss, idx, mean, std, w.cfg.UQThreshold, true)
-				w.recordBatchLookups(per, served, rejected)
-				continue
-			}
-		}
-		if bsi, isInto := sur.(BatchSurrogateInto); isInto {
-			sc.sub = tensor.GatherRowsInto(sc.sub, xs, idx)
-			mean, std := sc.mats(len(idx), w.out)
-			t0 := time.Now()
-			bsi.PredictBatchWithUQInto(sc.sub, mean, std)
-			per := time.Since(t0) / time.Duration(len(idx))
-			var served, rejected int
-			miss, served, rejected = gateBatchRows(res, miss, idx, mean, std, w.cfg.UQThreshold, true)
-			w.recordBatchLookups(per, served, rejected)
-			continue
-		}
-		if bs, isBatch := sur.(BatchSurrogate); isBatch {
-			sc.sub = tensor.GatherRowsInto(sc.sub, xs, idx)
-			t0 := time.Now()
-			mean, std := bs.PredictBatchWithUQ(sc.sub)
-			per := time.Since(t0) / time.Duration(len(idx))
-			var served, rejected int
-			miss, served, rejected = gateBatchRows(res, miss, idx, mean, std, w.cfg.UQThreshold, false)
-			w.recordBatchLookups(per, served, rejected)
-			continue
-		}
-		for _, i := range idx {
-			t0 := time.Now()
-			mean, sd := sur.PredictWithUQ(xs.Row(i))
-			dt := time.Since(t0)
-			if maxOf(sd) <= w.cfg.UQThreshold {
-				res[i] = BatchResult{Y: mean, Src: FromSurrogate, Std: sd}
-				w.recordLookup(dt)
-			} else {
-				miss = append(miss, i)
-				w.recordRejectedLookup(dt)
-			}
-		}
+		tensor.GatherRowsInto(&sc.sub, xs, idx)
+		t0 := time.Now()
+		w.lookup(*surp, sc, &sc.sub)
+		per := time.Since(t0) / time.Duration(len(idx))
+		var served, rejected int
+		miss, served, rejected = gateBatchRows(res, miss, idx, &sc.mean, &sc.std, w.cfg.UQThreshold)
+		w.recordBatchLookups(per, served, rejected)
 	}
 	sc.miss = miss
 	if len(miss) == 0 {

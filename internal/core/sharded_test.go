@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/surrogatetest"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -17,31 +18,32 @@ import (
 // genSur is a deterministic published-generation stub: both outputs carry
 // the generation it was built with, so a reader can detect a torn swap as
 // a mismatch between the two.
-type genSur struct {
-	gen     float64
-	trained bool
+func genSur(gen float64) *surrogatetest.Rows {
+	return &surrogatetest.Rows{Row: func([]float64) ([]float64, []float64) {
+		return []float64{gen, gen}, nil
+	}}
 }
 
-func (g *genSur) Train(x, y *tensor.Matrix) error { g.trained = true; return nil }
-func (g *genSur) Trained() bool                   { return g.trained }
-func (g *genSur) Predict(x []float64) []float64   { return []float64{g.gen, g.gen} }
-func (g *genSur) PredictWithUQ(x []float64) (mean, std []float64) {
-	return []float64{g.gen, g.gen}, []float64{0, 0}
-}
-
-// gatedSur blocks inside Train until released, signalling entry — the
-// deterministic stand-in for a slow refit.
+// gatedSur wraps a stub so that it blocks inside Train until released,
+// signalling entry — the deterministic stand-in for a slow refit.
 type gatedSur struct {
-	genSur
+	*surrogatetest.Rows
 	started chan struct{}
 	release chan struct{}
 }
 
-func (g *gatedSur) Train(x, y *tensor.Matrix) error {
-	close(g.started)
-	<-g.release
-	g.trained = true
-	return nil
+func gate(inner *surrogatetest.Rows) *gatedSur {
+	g := &gatedSur{Rows: inner, started: make(chan struct{}), release: make(chan struct{})}
+	fit := inner.Fit
+	inner.Fit = func(x, y *tensor.Matrix) error {
+		close(g.started)
+		<-g.release
+		if fit != nil {
+			return fit(x, y)
+		}
+		return nil
+	}
+	return g
 }
 
 func twoOutOracle() OracleFunc {
@@ -55,15 +57,11 @@ func twoOutOracle() OracleFunc {
 // queries keep being answered by the previously published model, and the
 // new model takes over only after the refit completes.
 func TestShardedServesDuringRefit(t *testing.T) {
-	gated := &gatedSur{
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	gated.gen = 1
+	gated := gate(genSur(1))
 	var calls atomic.Int64
 	factory := func() Surrogate {
 		if calls.Add(1) == 1 {
-			return &genSur{gen: 0}
+			return genSur(0)
 		}
 		return gated
 	}
@@ -107,17 +105,13 @@ func TestShardedServesDuringRefit(t *testing.T) {
 // background refit that snapshotted before a TrainAll but finishes after
 // it must be discarded, not overwrite the newer model.
 func TestTrainAllWinsOverStaleRefit(t *testing.T) {
-	gated := &gatedSur{
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	gated.gen = 1
+	gated := gate(genSur(1))
 	var calls atomic.Int64
 	factory := func() Surrogate {
 		if calls.Add(1) == 1 {
 			return gated
 		}
-		return &genSur{gen: 2}
+		return genSur(2)
 	}
 	w := NewShardedWrapper(twoOutOracle(), factory, ShardedConfig{
 		Shards: 1, UQThreshold: 1, MinTrainSamples: 1,
@@ -153,7 +147,7 @@ func TestTrainAllWinsOverStaleRefit(t *testing.T) {
 func TestShardedSwapNeverTorn(t *testing.T) {
 	var gen atomic.Int64
 	factory := func() Surrogate {
-		return &genSur{gen: float64(gen.Add(1))}
+		return genSur(float64(gen.Add(1)))
 	}
 	w := NewShardedWrapper(twoOutOracle(), factory, ShardedConfig{
 		Shards: 1, UQThreshold: 1, MinTrainSamples: 1,
@@ -315,7 +309,7 @@ func TestShardedRoutingDeterministicForSeed(t *testing.T) {
 // simulated row lands in the training set of the shard it routes to.
 func TestShardedQueryBatchSemantics(t *testing.T) {
 	oracle := &atomicOracle{}
-	w := NewShardedWrapper(oracle, func() Surrogate { return &gateStub{} }, ShardedConfig{
+	w := NewShardedWrapper(oracle, func() Surrogate { return gateStub() }, ShardedConfig{
 		Router: KDRouter{Dim: 1, Cuts: []float64{0}}, UQThreshold: 0.5, MinTrainSamples: 1, OracleWorkers: 4,
 	})
 	// Only the x1 < 0 shard gets data and a model.
@@ -471,9 +465,9 @@ func TestShardedRefitFailureKeepsServing(t *testing.T) {
 	trainErr := errors.New("synthetic divergence")
 	factory := func() Surrogate {
 		if calls.Add(1) == 1 {
-			return &genSur{gen: 7}
+			return genSur(7)
 		}
-		return &failSur{err: trainErr}
+		return failSur(trainErr)
 	}
 	w := NewShardedWrapper(twoOutOracle(), factory, ShardedConfig{
 		Shards: 1, UQThreshold: 1, MinTrainSamples: 1,
@@ -502,20 +496,14 @@ func TestShardedRefitFailureKeepsServing(t *testing.T) {
 
 // gateGenSur carries a generation and rejects |x0| > 2, so tests can
 // steer rows between the surrogate and the oracle deterministically.
-type gateGenSur struct {
-	gen     float64
-	trained bool
-}
-
-func (g *gateGenSur) Train(x, y *tensor.Matrix) error { g.trained = true; return nil }
-func (g *gateGenSur) Trained() bool                   { return g.trained }
-func (g *gateGenSur) Predict(x []float64) []float64   { return []float64{g.gen, g.gen} }
-func (g *gateGenSur) PredictWithUQ(x []float64) (mean, std []float64) {
-	sd := 0.0
-	if math.Abs(x[0]) > 2 {
-		sd = 1
-	}
-	return []float64{g.gen, g.gen}, []float64{sd, sd}
+func gateGenSur(gen float64) *surrogatetest.Rows {
+	return &surrogatetest.Rows{Row: func(x []float64) ([]float64, []float64) {
+		sd := 0.0
+		if math.Abs(x[0]) > 2 {
+			sd = 1
+		}
+		return []float64{gen, gen}, []float64{sd, sd}
+	}}
 }
 
 // TestShardedFailedRefitKeepsRetrainCredit locks in the failure-path
@@ -528,11 +516,11 @@ func TestShardedFailedRefitKeepsRetrainCredit(t *testing.T) {
 	factory := func() Surrogate {
 		switch calls.Add(1) {
 		case 1:
-			return &gateGenSur{gen: 1}
+			return gateGenSur(1)
 		case 2:
-			return &failSur{err: trainErr}
+			return failSur(trainErr)
 		default:
-			return &gateGenSur{gen: 2}
+			return gateGenSur(2)
 		}
 	}
 	w := NewShardedWrapper(twoOutOracle(), factory, ShardedConfig{
@@ -586,7 +574,7 @@ func TestPretrainAbortsEarlyKeepsSuccesses(t *testing.T) {
 	}}
 	forShards(t, func(t *testing.T, shards int) {
 		calls.Store(0)
-		w := NewShardedWrapper(oracle, func() Surrogate { return &meanSur{} }, ShardedConfig{
+		w := NewShardedWrapper(oracle, func() Surrogate { return meanSur() }, ShardedConfig{
 			Shards: shards, UQThreshold: 1, OracleWorkers: 1,
 		})
 		err := w.Pretrain(uniformRows(xrand.New(33), 10, 1, 1))
@@ -625,7 +613,7 @@ func TestPretrainAbortsEarlyKeepsSuccesses(t *testing.T) {
 		}
 		<-failed
 		return []float64{x[0]}, nil
-	}}, func() Surrogate { return &meanSur{} }, ShardedConfig{Shards: 2, OracleWorkers: 3})
+	}}, func() Surrogate { return meanSur() }, ShardedConfig{Shards: 2, OracleWorkers: 3})
 	if err := sw.Pretrain(tensor.NewMatrix(1000, 2)); err == nil {
 		t.Fatal("sharded pretrain swallowed the caller's oracle failure")
 	}
@@ -672,7 +660,7 @@ func TestFanoutChargesLedgerOncePerRow(t *testing.T) {
 		fresh := func() *ShardedWrapper {
 			okTime.Store(0)
 			failTime.Store(0)
-			return NewShardedWrapper(oracle, func() Surrogate { return &meanSur{} },
+			return NewShardedWrapper(oracle, func() Surrogate { return meanSur() },
 				ShardedConfig{Shards: 2, MinTrainSamples: 1 << 30, OracleWorkers: workers})
 		}
 		w := fresh()
@@ -703,52 +691,14 @@ func TestFanoutChargesLedgerOncePerRow(t *testing.T) {
 }
 
 // failSur always fails to train.
-type failSur struct{ err error }
-
-func (f *failSur) Train(x, y *tensor.Matrix) error { return f.err }
-func (f *failSur) Trained() bool                   { return false }
-func (f *failSur) Predict(x []float64) []float64   { panic("untrained") }
-func (f *failSur) PredictWithUQ(x []float64) (mean, std []float64) {
-	panic("untrained")
+func failSur(err error) *surrogatetest.Rows {
+	return &surrogatetest.Rows{Fit: func(x, y *tensor.Matrix) error { return err }}
 }
 
 // meanSur is a deterministic surrogate that learns the column means of
 // its training targets and predicts them with zero claimed uncertainty —
 // a fixed model whose residual against shifted data is exactly the shift.
-type meanSur struct {
-	mean    []float64
-	trained bool
-}
-
-func (m *meanSur) Train(x, y *tensor.Matrix) error {
-	m.mean = make([]float64, y.Cols)
-	for i := 0; i < y.Rows; i++ {
-		for j := 0; j < y.Cols; j++ {
-			m.mean[j] += y.At(i, j)
-		}
-	}
-	for j := range m.mean {
-		m.mean[j] /= float64(y.Rows)
-	}
-	m.trained = true
-	return nil
-}
-
-func (m *meanSur) Trained() bool                 { return m.trained }
-func (m *meanSur) Predict(x []float64) []float64 { return append([]float64(nil), m.mean...) }
-
-// PredictBatch implements BatchPredictor, so the drift tests exercise
-// the batched residual path end to end.
-func (m *meanSur) PredictBatch(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.NewMatrix(x.Rows, len(m.mean))
-	for i := 0; i < x.Rows; i++ {
-		copy(out.Row(i), m.mean)
-	}
-	return out
-}
-func (m *meanSur) PredictWithUQ(x []float64) (mean, std []float64) {
-	return m.Predict(x), make([]float64, len(m.mean))
-}
+func meanSur() *surrogatetest.Rows { return surrogatetest.Mean(0) }
 
 // TestShardedDriftTriggeredRefit pins the adaptive-retrain contract:
 // ingesting data the published model still explains leaves the shard
@@ -761,7 +711,7 @@ func TestShardedDriftTriggeredRefit(t *testing.T) {
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{-3}, nil
 	}}
-	w := NewShardedWrapper(oracle, func() Surrogate { return &meanSur{} }, ShardedConfig{
+	w := NewShardedWrapper(oracle, func() Surrogate { return meanSur() }, ShardedConfig{
 		Router:          HashRouter{Shards: 1},
 		MinTrainSamples: 4,
 		RetrainEvery:    0,  // drift is the only retrain trigger
@@ -839,20 +789,6 @@ func TestShardedDriftTriggeredRefit(t *testing.T) {
 	}
 }
 
-// gatedMeanSur is a meanSur whose Train blocks until released,
-// signalling entry — the deterministic stand-in for a slow drift refit.
-type gatedMeanSur struct {
-	meanSur
-	started chan struct{}
-	release chan struct{}
-}
-
-func (g *gatedMeanSur) Train(x, y *tensor.Matrix) error {
-	close(g.started)
-	<-g.release
-	return g.meanSur.Train(x, y)
-}
-
 // TestDriftRaisedMidRefitSurvivesPublish pins the snapshot-coverage
 // contract of the drift flag: drift tripped by samples ingested AFTER a
 // refit's snapshot was taken must survive that refit's publish (the new
@@ -861,14 +797,14 @@ func TestDriftRaisedMidRefitSurvivesPublish(t *testing.T) {
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{0}, nil
 	}}
-	gated := &gatedMeanSur{started: make(chan struct{}), release: make(chan struct{})}
+	gated := gate(meanSur()) // a slow drift refit
 	fits := 0
 	w := NewShardedWrapper(oracle, func() Surrogate {
 		fits++
 		if fits == 2 {
 			return gated // the drift-triggered refit, held in flight
 		}
-		return &meanSur{}
+		return meanSur()
 	}, ShardedConfig{
 		Router:          HashRouter{Shards: 1},
 		MinTrainSamples: 4,
@@ -922,25 +858,19 @@ func TestDriftRaisedMidRefitSurvivesPublish(t *testing.T) {
 	}
 }
 
-// constSur is a minimal Surrogate WITHOUT the BatchPredictor capability:
-// drift residuals for it must flow through the per-row fallback.
-type constSur struct{ trained bool }
-
-func (c *constSur) Train(x, y *tensor.Matrix) error { c.trained = true; return nil }
-func (c *constSur) Trained() bool                   { return c.trained }
-func (c *constSur) Predict(x []float64) []float64   { return []float64{0} }
-func (c *constSur) PredictWithUQ(x []float64) (mean, std []float64) {
-	return []float64{0}, []float64{0}
+// constSur predicts 0 everywhere, row by row.
+func constSur() *surrogatetest.Rows {
+	return &surrogatetest.Rows{Row: func([]float64) ([]float64, []float64) { return []float64{0}, nil }}
 }
 
-// TestDriftResidualFallbackPath checks drift tracking still works for
-// surrogates that cannot batch-predict: the per-row residual fallback
-// trips the flag just the same.
+// TestDriftResidualFallbackPath checks drift tracking against a surrogate
+// that answers row by row behind the batch method (there is no separate
+// per-row residual path any more): the shift trips the flag just the same.
 func TestDriftResidualFallbackPath(t *testing.T) {
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{0}, nil
 	}}
-	w := NewShardedWrapper(oracle, func() Surrogate { return &constSur{} }, ShardedConfig{
+	w := NewShardedWrapper(oracle, func() Surrogate { return constSur() }, ShardedConfig{
 		Router:          HashRouter{Shards: 1},
 		MinTrainSamples: 2,
 		DriftFactor:     2,

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/raceflag"
+	"repro/internal/surrogatetest"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -314,33 +315,17 @@ func TestWrapperConcurrentQueries(t *testing.T) {
 	})
 }
 
-// gateStub is a deterministic BatchSurrogate: rows with |x0| <= 2 pass
-// the UQ gate (std 0), others are rejected (std 1). It lets the batch
-// semantics rows pin the wrapper's routing and accounting exactly.
-type gateStub struct{ trained bool }
-
-func (s *gateStub) Train(x, y *tensor.Matrix) error { s.trained = true; return nil }
-func (s *gateStub) Trained() bool                   { return s.trained }
-
-func (s *gateStub) Predict(x []float64) []float64 { return []float64{42} }
-
-func (s *gateStub) PredictWithUQ(x []float64) (mean, std []float64) {
-	sd := 0.0
-	if math.Abs(x[0]) > 2 {
-		sd = 1
-	}
-	return []float64{42}, []float64{sd}
-}
-
-func (s *gateStub) PredictBatchWithUQ(x *tensor.Matrix) (mean, std *tensor.Matrix) {
-	mean = tensor.NewMatrix(x.Rows, 1)
-	std = tensor.NewMatrix(x.Rows, 1)
-	for i := 0; i < x.Rows; i++ {
-		m, sd := s.PredictWithUQ(x.Row(i))
-		mean.Set(i, 0, m[0])
-		std.Set(i, 0, sd[0])
-	}
-	return mean, std
+// gateStub is a deterministic surrogate: rows with |x0| <= 2 pass the UQ
+// gate (std 0), others are rejected (std 1). It lets the batch semantics
+// rows pin the wrapper's routing and accounting exactly.
+func gateStub() *surrogatetest.Rows {
+	return &surrogatetest.Rows{Row: func(x []float64) ([]float64, []float64) {
+		sd := 0.0
+		if math.Abs(x[0]) > 2 {
+			sd = 1
+		}
+		return []float64{42}, []float64{sd}
+	}}
 }
 
 // gateStubWrapper publishes a gateStub on every shard of a wrapper over
@@ -348,7 +333,7 @@ func (s *gateStub) PredictBatchWithUQ(x *tensor.Matrix) (mean, std *tensor.Matri
 func gateStubWrapper(t *testing.T, oracle Oracle, cfg ShardedConfig) *ShardedWrapper {
 	t.Helper()
 	cfg.UQThreshold, cfg.MinTrainSamples = 0.5, 1
-	w := NewShardedWrapper(oracle, func() Surrogate { return &gateStub{} }, cfg)
+	w := NewShardedWrapper(oracle, func() Surrogate { return gateStub() }, cfg)
 	seedX := uniformRows(xrand.New(91), 16*w.NumShards(), 2, 1)
 	if err := w.Ingest(seedX, tensor.NewMatrix(seedX.Rows, 1)); err != nil {
 		t.Fatal(err)
@@ -544,7 +529,7 @@ func TestQueryBatchChunksWiderThanCompiledWidth(t *testing.T) {
 			if res[i].Src != FromSurrogate {
 				t.Fatalf("row %d not surrogate-served", i)
 			}
-			want := publishedFor(t, w, batch.Row(i)).Predict(batch.Row(i))
+			want := Predict(publishedFor(t, w, batch.Row(i)), batch.Row(i))
 			if math.Abs(res[i].Y[0]-want[0]) > 1e-12 {
 				t.Fatalf("row %d: chunked batch %g vs single predict %g", i, res[i].Y[0], want[0])
 			}
@@ -802,7 +787,7 @@ func TestWrapperQuantizedServing(t *testing.T) {
 				t.Fatalf("query %d not surrogate-served", k)
 			}
 			sur := publishedFor(t, w, x)
-			want := sur.Predict(x)
+			want := Predict(sur, x)
 			if math.Abs(y[0]-want[0]) > sur.QuantErrorBound()+1e-12 {
 				t.Fatalf("query %d: quantized %g vs float %g exceeds bound %g",
 					k, y[0], want[0], sur.QuantErrorBound())
@@ -867,7 +852,7 @@ func TestWrapperQuantClipFallback(t *testing.T) {
 		if src != FromSurrogate {
 			t.Fatal("clipped query not surrogate-served")
 		}
-		want := publishedFor(t, w, x).Predict(x)
+		want := Predict(publishedFor(t, w, x), x)
 		if math.Abs(y[0]-want[0]) > 1e-12 {
 			t.Fatalf("clipped query served %g, want exact float answer %g", y[0], want[0])
 		}
@@ -912,9 +897,9 @@ func TestWrapperQuantBatchMatchesSingle(t *testing.T) {
 }
 
 // panicSur panics inside Train, the way user training code can.
-type panicSur struct{ failSur }
-
-func (p *panicSur) Train(x, y *tensor.Matrix) error { panic("synthetic NaN blow-up") }
+func panicSur() *surrogatetest.Rows {
+	return &surrogatetest.Rows{Fit: func(x, y *tensor.Matrix) error { panic("synthetic NaN blow-up") }}
+}
 
 // TestRefitPanicKeepsServing is the containment contract for user
 // training code: a Train that panics on the background refit goroutine
@@ -928,11 +913,11 @@ func TestRefitPanicKeepsServing(t *testing.T) {
 		factory := func() Surrogate {
 			switch n := calls.Add(1); {
 			case n <= int64(shards):
-				return &gateGenSur{gen: 1}
+				return gateGenSur(1)
 			case n == int64(shards)+1:
-				return &panicSur{}
+				return panicSur()
 			default:
-				return &gateGenSur{gen: 2}
+				return gateGenSur(2)
 			}
 		}
 		// Cuts along x1, which both probe points below leave at 0: they

@@ -100,7 +100,7 @@ func E1EffectiveSpeedup(scale Scale) (*E1Result, error) {
 	const lookups = 200
 	t0 = time.Now()
 	for i := 0; i < lookups; i++ {
-		sur.Predict(x)
+		core.Predict(sur, x)
 	}
 	tlookup := time.Since(t0).Seconds() / lookups
 
@@ -204,7 +204,8 @@ func E2NanoSurrogate(scale Scale) (*E2Result, error) {
 	// surrogate pass — the serving path heavy traffic takes through
 	// ShardedWrapper.QueryBatch.
 	t0 := time.Now()
-	preds := sur.PredictBatch(test.X)
+	var preds tensor.Matrix
+	sur.PredictInto(test.X, &preds, nil)
 	res.MeanLookupSeconds = time.Since(t0).Seconds() / float64(test.Len())
 	for j := range res.Targets {
 		p := make([]float64, test.Len())

@@ -328,6 +328,7 @@ func E7DropoutUQ(scale Scale) (*E7Result, error) {
 		}); err != nil {
 			return nil, err
 		}
+		prog := net.Compile()
 		target := make([]float64, nTest)
 		lo := make([]float64, nTest)
 		hi := make([]float64, nTest)
@@ -335,7 +336,7 @@ func E7DropoutUQ(scale Scale) (*E7Result, error) {
 		for i := 0; i < nTest; i++ {
 			in := []float64{rng.Range(-1, 1), rng.Range(-1, 1)}
 			target[i] = f(in)
-			mean, std := net.PredictMC(in, 40)
+			mean, std := prog.PredictMC(in, 40, nil, nil)
 			lo[i] = mean[0] - 2*std[0]
 			hi[i] = mean[0] + 2*std[0]
 			widthSum += hi[i] - lo[i]

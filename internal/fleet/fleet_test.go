@@ -412,7 +412,7 @@ func TestFleetAgainstWrapper(t *testing.T) {
 					t.Error("fell back to simulation under a wide-open UQ gate")
 					return
 				}
-				want := sur.Predict(x)
+				want := core.Predict(sur, x)
 				if math.Abs(r.Y[0]-want[0]) > 1e-12 {
 					t.Errorf("fleet answer %g differs from direct prediction %g", r.Y[0], want[0])
 					return

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/surrogatetest"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -19,28 +20,12 @@ import (
 // soakSur is a constant-mean surrogate with zero claimed uncertainty, so
 // every trained-shard query serves from the surrogate and drift is purely
 // a property of ingested residuals.
-type soakSur struct {
-	mean    []float64
-	trained bool
-}
+func soakSur() core.Surrogate { return surrogatetest.Mean(0) }
 
-func (m *soakSur) Train(x, y *tensor.Matrix) error {
-	out := make([]float64, y.Cols)
-	for i := 0; i < y.Rows; i++ {
-		for j, v := range y.Row(i) {
-			out[j] += v
-		}
-	}
-	for j := range out {
-		out[j] /= float64(y.Rows)
-	}
-	m.mean, m.trained = out, true
-	return nil
-}
-func (m *soakSur) Trained() bool                 { return m.trained }
-func (m *soakSur) Predict(x []float64) []float64 { return append([]float64(nil), m.mean...) }
-func (m *soakSur) PredictWithUQ(x []float64) (mean, std []float64) {
-	return m.Predict(x), make([]float64, len(m.mean))
+func TestSoakSurConformance(t *testing.T) {
+	x := tensor.FromRows([][]float64{{0, 1}, {2, 3}, {4, 5}})
+	y := tensor.FromRows([][]float64{{1}, {2}, {6}})
+	surrogatetest.Conformance(t, func() surrogatetest.Surrogate { return soakSur() }, x, y, 1, false)
 }
 
 // TestWireSoakChurnAndDrift is the long-haul invariant test: tenants
@@ -60,7 +45,7 @@ func TestWireSoakChurnAndDrift(t *testing.T) {
 	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		return []float64{1}, nil
 	}}
-	drifter := core.NewShardedWrapper(oracle, func() core.Surrogate { return &soakSur{} },
+	drifter := core.NewShardedWrapper(oracle, soakSur,
 		core.ShardedConfig{
 			Router:          core.HashRouter{Shards: 1},
 			MinTrainSamples: 4,

@@ -9,10 +9,10 @@ import (
 )
 
 // TestActivationPathsAgree proves there is one activation implementation:
-// for the same pre-activations, training-graph eval, Predictor, the
-// compiled row program, the compiled batch program (its eval prefix and
-// its pass-stacked MC suffix) and the float stage of the int8 program
-// give bit-identical activations.
+// for the same pre-activations, training-graph eval, the compiled row
+// program, the compiled batch program (its eval prefix and its
+// pass-stacked MC suffix) and the float stage of the int8 program give
+// bit-identical activations.
 //
 // The layer under test has a diagonal weight matrix, so unit j's
 // pre-activation is x[j]·s[j] + b[j] whatever order a matmul kernel sums
@@ -56,9 +56,6 @@ func TestActivationPathsAgree(t *testing.T) {
 		for r, out := 0, net.Forward(x, false); r < rows; r++ {
 			same("Network.Forward(eval)", out.Row(r), r)
 		}
-		for r, out := 0, net.NewPredictor().Forward(x); r < rows; r++ {
-			same("Predictor", out.Row(r), r)
-		}
 		c := net.Compile()
 		for r := 0; r < rows; r++ {
 			same("Compiled row", c.Predict(x.Row(r), nil), r)
@@ -71,7 +68,7 @@ func TestActivationPathsAgree(t *testing.T) {
 		// identity read-out layer copies what it is given, so one pass of
 		// [hidden, Dropout, read-out] returns 0 or exactly twice the hidden
 		// activation: the compiled batch program takes its eval prefix and
-		// the fused panel tail, the Predictor its own panel.
+		// the fused panel tail.
 		readout := NewDense(width, width, Identity, rng)
 		readout.W.Zero()
 		for j := 0; j < width; j++ {
@@ -103,8 +100,6 @@ func TestActivationPathsAgree(t *testing.T) {
 		afterHidden := func(r, j int) []float64 { return []float64{0, 2 * want.At(r, j)} }
 		mean, _ := tail.Compile().PredictMCBatch(x, 1, nil, nil)
 		oneOf("Compiled batch, MC panel tail", mean, afterHidden)
-		mean, _ = tail.NewPredictor().PredictMCBatch(x, 1)
-		oneOf("Predictor, MC panel", mean, afterHidden)
 
 		// A dropout before the hidden layer as well makes the stochastic
 		// suffix two dense steps deep, which is the pass-stacked path: the

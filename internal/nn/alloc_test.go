@@ -50,18 +50,20 @@ func TestDropoutForwardBackwardZeroAlloc(t *testing.T) {
 }
 
 // TestPredictorForwardZeroAlloc pins the serving-side contract: a warmed
-// Predictor batch pass allocates nothing.
+// batch pass of the compiled program (the predictor there is) into a
+// caller-owned result allocates nothing.
 func TestPredictorForwardZeroAlloc(t *testing.T) {
+	skipAllocCheckUnderRace(t) // the program's scratch is pooled
 	rng := xrand.New(7)
 	net := NewMLP(rng, Tanh, 0.1, 8, 16, 16, 2)
-	p := net.NewPredictor()
+	c := net.Compile()
 	x := tensor.NewMatrix(4, 8)
 	for i := range x.Data {
 		x.Data[i] = rng.Range(-1, 1)
 	}
-	p.Forward(x)
-	if allocs := testing.AllocsPerRun(50, func() { p.Forward(x) }); allocs != 0 {
-		t.Fatalf("steady-state Predictor.Forward allocates %g times per pass, want 0", allocs)
+	dst := c.PredictBatch(x, nil)
+	if allocs := testing.AllocsPerRun(50, func() { c.PredictBatch(x, dst) }); allocs != 0 {
+		t.Fatalf("steady-state Compiled.PredictBatch allocates %g times per pass, want 0", allocs)
 	}
 }
 
@@ -209,8 +211,8 @@ func TestNetworkSnapshotIndependence(t *testing.T) {
 	}
 	snap := net.Snapshot()
 	probe := []float64{0.3, -0.2, 0.8}
-	want := net.Predict(probe)
-	got := snap.Predict(probe)
+	want := evalRow(net, probe)
+	got := evalRow(snap, probe)
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatalf("snapshot prediction %v differs from source %v", got, want)
@@ -219,13 +221,13 @@ func TestNetworkSnapshotIndependence(t *testing.T) {
 	if _, err := net.Fit(x, y, TrainConfig{Epochs: 20, BatchSize: 3, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	after := snap.Predict(probe)
+	after := evalRow(snap, probe)
 	for j := range want {
 		if after[j] != want[j] {
 			t.Fatal("training the source mutated the snapshot")
 		}
 	}
-	moved := net.Predict(probe)
+	moved := evalRow(net, probe)
 	same := true
 	for j := range want {
 		if moved[j] != want[j] {
@@ -259,25 +261,27 @@ func TestDenseTrainingInputIsCopied(t *testing.T) {
 }
 
 // TestPredictorMatchesNetworkPredict checks that the workspace-reusing
-// inference path computes exactly what the allocating eval path does.
+// inference path — the compiled batch program — computes exactly what
+// the layer graph's allocating eval path does.
 func TestPredictorMatchesNetworkPredict(t *testing.T) {
 	rng := xrand.New(9)
 	net := NewMLP(rng, Tanh, 0, 3, 12, 12, 2)
-	p := net.NewPredictor()
+	c := net.Compile()
 	x := tensor.NewMatrix(5, 3)
 	for i := range x.Data {
 		x.Data[i] = rng.Range(-1, 1)
 	}
 	want := net.Forward(x, false)
-	got := p.Forward(x)
+	got := c.PredictBatch(x, nil)
 	if !tensor.Equal(got, want, 0) {
-		t.Fatal("Predictor.Forward differs from eval Forward")
+		t.Fatal("Compiled.PredictBatch differs from eval Forward")
 	}
-	// Repeated passes over different batch sizes stay correct.
+	// Repeated passes over different batch sizes, into the same result
+	// matrix, stay correct.
 	x2 := x.SliceRows(0, 2)
 	want2 := net.Forward(x2, false)
-	if !tensor.Equal(p.Forward(x2), want2, 0) {
-		t.Fatal("Predictor.Forward wrong after batch-size change")
+	if !tensor.Equal(c.PredictBatch(x2, got), want2, 0) {
+		t.Fatal("Compiled.PredictBatch wrong after batch-size change")
 	}
 }
 
@@ -291,7 +295,7 @@ func TestPredictMCBatchMatchesSingle(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.Range(-1, 1)
 	}
-	mean, std := net.PredictMCBatch(x, 20)
+	mean, std := net.Compile().PredictMCBatch(x, 20, nil, nil)
 	want := net.Forward(x, false)
 	if !tensor.Equal(mean, want, 1e-12) {
 		t.Fatal("deterministic MC batch mean differs from eval forward")
@@ -312,7 +316,7 @@ func TestPredictMCBatchUncertaintyPositive(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.Range(-1, 1)
 	}
-	_, std := net.PredictMCBatch(x, 40)
+	_, std := net.Compile().PredictMCBatch(x, 40, nil, nil)
 	for i, v := range std.Data {
 		if v <= 0 || math.IsNaN(v) {
 			t.Fatalf("MC batch std[%d] = %g want > 0", i, v)

@@ -101,8 +101,8 @@ func TestArtifactRoundTripBitIdentical(t *testing.T) {
 		}
 	}
 	// The restored Network is an independent trainable copy with the same
-	// weights: its interpreted prediction matches the compiled program.
-	out := got.Net.Predict(x)
+	// weights: the layer graph's eval forward matches the compiled program.
+	out := evalRow(got.Net, x)
 	a.Compiled.Predict(x, want)
 	for j := range want {
 		if math.Abs(out[j]-want[j]) > 1e-12 {

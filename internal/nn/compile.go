@@ -10,11 +10,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file implements the fused inference engine: a trained Network is
-// compiled into a flat program whose single-query forward pass runs with
-// zero heap allocations and no per-layer interface dispatch. Serving
-// wrappers recompile on every publish, so the hot path always executes the
-// compiled form while training keeps the flexible layer graph.
+// This file implements the inference engine, the only float inference
+// path: a trained Network is compiled into a flat program whose forward
+// passes run with zero heap allocations and no per-layer interface
+// dispatch. Serving wrappers recompile on every publish; the layer graph
+// is for training.
 
 // stepKind discriminates compiled program steps.
 type stepKind uint8
@@ -77,10 +77,11 @@ type compiledCtx struct {
 // fused pass.
 const DefaultMaxBatch = 64
 
-// Compile flattens the network into a fused inference program. It
-// supports Dense and Dropout layers (the full serving-path vocabulary);
-// any other layer type returns nil, and callers fall back to the
-// interpreted Predictor path. The program's batch entry points chunk at
+// Compile flattens the network into a fused inference program. Dense and
+// Dropout are the whole layer vocabulary; a network with no Dense layer
+// (or with a Layer implemented outside this package) has no program and
+// returns nil — there is no interpreted path to fall back to, so callers
+// treat nil as an error. The program's batch entry points chunk at
 // DefaultMaxBatch rows; CompileBatch picks the width explicitly.
 func (n *Network) Compile() *Compiled {
 	return n.CompileBatch(DefaultMaxBatch)
@@ -97,7 +98,7 @@ func (n *Network) CompileBatch(maxBatch int) *Compiled {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
-	c := &Compiled{seedBase: n.predictorSeed(), fs: -1, maxBatch: maxBatch}
+	c := &Compiled{seedBase: n.deriveSeed(), fs: -1, maxBatch: maxBatch}
 	width := -1
 	for _, l := range n.Layers {
 		switch ly := l.(type) {
@@ -230,9 +231,9 @@ func (c *Compiled) Predict(x, dst []float64) []float64 {
 // before the first live dropout — is evaluated once and shared by all
 // passes; a program with no live dropout collapses to one eval pass with
 // zero std. The variance is accumulated as deviations from the first
-// pass (shifted data), matching Predictor.PredictMCBatch. With
-// caller-provided buffers a warmed call allocates nothing. Safe for
-// concurrent use.
+// pass (shifted data), exact for deterministic nets and robust when the
+// spread is small against the mean. With caller-provided buffers a warmed
+// call allocates nothing. Safe for concurrent use.
 func (c *Compiled) PredictMC(x []float64, passes int, mean, std []float64) (m, s []float64) {
 	if passes < 1 {
 		panic("nn: PredictMC needs at least one pass")
@@ -510,10 +511,9 @@ func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, 
 //
 //	Y = pre · [diag(m₁)W | diag(m₂)W | … ]
 //
-// — one matmul for all passes with mask work proportional to the weight
-// panel, not the batch. This is the batched generalization of the PR-3
-// Predictor.predictMCPanel fusion, sharing its column-mask semantics and
-// shifted-variance numerics.
+// — one matmul for all passes (catastrophic as passes separate skinny
+// matmuls for an out of 1, the usual surrogate shape) with mask work
+// proportional to the weight panel, not the batch.
 func (c *Compiled) predictMCChunkTail(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, b, passes int, mean, std *tensor.Matrix) {
 	pre := c.forwardBatchPrefix(ctx, xs, lo, b, c.fs)
 	dr := &c.steps[c.fs]
@@ -539,4 +539,39 @@ func (c *Compiled) predictMCChunkTail(ctx *compiledBatchCtx, xs *tensor.Matrix, 
 	packY := reuse(&ctx.tall[1], b, passes*out)
 	tensor.MatMulInto(packY, pre, packW)
 	reducePassPanel(packY, nd.b, nd.act, passes, mean.Data[lo*out:], std.Data[lo*out:])
+}
+
+// reducePassPanel finishes a fused MC panel: each row of packY holds the
+// passes side-by-side pre-bias outputs (len(bias) wide each) of one query.
+// Bias and activation are applied to the whole panel in place, then each
+// row's passes reduce into its row of mean and std, accumulating
+// deviations from the first pass (shifted data) as the generic paths do.
+func reducePassPanel(packY *tensor.Matrix, bias []float64, act Activation, passes int, mean, std []float64) {
+	out := len(bias)
+	for k := 0; k < len(packY.Data); k += out {
+		for j, b := range bias {
+			packY.Data[k+j] += b
+		}
+	}
+	act.applyAll(packY.Data)
+	invP := 1 / float64(passes)
+	for r := 0; r < packY.Rows; r++ {
+		yrow := packY.Row(r)
+		mrow, srow := mean[r*out:(r+1)*out], std[r*out:(r+1)*out]
+		for j, ref := range yrow[:out] {
+			sum, ssq := 0.0, 0.0
+			for t := 1; t < passes; t++ {
+				d := yrow[t*out+j] - ref
+				sum += d
+				ssq += d * d
+			}
+			d := sum * invP
+			mrow[j] = ref + d
+			v := ssq*invP - d*d
+			if v < 0 {
+				v = 0
+			}
+			srow[j] = math.Sqrt(v)
+		}
+	}
 }

@@ -35,7 +35,7 @@ func TestCompiledPredictBatchMatchesPredict(t *testing.T) {
 		x := batchProbe(rng.Split(), 13, 6) // 13 rows: exercises partial chunks
 		got := c.PredictBatch(x, nil)
 		for i := 0; i < x.Rows; i++ {
-			want := net.Predict(x.Row(i))
+			want := evalRow(net, x.Row(i))
 			for j := range want {
 				if math.Abs(got.At(i, j)-want[j]) > 1e-12 {
 					t.Fatalf("maxBatch=%d row %d output %d: batch %g vs single %g",
@@ -134,8 +134,9 @@ func TestCompiledPredictMCBatchColumnSharedMasks(t *testing.T) {
 
 // TestCompiledPredictMCBatchAgreesWithPredictor is the statistical check
 // that pass-stacked evaluation estimates the same predictive distribution
-// as the per-pass suffix-replay Predictor on a deep multi-dropout net:
-// with many passes both means must agree within a few standard errors.
+// as pass-by-pass stochastic forwards of the layer graph (mcReference,
+// the predictor of record) on a deep multi-dropout net: with many passes
+// both means must agree within a few standard errors.
 func TestCompiledPredictMCBatchAgreesWithPredictor(t *testing.T) {
 	rng := xrand.New(36)
 	net := NewMLP(rng, Tanh, 0.2, 4, 24, 16, 1)
@@ -143,8 +144,7 @@ func TestCompiledPredictMCBatchAgreesWithPredictor(t *testing.T) {
 	x := batchProbe(rng, 8, 4)
 	const passes = 400
 	mean, std := c.PredictMCBatch(x, passes, nil, nil)
-	p := net.NewPredictor()
-	refMean, refStd := p.PredictMCBatch(x, passes)
+	refMean, refStd := mcReference(net, x, passes)
 	for i := 0; i < x.Rows; i++ {
 		// Standard error of each estimate is ~std/sqrt(passes); allow 6x
 		// the combined value so the test is deterministic-in-practice.

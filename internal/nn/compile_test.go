@@ -36,7 +36,7 @@ func TestCompiledMatchesPredict(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Range(-2, 2)
 		}
-		want := net.Predict(x)
+		want := evalRow(net, x)
 		got := c.Predict(x, nil)
 		for j := range want {
 			if math.Abs(got[j]-want[j]) > 1e-12 {
@@ -71,7 +71,7 @@ func TestCompiledSnapshotSemantics(t *testing.T) {
 			t.Fatal("training the source network mutated the compiled program")
 		}
 	}
-	moved := net.Predict(probe)
+	moved := evalRow(net, probe)
 	same := true
 	for j := range before {
 		if moved[j] != before[j] {

@@ -4,7 +4,7 @@
 // D=5 density surrogate of §II-C1) built with Keras/TensorFlow; this package
 // reproduces that capability on the standard library alone, including the
 // dropout machinery the paper's UQ discussion (§III-B) depends on:
-// MC-dropout predictive distributions and deep ensembles.
+// MC-dropout predictive distributions.
 package nn
 
 import (
@@ -46,8 +46,8 @@ func (a Activation) String() string {
 
 // applyAll applies the activation to every element of z in place. It is
 // the one implementation every path evaluates an activation through —
-// training, Predictor, the compiled row and batch programs, the int8
-// program's float stage and its lookup tables — so they agree to the bit,
+// training, the compiled row and batch programs, the int8 program's
+// float stage and its lookup tables — so they agree to the bit,
 // on every platform (tensor.Tanh and tensor.Sigmoid are slice kernels with
 // an accuracy contract, not the math package's per-target routines).
 func (a Activation) applyAll(z []float64) {
@@ -364,11 +364,6 @@ func softmaxRowInto(dst, row []float64) []float64 {
 	return dst
 }
 
-// softmaxRow returns softmax(row) as a fresh slice.
-func softmaxRow(row []float64) []float64 {
-	return softmaxRowInto(make([]float64, len(row)), row)
-}
-
 // Value implements Loss.
 func (sx *SoftmaxCrossEntropy) Value(pred, target *tensor.Matrix) float64 {
 	s := 0.0
@@ -405,20 +400,18 @@ func (sx *SoftmaxCrossEntropy) Grad(dst, pred, target *tensor.Matrix) *tensor.Ma
 
 // Network is an ordered stack of layers.
 //
-// Training (Forward(training=true), Backward, Fit) mutates shared layer
-// state and must be single-threaded. Inference through Predict,
-// PredictBatch and PredictMC draws per-call workspaces from an internal
-// pool and is safe for concurrent use as long as no training runs at the
-// same time; callers needing exclusive reusable workspaces (zero-copy
-// results) use NewPredictor directly.
+// The layer graph is the training side: Forward, Backward and Fit mutate
+// shared layer state and must be single-threaded. Inference runs on the
+// program Compile flattens the trained graph into (see compile.go), which
+// is immutable and safe for concurrent use; Forward(x, false) stays as the
+// independent reference the tests hold that program to.
 type Network struct {
 	Layers []Layer
 	rng    *xrand.Rand
 
-	predPool sync.Pool // *Predictor
-	predOnce sync.Once // seeds predBase from rng on first use
-	predBase uint64    // base seed for predictor rng streams
-	predCtr  atomic.Uint64
+	seedOnce sync.Once // seeds seedBase from rng on first use
+	seedBase uint64    // base seed for compiled programs' rng streams
+	seedCtr  atomic.Uint64
 }
 
 // NewNetwork builds a network around the given layers; rng drives dropout
@@ -491,322 +484,10 @@ func (n *Network) NumParams() int {
 	return c
 }
 
-// Predict runs a single deterministic forward pass (dropout disabled) on
-// one input vector. Safe for concurrent use (no concurrent training).
-func (n *Network) Predict(x []float64) []float64 {
-	p := n.getPredictor()
-	defer n.putPredictor(p)
-	in := reuse(&p.in, 1, len(x))
-	copy(in.Data, x)
-	out := p.forward(in, false)
-	res := make([]float64, out.Cols)
-	copy(res, out.Row(0))
-	return res
-}
-
-// PredictBatch runs a deterministic forward pass on a batch, returning a
-// fresh matrix. Safe for concurrent use (no concurrent training); hot
-// loops that can tolerate a borrowed result use a Predictor instead.
-func (n *Network) PredictBatch(x *tensor.Matrix) *tensor.Matrix {
-	p := n.getPredictor()
-	defer n.putPredictor(p)
-	return p.forward(x, false).Clone()
-}
-
-// PredictMC performs passes stochastic forward evaluations with dropout
-// active (MC dropout, Gal & Ghahramani as cited in §III-B) and returns the
-// predictive mean and standard deviation per output. With no dropout
-// layers the std collapses to zero. Safe for concurrent use (no
-// concurrent training).
-func (n *Network) PredictMC(x []float64, passes int) (mean, std []float64) {
-	p := n.getPredictor()
-	defer n.putPredictor(p)
-	in := reuse(&p.in, 1, len(x))
-	copy(in.Data, x)
-	m, s := p.PredictMCBatch(in, passes)
-	mean = append([]float64(nil), m.Row(0)...)
-	std = append([]float64(nil), s.Row(0)...)
-	return mean, std
-}
-
-// PredictMCBatch runs passes MC-dropout evaluations over a whole batch
-// using a pooled predictor, returning fresh per-element predictive mean
-// and std matrices. Safe for concurrent use (no concurrent training).
-func (n *Network) PredictMCBatch(x *tensor.Matrix, passes int) (mean, std *tensor.Matrix) {
-	p := n.getPredictor()
-	defer n.putPredictor(p)
-	m, s := p.PredictMCBatch(x, passes)
-	return m.Clone(), s.Clone()
-}
-
-// NewPredictor returns an inference context with its own workspaces and
-// dropout rng stream. A Predictor is not safe for concurrent use itself,
-// but distinct Predictors over the same Network may run in parallel as
-// long as nothing trains the network concurrently.
-func (n *Network) NewPredictor() *Predictor {
-	return &Predictor{
-		net:  n,
-		rng:  xrand.New(n.predictorSeed()),
-		bufs: make([]*tensor.Matrix, len(n.Layers)),
-	}
-}
-
-// predictorSeed derives a distinct deterministic seed per predictor.
-func (n *Network) predictorSeed() uint64 {
-	n.predOnce.Do(func() { n.predBase = n.rng.Uint64() })
-	return n.predBase + n.predCtr.Add(1)*0x9e3779b97f4a7c15
-}
-
-func (n *Network) getPredictor() *Predictor {
-	if p, ok := n.predPool.Get().(*Predictor); ok {
-		return p
-	}
-	return n.NewPredictor()
-}
-
-func (n *Network) putPredictor(p *Predictor) { n.predPool.Put(p) }
-
-// Predictor owns the reusable workspaces for repeated inference on a
-// shared Network: one buffer per layer plus MC-dropout accumulators.
-// After warm-up at a given batch size its passes perform no heap
-// allocation (beyond the matmul fan-out for large batches).
-type Predictor struct {
-	net        *Network
-	rng        *xrand.Rand
-	bufs       []*tensor.Matrix // one per layer
-	in         *tensor.Matrix   // staging for vector queries
-	colMask    []float64        // per-unit dropout mask shared across batch rows
-	packW      *tensor.Matrix   // stacked masked-weight panel (MC fast path)
-	packY      *tensor.Matrix   // all-passes output block (MC fast path)
-	ref        *tensor.Matrix   // first-pass MC output (variance shift)
-	sum, sumSq *tensor.Matrix   // MC accumulators of shifted deviations
-	mean, std  *tensor.Matrix   // MC results
-}
-
-// firstStochastic returns the index of the first layer whose stochastic
-// forward differs from eval mode (a Dropout with P > 0), or -1. Layers
-// before it are pass-invariant under MC dropout: PredictMCBatch
-// evaluates that deterministic prefix once and replays only the suffix.
-func (n *Network) firstStochastic() int {
-	for i, l := range n.Layers {
-		if dr, ok := l.(*Dropout); ok && dr.P > 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// forward runs a batch through the network using the predictor's owned
-// buffers. stochastic toggles dropout sampling (MC dropout); dense layers
-// always run in eval mode and cache nothing.
-func (p *Predictor) forward(x *tensor.Matrix, stochastic bool) *tensor.Matrix {
-	return p.forwardRange(x, 0, len(p.net.Layers), stochastic)
-}
-
-// forwardRange runs layers [lo,hi) on x. Each layer writes only its own
-// p.bufs slot, so a prefix result (the output of layer lo-1) survives
-// any number of suffix replays.
-func (p *Predictor) forwardRange(x *tensor.Matrix, lo, hi int, stochastic bool) *tensor.Matrix {
-	h := x
-	for i := lo; i < hi; i++ {
-		switch ly := p.net.Layers[i].(type) {
-		case *Dense:
-			h = ly.forwardInto(reuse(&p.bufs[i], h.Rows, ly.Out), h, ly.W)
-		case *Dropout:
-			if !stochastic || ly.P == 0 {
-				continue
-			}
-			// One mask element per unit, shared across every row of the
-			// batch: each MC pass evaluates the whole batch through a
-			// single sampled thinned network, so the rng cost is per-pass
-			// instead of per-element — the amortization that makes batched
-			// UQ serving cheap. Per-row marginals are identical to
-			// independent masking.
-			if cap(p.colMask) < h.Cols {
-				p.colMask = make([]float64, h.Cols)
-			}
-			mask := p.colMask[:h.Cols]
-			keep := 1 - ly.P
-			inv := 1 / keep
-			for j := range mask {
-				if p.rng.Float64() < keep {
-					mask[j] = inv
-				} else {
-					mask[j] = 0
-				}
-			}
-			// Algebraic fusion with a following dense layer: since the
-			// mask is one value per column, (m⊙h)·W == h·(diag(m)·W), so
-			// scaling W's rows (batch-size independent) replaces scaling
-			// the whole batch.
-			if i+1 < hi {
-				if nd, ok := p.net.Layers[i+1].(*Dense); ok {
-					mw := reuse(&p.bufs[i], nd.In, nd.Out)
-					for r := 0; r < nd.In; r++ {
-						mr := mask[r]
-						src := nd.W.Data[r*nd.Out : (r+1)*nd.Out]
-						dst := mw.Data[r*nd.Out : (r+1)*nd.Out]
-						for k2, v := range src {
-							dst[k2] = v * mr
-						}
-					}
-					i++
-					h = nd.forwardInto(reuse(&p.bufs[i], h.Rows, nd.Out), h, mw)
-					continue
-				}
-			}
-			buf := reuse(&p.bufs[i], h.Rows, h.Cols)
-			tensor.ScaleColumns(buf, h, mask)
-			h = buf
-		default:
-			h = p.net.Layers[i].Forward(h, false, p.rng)
-		}
-	}
-	return h
-}
-
-// Forward runs an eval-mode batch pass. The returned matrix is owned by
-// the predictor and valid until its next call.
-func (p *Predictor) Forward(x *tensor.Matrix) *tensor.Matrix { return p.forward(x, false) }
-
-// PredictMCBatch runs passes MC-dropout evaluations of a whole batch,
-// amortizing each layer matmul across all rows, and returns per-element
-// predictive mean and std. Both returned matrices are owned by the
-// predictor and valid until its next call.
-//
-// Only the network suffix from the first live dropout layer onward is
-// stochastic, so the deterministic prefix (typically the widest matmuls
-// and every activation before the dropout) is evaluated once and shared
-// by all passes; a network with no live dropout collapses to a single
-// eval pass with zero std.
-func (p *Predictor) PredictMCBatch(x *tensor.Matrix, passes int) (mean, std *tensor.Matrix) {
-	if passes < 1 {
-		panic("nn: PredictMCBatch needs at least one pass")
-	}
-	nl := len(p.net.Layers)
-	fs := p.net.firstStochastic()
-	if fs < 0 {
-		out := p.forward(x, false)
-		mean = reuse(&p.mean, out.Rows, out.Cols)
-		copy(mean.Data, out.Data)
-		std = reuse(&p.std, out.Rows, out.Cols)
-		std.Zero()
-		return mean, std
-	}
-	pre := p.forwardRange(x, 0, fs, false)
-	// Canonical MC-dropout tail — a single dropout feeding the output
-	// layer — admits a stronger fusion: stack every pass's masked weights
-	// into one panel and run all passes as one matmul.
-	if fs == nl-2 {
-		if dr, drOK := p.net.Layers[fs].(*Dropout); drOK {
-			if nd, ok := p.net.Layers[fs+1].(*Dense); ok {
-				return p.predictMCPanel(pre, dr, nd, passes)
-			}
-		}
-	}
-	// Accumulate deviations from the first pass (shifted-data variance):
-	// exactly zero spread for deterministic nets and numerically robust
-	// when the spread is small relative to the mean.
-	var ref, sum, sumSq *tensor.Matrix
-	for t := 0; t < passes; t++ {
-		out := p.forwardRange(pre, fs, nl, true)
-		if t == 0 {
-			ref = reuse(&p.ref, out.Rows, out.Cols)
-			copy(ref.Data, out.Data)
-			sum = reuse(&p.sum, out.Rows, out.Cols)
-			sum.Zero()
-			sumSq = reuse(&p.sumSq, out.Rows, out.Cols)
-			sumSq.Zero()
-			continue
-		}
-		for k, v := range out.Data {
-			d := v - ref.Data[k]
-			sum.Data[k] += d
-			sumSq.Data[k] += d * d
-		}
-	}
-	mean = reuse(&p.mean, sum.Rows, sum.Cols)
-	std = reuse(&p.std, sum.Rows, sum.Cols)
-	inv := 1 / float64(passes)
-	for k := range sum.Data {
-		d := sum.Data[k] * inv
-		mean.Data[k] = ref.Data[k] + d
-		v := sumSq.Data[k]*inv - d*d
-		if v < 0 {
-			v = 0
-		}
-		std.Data[k] = math.Sqrt(v)
-	}
-	return mean, std
-}
-
-// predictMCPanel runs all MC passes of the canonical [..., Dropout,
-// Dense] tail as one fused matmul. Column-shared masks make each pass's
-// thinned output layer h·diag(mₜ)·W == h·(diag(mₜ)W), so the passes
-// stack side by side into a single pre.Rows × (passes·Out) product:
-//
-//	Y = pre · [diag(m₁)W | diag(m₂)W | … ]
-//
-// turning passes separate skinny matmuls (catastrophic for an Out of 1,
-// the usual surrogate shape) into one wide panel multiply. The mean/std
-// per row then reduce across the pass groups.
-func (p *Predictor) predictMCPanel(pre *tensor.Matrix, dr *Dropout, nd *Dense, passes int) (mean, std *tensor.Matrix) {
-	in, out := nd.In, nd.Out
-	packW := reuse(&p.packW, in, passes*out)
-	keep := 1 - dr.P
-	inv := 1 / keep
-	for t := 0; t < passes; t++ {
-		for r := 0; r < in; r++ {
-			m := 0.0
-			if p.rng.Float64() < keep {
-				m = inv
-			}
-			src := nd.W.Data[r*out : (r+1)*out]
-			dst := packW.Data[r*passes*out+t*out:]
-			for j, v := range src {
-				dst[j] = v * m
-			}
-		}
-	}
-	packY := reuse(&p.packY, pre.Rows, passes*out)
-	tensor.MatMulInto(packY, pre, packW)
-	mean = reuse(&p.mean, pre.Rows, out)
-	std = reuse(&p.std, pre.Rows, out)
-	reducePassPanel(packY, nd.B.Data, nd.Act, passes, mean.Data, std.Data)
-	return mean, std
-}
-
-// reducePassPanel finishes a fused MC panel: each row of packY holds the
-// passes side-by-side pre-bias outputs (len(bias) wide each) of one query.
-// Bias and activation are applied to the whole panel in place, then each
-// row's passes reduce into its row of mean and std, accumulating
-// deviations from the first pass (shifted data) as the generic paths do.
-func reducePassPanel(packY *tensor.Matrix, bias []float64, act Activation, passes int, mean, std []float64) {
-	out := len(bias)
-	for k := 0; k < len(packY.Data); k += out {
-		for j, b := range bias {
-			packY.Data[k+j] += b
-		}
-	}
-	act.applyAll(packY.Data)
-	invP := 1 / float64(passes)
-	for r := 0; r < packY.Rows; r++ {
-		yrow := packY.Row(r)
-		mrow, srow := mean[r*out:(r+1)*out], std[r*out:(r+1)*out]
-		for j, ref := range yrow[:out] {
-			sum, ssq := 0.0, 0.0
-			for t := 1; t < passes; t++ {
-				d := yrow[t*out+j] - ref
-				sum += d
-				ssq += d * d
-			}
-			d := sum * invP
-			mrow[j] = ref + d
-			v := ssq*invP - d*d
-			if v < 0 {
-				v = 0
-			}
-			srow[j] = math.Sqrt(v)
-		}
-	}
+// deriveSeed returns a distinct deterministic seed per call, split off the
+// network's rng on first use: every compiled program (and snapshot) of
+// one network draws its dropout masks from its own stream.
+func (n *Network) deriveSeed() uint64 {
+	n.seedOnce.Do(func() { n.seedBase = n.rng.Uint64() })
+	return n.seedBase + n.seedCtr.Add(1)*0x9e3779b97f4a7c15
 }

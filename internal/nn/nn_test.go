@@ -148,7 +148,7 @@ func TestGradientCheckCrossEntropy(t *testing.T) {
 }
 
 func TestSoftmaxRowNormalizes(t *testing.T) {
-	p := softmaxRow([]float64{1, 2, 3, 1000})
+	p := softmaxRowInto(make([]float64, 4), []float64{1, 2, 3, 1000})
 	sum := 0.0
 	for _, v := range p {
 		if v < 0 || math.IsNaN(v) {
@@ -184,7 +184,7 @@ func TestFitLearnsLinearFunction(t *testing.T) {
 	if final > 1e-3 {
 		t.Fatalf("final loss %g, network failed to learn linear map", final)
 	}
-	pred := net.Predict([]float64{0.3, -0.2})
+	pred := evalRow(net, []float64{0.3, -0.2})
 	want := 2*0.3 - 3*(-0.2) + 0.5
 	if math.Abs(pred[0]-want) > 0.05 {
 		t.Fatalf("prediction %g want %g", pred[0], want)
@@ -207,7 +207,7 @@ func TestFitLearnsNonlinearFunction(t *testing.T) {
 	}
 	worst := 0.0
 	for _, v := range []float64{-1.5, -0.7, 0, 0.9, 1.8} {
-		p := net.Predict([]float64{v})[0]
+		p := evalRow(net, []float64{v})[0]
 		if e := math.Abs(p - math.Sin(v)); e > worst {
 			worst = e
 		}
@@ -342,7 +342,7 @@ func TestDropoutInvalidP(t *testing.T) {
 func TestPredictMCUncertainty(t *testing.T) {
 	rng := xrand.New(61)
 	net := NewMLP(rng, Tanh, 0.2, 2, 32, 1)
-	mean, std := net.PredictMC([]float64{0.5, 0.5}, 50)
+	mean, std := net.Compile().PredictMC([]float64{0.5, 0.5}, 50, nil, nil)
 	if len(mean) != 1 || len(std) != 1 {
 		t.Fatalf("bad MC output lengths %d %d", len(mean), len(std))
 	}
@@ -351,49 +351,9 @@ func TestPredictMCUncertainty(t *testing.T) {
 	}
 	// Without dropout the std must be exactly zero.
 	det := NewMLP(rng, Tanh, 0, 2, 32, 1)
-	_, std0 := det.PredictMC([]float64{0.5, 0.5}, 10)
+	_, std0 := det.Compile().PredictMC([]float64{0.5, 0.5}, 10, nil, nil)
 	if std0[0] != 0 {
 		t.Fatalf("deterministic net MC std = %g want 0", std0[0])
-	}
-}
-
-func TestEnsemblePredictSpread(t *testing.T) {
-	rng := xrand.New(67)
-	e := NewEnsemble(5, rng, func(r *xrand.Rand) *Network {
-		return NewMLP(r, Tanh, 0, 1, 8, 1)
-	})
-	mean, std := e.Predict([]float64{0.3})
-	if len(mean) != 1 {
-		t.Fatal("bad ensemble output")
-	}
-	if std[0] <= 0 {
-		t.Fatal("untrained ensemble members should disagree")
-	}
-}
-
-func TestEnsembleFitReducesSpread(t *testing.T) {
-	rng := xrand.New(71)
-	const n = 300
-	x := tensor.NewMatrix(n, 1)
-	y := tensor.NewMatrix(n, 1)
-	for i := 0; i < n; i++ {
-		v := rng.Range(-1, 1)
-		x.Set(i, 0, v)
-		y.Set(i, 0, 3*v)
-	}
-	e := NewEnsemble(3, rng, func(r *xrand.Rand) *Network {
-		return NewMLP(r, Tanh, 0, 1, 12, 1)
-	})
-	_, before := e.Predict([]float64{0.5})
-	if err := e.Fit(x, y, TrainConfig{Epochs: 200, BatchSize: 32, Optimizer: NewAdam(0.01)}); err != nil {
-		t.Fatal(err)
-	}
-	mean, after := e.Predict([]float64{0.5})
-	if math.Abs(mean[0]-1.5) > 0.1 {
-		t.Fatalf("ensemble mean %g want ~1.5", mean[0])
-	}
-	if after[0] >= before[0] {
-		t.Fatalf("training should shrink ensemble spread: before %g after %g", before[0], after[0])
 	}
 }
 
@@ -439,8 +399,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	net := NewMLP(rng, Tanh, 0.1, 4, 10, 3)
 	restored := artifactRoundTrip(t, net, xrand.New(80))
 	in := []float64{0.1, -0.5, 0.3, 0.9}
-	a := net.Predict(in)
-	b := restored.Predict(in)
+	a := evalRow(net, in)
+	b := evalRow(restored, in)
 	for j := range a {
 		if math.Abs(a[j]-b[j]) > 1e-12 {
 			t.Fatalf("restored prediction differs: %g vs %g", a[j], b[j])
@@ -495,7 +455,7 @@ func TestCopyWeightsFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []float64{0.4, -0.6}
-	pa, pb := a.Predict(in), b.Predict(in)
+	pa, pb := evalRow(a, in), evalRow(b, in)
 	if math.Abs(pa[0]-pb[0]) > 1e-12 {
 		t.Fatal("weight copy did not reproduce predictions")
 	}
@@ -521,11 +481,12 @@ func TestNumParamsMatchesArchitecture(t *testing.T) {
 func TestMCDropoutMeanNearDeterministicQuick(t *testing.T) {
 	rng := xrand.New(101)
 	net := NewMLP(rng, Identity, 0.1, 2, 8, 1)
+	c := net.Compile()
 	if err := quick.Check(func(aRaw, bRaw uint8) bool {
 		a := float64(aRaw)/255 - 0.5
 		b := float64(bRaw)/255 - 0.5
-		det := net.Predict([]float64{a, b})[0]
-		mean, _ := net.PredictMC([]float64{a, b}, 800)
+		det := evalRow(net, []float64{a, b})[0]
+		mean, _ := c.PredictMC([]float64{a, b}, 800, nil, nil)
 		// Linear net: expectation of dropout forward equals deterministic.
 		return math.Abs(mean[0]-det) < 0.15*(1+math.Abs(det))
 	}, &quick.Config{MaxCount: 10}); err != nil {
@@ -566,10 +527,11 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 func BenchmarkForward32x32(b *testing.B) {
 	rng := xrand.New(1)
 	net := NewMLP(rng, Tanh, 0, 5, 32, 32, 3)
+	c := net.Compile()
 	x := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Predict(x)
+		c.Predict(x, nil)
 	}
 }
 

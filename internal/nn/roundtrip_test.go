@@ -11,7 +11,7 @@ import (
 
 // TestSerializeCompileRoundTrip checks the full persistence pipeline:
 // EncodeArtifact → DecodeArtifact → Compile/CompileBatch must reproduce
-// the original network's Predictor outputs exactly, for shallow, deep
+// the original layer graph's eval outputs exactly, for shallow, deep
 // multi-dropout, and dropout-free architectures. Run under -race in CI,
 // so the concurrent sub-pass also exercises the pooled compiled contexts
 // of a restored model.
@@ -56,7 +56,7 @@ func TestSerializeCompileRoundTrip(t *testing.T) {
 			}
 			batch := cb.PredictBatch(probe, nil)
 			for i := 0; i < probe.Rows; i++ {
-				want := net.Predict(probe.Row(i))
+				want := evalRow(net, probe.Row(i))
 				single := c.Predict(probe.Row(i), nil)
 				for j := range want {
 					if math.Abs(single[j]-want[j]) > 1e-12 {

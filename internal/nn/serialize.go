@@ -62,7 +62,7 @@ func buildNetwork(specs []layerSpec, rng *xrand.Rand) (*Network, error) {
 
 // CloneArchitecture builds a freshly initialized network with the same
 // architecture as n, using rng for the new weights. Used by active
-// learning retraining and ensembles.
+// learning retraining.
 func (n *Network) CloneArchitecture(rng *xrand.Rand) *Network {
 	var layers []Layer
 	for _, l := range n.Layers {
@@ -86,7 +86,7 @@ func (n *Network) CloneArchitecture(rng *xrand.Rand) *Network {
 // double-buffered surrogate serving. Like all inference entry points it
 // must not race with concurrent training on the source network.
 func (n *Network) Snapshot() *Network {
-	c := n.CloneArchitecture(xrand.New(n.predictorSeed()))
+	c := n.CloneArchitecture(xrand.New(n.deriveSeed()))
 	if err := c.CopyWeightsFrom(n); err != nil {
 		panic(fmt.Sprintf("nn: snapshot of own architecture failed: %v", err))
 	}

@@ -255,77 +255,6 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	return hist, nil
 }
 
-// Ensemble is a bag of independently initialized and trained networks whose
-// prediction spread provides the model-averaging UQ of §III-B ("averaging
-// trained instances of an originally complex model").
-type Ensemble struct {
-	Members []*Network
-}
-
-// NewEnsemble builds size networks with the same architecture via build,
-// which receives a distinct rng per member.
-func NewEnsemble(size int, rng *xrand.Rand, build func(r *xrand.Rand) *Network) *Ensemble {
-	if size < 1 {
-		panic("nn: ensemble needs at least one member")
-	}
-	e := &Ensemble{}
-	for i := 0; i < size; i++ {
-		e.Members = append(e.Members, build(rng.Split()))
-	}
-	return e
-}
-
-// Fit trains every member on the same data (each with a different shuffle
-// seed), returning the first error encountered.
-func (e *Ensemble) Fit(x, y *tensor.Matrix, cfg TrainConfig) error {
-	for i, m := range e.Members {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(i)*0x9e37
-		c.Optimizer = nil // fresh optimizer state per member
-		if cfg.Optimizer != nil {
-			switch opt := cfg.Optimizer.(type) {
-			case *Adam:
-				c.Optimizer = NewAdam(opt.LR)
-			case *SGD:
-				c.Optimizer = NewSGD(opt.LR, opt.Momentum)
-			}
-		}
-		if _, err := m.Fit(x, y, c); err != nil {
-			return fmt.Errorf("nn: ensemble member %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Predict returns the ensemble predictive mean and standard deviation.
-func (e *Ensemble) Predict(x []float64) (mean, std []float64) {
-	var sum, sumSq []float64
-	for _, m := range e.Members {
-		p := m.Predict(x)
-		if sum == nil {
-			sum = make([]float64, len(p))
-			sumSq = make([]float64, len(p))
-		}
-		for j, v := range p {
-			sum[j] += v
-			sumSq[j] += v * v
-		}
-	}
-	k := float64(len(e.Members))
-	mean = make([]float64, len(sum))
-	std = make([]float64, len(sum))
-	for j := range sum {
-		m := sum[j] / k
-		mean[j] = m
-		v := sumSq[j]/k - m*m
-		if v < 0 {
-			v = 0
-		}
-		std[j] = math.Sqrt(v)
-	}
-	return mean, std
-}
-
 // Scaler standardizes features to zero mean and unit variance, the
 // preprocessing every exemplar surrogate applies before training.
 type Scaler struct {

@@ -26,9 +26,9 @@ type NNPotential struct {
 	LR     float64
 
 	rng       *xrand.Rand
-	net       *nn.Network
-	pred      *nn.Predictor // reusable inference workspaces for the net
-	featBuf   *tensor.Matrix
+	prog      *nn.Compiled   // the trained atomic network, compiled once after Fit
+	featBuf   *tensor.Matrix // reusable per-atom descriptor batch
+	outBuf    *tensor.Matrix // reusable per-atom energy batch
 	featMean  []float64
 	featStd   []float64
 	eShift    float64 // mean per-atom energy in training data
@@ -93,10 +93,9 @@ func (p *NNPotential) Fit(configs []*Configuration, energies []float64) error {
 	}
 
 	widths := append([]int{dim}, append(append([]int(nil), p.Hidden...), 1)...)
-	p.net = nn.NewMLP(p.rng.Split(), nn.Tanh, 0, widths...)
-	p.pred = nil // workspaces belong to the previous net
+	net := nn.NewMLP(p.rng.Split(), nn.Tanh, 0, widths...)
 	opt := nn.NewAdam(p.LR)
-	params := p.net.Params()
+	params := net.Params()
 	order := make([]int, len(configs))
 	for i := range order {
 		order[i] = i
@@ -119,7 +118,7 @@ func (p *NNPotential) Fit(configs []*Configuration, energies []float64) error {
 		for _, ci := range order {
 			x := scaled[ci]
 			target := (perAtom[ci] - p.eShift) / p.eScale
-			out := p.net.Forward(x, true)
+			out := net.Forward(x, true)
 			// Predicted normalized per-atom energy is the mean output.
 			mean := 0.0
 			for i := 0; i < out.Rows; i++ {
@@ -134,10 +133,11 @@ func (p *NNPotential) Fit(configs []*Configuration, energies []float64) error {
 			for i := range gb.Data {
 				gb.Data[i] = g
 			}
-			p.net.Backward(gb)
+			net.Backward(gb)
 			opt.Step(params)
 		}
 	}
+	p.prog = net.Compile()
 	p.trained = true
 	p.trainSeen = len(configs)
 	return nil
@@ -162,12 +162,13 @@ func (p *NNPotential) scaledFeaturesInto(dst *tensor.Matrix, rows [][]float64) *
 }
 
 // PredictEnergy returns the learned total energy of a configuration. It
-// batches all atoms through one network pass using the potential's owned
-// inference workspaces, so repeated calls (committee sweeps, active
-// learning pool scans) reuse the same buffers. Because those workspaces
-// are shared, an NNPotential is NOT safe for concurrent use; parallelize
-// across potentials (e.g. one Committee member per goroutine), not
-// across calls on one.
+// batches all atoms through one pass of the compiled network, staging the
+// descriptors and the per-atom outputs in two batches the potential owns,
+// so repeated calls (committee sweeps, active learning pool scans) reuse
+// the same buffers. The program itself is safe for concurrent use; those
+// two batches are not, so an NNPotential is NOT: parallelize across
+// potentials (e.g. one Committee member per goroutine), not across calls
+// on one.
 func (p *NNPotential) PredictEnergy(c *Configuration) float64 {
 	if !p.trained {
 		panic("potential: PredictEnergy before Fit")
@@ -176,10 +177,8 @@ func (p *NNPotential) PredictEnergy(c *Configuration) float64 {
 		p.featBuf = tensor.NewMatrix(0, p.SF.Dim())
 	}
 	x := p.scaledFeaturesInto(p.featBuf, p.SF.Compute(c))
-	if p.pred == nil {
-		p.pred = p.net.NewPredictor()
-	}
-	out := p.pred.Forward(x)
+	p.outBuf = p.prog.PredictBatch(x, p.outBuf)
+	out := p.outBuf
 	mean := 0.0
 	for i := 0; i < out.Rows; i++ {
 		mean += out.At(i, 0)

@@ -123,13 +123,14 @@ func TestPublishHookWarmStartBitIdentical(t *testing.T) {
 		live := published[si].(*core.NNSurrogate)
 		for i := 0; i < probe.Rows; i++ {
 			x := probe.Row(i)
-			got, want := restored.Predict(x), live.Predict(x)
+			got, want := core.Predict(restored, x), core.Predict(live, x)
 			if got[0] != want[0] {
 				t.Fatalf("shard %d row %d: restored %v, live %v", si, i, got, want)
 			}
 		}
-		lb := live.PredictBatch(probe)
-		rb := restored.PredictBatch(probe)
+		var lb, rb tensor.Matrix
+		live.PredictInto(probe, &lb, nil)
+		restored.PredictInto(probe, &rb, nil)
 		for i := 0; i < probe.Rows; i++ {
 			if lb.At(i, 0) != rb.At(i, 0) {
 				t.Fatalf("shard %d batch row %d: restored %v, live %v", si, i, rb.At(i, 0), lb.At(i, 0))

@@ -467,7 +467,7 @@ func TestCoalescerBatchWiderThanCompiledWidth(t *testing.T) {
 				t.Error("query fell back to simulation under a wide-open UQ gate")
 				return
 			}
-			want := sur.Predict(x)
+			want := core.Predict(sur, x)
 			if math.Abs(r.Y[0]-want[0]) > 1e-12 {
 				t.Errorf("coalesced answer %g differs from direct prediction %g", r.Y[0], want[0])
 			}

@@ -137,26 +137,6 @@ func GatherRowsInto(dst, src *Matrix, idx []int) *Matrix {
 	return dst
 }
 
-// ScaleColumns stores x with each column j scaled by scale[j] into dst
-// (same shape as x, len(scale) == x.Cols) and returns dst. dst may alias
-// x for in-place scaling; a nil dst allocates. This is the column-mask
-// kernel batched MC dropout uses: one mask element per unit, applied to
-// every row of the batch in a single streaming pass.
-func ScaleColumns(dst, x *Matrix, scale []float64) *Matrix {
-	if len(scale) != x.Cols {
-		panic(fmt.Sprintf("tensor: scale of len %d for %d-col matrix", len(scale), x.Cols))
-	}
-	dst = ensure(dst, x.Rows, x.Cols)
-	for i := 0; i < x.Rows; i++ {
-		src := x.Data[i*x.Cols : (i+1)*x.Cols]
-		out := dst.Data[i*x.Cols : (i+1)*x.Cols]
-		for j, v := range src {
-			out[j] = v * scale[j]
-		}
-	}
-	return dst
-}
-
 // ScaleColumnsBlocks scales x block-wise into dst and returns dst: the
 // rows are grouped into consecutive blocks of block rows each, and every
 // row of block t has its columns scaled by scales[t*Cols:(t+1)*Cols].

@@ -24,9 +24,9 @@ type LearnedStencil struct {
 	// Hidden, when non-zero, inserts a hidden tanh layer of that width.
 	Hidden int
 
-	net     *nn.Network
-	pred    *nn.Predictor  // reusable inference workspaces
+	prog    *nn.Compiled   // the trained network, compiled once after Fit
 	xBuf    *tensor.Matrix // reusable all-nodes feature batch
+	yBuf    *tensor.Matrix // reusable all-nodes output batch
 	scaler  *nn.Scaler
 	trained bool
 	rng     *xrand.Rand
@@ -116,29 +116,30 @@ func (ls *LearnedStencil) Train(proto *Field, fineSolver *Solver, tc TrainConfig
 	if ls.Hidden > 0 {
 		widths = []int{dim, ls.Hidden, 1}
 	}
-	ls.net = nn.NewMLP(ls.rng.Split(), nn.Tanh, 0, widths...)
-	ls.pred = nil // workspaces belong to the previous net
-	if _, err := ls.net.Fit(xs, y, nn.TrainConfig{
+	net := nn.NewMLP(ls.rng.Split(), nn.Tanh, 0, widths...)
+	if _, err := net.Fit(xs, y, nn.TrainConfig{
 		Epochs: tc.Epochs, BatchSize: 64, Optimizer: nn.NewAdam(tc.LR), Seed: tc.Seed,
 	}); err != nil {
 		return fmt.Errorf("tissue: stencil training: %w", err)
 	}
+	ls.prog = net.Compile()
 	ls.trained = true
 	return nil
 }
 
-// Snapshot returns an independent trained stencil: a deep copy of the
-// network weights with its own inference workspaces. The original can keep
-// training (or be discarded) while snapshots serve; give each goroutine
-// its own snapshot to run Advance in parallel — orders of magnitude
-// cheaper than retraining per goroutine.
+// Snapshot returns an independent trained stencil: it shares the
+// immutable compiled program (a retrain compiles a new one, so the
+// original can keep training or be discarded while snapshots serve) and
+// owns its batch workspaces; give each goroutine its own snapshot to run
+// Advance in parallel — orders of magnitude cheaper than retraining per
+// goroutine.
 func (ls *LearnedStencil) Snapshot() *LearnedStencil {
 	if !ls.trained {
 		panic("tissue: Snapshot of untrained stencil")
 	}
 	return &LearnedStencil{
 		K: ls.K, Patch: ls.Patch, Hidden: ls.Hidden,
-		net:     ls.net.Snapshot(),
+		prog:    ls.prog,
 		scaler:  ls.scaler, // read-only after Train
 		trained: true,
 		rng:     ls.rng.Split(),
@@ -158,16 +159,13 @@ func (ls *LearnedStencil) Advance(f *Field, k int) {
 	}
 	jumps := k / ls.K
 	dim := ls.featDim()
-	// The feature batch and network workspaces are owned by the stencil
-	// and reused across jumps and Advance calls: the sweep allocates
-	// nothing in steady state.
+	// The feature and output batches are owned by the stencil and reused
+	// across jumps and Advance calls: the sweep allocates nothing in
+	// steady state.
 	if ls.xBuf == nil {
 		ls.xBuf = tensor.NewMatrix(f.NX*f.NY, dim)
 	}
 	x := ls.xBuf.Reshape(f.NX*f.NY, dim)
-	if ls.pred == nil {
-		ls.pred = ls.net.NewPredictor()
-	}
 	for jmp := 0; jmp < jumps; jmp++ {
 		// Batch all nodes through the network in one forward pass,
 		// standardizing each patch in place in its batch row.
@@ -178,9 +176,9 @@ func (ls *LearnedStencil) Advance(f *Field, k int) {
 				ls.scaler.TransformVecInto(row, row)
 			}
 		}
-		out := ls.pred.Forward(x)
+		ls.yBuf = ls.prog.PredictBatch(x, ls.yBuf)
 		for idx := range f.U {
-			v := out.At(idx, 0)
+			v := ls.yBuf.At(idx, 0)
 			if v < 0 {
 				v = 0 // concentrations cannot be negative
 			}

@@ -73,7 +73,7 @@ func BenchmarkRegistryColdStart(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sink += sur.Predict(probe)[0]
+			sink += core.Predict(sur, probe)[0]
 			r.Close()
 		}
 	})
@@ -85,7 +85,7 @@ func BenchmarkRegistryColdStart(b *testing.B) {
 			if err := sur.Train(design, labels); err != nil {
 				b.Fatal(err)
 			}
-			sink += sur.Predict(probe)[0]
+			sink += core.Predict(sur, probe)[0]
 		}
 	})
 

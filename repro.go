@@ -79,16 +79,9 @@ type (
 	Oracle = core.Oracle
 	// OracleFunc adapts a function into an Oracle.
 	OracleFunc = core.OracleFunc
-	// Surrogate is a trainable, uncertainty-aware stand-in for an Oracle.
+	// Surrogate is a trainable, uncertainty-aware stand-in for an Oracle:
+	// Train, Trained, and one batch prediction into caller-owned matrices.
 	Surrogate = core.Surrogate
-	// BatchSurrogate amortizes one network pass over a query batch.
-	BatchSurrogate = core.BatchSurrogate
-	// BatchSurrogateInto additionally writes batched UQ predictions into
-	// caller-owned matrices (the allocation-free serving form).
-	BatchSurrogateInto = core.BatchSurrogateInto
-	// BatchPredictor is the optional deterministic batched point-predict
-	// capability the drift tracker's bulk paths prefer.
-	BatchPredictor = core.BatchPredictor
 	// BatchResult is one row's answer from ShardedWrapper.QueryBatch.
 	BatchResult = core.BatchResult
 	// NNSurrogate is the reference MC-dropout MLP surrogate.
