@@ -49,6 +49,14 @@ func trainBenchData(n, in, out int) (*tensor.Matrix, *tensor.Matrix) {
 // 6-30-48-3 autotuning net. Go reports no line for a benchmark that has
 // sub-benchmarks, so the first case runs as /8x64x64x4 and scripts/bench.sh
 // snapshots it under the bare name, where the trajectory has it.
+//
+// /serving-pair is the shape of ShardedWrapper.Pretrain on two shards, which
+// is what the benchmark's routed setup_s is made of: two goroutines fit a
+// serving net each, b.N fits between them. ns/op is wall time per fit;
+// ns/sample-epoch is what one fit takes with its sibling running, twice that
+// over the 512 rows. Every minibatch's yield hands the P to the sibling at
+// GOMAXPROCS=1 and finds both Ps busy at 2; a lone fit on 2 CPUs
+// (BENCH_<n>.cpus2.json's /serving) wakes an idle P with each one instead.
 func BenchmarkTrainEpoch(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -72,6 +80,48 @@ func BenchmarkTrainEpoch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*x.Rows), "ns/sample-epoch")
 		})
+	}
+	b.Run("serving-pair", func(b *testing.B) {
+		x, y := trainBenchData(512, 2, 1)
+		var nets [2]*nn.Network
+		for g := range nets {
+			nets[g] = nn.NewMLP(xrand.New(uint64(1+g)), nn.Tanh, 0.1, 2, 24, 1)
+		}
+		var wg sync.WaitGroup
+		b.ReportAllocs()
+		b.ResetTimer()
+		for g, net := range nets {
+			wg.Add(1)
+			go func(net *nn.Network, fits int) {
+				defer wg.Done()
+				cfg := nn.TrainConfig{Epochs: 1, BatchSize: 32, Optimizer: nn.NewAdam(1e-3), Seed: 7}
+				for i := 0; i < fits; i++ {
+					if _, err := net.Fit(x, y, cfg); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			}(net, (b.N+g)/2)
+		}
+		wg.Wait()
+		b.ReportMetric(2*float64(b.Elapsed().Nanoseconds())/float64(b.N*x.Rows), "ns/sample-epoch")
+	})
+}
+
+// BenchmarkEncodeArtifact serializes what batch_sweep's float tenant
+// publishes at every refit: the 8-128-128-4 net and its 32-row compiled
+// program, 290 kB. The encoder sizes the artifact before it writes, so an
+// encode is the one buffer (plus the sizing pass's closures).
+func BenchmarkEncodeArtifact(b *testing.B) {
+	net := nn.NewMLP(xrand.New(5), nn.Tanh, 0.1, 8, 128, 128, 4)
+	a := &nn.Artifact{Net: net, Compiled: net.CompileBatch(32), Meta: []byte("bench")}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		data, err := nn.EncodeArtifact(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(data)))
 	}
 }
 

@@ -95,25 +95,34 @@ func (n *Network) Dims() (in, out int, ok bool) {
 // ---------------------------------------------------------------------------
 // encoder
 
+// artEnc writes into buf at off. With a nil buf it only advances off: the
+// encoder is run once that way to size the artifact, so the buffer is made
+// once at its final length and every section is encoded where it lies.
 type artEnc struct {
-	buf []byte
+	buf  []byte
+	off  int
+	nsec uint32 // sections written
+	err  error
+	void [16]byte // what the sizing pass writes into
 }
 
-func (e *artEnc) u32(v uint32) {
-	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
+// put reserves the next n bytes and returns where to write them.
+func (e *artEnc) put(n int) []byte {
+	e.off += n
+	if e.buf == nil {
+		return e.void[:]
+	}
+	return e.buf[e.off-n:]
 }
 
-func (e *artEnc) u64(v uint64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
-}
+func (e *artEnc) u32(v uint32) { binary.LittleEndian.PutUint32(e.put(4), v) }
+
+func (e *artEnc) u64(v uint64) { binary.LittleEndian.PutUint64(e.put(8), v) }
 
 func (e *artEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
 
-func (e *artEnc) align8() {
-	for len(e.buf)%8 != 0 {
-		e.buf = append(e.buf, 0)
-	}
-}
+// align8 pads with zeros, which a fresh buffer already holds.
+func (e *artEnc) align8() { e.off = (e.off + 7) &^ 7 }
 
 func (e *artEnc) floats(v []float64) {
 	e.align8()
@@ -136,49 +145,55 @@ func (e *artEnc) i32s(v []int32) {
 	}
 }
 
+// section writes one section: header, the payload body encodes (sections
+// start 8-byte aligned in the file, so padding inside a payload falls where
+// it would in a payload encoded alone), its length and CRC, and padding.
+func (e *artEnc) section(id uint32, body func()) {
+	e.nsec++
+	e.u32(id)
+	e.u32(0)
+	head, start := e.put(16), e.off
+	body()
+	binary.LittleEndian.PutUint64(head, uint64(e.off-start))
+	if e.buf != nil {
+		binary.LittleEndian.PutUint64(head[8:], crc64.Checksum(e.buf[start:e.off], artCRCTable))
+	}
+	e.align8()
+}
+
 // EncodeArtifact serializes a into the checksummed binary artifact format.
 func EncodeArtifact(a *Artifact) ([]byte, error) {
 	if a.Net == nil {
 		return nil, fmt.Errorf("nn: artifact needs a network")
 	}
-	type section struct {
-		id      uint32
-		payload []byte
-	}
-	var secs []section
-	if a.Meta != nil {
-		secs = append(secs, section{secMeta, a.Meta})
-	}
-	net, err := encodeNetPayload(a.Net)
-	if err != nil {
-		return nil, err
-	}
-	secs = append(secs, section{secNet, net})
-	if a.Compiled != nil {
-		secs = append(secs, section{secCompiled, encodeCompiledPayload(a.Compiled)})
-	}
-	if a.Quant != nil {
-		secs = append(secs, section{secQuant, encodeQuantPayload(a.Quant)})
-	}
-
 	var e artEnc
-	e.u32(artifactMagic)
-	e.u32(ArtifactVersion)
-	e.u32(uint32(len(secs)))
-	e.u32(0)
-	for _, s := range secs {
-		e.u32(s.id)
-		e.u32(0)
-		e.u64(uint64(len(s.payload)))
-		e.u64(crc64.Checksum(s.payload, artCRCTable))
-		e.buf = append(e.buf, s.payload...)
-		e.align8()
+	e.artifact(a) // sizing pass
+	if e.err != nil {
+		return nil, e.err
 	}
+	e = artEnc{buf: make([]byte, e.off)}
+	e.artifact(a)
 	return e.buf, nil
 }
 
-func encodeNetPayload(n *Network) ([]byte, error) {
-	var e artEnc
+func (e *artEnc) artifact(a *Artifact) {
+	e.u32(artifactMagic)
+	e.u32(ArtifactVersion)
+	count := e.put(8) // the section count, known once they are written, and a reserved word
+	if a.Meta != nil {
+		e.section(secMeta, func() { copy(e.put(len(a.Meta)), a.Meta) })
+	}
+	e.section(secNet, func() { e.net(a.Net) })
+	if a.Compiled != nil {
+		e.section(secCompiled, func() { e.compiled(a.Compiled) })
+	}
+	if a.Quant != nil {
+		e.section(secQuant, func() { e.quant(a.Quant) })
+	}
+	binary.LittleEndian.PutUint32(count, e.nsec)
+}
+
+func (e *artEnc) net(n *Network) {
 	e.u32(uint32(len(n.Layers)))
 	for _, l := range n.Layers {
 		switch ly := l.(type) {
@@ -194,14 +209,12 @@ func encodeNetPayload(n *Network) ([]byte, error) {
 			e.align8()
 			e.f64(ly.P)
 		default:
-			return nil, fmt.Errorf("nn: cannot serialize layer type %T", l)
+			e.err = fmt.Errorf("nn: cannot serialize layer type %T", l)
 		}
 	}
-	return e.buf, nil
 }
 
-func encodeCompiledPayload(c *Compiled) []byte {
-	var e artEnc
+func (e *artEnc) compiled(c *Compiled) {
 	e.u32(uint32(c.in))
 	e.u32(uint32(c.out))
 	e.u32(uint32(c.maxBatch))
@@ -223,11 +236,9 @@ func encodeCompiledPayload(c *Compiled) []byte {
 			e.f64(st.p)
 		}
 	}
-	return e.buf
 }
 
-func encodeQuantPayload(q *QuantCompiled) []byte {
-	var e artEnc
+func (e *artEnc) quant(q *QuantCompiled) {
 	e.u32(uint32(q.in))
 	e.u32(uint32(q.out))
 	e.u32(uint32(len(q.steps)))
@@ -271,7 +282,6 @@ func encodeQuantPayload(q *QuantCompiled) []byte {
 			e.f64(st.p)
 		}
 	}
-	return e.buf
 }
 
 // ---------------------------------------------------------------------------

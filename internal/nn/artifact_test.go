@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -28,6 +29,27 @@ func buildArtifact(t *testing.T, seed uint64) (*Artifact, []byte) {
 		t.Fatal(err)
 	}
 	return a, data
+}
+
+// TestEncodeArtifactSizedOnce: the encoder sizes the artifact, makes one
+// buffer and encodes every section where it lies — at most 3 allocations
+// for the wide net's 290 kB — and the bytes are the ones the encoder that
+// grew a buffer per section wrote (pinned by length and FNV-64a).
+func TestEncodeArtifactSizedOnce(t *testing.T) {
+	wide := NewMLP(xrand.New(5), Tanh, 0.1, 8, 128, 128, 4)
+	a := &Artifact{Net: wide, Compiled: wide.CompileBatch(32), Meta: []byte("1234567")}
+	data, err := EncodeArtifact(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	if len(data) != 291168 || h.Sum64() != 0xc68bb65574524640 {
+		t.Fatalf("artifact of %d bytes, FNV %#x: not the bytes this format version had", len(data), h.Sum64())
+	}
+	if allocs := testing.AllocsPerRun(10, func() { EncodeArtifact(a) }); allocs > 3 {
+		t.Fatalf("EncodeArtifact allocates %g times, want at most 3", allocs)
+	}
 }
 
 // artifactRoundTrip encodes net alone — no compiled programs, no meta —

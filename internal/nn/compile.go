@@ -56,7 +56,32 @@ type Compiled struct {
 	seedBase uint64
 	seedCtr  atomic.Uint64
 	pool     sync.Pool // *compiledCtx
-	bpool    sync.Pool // *compiledBatchCtx
+	bpool    freeList[compiledBatchCtx]
+}
+
+// freeList is a LIFO of idle contexts. A sync.Pool is emptied by every
+// garbage collection, and minting the MB-sized pass-stacked panels again is
+// most of what brings the next one on; this list keeps them, cannot outgrow
+// the peak number of concurrent calls and dies with its program.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	idle []*T
+}
+
+// get returns the context put last, or nil when none is idle.
+func (f *freeList[T]) get() (x *T) {
+	f.mu.Lock()
+	if n := len(f.idle); n > 0 {
+		x, f.idle = f.idle[n-1], f.idle[:n-1]
+	}
+	f.mu.Unlock()
+	return x
+}
+
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	f.idle = append(f.idle, x)
+	f.mu.Unlock()
 }
 
 // compiledCtx owns the per-call scratch of one in-flight inference: two
@@ -313,9 +338,9 @@ type compiledBatchCtx struct {
 }
 
 // getBatchCtx leases a warm batch context, minting one with a fresh
-// deterministic rng substream on pool miss.
+// deterministic rng substream when none is idle.
 func (c *Compiled) getBatchCtx() *compiledBatchCtx {
-	if ctx, ok := c.bpool.Get().(*compiledBatchCtx); ok {
+	if ctx := c.bpool.get(); ctx != nil {
 		return ctx
 	}
 	return &compiledBatchCtx{
@@ -385,7 +410,7 @@ func (c *Compiled) PredictBatch(xs, dst *tensor.Matrix) *tensor.Matrix {
 		out := c.forwardBatchPrefix(ctx, xs, lo, b, len(c.steps))
 		copy(dst.Data[lo*c.out:(lo+b)*c.out], out.Data)
 	}
-	c.bpool.Put(ctx)
+	c.bpool.put(ctx)
 	return dst
 }
 
@@ -433,7 +458,7 @@ func (c *Compiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std *tens
 		}
 		c.predictMCChunk(ctx, xs, lo, b, passes, mean, std)
 	}
-	c.bpool.Put(ctx)
+	c.bpool.put(ctx)
 	return mean, std
 }
 

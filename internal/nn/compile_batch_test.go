@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -81,6 +82,39 @@ func TestCompiledPredictMCBatchZeroAlloc(t *testing.T) {
 	c.PredictMCBatch(x, 10, mean, std)
 	if allocs := testing.AllocsPerRun(100, func() { c.PredictMCBatch(x, 10, mean, std) }); allocs != 0 {
 		t.Fatalf("compiled PredictMCBatch allocates %g times per batch, want 0", allocs)
+	}
+}
+
+// TestBatchContextsSurviveGC: the batch contexts sit in a free list, not a
+// sync.Pool, so a warmed float or int8 batch call still allocates nothing
+// after garbage collections (two, which is what empties a sync.Pool's victim
+// cache as well). It holds under -race too: nothing here is dropped at random.
+func TestBatchContextsSurviveGC(t *testing.T) {
+	oldT := tensor.ParallelFlopThreshold
+	tensor.ParallelFlopThreshold = 1 << 60
+	defer func() { tensor.ParallelFlopThreshold = oldT }()
+	rng := xrand.New(36)
+	net := NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2)
+	c := net.CompileBatch(8)
+	x := batchProbe(rng, 20, 6)
+	q := c.Quantize(x)
+	if q == nil {
+		t.Fatal("quantize failed")
+	}
+	mean, std, oks := tensor.NewMatrix(20, 2), tensor.NewMatrix(20, 2), make([]bool, 20)
+	calls := map[string]func(){
+		"Compiled.PredictMCBatch":      func() { c.PredictMCBatch(x, 10, mean, std) },
+		"Compiled.PredictBatch":        func() { c.PredictBatch(x, mean) },
+		"QuantCompiled.PredictMCBatch": func() { q.PredictMCBatch(x, 10, mean, std, oks) },
+		"QuantCompiled.PredictBatch":   func() { q.PredictBatch(x, mean, oks) },
+	}
+	for name, call := range calls {
+		call() // warm
+		collect := func() { runtime.GC(); runtime.GC() }
+		idle := testing.AllocsPerRun(5, collect)
+		if allocs := testing.AllocsPerRun(5, func() { collect(); call() }); allocs != idle {
+			t.Fatalf("%s allocates %g times per call after two collections, want 0", name, allocs-idle)
+		}
 	}
 }
 

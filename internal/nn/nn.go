@@ -5,6 +5,11 @@
 // reproduces that capability on the standard library alone, including the
 // dropout machinery the paper's UQ discussion (§III-B) depends on:
 // MC-dropout predictive distributions.
+//
+// The layer methods (Forward, Backward) are the reference, for callers that
+// drive a graph themselves and for the tests. Fit runs a step program
+// lowered from the layers (train.go) and inference a Compiled one
+// (compile.go), each held to the layer methods bit for bit.
 package nn
 
 import (
@@ -65,29 +70,47 @@ func (a Activation) applyAll(z []float64) {
 	}
 }
 
-// mulDeriv stores g[i]·f'(x[i]) into dst, with f' expressed in terms of
-// y = f(x), which all supported activations admit; this avoids storing
-// pre-activations. All three slices have the same length.
-func (a Activation) mulDeriv(dst, g, y []float64) {
-	g, y = g[:len(dst)], y[:len(dst)] // bounds-check elimination hints
-	switch a {
-	case ReLU:
-		for i := range dst {
-			dst[i] = 0
-			if y[i] > 0 {
-				dst[i] = g[i]
+// backSweep is the element-wise half of a backward step in one pass over a
+// batch of len(gb)-wide rows: delta = (g ⊙ mask) ⊙ f'(x) — f' in terms of
+// y = f(x), which every supported activation admits, so no pre-activations
+// are kept — and gb = delta's column sums. A nil mask is all ones.
+func (a Activation) backSweep(delta, gb, g, y []float64, mask *tensor.Matrix) {
+	for j := range gb {
+		gb[j] = 0
+	}
+	for lo, w := 0, len(gb); lo < len(delta); lo += w {
+		d, gr, yr := delta[lo:lo+w], g[lo:lo+w], y[lo:lo+w]
+		if mask != nil {
+			for j, m := range mask.Data[lo : lo+w] {
+				d[j] = gr[j] * m
+			}
+			gr = d
+		}
+		gr, yr, gb := gr[:len(d)], yr[:len(d)], gb[:len(d)] // bounds-check elimination hints
+		switch a {
+		case ReLU:
+			for j := range d {
+				v := 0.0
+				if yr[j] > 0 {
+					v = gr[j]
+				}
+				d[j], gb[j] = v, gb[j]+v
+			}
+		case Tanh:
+			for j := range d {
+				v := gr[j] * (1 - yr[j]*yr[j])
+				d[j], gb[j] = v, gb[j]+v
+			}
+		case Sigmoid:
+			for j := range d {
+				v := gr[j] * yr[j] * (1 - yr[j])
+				d[j], gb[j] = v, gb[j]+v
+			}
+		default:
+			for j, v := range gr {
+				d[j], gb[j] = v, gb[j]+v
 			}
 		}
-	case Tanh:
-		for i := range dst {
-			dst[i] = g[i] * (1 - y[i]*y[i])
-		}
-	case Sigmoid:
-		for i := range dst {
-			dst[i] = g[i] * y[i] * (1 - y[i])
-		}
-	default:
-		copy(dst, g)
 	}
 }
 
@@ -111,12 +134,11 @@ type ParamPair struct {
 
 // Dense is a fully connected layer: out = act(x*W + b).
 //
-// The layer owns all scratch matrices the training hot path needs (input
-// copy, post-activation batch, delta, input gradient), so after the first
-// step of a given batch size, Forward(training=true)+Backward performs
-// zero heap allocations. The input batch is copied into lastIn rather
-// than aliased, so callers may reuse (and overwrite) their batch buffer
-// between steps.
+// forwardInto and backInto are the layer's arithmetic over buffers the
+// caller names: Fit's arena, or for Forward(training) and Backward scratch
+// the layer makes on first use and keeps (input copy, activations, delta,
+// input gradient), so a warmed pair allocates nothing. The input batch is
+// copied, so callers may overwrite their batch buffer between steps.
 type Dense struct {
 	In, Out int
 	Act     Activation
@@ -165,27 +187,24 @@ func (d *Dense) Forward(x *tensor.Matrix, training bool, _ *xrand.Rand) *tensor.
 		panic(fmt.Sprintf("nn: dense expects %d inputs, got %d", d.In, x.Cols))
 	}
 	if !training {
-		return d.forwardInto(tensor.NewMatrix(x.Rows, d.Out), x, d.W)
+		return d.forwardInto(tensor.NewMatrix(x.Rows, d.Out), x)
 	}
 	in := reuse(&d.lastIn, x.Rows, d.In)
 	copy(in.Data, x.Data)
 	d.cached = true
-	return d.forwardInto(reuse(&d.z, x.Rows, d.Out), in, d.W)
+	return d.forwardInto(reuse(&d.z, x.Rows, d.Out), in)
 }
 
-// forwardInto stores act(x*w + b) into dst, the bias seeded into the
-// product and the activation selected once for the batch; w is the
-// layer's W or a masked copy of it.
-func (d *Dense) forwardInto(dst, x, w *tensor.Matrix) *tensor.Matrix {
-	tensor.MatMulBiasInto(dst, x, w, d.B.Data)
+// forwardInto stores act(x*W + b) into dst, the bias seeded into the
+// product and the activation selected once for the batch.
+func (d *Dense) forwardInto(dst, x *tensor.Matrix) *tensor.Matrix {
+	tensor.MatMulBiasInto(dst, x, d.W, d.B.Data)
 	d.Act.applyAll(dst.Data)
 	return dst
 }
 
 // Backward implements Layer. The returned input-gradient matrix is owned
-// by the layer and valid until its next Backward. Both gradient matmuls
-// run transpose-free (MatMulATBInto / MatMulABTInto) into owned
-// matrices, so steady-state Backward allocates nothing.
+// by the layer and valid until its next Backward.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	return d.backward(gradOut, true)
 }
@@ -196,29 +215,27 @@ func (d *Dense) backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix 
 	if !d.cached {
 		panic("nn: Backward before Forward(training=true)")
 	}
-	// delta = gradOut ⊙ act'(out)
-	delta := gradOut
+	delta, dx := gradOut, (*tensor.Matrix)(nil)
 	if d.Act != Identity {
 		delta = reuse(&d.delta, gradOut.Rows, gradOut.Cols)
-		d.Act.mulDeriv(delta.Data, gradOut.Data, d.z.Data)
 	}
-	// GW = lastInᵀ · delta and GB = its column sums (the loss applies the
-	// mean over the batch), written straight into the gradients.
-	tensor.MatMulATBInto(d.GW, d.lastIn, delta)
-	gb := d.GB.Data
-	for j := range gb {
-		gb[j] = 0
+	if needInput {
+		dx = reuse(&d.gradIn, gradOut.Rows, d.In)
 	}
-	for i := 0; i < delta.Rows; i++ {
-		for j, v := range delta.Row(i) {
-			gb[j] += v
-		}
+	d.backInto(dx, delta, gradOut, nil, d.lastIn, d.z)
+	return dx
+}
+
+// backInto leaves in GW and GB the gradients of the batch with input x and
+// output z, from the loss gradient g with respect to z — or, with a mask, to
+// what the Dropout behind the layer made of z — and stores the gradient with
+// respect to x into dx unless that is nil. delta is g-shaped workspace.
+func (d *Dense) backInto(dx, delta, g, mask, x, z *tensor.Matrix) {
+	d.Act.backSweep(delta.Data, d.GB.Data, g.Data, z.Data, mask)
+	tensor.MatMulATBInto(d.GW, x, delta) // GW = xᵀ·delta; the loss applies the batch mean
+	if dx != nil {
+		tensor.MatMulABTInto(dx, delta, d.W) // dX = delta·Wᵀ
 	}
-	if !needInput {
-		return nil
-	}
-	// dX = delta · Wᵀ
-	return tensor.MatMulABTInto(reuse(&d.gradIn, delta.Rows, d.In), delta, d.W)
 }
 
 // Params implements Layer.
@@ -256,20 +273,20 @@ func (dr *Dropout) Forward(x *tensor.Matrix, training bool, rng *xrand.Rand) *te
 	if rng == nil {
 		panic("nn: dropout in training mode requires rng")
 	}
-	out := reuse(&dr.out, x.Rows, x.Cols)
-	// One Uint64 decides two units (tensor.DropoutMask), each kept when
-	// its 32-bit lane is below (1-p)·2³².
-	n := (len(x.Data) + 1) / 2
-	if cap(dr.words) < n {
+	if n := (len(x.Data) + 1) / 2; cap(dr.words) < n {
 		dr.words = make([]uint64, n)
 	}
-	words := dr.words[:n]
-	for i := range words {
-		words[i] = rng.Uint64()
-	}
 	dr.active = true
-	tensor.DropoutMask(out.Data, x.Data, reuse(&dr.mask, x.Rows, x.Cols).Data, words,
-		uint64((1-dr.P)*(1<<32)), 1/(1-dr.P))
+	return dr.maskInto(reuse(&dr.out, x.Rows, x.Cols), reuse(&dr.mask, x.Rows, x.Cols), dr.words, x, rng)
+}
+
+// maskInto stores a dropout sample of x into out and its multipliers into
+// mask. One word of the stream, for which words has room, decides two units
+// (tensor.DropoutMask), each kept when its 32-bit lane is below (1-p)·2³².
+func (dr *Dropout) maskInto(out, mask *tensor.Matrix, words []uint64, x *tensor.Matrix, rng *xrand.Rand) *tensor.Matrix {
+	words = words[:(len(x.Data)+1)/2]
+	rng.Fill(words)
+	tensor.DropoutMask(out.Data, x.Data, mask.Data, words, uint64((1-dr.P)*(1<<32)), 1/(1-dr.P))
 	return out
 }
 
@@ -402,9 +419,8 @@ func (sx *SoftmaxCrossEntropy) Grad(dst, pred, target *tensor.Matrix) *tensor.Ma
 //
 // The layer graph is the training side: Forward, Backward and Fit mutate
 // shared layer state and must be single-threaded. Inference runs on the
-// program Compile flattens the trained graph into (see compile.go), which
-// is immutable and safe for concurrent use; Forward(x, false) stays as the
-// independent reference the tests hold that program to.
+// program Compile flattens the trained graph into, which is immutable and
+// safe for concurrent use.
 type Network struct {
 	Layers []Layer
 	rng    *xrand.Rand

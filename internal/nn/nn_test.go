@@ -38,16 +38,20 @@ func TestActivationValues(t *testing.T) {
 }
 
 func TestActivationDerivativeConsistency(t *testing.T) {
-	// mulDeriv over y = applyAll(x) must give g times the numerical
-	// derivative of the activation at x, and a slice long enough for a
-	// vector kernel must agree with one value at a time.
+	// backSweep over y = applyAll(x), here two rows of two, must give g
+	// times the numerical derivative of the activation at x and the column
+	// sums of that, and a slice long enough for a vector kernel must agree
+	// with one value at a time.
 	xs := []float64{-2, -0.5, 0.3, 1.7}
 	g := []float64{1, -2, 0.5, 3}
 	for _, act := range []Activation{Identity, ReLU, Tanh, Sigmoid} {
 		y := append([]float64(nil), xs...)
 		act.applyAll(y)
-		got := make([]float64, len(xs))
-		act.mulDeriv(got, g, y)
+		got, gb := make([]float64, len(xs)), []float64{7, 7}
+		act.backSweep(got, gb, g, y, nil)
+		if gb[0] != got[0]+got[2] || gb[1] != got[1]+got[3] {
+			t.Fatalf("%v: column sums %v of %v", act, gb, got)
+		}
 		for i, x := range xs {
 			if y[i] != apply1(act, x) {
 				t.Fatalf("%v: applyAll(%g) = %g, alone it gives %g", act, x, y[i], apply1(act, x))

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/tensor"
@@ -102,7 +101,7 @@ type QuantCompiled struct {
 	gate     float64
 	seedBase uint64
 	seedCtr  atomic.Uint64
-	pool     sync.Pool // *quantCtx
+	pool     freeList[quantCtx]
 }
 
 // quantCtx owns the per-call scratch of one in-flight quantized
@@ -358,9 +357,9 @@ func (q *QuantCompiled) CalibratedError() float64 { return q.calErr }
 func (q *QuantCompiled) GateBound() float64 { return q.gate }
 
 // getCtx leases a warm context, minting one with a fresh deterministic
-// rng substream on pool miss.
+// rng substream when none is idle.
 func (q *QuantCompiled) getCtx() *quantCtx {
-	if ctx, ok := q.pool.Get().(*quantCtx); ok {
+	if ctx := q.pool.get(); ctx != nil {
 		return ctx
 	}
 	return &quantCtx{
@@ -448,7 +447,7 @@ func (q *QuantCompiled) Predict(x, dst []float64) ([]float64, bool) {
 	qx := ctx.qbuf[0][:q.in]
 	clipped := tensor.QuantizeVec(qx, x, q.invIn)
 	q.run(ctx, qx, 1, 0, len(q.steps), false, dst)
-	q.pool.Put(ctx)
+	q.pool.put(ctx)
 	return dst, !clipped
 }
 
@@ -485,11 +484,11 @@ func (q *QuantCompiled) PredictMC(x []float64, passes int, mean, std []float64) 
 		for k := range std {
 			std[k] = 0
 		}
-		q.pool.Put(ctx)
+		q.pool.put(ctx)
 		return mean, std, ok
 	}
 	q.mcFrom(ctx, qx, passes, mean, std)
-	q.pool.Put(ctx)
+	q.pool.put(ctx)
 	return mean, std, ok
 }
 
@@ -600,7 +599,7 @@ func (q *QuantCompiled) PredictBatch(xs, dst *tensor.Matrix, ok []bool) *tensor.
 		}
 		q.run(ctx, qx, 1, 0, len(q.steps), false, dst.Data[r*q.out:(r+1)*q.out])
 	}
-	q.pool.Put(ctx)
+	q.pool.put(ctx)
 	return dst
 }
 
@@ -648,6 +647,6 @@ func (q *QuantCompiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std 
 		}
 		q.mcFrom(ctx, qx, passes, mrow, srow)
 	}
-	q.pool.Put(ctx)
+	q.pool.put(ctx)
 	return mean, std
 }

@@ -131,10 +131,130 @@ type History struct {
 // ErrDiverged is returned when training produced non-finite parameters.
 var ErrDiverged = errors.New("nn: training diverged (non-finite loss or parameters)")
 
+// stage is one Dense of a fit's step program, the live Dropout behind it if
+// any, and their arena matrices: x is the stage before's out, out is z
+// without a Dropout, dx is nil on stage 0.
+type stage struct {
+	d                          *Dense
+	dr                         *Dropout
+	x, z, out, mask, delta, dx *tensor.Matrix
+	words                      []uint64
+}
+
+// program is what Fit lowers the layer graph into, once a call: the stages
+// and every float a minibatch step touches — the parameters and their
+// gradients included — carved from one slab that dies with the fit.
+type program struct {
+	stages    []stage
+	x, y, g   *tensor.Matrix   // gathered minibatch, its targets, the loss gradient
+	batch     []*tensor.Matrix // every matrix with a row per minibatch sample
+	val, grad *tensor.Matrix   // all parameters, Params() order: the optimizer's one pair
+	own       [][]float64      // the network's own value and gradient storage, alternating
+}
+
+// lower builds the step program for minibatches of up to rows rows and moves
+// the parameters into its slab, every matrix of which starts a cache line.
+func (n *Network) lower(x, y *tensor.Matrix, rows int) (*program, error) {
+	params := n.Params()
+	p := &program{stages: make([]stage, 0, len(n.Layers)), own: make([][]float64, 0, 2*len(params))}
+	mats := make([]*tensor.Matrix, 0, 5+5*len(n.Layers))
+	total := 0
+	add := func(rows, cols int) *tensor.Matrix {
+		mats = append(mats, &tensor.Matrix{Rows: rows, Cols: cols})
+		total += (rows*cols + 7) &^ 7
+		return mats[len(mats)-1]
+	}
+	p.x, p.y, p.g = add(rows, x.Cols), add(rows, y.Cols), add(rows, y.Cols)
+	cur := p.x
+	var st *stage // the last one, until the next Dense appends
+	for _, l := range n.Layers {
+		switch ly := l.(type) {
+		case *Dense:
+			p.stages = append(p.stages, stage{d: ly, x: cur, z: add(rows, ly.Out), delta: add(rows, ly.Out)})
+			st = &p.stages[len(p.stages)-1]
+			if len(p.stages) > 1 {
+				st.dx = add(rows, ly.In)
+			}
+			cur, st.out = st.z, st.z
+		case *Dropout:
+			if ly.P == 0 {
+				continue
+			}
+			if st == nil || st.dr != nil {
+				return nil, errors.New("nn: Fit needs a Dense layer in front of every Dropout")
+			}
+			st.dr, st.mask, st.out = ly, add(rows, cur.Cols), add(rows, cur.Cols)
+			st.words = make([]uint64, (rows*cur.Cols+1)/2)
+			cur = st.out
+		default:
+			return nil, fmt.Errorf("nn: Fit cannot train a %T layer", l)
+		}
+	}
+	p.batch = mats
+	np := n.NumParams()
+	p.val, p.grad = add(1, np), add(1, np)
+	slab := make([]float64, total)
+	for _, m := range mats {
+		k := m.Rows * m.Cols
+		m.Data, slab = slab[:k:k], slab[(k+7)&^7:]
+	}
+	off := 0
+	for _, pr := range params {
+		k := off + len(pr.Value.Data)
+		p.own = append(p.own, pr.Value.Data, pr.Grad.Data)
+		pr.Value.Data, pr.Grad.Data = p.val.Data[off:k:k], p.grad.Data[off:k:k]
+		copy(pr.Value.Data, p.own[len(p.own)-2])
+		copy(pr.Grad.Data, p.own[len(p.own)-1])
+		off = k
+	}
+	return p, nil
+}
+
+// release moves the parameters and the last step's gradients back home.
+func (p *program) release(n *Network) {
+	for i, pr := range n.Params() {
+		copy(p.own[2*i], pr.Value.Data)
+		copy(p.own[2*i+1], pr.Grad.Data)
+		pr.Value.Data, pr.Grad.Data = p.own[2*i], p.own[2*i+1]
+	}
+}
+
+// step runs one minibatch, the rows idx of x and y — forward, loss and,
+// if that is finite, backward into grad — and returns the loss.
+func (p *program) step(x, y *tensor.Matrix, idx []int, loss Loss, rng *xrand.Rand) float64 {
+	if len(idx) != p.g.Rows {
+		for _, m := range p.batch {
+			m.Reshape(len(idx), m.Cols)
+		}
+	}
+	tensor.GatherRowsInto(p.x, x, idx)
+	tensor.GatherRowsInto(p.y, y, idx)
+	for i := range p.stages {
+		st := &p.stages[i]
+		st.d.forwardInto(st.z, st.x)
+		if st.dr != nil {
+			st.dr.maskInto(st.out, st.mask, st.words, st.z, rng)
+		}
+	}
+	pred := p.stages[len(p.stages)-1].out
+	v, g := loss.Value(pred, p.y), loss.Grad(p.g, pred, p.y)
+	for i := len(p.stages) - 1; i >= 0 && !math.IsNaN(v) && !math.IsInf(v, 0); i-- {
+		st := &p.stages[i]
+		st.d.backInto(st.dx, st.delta, g, st.mask, st.x, st.z)
+		g = st.dx
+	}
+	return v
+}
+
 // Fit trains the network on inputs x and targets y (row-aligned) and
 // returns the loss history. It shuffles each epoch, supports minibatches,
 // optional validation split and early stopping, and fails fast with
 // ErrDiverged if the loss or any parameter becomes non-finite.
+//
+// The epochs run a step program the layer graph is lowered into once. A
+// Layer from outside this package, or a Dropout no Dense precedes, has no
+// program and Fit returns an error. The optimizer is stepped with one
+// ParamPair that holds every parameter of the network.
 func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	if x.Rows != y.Rows {
 		return nil, fmt.Errorf("nn: x has %d rows, y has %d", x.Rows, y.Rows)
@@ -163,64 +283,45 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	}
 	perm := rng.Perm(x.Rows)
 	trainIdx := perm[nVal:]
-	valIdx := perm[:nVal]
 
-	hist := &History{Stopped: -1}
-	bestVal := math.Inf(1)
-	sinceBest := 0
-
-	// All per-step workspaces are allocated once and reshaped per batch
-	// (tail batches shrink the row count without reallocating), so the
-	// steady-state epoch loop performs no heap allocation.
-	maxBatch := cfg.BatchSize
-	if maxBatch > len(trainIdx) {
-		maxBatch = len(trainIdx)
+	// Every buffer is made here, at the largest batch; an epoch allocates none.
+	p, err := n.lower(x, y, min(cfg.BatchSize, len(trainIdx)))
+	if err != nil {
+		return nil, err
 	}
-	xb := tensor.NewMatrix(maxBatch, x.Cols)
-	yb := tensor.NewMatrix(maxBatch, y.Cols)
-	gb := tensor.NewMatrix(maxBatch, y.Cols)
-	params := n.Params()
-	var vx, vy *tensor.Matrix
-	if nVal > 0 {
-		vx = tensor.NewMatrix(nVal, x.Cols)
-		vy = tensor.NewMatrix(nVal, y.Cols)
-		for bi, idx := range valIdx {
-			copy(vx.Row(bi), x.Row(idx))
-			copy(vy.Row(bi), y.Row(idx))
-		}
-	}
+	defer p.release(n)
+	vx := tensor.GatherRowsInto(nil, x, perm[:nVal])
+	vy := tensor.GatherRowsInto(nil, y, perm[:nVal])
+	params := []ParamPair{{p.val, p.grad}}
+	hist := &History{Stopped: -1, TrainLoss: make([]float64, 0, cfg.Epochs)}
+	bestVal, sinceBest := math.Inf(1), 0
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(trainIdx), func(i, j int) { trainIdx[i], trainIdx[j] = trainIdx[j], trainIdx[i] })
-		epochLoss := 0.0
-		batches := 0
+		for i := len(trainIdx) - 1; i > 0; i-- { // rng.Shuffle, without the call per swap
+			j := rng.Intn(i + 1)
+			trainIdx[i], trainIdx[j] = trainIdx[j], trainIdx[i]
+		}
+		epochLoss, batches := 0.0, 0
 		for start := 0; start < len(trainIdx); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(trainIdx) {
-				end = len(trainIdx)
-			}
-			bs := end - start
-			bx := xb.Reshape(bs, x.Cols)
-			by := yb.Reshape(bs, y.Cols)
-			for bi, idx := range trainIdx[start:end] {
-				copy(bx.Row(bi), x.Row(idx))
-				copy(by.Row(bi), y.Row(idx))
-			}
-			pred := n.Forward(bx, true)
-			loss := cfg.Loss.Value(pred, by)
+			idx := trainIdx[start:min(start+cfg.BatchSize, len(trainIdx))]
+			loss := p.step(x, y, idx, cfg.Loss, n.rng)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
 				return hist, ErrDiverged
 			}
 			epochLoss += loss
 			batches++
-			n.Backward(cfg.Loss.Grad(gb.Reshape(bs, y.Cols), pred, by))
 			cfg.Optimizer.Step(params)
-			// Cooperative backgrounding: on oversubscribed machines a
-			// refit otherwise monopolizes a core for tens of
-			// milliseconds, which is exactly the serving stall the
-			// double-buffered wrappers exist to avoid. One scheduler
-			// yield per minibatch (~100ns against a ~100µs step) caps
-			// the latency a concurrent server sees at one batch step.
+			// Cooperative backgrounding: on oversubscribed machines a refit
+			// otherwise holds a core for tens of milliseconds, the serving
+			// stall the double-buffered wrappers exist to avoid. One yield
+			// per minibatch caps what a concurrent server waits at one step.
+			// Two non-results, not to repeat. Yielding every 8th step (the
+			// yield is ~4 % of a step when both cores fit) took learn_loop's
+			// slo_ok_share from 0.9993-0.9997 to 0.9917-0.9931 in 3 of 3
+			// runs (0.954 in a fourth), 0.9996 again once restored. And the
+			// yield is not ~100 ns when a P is idle: each Gosched wakes it
+			// (runtime.futex 16 % of a lone fit's profile; TrainEpoch/serving
+			// 233.7 ns/sample-epoch in BENCH_18.json, 366.4 in .cpus2.json).
 			runtime.Gosched()
 		}
 		epochLoss /= float64(batches)
@@ -247,10 +348,8 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 			}
 		}
 	}
-	for _, p := range n.Params() {
-		if tensor.HasNaN(p.Value) {
-			return hist, ErrDiverged
-		}
+	if tensor.HasNaN(p.val) {
+		return hist, ErrDiverged
 	}
 	return hist, nil
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/xrand"
@@ -11,7 +12,8 @@ import (
 // shapes that exercise the 4-wide panel kernel remainders.
 func TestMatMulBiasIntoMatchesComposition(t *testing.T) {
 	rng := xrand.New(41)
-	for _, shape := range [][3]int{{1, 1, 1}, {3, 5, 2}, {8, 4, 7}, {13, 9, 6}, {32, 24, 1}, {5, 49, 3}} {
+	for _, shape := range [][3]int{{1, 1, 1}, {3, 5, 2}, {8, 4, 7}, {13, 9, 6}, {32, 24, 1}, {5, 49, 3},
+		{32, 2, 24}, {9, 1, 8}, {7, 3, 13}, {6, 2, 4}} { // the last four: a too short for a panel, one pass a row
 		n, k, p := shape[0], shape[1], shape[2]
 		a := NewMatrix(n, k)
 		b := NewMatrix(k, p)
@@ -19,11 +21,17 @@ func TestMatMulBiasIntoMatchesComposition(t *testing.T) {
 		for i := range a.Data {
 			a.Data[i] = rng.Range(-1, 1)
 		}
+		if n > 2 { // rows holding a zero, whose axpy the row kernel skips
+			a.Data[k], a.Data[2*k+k-1] = 0, 0
+		}
 		for i := range b.Data {
 			b.Data[i] = rng.Range(-1, 1)
 		}
 		for i := range bias {
 			bias[i] = rng.Range(-1, 1)
+		}
+		if n > 2 {
+			bias[p-1] = math.Copysign(0, -1) // -0 + 0·b would be +0, the skipped axpy leaves -0
 		}
 		want := MatMul(a, b)
 		for i := 0; i < n; i++ {

@@ -43,6 +43,14 @@ func TestGatherRowsInto(t *testing.T) {
 	if e := GatherRowsInto(nil, src, nil); e.Rows != 0 || e.Cols != 2 {
 		t.Fatalf("empty gather %dx%d", e.Rows, e.Cols)
 	}
+	// Rows wider than the element-by-element copy takes.
+	wide := NewMatrix(3, 11)
+	for i := range wide.Data {
+		wide.Data[i] = float64(i)
+	}
+	if got := GatherRowsInto(nil, wide, []int{2, 0}); got.At(0, 10) != 32 || got.At(1, 0) != 0 || got.At(1, 10) != 10 {
+		t.Fatalf("wide gather got %v", got.Data)
+	}
 }
 
 // TestParallelTuningVars locks in that the fan-out heuristic derives from

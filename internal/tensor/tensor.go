@@ -131,8 +131,16 @@ func GatherRowsInto(dst, src *Matrix, idx []int) *Matrix {
 	} else {
 		dst.Reshape(len(idx), src.Cols)
 	}
+	c := src.Cols
 	for k, i := range idx {
-		copy(dst.Row(k), src.Row(i))
+		d, s := dst.Data[k*c:(k+1)*c], src.Data[i*c:(i+1)*c]
+		if c > 8 {
+			copy(d, s)
+			continue
+		}
+		for j := range d { // a feature row: the call to memmove costs more than the copy
+			d[j] = s[j]
+		}
 	}
 	return dst
 }
@@ -323,6 +331,10 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 		matMulNarrowRange(out, a, b, bias, lo, hi)
 		return
 	}
+	if n > 0 && n < 4 && bias != nil {
+		matMulShortRange(out, a, b, bias, lo, hi)
+		return
+	}
 	wide := useAVX2 && p >= simdMin
 	for i := lo; i < hi; i++ {
 		outRow := out.Data[i*p : (i+1)*p]
@@ -347,6 +359,44 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 		for ; k < n; k++ {
 			if aik := aRow[k]; aik != 0 {
 				axpy4(aik, b.Data[k*p:(k+1)*p], outRow)
+			}
+		}
+	}
+}
+
+// matMulShortRange is matMulBiasRange for an a of one to three columns (a
+// surrogate's input layer): too short for a panel, so each out row is one
+// pass in the order the seed-then-axpy loop there gives it, out[j] =
+// ((bias[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]. That loop skips the axpy of
+// a zero multiplier, and x + 0·y is not x for every x and y, so a row of a
+// that holds a zero is computed its way.
+func matMulShortRange(out, a, b *Matrix, bias []float64, lo, hi int) {
+	n, p := a.Cols, b.Cols
+	mid, last := (n-1)/2, n-1 // with the first, the columns of a; some coincide when n < 3
+	bias = bias[:p]           // bounds-check elimination hints, as the [:p] below
+	b0, bm, bl := b.Data[:p], b.Data[mid*p:][:p], b.Data[last*p:][:p]
+	for i := lo; i < hi; i++ {
+		o, ar := out.Data[i*p:(i+1)*p], a.Data[i*n:(i+1)*n]
+		a0, am, al := ar[0], ar[mid], ar[last]
+		switch {
+		case a0 == 0 || am == 0 || al == 0:
+			copy(o, bias)
+			for k, v := range ar {
+				if v != 0 {
+					axpy4(v, b.Data[k*p:(k+1)*p], o)
+				}
+			}
+		case n == 1:
+			for j := range o {
+				o[j] = bias[j] + a0*b0[j]
+			}
+		case n == 2:
+			for j := range o {
+				o[j] = (bias[j] + a0*b0[j]) + al*bl[j]
+			}
+		default:
+			for j := range o {
+				o[j] = ((bias[j] + a0*b0[j]) + am*bm[j]) + al*bl[j]
 			}
 		}
 	}
@@ -475,6 +525,13 @@ func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 		if k > 0 && k < narrow {
 			// One strided sweep of b per a element, not a dot call per
 			// dst element; k == 1 is a scaled copy.
+			if k == 1 {
+				a0, col := aRow[0], b.Data[:len(dstRow)]
+				for j := range dstRow {
+					dstRow[j] = a0 * col[j]
+				}
+				continue
+			}
 			for j := range dstRow {
 				dstRow[j] = aRow[0] * b.Data[j*k]
 			}

@@ -63,6 +63,23 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
+// Fill stores the next len(dst) outputs of Uint64 into dst: the same
+// stream, with the state held in registers across the loop.
+func (r *Rand) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i] = rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Split derives a new generator whose stream is statistically independent
 // of the receiver's. The receiver is advanced, so successive Splits give
 // distinct children; a parent seed therefore fans out into a reproducible

@@ -16,6 +16,24 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestFillIsTheUint64Stream: Fill hands out the words Uint64 would have,
+// and leaves the generator where they would have left it.
+func TestFillIsTheUint64Stream(t *testing.T) {
+	a, b := New(42), New(42)
+	for _, n := range []int{0, 1, 7, 384} {
+		words := make([]uint64, n)
+		a.Fill(words)
+		for i, w := range words {
+			if want := b.Uint64(); w != want {
+				t.Fatalf("Fill(%d) word %d = %x, Uint64 gives %x", n, i, w, want)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("Fill left the generator somewhere else")
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a := New(1)
 	b := New(2)
