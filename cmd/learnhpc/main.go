@@ -6,13 +6,17 @@
 //	learnhpc [-scale=small|full] all
 //	learnhpc [-scale=small|full] e1 e4 e10
 //	learnhpc serve -addr 127.0.0.1:9090 -health 127.0.0.1:9091
-//	learnhpc loadtest -addr 127.0.0.1:9090 -qps 50000 -dur 10s
+//	learnhpc worker -addr 127.0.0.1:9191 -registry /tmp/w1
+//	learnhpc route -addr 127.0.0.1:9090 -workers 127.0.0.1:9191,127.0.0.1:9192
+//	learnhpc loadtest -addr 127.0.0.1:9090 -dur 10s -workers 64
 //
 // Small scale finishes in seconds per experiment; full scale is the
 // documented reproduction configuration. The serve subcommand puts a
 // demo fleet on the TCP wire protocol (with /healthz, /readyz and
-// /statsz endpoints); loadtest drives an open-loop QPS stream against
-// any wire address and prints the latency histogram.
+// /statsz endpoints); worker and route are the dispatch tier; loadtest
+// is a closed-loop poke at any of those addresses that prints outcome
+// counts and a latency histogram (measured load generation is
+// go run ./benchmark -workload routed_open|routed_closed).
 package main
 
 import (
@@ -153,7 +157,7 @@ experiments:
 
 wire subcommands (their own flags; see learnhpc <cmd> -h):
   serve     put a demo fleet on the TCP wire with health endpoints
-  loadtest  open-loop QPS generator + latency histogram against a wire address
+  loadtest  closed-loop poke at a wire address: outcome counts + latency histogram
   worker    empty wire server that serves tenants a router places on it
   route     dispatch tier: consistent-hash placement + zero-copy forwarding
             over a set of workers, with mirrored-artifact warm failover

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -8,6 +9,8 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -159,45 +162,63 @@ func runServe(args []string) {
 	}
 }
 
-// runLoadtest is the `learnhpc loadtest` subcommand: the open-loop QPS
-// generator with an HDR-style latency histogram, pointed at any
-// learnhpc-serve (or embedded WireServer) address.
+// runLoadtest is the `learnhpc loadtest` subcommand: a closed-loop poke at
+// a running serve/route/worker address — each worker fires its next query
+// as the previous one answers — printing outcome counts and the latency
+// histogram. Measured load generation is `go run ./benchmark`.
 func runLoadtest(args []string) {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:9090", "wire server address")
-	tenants := fs.String("tenants", "potential,tissue,epi", "comma-separated tenants to spread load across")
-	in := fs.Int("in", 2, "tenant input dimensionality")
-	qps := fs.Float64("qps", 0, "target aggregate arrival rate (0 = closed loop)")
-	dur := fs.Duration("dur", 5*time.Second, "load duration")
-	conns := fs.Int("conns", 4, "connections to spread workers over")
-	workers := fs.Int("workers", 64, "in-flight window (bounds queueing)")
-	deadline := fs.Duration("deadline", 0, "per-request deadline (0 = none)")
-	seed := fs.Uint64("seed", 1, "input randomization seed")
+	addr := fs.String("addr", "127.0.0.1:9090", "wire server or router address")
+	tenants := fs.String("tenants", "potential,tissue,epi", "comma-separated tenants to spread queries across")
+	dur := fs.Duration("dur", 5*time.Second, "how long to drive load")
+	workers := fs.Int("workers", 64, "concurrent closed-loop callers")
 	fs.Parse(args)
 
-	var names []string
-	for _, t := range strings.Split(*tenants, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			names = append(names, t)
-		}
+	names := strings.Split(*tenants, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
 	}
-	rep, err := repro.RunWireLoad(repro.WireLoadConfig{
-		Addr:     *addr,
-		Tenants:  names,
-		In:       *in,
-		QPS:      *qps,
-		Duration: *dur,
-		Conns:    *conns,
-		Workers:  *workers,
-		Deadline: *deadline,
-		Seed:     *seed,
-	})
+	cl, err := repro.DialWireResilient(*addr, repro.WireResilientConfig{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "learnhpc loadtest: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Print(rep.String())
-	if rep.Errors > 0 || rep.Unknown > 0 {
+	defer cl.Close()
+	var ok, shed, failed atomic.Int64
+	hists := make([]repro.LatencyHist, *workers)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := range hists {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := repro.NewRand(uint64(w) + 1)
+			x, y, std := make([]float64, 2), make([]float64, 8), make([]float64, 8)
+			for i := w; time.Since(start) < *dur; i++ {
+				x[0], x[1] = rng.Range(-1, 1), rng.Range(-1, 1)
+				t0 := time.Now()
+				_, err := cl.QueryInto(names[i%len(names)], x, y, std, time.Time{})
+				hists[w].RecordSince(t0)
+				switch {
+				case err == nil:
+					ok.Add(1)
+				case errors.Is(err, repro.ErrWireRetry), errors.Is(err, repro.ErrWireExpired):
+					shed.Add(1)
+				default:
+					failed.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	var lat repro.LatencyHist
+	for i := range hists {
+		lat.Merge(&hists[i])
+	}
+	el := time.Since(start)
+	fmt.Printf("loadtest (closed loop, %d workers) over %v:\n  ok=%d shed=%d failed=%d, %.0f q/s\n  latency %s\n",
+		*workers, el.Round(time.Millisecond), ok.Load(), shed.Load(), failed.Load(), float64(ok.Load())/el.Seconds(), lat.String())
+	if failed.Load() > 0 {
 		os.Exit(1)
 	}
 }

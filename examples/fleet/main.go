@@ -9,10 +9,12 @@
 // per-tenant stats (QPS, batch width, p99, staleness) come from one
 // registry. A middle phase deregisters a tenant mid-traffic: its
 // in-flight queries drain gracefully while the neighbours keep serving.
-// The final phase puts the same fleet on a TCP wire (repro.WireServer):
-// remote clients speak the length-prefixed binary protocol, their frames
-// coalesce across connections into the same per-tenant batches, and
-// deadline/admission sheds come back as explicit statuses.
+// Phase 5 puts the same fleet on a TCP wire (repro.WireServer): remote
+// callers speak the length-prefixed binary protocol through the one wire
+// client (repro.DialWireResilient), their frames coalesce into the same
+// per-tenant batches, sheds come back as explicit statuses, and the
+// client rides out a server restart. The last phase scales out: two
+// workers behind a consistent-hash router with warm failover.
 package main
 
 import (
@@ -230,51 +232,25 @@ func main() {
 		tissueErrs.Load(), potServed.Load())
 	fmt.Printf("  remaining tenants: %v\n", fl.Tenants())
 
-	fmt.Println("\nPhase 5: the same fleet, served over the wire")
+	fmt.Println("\nPhase 5: the same fleet, served over the wire — and surviving a server restart")
 	// One dispatch plane, now network-visible: the wire server decodes
 	// frames into pooled buffers and feeds the same per-tenant
-	// coalescers, so frames from different TCP connections gather into
-	// the same micro-batches the in-process callers used.
+	// coalescers, so concurrent remote callers gather into the same
+	// micro-batches the in-process callers used. The client is a small
+	// connection pool with automatic reconnect, retry and per-tenant
+	// circuit breaking; deadline/admission sheds and outages come back
+	// as typed errors — never hangs, never silent drops.
 	srv := repro.NewWireServer(repro.WireServerConfig{Fleet: fl})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}
 	go srv.Serve(ln)
-	defer srv.Close()
-
-	// A fresh, stable tenant for the wire load: high UQThreshold keeps
-	// it on the surrogate path with no background refits, so the numbers
-	// below measure the wire and the coalescer, not training bursts
-	// stealing the core. (The phase-1 tenants stay registered — one
-	// /statsz scrape reports them all — but potential and epi are
-	// mid-churn by design and their refits would dominate the histogram.)
-	krng := repro.NewRand(99)
-	kOracle := repro.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
-		return []float64{math.Exp(-x[0]*x[0]) * math.Sin(2*x[1])}, nil
-	}}
-	kFac := repro.NewNNSurrogateFactory(2, 1, []int{24}, 0.1, krng, func(s *repro.NNSurrogate) {
-		s.Epochs = 80
-		s.MCPasses = 6
+	wireAddr := ln.Addr().String()
+	cl, err := repro.DialWireResilient(wireAddr, repro.WireResilientConfig{
+		Conns:            2,
+		ReconnectBackoff: 2 * time.Millisecond,
 	})
-	kw := repro.NewShardedWrapper(kOracle, kFac, repro.ShardedConfig{
-		Router:          repro.HashRouter{Shards: 1},
-		MinTrainSamples: 40,
-		UQThreshold:     10,
-	})
-	kdesign := repro.NewMatrix(160, 2)
-	for i := 0; i < kdesign.Rows; i++ {
-		kdesign.Set(i, 0, rng.Range(-1, 1))
-		kdesign.Set(i, 1, rng.Range(-1, 1))
-	}
-	if err := kw.Pretrain(kdesign); err != nil {
-		panic(err)
-	}
-	if err := fl.Register("kernel", kw); err != nil {
-		panic(err)
-	}
-
-	cl, err := repro.DialWire(ln.Addr().String(), repro.WireClientConfig{})
 	if err != nil {
 		panic(err)
 	}
@@ -285,93 +261,57 @@ func main() {
 	}
 	fmt.Printf("  remote query: potential(0.25,-0.5) = %.4f (src=%v)\n", res.Y[0], res.Src)
 	// A request whose deadline already passed is shed at admission with
-	// an explicit status — never silently dropped.
+	// an explicit status.
 	if _, err := cl.Query("potential", []float64{0, 0}, time.Now().Add(-time.Millisecond)); errors.Is(err, repro.ErrWireExpired) {
 		fmt.Println("  expired deadline: shed with ErrWireExpired before reaching the backend")
 	}
-
-	// Quiesce the earlier phases' background refits before measuring:
-	// on one core a training burst and a latency histogram cannot share
-	// the clock honestly.
-	for _, w := range backends {
-		if err := w.Wait(); err != nil {
-			panic(err)
-		}
+	for c := 0; c < 16; c++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			crng := repro.NewRand(seed)
+			x, y, std := make([]float64, 2), make([]float64, 1), make([]float64, 1)
+			for i := 0; i < 500; i++ {
+				x[0], x[1] = crng.Range(-1, 1), crng.Range(-1, 1)
+				if _, err := cl.QueryInto("epi", x, y, std, time.Time{}); err != nil && !errors.Is(err, repro.ErrWireRetry) {
+					panic(err)
+				}
+			}
+		}(uint64(500 + c))
 	}
-
-	rep, err := repro.RunWireLoad(repro.WireLoadConfig{
-		Addr:    ln.Addr().String(),
-		Tenants: []string{"kernel"},
-		In:      2,
-		// Open loop: requests are scheduled at this rate regardless of
-		// completions, so a slow server shows up as queueing latency,
-		// and slots the bounded in-flight window cannot carry are
-		// counted as overflow — never silently skipped.
-		QPS:      20000,
-		Duration: time.Second,
-		Conns:    4,
-		Workers:  32,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Print("  ", rep.String())
+	wg.Wait()
 	ws := srv.Stats()
 	fmt.Printf("  wire: %d conns, %d requests over %d flushes (%.1f responses/syscall)\n",
-		ws.Conns, ws.Requests, ws.Flushes, float64(ws.Responses)/float64(max64(ws.Flushes, 1)))
+		ws.Conns, ws.Requests, ws.Flushes, float64(ws.Responses)/float64(max(ws.Flushes, 1)))
 
-	fmt.Println("\nPhase 6: resilient client — surviving a server restart")
-	// DialWireResilient wraps the same wire protocol in a small connection
-	// pool with automatic reconnect, retry and per-tenant circuit breaking.
-	// Here the server is killed and replaced under live use: the in-between
-	// failures come back as typed errors (never hangs, never silent), and
-	// the pool redials on its own once the replacement is up.
-	srv2 := repro.NewWireServer(repro.WireServerConfig{Fleet: fl})
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	go srv2.Serve(ln2)
-	wireAddr := ln2.Addr().String()
-	rcl, err := repro.DialWireResilient(wireAddr, repro.WireResilientConfig{
-		Conns:            2,
-		ReconnectBackoff: 2 * time.Millisecond,
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer rcl.Close()
-	if _, err := rcl.Query("kernel", []float64{0.1, 0.2}, time.Time{}); err != nil {
-		panic(err)
-	}
-	srv2.Close() // hard restart: every pooled connection dies mid-stream
+	srv.Close() // hard restart: every pooled connection dies mid-stream
 	typed := 0
 	for i := 0; i < 5; i++ {
-		if _, err := rcl.Query("kernel", []float64{0.1, 0.2}, time.Now().Add(50*time.Millisecond)); err != nil &&
+		if _, err := cl.Query("epi", []float64{0.1, 0.2}, time.Now().Add(50*time.Millisecond)); err != nil &&
 			(errors.Is(err, repro.ErrWireConnLost) || errors.Is(err, repro.ErrWireNoConn)) {
 			typed++
 		}
 	}
-	srv3 := repro.NewWireServer(repro.WireServerConfig{Fleet: fl})
-	ln3, err := net.Listen("tcp", wireAddr)
+	srv2 := repro.NewWireServer(repro.WireServerConfig{Fleet: fl})
+	ln2, err := net.Listen("tcp", wireAddr)
 	if err != nil {
 		panic(err)
 	}
-	go srv3.Serve(ln3)
-	defer srv3.Close()
+	go srv2.Serve(ln2)
+	defer srv2.Close()
 	var back time.Duration
 	for t0 := time.Now(); ; back = time.Since(t0) {
-		if _, err := rcl.Query("kernel", []float64{0.1, 0.2}, time.Now().Add(100*time.Millisecond)); err == nil {
+		if _, err := cl.Query("epi", []float64{0.1, 0.2}, time.Now().Add(100*time.Millisecond)); err == nil {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	rst := rcl.Stats()
+	rst := cl.Stats()
 	fmt.Printf("  outage: %d/5 queries failed with typed errors (no hangs, no silent drops)\n", typed)
 	fmt.Printf("  recovered %v after restart: %d/%d connections live, %d reconnects, %d retries\n",
 		back.Round(time.Millisecond), rst.Live, rst.Conns, rst.Reconnects, rst.Retries)
 
-	fmt.Println("\nPhase 7: dispatch tier — two workers, consistent-hash placement, warm failover")
+	fmt.Println("\nPhase 6: dispatch tier — two workers, consistent-hash placement, warm failover")
 	// The tiers above scale one process. The dispatch tier scales out:
 	// worker processes each run their own fleet + artifact registry, and a
 	// router in front places tenants across them by consistent hashing,
@@ -463,7 +403,7 @@ func main() {
 	survivor.close()
 }
 
-// routedWorker is one phase-7 worker "process" in miniature: its own
+// routedWorker is one phase-6 worker "process" in miniature: its own
 // fleet, artifact registry and wire server with the router's placement
 // hooks installed, plus an oracle-run counter to prove failovers are
 // warm.
@@ -531,11 +471,4 @@ func (w *routedWorker) close() {
 	w.srv.Close()
 	w.fl.Close()
 	w.reg.Close()
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package netserve
 import (
 	"encoding/binary"
 	"fmt"
+	"time"
 )
 
 // Artifact frames are the control plane of the dispatch tier: a router
@@ -254,109 +255,35 @@ type ArtifactSink interface {
 	InstallArtifact(key string, gen uint64, data []byte) error
 }
 
-// StatArtifact asks the server for key's current registry generation.
-// ok=false means the key has no committed generation.
-func (cl *Client) StatArtifact(key string) (gen uint64, ok bool, err error) {
-	p, err := cl.artCall(frameArtFetch, key, 0, FlagArtStat, nil)
-	if err != nil {
-		return 0, false, err
-	}
-	gen, ok = p.artGen, p.artOK
-	cl.putPending(p)
-	return gen, ok, nil
-}
+// artCallTimeout bounds every artifact call client-side. Artifact frames
+// carry no deadline the server could shed on, so without it a stalled-but-
+// open connection would hold the caller — the router's serial mirror loop —
+// forever. Generous, because a cold placement pretrains inside the call.
+var artCallTimeout = 10 * time.Second
 
-// FetchArtifact pulls key's artifact at generation gen (0 = newest).
-// ok=false means no such key/generation. The returned bytes are
-// caller-owned. Fetching real artifacts needs ClientConfig.MaxFrame
-// raised to DefaultMaxArtifactFrame (or the server's configured cap).
-func (cl *Client) FetchArtifact(key string, gen uint64) (data []byte, actual uint64, ok bool, err error) {
-	p, err := cl.artCall(frameArtFetch, key, gen, 0, nil)
+// artCall runs one artifact exchange (a fetch, a FlagArtStat poll, or a
+// push of the bytes in push) through the transport's round-trip, sharing
+// the id space and demux with queries. It answers with the payload copied
+// off the read buffer, the generation served and the found bit. A call
+// still unanswered after artCallTimeout reports the connection lost, so
+// the resilient ladder condemns it and retries on a fresh one.
+func (tr *transport) artCall(op byte, key string, gen uint64, flags byte, push []byte) (data []byte, actual uint64, ok bool, err error) {
+	p, id := tr.lease()
+	if op == frameArtPush {
+		p.buf, err = appendArtPush(p.buf[:0], id, gen, flags, key, push)
+	} else {
+		p.buf, err = appendArtFetch(p.buf[:0], id, gen, flags, key)
+	}
 	if err != nil {
+		tr.release(p)
 		return nil, 0, false, err
 	}
-	data, actual, ok = p.artData, p.artGen, p.artOK
-	p.artData = nil
-	cl.putPending(p)
-	return data, actual, ok, nil
-}
-
-// PushArtifact installs data as generation gen of key on the server.
-// A nil data with gen 0 is a cold placement request: the server creates
-// the key's tenant without an artifact.
-func (cl *Client) PushArtifact(key string, gen uint64, data []byte) error {
-	var flags byte
-	if data == nil {
-		flags = FlagArtCold
+	if !tr.roundTrip(p, id, artCallTimeout) {
+		return nil, 0, false, fmt.Errorf("%w: artifact call unanswered after %v", ErrConnLost, artCallTimeout)
 	}
-	p, err := cl.artCall(frameArtPush, key, gen, flags, data)
-	if err != nil {
-		return err
-	}
-	cl.putPending(p)
-	return nil
-}
-
-// artCall runs one artifact request/response exchange over the
-// multiplexed connection, sharing the id space and demux with queries.
-// On success the caller reads the artifact fields off the returned
-// pending and recycles it with putPending.
-func (cl *Client) artCall(op byte, key string, gen uint64, flags byte, data []byte) (*pending, error) {
-	p, _ := cl.pool.Get().(*pending)
-	if p == nil {
-		p = &pending{done: make(chan struct{}, 1)}
-	}
-	p.y, p.std = nil, nil
-	p.err = nil
-	p.res = WireResult{}
-	p.artGen, p.artOK, p.artData = 0, false, nil
-	id := cl.id.Add(1)
-	var err error
-	switch op {
-	case frameArtFetch:
-		p.buf, err = appendArtFetch(p.buf[:0], id, gen, flags, key)
-	case frameArtPush:
-		p.buf, err = appendArtPush(p.buf[:0], id, gen, flags, key, data)
-	default:
-		err = errBadType
-	}
-	if err != nil {
-		cl.pool.Put(p)
-		return nil, err
-	}
-
-	cl.mu.Lock()
-	if cl.broken != nil {
-		err = cl.broken
-		cl.mu.Unlock()
-		cl.pool.Put(p)
-		return nil, err
-	}
-	cl.pend[id] = p
-	cl.mu.Unlock()
-
-	select {
-	case cl.wq <- p:
-	case <-cl.quit:
-		if cl.withdraw(p, id) {
-			cl.pool.Put(p)
-			return nil, ErrClientClosed
-		}
-	}
-	<-p.done
-	if p.err != nil {
-		err = p.err
-		cl.putPending(p)
-		return nil, err
-	}
-	return p, nil
-}
-
-// putPending recycles a pending after its artifact fields were consumed.
-func (cl *Client) putPending(p *pending) {
-	p.artData = nil
-	p.y, p.std = nil, nil
-	cl.pool.Put(p)
+	data, actual, ok, err = p.artData, p.artGen, p.artOK, p.err
+	tr.release(p)
+	return data, actual, ok, err
 }
 
 // completeArt fills p from a decoded artifact-data response. The payload

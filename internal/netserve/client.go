@@ -13,7 +13,7 @@ import (
 	"repro/internal/core"
 )
 
-// Client-side status errors. Query maps every non-OK response status to
+// Client-side status errors. QueryInto maps every non-OK response status to
 // one of these (sentinels, so the retry/shed paths allocate nothing) or,
 // for StatusError, to a *RemoteError carrying the server's message.
 var (
@@ -50,28 +50,24 @@ func (e *RemoteError) Error() string { return "netserve: server error: " + e.Msg
 // WireResult is one wire query's answer.
 type WireResult struct {
 	// Y aliases the caller's y buffer (QueryInto) or is caller-owned
-	// (Query), trimmed to the tenant's output dimensionality.
+	// (ResilientClient.Query), trimmed to the tenant's output
+	// dimensionality.
 	Y []float64
 	// Std is the per-output predictive uncertainty; nil for oracle
 	// answers and for FlagNoStd requests.
 	Std []float64
 	// Src reports which path answered (surrogate or simulation).
 	Src core.Source
-	// Batch is reserved (always 0 on the client; batching is a
-	// server-side property).
-	Batch int
 }
 
-// ClientConfig tunes a Client. The zero value selects the defaults.
+// ClientConfig tunes each connection of a ResilientClient
+// (ResilientConfig.Client). The zero value selects the defaults.
 type ClientConfig struct {
 	// MaxFrame caps accepted response-frame bodies (default 64KiB).
 	MaxFrame int
-	// ReadBuffer / WriteBuffer size the buffered reader/writer (default
-	// 32KiB each).
-	ReadBuffer, WriteBuffer int
 	// Flags is OR-ed into every request (e.g. FlagNoStd).
 	Flags byte
-	// DialTimeout bounds Dial (default 5s).
+	// DialTimeout bounds each (re)connect (default 5s).
 	DialTimeout time.Duration
 	// FlushSpins is how many scheduler yields the write loop donates after
 	// draining the queue before flushing, letting concurrent callers land
@@ -94,12 +90,6 @@ func (c *ClientConfig) fill() {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	if c.ReadBuffer <= 0 {
-		c.ReadBuffer = 32 << 10
-	}
-	if c.WriteBuffer <= 0 {
-		c.WriteBuffer = 32 << 10
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
@@ -117,6 +107,9 @@ func (c *ClientConfig) fill() {
 	}
 }
 
+// connBuffer sizes each connection's buffered reader and writer.
+const connBuffer = 32 << 10
+
 // pending is one in-flight request's pooled state: the encoded frame, the
 // caller's result buffers and the completion signal.
 type pending struct {
@@ -133,13 +126,13 @@ type pending struct {
 	artData []byte
 }
 
-// Client is one multiplexed wire connection: any number of goroutines may
-// Query concurrently, requests are matched to responses by id, and the
-// write path coalesces concurrent requests into shared buffered flushes
-// (the client-side mirror of the server's batch-aware writer). A
-// steady-state caller reusing its buffers through QueryInto performs zero
-// heap allocations per query.
-type Client struct {
+// transport is one multiplexed wire connection, the unit a ResilientClient
+// pools: any number of goroutines may call it concurrently, requests are
+// matched to responses by id, and the write path coalesces concurrent
+// requests into shared buffered flushes (the client-side mirror of the
+// server's batch-aware writer). A steady-state caller reusing its buffers
+// through QueryInto performs zero heap allocations per query.
+type transport struct {
 	cfg  ClientConfig
 	c    net.Conn
 	pool sync.Pool // *pending
@@ -155,149 +148,162 @@ type Client struct {
 	loops sync.WaitGroup
 }
 
-// Dial connects to a netserve server at addr.
-func Dial(addr string, cfg ClientConfig) (*Client, error) {
+// dial connects one transport to a netserve server at addr.
+func dial(addr string, cfg ClientConfig) (*transport, error) {
 	cfg.fill()
-	dial := cfg.Dialer
-	if dial == nil {
-		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+	dialer := cfg.Dialer
+	if dialer == nil {
+		dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	c, err := dial(addr, cfg.DialTimeout)
+	c, err := dialer(addr, cfg.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	return newClient(c, cfg), nil
+	return newTransport(c, cfg), nil
 }
 
-// newClient wraps an established connection; cfg must already be filled.
-func newClient(c net.Conn, cfg ClientConfig) *Client {
+// newTransport wraps an established connection; cfg must already be filled.
+func newTransport(c net.Conn, cfg ClientConfig) *transport {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	cl := &Client{
+	tr := &transport{
 		cfg:  cfg,
 		c:    c,
 		wq:   make(chan *pending, 256),
 		quit: make(chan struct{}),
 		pend: make(map[uint64]*pending),
 	}
-	cl.loops.Add(2)
-	go cl.writeLoop()
-	go cl.readLoop()
-	return cl
+	tr.loops.Add(2)
+	go tr.writeLoop()
+	go tr.readLoop()
+	return tr
 }
 
 // Close tears the connection down; in-flight queries fail with
 // ErrClientClosed (or the read error that got there first). Idempotent.
-func (cl *Client) Close() error {
-	cl.mu.Lock()
-	already := cl.broken != nil
+func (tr *transport) Close() error {
+	tr.mu.Lock()
+	already := tr.broken != nil
 	if !already {
-		cl.broken = ErrClientClosed
-		close(cl.quit)
+		tr.broken = ErrClientClosed
+		close(tr.quit)
 	}
-	cl.mu.Unlock()
+	tr.mu.Unlock()
 	if !already {
-		cl.c.Close()
+		tr.c.Close()
 	}
-	cl.loops.Wait()
+	tr.loops.Wait()
 	return nil
 }
 
-// Query submits one row to the named tenant and blocks for its answer,
-// returning caller-owned slices. deadline is propagated into the server's
-// admission control; the zero time means none.
-func (cl *Client) Query(tenant string, x []float64, deadline time.Time) (WireResult, error) {
-	y := make([]float64, 256)
-	std := make([]float64, 256)
-	res, err := cl.QueryInto(tenant, x, y, std, deadline)
+// QueryInto submits one row to the named tenant and blocks for its
+// answer, which lands in y (and std, when the surrogate produced one);
+// both must hold the tenant's output dimensionality. deadline is
+// propagated into the server's admission control; the zero time means
+// none. A nil std discards any returned uncertainty row (set FlagNoStd in
+// the config to stop the server sending it at all). Safe for concurrent
+// use; each concurrent caller must pass its own buffers.
+func (tr *transport) QueryInto(tenant string, x, y, std []float64, deadline time.Time) (WireResult, error) {
+	p, id := tr.lease()
+	p.y, p.std = y, std
+	var dl int64
+	var bound time.Duration
+	if !deadline.IsZero() {
+		dl = deadline.UnixNano()
+		// The server sheds expired requests with an explicit status frame,
+		// so the grace normally never fires; it is what keeps a stalled
+		// connection from holding a deadline-bearing caller forever.
+		if grace := tr.cfg.DeadlineGrace; grace > 0 {
+			bound = max(time.Until(deadline), 0) + grace
+		}
+	}
+	var err error
+	if p.buf, err = appendRequest(p.buf[:0], tenant, id, dl, tr.cfg.Flags, x); err != nil {
+		tr.release(p)
+		return WireResult{}, err
+	}
+	if !tr.roundTrip(p, id, bound) {
+		return WireResult{}, ErrExpired
+	}
+	res, err := p.res, p.err
+	tr.release(p)
 	return res, err
 }
 
-// QueryInto is the allocation-free form of Query: the answer lands in y
-// (and std, when the surrogate produced one), which must hold the
-// tenant's output dimensionality. A nil std discards any returned
-// uncertainty row (set FlagNoStd in the config to stop the server
-// sending it at all). Safe for concurrent use; each concurrent caller
-// must pass its own buffers.
-func (cl *Client) QueryInto(tenant string, x, y, std []float64, deadline time.Time) (WireResult, error) {
-	p, _ := cl.pool.Get().(*pending)
+// lease takes a cleared pending from the pool and draws its request id.
+func (tr *transport) lease() (*pending, uint64) {
+	p, _ := tr.pool.Get().(*pending)
 	if p == nil {
 		p = &pending{done: make(chan struct{}, 1)}
 	}
-	p.y, p.std = y, std
-	p.err = nil
-	p.res = WireResult{}
-	var dl int64
-	if !deadline.IsZero() {
-		dl = deadline.UnixNano()
-	}
-	id := cl.id.Add(1)
-	var err error
-	p.buf, err = appendRequest(p.buf[:0], tenant, id, dl, cl.cfg.Flags, x)
-	if err != nil {
-		cl.pool.Put(p)
-		return WireResult{}, err
-	}
+	return p, tr.id.Add(1)
+}
 
-	cl.mu.Lock()
-	if cl.broken != nil {
-		err = cl.broken
-		cl.mu.Unlock()
-		cl.pool.Put(p)
-		return WireResult{}, err
+// release clears p's outcome and its references to caller memory, and
+// pools it. buf is left alone: a writer overtaken by the reader's fail-all
+// may still be reading it.
+func (tr *transport) release(p *pending) {
+	p.y, p.std, p.artData = nil, nil, nil
+	p.res, p.err = WireResult{}, nil
+	p.artGen, p.artOK = 0, false
+	tr.pool.Put(p)
+}
+
+// roundTrip is the one request/response exchange every call rides:
+// register p under id, hand its encoded frame to the writer, wait for the
+// reader to complete it. It returns true once p holds the outcome (p.err
+// or the result fields) and is the caller's to read and release. A
+// positive bound caps the wait: when it lapses with the reader yet to
+// claim p, the request is withdrawn and roundTrip returns false — the
+// writer may still hold p.buf, so p is abandoned to the GC, never pooled.
+func (tr *transport) roundTrip(p *pending, id uint64, bound time.Duration) bool {
+	tr.mu.Lock()
+	if tr.broken != nil {
+		p.err = tr.broken
+		tr.mu.Unlock()
+		return true
 	}
-	cl.pend[id] = p
-	cl.mu.Unlock()
+	tr.pend[id] = p
+	tr.mu.Unlock()
 
 	select {
-	case cl.wq <- p:
-	case <-cl.quit:
+	case tr.wq <- p:
+	case <-tr.quit:
 		// The writer is gone; withdraw unless the reader's fail-all
 		// already claimed this entry (in which case its completion
 		// signal is en route and must be consumed).
-		if cl.withdraw(p, id) {
-			p.y, p.std = nil, nil
-			cl.pool.Put(p)
-			return WireResult{}, ErrClientClosed
+		if tr.withdraw(p, id) {
+			p.err = ErrClientClosed
+			return true
 		}
 	}
-	if dl != 0 && cl.cfg.DeadlineGrace > 0 {
-		wait := time.Until(deadline) + cl.cfg.DeadlineGrace
-		if wait < cl.cfg.DeadlineGrace {
-			wait = cl.cfg.DeadlineGrace
+	if bound <= 0 {
+		<-p.done
+		return true
+	}
+	tm := time.NewTimer(bound)
+	defer tm.Stop()
+	select {
+	case <-p.done:
+	case <-tm.C:
+		if tr.withdraw(p, id) {
+			return false
 		}
-		tm := time.NewTimer(wait)
-		select {
-		case <-p.done:
-			tm.Stop()
-		case <-tm.C:
-			// The connection stalled past deadline+grace. Withdraw if the
-			// reader has not claimed the entry; the writer may still hold
-			// p.buf, so the pending is abandoned to the GC, never pooled.
-			if cl.withdraw(p, id) {
-				return WireResult{}, ErrExpired
-			}
-			<-p.done
-		}
-	} else {
 		<-p.done
 	}
-	res, rerr := p.res, p.err
-	p.y, p.std = nil, nil
-	cl.pool.Put(p)
-	return res, rerr
+	return true
 }
 
 // withdraw removes p from the pending map if the reader has not already
 // claimed it; true means the caller owns p again.
-func (cl *Client) withdraw(p *pending, id uint64) bool {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if q, ok := cl.pend[id]; ok && q == p {
-		delete(cl.pend, id)
+func (tr *transport) withdraw(p *pending, id uint64) bool {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if q, ok := tr.pend[id]; ok && q == p {
+		delete(tr.pend, id)
 		return true
 	}
 	return false
@@ -305,15 +311,15 @@ func (cl *Client) withdraw(p *pending, id uint64) bool {
 
 // writeLoop writes queued request frames, draining greedily and flushing
 // once per drained burst — concurrent callers' requests share syscalls.
-func (cl *Client) writeLoop() {
-	defer cl.loops.Done()
-	bw := bufio.NewWriterSize(cl.c, cl.cfg.WriteBuffer)
+func (tr *transport) writeLoop() {
+	defer tr.loops.Done()
+	bw := bufio.NewWriterSize(tr.c, connBuffer)
 	var werr error
 	write := func(p *pending) {
 		if werr == nil {
 			_, werr = bw.Write(p.buf)
 			if werr != nil {
-				cl.c.Close() // wake the reader, which fails all pending
+				tr.c.Close() // wake the reader, which fails all pending
 			}
 		}
 		// On error the pending entry stays in the map; the reader's
@@ -321,18 +327,18 @@ func (cl *Client) writeLoop() {
 	}
 	for {
 		select {
-		case <-cl.quit:
+		case <-tr.quit:
 			return
-		case p := <-cl.wq:
+		case p := <-tr.wq:
 			write(p)
 			// Drain greedily, then donate a few scheduler yields before
 			// flushing: concurrent callers that just received their
 			// previous answers get to enqueue the next round, so one
 			// write syscall carries the whole burst.
-			spins := cl.cfg.FlushSpins
+			spins := tr.cfg.FlushSpins
 			for {
 				select {
-				case p2 := <-cl.wq:
+				case p2 := <-tr.wq:
 					write(p2)
 					continue
 				default:
@@ -346,7 +352,7 @@ func (cl *Client) writeLoop() {
 			}
 			if werr == nil {
 				if werr = bw.Flush(); werr != nil {
-					cl.c.Close()
+					tr.c.Close()
 				}
 			}
 		}
@@ -355,13 +361,13 @@ func (cl *Client) writeLoop() {
 
 // readLoop decodes response frames, completes their waiters, and on any
 // read/protocol error fails every pending and future query.
-func (cl *Client) readLoop() {
-	defer cl.loops.Done()
-	br := bufio.NewReaderSize(cl.c, cl.cfg.ReadBuffer)
+func (tr *transport) readLoop() {
+	defer tr.loops.Done()
+	br := bufio.NewReaderSize(tr.c, connBuffer)
 	buf := make([]byte, 0, 4096)
 	var rerr error
 	for {
-		buf, rerr = readFrame(br, buf, cl.cfg.MaxFrame)
+		buf, rerr = readFrame(br, buf, tr.cfg.MaxFrame)
 		if rerr != nil {
 			break
 		}
@@ -384,12 +390,12 @@ func (cl *Client) readLoop() {
 			}
 			id = resp.id
 		}
-		cl.mu.Lock()
-		p := cl.pend[id]
+		tr.mu.Lock()
+		p := tr.pend[id]
 		if p != nil {
-			delete(cl.pend, id)
+			delete(tr.pend, id)
 		}
-		cl.mu.Unlock()
+		tr.mu.Unlock()
 		if p == nil {
 			// A response nobody is waiting for: the waiter withdrew
 			// (client shutdown race) or the server is confused. Either
@@ -405,19 +411,19 @@ func (cl *Client) readLoop() {
 	}
 	// Fail everything pending and mark the client broken for future
 	// queries. Close() may have beaten us to the broken flag.
-	cl.mu.Lock()
-	if cl.broken == nil {
-		cl.broken = fmt.Errorf("%w: %v", ErrConnLost, rerr)
-		close(cl.quit)
-		cl.c.Close()
+	tr.mu.Lock()
+	if tr.broken == nil {
+		tr.broken = fmt.Errorf("%w: %v", ErrConnLost, rerr)
+		close(tr.quit)
+		tr.c.Close()
 	}
-	failErr := cl.broken
+	failErr := tr.broken
 	var ps []*pending
-	for id, p := range cl.pend {
-		delete(cl.pend, id)
+	for id, p := range tr.pend {
+		delete(tr.pend, id)
 		ps = append(ps, p)
 	}
-	cl.mu.Unlock()
+	tr.mu.Unlock()
 	for _, p := range ps {
 		p.err = failErr
 		p.done <- struct{}{}

@@ -152,7 +152,7 @@ func FuzzClientResponse(f *testing.F) {
 		cfg := ClientConfig{DeadlineGrace: 50 * time.Millisecond}
 		cfg.fill()
 		cfg.DeadlineGrace = 50 * time.Millisecond
-		cl := newClient(a, cfg)
+		cl := newTransport(a, cfg)
 		defer cl.Close()
 		go func() {
 			br := bufio.NewReader(b)

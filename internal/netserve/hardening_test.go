@@ -39,7 +39,7 @@ func TestWriteStallWatchdog(t *testing.T) {
 	go srv.Serve(inj.Listener(ln))
 	defer srv.Close()
 
-	cl, err := Dial(ln.Addr().String(), ClientConfig{DeadlineGrace: 100 * time.Millisecond})
+	cl, err := dial(ln.Addr().String(), ClientConfig{DeadlineGrace: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestReadTimeoutReapsSilentConn(t *testing.T) {
 func TestReadyzDrainOrdering(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	fl, srv, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestCloseUnderLoadLeaksNothing(t *testing.T) {
 	go srv.Serve(ln)
 	addr := ln.Addr().String()
 
-	plain, err := Dial(addr, ClientConfig{})
+	plain, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

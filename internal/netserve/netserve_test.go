@@ -105,10 +105,20 @@ func newTestServer(t testing.TB, fcfg fleet.Config, scfg Config, tenants map[str
 	return fl, srv, ln.Addr().String()
 }
 
+// querier is what the bare transport and the exported client share.
+type querier interface {
+	QueryInto(tenant string, x, y, std []float64, deadline time.Time) (WireResult, error)
+}
+
+// query runs one row through q with throwaway result buffers.
+func query(q querier, tenant string, x []float64, deadline time.Time) (WireResult, error) {
+	return q.QueryInto(tenant, x, make([]float64, 8), make([]float64, 8), deadline)
+}
+
 func TestWireRoundTrip(t *testing.T) {
 	bk := &testBackend{in: 3, out: 2}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +148,12 @@ func TestWireRoundTrip(t *testing.T) {
 func TestWireNoStdFlag(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{Flags: FlagNoStd})
+	cl, err := dial(addr, ClientConfig{Flags: FlagNoStd})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := cl.Query("m", []float64{1, 2}, time.Time{})
+	res, err := query(cl, "m", []float64{1, 2}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +168,7 @@ func TestWireNoStdFlag(t *testing.T) {
 func TestWireExpiredDeadlineNeverReachesBackend(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	fl, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +177,7 @@ func TestWireExpiredDeadlineNeverReachesBackend(t *testing.T) {
 	// A request whose deadline passed long ago must come back as
 	// StatusExpired without the backend ever seeing it.
 	expired := time.Now().Add(-time.Second)
-	if _, err := cl.Query("m", []float64{1, 2}, expired); !errors.Is(err, ErrExpired) {
+	if _, err := query(cl, "m", []float64{1, 2}, expired); !errors.Is(err, ErrExpired) {
 		t.Fatalf("expired query returned %v, want ErrExpired", err)
 	}
 	if n := bk.calls.Load(); n != 0 {
@@ -181,7 +191,7 @@ func TestWireExpiredDeadlineNeverReachesBackend(t *testing.T) {
 		t.Fatalf("TenantStats.Expired = %d, want 1", st.Expired)
 	}
 	// A generous deadline serves normally.
-	if _, err := cl.Query("m", []float64{1, 2}, time.Now().Add(time.Minute)); err != nil {
+	if _, err := query(cl, "m", []float64{1, 2}, time.Now().Add(time.Minute)); err != nil {
 		t.Fatalf("live-deadline query failed: %v", err)
 	}
 	if bk.calls.Load() == 0 {
@@ -192,12 +202,12 @@ func TestWireExpiredDeadlineNeverReachesBackend(t *testing.T) {
 func TestWireUnknownTenant(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Query("nope", []float64{1, 2}, time.Time{}); !errors.Is(err, ErrUnknownTenant) {
+	if _, err := query(cl, "nope", []float64{1, 2}, time.Time{}); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("got %v, want ErrUnknownTenant", err)
 	}
 }
@@ -209,7 +219,7 @@ func TestWireOverloadRetryStatus(t *testing.T) {
 	_, _, addr := newTestServer(t,
 		fleet.Config{MaxInFlight: 1, Coalescer: serve.Config{MaxBatch: 1}},
 		Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +232,7 @@ func TestWireOverloadRetryStatus(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := cl.Query("m", []float64{1, 2}, time.Time{})
+			_, err := query(cl, "m", []float64{1, 2}, time.Time{})
 			switch {
 			case err == nil:
 				ok.Add(1)
@@ -248,27 +258,91 @@ func TestWireOverloadRetryStatus(t *testing.T) {
 func TestWireRowErrorAndPanicContainment(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
 	var re *RemoteError
-	if _, err := cl.Query("m", []float64{poisonErr, 0}, time.Time{}); !errors.As(err, &re) {
+	if _, err := query(cl, "m", []float64{poisonErr, 0}, time.Time{}); !errors.As(err, &re) {
 		t.Fatalf("poisoned row returned %v, want *RemoteError", err)
 	} else if !strings.Contains(re.Msg, "poisoned row") {
 		t.Fatalf("remote error message %q", re.Msg)
 	}
-	if _, err := cl.Query("m", []float64{poisonPanic, 0}, time.Time{}); !errors.As(err, &re) {
+	if _, err := query(cl, "m", []float64{poisonPanic, 0}, time.Time{}); !errors.As(err, &re) {
 		t.Fatalf("panicking backend returned %v, want *RemoteError", err)
 	} else if !strings.Contains(re.Msg, "panicked") {
 		t.Fatalf("remote error message %q", re.Msg)
 	}
 	// The connection survives both: a normal query still round-trips.
-	res, err := cl.Query("m", []float64{2, 3}, time.Time{})
+	res, err := query(cl, "m", []float64{2, 3}, time.Time{})
 	if err != nil || res.Y[0] != 5 {
 		t.Fatalf("post-poison query: %v %v", res.Y, err)
+	}
+}
+
+// TestWireStatusMapping pins the status → error contract (OK, ErrRetry,
+// ErrExpired, ErrUnknownTenant, *RemoteError) on the exported client, not
+// only on the transport under it: the same assertions run through a bare
+// transport and through DialResilient with one connection and one attempt
+// (so a shed surfaces instead of being retried away).
+func TestWireStatusMapping(t *testing.T) {
+	type client interface {
+		querier
+		Close() error
+	}
+	for _, tc := range []struct {
+		name string
+		dial func(addr string) (client, error)
+	}{
+		{"transport", func(addr string) (client, error) { return dial(addr, ClientConfig{}) }},
+		{"resilient", func(addr string) (client, error) {
+			return DialResilient(addr, ResilientConfig{Conns: 1, MaxAttempts: 1})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slow := &testBackend{in: 2, out: 1, delay: 50 * time.Millisecond}
+			_, _, addr := newTestServer(t,
+				fleet.Config{MaxInFlight: 1, Coalescer: serve.Config{MaxBatch: 1}},
+				Config{}, map[string]serve.Backend{"m": &testBackend{in: 2, out: 1}, "slow": slow})
+			cl, err := tc.dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			res, err := query(cl, "m", []float64{2, 3}, time.Time{})
+			if err != nil || len(res.Y) != 1 || res.Y[0] != 5 || res.Src != core.FromSurrogate {
+				t.Fatalf("OK: got %+v, %v", res, err)
+			}
+			if _, err := query(cl, "m", []float64{1, 2}, time.Now().Add(-time.Second)); !errors.Is(err, ErrExpired) {
+				t.Fatalf("past deadline: got %v, want ErrExpired", err)
+			}
+			if _, err := query(cl, "nope", []float64{1, 2}, time.Time{}); !errors.Is(err, ErrUnknownTenant) {
+				t.Fatalf("unregistered tenant: got %v, want ErrUnknownTenant", err)
+			}
+			var re *RemoteError
+			if _, err := query(cl, "m", []float64{poisonErr, 0}, time.Time{}); !errors.As(err, &re) ||
+				!strings.Contains(re.Msg, "poisoned row") {
+				t.Fatalf("row error: got %v, want *RemoteError naming the row", err)
+			}
+			// One admission slot held by a slow row: the second query sheds.
+			held := make(chan error, 1)
+			go func() {
+				_, err := query(cl, "slow", []float64{1, 2}, time.Time{})
+				held <- err
+			}()
+			for slow.calls.Load() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if _, err := query(cl, "slow", []float64{1, 2}, time.Time{}); !errors.Is(err, ErrRetry) {
+				t.Fatalf("full admission window: got %v, want ErrRetry", err)
+			}
+			if err := <-held; err != nil {
+				t.Fatalf("admitted query: %v", err)
+			}
+		})
 	}
 }
 
@@ -300,12 +374,12 @@ func TestWireGarbageFramesKillOnlyTheirConnection(t *testing.T) {
 		t.Fatalf("ProtoErrors = %d, want ≥ 4", n)
 	}
 	// A well-formed client on a fresh connection is unaffected.
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if _, err := cl.Query("m", []float64{1, 1}, time.Time{}); err != nil {
+	if _, err := query(cl, "m", []float64{1, 1}, time.Time{}); err != nil {
 		t.Fatalf("post-garbage query failed: %v", err)
 	}
 }
@@ -323,13 +397,13 @@ func TestWireCrossConnectionCoalescing(t *testing.T) {
 	const perConn = 60
 	var wg sync.WaitGroup
 	for cI := 0; cI < conns; cI++ {
-		cl, err := Dial(addr, ClientConfig{})
+		cl, err := dial(addr, ClientConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close()
 		wg.Add(1)
-		go func(cl *Client, seed int) {
+		go func(cl *transport, seed int) {
 			defer wg.Done()
 			y := make([]float64, 1)
 			std := make([]float64, 1)
@@ -376,7 +450,7 @@ func TestWireServerCloseDrains(t *testing.T) {
 	}
 	go srv.Serve(ln)
 
-	cl, err := Dial(ln.Addr().String(), ClientConfig{})
+	cl, err := dial(ln.Addr().String(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +500,7 @@ func TestWireServerCloseDrains(t *testing.T) {
 	}
 	t.Logf("resolved %d queries (%d served) across shutdown", resolved.Load(), served.Load())
 	// After Close the client fails fast rather than hanging.
-	if _, err := cl.Query("m", []float64{1, 1}, time.Time{}); err == nil {
+	if _, err := query(cl, "m", []float64{1, 1}, time.Time{}); err == nil {
 		t.Fatal("query succeeded after server Close")
 	}
 }
@@ -442,7 +516,7 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 	}
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,13 +543,13 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 func TestHealthEndpoints(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	fl, srv, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 	for i := 0; i < 32; i++ {
-		if _, err := cl.Query("m", []float64{1, 2}, time.Time{}); err != nil {
+		if _, err := query(cl, "m", []float64{1, 2}, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -582,61 +656,6 @@ func TestHistPercentiles(t *testing.T) {
 	}
 }
 
-func TestRunLoadClosedLoop(t *testing.T) {
-	bk := &testBackend{in: 2, out: 1}
-	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	rep, err := RunLoad(LoadConfig{
-		Addr:     addr,
-		Tenants:  []string{"m"},
-		In:       2,
-		Duration: 300 * time.Millisecond,
-		Conns:    2,
-		Workers:  8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK == 0 || rep.OK != rep.Sent {
-		t.Fatalf("closed loop: sent=%d ok=%d errors=%d", rep.Sent, rep.OK, rep.Errors)
-	}
-	if rep.Latency.Count() != rep.Sent {
-		t.Fatalf("histogram holds %d samples for %d requests", rep.Latency.Count(), rep.Sent)
-	}
-	if rep.AchievedQPS <= 0 {
-		t.Fatalf("achieved qps %f", rep.AchievedQPS)
-	}
-	if s := rep.String(); !strings.Contains(s, "p99") {
-		t.Fatalf("report missing percentiles: %s", s)
-	}
-}
-
-func TestRunLoadOpenLoopPacing(t *testing.T) {
-	bk := &testBackend{in: 2, out: 1}
-	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	const target = 2000.0
-	rep, err := RunLoad(LoadConfig{
-		Addr:     addr,
-		Tenants:  []string{"m"},
-		In:       2,
-		QPS:      target,
-		Duration: 500 * time.Millisecond,
-		Conns:    2,
-		Workers:  16,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Open loop at an easily sustainable rate: the achieved rate should
-	// sit near the schedule, far below the closed-loop maximum.
-	want := target * 0.5 // generous floor: scheduler jitter on tiny runs
-	if rep.AchievedQPS < want {
-		t.Fatalf("open loop achieved %.0f q/s against a %.0f target", rep.AchievedQPS, target)
-	}
-	if rep.OK == 0 {
-		t.Fatal("no queries served")
-	}
-}
-
 func TestWireConcurrentClientsManyTenants(t *testing.T) {
 	tenants := map[string]serve.Backend{}
 	for i := 0; i < 4; i++ {
@@ -645,13 +664,13 @@ func TestWireConcurrentClientsManyTenants(t *testing.T) {
 	fl, _, addr := newTestServer(t, fleet.Config{}, Config{}, tenants)
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
-		cl, err := Dial(addr, ClientConfig{})
+		cl, err := dial(addr, ClientConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close()
 		wg.Add(1)
-		go func(cl *Client, c int) {
+		go func(cl *transport, c int) {
 			defer wg.Done()
 			y := make([]float64, 1)
 			std := make([]float64, 1)
@@ -679,7 +698,7 @@ func TestWireConcurrentClientsManyTenants(t *testing.T) {
 func BenchmarkWireLoopback(b *testing.B) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(b, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := Dial(addr, ClientConfig{})
+	cl, err := dial(addr, ClientConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,14 +1,14 @@
 package netserve
 
-// This file implements ResilientClient, the failure-domain-hardened face
-// of the wire client: a small pool of multiplexed connections with
-// automatic reconnect under jittered exponential backoff, a deadline-aware
-// retry budget over the protocol's explicit retry signal and transport
-// failures, optional request hedging against tail latency, and a
-// per-tenant circuit breaker so a hard-down tenant sheds locally instead
-// of burning its callers' retry budgets. The steady state — healthy
-// connection, first attempt succeeds — adds only atomic/mutex bookkeeping
-// to Client.QueryInto and stays allocation-free.
+// This file implements ResilientClient, the wire client: a small pool of
+// multiplexed connections (transport, client.go) with automatic reconnect
+// under jittered exponential backoff, a deadline-aware retry budget over
+// the protocol's explicit retry signal and transport failures, optional
+// request hedging against tail latency, and a per-tenant circuit breaker
+// so a hard-down tenant sheds locally instead of burning its callers'
+// retry budgets. The steady state — healthy connection, first attempt
+// succeeds — adds only atomic bookkeeping to the transport's round-trip
+// and stays allocation-free.
 
 import (
 	"errors"
@@ -255,14 +255,14 @@ func (c *ResilientConfig) fill() {
 		c.Seed = 1
 	}
 	c.Breaker.fill()
-	// c.Client is filled by Dial on each (re)connect; filling it here too
+	// c.Client is filled by dial on each (re)connect; filling it here too
 	// would double-apply the negative-means-disable conversions.
 }
 
-// rslot is one pooled connection slot: the live client (nil while down)
-// and its repair/blackhole-detection state.
+// rslot is one pooled connection slot: the live transport (nil while
+// down) and its repair/blackhole-detection state.
 type rslot struct {
-	cl        atomic.Pointer[Client]
+	cl        atomic.Pointer[transport]
 	repairing atomic.Bool
 	expStreak atomic.Int32 // consecutive client-side expirations
 }
@@ -278,10 +278,9 @@ type ResilientStats struct {
 	Retries, Reconnects, Hedges, HedgeWins, BreakerShed int64
 }
 
-// ResilientClient is the failure-hardened wire client: Client's
-// multiplexing and zero-allocation steady state, plus reconnection,
-// retries, hedging and per-tenant circuit breaking. Safe for concurrent
-// use.
+// ResilientClient is the wire client: multiplexed connections with a
+// zero-allocation steady state, plus reconnection, retries, hedging and
+// per-tenant circuit breaking. Safe for concurrent use.
 type ResilientClient struct {
 	cfg  ResilientConfig
 	addr string
@@ -322,7 +321,7 @@ func DialResilient(addr string, cfg ResilientConfig) (*ResilientClient, error) {
 	for i := range rc.slots {
 		sl := &rslot{}
 		rc.slots[i] = sl
-		cl, err := Dial(addr, cfg.Client)
+		cl, err := dial(addr, cfg.Client)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -379,25 +378,36 @@ func (rc *ResilientClient) Stats() ResilientStats {
 	}
 }
 
-// Query is the allocating convenience form; see Client.Query.
+// Query is the allocating convenience form of QueryInto: the answer
+// comes back in fresh caller-owned slices (up to 256 outputs).
 func (rc *ResilientClient) Query(tenant string, x []float64, deadline time.Time) (WireResult, error) {
-	y := make([]float64, 256)
-	std := make([]float64, 256)
-	return rc.QueryInto(tenant, x, y, std, deadline)
+	return rc.QueryInto(tenant, x, make([]float64, 256), make([]float64, 256), deadline)
 }
 
-// QueryInto submits one row through the pool with retries, hedging and
-// circuit breaking; buffer semantics match Client.QueryInto.
+// QueryInto submits one row to the named tenant through the pool with
+// retries, hedging and circuit breaking. The answer lands in y (and std,
+// when the surrogate produced one; nil discards it), which must hold the
+// tenant's output dimensionality; deadline is propagated into the
+// server's admission control, the zero time meaning none. Safe for
+// concurrent use; each concurrent caller must pass its own buffers.
 func (rc *ResilientClient) QueryInto(tenant string, x, y, std []float64, deadline time.Time) (WireResult, error) {
 	if rc.closed.Load() {
-		return WireResult{}, ErrClientClosed
+		return WireResult{}, ErrClientClosed // before the breaker: not a tenant-health signal
 	}
 	br := rc.breakerFor(tenant)
 	if br != nil && !br.allow() {
 		rc.breakerShed.Add(1)
 		return WireResult{}, br.openErr
 	}
-	res, err := rc.attempts(tenant, x, y, std, deadline)
+	var res WireResult
+	err := rc.attempts(deadline, func(tr *transport, sl *rslot, first bool) (err error) {
+		if first && rc.cfg.HedgeDelay > 0 {
+			res, err = rc.hedge(tenant, x, y, std, deadline, tr, sl)
+		} else {
+			res, err = tr.QueryInto(tenant, x, y, std, deadline)
+		}
+		return err
+	})
 	if br != nil {
 		br.record(isBreakerFailure(err))
 	}
@@ -414,10 +424,16 @@ func isBreakerFailure(err error) bool {
 		!errors.Is(err, ErrExpired) && !errors.Is(err, errShortBuffer)
 }
 
-// attempts runs the retry loop: up to MaxAttempts tries across the pool,
-// jittered exponential backoff between them, never sleeping past the
-// caller's deadline.
-func (rc *ResilientClient) attempts(tenant string, x, y, std []float64, deadline time.Time) (WireResult, error) {
+// attempts is the one retry ladder, for queries and artifact calls alike:
+// up to MaxAttempts tries of call across the pool, jittered exponential
+// backoff between them, never sleeping past a non-zero deadline.
+// Transport failures condemn the connection and try another, explicit
+// sheds back off, definitive answers return at once. first marks the
+// attempt hedging may duplicate.
+func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *transport, sl *rslot, first bool) error) error {
+	if rc.closed.Load() {
+		return ErrClientClosed
+	}
 	var last error = ErrNoConn
 	back := rc.cfg.RetryBackoff
 	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
@@ -427,54 +443,45 @@ func (rc *ResilientClient) attempts(tenant string, x, y, std []float64, deadline
 			if !deadline.IsZero() && time.Now().Add(d).After(deadline) {
 				// Sleeping would land past the deadline: the retry is
 				// already lost, report the attempt that got furthest.
-				return WireResult{}, last
+				return last
 			}
 			select {
 			case <-rc.quit:
-				return WireResult{}, ErrClientClosed
+				return ErrClientClosed
 			case <-time.After(d):
 			}
-			back *= 2
-			if back > rc.cfg.RetryBackoffMax {
-				back = rc.cfg.RetryBackoffMax
-			}
+			back = min(2*back, rc.cfg.RetryBackoffMax)
 		}
-		cl, sl := rc.pick(nil)
-		if cl == nil {
+		tr, sl := rc.pick(nil)
+		if tr == nil {
 			last = ErrNoConn
 			continue
 		}
-		var res WireResult
-		var err error
-		if attempt == 0 && rc.cfg.HedgeDelay > 0 {
-			res, err = rc.hedge(tenant, x, y, std, deadline, cl, sl)
-		} else {
-			res, err = cl.QueryInto(tenant, x, y, std, deadline)
-		}
+		err := call(tr, sl, attempt == 0)
 		if err == nil {
 			if sl.expStreak.Load() != 0 {
 				sl.expStreak.Store(0)
 			}
-			return res, nil
+			return nil
 		}
 		last = err
 		switch {
 		case isTransport(err):
 			// The connection died under this request; its fate is
 			// unknown, so condemn the connection and try another.
-			rc.markBroken(sl, cl)
+			rc.markBroken(sl, tr)
 		case errors.Is(err, ErrRetry):
 			// Explicit server shed: the retry budget exists for this.
 		case errors.Is(err, ErrExpired):
-			rc.noteExpired(sl, cl)
-			return WireResult{}, err
+			rc.noteExpired(sl, tr)
+			return err
 		default:
 			// Definitive answer (unknown tenant, server error, short
 			// buffer): retrying cannot change it.
-			return WireResult{}, err
+			return err
 		}
 	}
-	return WireResult{}, last
+	return last
 }
 
 // isTransport reports errors that condemn a connection rather than the
@@ -488,23 +495,29 @@ func isTransport(err error) bool {
 type hedgeAnswer struct {
 	res WireResult
 	err error
-	cl  *Client
+	tr  *transport
 	sl  *rslot
 }
 
 // hedge runs the first attempt with a duplicate launched on another
 // connection if no answer lands within HedgeDelay; the first success
-// wins. Hedged attempts run through the allocating Query so the two
-// in-flight copies cannot share the caller's buffers.
-func (rc *ResilientClient) hedge(tenant string, x, y, std []float64, deadline time.Time, cl *Client, sl *rslot) (WireResult, error) {
+// wins. The loser may still be encoding or decoding after hedge returns,
+// so every copy works on a snapshot of x and its own result buffers —
+// never the caller's.
+func (rc *ResilientClient) hedge(tenant string, x, y, std []float64, deadline time.Time, tr *transport, sl *rslot) (WireResult, error) {
+	x = append([]float64(nil), x...)
 	ch := make(chan hedgeAnswer, 2)
-	launch := func(c *Client, s *rslot) {
+	launch := func(t *transport, s *rslot) {
 		go func() {
-			r, e := c.Query(tenant, x, deadline)
-			ch <- hedgeAnswer{res: r, err: e, cl: c, sl: s}
+			var hstd []float64
+			if std != nil {
+				hstd = make([]float64, len(std))
+			}
+			r, e := t.QueryInto(tenant, x, make([]float64, len(y)), hstd, deadline)
+			ch <- hedgeAnswer{res: r, err: e, tr: t, sl: s}
 		}()
 	}
-	launch(cl, sl)
+	launch(tr, sl)
 	inflight := 1
 	hedged := false
 	tm := time.NewTimer(rc.cfg.HedgeDelay)
@@ -515,23 +528,29 @@ func (rc *ResilientClient) hedge(tenant string, x, y, std []float64, deadline ti
 		case <-tm.C:
 			if !hedged {
 				hedged = true
-				if c2, s2 := rc.pick(sl); c2 != nil {
+				if t2, s2 := rc.pick(sl); t2 != nil {
 					rc.hedges.Add(1)
-					launch(c2, s2)
+					launch(t2, s2)
 					inflight++
 				}
 			}
 		case a := <-ch:
 			inflight--
 			if a.err == nil {
-				if a.cl != cl {
+				if a.tr != tr {
 					rc.hedgeWins.Add(1)
 				}
 				a.sl.expStreak.Store(0)
-				return copyHedge(a.res, y, std)
+				// Land the winner in the caller's buffers (QueryInto's
+				// aliasing contract); the copies were sized from them.
+				a.res.Y = y[:copy(y, a.res.Y)]
+				if a.res.Std != nil {
+					a.res.Std = std[:copy(std, a.res.Std)]
+				}
+				return a.res, nil
 			}
 			if isTransport(a.err) {
-				rc.markBroken(a.sl, a.cl)
+				rc.markBroken(a.sl, a.tr)
 			}
 			if firstErr == nil {
 				firstErr = a.err
@@ -541,29 +560,9 @@ func (rc *ResilientClient) hedge(tenant string, x, y, std []float64, deadline ti
 	return WireResult{}, firstErr
 }
 
-// copyHedge lands a hedged answer in the caller's buffers, preserving
-// QueryInto's aliasing contract.
-func copyHedge(res WireResult, y, std []float64) (WireResult, error) {
-	if len(res.Y) > len(y) {
-		return WireResult{}, errShortBuffer
-	}
-	copy(y, res.Y)
-	res.Y = y[:len(res.Y)]
-	if res.Std != nil && std != nil {
-		if len(res.Std) > len(std) {
-			return WireResult{}, errShortBuffer
-		}
-		copy(std, res.Std)
-		res.Std = std[:len(res.Std)]
-	} else {
-		res.Std = nil
-	}
-	return res, nil
-}
-
 // pick round-robins over live slots, skipping avoid (nil to allow all).
 // A one-connection pool has nothing to rotate, so it skips the counter.
-func (rc *ResilientClient) pick(avoid *rslot) (*Client, *rslot) {
+func (rc *ResilientClient) pick(avoid *rslot) (*transport, *rslot) {
 	n := len(rc.slots)
 	if n == 1 {
 		if sl := rc.slots[0]; sl != avoid {
@@ -590,7 +589,7 @@ func (rc *ResilientClient) pick(avoid *rslot) (*Client, *rslot) {
 // repair loop. The CAS makes condemnation single-winner: concurrent
 // callers seeing the same dead client race to nil it, and only the winner
 // closes and repairs.
-func (rc *ResilientClient) markBroken(sl *rslot, cl *Client) {
+func (rc *ResilientClient) markBroken(sl *rslot, cl *transport) {
 	if !sl.cl.CompareAndSwap(cl, nil) {
 		return
 	}
@@ -602,7 +601,7 @@ func (rc *ResilientClient) markBroken(sl *rslot, cl *Client) {
 // ExpireStreak the connection is condemned as blackholed — an open-but-
 // silent connection yields no transport error, so the streak is the only
 // crossing signal.
-func (rc *ResilientClient) noteExpired(sl *rslot, cl *Client) {
+func (rc *ResilientClient) noteExpired(sl *rslot, cl *transport) {
 	if rc.cfg.ExpireStreak <= 0 {
 		return
 	}
@@ -641,7 +640,7 @@ func (rc *ResilientClient) repair(sl *rslot) {
 		if rc.closed.Load() {
 			return
 		}
-		cl, err := Dial(rc.addr, rc.cfg.Client)
+		cl, err := dial(rc.addr, rc.cfg.Client)
 		if err == nil {
 			sl.expStreak.Store(0)
 			sl.cl.Store(cl)
@@ -702,78 +701,43 @@ func (rc *ResilientClient) jitter(d time.Duration) time.Duration {
 
 // ---------------------------------------------------------------------------
 // artifact control plane
+//
+// Artifact ops ride the same retry ladder as queries. They are idempotent
+// by contract (generation-addressed reads, replay-idempotent installs), so
+// retrying after an unknown-fate transport failure is safe.
 
-// artAttempts runs one artifact control-plane call with the same
-// retry-across-the-pool ladder as queries: transport failures condemn
-// the connection and try another, explicit sheds back off, definitive
-// answers return immediately. Artifact ops are idempotent by contract
-// (generation-addressed reads, replay-idempotent installs), so retrying
-// after an unknown-fate transport failure is safe.
-func (rc *ResilientClient) artAttempts(call func(cl *Client) error) error {
-	if rc.closed.Load() {
-		return ErrClientClosed
-	}
-	var last error = ErrNoConn
-	back := rc.cfg.RetryBackoff
-	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			rc.retries.Add(1)
-			select {
-			case <-rc.quit:
-				return ErrClientClosed
-			case <-time.After(rc.jitter(back)):
-			}
-			back *= 2
-			if back > rc.cfg.RetryBackoffMax {
-				back = rc.cfg.RetryBackoffMax
-			}
-		}
-		cl, sl := rc.pick(nil)
-		if cl == nil {
-			last = ErrNoConn
-			continue
-		}
-		err := call(cl)
-		if err == nil {
-			return nil
-		}
-		last = err
-		switch {
-		case isTransport(err):
-			rc.markBroken(sl, cl)
-		case errors.Is(err, ErrRetry):
-		default:
-			return err
-		}
-	}
-	return last
-}
-
-// StatArtifact is Client.StatArtifact through the retry ladder.
+// StatArtifact asks the server for key's current registry generation.
+// ok=false means the key has no committed generation.
 func (rc *ResilientClient) StatArtifact(key string) (gen uint64, ok bool, err error) {
-	err = rc.artAttempts(func(cl *Client) error {
-		var e error
-		gen, ok, e = cl.StatArtifact(key)
+	err = rc.attempts(time.Time{}, func(tr *transport, _ *rslot, _ bool) (e error) {
+		_, gen, ok, e = tr.artCall(frameArtFetch, key, 0, FlagArtStat, nil)
 		return e
 	})
 	return gen, ok, err
 }
 
-// FetchArtifact is Client.FetchArtifact through the retry ladder. The
-// pooled connections' MaxFrame must admit artifact-sized responses
-// (DefaultMaxArtifactFrame).
+// FetchArtifact pulls key's artifact at generation gen (0 = newest);
+// ok=false means no such key/generation, and the returned bytes are
+// caller-owned. ResilientConfig.Client.MaxFrame must admit artifact-sized
+// responses (DefaultMaxArtifactFrame, or the server's configured cap).
 func (rc *ResilientClient) FetchArtifact(key string, gen uint64) (data []byte, actual uint64, ok bool, err error) {
-	err = rc.artAttempts(func(cl *Client) error {
-		var e error
-		data, actual, ok, e = cl.FetchArtifact(key, gen)
+	err = rc.attempts(time.Time{}, func(tr *transport, _ *rslot, _ bool) (e error) {
+		data, actual, ok, e = tr.artCall(frameArtFetch, key, gen, 0, nil)
 		return e
 	})
 	return data, actual, ok, err
 }
 
-// PushArtifact is Client.PushArtifact through the retry ladder.
+// PushArtifact installs data as generation gen of key on the server. A
+// nil data with gen 0 is a cold placement request: the server creates the
+// key's tenant without an artifact.
 func (rc *ResilientClient) PushArtifact(key string, gen uint64, data []byte) error {
-	return rc.artAttempts(func(cl *Client) error {
-		return cl.PushArtifact(key, gen, data)
+	var flags byte
+	if data == nil {
+		flags = FlagArtCold
+	}
+	return rc.attempts(time.Time{}, func(tr *transport, _ *rslot, _ bool) error {
+		_, _, _, err := tr.artCall(frameArtPush, key, gen, flags, data)
+		return err
 	})
 }

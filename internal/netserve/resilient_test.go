@@ -191,10 +191,14 @@ func TestResilientBreaker(t *testing.T) {
 	}
 }
 
-// TestResilientHedge arms hedging against a slow backend and asserts
-// duplicates launch and queries still answer exactly once.
+// TestResilientHedge arms hedging against a backend whose delay sits at
+// HedgeDelay, so duplicates launch right as primaries answer and the
+// loser is often still encoding when QueryInto returns. The caller reuses
+// one x across queries, as every loop in this repo does: each answer must
+// match the x it was issued with, and under -race the loser must not be
+// caught reading the caller's x.
 func TestResilientHedge(t *testing.T) {
-	bk := &testBackend{in: 2, out: 1, delay: 5 * time.Millisecond}
+	bk := &testBackend{in: 2, out: 1, delay: time.Millisecond}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
 	rc, err := DialResilient(addr, ResilientConfig{
 		Conns:      2,
@@ -204,18 +208,87 @@ func TestResilientHedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
+	x := make([]float64, 2)
 	y, std := make([]float64, 1), make([]float64, 1)
-	for i := 0; i < 32; i++ {
-		res, err := rc.QueryInto("m", []float64{1, 2}, y, std, time.Time{})
+	for i := 0; i < 200; i++ {
+		x[0], x[1] = float64(i), 2
+		res, err := rc.QueryInto("m", x, y, std, time.Time{})
 		if err != nil {
 			t.Fatalf("hedged query %d: %v", i, err)
 		}
-		if res.Y[0] != 3 {
-			t.Fatalf("hedged query %d: got %v, want 3", i, res.Y[0])
+		if want := float64(i) + 2; res.Y[0] != want || &res.Y[0] != &y[0] {
+			t.Fatalf("hedged query %d: got %v (in caller's y: %v), want %v", i, res.Y[0], &res.Y[0] == &y[0], want)
 		}
 	}
 	if st := rc.Stats(); st.Hedges == 0 {
-		t.Fatalf("no hedges launched against a 5ms backend: %+v", st)
+		t.Fatalf("no hedges launched against a backend as slow as HedgeDelay: %+v", st)
+	}
+}
+
+// oneGenStore is an ArtifactStore holding generation 3 of every key.
+type oneGenStore struct{}
+
+func (oneGenStore) FetchArtifact(string, uint64) ([]byte, uint64, bool, error) {
+	return []byte("weights"), 3, true, nil
+}
+func (oneGenStore) StatArtifact(string) (uint64, bool) { return 3, true }
+
+// TestResilientArtifactCallBounded blackholes the control connection —
+// open, silent, no transport error ever — and asserts an artifact call
+// gives up at artCallTimeout with a connection-lost error (it used to
+// wait forever, wedging the router's serial mirror loop), and that the
+// condemned connection is replaced once the path heals.
+func TestResilientArtifactCallBounded(t *testing.T) {
+	defer func(d time.Duration) { artCallTimeout = d }(artCallTimeout)
+	artCallTimeout = 100 * time.Millisecond
+	inj := chaos.New(7)
+	_, _, addr := newTestServer(t, fleet.Config{}, Config{Artifacts: oneGenStore{}}, nil)
+	rc, err := DialResilient(addr, ResilientConfig{
+		Conns:            1,
+		MaxAttempts:      1,
+		ReconnectBackoff: time.Millisecond,
+		Client:           ClientConfig{Dialer: inj.Dialer(nil)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if gen, ok, err := rc.StatArtifact("k/shard-0"); err != nil || !ok || gen != 3 {
+		t.Fatalf("healthy stat: gen %d ok %v err %v", gen, ok, err)
+	}
+
+	inj.SetBlackhole(true)
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := rc.FetchArtifact("k/shard-0", 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrConnLost) {
+			t.Fatalf("blackholed fetch returned %v, want an ErrConnLost", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("artifact call on a blackholed connection never returned")
+	}
+
+	inj.SetBlackhole(false)
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		data, gen, ok, err := rc.FetchArtifact("k/shard-0", 0)
+		if err == nil {
+			if !ok || gen != 3 || string(data) != "weights" {
+				t.Fatalf("healed fetch: %q gen %d ok %v", data, gen, ok)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no recovery within 3s of the path healing: %v", err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if st := rc.Stats(); st.Reconnects == 0 {
+		t.Fatalf("recovered without replacing the condemned connection: %+v", st)
 	}
 }
 

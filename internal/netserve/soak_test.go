@@ -148,9 +148,9 @@ func TestWireSoakChurnAndDrift(t *testing.T) {
 	names := []string{"stable0", "stable1", "stable2", "drifty", "churn0", "churn2"}
 	var sent, ok64, unknown, failed atomic.Int64
 	var trafficWG sync.WaitGroup
-	clients := make([]*Client, conns)
+	clients := make([]*transport, conns)
 	for c := range clients {
-		cl, err := Dial(addr, ClientConfig{})
+		cl, err := dial(addr, ClientConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +161,7 @@ func TestWireSoakChurnAndDrift(t *testing.T) {
 	for c := 0; c < conns; c++ {
 		for w := 0; w < workersPerConn; w++ {
 			trafficWG.Add(1)
-			go func(cl *Client, seed uint64) {
+			go func(cl *transport, seed uint64) {
 				defer trafficWG.Done()
 				rng := xrand.New(seed)
 				y := make([]float64, 1)

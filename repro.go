@@ -250,7 +250,8 @@ type TenantOverloadedError = fleet.OverloadedError
 // pair speaking a length-prefixed binary protocol whose server decodes
 // straight into pooled buffers feeding the fleet's per-tenant coalescers,
 // so micro-batches gather across connections. The steady-state path is
-// allocation-free on both ends (Client.QueryInto with reused buffers).
+// allocation-free on both ends (WireResilientClient.QueryInto with reused
+// buffers).
 type (
 	// WireServer serves a Fleet over TCP.
 	WireServer = netserve.Server
@@ -258,10 +259,8 @@ type (
 	WireServerConfig = netserve.Config
 	// WireServerStats is the server-wide wire counter snapshot.
 	WireServerStats = netserve.Stats
-	// WireClient is one multiplexed client connection; any number of
-	// goroutines may query it concurrently.
-	WireClient = netserve.Client
-	// WireClientConfig tunes a WireClient.
+	// WireClientConfig tunes each pooled connection of a
+	// WireResilientClient (WireResilientConfig.Client).
 	WireClientConfig = netserve.ClientConfig
 	// WireResult is one wire query's answer.
 	WireResult = netserve.WireResult
@@ -270,17 +269,13 @@ type (
 	// WireHealth is the HTTP health/readiness/stats handler of a served
 	// fleet (GET /healthz, /readyz, /statsz).
 	WireHealth = netserve.Health
-	// WireLoadConfig drives RunWireLoad.
-	WireLoadConfig = netserve.LoadConfig
-	// WireLoadReport is RunWireLoad's outcome, including an HDR-style
-	// latency histogram measured from scheduled (not sent) time.
-	WireLoadReport = netserve.LoadReport
 	// LatencyHist is the log-linear latency histogram the wire loadtest
 	// and benchmarks record into.
 	LatencyHist = netserve.Hist
-	// WireResilientClient is the failure-hardened wire client: a pool of
-	// multiplexed connections with automatic reconnect, deadline-aware
-	// retries, optional hedging and per-tenant circuit breaking.
+	// WireResilientClient is the wire client: a pool of multiplexed
+	// connections with automatic reconnect, deadline-aware retries,
+	// optional hedging and per-tenant circuit breaking. Any number of
+	// goroutines may query it concurrently.
 	WireResilientClient = netserve.ResilientClient
 	// WireResilientConfig tunes a WireResilientClient.
 	WireResilientConfig = netserve.ResilientConfig
@@ -311,7 +306,7 @@ const (
 	BrownoutNoUQ = core.BrownoutNoUQ
 )
 
-// Wire status errors, re-exported. A WireClient maps every non-OK
+// Wire status errors, re-exported. A WireResilientClient maps every non-OK
 // response status to one of these sentinels (or a *WireRemoteError).
 var (
 	// ErrWireRetry is an admission shed crossing the wire: back off and
@@ -322,13 +317,13 @@ var (
 	ErrWireExpired = netserve.ErrExpired
 	// ErrWireUnknownTenant is the wire form of ErrUnknownTenant.
 	ErrWireUnknownTenant = netserve.ErrUnknownTenant
-	// ErrWireClientClosed is returned once a WireClient is closed.
+	// ErrWireClientClosed is returned once a WireResilientClient is closed.
 	ErrWireClientClosed = netserve.ErrClientClosed
 	// ErrWireServerClosed is returned by WireServer.Serve after Close.
 	ErrWireServerClosed = netserve.ErrServerClosed
 	// ErrWireConnLost is the transport-failure sentinel: the connection
-	// died under an in-flight query, fate unknown. A WireResilientClient
-	// retries these on another connection.
+	// died under an in-flight query, fate unknown. Retried on another
+	// connection; surfaces only once the retry budget is spent.
 	ErrWireConnLost = netserve.ErrConnLost
 	// ErrWireNoConn is returned while every pooled connection of a
 	// WireResilientClient is down and reconnecting.
@@ -342,21 +337,12 @@ var (
 // ListenAndServe) in a goroutine and Close to drain.
 func NewWireServer(cfg WireServerConfig) *WireServer { return netserve.NewServer(cfg) }
 
-// DialWire connects a multiplexed wire client to a WireServer.
-func DialWire(addr string, cfg WireClientConfig) (*WireClient, error) {
-	return netserve.Dial(addr, cfg)
-}
-
-// DialWireResilient builds a failure-hardened wire client pool against a
-// WireServer. Connections that fail to dial repair in the background;
+// DialWireResilient builds the wire client — a connection pool — against a
+// WireServer or WireRouter. Connections that fail to dial repair in the background;
 // only a fully failed pool returns an error.
 func DialWireResilient(addr string, cfg WireResilientConfig) (*WireResilientClient, error) {
 	return netserve.DialResilient(addr, cfg)
 }
-
-// RunWireLoad drives an open- or closed-loop loadtest against a wire
-// server and returns the merged report.
-func RunWireLoad(cfg WireLoadConfig) (*WireLoadReport, error) { return netserve.RunLoad(cfg) }
 
 // Crash-safe artifact registry, re-exported from internal/registry: a
 // versioned on-disk store of surrogate artifacts with atomic

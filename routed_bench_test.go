@@ -66,9 +66,12 @@ func BenchmarkRoutedQPS(b *testing.B) {
 	go rt.Serve(ln)
 
 	clients := clientsPerTenant * tenants
-	conns := make([]*netserve.Client, tenants)
+	conns := make([]*netserve.ResilientClient, tenants)
 	for i := range conns {
-		cl, err := netserve.Dial(ln.Addr().String(), netserve.ClientConfig{FlushSpins: 8})
+		cl, err := netserve.DialResilient(ln.Addr().String(), netserve.ResilientConfig{
+			Conns:  1,
+			Client: netserve.ClientConfig{FlushSpins: 8},
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +84,7 @@ func BenchmarkRoutedQPS(b *testing.B) {
 	var warm sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		warm.Add(1)
-		go func(cl *netserve.Client, name string) {
+		go func(cl *netserve.ResilientClient, name string) {
 			defer warm.Done()
 			y := make([]float64, 1)
 			std := make([]float64, 1)
@@ -107,7 +110,7 @@ func BenchmarkRoutedQPS(b *testing.B) {
 	for t := 0; t < tenants; t++ {
 		for c := 0; c < clientsPerTenant; c++ {
 			wg.Add(1)
-			go func(cl *netserve.Client, name string, seed uint64, h *netserve.Hist) {
+			go func(cl *netserve.ResilientClient, name string, seed uint64, h *netserve.Hist) {
 				defer wg.Done()
 				rng := xrand.New(seed)
 				x := make([]float64, 2)

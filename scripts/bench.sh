@@ -26,7 +26,7 @@ if [[ -z "$out" ]]; then
   out="BENCH_$((n + 1)).json"
 fi
 
-benches='BenchmarkTrainEpoch$|BenchmarkDenseForwardBackward|BenchmarkEncodeArtifact|BenchmarkQueryBatch$|BenchmarkQueryLoop|BenchmarkQueryDuringRetrain|BenchmarkOracleFanout|BenchmarkOracleCampaign|BenchmarkCompiledForward|BenchmarkCompiledBatch|BenchmarkQuantizedForward|BenchmarkQuantizedQueryBatch|BenchmarkDeepUQ|BenchmarkMatMulParallelSlope|BenchmarkMatMulKernels|BenchmarkQuantSweep|BenchmarkCoalescedQPS|BenchmarkFleetQPS|BenchmarkWireQPS|BenchmarkResilientQPS|BenchmarkRoutedQPS|BenchmarkRegistryColdStart'
+benches='BenchmarkTrainEpoch$|BenchmarkDenseForwardBackward|BenchmarkEncodeArtifact|BenchmarkQueryBatch$|BenchmarkQueryLoop|BenchmarkQueryDuringRetrain|BenchmarkOracleFanout|BenchmarkOracleCampaign|BenchmarkCompiledForward|BenchmarkCompiledBatch|BenchmarkQuantizedForward|BenchmarkQuantizedQueryBatch|BenchmarkDeepUQ|BenchmarkMatMulParallelSlope|BenchmarkMatMulKernels|BenchmarkQuantSweep|BenchmarkCoalescedQPS|BenchmarkFleetQPS|BenchmarkWireQPS|BenchmarkRoutedQPS|BenchmarkRegistryColdStart'
 runs=3
 raw=""
 for ((r = 1; r <= runs; r++)); do

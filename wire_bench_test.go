@@ -19,16 +19,15 @@ import (
 // length-prefixed wire protocol. The acceptance bar (gated by bench_diff
 // in CI) is 0 allocs/op in steady state and ≥50% of the in-process
 // BenchmarkFleetQPS throughput at tenants=4: the wire must cost framing
-// and syscalls, not allocations or lost batching. Each client goroutine
-// gets its own connection, so the coalescer's cross-connection gather is
-// exactly what keeps batch sizes (and throughput) up.
+// and syscalls, not allocations or lost batching.
 //
-// Connection topology: one TCP connection per tenant, multiplexed by that
-// tenant's 16 client goroutines. The Client is a multiplexing transport —
-// concurrent callers' frames share buffered writes — so this is its
-// designed operating point: a 16-deep request pipeline per connection
-// whose bursts amortize syscalls on both sides, while the per-tenant
-// coalescer still gathers across the tenants' separate connections.
+// Connection topology: one ResilientClient with one pooled connection per
+// tenant, multiplexed by that tenant's 16 client goroutines — the client
+// every caller gets (breaker check, pick, retry accounting included), at
+// the transport's designed operating point: concurrent callers' frames
+// share buffered writes, so a 16-deep request pipeline per connection
+// amortizes syscalls on both sides, while the per-tenant coalescer still
+// gathers across the tenants' separate connections.
 func BenchmarkWireQPS(b *testing.B) {
 	const clientsPerTenant = 16
 	for _, tenants := range []int{1, 4} {
@@ -55,9 +54,12 @@ func BenchmarkWireQPS(b *testing.B) {
 			defer srv.Close()
 
 			clients := clientsPerTenant * tenants
-			conns := make([]*netserve.Client, tenants)
+			conns := make([]*netserve.ResilientClient, tenants)
 			for i := range conns {
-				cl, err := netserve.Dial(ln.Addr().String(), netserve.ClientConfig{FlushSpins: 8})
+				cl, err := netserve.DialResilient(ln.Addr().String(), netserve.ResilientConfig{
+					Conns:  1,
+					Client: netserve.ClientConfig{FlushSpins: 8},
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -70,7 +72,7 @@ func BenchmarkWireQPS(b *testing.B) {
 			var warm sync.WaitGroup
 			for i := 0; i < clients; i++ {
 				warm.Add(1)
-				go func(cl *netserve.Client, name string) {
+				go func(cl *netserve.ResilientClient, name string) {
 					defer warm.Done()
 					y := make([]float64, 1)
 					std := make([]float64, 1)
@@ -96,7 +98,7 @@ func BenchmarkWireQPS(b *testing.B) {
 			for t := 0; t < tenants; t++ {
 				for c := 0; c < clientsPerTenant; c++ {
 					wg.Add(1)
-					go func(cl *netserve.Client, name string, seed uint64, h *netserve.Hist) {
+					go func(cl *netserve.ResilientClient, name string, seed uint64, h *netserve.Hist) {
 						defer wg.Done()
 						rng := xrand.New(seed)
 						x := make([]float64, 2)
@@ -140,118 +142,4 @@ func BenchmarkWireQPS(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkResilientQPS is BenchmarkWireQPS at tenants=4 with the
-// hardened client in front: same tenants, same 16 multiplexed clients per
-// connection, but every query passes through ResilientClient's breaker
-// check, round-robin pick and retry accounting. The acceptance bar (gated
-// by bench_diff in CI) is 0 allocs/op and ≥0.9× the plain
-// BenchmarkWireQPS tenants=4 throughput: failure-domain hardening must
-// cost bookkeeping, not allocations or throughput.
-func BenchmarkResilientQPS(b *testing.B) {
-	const clientsPerTenant = 16
-	const tenants = 4
-	fl := fleet.New(fleet.Config{Coalescer: serve.Config{MaxBatch: 64}})
-	defer fl.Close()
-	names := make([]string, tenants)
-	for t := 0; t < tenants; t++ {
-		names[t] = fmt.Sprintf("t%d", t)
-		if err := fl.Register(names[t], benchWrapper(b)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv := netserve.NewServer(netserve.Config{Fleet: fl, FlushSpins: 8})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	clients := clientsPerTenant * tenants
-	// One pooled connection per tenant mirrors the plain benchmark's
-	// topology; the pool exists for failover, not extra parallelism.
-	conns := make([]*netserve.ResilientClient, tenants)
-	for i := range conns {
-		cl, err := netserve.DialResilient(ln.Addr().String(), netserve.ResilientConfig{
-			Conns:  1,
-			Client: netserve.ClientConfig{FlushSpins: 8},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		conns[i] = cl
-		defer cl.Close()
-	}
-
-	var warm sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		warm.Add(1)
-		go func(cl *netserve.ResilientClient, name string) {
-			defer warm.Done()
-			y := make([]float64, 1)
-			std := make([]float64, 1)
-			for j := 0; j < 64; j++ {
-				if _, err := cl.QueryInto(name, []float64{0.1, 0.2}, y, std, time.Time{}); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(conns[i%tenants], names[i%tenants])
-	}
-	warm.Wait()
-
-	per := b.N / clients
-	if per == 0 {
-		per = 1
-	}
-	b.SetParallelism(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	hists := make([]netserve.Hist, clients)
-	var wg sync.WaitGroup
-	for t := 0; t < tenants; t++ {
-		for c := 0; c < clientsPerTenant; c++ {
-			wg.Add(1)
-			go func(cl *netserve.ResilientClient, name string, seed uint64, h *netserve.Hist) {
-				defer wg.Done()
-				rng := xrand.New(seed)
-				x := make([]float64, 2)
-				y := make([]float64, 1)
-				std := make([]float64, 1)
-				for i := 0; i < per; i++ {
-					x[0] = rng.Range(-2, 2)
-					x[1] = rng.Range(-1, 1)
-					sample := i&7 == 0
-					var t0 time.Time
-					if sample {
-						t0 = time.Now()
-					}
-					if _, err := cl.QueryInto(name, x, y, std, time.Time{}); err != nil {
-						b.Error(err)
-						return
-					}
-					if sample {
-						h.RecordSince(t0)
-					}
-				}
-			}(conns[t], names[t], uint64(0xa7e0+31*t+c), &hists[t*clientsPerTenant+c])
-		}
-	}
-	wg.Wait()
-	b.StopTimer()
-	var lat netserve.Hist
-	for i := range hists {
-		lat.Merge(&hists[i])
-	}
-	qps := float64(per*clients) / b.Elapsed().Seconds()
-	b.ReportMetric(qps, "queries/s")
-	b.ReportMetric(float64(lat.Percentile(0.50).Nanoseconds()), "p50-ns")
-	b.ReportMetric(float64(lat.Percentile(0.99).Nanoseconds()), "p99-ns")
-	var retries int64
-	for _, cl := range conns {
-		retries += cl.Stats().Retries
-	}
-	b.ReportMetric(float64(retries), "retries")
 }
