@@ -109,12 +109,12 @@ func BenchmarkTrainEpoch(b *testing.B) {
 }
 
 // BenchmarkEncodeArtifact serializes what batch_sweep's float tenant
-// publishes at every refit: the 8-128-128-4 net and its 32-row compiled
-// program, 290 kB. The encoder sizes the artifact before it writes, so an
-// encode is the one buffer (plus the sizing pass's closures).
+// publishes at every refit: the 8-128-128-4 net's 32-row compiled program,
+// its weights once. The encoder sizes the artifact before it writes, so an
+// encode is the one buffer, filled with one bulk copy of the slab.
 func BenchmarkEncodeArtifact(b *testing.B) {
 	net := nn.NewMLP(xrand.New(5), nn.Tanh, 0.1, 8, 128, 128, 4)
-	a := &nn.Artifact{Net: net, Compiled: net.CompileBatch(32), Meta: []byte("bench")}
+	a := &nn.Artifact{Compiled: net.CompileBatch(32), Meta: []byte("bench")}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		data, err := nn.EncodeArtifact(a)

@@ -1,0 +1,145 @@
+package core
+
+import (
+	"bytes"
+	"encoding/gob"
+	"math"
+	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
+	"repro/internal/xrand"
+)
+
+// artifactFixture trains a small dropout surrogate and returns it with its
+// training inputs and its encoded artifact (drift baseline 0.25).
+func artifactFixture(t testing.TB) (*NNSurrogate, *tensor.Matrix, []byte) {
+	t.Helper()
+	rng := xrand.New(0xa27)
+	x, y := tensor.NewMatrix(30, 2), tensor.NewMatrix(30, 1)
+	for i := 0; i < x.Rows; i++ {
+		a, b := rng.Range(-1, 1), rng.Range(-1, 1)
+		copy(x.Row(i), []float64{a, b})
+		y.Row(i)[0] = math.Sin(a) - b
+	}
+	live := NewNNSurrogate(2, 1, []int{10}, 0.1, rng)
+	live.Epochs, live.MaxBatch = 15, 8
+	if err := live.Train(x, y); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := live.EncodeArtifact(0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live, x, blob
+}
+
+// remeta re-encodes blob — same programs, valid CRCs, as any sender could —
+// with its meta section edited.
+func remeta(t testing.TB, blob []byte, edit func(*surrogateMeta)) []byte {
+	t.Helper()
+	art, err := nn.DecodeArtifact(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta surrogateMeta
+	if err := gob.NewDecoder(bytes.NewReader(art.Meta)).Decode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	edit(&meta)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	art.Meta = buf.Bytes()
+	out, err := nn.EncodeArtifact(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDecodeNNSurrogateRoundTrip: a restored surrogate serves the encoder's
+// deterministic bits, a live MC pass, and the architecture it reports is
+// read off the program — the meta no longer repeats it.
+func TestDecodeNNSurrogateRoundTrip(t *testing.T) {
+	live, x, blob := artifactFixture(t)
+	restored, residBase, err := DecodeNNSurrogate(blob, xrand.New(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if residBase != 0.25 {
+		t.Fatalf("drift baseline %g, want 0.25", residBase)
+	}
+	if in, out := restored.Dims(); in != 2 || out != 1 || len(restored.Hidden) != 1 || restored.Hidden[0] != 10 ||
+		restored.Dropout != 0.1 || restored.MaxBatch != 8 || restored.MCPasses != live.MCPasses {
+		t.Fatalf("restored as %d→%v→%d dropout %g max batch %d passes %d, want the encoder's 2→[10]→1, 0.1, 8, %d",
+			in, restored.Hidden, out, restored.Dropout, restored.MaxBatch, restored.MCPasses, live.MCPasses)
+	}
+	var want, got, std tensor.Matrix
+	live.PredictInto(x, &want, nil)
+	restored.PredictInto(x, &got, nil)
+	if !tensor.Equal(&got, &want, 0) {
+		t.Fatal("warm start serves different bits than the encoder")
+	}
+	restored.PredictInto(x, &got, &std)
+	for _, sd := range std.Data {
+		if !(sd > 0) {
+			t.Fatalf("restored MC std %g, want > 0", sd)
+		}
+	}
+}
+
+// TestDecodeRejectsHostileMeta: artifacts arrive from other processes, and a
+// well-formed one (every CRC valid) whose meta would panic the first UQ
+// query (MCPasses 0), size its scratch by a wild pass count, or corrupt a
+// later refit is refused at decode.
+func TestDecodeRejectsHostileMeta(t *testing.T) {
+	_, _, blob := artifactFixture(t)
+	for name, edit := range map[string]func(*surrogateMeta){
+		"MCPasses 0":         func(m *surrogateMeta) { m.MCPasses = 0 },
+		"MCPasses negative":  func(m *surrogateMeta) { m.MCPasses = -1 },
+		"MCPasses 1<<30":     func(m *surrogateMeta) { m.MCPasses = 1 << 30 },
+		"Epochs negative":    func(m *surrogateMeta) { m.Epochs = -1 },
+		"BatchSize negative": func(m *surrogateMeta) { m.BatchSize = -1 },
+		"LR negative":        func(m *surrogateMeta) { m.LR = -1e-3 },
+		"LR NaN":             func(m *surrogateMeta) { m.LR = math.NaN() },
+		"LR infinite":        func(m *surrogateMeta) { m.LR = math.Inf(1) },
+		"input scaler short": func(m *surrogateMeta) { m.XMean = m.XMean[:1] },
+		"target std zero":    func(m *surrogateMeta) { m.YStd = []float64{0} },
+	} {
+		if _, _, err := DecodeNNSurrogate(remeta(t, blob, edit), xrand.New(1)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	if _, _, err := DecodeNNSurrogate(remeta(t, blob, func(m *surrogateMeta) { m.MCPasses = maxMCPasses }), xrand.New(1)); err != nil {
+		t.Errorf("MCPasses at the cap refused: %v", err)
+	}
+}
+
+// FuzzDecodeNNSurrogate: whatever the bytes, decode returns an error or a
+// surrogate that answers one row with and without UQ.
+func FuzzDecodeNNSurrogate(f *testing.F) {
+	_, _, blob := artifactFixture(f)
+	f.Add(blob)
+	for _, passes := range []int{0, -1, 1 << 30} {
+		f.Add(remeta(f, blob, func(m *surrogateMeta) { m.MCPasses = passes }))
+	}
+	f.Add(blob[:len(blob)/2])
+	for _, pos := range []int{4, 41, len(blob) / 2, len(blob) - 1} {
+		mut := append([]byte(nil), blob...)
+		mut[pos] ^= 0xA5
+		f.Add(mut)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sur, _, err := DecodeNNSurrogate(data, xrand.New(1))
+		if err != nil {
+			return
+		}
+		in, _ := sur.Dims()
+		x := tensor.NewMatrix(1, in)
+		var mean, std tensor.Matrix
+		sur.PredictInto(x, &mean, nil)
+		sur.PredictInto(x, &mean, &std)
+	})
+}

@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"math"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/surrogatetest"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -72,59 +70,5 @@ func TestSurrogateConformance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			surrogatetest.Conformance(t, tc.factory, x, tc.y, tc.maxBatch, tc.zeroAlloc)
 		})
-	}
-}
-
-// TestDecodeNetworkOnlyArtifact is the warm start from a blob that
-// carries the network and the meta but no compiled section: the program
-// is compiled on load, at the encoder's MaxBatch, and serves a batch
-// bit-identically to the encoder's deterministic pass.
-func TestDecodeNetworkOnlyArtifact(t *testing.T) {
-	rng := xrand.New(0xa27)
-	x, y := tensor.NewMatrix(30, 2), tensor.NewMatrix(30, 1)
-	for i := 0; i < x.Rows; i++ {
-		a, b := rng.Range(-1, 1), rng.Range(-1, 1)
-		copy(x.Row(i), []float64{a, b})
-		y.Row(i)[0] = math.Sin(a) - b
-	}
-	live := NewNNSurrogate(2, 1, []int{10}, 0.1, rng)
-	live.Epochs, live.MaxBatch = 15, 8
-	if err := live.Train(x, y); err != nil {
-		t.Fatal(err)
-	}
-	full, err := live.EncodeArtifact(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	art, err := nn.DecodeArtifact(full, xrand.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := nn.EncodeArtifact(&nn.Artifact{Meta: art.Meta, Net: art.Net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, residBase, err := DecodeNNSurrogate(blob, xrand.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if residBase != 0.25 {
-		t.Fatalf("drift baseline %g, want 0.25", residBase)
-	}
-	if got := restored.compiled.MaxBatch(); got != 8 {
-		t.Fatalf("compiled on load at MaxBatch %d, want the encoder's 8", got)
-	}
-	var want, got tensor.Matrix
-	live.PredictInto(x, &want, nil)
-	restored.PredictInto(x, &got, nil)
-	if !tensor.Equal(&got, &want, 0) {
-		t.Fatal("network-only warm start serves different bits than the encoder")
-	}
-	var std tensor.Matrix
-	restored.PredictInto(x, &got, &std) // the MC pass needs the restored rng stream
-	for _, sd := range std.Data {
-		if !(sd > 0) {
-			t.Fatalf("restored MC std %g, want > 0", sd)
-		}
 	}
 }

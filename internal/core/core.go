@@ -189,8 +189,7 @@ type NNSurrogate struct {
 	rng       *xrand.Rand
 	inDim     int
 	outDim    int
-	net       *nn.Network
-	compiled  *nn.Compiled      // fused inference program, rebuilt by Train
+	compiled  *nn.Compiled      // fused inference program, the weights; rebuilt by Train
 	qcompiled *nn.QuantCompiled // int8 program (Quantize mode), rebuilt by Train
 	qgate     float64           // quant guardrail half-width, target units
 	xScaler   *nn.Scaler
@@ -276,17 +275,18 @@ func (s *NNSurrogate) Train(x, y *tensor.Matrix) error {
 	xs := s.xScaler.Transform(x)
 	ys := s.yScaler.Transform(y)
 	widths := append([]int{s.inDim}, append(append([]int(nil), s.Hidden...), s.outDim)...)
-	s.net = nn.NewMLP(s.rng.Split(), nn.Tanh, s.Dropout, widths...)
-	_, err := s.net.Fit(xs, ys, nn.TrainConfig{
+	net := nn.NewMLP(s.rng.Split(), nn.Tanh, s.Dropout, widths...)
+	_, err := net.Fit(xs, ys, nn.TrainConfig{
 		Epochs: s.Epochs, BatchSize: s.BatchSize,
 		Optimizer: nn.NewAdam(s.LR), Seed: s.rng.Uint64(),
 	})
 	if err != nil {
 		return fmt.Errorf("core: surrogate training: %w", err)
 	}
-	// Compile the inference program every prediction runs on. An MLP
+	// Compile the inference program every prediction runs on — the only
+	// form the weights keep; the layer graph dies with this call. An MLP
 	// always has a dense layer, so the program always exists.
-	s.compiled = s.net.CompileBatch(s.batchWidth())
+	s.compiled = net.CompileBatch(s.batchWidth())
 	s.qcompiled = nil
 	s.qgate = 0
 	if s.Quantize {

@@ -5,18 +5,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
 // TestSurrogateCompiledPathMatchesInterpreted checks the compiled serving
-// kernel against the layer graph's own eval-mode forward on the same
-// trained surrogate: identical point predictions (up to rounding) and
-// consistent UQ behaviour.
+// kernel against the layer graph's own eval-mode forward: Train keeps only
+// the program, so the reference graph is fitted here, Train's way, from a
+// twin of the surrogate's rng. Identical point predictions (up to rounding)
+// and consistent UQ behaviour.
 func TestSurrogateCompiledPathMatchesInterpreted(t *testing.T) {
 	rng := xrand.New(0xc0de)
-	sur := NewNNSurrogate(2, 1, []int{12}, 0.1, rng)
-	sur.Epochs = 40
 	x := tensor.NewMatrix(30, 2)
 	y := tensor.NewMatrix(30, 1)
 	for i := 0; i < x.Rows; i++ {
@@ -25,17 +25,26 @@ func TestSurrogateCompiledPathMatchesInterpreted(t *testing.T) {
 		x.Set(i, 1, b)
 		y.Set(i, 0, a*b)
 	}
+	sur := NewNNSurrogate(2, 1, []int{12}, 0.1, xrand.New(0xfeed))
+	sur.Epochs = 40
 	if err := sur.Train(x, y); err != nil {
 		t.Fatal(err)
 	}
 	if sur.compiled == nil {
 		t.Fatal("trained NNSurrogate did not compile its network")
 	}
+	twin := xrand.New(0xfeed)
+	net := nn.NewMLP(twin.Split(), nn.Tanh, sur.Dropout, 2, 12, 1)
+	if _, err := net.Fit(sur.xScaler.Transform(x), sur.yScaler.Transform(y), nn.TrainConfig{
+		Epochs: sur.Epochs, BatchSize: sur.BatchSize, Optimizer: nn.NewAdam(sur.LR), Seed: twin.Uint64(),
+	}); err != nil {
+		t.Fatal(err)
+	}
 	probe := []float64{0.4, -0.3}
 	got := Predict(sur, probe)
 	// Independent reference: run the layer graph directly.
 	scaled := tensor.FromRows([][]float64{sur.xScaler.TransformVec(probe)})
-	want := sur.yScaler.Inverse(sur.net.Forward(scaled, false).Row(0))
+	want := sur.yScaler.Inverse(net.Forward(scaled, false).Row(0))
 	if math.Abs(got[0]-want[0]) > 1e-12 {
 		t.Fatalf("compiled Predict %g vs layer graph %g", got[0], want[0])
 	}

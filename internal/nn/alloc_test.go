@@ -192,53 +192,6 @@ func TestSoftmaxCrossEntropyZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestNetworkSnapshotIndependence checks the double-buffering primitive: a
-// snapshot predicts identically to its source, and further training of the
-// source does not change the snapshot's predictions.
-func TestNetworkSnapshotIndependence(t *testing.T) {
-	rng := xrand.New(15)
-	net := NewMLP(rng, Tanh, 0, 3, 12, 2)
-	x := tensor.NewMatrix(6, 3)
-	y := tensor.NewMatrix(6, 2)
-	for i := range x.Data {
-		x.Data[i] = rng.Range(-1, 1)
-	}
-	for i := range y.Data {
-		y.Data[i] = rng.Range(-1, 1)
-	}
-	if _, err := net.Fit(x, y, TrainConfig{Epochs: 5, BatchSize: 3, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	snap := net.Snapshot()
-	probe := []float64{0.3, -0.2, 0.8}
-	want := evalRow(net, probe)
-	got := evalRow(snap, probe)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("snapshot prediction %v differs from source %v", got, want)
-		}
-	}
-	if _, err := net.Fit(x, y, TrainConfig{Epochs: 20, BatchSize: 3, Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	after := evalRow(snap, probe)
-	for j := range want {
-		if after[j] != want[j] {
-			t.Fatal("training the source mutated the snapshot")
-		}
-	}
-	moved := evalRow(net, probe)
-	same := true
-	for j := range want {
-		if moved[j] != want[j] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("source did not move after training; independence test vacuous")
-	}
-}
-
 // TestDenseTrainingInputIsCopied locks in the aliasing fix: mutating the
 // caller's batch buffer between Forward and Backward must not corrupt
 // the cached activations the gradients are computed from.

@@ -8,14 +8,14 @@ import (
 	"unsafe"
 
 	"repro/internal/tensor"
-	"repro/internal/xrand"
 )
 
 // This file implements the serialized artifact format behind the surrogate
-// registry: one self-describing binary blob that carries a trained Network
-// together with its Compiled and QuantCompiled programs — panel layouts,
-// quant scales, error bounds and all — so a process that pulls an artifact
-// serves immediately, with zero retraining, recompilation or recalibration.
+// registry: one self-describing binary blob that carries a generation's
+// float program — its weights once, in the layout the program runs on —
+// and, when it has one, its QuantCompiled program with panel layouts, quant
+// scales and error bounds, so a process that pulls an artifact serves
+// immediately, with zero retraining, recompilation or recalibration.
 //
 // Layout (all integers little-endian, every section payload 8-byte aligned
 // in the file):
@@ -24,34 +24,42 @@ import (
 //	section: id (u32) | reserved (u32) | payload len (u64) | CRC64-ECMA of payload (u64)
 //	         payload, zero-padded to a multiple of 8 bytes
 //
+//	model payload: in (u32) | out (u32) | max batch (u32) | layer count (u32) | seed base (u64)
+//	               layer table, one row a layer:
+//	                 kind (u32: 0 dense, 1 dropout) | in (u32) | out (u32) | activation (u32) | dropout p (f64)
+//	               slab: every dense layer's W (in x out, row-major) then B, in layer
+//	                 order — Σ(in·out+out) float64 and nothing after them
+//
 // Per-section CRCs make torn or bit-flipped artifacts detectable without
 // decoding; VerifyArtifact walks the envelope and checks every CRC, which
 // is what the registry runs against an mmap'd file before serving it.
-// Float and word arrays are stored raw, so on little-endian hosts the
-// decoder aliases them straight out of the (mmap'd) buffer instead of
-// copying — the Compiled/QuantCompiled programs are immutable by contract,
-// which is what makes the zero-copy view safe. The mutable Network is
-// always deep-copied.
+// Float and word arrays are stored raw: the encoder writes each with one
+// bulk copy and the decoder aliases it straight out of the (mmap'd) buffer —
+// the model slab, the quant scales, panels and bounds — when the host is
+// little-endian and the array lies aligned, which it does in any buffer
+// that itself starts 8-byte aligned. Otherwise the array is copied. The
+// programs are immutable by contract, which is what makes the zero-copy
+// view safe; the header fields, the layer table and the meta are read, not
+// aliased (Artifact.Meta is a sub-slice of the input).
 
 const (
 	artifactMagic = 0x4153454c // "LESA" little-endian
 	// ArtifactVersion is the current artifact format version; decoders
-	// reject any other (fail closed on version skew). Version 2 has
-	// version 1's layout: it marks programs whose activations, and so the
-	// int8 lookup tables a decoder rebuilds, are tensor.Tanh/Sigmoid. A
-	// version-1 table was sampled from math.Tanh and can differ in a knot's
-	// last bit, so a version-1 artifact is refused (and refitted) rather
-	// than served with tables its encoder never had.
-	ArtifactVersion = 2
+	// reject any other (fail closed on version skew: the registry
+	// quarantines the blob and the shard refits). Version 3 stores the
+	// weights once, in the model section; version 2 stored them in a network
+	// and again in a compiled section, and version 1 additionally marks
+	// int8 lookup tables sampled from math.Tanh, not tensor.Tanh.
+	ArtifactVersion = 3
 
-	secMeta     = 1 // opaque caller metadata (the registry stores surrogate config here)
-	secNet      = 2 // trainable Network: layer specs + weights
-	secCompiled = 3 // float compiled program
-	secQuant    = 4 // int8 quantized program
+	secMeta  = 1 // opaque caller metadata (the registry stores surrogate config here)
+	secQuant = 4 // int8 quantized program
+	secModel = 5 // float program: header, layer table, weight slab
 
 	artMaxSections = 64
 	artMaxLayers   = 1024
 	artMaxDim      = 1 << 20
+	artMaxBatch    = 1 << 16
 )
 
 var artCRCTable = crc64.MakeTable(crc64.ECMA)
@@ -63,33 +71,37 @@ var hostLittle = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
+// rawElem is what the format stores as raw arrays.
+type rawElem interface{ float64 | uint64 | int32 }
+
+// rawBytes is v's storage as bytes.
+func rawBytes[T rawElem](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(v[0])))
+}
+
+// leCopy copies elements of size bytes each between host and little-endian
+// byte order — the same operation in both directions.
+func leCopy(dst, src []byte, size int) {
+	if hostLittle {
+		copy(dst, src)
+		return
+	}
+	for i := 0; i+size <= len(src); i += size {
+		for k := 0; k < size; k++ {
+			dst[i+k] = src[i+size-1-k]
+		}
+	}
+}
+
 // Artifact bundles everything the registry persists for one surrogate
-// generation. Net is required; Compiled, Quant and Meta are optional.
+// generation. Compiled is required; Quant and Meta are optional.
 type Artifact struct {
 	// Meta is an opaque caller payload (config, scalers, baselines).
 	Meta []byte
-	// Net is the trainable network (always deep-copied on decode).
-	Net *Network
-	// Compiled is the float serving program, nil if absent.
+	// Compiled is the float serving program, the generation's weights.
 	Compiled *Compiled
 	// Quant is the int8 serving program, nil if absent.
 	Quant *QuantCompiled
-}
-
-// Dims returns the network's input and output widths (the first dense
-// layer's fan-in and the last dense layer's fan-out); ok is false when
-// the network has no dense layer.
-func (n *Network) Dims() (in, out int, ok bool) {
-	for _, l := range n.Layers {
-		if d, isDense := l.(*Dense); isDense {
-			if !ok {
-				in = d.In
-				ok = true
-			}
-			out = d.Out
-		}
-	}
-	return in, out, ok
 }
 
 // ---------------------------------------------------------------------------
@@ -101,8 +113,7 @@ func (n *Network) Dims() (in, out int, ok bool) {
 type artEnc struct {
 	buf  []byte
 	off  int
-	nsec uint32 // sections written
-	err  error
+	nsec uint32   // sections written
 	void [16]byte // what the sizing pass writes into
 }
 
@@ -124,24 +135,12 @@ func (e *artEnc) f64(v float64) { e.u64(math.Float64bits(v)) }
 // align8 pads with zeros, which a fresh buffer already holds.
 func (e *artEnc) align8() { e.off = (e.off + 7) &^ 7 }
 
-func (e *artEnc) floats(v []float64) {
+// putRaw writes v as a raw array, 8-byte aligned.
+func putRaw[T rawElem](e *artEnc, v []T) {
 	e.align8()
-	for _, x := range v {
-		e.f64(x)
-	}
-}
-
-func (e *artEnc) words(v []uint64) {
-	e.align8()
-	for _, x := range v {
-		e.u64(x)
-	}
-}
-
-func (e *artEnc) i32s(v []int32) {
-	e.align8()
-	for _, x := range v {
-		e.u32(uint32(x))
+	src := rawBytes(v)
+	if dst := e.put(len(src)); e.buf != nil {
+		leCopy(dst, src, int(unsafe.Sizeof(v[0])))
 	}
 }
 
@@ -163,14 +162,11 @@ func (e *artEnc) section(id uint32, body func()) {
 
 // EncodeArtifact serializes a into the checksummed binary artifact format.
 func EncodeArtifact(a *Artifact) ([]byte, error) {
-	if a.Net == nil {
-		return nil, fmt.Errorf("nn: artifact needs a network")
+	if a.Compiled == nil {
+		return nil, fmt.Errorf("nn: artifact needs a compiled program")
 	}
 	var e artEnc
 	e.artifact(a) // sizing pass
-	if e.err != nil {
-		return nil, e.err
-	}
 	e = artEnc{buf: make([]byte, e.off)}
 	e.artifact(a)
 	return e.buf, nil
@@ -183,38 +179,14 @@ func (e *artEnc) artifact(a *Artifact) {
 	if a.Meta != nil {
 		e.section(secMeta, func() { copy(e.put(len(a.Meta)), a.Meta) })
 	}
-	e.section(secNet, func() { e.net(a.Net) })
-	if a.Compiled != nil {
-		e.section(secCompiled, func() { e.compiled(a.Compiled) })
-	}
+	e.section(secModel, func() { e.model(a.Compiled) })
 	if a.Quant != nil {
 		e.section(secQuant, func() { e.quant(a.Quant) })
 	}
 	binary.LittleEndian.PutUint32(count, e.nsec)
 }
 
-func (e *artEnc) net(n *Network) {
-	e.u32(uint32(len(n.Layers)))
-	for _, l := range n.Layers {
-		switch ly := l.(type) {
-		case *Dense:
-			e.u32(0) // kind: dense
-			e.u32(uint32(ly.In))
-			e.u32(uint32(ly.Out))
-			e.u32(uint32(ly.Act))
-			e.floats(ly.W.Data)
-			e.floats(ly.B.Data)
-		case *Dropout:
-			e.u32(1) // kind: dropout
-			e.align8()
-			e.f64(ly.P)
-		default:
-			e.err = fmt.Errorf("nn: cannot serialize layer type %T", l)
-		}
-	}
-}
-
-func (e *artEnc) compiled(c *Compiled) {
+func (e *artEnc) model(c *Compiled) {
 	e.u32(uint32(c.in))
 	e.u32(uint32(c.out))
 	e.u32(uint32(c.maxBatch))
@@ -222,20 +194,13 @@ func (e *artEnc) compiled(c *Compiled) {
 	e.u64(c.seedBase)
 	for i := range c.steps {
 		st := &c.steps[i]
-		switch st.kind {
-		case stepDense:
-			e.u32(0)
-			e.u32(uint32(st.in))
-			e.u32(uint32(st.out))
-			e.u32(uint32(st.act))
-			e.floats(st.w)
-			e.floats(st.b)
-		case stepDropout:
-			e.u32(1)
-			e.align8()
-			e.f64(st.p)
-		}
+		e.u32(uint32(st.kind))
+		e.u32(uint32(st.in))
+		e.u32(uint32(st.out))
+		e.u32(uint32(st.act))
+		e.f64(st.p)
 	}
+	putRaw(e, c.slab)
 }
 
 func (e *artEnc) quant(q *QuantCompiled) {
@@ -249,7 +214,7 @@ func (e *artEnc) quant(q *QuantCompiled) {
 	e.f64(q.boundMax)
 	e.f64(q.calErr)
 	e.f64(q.gate)
-	e.floats(q.bound)
+	putRaw(e, q.bound)
 	for i := range q.steps {
 		st := &q.steps[i]
 		switch st.kind {
@@ -264,17 +229,17 @@ func (e *artEnc) quant(q *QuantCompiled) {
 			e.u32(uint32(st.act))
 			e.u32(fused)
 			e.u32(0)
-			e.floats(st.wscale)
-			e.floats(st.b)
-			e.words(st.panel.Words)
-			e.i32s(st.panel.ColCorr)
+			putRaw(e, st.wscale)
+			putRaw(e, st.b)
+			putRaw(e, st.panel.Words)
+			putRaw(e, st.panel.ColCorr)
 			if st.fused {
-				e.floats(st.aF)
-				e.floats(st.cF)
-				e.floats(st.aFmc)
+				putRaw(e, st.aF)
+				putRaw(e, st.cF)
+				putRaw(e, st.aFmc)
 			} else {
-				e.floats(st.sEff)
-				e.floats(st.sEffMC)
+				putRaw(e, st.sEff)
+				putRaw(e, st.sEffMC)
 			}
 		case stepDropout:
 			e.u32(1)
@@ -347,80 +312,28 @@ func (d *artDec) dim(what string) int {
 	return int(v)
 }
 
-// alias returns an n-element view over the next n*size bytes of the
-// buffer, reinterpreted in place when host endianness and alignment
-// allow, copied element-wise otherwise. The bounds check runs before any
-// allocation, so a hostile length field cannot force a huge allocation —
-// the data has to actually be present.
-func (d *artDec) floats(n int) []float64 {
+// alias returns an n-element view over the next raw array of the buffer,
+// reinterpreted in place when host endianness and alignment allow, copied
+// otherwise. The bounds check runs before any allocation, so a hostile
+// length field cannot force a huge allocation — the data has to actually
+// be present.
+func alias[T rawElem](d *artDec, n int) []T {
+	var zero T
+	size := int(unsafe.Sizeof(zero))
 	d.align8()
-	if !d.need(n * 8) {
+	if !d.need(n * size) {
 		return nil
 	}
-	start := d.off
-	d.off += n * 8
+	src := d.data[d.off : d.off+n*size]
+	d.off += n * size
 	if n == 0 {
 		return nil
 	}
-	if hostLittle && uintptr(unsafe.Pointer(&d.data[start]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&d.data[start])), n)
+	if hostLittle && uintptr(unsafe.Pointer(&src[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&src[0])), n)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.data[start+i*8:]))
-	}
-	return out
-}
-
-func (d *artDec) words(n int) []uint64 {
-	d.align8()
-	if !d.need(n * 8) {
-		return nil
-	}
-	start := d.off
-	d.off += n * 8
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && uintptr(unsafe.Pointer(&d.data[start]))%8 == 0 {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&d.data[start])), n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(d.data[start+i*8:])
-	}
-	return out
-}
-
-func (d *artDec) i32s(n int) []int32 {
-	d.align8()
-	if !d.need(n * 4) {
-		return nil
-	}
-	start := d.off
-	d.off += n * 4
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && uintptr(unsafe.Pointer(&d.data[start]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&d.data[start])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(d.data[start+i*4:]))
-	}
-	return out
-}
-
-// floatsCopy is the always-copy variant for mutable consumers (Network
-// weights must not alias an mmap'd read-only buffer).
-func (d *artDec) floatsCopy(n int) []float64 {
-	v := d.floats(n)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	copy(out, v)
+	out := make([]T, n)
+	leCopy(rawBytes(out), src, size)
 	return out
 }
 
@@ -481,14 +394,12 @@ func VerifyArtifact(data []byte) error {
 	return err
 }
 
-// DecodeArtifact parses and validates a serialized artifact. The Compiled
-// and QuantCompiled programs alias data where the host allows (zero-copy
-// over an mmap), so data must stay mapped and unmodified for the life of
-// the returned programs; the Network is always an independent copy. rng
-// powers dropout streams on the restored network. Every structural claim
-// in the payload is validated — a corrupt or hostile artifact fails
-// closed with an error, never a panic downstream.
-func DecodeArtifact(data []byte, rng *xrand.Rand) (*Artifact, error) {
+// DecodeArtifact parses and validates a serialized artifact. The programs
+// alias data where the host allows (zero-copy over an mmap), so data must
+// stay mapped and unmodified for the life of the returned programs. Every
+// structural claim in the payload is validated — a corrupt or hostile
+// artifact fails closed with an error, never a panic downstream.
+func DecodeArtifact(data []byte) (*Artifact, error) {
 	secs, err := walkSections(data)
 	if err != nil {
 		return nil, err
@@ -498,12 +409,8 @@ func DecodeArtifact(data []byte, rng *xrand.Rand) (*Artifact, error) {
 		switch s.id {
 		case secMeta:
 			a.Meta = s.payload
-		case secNet:
-			if a.Net, err = decodeNetPayload(s.payload, rng); err != nil {
-				return nil, err
-			}
-		case secCompiled:
-			if a.Compiled, err = decodeCompiledPayload(s.payload); err != nil {
+		case secModel:
+			if a.Compiled, err = decodeModelPayload(s.payload); err != nil {
 				return nil, err
 			}
 		case secQuant:
@@ -514,141 +421,81 @@ func DecodeArtifact(data []byte, rng *xrand.Rand) (*Artifact, error) {
 			return nil, fmt.Errorf("nn: artifact: unknown section id %d", s.id)
 		}
 	}
-	if a.Net == nil {
-		return nil, fmt.Errorf("nn: artifact: missing network section")
+	if a.Compiled == nil {
+		return nil, fmt.Errorf("nn: artifact: missing model section")
 	}
-	if a.Compiled != nil {
-		nin, nout, _ := a.Net.Dims()
-		if a.Compiled.in != nin || a.Compiled.out != nout {
-			return nil, fmt.Errorf("nn: artifact: compiled dims %dx%d disagree with network %dx%d",
-				a.Compiled.in, a.Compiled.out, nin, nout)
-		}
-	}
-	if a.Quant != nil && a.Compiled != nil {
-		if a.Quant.in != a.Compiled.in || a.Quant.out != a.Compiled.out {
-			return nil, fmt.Errorf("nn: artifact: quant dims %dx%d disagree with compiled %dx%d",
-				a.Quant.in, a.Quant.out, a.Compiled.in, a.Compiled.out)
-		}
+	if a.Quant != nil && (a.Quant.in != a.Compiled.in || a.Quant.out != a.Compiled.out) {
+		return nil, fmt.Errorf("nn: artifact: quant dims %dx%d disagree with model %dx%d",
+			a.Quant.in, a.Quant.out, a.Compiled.in, a.Compiled.out)
 	}
 	return a, nil
 }
 
-func decodeNetPayload(payload []byte, rng *xrand.Rand) (*Network, error) {
+// decodeModelPayload is the one place model weights are decoded: it walks
+// the header and the layer table, refuses any geometry the run loops could
+// not index, and only then takes the slab — whose length the table fixes —
+// out of the payload.
+func decodeModelPayload(payload []byte) (*Compiled, error) {
 	d := &artDec{data: payload}
+	in := d.dim("model input width")
+	out := d.dim("model output width")
+	c := &Compiled{maxBatch: int(d.u32())}
 	nl := d.u32()
+	c.seedBase = d.u64()
 	if d.err == nil && (nl == 0 || nl > artMaxLayers) {
 		d.fail("layer count %d out of range", nl)
 	}
-	var specs []layerSpec
-	for i := uint32(0); i < nl && d.err == nil; i++ {
-		switch kind := d.u32(); kind {
+	if d.err == nil && (c.maxBatch < 1 || c.maxBatch > artMaxBatch) {
+		d.fail("max batch %d out of range", c.maxBatch)
+	}
+	if !d.need(int(nl) * 24) { // the table is there before steps are made for it
+		return nil, d.err
+	}
+	c.steps = make([]compiledStep, nl)
+	width, params := -1, uint64(0)
+	for i := range c.steps {
+		st := &c.steps[i]
+		kind := d.u32()
+		st.in, st.out, st.act = int(d.u32()), int(d.u32()), Activation(d.u32())
+		st.p = d.f64()
+		switch kind {
 		case 0: // dense
-			in := d.dim("dense fan-in")
-			out := d.dim("dense fan-out")
-			act := Activation(d.u32())
-			if d.err != nil {
-				break
+			st.kind = stepDense
+			if st.in < 1 || st.in > artMaxDim || st.out < 1 || st.out > artMaxDim {
+				d.fail("layer %d dims %dx%d out of range", i, st.in, st.out)
+			} else if st.act < Identity || st.act > Sigmoid {
+				d.fail("layer %d activation %d out of range", i, st.act)
+			} else if width < 0 && st.in != in {
+				d.fail("first dense fan-in %d disagrees with header %d", st.in, in)
+			} else if width >= 0 && st.in != width {
+				d.fail("layer %d fan-in %d breaks width chain %d", i, st.in, width)
 			}
-			specs = append(specs, layerSpec{
-				Kind: "dense", In: in, Out: out, Act: act,
-				W: d.floatsCopy(in * out),
-				B: d.floatsCopy(out),
-			})
+			width = st.out
+			params += uint64(st.in)*uint64(st.out) + uint64(st.out)
 		case 1: // dropout
-			d.align8()
-			specs = append(specs, layerSpec{Kind: "dropout", P: d.f64()})
+			st.kind = stepDropout
+			if !(st.p >= 0 && st.p < 1) {
+				d.fail("layer %d dropout P %v out of range [0, 1)", i, st.p)
+			}
 		default:
 			d.fail("unknown layer kind %d", kind)
 		}
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return buildNetwork(specs, rng)
-}
-
-func decodeCompiledPayload(payload []byte) (*Compiled, error) {
-	d := &artDec{data: payload}
-	c := &Compiled{fs: -1}
-	c.in = d.dim("compiled input width")
-	c.out = d.dim("compiled output width")
-	c.maxBatch = int(d.u32())
-	ns := d.u32()
-	c.seedBase = d.u64()
-	if d.err == nil && (ns == 0 || ns > artMaxLayers) {
-		d.fail("compiled step count %d out of range", ns)
-	}
-	if d.err == nil && (c.maxBatch < 1 || c.maxBatch > 1<<16) {
-		d.fail("compiled max batch %d out of range", c.maxBatch)
-	}
-	width := -1
-	for i := uint32(0); i < ns && d.err == nil; i++ {
-		switch kind := d.u32(); kind {
-		case 0: // dense
-			in := d.dim("step fan-in")
-			out := d.dim("step fan-out")
-			act := Activation(d.u32())
-			if d.err != nil {
-				break
-			}
-			if act < Identity || act > Sigmoid {
-				d.fail("step activation %d out of range", act)
-				break
-			}
-			if width >= 0 && width != in {
-				d.fail("step %d fan-in %d breaks width chain %d", i, in, width)
-				break
-			}
-			w := d.floats(in * out)
-			b := d.floats(out)
-			if d.err != nil {
-				break
-			}
-			c.steps = append(c.steps, compiledStep{
-				kind: stepDense, in: in, out: out,
-				w: w, wm: &tensor.Matrix{Rows: in, Cols: out, Data: w},
-				b: b, act: act,
-			})
-			if width < 0 {
-				if in != c.in {
-					d.fail("first dense fan-in %d disagrees with header %d", in, c.in)
-					break
-				}
-				if in > c.maxW {
-					c.maxW = in
-				}
-			}
-			width = out
-			if width > c.maxW {
-				c.maxW = width
-			}
-		case 1: // dropout
-			d.align8()
-			p := d.f64()
-			if d.err != nil {
-				break
-			}
-			if !(p >= 0 && p < 1) {
-				d.fail("step dropout P %v out of range", p)
-				break
-			}
-			if p > 0 && c.fs < 0 {
-				c.fs = len(c.steps)
-			}
-			c.steps = append(c.steps, compiledStep{kind: stepDropout, p: p})
-		default:
-			d.fail("unknown step kind %d", kind)
+		if d.err != nil {
+			return nil, d.err
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
 	if width < 0 {
-		return nil, fmt.Errorf("nn: artifact: compiled program has no dense step")
+		return nil, fmt.Errorf("nn: artifact: model has no dense layer")
 	}
-	if width != c.out {
-		return nil, fmt.Errorf("nn: artifact: compiled output width %d disagrees with header %d", width, c.out)
+	if width != out {
+		return nil, fmt.Errorf("nn: artifact: final width %d disagrees with header %d", width, out)
 	}
+	// The header and every row are 24 bytes: the slab starts 8-aligned.
+	if params*8 != uint64(len(payload)-d.off) {
+		return nil, fmt.Errorf("nn: artifact: layers hold %d parameters, slab is %d bytes", params, len(payload)-d.off)
+	}
+	c.slab = alias[float64](d, int(params))
+	c.bind()
 	return c, nil
 }
 
@@ -671,7 +518,7 @@ func decodeQuantPayload(payload []byte) (*QuantCompiled, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	q.bound = d.floats(q.out)
+	q.bound = alias[float64](d, q.out)
 	q.maxW = q.in
 	luts := map[Activation]*tensor.QuantLUT{}
 	width := q.in
@@ -696,13 +543,13 @@ func decodeQuantPayload(payload []byte) (*QuantCompiled, error) {
 				break
 			}
 			st := quantStep{kind: stepDense, in: in, out: out, act: act, fused: fused == 1}
-			st.wscale = d.floats(out)
-			st.b = d.floats(out)
+			st.wscale = alias[float64](d, out)
+			st.b = alias[float64](d, out)
 			groups := (out + 3) / 4
 			st.panel = tensor.QuantPanel{
 				In: in, Out: out,
-				Words:   d.words(groups * in),
-				ColCorr: d.i32s(out),
+				Words:   alias[uint64](d, groups*in),
+				ColCorr: alias[int32](d, out),
 			}
 			if st.fused {
 				lo, hi, ok := quantActDomain(act)
@@ -710,9 +557,9 @@ func decodeQuantPayload(payload []byte) (*QuantCompiled, error) {
 					d.fail("quant step %d fused with unbounded activation %d", i, act)
 					break
 				}
-				st.aF = d.floats(out)
-				st.cF = d.floats(out)
-				st.aFmc = d.floats(out)
+				st.aF = alias[float64](d, out)
+				st.cF = alias[float64](d, out)
+				st.aFmc = alias[float64](d, out)
 				// LUTs are rebuilt, not stored: BuildQuantLUT is
 				// deterministic, so the rebuilt table is bit-identical to
 				// the one the encoder's program used (the encoder is of
@@ -724,8 +571,8 @@ func decodeQuantPayload(payload []byte) (*QuantCompiled, error) {
 				}
 				st.lut = lut
 			} else {
-				st.sEff = d.floats(out)
-				st.sEffMC = d.floats(out)
+				st.sEff = alias[float64](d, out)
+				st.sEffMC = alias[float64](d, out)
 			}
 			if d.err != nil {
 				break

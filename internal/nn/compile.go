@@ -16,7 +16,8 @@ import (
 // dispatch. Serving wrappers recompile on every publish; the layer graph
 // is for training.
 
-// stepKind discriminates compiled program steps.
+// stepKind discriminates compiled program steps; the values are the
+// artifact format's layer kinds.
 type stepKind uint8
 
 const (
@@ -32,9 +33,9 @@ const (
 type compiledStep struct {
 	kind    stepKind
 	in, out int
-	w       []float64      // in x out, row-major copy of the layer's W
-	wm      *tensor.Matrix // matrix view over w for the batch kernels
-	b       []float64
+	w       []float64     // in x out, row-major: a window of the program's slab
+	wm      tensor.Matrix // matrix view over w for the batch kernels
+	b       []float64     // out: the slab window behind w
 	act     Activation
 	p       float64 // dropout probability (stepDropout only)
 }
@@ -50,9 +51,10 @@ type compiledStep struct {
 type Compiled struct {
 	in, out  int
 	steps    []compiledStep
-	fs       int // first stochastic step (live dropout), -1 if none
-	maxW     int // widest activation buffer any step needs
-	maxBatch int // batch-program chunk width (rows per fused pass)
+	slab     []float64 // every dense step's w|b in step order, Params() order
+	fs       int       // first stochastic step (live dropout), -1 if none
+	maxW     int       // widest activation buffer any step needs
+	maxBatch int       // batch-program chunk width (rows per fused pass)
 	seedBase uint64
 	seedCtr  atomic.Uint64
 	pool     sync.Pool // *compiledCtx
@@ -123,47 +125,85 @@ func (n *Network) CompileBatch(maxBatch int) *Compiled {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
-	c := &Compiled{seedBase: n.deriveSeed(), fs: -1, maxBatch: maxBatch}
-	width := -1
+	c := &Compiled{seedBase: n.deriveSeed(), maxBatch: maxBatch, steps: make([]compiledStep, 0, len(n.Layers))}
+	np := 0
 	for _, l := range n.Layers {
 		switch ly := l.(type) {
 		case *Dense:
-			w := append([]float64(nil), ly.W.Data...)
-			c.steps = append(c.steps, compiledStep{
-				kind: stepDense, in: ly.In, out: ly.Out,
-				w:   w,
-				wm:  &tensor.Matrix{Rows: ly.In, Cols: ly.Out, Data: w},
-				b:   append([]float64(nil), ly.B.Data...),
-				act: ly.Act,
-			})
-			if width < 0 {
-				c.in = ly.In
-				if ly.In > c.maxW {
-					c.maxW = ly.In
-				}
-			}
-			width = ly.Out
-			if width > c.maxW {
-				c.maxW = width
-			}
+			c.steps = append(c.steps, compiledStep{kind: stepDense, in: ly.In, out: ly.Out, act: ly.Act})
+			np += len(ly.W.Data) + len(ly.B.Data)
 		case *Dropout:
-			if ly.P > 0 && c.fs < 0 {
-				c.fs = len(c.steps)
-			}
 			c.steps = append(c.steps, compiledStep{kind: stepDropout, p: ly.P})
 		default:
 			return nil
 		}
 	}
-	if width < 0 {
+	if np == 0 {
 		return nil // no dense layer: nothing to compile
 	}
-	c.out = width
+	c.slab = make([]float64, np)
+	c.bind()
+	for i, l := range n.Layers {
+		if ly, ok := l.(*Dense); ok {
+			copy(c.steps[i].w, ly.W.Data)
+			copy(c.steps[i].b, ly.B.Data)
+		}
+	}
 	return c
+}
+
+// bind points every dense step's w and b at its window of the slab, which
+// holds exactly the steps' parameters (there is a dense step), and derives
+// what the run loops read off the step table: the widths, the widest
+// buffer and the first live dropout.
+func (c *Compiled) bind() {
+	c.fs, c.maxW = -1, 0
+	off := 0
+	for i := range c.steps {
+		st := &c.steps[i]
+		if st.kind == stepDropout {
+			if st.p > 0 && c.fs < 0 {
+				c.fs = i
+			}
+			continue
+		}
+		if off == 0 {
+			c.in, c.maxW = st.in, st.in
+		}
+		c.out = st.out
+		if st.out > c.maxW {
+			c.maxW = st.out
+		}
+		nw := st.in * st.out
+		st.w, st.b = c.slab[off:off+nw:off+nw], c.slab[off+nw:off+nw+st.out:off+nw+st.out]
+		st.wm = tensor.Matrix{Rows: st.in, Cols: st.out, Data: st.w}
+		off += nw + st.out
+	}
 }
 
 // Dims returns the program's input and output widths.
 func (c *Compiled) Dims() (in, out int) { return c.in, c.out }
+
+// Hidden returns the widths between the program's dense steps — what
+// NewMLP was given between its input and output widths.
+func (c *Compiled) Hidden() []int {
+	var h []int
+	for i := range c.steps {
+		if c.steps[i].kind == stepDense {
+			h = append(h, c.steps[i].out)
+		}
+	}
+	return h[:len(h)-1]
+}
+
+// Dropout returns the probability of the program's first live dropout
+// step, 0 when it has none.
+func (c *Compiled) Dropout() float64 {
+	if c.fs < 0 {
+		return 0
+	}
+	return c.steps[c.fs].p
+}
 
 // MaxBatch returns the batch-program chunk width: the largest row count
 // one fused pass serves before the batch entry points split the input.
@@ -373,7 +413,7 @@ func (c *Compiled) forwardBatchPrefix(ctx *compiledBatchCtx, xs *tensor.Matrix, 
 			continue // eval-mode dropout is the identity
 		}
 		out := reuse(&ctx.buf[side], b, st.out)
-		tensor.MatMulBiasInto(out, cur, st.wm, st.b)
+		tensor.MatMulBiasInto(out, cur, &st.wm, st.b)
 		st.act.applyAll(out.Data)
 		cur = out
 		side = 1 - side
@@ -496,7 +536,7 @@ func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, 
 			tensor.ScaleColumnsBlocks(tall, tall, masks, b)
 		case stepDense:
 			out := reuse(&ctx.tall[side], passes*b, st.out)
-			tensor.MatMulBiasInto(out, tall, st.wm, st.b)
+			tensor.MatMulBiasInto(out, tall, &st.wm, st.b)
 			st.act.applyAll(out.Data)
 			tall = out
 			side = 1 - side

@@ -500,9 +500,25 @@ func (n *Network) NumParams() int {
 	return c
 }
 
+// Dims returns the network's input and output widths (the first dense
+// layer's fan-in and the last dense layer's fan-out); ok is false when
+// the network has no dense layer.
+func (n *Network) Dims() (in, out int, ok bool) {
+	for _, l := range n.Layers {
+		if d, isDense := l.(*Dense); isDense {
+			if !ok {
+				in = d.In
+				ok = true
+			}
+			out = d.Out
+		}
+	}
+	return in, out, ok
+}
+
 // deriveSeed returns a distinct deterministic seed per call, split off the
-// network's rng on first use: every compiled program (and snapshot) of
-// one network draws its dropout masks from its own stream.
+// network's rng on first use: every compiled program of one network draws
+// its dropout masks from its own stream.
 func (n *Network) deriveSeed() uint64 {
 	n.seedOnce.Do(func() { n.seedBase = n.rng.Uint64() })
 	return n.seedBase + n.seedCtr.Add(1)*0x9e3779b97f4a7c15

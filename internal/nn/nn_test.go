@@ -401,16 +401,16 @@ func TestScalerConstantColumn(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := xrand.New(79)
 	net := NewMLP(rng, Tanh, 0.1, 4, 10, 3)
-	restored := artifactRoundTrip(t, net, xrand.New(80))
+	restored := artifactRoundTrip(t, net.Compile())
 	in := []float64{0.1, -0.5, 0.3, 0.9}
 	a := evalRow(net, in)
-	b := evalRow(restored, in)
+	b := restored.Predict(in, nil)
 	for j := range a {
 		if math.Abs(a[j]-b[j]) > 1e-12 {
 			t.Fatalf("restored prediction differs: %g vs %g", a[j], b[j])
 		}
 	}
-	if restored.NumParams() != net.NumParams() {
+	if len(restored.slab) != net.NumParams() {
 		t.Fatal("parameter count changed across save/load")
 	}
 }
@@ -420,53 +420,9 @@ func TestLoadGarbageFails(t *testing.T) {
 		if VerifyArtifact(garbage) == nil {
 			t.Fatalf("%d bytes of garbage passed verification", len(garbage))
 		}
-		if _, err := DecodeArtifact(garbage, xrand.New(1)); err == nil {
+		if _, err := DecodeArtifact(garbage); err == nil {
 			t.Fatalf("%d bytes of garbage decoded", len(garbage))
 		}
-	}
-}
-
-func TestCloneArchitecture(t *testing.T) {
-	rng := xrand.New(83)
-	net := NewMLP(rng, Sigmoid, 0.2, 3, 7, 2)
-	clone := net.CloneArchitecture(xrand.New(84))
-	if clone.NumParams() != net.NumParams() {
-		t.Fatal("clone parameter count differs")
-	}
-	if len(clone.Layers) != len(net.Layers) {
-		t.Fatal("clone layer count differs")
-	}
-	// Fresh init means different weights.
-	same := true
-	np, cp := net.Params(), clone.Params()
-	for i := range np {
-		for k := range np[i].Value.Data {
-			if np[i].Value.Data[k] != cp[i].Value.Data[k] {
-				same = false
-			}
-		}
-	}
-	if same {
-		t.Fatal("clone should have fresh weights")
-	}
-}
-
-func TestCopyWeightsFrom(t *testing.T) {
-	rng := xrand.New(89)
-	a := NewMLP(rng, Tanh, 0, 2, 5, 1)
-	b := a.CloneArchitecture(xrand.New(90))
-	if err := b.CopyWeightsFrom(a); err != nil {
-		t.Fatal(err)
-	}
-	in := []float64{0.4, -0.6}
-	pa, pb := evalRow(a, in), evalRow(b, in)
-	if math.Abs(pa[0]-pb[0]) > 1e-12 {
-		t.Fatal("weight copy did not reproduce predictions")
-	}
-	// Mismatched architectures must error.
-	c := NewMLP(xrand.New(91), Tanh, 0, 2, 6, 1)
-	if err := c.CopyWeightsFrom(a); err == nil {
-		t.Fatal("mismatched CopyWeightsFrom should error")
 	}
 }
 

@@ -233,15 +233,14 @@ func TestQuantizeUnsupported(t *testing.T) {
 	}
 }
 
-// Serialize round-trip: a network restored from an artifact that carried
-// no programs must Compile → Quantize to bit-identical int8 panels and
+// Serialize round-trip: a float program restored from an artifact that
+// carried no int8 program must Quantize to bit-identical int8 panels and
 // scales — what lets a registry artifact drop its quant section and have
 // the reader re-derive it.
 func TestQuantSerializeRoundTrip(t *testing.T) {
 	net, calib := trainQuantNet(t, 150, Tanh, 0.1, 6, 30, 48, 3)
 	q1 := net.Compile().Quantize(calib)
-	loaded := artifactRoundTrip(t, net, xrand.New(151))
-	q2 := loaded.Compile().Quantize(calib)
+	q2 := artifactRoundTrip(t, net.Compile()).Quantize(calib)
 	if q2 == nil {
 		t.Fatal("restored net did not quantize")
 	}

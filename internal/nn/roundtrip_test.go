@@ -10,7 +10,7 @@ import (
 )
 
 // TestSerializeCompileRoundTrip checks the full persistence pipeline:
-// EncodeArtifact → DecodeArtifact → Compile/CompileBatch must reproduce
+// Compile/CompileBatch → EncodeArtifact → DecodeArtifact must reproduce
 // the original layer graph's eval outputs exactly, for shallow, deep
 // multi-dropout, and dropout-free architectures. Run under -race in CI,
 // so the concurrent sub-pass also exercises the pooled compiled contexts
@@ -43,12 +43,8 @@ func TestSerializeCompileRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			loaded := artifactRoundTrip(t, net, rng.Split())
-			c := loaded.Compile()
-			cb := loaded.CompileBatch(3) // narrow width: forces chunked serving
-			if c == nil || cb == nil {
-				t.Fatal("compiled program is nil after round-trip")
-			}
+			c := artifactRoundTrip(t, net.Compile())
+			cb := artifactRoundTrip(t, net.CompileBatch(3)) // narrow width: forces chunked serving
 
 			probe := tensor.NewMatrix(10, tc.dims[0])
 			for i := range probe.Data {

@@ -18,7 +18,7 @@ func testArtifact(t *testing.T, tag string) []byte {
 	t.Helper()
 	net := nn.NewMLP(xrand.New(7), nn.Tanh, 0.1, 2, 6, 1)
 	c := net.Compile()
-	data, err := nn.EncodeArtifact(&nn.Artifact{Meta: []byte(tag), Net: net, Compiled: c, Quant: c.Quantize(nil)})
+	data, err := nn.EncodeArtifact(&nn.Artifact{Meta: []byte(tag), Compiled: c, Quant: c.Quantize(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func testArtifact(t *testing.T, tag string) []byte {
 
 func artifactTag(t *testing.T, data []byte) string {
 	t.Helper()
-	a, err := nn.DecodeArtifact(data, xrand.New(1))
+	a, err := nn.DecodeArtifact(data)
 	if err != nil {
 		t.Fatalf("served artifact does not decode: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestPublishLatestRoundTrip(t *testing.T) {
 	}
 	// The mmap'd bytes must decode and serve (zero-copy aliasing over
 	// the mapping).
-	a, err := nn.DecodeArtifact(h.Data, xrand.New(1))
+	a, err := nn.DecodeArtifact(h.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
