@@ -107,7 +107,10 @@ func (c *ClientConfig) fill() {
 	}
 }
 
-// connBuffer sizes each connection's buffered reader and writer.
+// connBuffer sizes each connection's buffered reader and writer, on both
+// ends — large enough that a coalesced batch's requests arrive in one
+// read syscall and its responses leave in one write. One reader fill is
+// also the most a server gather can hold before it submits.
 const connBuffer = 32 << 10
 
 // pending is one in-flight request's pooled state: the encoded frame, the

@@ -50,15 +50,6 @@ func ReadRawFrame(br *bufio.Reader, buf []byte, max int) ([]byte, error) {
 	return buf, nil
 }
 
-// RawFrameType returns the frame-type byte of a prefixed frame (0 for
-// one too short to carry it).
-func RawFrameType(frame []byte) byte {
-	if len(frame) < lenPrefix+2 {
-		return 0
-	}
-	return frame[lenPrefix+1]
-}
-
 // RawQueryMeta validates a prefixed query frame end to end (same checks
 // as the server's own parser — a forwarder must not splice a frame the
 // worker would kill the connection over) and returns the fields a
@@ -110,9 +101,4 @@ func RawFrameBuffered(br *bufio.Reader, max int) bool {
 // and worker outages, upholding the never-silently-dropped contract.
 func AppendStatusFrame(dst []byte, id uint64, status byte) []byte {
 	return appendResponse(dst, id, status, 0, nil, nil, "")
-}
-
-// AppendErrorFrame encodes a StatusError result frame carrying msg.
-func AppendErrorFrame(dst []byte, id uint64, msg string) []byte {
-	return appendResponse(dst, id, StatusError, 0, nil, nil, msg)
 }

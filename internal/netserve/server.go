@@ -17,36 +17,21 @@ import (
 )
 
 // Config tunes a Server. The zero value is not usable: Fleet is required.
+// How the reader gathers (readLoop), how many workers a connection has,
+// how many rows a burst may hold, the buffer sizes and the in-flight bound
+// are not options: one value of each is in use, the constants below.
 type Config struct {
 	// Fleet is the multi-tenant dispatch plane every decoded request is
 	// fed into (required).
 	Fleet *fleet.Fleet
-	// WorkersPerConn is the per-connection dispatch concurrency: how many
-	// of one connection's bursts may sit inside coalescer gathers at
-	// once (default 32). The bound is per connection by design — a slow
-	// tenant saturating its callers' workers stalls only the connections
-	// that talk to it; neighbours keep their own workers.
-	WorkersPerConn int
-	// MaxBurst caps how many contiguous same-tenant frames the reader
-	// gathers into one fleet burst (default 64). A burst crosses the
-	// fleet as a single multi-row submission — one coalescer waiter, one
-	// channel hop and one writer flush for the whole pipeline of a
-	// multiplexing client — so this is the server-side mirror of the
-	// coalescer's MaxBatch.
-	MaxBurst int
 	// MaxFrame caps the accepted request-frame body size (default 64KiB);
 	// larger frames kill the connection before their payload is read.
 	MaxFrame int
-	// ReadBuffer / WriteBuffer size each connection's buffered reader and
-	// writer (default 32KiB each) — large enough that a coalesced batch's
-	// requests arrive in one read syscall and its responses leave in one
-	// write.
-	ReadBuffer, WriteBuffer int
 	// FlushSpins is how many scheduler yields the response writer spends
-	// waiting for batch peers before flushing anyway (default 2). It only
-	// applies when a just-written burst reports coalesced peers beyond
-	// its own rows (Result.Batch > burst size); self-contained bursts
-	// always flush immediately.
+	// on an empty queue while requests of its connection are still in
+	// flight — the other bursts of the same read, about to answer — before
+	// it flushes anyway (default 2). With nothing in flight it flushes at
+	// once.
 	FlushSpins int
 	// ReadTimeout bounds each frame read: a connection that goes silent
 	// mid-frame for longer is torn down. 0 (the default) disables it —
@@ -60,11 +45,6 @@ type Config struct {
 	// counts in Stats.WriteStalls and kills the connection. Negative
 	// disables.
 	WriteTimeout time.Duration
-	// MaxConnInFlight bounds how many decoded-but-unanswered requests one
-	// connection may hold (default 1024). At the bound the reader stops
-	// decoding until responses drain, so a fast writer cannot run the
-	// server out of pooled request state through a slow-reading peer.
-	MaxConnInFlight int
 	// Artifacts, when set, serves artifact-fetch frames from the store
 	// (typically a *registry.Registry) — the over-the-wire pull a router
 	// mirror or a freshly placed worker warm-starts from. Nil treats the
@@ -81,21 +61,28 @@ type Config struct {
 	MaxArtifactFrame int
 }
 
+const (
+	// workersPerConn is the per-connection dispatch concurrency: how many
+	// of one connection's bursts may sit inside coalescer gathers at
+	// once. The bound is per connection by design — a slow tenant
+	// saturating its callers' workers stalls only the connections that
+	// talk to it; neighbours keep their own workers.
+	workersPerConn = 32
+	// maxBurst caps the rows of one burst — the server-side mirror of the
+	// coalescer's MaxBatch. A burst that reaches it is submitted alone.
+	maxBurst = 64
+)
+
+// maxConnInFlight bounds how many decoded-but-unanswered requests one
+// connection may hold. At the bound the reader stops decoding until
+// responses drain, so a fast writer cannot run the server out of pooled
+// request state through a slow-reading peer. A variable only so the
+// back-pressure test can reach the bound.
+var maxConnInFlight = 1024
+
 func (c *Config) fill() {
-	if c.WorkersPerConn <= 0 {
-		c.WorkersPerConn = 32
-	}
-	if c.MaxBurst <= 0 {
-		c.MaxBurst = 64
-	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.ReadBuffer <= 0 {
-		c.ReadBuffer = 32 << 10
-	}
-	if c.WriteBuffer <= 0 {
-		c.WriteBuffer = 32 << 10
 	}
 	if c.FlushSpins <= 0 {
 		c.FlushSpins = 2
@@ -105,9 +92,6 @@ func (c *Config) fill() {
 	}
 	if c.WriteTimeout < 0 {
 		c.WriteTimeout = 0
-	}
-	if c.MaxConnInFlight <= 0 {
-		c.MaxConnInFlight = 1024
 	}
 	if c.MaxArtifactFrame <= 0 {
 		c.MaxArtifactFrame = DefaultMaxArtifactFrame
@@ -147,9 +131,10 @@ type reqCtx struct {
 	aux []byte
 }
 
-// burst is a run of contiguous same-tenant requests the reader gathered
-// from one connection, submitted to the fleet as a single multi-row
-// query. Pooled; its answer callback is a method value minted once per
+// burst is the requests for one tenant among the frames the reader found
+// buffered on one connection, submitted to the fleet as a single multi-row
+// query — one coalescer waiter, one channel hop and one writer pass for
+// them all. Pooled; its answer callback is a method value minted once per
 // burst object so the steady state allocates nothing.
 type burst struct {
 	name  string // interned tenant name
@@ -157,11 +142,7 @@ type burst struct {
 	rows  [][]float64 // rows[i] aliases reqs[i].x
 	dls   []int64     // unix-nano deadlines, 0 = none
 	hasDL bool
-	// maxBatch is the largest coalesced batch any of the burst's rows
-	// reported — the writer's flush hint: peers beyond this burst mean
-	// more responses are imminent on sibling connections.
-	maxBatch int
-	each     func(i int, res serve.Result, err error)
+	each  func(i int, res serve.Result, err error)
 
 	// Artifact-op fields: a burst with artOp != 0 carries exactly one
 	// artifact request instead of query rows. Key and payload are copied
@@ -200,9 +181,6 @@ func (bu *burst) add(rc *reqCtx, req request) {
 // what lets the server skip a staging copy entirely.
 func (bu *burst) answer(i int, res serve.Result, err error) {
 	rc := bu.reqs[i]
-	if res.Batch > bu.maxBatch {
-		bu.maxBatch = res.Batch
-	}
 	switch {
 	case err == nil:
 		std := res.Std
@@ -326,7 +304,6 @@ func (s *Server) leaseBurst() *burst {
 	bu.rows = bu.rows[:0]
 	bu.dls = bu.dls[:0]
 	bu.hasDL = false
-	bu.maxBatch = 0
 	bu.artOp = 0
 	bu.artFlags = 0
 	bu.artGen = 0
@@ -376,12 +353,12 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns64.Add(1)
 		s.open.Add(1)
 		cn := &serverConn{
-			srv:   s,
-			c:     c,
-			work:  make(chan *burst, 2*s.cfg.WorkersPerConn),
-			wq:    make(chan *burst, 2*s.cfg.WorkersPerConn),
-			sem:   make(chan struct{}, s.cfg.MaxConnInFlight),
-			names: make(map[string]string),
+			srv:     s,
+			c:       c,
+			work:    make(chan *burst, 2*workersPerConn),
+			wq:      make(chan *burst, 2*workersPerConn),
+			sem:     make(chan struct{}, maxConnInFlight),
+			tenants: make(map[string]*connTenant),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -443,25 +420,27 @@ func (s *Server) Close() error {
 }
 
 // serverConn is one accepted connection: a reader goroutine decoding
-// frames into pooled bursts, WorkersPerConn workers feeding the fleet,
-// and a writer goroutine performing batch-aware flush coalescing.
+// frames into pooled bursts, workersPerConn workers feeding the fleet,
+// and a writer goroutine coalescing their responses into shared flushes.
 type serverConn struct {
 	srv  *Server
 	c    net.Conn
 	work chan *burst // reader → workers
 	wq   chan *burst // workers → writer
 	// sem holds one token per decoded-but-unanswered request (cap
-	// MaxConnInFlight): acquired by the reader before leasing a request
+	// maxConnInFlight): acquired by the reader before leasing a request
 	// context, released by the writer after recycling it.
 	sem chan struct{}
 	// readDone flips before the read side shuts so the reader's periodic
 	// SetReadDeadline(now+ReadTimeout) cannot revive a connection that
 	// closeRead already expired via its deadline fallback.
 	readDone atomic.Bool
-	// names interns tenant-name bytes → string once per connection, so
-	// the steady-state lookup (m[string(frameBytes)], which the compiler
-	// performs without materializing the string) never allocates.
-	names map[string]string
+	// tenants interns tenant-name bytes once per connection, so the
+	// steady-state lookup (m[string(frameBytes)], which the compiler
+	// performs without materializing the string) never allocates; the
+	// value carries the tenant's open burst.
+	tenants map[string]*connTenant
+	open    []*connTenant // tenants whose burst is open, reader-owned
 
 	workers sync.WaitGroup
 	writer  sync.WaitGroup
@@ -488,7 +467,7 @@ func (cn *serverConn) handle() {
 	s := cn.srv
 	defer s.wg.Done()
 	defer s.open.Add(-1)
-	for i := 0; i < s.cfg.WorkersPerConn; i++ {
+	for i := 0; i < workersPerConn; i++ {
 		cn.workers.Add(1)
 		go cn.workLoop()
 	}
@@ -507,25 +486,43 @@ func (cn *serverConn) handle() {
 	s.mu.Unlock()
 }
 
+// connTenant is one tenant as one connection sees it: the interned name
+// and the burst the reader is gathering for it (nil when none is open).
+type connTenant struct {
+	name string
+	bu   *burst
+}
+
+// submitOpen hands every open burst to the workers.
+func (cn *serverConn) submitOpen() {
+	for i, ct := range cn.open {
+		if ct.bu != nil { // nil: reached the row cap and went alone
+			cn.work <- ct.bu
+			ct.bu = nil
+		}
+		cn.open[i] = nil
+	}
+	cn.open = cn.open[:0]
+}
+
 // readLoop decodes request frames until EOF, a read error, or a protocol
 // violation (after which the stream framing can no longer be trusted and
-// the connection dies). Contiguous frames for the same tenant — the
-// steady shape a multiplexing client's pipelined flush produces — are
-// gathered into one burst while complete frames are already buffered, so
-// a 16-deep pipeline crosses the fleet as one submission instead of 16.
+// the connection dies). It gathers by the wire tier's one rule: while
+// complete frames are already buffered, each request joins its tenant's
+// open burst; every open burst is submitted before the reader blocks —
+// on the socket or on the in-flight bound — before a control-plane frame,
+// and on exit. A pipelined write of 16 frames for 4 tenants thus crosses
+// the fleet as 4 submissions, however the tenants interleave.
 func (cn *serverConn) readLoop() {
 	s := cn.srv
-	var bu *burst
 	defer func() {
 		if pv := recover(); pv != nil {
 			s.protoErrs.Add(1)
 		}
-		if bu != nil {
-			// Serve whatever was decoded before the stream died.
-			cn.work <- bu
-		}
+		// Serve whatever was decoded before the stream died.
+		cn.submitOpen()
 	}()
-	br := bufio.NewReaderSize(cn.c, s.cfg.ReadBuffer)
+	br := bufio.NewReaderSize(cn.c, connBuffer)
 	buf := make([]byte, 0, 4096)
 	readMax := s.cfg.MaxFrame
 	if (s.cfg.Artifacts != nil || s.cfg.Install != nil) && s.cfg.MaxArtifactFrame > readMax {
@@ -534,6 +531,10 @@ func (cn *serverConn) readLoop() {
 		readMax = s.cfg.MaxArtifactFrame
 	}
 	for {
+		if !frameBuffered(br, s.cfg.MaxFrame) {
+			// Nothing more to gather without blocking: submit now.
+			cn.submitOpen()
+		}
 		if s.cfg.ReadTimeout > 0 {
 			if cn.readDone.Load() {
 				return
@@ -549,12 +550,9 @@ func (cn *serverConn) readLoop() {
 			return
 		}
 		if len(buf) >= 2 && buf[1] != frameQuery {
-			// Control-plane frame: submit the gathered query burst first,
+			// Control-plane frame: submit the gathered query bursts first,
 			// then hand the artifact op through the same worker pipeline.
-			if bu != nil {
-				cn.work <- bu
-				bu = nil
-			}
+			cn.submitOpen()
 			if !cn.readArtFrame(buf) {
 				return
 			}
@@ -571,31 +569,24 @@ func (cn *serverConn) readLoop() {
 			return
 		}
 		s.reqs.Add(1)
-		name := cn.intern(req.tenant)
-		if bu != nil && (bu.name != name || len(bu.reqs) >= s.cfg.MaxBurst) {
-			cn.work <- bu
-			bu = nil
-		}
 		select {
 		case cn.sem <- struct{}{}:
 		default:
 			// In-flight bound reached: submit what is gathered so its
 			// completions can free tokens, then block for one.
-			if bu != nil {
-				cn.work <- bu
-				bu = nil
-			}
+			cn.submitOpen()
 			cn.sem <- struct{}{}
 		}
-		if bu == nil {
-			bu = s.leaseBurst()
-			bu.name = name
+		ct := cn.tenant(req.tenant)
+		if ct.bu == nil {
+			ct.bu = s.leaseBurst()
+			ct.bu.name = ct.name
+			cn.open = append(cn.open, ct)
 		}
-		bu.add(s.lease(), req)
-		if !frameBuffered(br, s.cfg.MaxFrame) {
-			// Nothing more to gather without blocking: submit now.
-			cn.work <- bu
-			bu = nil
+		ct.bu.add(s.lease(), req)
+		if len(ct.bu.reqs) >= maxBurst {
+			cn.work <- ct.bu
+			ct.bu = nil
 		}
 	}
 }
@@ -681,15 +672,15 @@ func (cn *serverConn) readArtFrame(buf []byte) bool {
 	return true
 }
 
-// intern maps tenant-name bytes to a stable string, allocating only the
-// first time a name is seen on this connection.
-func (cn *serverConn) intern(b []byte) string {
-	if s, ok := cn.names[string(b)]; ok { // no-alloc map lookup
-		return s
+// tenant maps tenant-name bytes to the connection's entry for it,
+// allocating only the first time a name is seen on this connection.
+func (cn *serverConn) tenant(b []byte) *connTenant {
+	if ct, ok := cn.tenants[string(b)]; ok { // no-alloc map lookup
+		return ct
 	}
-	s := string(b)
-	cn.names[s] = s
-	return s
+	ct := &connTenant{name: string(b)}
+	cn.tenants[ct.name] = ct
+	return ct
 }
 
 // workLoop serves decoded bursts through the fleet. Each worker blocks
@@ -772,22 +763,20 @@ func (cn *serverConn) serveArt(bu *burst) {
 	}
 }
 
-// writeLoop writes completed bursts with batch-aware flush coalescing:
-// after writing a burst's responses it greedily drains everything already
-// queued, and while the just-written rows report coalesced batch peers
-// beyond the burst itself it donates up to FlushSpins scheduler yields
-// for those peers' workers to enqueue — so the responses of one
-// micro-batch leave in one buffered flush instead of one syscall each. A
-// write error degrades the loop to a pure drain (requests still recycle;
-// the reader is unblocked by closing the socket) so the connection tears
-// down without losing pooled state.
+// writeLoop writes completed bursts with flush coalescing: after writing
+// a burst's responses it greedily drains everything already queued, and
+// on an empty queue, while the connection still has requests in flight,
+// it donates up to FlushSpins scheduler yields for their workers to
+// enqueue — so the responses of one gather leave in one buffered flush
+// instead of one syscall each. A write error degrades the loop to a pure
+// drain (requests still recycle; the reader is unblocked by closing the
+// socket) so the connection tears down without losing pooled state.
 func (cn *serverConn) writeLoop() {
 	defer cn.writer.Done()
 	s := cn.srv
-	bw := bufio.NewWriterSize(cn.c, s.cfg.WriteBuffer)
+	bw := bufio.NewWriterSize(cn.c, connBuffer)
 	var werr error
-	write := func(bu *burst) bool {
-		more := bu.maxBatch > len(bu.reqs)
+	write := func(bu *burst) {
 		if werr == nil && s.cfg.WriteTimeout > 0 {
 			cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 		}
@@ -812,10 +801,9 @@ func (cn *serverConn) writeLoop() {
 			<-cn.sem
 		}
 		s.releaseBurst(bu)
-		return more
 	}
 	for bu := range cn.wq {
-		expectMore := write(bu)
+		write(bu)
 		spins := 0
 	drain:
 		for {
@@ -824,10 +812,10 @@ func (cn *serverConn) writeLoop() {
 				if !ok {
 					break drain
 				}
-				expectMore = write(bu2) || expectMore
+				write(bu2)
 				spins = 0
 			default:
-				if expectMore && spins < s.cfg.FlushSpins {
+				if len(cn.sem) > 0 && spins < s.cfg.FlushSpins {
 					spins++
 					runtime.Gosched()
 					continue

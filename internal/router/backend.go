@@ -156,10 +156,9 @@ type rentry struct {
 }
 
 // backendConn is one generation of a worker's hot connection. Its write
-// side is locked by frontend readers for the duration of a same-worker
-// run (splice + splice + … + flush under one lock hold); its read side
-// is a single demux goroutine patching ids back and fanning responses
-// out to caller connections.
+// side is shared by the frontend readers, which lock it for one splice or
+// one flush at a time; its read side is a single demux goroutine patching
+// ids back and fanning responses out to caller connections.
 type backendConn struct {
 	wk *worker
 	c  net.Conn
@@ -183,18 +182,19 @@ func newBackendConn(wk *worker, c net.Conn) *backendConn {
 	bc := &backendConn{
 		wk:    wk,
 		c:     c,
-		bw:    bufio.NewWriterSize(c, wk.rt.cfg.WriteBuffer),
+		bw:    bufio.NewWriterSize(c, connBuffer),
 		remap: make(map[uint64]*rentry, 256),
 	}
 	bc.lastRead.Store(time.Now().UnixNano())
 	return bc
 }
 
-// spliceLocked patches one validated query frame's id and writes it
-// onto the backend connection. Caller holds bc.wmu. False means the
-// connection is dead (sticky write error or torn down) — the caller
-// answers Retry itself.
-func (bc *backendConn) spliceLocked(cc *clientConn, origID uint64, frame []byte) bool {
+// splice patches one validated query frame's id and writes it onto the
+// backend connection's buffer. False means the connection is dead (sticky
+// write error or torn down) — the caller answers Retry itself.
+func (bc *backendConn) splice(cc *clientConn, origID uint64, frame []byte) bool {
+	bc.wmu.Lock()
+	defer bc.wmu.Unlock()
 	if bc.werr != nil {
 		return false
 	}
@@ -236,8 +236,11 @@ func (bc *backendConn) spliceLocked(cc *clientConn, origID uint64, frame []byte)
 	return true
 }
 
-// flushLocked pushes the gathered run to the worker. Caller holds wmu.
-func (bc *backendConn) flushLocked() {
+// flush pushes what frontend readers spliced since the last flush to the
+// worker (nothing, when another reader's flush already carried it).
+func (bc *backendConn) flush() {
+	bc.wmu.Lock()
+	defer bc.wmu.Unlock()
 	if bc.werr != nil || !bc.pendingW {
 		return
 	}
@@ -250,6 +253,7 @@ func (bc *backendConn) flushLocked() {
 		return
 	}
 	bc.pendingW = false
+	bc.wk.rt.bursts.Add(1)
 }
 
 // takeRemap claims the remap entry for a worker response id. The entry
@@ -276,23 +280,18 @@ func (bc *backendConn) takeRemap(id uint64) (orig uint64, cc *clientConn, ok boo
 func (bc *backendConn) readLoop() {
 	rt := bc.wk.rt
 	defer rt.bg.Done()
-	br := bufio.NewReaderSize(bc.c, rt.cfg.ReadBuffer)
+	br := bufio.NewReaderSize(bc.c, connBuffer)
 	buf := make([]byte, 0, 4096)
 	var touched []*clientConn
 	for {
 		if !netserve.RawFrameBuffered(br, rt.cfg.MaxFrame) {
 			// About to block: deliver the batch.
-			for _, cc := range touched {
-				cc.flush()
-			}
-			touched = touched[:0]
+			touched = flushAll(touched)
 		}
 		var err error
 		buf, err = netserve.ReadRawFrame(br, buf, rt.cfg.MaxFrame)
 		if err != nil {
-			for _, cc := range touched {
-				cc.flush()
-			}
+			flushAll(touched)
 			bc.teardown(err)
 			return
 		}
@@ -311,16 +310,7 @@ func (bc *backendConn) readLoop() {
 		}
 		netserve.SetRawResponseID(buf, orig)
 		if cc.writeRaw(buf) {
-			seen := false
-			for _, t := range touched {
-				if t == cc {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				touched = append(touched, cc)
-			}
+			touched = touch(touched, cc)
 		} else {
 			rt.drops.Add(1)
 		}

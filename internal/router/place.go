@@ -15,7 +15,7 @@ import (
 // committing the switch, so the first routed query after a move hits a
 // warm-started model, never a retraining stall.
 func (rt *Router) rebalanceLocked() {
-	ring := buildRing(rt.workers, rt.cfg.Replicas)
+	ring := buildRing(rt.workers, ringReplicas)
 	rt.ring.Store(ring)
 	rt.rehashes.Add(1)
 	for _, p := range rt.placements {

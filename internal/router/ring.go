@@ -3,7 +3,7 @@ package router
 import "sort"
 
 // hashRing is a consistent-hash ring over the live workers: each worker
-// contributes Replicas virtual nodes at FNV-1a points on the uint64
+// contributes ringReplicas virtual nodes at FNV-1a points on the uint64
 // circle, and a tenant is owned by the first virtual node clockwise of
 // its hash. Membership changes rebuild the ring (it is tiny — workers ×
 // replicas entries) and move only the ~1/N keyspace adjacent to the

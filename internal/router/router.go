@@ -4,11 +4,15 @@
 // consistent hashing over the live worker ring, and the forwarder
 // never decodes rows — it validates the frame header, patches the
 // request-id word in the already-framed bytes, and splices the payload
-// through to the owning worker's connection, gathering contiguous
-// same-worker runs into one buffered write exactly as netserve's
-// readLoop Peek-gathers same-tenant runs. Responses demux back through
-// pooled per-connection id-remap tables, so the routed hot path keeps
-// the serving plane's zero-allocation steady state.
+// through to the owning worker's connection. Every reader on this tier
+// gathers by one rule: while complete frames are already buffered,
+// append each to its destination's pending write; when the reader is
+// about to block, flush every destination touched, once. Frames of one
+// read therefore reach each worker as one chunk however their tenants
+// interleave, and netserve's readLoop regroups them per tenant by the
+// same rule. Responses demux back through pooled per-connection
+// id-remap tables, so the routed hot path keeps the serving plane's
+// zero-allocation steady state.
 //
 // Failure semantics uphold the stack's never-silently-dropped
 // contract: a worker death fails that worker's in-flight requests with
@@ -49,24 +53,8 @@ type Config struct {
 	// not listed are routed on demand to their ring owner without a
 	// provisioning push.
 	Tenants []string
-	// Replicas is the virtual-node count per worker on the hash ring
-	// (default 64).
-	Replicas int
-	// MaxBurst caps how many contiguous same-worker frames one frontend
-	// connection splices under a single backend write lock (default 64).
-	MaxBurst int
 	// MaxFrame caps request frames (default netserve.DefaultMaxFrame).
 	MaxFrame int
-	// ReadBuffer / WriteBuffer size each connection's buffered reader
-	// and writer (default 32KiB each).
-	ReadBuffer, WriteBuffer int
-	// MaxConnInFlight bounds forwarded-but-unanswered requests per
-	// frontend connection; beyond it the router answers Retry (default
-	// 1024).
-	MaxConnInFlight int
-	// MaxWorkerInFlight bounds outstanding requests per worker; beyond
-	// it the router answers Retry (default 4096).
-	MaxWorkerInFlight int
 	// MirrorInterval is the artifact-mirror poll cadence (default
 	// 500ms). Only meaningful with Registry set.
 	MirrorInterval time.Duration
@@ -94,27 +82,26 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// ringReplicas is the virtual-node count per worker on the hash ring.
+	ringReplicas = 64
+	// connBuffer sizes each connection's buffered reader and writer. One
+	// reader fill is also the most a gather can hold before it flushes.
+	connBuffer = 32 << 10
+)
+
+// In-flight bounds, beyond which the router answers Retry itself:
+// forwarded-but-unanswered requests per frontend connection, and
+// outstanding requests per worker. Variables only so the bound tests
+// can reach them.
+var (
+	maxConnInFlight   int64 = 1024
+	maxWorkerInFlight int64 = 4096
+)
+
 func (c *Config) fill() {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
-	if c.MaxBurst <= 0 {
-		c.MaxBurst = 64
-	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = netserve.DefaultMaxFrame
-	}
-	if c.ReadBuffer <= 0 {
-		c.ReadBuffer = 32 << 10
-	}
-	if c.WriteBuffer <= 0 {
-		c.WriteBuffer = 32 << 10
-	}
-	if c.MaxConnInFlight <= 0 {
-		c.MaxConnInFlight = 1024
-	}
-	if c.MaxWorkerInFlight <= 0 {
-		c.MaxWorkerInFlight = 4096
 	}
 	if c.MirrorInterval <= 0 {
 		c.MirrorInterval = 500 * time.Millisecond
@@ -148,7 +135,7 @@ type Stats struct {
 	// open count.
 	Conns, Open int64
 	// Frames counts query frames forwarded to workers; Bursts counts
-	// the backend write runs they were coalesced into.
+	// the backend flushes that carried them.
 	Frames, Bursts int64
 	// Retries counts Retry frames the router answered itself (placement
 	// moving or down, in-flight bounds, dead backend).
@@ -376,7 +363,7 @@ func (rt *Router) Serve(ln net.Listener) error {
 			tc.SetNoDelay(true)
 		}
 		cc := &clientConn{rt: rt, c: c}
-		cc.bw = bufio.NewWriterSize(c, rt.cfg.WriteBuffer)
+		cc.bw = bufio.NewWriterSize(c, connBuffer)
 		rt.mu.Lock()
 		if rt.closed {
 			rt.mu.Unlock()
@@ -475,36 +462,25 @@ func (cc *clientConn) handle() {
 	rt.mu.Unlock()
 }
 
-// readLoop is the forwarder: it reads raw frames, resolves each
-// tenant's placement through the per-connection cache, and splices
-// contiguous same-worker runs under a single backend write lock — the
-// cross-connection coalescing contract: a pipelined client burst
-// arrives at the worker as one TCP chunk, which its server read loop
-// Peek-gathers into one fleet burst.
+// readLoop is the forwarder. While complete frames are buffered it
+// resolves each one's placement through the per-connection cache and
+// splices it onto the owning worker's connection (whose write lock is
+// held for that one splice only); before it blocks it flushes every
+// backend it touched, once. A pipelined client write thus
+// reaches each worker as one chunk, whatever order its tenants came in.
 func (cc *clientConn) readLoop() {
 	rt := cc.rt
-	br := bufio.NewReaderSize(cc.c, rt.cfg.ReadBuffer)
+	br := bufio.NewReaderSize(cc.c, connBuffer)
 	buf := make([]byte, 0, 4096)
 	cache := make(map[string]*placement)
-
-	var run *backendConn // write-locked run target
-	runLen := 0
-	endRun := func() {
-		if run != nil {
-			run.flushLocked()
-			run.wmu.Unlock()
-			rt.bursts.Add(1)
-			run = nil
-			runLen = 0
-		}
-	}
-	defer endRun()
+	var touched []*backendConn
+	defer func() { flushAll(touched) }()
 
 	for {
 		if !netserve.RawFrameBuffered(br, rt.cfg.MaxFrame) {
-			// About to block: release the backend run and flush any
+			// About to block: hand over what was gathered, and flush any
 			// Retry frames owed to this caller.
-			endRun()
+			touched = flushAll(touched)
 			cc.flush()
 		}
 		var err error
@@ -527,37 +503,38 @@ func (cc *clientConn) readLoop() {
 			cache[p.tenant] = p
 		}
 		bc, ok := p.route()
-		if !ok || cc.inflight.Load() >= int64(rt.cfg.MaxConnInFlight) {
-			endRun()
-			cc.writeStatus(id, netserve.StatusRetry)
-			rt.retries.Add(1)
+		if ok && cc.inflight.Load() < maxConnInFlight && bc.wk.inflight.Load() < maxWorkerInFlight &&
+			bc.splice(cc, id, buf) {
+			touched = touch(touched, bc)
 			continue
 		}
-		if run != nil && (bc != run || runLen >= rt.cfg.MaxBurst) {
-			endRun()
-		}
-		if run == nil {
-			if bc.wk.inflight.Load() >= int64(rt.cfg.MaxWorkerInFlight) {
-				cc.writeStatus(id, netserve.StatusRetry)
-				rt.retries.Add(1)
-				continue
-			}
-			bc.wmu.Lock()
-			run = bc
-		}
-		if !bc.spliceLocked(cc, id, buf) {
-			// The backend died mid-run: answer this frame Retry; its
-			// teardown fails the rest of the run's in-flight the same
-			// way.
-			run.wmu.Unlock()
-			run = nil
-			runLen = 0
-			cc.writeStatus(id, netserve.StatusRetry)
-			rt.retries.Add(1)
-			continue
-		}
-		runLen++
+		// No owner to route to, a bound reached, or the backend died under
+		// the splice (its teardown fails the frames already in flight the
+		// same way): the router answers.
+		cc.writeStatus(id, netserve.StatusRetry)
+		rt.retries.Add(1)
 	}
+}
+
+// touch adds v to the small set of connections a reader owes a flush.
+func touch[T comparable](set []T, v T) []T {
+	for _, t := range set {
+		if t == v {
+			return set
+		}
+	}
+	return append(set, v)
+}
+
+// flushAll flushes every connection of the set and returns it emptied,
+// its entries cleared so that a closed connection does not stay pinned.
+func flushAll[T interface{ flush() }](set []T) []T {
+	var none T
+	for i, c := range set {
+		c.flush()
+		set[i] = none
+	}
+	return set[:0]
 }
 
 // getPlacement resolves (or creates) the global placement for a tenant

@@ -41,9 +41,6 @@ func TestCoalescerQueryRowsCorrectness(t *testing.T) {
 					if math.Abs(res.Y[0]-want) > 1e-12 {
 						t.Errorf("row %d: got %v want %v", i, res.Y[0], want)
 					}
-					if res.Batch < 1 {
-						t.Errorf("row %d: batch %d", i, res.Batch)
-					}
 				})
 				if err != nil {
 					t.Error(err)

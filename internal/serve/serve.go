@@ -70,14 +70,15 @@ type Config struct {
 	// arrival count as a stalled gather (default 4). Smaller dispatches
 	// sooner at lower concurrency; larger rides out scheduling jitter.
 	StallSpins int
-	// EWMAAlpha is the smoothing factor of the arrival-interval estimate
-	// in (0, 1]; larger adapts faster (default 0.2).
-	EWMAAlpha float64
 	// Pool supplies the recycled batch/dispatch state. Coalescers sharing
 	// one pool (the per-tenant instances of a fleet) amortize their gather
 	// buffers across tenants; nil gives the coalescer a private pool.
 	Pool *BatchPool
 }
+
+// ewmaAlpha is the smoothing factor of the arrival-interval estimate in
+// (0, 1]; larger adapts faster.
+const ewmaAlpha = 0.2
 
 func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
@@ -89,9 +90,6 @@ func (c *Config) fill() {
 	if c.StallSpins <= 0 {
 		c.StallSpins = 4
 	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.2
-	}
 	if c.Pool == nil {
 		c.Pool = NewBatchPool()
 	}
@@ -102,13 +100,6 @@ type Result struct {
 	Y   []float64
 	Src core.Source
 	Std []float64 // non-nil only for surrogate answers
-	// Batch is how many coalesced queries were served by the same backend
-	// dispatch as this one (1 for a solo bypass). A response writer
-	// sitting behind the coalescer can use it as a flush hint: when
-	// Batch > 1, this answer's batch peers completed at the same instant
-	// and their responses are (or are about to be) in flight, so holding
-	// a buffered flush briefly lets one writev-style flush carry them all.
-	Batch int
 }
 
 // Stats is a snapshot of coalescing effectiveness.
@@ -334,7 +325,6 @@ func (c *Coalescer) collect(b *batch, idx int, y, std []float64) (Result, error)
 	}
 	var out Result
 	out.Src = r.Src
-	out.Batch = b.n
 	if r.Y != nil {
 		if y != nil {
 			out.Y = y[:len(r.Y)]
@@ -454,7 +444,7 @@ func (c *Coalescer) registerDispatchLocked(b *batch) {
 		if c.ewmaNs == 0 {
 			c.ewmaNs = per
 		} else {
-			c.ewmaNs += c.cfg.EWMAAlpha * (per - c.ewmaNs)
+			c.ewmaNs += ewmaAlpha * (per - c.ewmaNs)
 		}
 	}
 	c.lastDetach = now
@@ -613,7 +603,6 @@ func (c *Coalescer) deliver(b *batch, start, k, base int, each func(i int, res R
 			}
 		} else {
 			res.Src = r.Src
-			res.Batch = b.n
 			res.Y = r.Y
 			res.Std = r.Std
 			if err == nil {
