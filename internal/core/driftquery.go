@@ -7,14 +7,14 @@ import (
 )
 
 // This file extends drift tracking (ShardedConfig.DriftFactor) to the
-// query path's UQ-rejected oracle fallbacks. A rejected lookup already
-// computed the surrogate's prediction, and the fallback then computes
-// the oracle's truth — their residual is a free drift observation. But
-// the rejected stream is biased by construction: these are exactly the
-// points the model is least certain about, so even a perfectly
-// calibrated, undrifted model shows residuals far above its in-sample
-// baseline there. Folding them in raw would trip the drift flag on
-// every uncertain regime.
+// query path's oracle fallbacks, in one fold: after a query's fallback
+// rows have their oracle truth, foldFallbackResiduals scores the shard's
+// published model on them in one batched UQ pass and folds the residuals
+// into the drift EWMA. But the fallback stream is biased by construction:
+// these are exactly the points the model is least certain about, so even
+// a perfectly calibrated, undrifted model shows residuals far above its
+// in-sample baseline there. Folding them in raw would trip the drift flag
+// on every uncertain regime.
 //
 // The correction normalizes each rejected residual by what the model
 // itself predicted it would be: a Gaussian predictive distribution with
@@ -41,23 +41,8 @@ func correctedResid(resid, expAbs, base float64) float64 {
 	return resid
 }
 
-// observeFallbackResidual folds one UQ-rejected fallback into the drift
-// EWMA: mean/sd are the rejected prediction from surp, y the oracle
-// truth. The observation lands only while surp is still the published
-// model — a residual measured against a superseded model must not
-// contaminate its successor's fresh EWMA.
-func (w *ShardedWrapper) observeFallbackResidual(s *shard, surp *Surrogate, mean, sd, y []float64) {
-	resid := meanAbsDiff(mean, y)
-	expAbs := meanOf(sd) * expectedAbsFactor
-	s.mu.Lock()
-	if s.active.Load() == surp {
-		s.observeResidualLocked(correctedResid(resid, expAbs, s.residBase), w.cfg.DriftFactor, w.cfg.DriftAlpha)
-	}
-	s.mu.Unlock()
-}
-
-// foldFallbackResiduals is the batch-path counterpart: for the shard's
-// successfully oracle-answered rows of one QueryBatchInto call, it
+// foldFallbackResiduals is that fold: for the shard's successfully
+// oracle-answered rows of one query (Query or QueryBatchInto), it
 // recomputes the published model's predictions with UQ in one batched
 // pass and folds the bias-corrected residuals into the drift EWMA. The
 // (model, generation) pair is captured before the pass and re-checked

@@ -154,9 +154,6 @@ func (l Ledger) String() string {
 
 // ledgerBox is the concurrency shell ShardedWrapper embeds: a Ledger
 // behind its own mutex (always acquired after any wrapper state lock).
-// The single-event recorders below are deliberately closure-free — the
-// per-query serving path calls them, and a captured-variable closure per
-// query is a heap allocation the hot path cannot afford.
 type ledgerBox struct {
 	ledMu  sync.Mutex
 	ledger Ledger
@@ -177,18 +174,6 @@ func (b *ledgerBox) record(f func(l *Ledger)) {
 	b.ledMu.Unlock()
 }
 
-func (b *ledgerBox) recordLookup(d time.Duration) {
-	b.ledMu.Lock()
-	b.ledger.RecordLookup(d)
-	b.ledMu.Unlock()
-}
-
-func (b *ledgerBox) recordRejectedLookup(d time.Duration) {
-	b.ledMu.Lock()
-	b.ledger.RecordRejectedLookup(d)
-	b.ledMu.Unlock()
-}
-
 // recordBatchLookups folds one batched lookup pass — served accepted
 // rows and rejected UQ failures, each charged the per-row share of the
 // pass — into a single lock acquisition, closure-free so the zero-alloc
@@ -201,18 +186,6 @@ func (b *ledgerBox) recordBatchLookups(per time.Duration, served, rejected int) 
 	for k := 0; k < rejected; k++ {
 		b.ledger.RecordRejectedLookup(per)
 	}
-	b.ledMu.Unlock()
-}
-
-func (b *ledgerBox) recordSimulation(d time.Duration) {
-	b.ledMu.Lock()
-	b.ledger.RecordSimulation(d)
-	b.ledMu.Unlock()
-}
-
-func (b *ledgerBox) recordFailedRun(d time.Duration) {
-	b.ledMu.Lock()
-	b.ledger.RecordFailedRun(d)
 	b.ledMu.Unlock()
 }
 

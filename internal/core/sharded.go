@@ -551,65 +551,27 @@ func (w *ShardedWrapper) ShardSizes() []int {
 	return sizes
 }
 
-// Query answers one input point, serving from the routed shard's published
-// surrogate when the UQ gate passes and from the oracle otherwise. It
-// never blocks on a refit. Safe for concurrent use.
+// Query answers one input point: a batch of one, run through the body
+// QueryBatchInto runs — served from the routed shard's published surrogate
+// when the UQ gate passes, from the oracle otherwise. It never blocks on a
+// refit. A surrogate answer's y and std share one caller-owned array, the
+// call's only allocation. Safe for concurrent use.
 func (w *ShardedWrapper) Query(x []float64) (y []float64, src Source, std []float64, err error) {
-	s := w.shards[w.router.Route(x)]
-	mean, sd, surp, ok := w.tryLookup(s, x)
-	if ok {
-		return mean, FromSurrogate, sd, nil
+	if len(x) != w.in {
+		return nil, FromSimulation, nil, fmt.Errorf("core: query has %d dims, oracle wants %d", len(x), w.in)
 	}
-	t0 := time.Now()
-	y, err = w.oracle.Run(x)
-	dt := time.Since(t0)
-	if err != nil {
-		w.recordFailedRun(dt)
-		return nil, FromSimulation, nil, fmt.Errorf("core: oracle: %w", err)
-	}
-	w.recordSimulation(dt)
-	w.addSamples(s, [][2][]float64{{x, y}})
-	if w.cfg.DriftFactor > 0 && surp != nil && mean != nil {
-		// The rejected prediction plus the oracle truth is a free drift
-		// observation (see observeFallbackResidual for the UQ bias
-		// correction).
-		w.observeFallbackResidual(s, surp, mean, sd, y)
-	}
-	return y, FromSimulation, nil, nil
-}
-
-// tryLookup serves x from the shard's published surrogate. The load is a
-// single atomic pointer read — no lock is taken, so lookups proceed at
-// full speed while the shard refits — and the lookup is the batch path's,
-// run on a one-row view of x over pooled scratch: the returned mean and sd
-// (one backing array) are the call's only allocation. On a UQ rejection
-// (ok=false with a non-nil surp) mean and sd carry the rejected prediction
-// so the oracle fallback can fold its residual into the drift tracker
-// without a second surrogate pass.
-func (w *ShardedWrapper) tryLookup(s *shard, x []float64) (mean, sd []float64, surp *Surrogate, ok bool) {
-	surp = s.active.Load()
-	if surp == nil {
-		return nil, nil, nil, false
-	}
+	buf := make([]float64, 2*w.out)
+	// The one-row view and its result live in the pooled scratch: on the
+	// stack they would escape through the oracle fan-out's closure. Y's
+	// capacity stops at out so an appending caller can never grow into Std.
 	sc := w.getScratch()
 	sc.row = tensor.Matrix{Rows: 1, Cols: len(x), Data: x}
-	t0 := time.Now()
-	w.lookup(*surp, sc, &sc.row)
-	dt := time.Since(t0)
-	n := len(sc.mean.Data)
-	res := make([]float64, 2*n)
-	// Cap the mean slice so an appending caller can never grow into sd.
-	mean, sd = res[:n:n], res[n:]
-	copy(mean, sc.mean.Data)
-	copy(sd, sc.std.Data)
-	sc.row.Data = nil // the pool must not keep the caller's vector alive
+	sc.one[0] = BatchResult{Y: buf[:0:w.out], Std: buf[w.out:w.out]}
+	w.queryInto(sc, &sc.row, sc.one[:])
+	r := sc.one[0]
+	sc.row.Data, sc.one[0] = nil, BatchResult{} // the pool must not keep the caller's vector or answer alive
 	w.scratch.Put(sc)
-	if ok = maxOf(sd) <= w.cfg.UQThreshold; ok {
-		w.recordLookup(dt)
-	} else {
-		w.recordRejectedLookup(dt)
-	}
-	return mean, sd, surp, ok
+	return r.Y, r.Src, r.Std, r.Err
 }
 
 // lookup is the one surrogate lookup every query path runs: sur's
@@ -680,8 +642,9 @@ func (w *ShardedWrapper) QuantStats() (queries, fallbacks uint64) {
 // — so a warmed steady-state batch query performs zero heap allocations.
 type shardScratch struct {
 	byShard   [][]int
-	sub       tensor.Matrix // one shard's rows, gathered
-	row       tensor.Matrix // Query's one-row view of the caller's vector
+	sub       tensor.Matrix  // one shard's rows, gathered
+	row       tensor.Matrix  // Query's one-row view of the caller's vector
+	one       [1]BatchResult // Query's one result row
 	miss      []int
 	mean, std tensor.Matrix
 	oks       []bool // per-row quantization envelope verdicts
@@ -730,7 +693,16 @@ func (w *ShardedWrapper) QueryBatchInto(xs *tensor.Matrix, res []BatchResult) er
 		return fmt.Errorf("core: res has %d entries for a %d-row batch", len(res), xs.Rows)
 	}
 	sc := w.getScratch()
+	w.queryInto(sc, xs, res)
+	w.scratch.Put(sc)
+	return nil
+}
 
+// queryInto is the one query body, Query's and QueryBatchInto's: it
+// answers every row of the validated batch xs into res over the scratch
+// sc. A published surrogate is loaded with one atomic pointer read — no
+// lock is taken, so lookups proceed at full speed while a shard refits.
+func (w *ShardedWrapper) queryInto(sc *shardScratch, xs *tensor.Matrix, res []BatchResult) {
 	// Partition rows by shard.
 	byShard := sc.byShard
 	for si := range byShard {
@@ -764,13 +736,12 @@ func (w *ShardedWrapper) QueryBatchInto(xs *tensor.Matrix, res []BatchResult) er
 	}
 	sc.miss = miss
 	if len(miss) == 0 {
-		w.scratch.Put(sc)
-		return nil
+		return
 	}
 
 	// Oracle fallback: bounded parallel fan-out instead of a sequential
 	// loop. Results land in disjoint res rows.
-	oracleFanout(w.oracle, xs, miss, res, w.cfg.OracleWorkers, w.record)
+	w.oracleFanout(xs, miss, res)
 
 	// Feed successful fallbacks back into their shards' training sets,
 	// and (with drift tracking armed) fold their residuals against the
@@ -789,8 +760,6 @@ func (w *ShardedWrapper) QueryBatchInto(xs *tensor.Matrix, res []BatchResult) er
 			w.foldFallbackResiduals(w.shards[si], xs, idx, res)
 		}
 	}
-	w.scratch.Put(sc)
-	return nil
 }
 
 // addSamples appends oracle results to a shard and kicks off a background
@@ -1184,7 +1153,7 @@ func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 	if design.Cols != w.in {
 		return fmt.Errorf("core: design has %d cols, oracle wants %d", design.Cols, w.in)
 	}
-	res, ferr := pretrainFanout(w.oracle, design, w.cfg.OracleWorkers, w.record)
+	res, ferr := w.pretrainFanout(design)
 	// Keep every successful sample — "no run is wasted" — even when the
 	// campaign aborted on a failure. Both matrices start empty with room
 	// for the whole design, so AppendRow never regrows them.
@@ -1208,6 +1177,7 @@ func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 // fanoutTally accumulates what one oracle fan-out owes the ledger, so the
 // fan-out charges it with one record call instead of one per row.
 type fanoutTally struct {
+	out                               int // the answer length Dims promises
 	runs, runTime, failed, failedTime atomic.Int64
 }
 
@@ -1221,11 +1191,18 @@ type fanoutTally struct {
 // further off, other callers' workers stalled 10 ms and more behind it).
 // An oracle run is the stack's coarsest unit of work, so one scheduling
 // point per run costs it nothing.
+//
+// An answer whose length is not the out Dims promised is that row's
+// failure: as a training sample it would panic the shard's append with
+// the shard lock held and wedge the shard for good.
 func (t *fanoutTally) run(oracle Oracle, x []float64) BatchResult {
 	t0 := time.Now()
 	y, err := oracle.Run(x)
 	dt := int64(time.Since(t0))
 	runtime.Gosched()
+	if err == nil && len(y) != t.out {
+		err = fmt.Errorf("answered %d values, Dims promises %d", len(y), t.out)
+	}
 	if err != nil {
 		t.failed.Add(1)
 		t.failedTime.Add(dt)
@@ -1247,42 +1224,42 @@ func (t *fanoutTally) charge(record func(func(*Ledger))) {
 	})
 }
 
-// oracleFanout runs the oracle on the miss rows of xs with at most workers
-// concurrent goroutines, writing each answer into its res row and charging
-// the ledger through record. Rows are disjoint, so no result locking is
+// oracleFanout runs the oracle on the miss rows of xs with at most
+// OracleWorkers concurrent goroutines, writing each answer into its res
+// row and charging the ledger. Rows are disjoint, so no result locking is
 // needed; oracles must tolerate concurrent Run calls (the contract
-// concurrent wrapper use already imposes). workers <= 1 runs inline.
-func oracleFanout(oracle Oracle, xs *tensor.Matrix, miss []int, res []BatchResult, workers int, record func(func(*Ledger))) {
-	var tally fanoutTally
-	parallel.ForEachBounded(len(miss), workers, func(k int) {
+// concurrent wrapper use already imposes). One worker runs inline.
+func (w *ShardedWrapper) oracleFanout(xs *tensor.Matrix, miss []int, res []BatchResult) {
+	tally := fanoutTally{out: w.out}
+	parallel.ForEachBounded(len(miss), w.cfg.OracleWorkers, func(k int) {
 		i := miss[k]
-		res[i] = tally.run(oracle, xs.Row(i))
+		res[i] = tally.run(w.oracle, xs.Row(i))
 		if err := res[i].Err; err != nil {
 			res[i].Err = fmt.Errorf("core: oracle: %w", err)
 		}
 	})
-	tally.charge(record)
+	tally.charge(w.record)
 }
 
 // pretrainFanout runs the oracle over every row of design with at most
-// workers goroutines and early abort: once any run fails, rows not yet
-// started are skipped (their res entry stays zero: Y nil, Err nil), so a
-// design with an early deterministic failure doesn't burn the rest of an
+// OracleWorkers goroutines and early abort: once any run fails, rows not
+// yet started are skipped (their res entry stays zero: Y nil, Err nil), so
+// a design with an early deterministic failure doesn't burn the rest of an
 // expensive campaign. The first failing row's error is returned;
 // successful rows are usable from res either way.
-func pretrainFanout(oracle Oracle, design *tensor.Matrix, workers int, record func(func(*Ledger))) ([]BatchResult, error) {
+func (w *ShardedWrapper) pretrainFanout(design *tensor.Matrix) ([]BatchResult, error) {
 	res := make([]BatchResult, design.Rows)
-	var tally fanoutTally
-	parallel.ForEachBounded(design.Rows, workers, func(i int) {
+	tally := fanoutTally{out: w.out}
+	parallel.ForEachBounded(design.Rows, w.cfg.OracleWorkers, func(i int) {
 		if tally.failed.Load() > 0 {
 			return
 		}
-		res[i] = tally.run(oracle, design.Row(i))
+		res[i] = tally.run(w.oracle, design.Row(i))
 		if err := res[i].Err; err != nil {
 			res[i].Err = fmt.Errorf("core: pretrain point %d: %w", i, err)
 		}
 	})
-	tally.charge(record)
+	tally.charge(w.record)
 	for _, r := range res {
 		if r.Err != nil {
 			return res, r.Err

@@ -999,3 +999,85 @@ func TestShardedQuantizedServing(t *testing.T) {
 		}
 	}
 }
+
+// returnsWithin runs f and fails the test unless it returns within a
+// second: a call that blocks is a wedged shard lock. A panic in f is
+// reported, and the test carries on to the next call.
+func returnsWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f()
+	}()
+	select {
+	case pv := <-done:
+		if pv != nil {
+			t.Errorf("%s panicked: %v", what, pv)
+		}
+	case <-time.After(time.Second):
+		t.Fatalf("%s blocked for 1 s: the shard is wedged", what)
+	}
+}
+
+// TestOracleWrongLengthIsRowError: an oracle answer that is not the
+// length its Dims promises fails that row — on Query, QueryBatch and
+// Pretrain — and never becomes a training sample. Appending it used to
+// panic with the shard lock held, and from then on Status, every later
+// fallback and every refit of the shard blocked forever.
+func TestOracleWrongLengthIsRowError(t *testing.T) {
+	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
+		if x[0] > 0 {
+			return []float64{x[0], x[0]}, nil // one value too many
+		}
+		return []float64{x[0]}, nil
+	}}
+	w := NewShardedWrapper(oracle, func() Surrogate { return surrogatetest.Mean(0) }, ShardedConfig{
+		Shards: 1, MinTrainSamples: 1 << 30,
+	})
+	returnsWithin(t, "the bad Query", func() {
+		if y, _, _, err := w.Query([]float64{1, 0}); err == nil {
+			t.Errorf("wrong-length answer %v served", y)
+		}
+	})
+	returnsWithin(t, "Status", func() { w.Status() })
+	returnsWithin(t, "the next Query", func() {
+		if y, src, _, err := w.Query([]float64{-1, 0}); err != nil || src != FromSimulation || len(y) != 1 {
+			t.Errorf("next query = (%v, %v, %v), want the oracle's answer", y, src, err)
+		}
+	})
+	returnsWithin(t, "QueryBatch", func() {
+		res, err := w.QueryBatch(tensor.FromRows([][]float64{{2, 0}, {-2, 0}}))
+		if err != nil || res[0].Err == nil || res[1].Err != nil {
+			t.Errorf("batch = %+v (err %v), want only the wrong-length row failed", res, err)
+		}
+	})
+	if n, led := w.TrainingSetSize(), w.Ledger(); n != 2 || led.NTrain != 2 || led.NFailed != 2 {
+		t.Fatalf("%d samples, ledger %+v: want the 2 good answers kept and the 2 bad ones failed", n, led)
+	}
+	returnsWithin(t, "Pretrain", func() {
+		if err := w.Pretrain(tensor.FromRows([][]float64{{3, 0}})); err == nil {
+			t.Error("Pretrain accepted a wrong-length answer")
+		}
+	})
+}
+
+// TestQueryWrongWidthIsError: a query point of the wrong width is the
+// caller's error and touches no shard. It used to reach the oracle on a
+// cold shard and panic appending the sample with the shard lock held.
+func TestQueryWrongWidthIsError(t *testing.T) {
+	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) { return x[:1], nil }}
+	w := NewShardedWrapper(oracle, func() Surrogate { return surrogatetest.Mean(0) }, ShardedConfig{
+		Shards: 1, MinTrainSamples: 1 << 30,
+	})
+	returnsWithin(t, "the wrong-width Query", func() {
+		if y, _, _, err := w.Query([]float64{1}); err == nil {
+			t.Errorf("1-dim query answered %v by a 2-dim wrapper", y)
+		}
+	})
+	returnsWithin(t, "TrainingSetSize", func() {
+		if n := w.TrainingSetSize(); n != 0 {
+			t.Errorf("wrong-width query left %d samples", n)
+		}
+	})
+}

@@ -23,14 +23,6 @@ func (b *degradableBackend) SetBrownoutLevel(level int) { b.level.Store(int32(le
 
 func (b *degradableBackend) BrownoutLevel() int { return int(b.level.Load()) }
 
-func (b *degradableBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	if err := b.QueryBatchInto(xs, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 func (b *degradableBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	if b.level.Load() == 0 {
 		time.Sleep(5 * time.Millisecond) // breaches the 1ms SLO
@@ -196,14 +188,6 @@ func TestBrownoutIgnoresNonDegradable(t *testing.T) {
 type plainBackend struct{}
 
 func (b *plainBackend) Dims() (int, int) { return 2, 1 }
-
-func (b *plainBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	if err := b.QueryBatchInto(xs, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
 
 func (b *plainBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	time.Sleep(100 * time.Microsecond) // far over the 1µs SLO

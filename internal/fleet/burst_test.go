@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/surrogatetest"
 )
 
 // TestFleetQueryRowsDeadlineShed checks per-row deadlines inside one
@@ -150,4 +152,54 @@ func TestFleetQueryRowsErrors(t *testing.T) {
 	if err := f.QueryRows("a", [][]float64{{1, 2}}, nil, boom); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed fleet: %v", err)
 	}
+}
+
+// TestFleetOracleWrongLengthKeepsServing: a tenant wrapper whose oracle
+// answers with the wrong length fails that query, and the tenant's stats
+// and its next query still return. The contained backend panic this used
+// to be left the shard lock held, so TenantStats (/statsz), every later
+// fallback and every refit blocked forever.
+func TestFleetOracleWrongLengthKeepsServing(t *testing.T) {
+	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
+		if x[0] > 0 {
+			return []float64{x[0], x[0]}, nil // one value too many
+		}
+		return []float64{x[0]}, nil
+	}}
+	w := core.NewShardedWrapper(oracle, func() core.Surrogate { return surrogatetest.Mean(0) }, core.ShardedConfig{
+		Shards: 1, MinTrainSamples: 1 << 30,
+	})
+	f := New(Config{})
+	defer f.Close()
+	if err := f.Register("w", w); err != nil {
+		t.Fatal(err)
+	}
+	within := func(what string, call func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			call()
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s blocked for 1 s: the tenant's shard is wedged", what)
+		}
+	}
+	within("the bad query", func() {
+		if r, err := f.Query("w", []float64{1, 0}); err == nil {
+			t.Errorf("wrong-length answer %v served", r.Y)
+		}
+	})
+	within("TenantStats", func() {
+		if st, err := f.TenantStats("w"); err != nil || st.Panics != 0 {
+			t.Errorf("stats = %+v (err %v), want no contained panic", st, err)
+		}
+	})
+	within("the next query", func() {
+		if r, err := f.Query("w", []float64{-1, 0}); err != nil || r.Y[0] != -1 {
+			t.Errorf("next query = (%v, %v), want the oracle's -1", r.Y, err)
+		}
+	})
 }

@@ -151,23 +151,12 @@ type tenant struct {
 	lastQ   int64
 }
 
-// observe folds one completed query into the tenant's stats. The
-// latency store lands before the query-count increment (and is clamped
-// to ≥1ns) so a percentile reader sizing its sample by the counter and
-// skipping zero slots never mistakes an unwritten slot for a datum.
-func (t *tenant) observe(d time.Duration) {
-	if d <= 0 {
-		d = 1
-	}
-	i := (t.latPos.Add(1) - 1) & uint64(len(t.lats)-1)
-	atomic.StoreInt64(&t.lats[i], int64(d))
-	t.queries.Add(1)
-}
-
-// observeN counts n completed queries against one shared latency sample —
-// the burst path's accounting: per-row clock reads would cost more than
-// the dispatch they measure, and a burst's rows genuinely share their
-// batch's latency.
+// observeN counts n completed queries against one shared latency sample:
+// per-row clock reads would cost more than the dispatch they measure, and
+// a burst's rows genuinely share their batch's latency. The latency store
+// lands before the query-count increment (and is clamped to ≥1ns) so a
+// percentile reader sizing its sample by the counter and skipping zero
+// slots never mistakes an unwritten slot for a datum.
 func (t *tenant) observeN(d time.Duration, n int64) {
 	if d <= 0 {
 		d = 1
@@ -361,98 +350,38 @@ func (f *Fleet) lookup(name string) *tenant {
 	return t
 }
 
+// goneErr is why a query found no tenant to serve it: ErrClosed after
+// Close, ErrUnknownTenant otherwise.
+func (f *Fleet) goneErr() error {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.closed {
+		return ErrClosed
+	}
+	return ErrUnknownTenant
+}
+
 // Query submits one input point to the named tenant and blocks until its
 // micro-batch has been served. The returned Y/Std slices are
 // caller-owned. A panicking tenant backend is contained: the panic
 // surfaces as this tenant's error, not a process crash.
 func (f *Fleet) Query(name string, x []float64) (serve.Result, error) {
-	return f.query(nil, name, x, nil, nil)
+	return f.QueryInto(name, x, nil, nil)
 }
 
-// QueryInto is the allocation-free form of Query: the answer is copied
-// into y (and, for surrogate answers, std), which must each hold the
-// tenant's output dimensionality. A steady-state caller reusing its
+// QueryInto is the allocation-free form of Query — a burst of one through
+// QueryRows: the answer is copied into y (and, for surrogate answers,
+// std), which must each hold the tenant's output dimensionality (both
+// nil: a fresh array, which is Query). A steady-state caller reusing its
 // buffers performs zero heap allocations per query.
-func (f *Fleet) QueryInto(name string, x, y, std []float64) (serve.Result, error) {
-	return f.query(nil, name, x, y, std)
-}
-
-// QueryCtx is QueryInto with deadline/cancellation propagation into
-// admission: a request whose context is already expired (or cancelled) is
-// shed immediately — before it is admitted or enqueued into the tenant's
-// coalescer — returning the context's error. This is the shed path a wire
-// front-end relies on: a frame that spent its deadline in a kernel buffer
-// must never occupy a coalescer slot just to produce an answer nobody is
-// waiting for. A nil ctx behaves exactly like QueryInto. The ctx is only
-// sampled at admission; an expiry mid-gather does not abandon the query
-// (its micro-batch is already paid for).
-func (f *Fleet) QueryCtx(ctx context.Context, name string, x, y, std []float64) (serve.Result, error) {
-	return f.query(ctx, name, x, y, std)
-}
-
-// query is the shared dispatch path: tenant lookup, deadline check,
-// admission, coalesced dispatch, stats. nil y selects caller-owned result
-// copies.
-func (f *Fleet) query(ctx context.Context, name string, x, y, std []float64) (res serve.Result, err error) {
-	t := f.lookup(name)
-	if t == nil {
-		f.mu.RLock()
-		closed := f.closed
-		f.mu.RUnlock()
-		if closed {
-			return serve.Result{}, ErrClosed
+func (f *Fleet) QueryInto(name string, x, y, std []float64) (res serve.Result, err error) {
+	qerr := f.QueryRows(name, [][]float64{x}, nil, func(_ int, r serve.Result, rerr error) {
+		if res, err = r.CopyOut(y, std); rerr != nil {
+			err = rerr
 		}
-		return serve.Result{}, ErrUnknownTenant
-	}
-	// Deadline shed: an already-expired (or cancelled) request never
-	// reaches the coalescer — it is refused here, before admission, so
-	// the batch gather is never diluted by answers nobody will read.
-	if ctx != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			t.expired.Add(1)
-			return serve.Result{}, cerr
-		}
-	}
-	// Admission: a bounded in-flight window per tenant. One hot tenant
-	// saturating its window sheds load fast instead of parking an
-	// unbounded caller pile-up on the shared machinery.
-	if t.inflight.Add(1) > t.limit {
-		t.inflight.Add(-1)
-		t.rejected.Add(1)
-		return serve.Result{}, t.overErr
-	}
-	t0 := time.Now()
-	defer func() {
-		if pv := recover(); pv != nil {
-			// Tenant fault containment: the coalescer re-throws a backend
-			// panic in exactly the affected batch's callers; the fleet
-			// converts it to this tenant's error so one broken model
-			// cannot take down its neighbours' callers.
-			t.panics.Add(1)
-			res = serve.Result{}
-			err = fmt.Errorf("fleet: tenant %q backend panicked: %v", t.name, pv)
-		}
-		t.observe(time.Since(t0))
-		t.inflight.Add(-1)
-	}()
-	if y == nil {
-		res, err = t.co.Query(x)
-	} else {
-		res, err = t.co.QueryInto(x, y, std)
-	}
-	if errors.Is(err, serve.ErrClosed) {
-		// The tenant's coalescer closed under this query: either the
-		// whole fleet shut down (ErrClosed) or just this tenant was
-		// deregistered — in which case, from the caller's view, the
-		// tenant no longer exists.
-		f.mu.RLock()
-		closed := f.closed
-		f.mu.RUnlock()
-		if closed {
-			err = ErrClosed
-		} else {
-			err = ErrUnknownTenant
-		}
+	})
+	if qerr != nil {
+		return serve.Result{}, qerr
 	}
 	return res, err
 }
@@ -467,8 +396,8 @@ func (f *Fleet) query(ctx context.Context, name string, x, y, std []float64) (re
 // shed with the tenant's *OverloadedError, and the survivors are enqueued
 // together. The callback runs once per row, in row order; its Result
 // slices alias pooled batch storage and are valid only inside the call. A
-// backend panic is contained exactly like Query: undelivered rows receive
-// the tenant's panic error.
+// panicking tenant backend is contained: undelivered rows receive the
+// tenant's panic error, never a process crash.
 func (f *Fleet) QueryRows(name string, rows [][]float64, deadlines []int64, each func(i int, res serve.Result, err error)) error {
 	n := len(rows)
 	if n == 0 {
@@ -479,13 +408,7 @@ func (f *Fleet) QueryRows(name string, rows [][]float64, deadlines []int64, each
 	}
 	t := f.lookup(name)
 	if t == nil {
-		f.mu.RLock()
-		closed := f.closed
-		f.mu.RUnlock()
-		if closed {
-			return ErrClosed
-		}
-		return ErrUnknownTenant
+		return f.goneErr()
 	}
 	// Deadline shed — one clock read for the whole burst.
 	live := rows
@@ -542,6 +465,10 @@ func (f *Fleet) QueryRows(name string, rows [][]float64, deadlines []int64, each
 	err := func() (err error) {
 		defer func() {
 			if pv := recover(); pv != nil {
+				// Tenant fault containment: the coalescer re-throws a backend
+				// panic in exactly the affected batch's waiters; the fleet
+				// converts it to this tenant's error so one broken model
+				// cannot take down its neighbours' callers.
 				t.panics.Add(1)
 				perr := fmt.Errorf("fleet: tenant %q backend panicked: %v", t.name, pv)
 				for i := delivered; i < len(live); i++ {
@@ -557,13 +484,10 @@ func (f *Fleet) QueryRows(name string, rows [][]float64, deadlines []int64, each
 		})
 	}()
 	if errors.Is(err, serve.ErrClosed) {
-		f.mu.RLock()
-		closed := f.closed
-		f.mu.RUnlock()
-		if closed {
-			return ErrClosed
-		}
-		return ErrUnknownTenant
+		// The tenant's coalescer closed under this burst: either the whole
+		// fleet shut down, or just this tenant was deregistered — in which
+		// case, from the caller's view, the tenant no longer exists.
+		return f.goneErr()
 	}
 	return err
 }
@@ -575,8 +499,8 @@ type TenantStats struct {
 	Queries int64
 	// Rejected counts queries shed by the in-flight admission bound.
 	Rejected int64
-	// Expired counts queries shed at admission because their QueryCtx
-	// deadline had already passed (or their context was cancelled).
+	// Expired counts queries shed at admission because their QueryRows
+	// deadline had already passed.
 	Expired int64
 	// Panics counts contained backend panics.
 	Panics int64

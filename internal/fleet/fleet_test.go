@@ -32,11 +32,6 @@ type fakeBackend struct {
 
 func (f *fakeBackend) Dims() (int, int) { return 2, 1 }
 
-func (f *fakeBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	return res, f.QueryBatchInto(xs, res)
-}
-
 func (f *fakeBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	f.batches.Add(1)
 	if f.delay > 0 {
@@ -483,9 +478,10 @@ func TestFleetQuantStats(t *testing.T) {
 }
 
 // TestFleetQueryCtxExpiredShedsBeforeBackend pins the deadline-admission
-// contract: a request arriving with an already-dead context is shed
-// before it is enqueued — the backend never sees it, the Expired counter
-// moves, and the error is the context's own.
+// contract: a request arriving already past its deadline is shed before
+// it is enqueued — the backend never sees it, the Expired counter moves,
+// Queries does not, and the error is context.DeadlineExceeded. QueryCtx
+// is gone; QueryRows' per-row deadlines are the one deadline path.
 func TestFleetQueryCtxExpiredShedsBeforeBackend(t *testing.T) {
 	bk := &fakeBackend{scale: 3}
 	f := New(Config{})
@@ -494,21 +490,16 @@ func TestFleetQueryCtxExpiredShedsBeforeBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	y := make([]float64, 1)
-	std := make([]float64, 1)
-
-	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel()
-	if _, err := f.QueryCtx(ctx, "m", []float64{1, 1}, y, std); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired context returned %v, want DeadlineExceeded", err)
-	}
-	cctx, ccancel := context.WithCancel(context.Background())
-	ccancel()
-	if _, err := f.QueryCtx(cctx, "m", []float64{1, 1}, y, std); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled context returned %v, want Canceled", err)
+	past := time.Now().Add(-time.Second).UnixNano()
+	if err := f.QueryRows("m", [][]float64{{1, 1}, {2, 2}}, []int64{past, past}, func(i int, _ serve.Result, err error) {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("expired row %d returned %v, want DeadlineExceeded", i, err)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if n := bk.batches.Load(); n != 0 {
-		t.Fatalf("dead-context queries reached the backend (%d batches)", n)
+		t.Fatalf("expired rows reached the backend (%d batches)", n)
 	}
 	st, err := f.TenantStats("m")
 	if err != nil {
@@ -521,10 +512,12 @@ func TestFleetQueryCtxExpiredShedsBeforeBackend(t *testing.T) {
 		t.Fatalf("shed queries counted as served: %d", st.Queries)
 	}
 
-	// A live context serves normally through the same path.
-	res, err := f.QueryCtx(context.Background(), "m", []float64{1, 1}, y, std)
+	// A live query serves normally through the same path.
+	y := make([]float64, 1)
+	std := make([]float64, 1)
+	res, err := f.QueryInto("m", []float64{1, 1}, y, std)
 	if err != nil || math.Abs(res.Y[0]-5) > 1e-12 {
-		t.Fatalf("live QueryCtx: %v %v", res.Y, err)
+		t.Fatalf("live query: %v %v", res.Y, err)
 	}
 }
 

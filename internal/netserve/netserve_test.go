@@ -36,14 +36,6 @@ const (
 
 func (b *testBackend) Dims() (int, int) { return b.in, b.out }
 
-func (b *testBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	if err := b.QueryBatchInto(xs, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 func (b *testBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	b.calls.Add(1)
 	b.rows.Add(int64(xs.Rows))

@@ -1,8 +1,9 @@
 // Package netserve puts a wire on the fleet: a TCP server and client
 // speaking a length-prefixed binary protocol whose server-side read loop
-// decodes straight into pooled row buffers and feeds each request to
-// fleet.QueryCtx — so the per-tenant coalescers gather micro-batches
-// *across connections*, not just across goroutines of one process.
+// decodes straight into pooled row buffers and feeds the requests it has
+// buffered for one tenant to fleet.QueryRows as one burst — so the
+// per-tenant coalescers gather micro-batches *across connections*, not
+// just across goroutines of one process.
 //
 // The protocol is deliberately minimal: one frame type per direction,
 // fixed headers, big-endian integers, raw IEEE-754 float64 rows. A frame

@@ -5,8 +5,8 @@
 // communication improves model update speed and convergence. This package
 // provides those four drivers over goroutines and channels, two allreduce
 // implementations (a naive lock-based reducer and a ring allreduce), and
-// representative kernels from the paper's list: SGD, K-means, Gibbs
-// sampling (Ising) and cyclic coordinate descent (matrix factorization).
+// representative kernels from the paper's list: SGD and Gibbs sampling
+// (Ising).
 package parallel
 
 import (

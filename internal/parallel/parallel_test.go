@@ -233,67 +233,6 @@ func TestReplicaDivergence(t *testing.T) {
 	}
 }
 
-func TestKMeansFindsBlobs(t *testing.T) {
-	rng := xrand.New(10)
-	pts, _ := GaussianBlobs(600, 4, 3, 0.3, rng)
-	res, err := KMeans(pts, 4, 15, 4, false, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.SSEHistory) != 15 {
-		t.Fatalf("history length %d", len(res.SSEHistory))
-	}
-	// SSE decreases (weakly) and ends near the noise floor.
-	for i := 1; i < len(res.SSEHistory); i++ {
-		if res.SSEHistory[i] > res.SSEHistory[i-1]+1e-9 {
-			t.Fatalf("SSE increased at %d: %g -> %g", i, res.SSEHistory[i-1], res.SSEHistory[i])
-		}
-	}
-	perPoint := res.SSEHistory[len(res.SSEHistory)-1] / 600
-	if perPoint > 3*0.3*0.3*3 { // ~3x dim*sigma² tolerance
-		t.Fatalf("final per-point SSE %g too large", perPoint)
-	}
-}
-
-func TestKMeansParallelMatchesSerial(t *testing.T) {
-	rng := xrand.New(11)
-	pts, _ := GaussianBlobs(300, 3, 2, 0.5, rng)
-	serial, err := KMeans(pts, 3, 10, 1, false, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := KMeans(pts, 3, 10, 4, false, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ringRes, err := KMeans(pts, 3, 10, 4, true, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.SSEHistory {
-		if math.Abs(serial.SSEHistory[i]-par.SSEHistory[i]) > 1e-6 {
-			t.Fatalf("parallel SSE differs at %d", i)
-		}
-		if math.Abs(serial.SSEHistory[i]-ringRes.SSEHistory[i]) > 1e-6 {
-			t.Fatalf("ring SSE differs at %d", i)
-		}
-	}
-}
-
-func TestKMeansInvalid(t *testing.T) {
-	rng := xrand.New(12)
-	pts, _ := GaussianBlobs(20, 2, 2, 0.5, rng)
-	if _, err := KMeans(pts, 0, 5, 1, false, 1); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-	if _, err := KMeans(pts, 30, 5, 1, false, 1); err == nil {
-		t.Fatal("k > n accepted")
-	}
-	if _, err := KMeans(pts, 2, 5, 0, false, 1); err == nil {
-		t.Fatal("0 workers accepted")
-	}
-}
-
 func TestIsingHighTemperatureDisordered(t *testing.T) {
 	// beta well below critical (0.4407): |m| ~ 0.
 	m, err := IsingRun(24, 0.2, 60, 4, false, 5)
@@ -363,49 +302,6 @@ func TestIsingEnergyBounds(t *testing.T) {
 	e := m.Energy()
 	if e < -2 || e > 2 {
 		t.Fatalf("energy per spin %g outside [-2,2]", e)
-	}
-}
-
-func TestCCDConverges(t *testing.T) {
-	rng := xrand.New(14)
-	p := NewRandomMFProblem(60, 50, 4, 0.3, 0.01, rng)
-	_, hist, err := RunCCD(p, 4, 30, 0.05, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist) != 30 {
-		t.Fatalf("history length %d", len(hist))
-	}
-	if hist[len(hist)-1] >= hist[0] {
-		t.Fatalf("CCD did not reduce RMSE: %g -> %g", hist[0], hist[len(hist)-1])
-	}
-	if hist[len(hist)-1] > 0.2 {
-		t.Fatalf("final RMSE %g too high", hist[len(hist)-1])
-	}
-}
-
-func TestCCDSerialVsParallelQuality(t *testing.T) {
-	rng := xrand.New(16)
-	p := NewRandomMFProblem(40, 40, 3, 0.35, 0.01, rng)
-	_, serial, err := RunCCD(p, 1, 25, 0.05, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, par, err := RunCCD(p, 4, 25, 0.05, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sFinal, pFinal := serial[len(serial)-1], par[len(par)-1]
-	if math.Abs(sFinal-pFinal) > 0.1+0.5*sFinal {
-		t.Fatalf("parallel CCD quality %g far from serial %g", pFinal, sFinal)
-	}
-}
-
-func TestCCDValidation(t *testing.T) {
-	rng := xrand.New(18)
-	p := NewRandomMFProblem(10, 10, 2, 0.5, 0.01, rng)
-	if _, _, err := RunCCD(p, 0, 5, 0.1, 1); err == nil {
-		t.Fatal("zero workers accepted")
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package serve implements the adaptive micro-batch request coalescer:
-// the serving front-end that makes many concurrent single-point queries
-// as cheap per point as one large batch. Concurrent Query calls are
-// gathered into micro-batches with a dual trigger — a batch fills to
-// MaxBatch, or the gather stalls (no new arrivals) with MaxDelay as the
-// hard cap — and each batch runs once through the backend's amortized
-// QueryBatchInto path, fanning results back to the blocked callers.
+// the serving front-end that makes many concurrent small queries as cheap
+// per point as one large batch. Concurrent QueryRows bursts are gathered
+// into micro-batches with a dual trigger — a batch fills to MaxBatch, or
+// the gather stalls (no new arrivals) with MaxDelay as the hard cap — and
+// each batch runs once through the backend's amortized QueryBatchInto
+// path, fanning results back to the blocked callers. A Query is a burst
+// of one: there is no second, single-row path.
 //
 // Gathering is driven by the batch's first caller (the leader), which is
 // blocked waiting for its own answer anyway: instead of sleeping on an
@@ -43,14 +44,11 @@ import (
 // core.ShardedWrapper satisfies it natively, grouping each micro-batch's
 // rows by shard so every shard sees one fused batch per dispatch.
 type Backend interface {
-	// QueryBatch answers every row of xs; row results must remain valid
-	// after the call returns.
-	QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error)
-	// QueryBatchInto is the buffer-reusing form: results land in res
-	// (len == xs.Rows), overwriting each row's Y/Std in place when their
-	// capacity suffices, so a steady-state dispatch loop reusing one res
-	// slice performs zero heap allocations. Every row must be written
-	// (a batch-level error may accompany valid rows).
+	// QueryBatchInto answers every row of xs into res (len == xs.Rows),
+	// overwriting each row's Y/Std in place when their capacity suffices,
+	// so a steady-state dispatch loop reusing one res slice performs zero
+	// heap allocations. Every row must be written (a batch-level error may
+	// accompany valid rows).
 	QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error
 	// Dims returns the input and output dimensionality.
 	Dims() (in, out int)
@@ -116,7 +114,7 @@ func (s Stats) MeanBatch() float64 {
 	return float64(s.Queries) / float64(s.Batches)
 }
 
-// ErrClosed is returned by Query after Close.
+// ErrClosed is returned by the query paths after Close.
 var ErrClosed = errors.New("serve: coalescer closed")
 
 // errRowNotServed marks a pooled result row the backend never wrote.
@@ -174,7 +172,7 @@ func (p *BatchPool) lease(in int) *batch {
 // put recycles b after its last caller released it.
 func (p *BatchPool) put(b *batch) { p.pool.Put(b) }
 
-// Coalescer gathers concurrent Query calls into micro-batches for a
+// Coalescer gathers concurrent queries into micro-batches for a
 // Backend. All methods are safe for concurrent use. Close drains
 // gracefully: the forming batch is dispatched, in-flight batches finish,
 // and subsequent queries fail with ErrClosed.
@@ -183,7 +181,7 @@ type Coalescer struct {
 	in, out int
 	cfg     Config
 
-	active atomic.Int64 // Query calls in flight (the observable concurrency)
+	active atomic.Int64 // QueryRows calls in flight (the observable concurrency)
 
 	mu         sync.Mutex
 	cur        *batch // forming batch, nil when none
@@ -204,152 +202,57 @@ func NewCoalescer(backend Backend, cfg Config) *Coalescer {
 	return &Coalescer{backend: backend, in: in, out: out, cfg: cfg, pool: cfg.Pool}
 }
 
-// Query submits one input point and blocks until its micro-batch has been
-// served, returning the same answer a direct backend QueryBatch row would
-// produce. The returned Y/Std slices are caller-owned. Per-row oracle
-// failures surface as the returned error; a panic in the backend
-// propagates to exactly the callers of the affected batch.
+// Query submits one input point — a burst of one through QueryRows — and
+// blocks until its micro-batch has been served, returning the same answer
+// a direct backend QueryBatchInto row would produce. The returned Y/Std
+// slices are caller-owned (one array, the call's only allocation).
+// Per-row oracle failures surface as the returned error; a panic in the
+// backend propagates to exactly the callers of the affected batch.
 func (c *Coalescer) Query(x []float64) (Result, error) {
-	return c.query(x, nil, nil)
+	return c.QueryInto(x, nil, nil)
 }
 
 // QueryInto is the allocation-free form of Query: the answer is copied
-// into y (and, for surrogate answers, std), which must each hold at least
-// the backend's output dimensionality; the returned Result's Y/Std alias
-// them. A steady-state caller reusing its buffers performs zero heap
-// allocations per query once the batch pool is warm.
-func (c *Coalescer) QueryInto(x, y, std []float64) (Result, error) {
-	if len(y) < c.out || len(std) < c.out {
-		return Result{}, fmt.Errorf("serve: result buffers hold %d/%d values, backend yields %d", len(y), len(std), c.out)
+// into y (and, for surrogate answers, std), which must each hold the
+// backend's output dimensionality; the returned Result's Y/Std alias
+// them (both nil: a fresh array, which is Query). A steady-state caller
+// reusing its buffers performs zero heap allocations per query once the
+// batch pool is warm.
+func (c *Coalescer) QueryInto(x, y, std []float64) (res Result, err error) {
+	qerr := c.QueryRows([][]float64{x}, func(_ int, r Result, rerr error) {
+		if res, err = r.CopyOut(y, std); rerr != nil {
+			err = rerr
+		}
+	})
+	if qerr != nil {
+		return Result{}, qerr
 	}
-	return c.query(x, y, std)
+	return res, err
 }
 
-// query is the shared body of Query/QueryInto; nil y selects caller-owned
-// copies.
-func (c *Coalescer) query(x, y, std []float64) (Result, error) {
-	if len(x) != c.in {
-		return Result{}, fmt.Errorf("serve: query has %d dims, backend wants %d", len(x), c.in)
+// CopyOut copies r out of the pooled batch storage a QueryRows callback
+// sees — into y and std, which must hold r's answer, or, both nil, into
+// one fresh array — and returns the Result aliasing the copy. Copying
+// inside the callback keeps the caller counted in flight while it
+// allocates: the leader's all-joined dispatch trigger reads that count,
+// and a Query that allocated outside it measurably shrank the batches.
+func (r Result) CopyOut(y, std []float64) (Result, error) {
+	if y == nil && std == nil {
+		buf := make([]float64, len(r.Y)+len(r.Std))
+		// Cap Y so an appending caller can never grow into Std.
+		y, std = buf[:len(r.Y):len(r.Y)], buf[len(r.Y):]
 	}
-	c.active.Add(1)
-	defer c.active.Add(-1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return Result{}, ErrClosed
+	if len(r.Y) > len(y) || len(r.Std) > len(std) {
+		return Result{}, fmt.Errorf("serve: result buffers hold %d/%d values, answer has %d/%d", len(y), len(std), len(r.Y), len(r.Std))
 	}
-	c.nQueries++
-	b := c.cur
-	leader := false
-	if b == nil {
-		if c.active.Load() == 1 && !c.denseLocked() {
-			// Nobody else is in flight AND the arrival-rate estimate says
-			// no peer is imminent: dispatch solo, immediately — sparse
-			// traffic is never taxed with a wait. Under dense traffic the
-			// instantaneous concurrency is an unreliable signal (on few
-			// cores a fast backend drains every caller before the next is
-			// scheduled, so active hovers at 1 at hundreds of kQPS); the
-			// EWMA sees through that, and the gather path below costs a
-			// misclassified lone caller only a few yields before its
-			// stall/all-joined triggers fire.
-			b = c.pool.lease(c.in)
-			b.xs.AppendRow(x)
-			b.n = 1
-			c.registerDispatchLocked(b)
-			c.mu.Unlock()
-			c.run(b)
-			return c.collect(b, 0, y, std)
-		}
-		b = c.pool.lease(c.in)
-		c.cur = b
-		leader = true
-	} else if b.done == nil {
-		// Second caller: the batch now has waiters beyond its eventual
-		// dispatcher, so it needs a completion broadcast. Minting the
-		// channel here (not at lease) keeps single-caller batches — the
-		// whole of a one-goroutine dense stream — allocation-free.
-		b.done = make(chan struct{})
-	}
-	idx := b.n
-	b.xs.AppendRow(x)
-	b.n++
-	full := b.n >= c.cfg.MaxBatch
-	if full {
-		c.detachLocked()
-	}
-	done := b.done
-	c.mu.Unlock()
-
-	if full {
-		// Size trigger: the filling caller runs the batch inline — no
-		// goroutine hop on the hot path — and its results are final when
-		// run returns; no need to wait on done.
-		c.run(b)
-	} else if leader {
-		dispatched, ch := c.lead(b)
-		if !dispatched {
-			// Another caller (size trigger) or Close dispatched the
-			// batch; ch was captured under the lock and is non-nil
-			// whenever someone other than this leader runs the batch.
-			<-ch
-		}
-	} else {
-		<-done
-	}
-	return c.collect(b, idx, y, std)
-}
-
-// collect extracts caller idx's answer from a completed batch and retires
-// the caller's claim on it. Pooled result rows never escape: the row is
-// copied — into fresh caller-owned slices (nil y) or into the caller's
-// reused buffers — before the batch can recycle. A batch-level backend
-// error does not discard row results that were already computed: each
-// caller receives its row's answer (when one exists) alongside the error,
-// with the row's own error taking precedence.
-func (c *Coalescer) collect(b *batch, idx int, y, std []float64) (Result, error) {
-	if pv := b.panicked; pv != nil {
-		c.release(b)
-		panic(pv)
-	}
-	r := &b.res[idx]
-	if r.Err == errRowNotServed {
-		// The backend never wrote this row (contract violation or an
-		// early error return): expose the batch error, never the
-		// recycled row's stale contents.
-		err := b.err
-		if err == nil {
-			err = errRowNotServed
-		}
-		c.release(b)
-		return Result{}, err
-	}
-	var out Result
-	out.Src = r.Src
+	out := Result{Src: r.Src}
 	if r.Y != nil {
-		if y != nil {
-			out.Y = y[:len(r.Y)]
-			copy(out.Y, r.Y)
-			if r.Std != nil {
-				out.Std = std[:len(r.Std)]
-				copy(out.Std, r.Std)
-			}
-		} else {
-			buf := make([]float64, len(r.Y)+len(r.Std))
-			// Cap Y so an appending caller can never grow into Std.
-			out.Y = buf[:len(r.Y):len(r.Y)]
-			copy(out.Y, r.Y)
-			if r.Std != nil {
-				out.Std = buf[len(r.Y):]
-				copy(out.Std, r.Std)
-			}
-		}
+		out.Y = y[:copy(y, r.Y)]
 	}
-	err := r.Err
-	if err == nil {
-		err = b.err
+	if r.Std != nil {
+		out.Std = std[:copy(std, r.Std)]
 	}
-	c.release(b)
-	return out, err
+	return out, nil
 }
 
 // lead is the gather loop run by a batch's first caller, who is blocked
@@ -482,13 +385,6 @@ func (c *Coalescer) run(b *batch) {
 	b.err = c.backend.QueryBatchInto(b.xs, b.res)
 }
 
-// release retires one caller's claim on b, recycling it after the last.
-func (c *Coalescer) release(b *batch) {
-	if b.refs.Add(-1) == 0 {
-		c.pool.put(b)
-	}
-}
-
 // releaseN retires k claims at once (a burst waiter's rows).
 func (c *Coalescer) releaseN(b *batch, k int) {
 	if b.refs.Add(int32(-k)) == 0 {
@@ -499,18 +395,19 @@ func (c *Coalescer) releaseN(b *batch, k int) {
 // QueryRows submits a contiguous burst of rows as a single waiter: all
 // rows join the forming micro-batch together under one lock hold, the
 // caller blocks once for the whole burst, and each row's answer is
-// delivered through the callback in row order. This is the wire server's
-// enqueue path — a network read that drains N frames hands them over with
-// one channel hop and one park/wake instead of N, which is what keeps
-// loopback serving within arm's reach of in-process dispatch.
+// delivered through the callback in row order. It is the coalescer's one
+// query path — Query and QueryInto are bursts of one — and the wire
+// server's enqueue path: a network read that drains N frames hands them
+// over with one channel hop and one park/wake instead of N, which is what
+// keeps loopback serving within arm's reach of in-process dispatch.
 //
 // The callback's Result.Y/Std alias pooled batch storage and are valid
 // only for the duration of that callback invocation; copy (or encode)
 // before returning. Rows beyond MaxBatch split into consecutive batches,
 // every chunk but the last dispatching inline. A backend panic
-// propagates to the caller after the affected rows' claims are retired,
-// exactly like Query; rows in chunks before the panicking one will
-// already have been delivered.
+// propagates to the caller after the affected rows' claims are retired;
+// rows in chunks before the panicking one will already have been
+// delivered.
 func (c *Coalescer) QueryRows(rows [][]float64, each func(i int, res Result, err error)) error {
 	n := len(rows)
 	if n == 0 {

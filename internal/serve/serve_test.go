@@ -32,11 +32,6 @@ func newFakeBackend() *fakeBackend { return &fakeBackend{in: 2, out: 1} }
 
 func (f *fakeBackend) Dims() (int, int) { return f.in, f.out }
 
-func (f *fakeBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	return res, f.QueryBatchInto(xs, res)
-}
-
 func (f *fakeBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	f.batches.Add(1)
 	if f.delay > 0 {
@@ -502,11 +497,6 @@ type widthRecordingBackend struct {
 
 func (b *widthRecordingBackend) Dims() (int, int) { return b.inner.Dims() }
 
-func (b *widthRecordingBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	return res, b.QueryBatchInto(xs, res)
-}
-
 func (b *widthRecordingBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	for {
 		old := b.maxRows.Load()
@@ -631,11 +621,6 @@ func newZeroAllocBackend() *zeroAllocBackend { return &zeroAllocBackend{} }
 
 func (z *zeroAllocBackend) Dims() (int, int) { return 2, 1 }
 
-func (z *zeroAllocBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	return res, z.QueryBatchInto(xs, res)
-}
-
 func (z *zeroAllocBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	for i := 0; i < xs.Rows; i++ {
 		row := xs.Row(i)
@@ -702,11 +687,6 @@ type wideBackend struct{}
 
 func (w *wideBackend) Dims() (int, int) { return 3, 2 }
 
-func (w *wideBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	return res, w.QueryBatchInto(xs, res)
-}
-
 func (w *wideBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	for i := 0; i < xs.Rows; i++ {
 		row := xs.Row(i)
@@ -723,11 +703,6 @@ func (w *wideBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) 
 type misbehavingBackend struct{ healthy fakeBackend }
 
 func (m *misbehavingBackend) Dims() (int, int) { return 2, 1 }
-
-func (m *misbehavingBackend) QueryBatch(xs *tensor.Matrix) ([]core.BatchResult, error) {
-	res := make([]core.BatchResult, xs.Rows)
-	return res, m.QueryBatchInto(xs, res)
-}
 
 func (m *misbehavingBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchResult) error {
 	if xs.Row(0)[0] < 0 {

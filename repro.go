@@ -109,15 +109,14 @@ type (
 	// RetentionPolicy selects how samples beyond the window are retired.
 	RetentionPolicy = core.RetentionPolicy
 	// Coalescer is the adaptive micro-batch serving front-end: concurrent
-	// Query calls gather into fused batches for a Backend's QueryBatch.
+	// queries gather into fused batches for a Backend's QueryBatchInto.
 	Coalescer = serve.Coalescer
 	// CoalescerConfig tunes the coalescer (zero value = defaults).
 	CoalescerConfig = serve.Config
 	// CoalescedResult is one coalesced query's answer.
 	CoalescedResult = serve.Result
-	// ServeBackend is the engine a Coalescer (and a Fleet tenant) drives;
-	// ShardedWrapper implements it, including the zero-alloc
-	// QueryBatchInto dispatch form.
+	// ServeBackend is the engine a Coalescer (and a Fleet tenant) drives
+	// through its zero-alloc QueryBatchInto; ShardedWrapper implements it.
 	ServeBackend = serve.Backend
 	// BatchPool recycles coalescer batch state; a fleet's tenants share one.
 	BatchPool = serve.BatchPool
