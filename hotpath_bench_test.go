@@ -659,10 +659,11 @@ func BenchmarkOracleFanout(b *testing.B) {
 // the offline campaign, Pretrain over an oracle that is a counted loop of
 // dependent multiply-adds (the benchmark's learn_loop oracle, 20–40 µs of
 // CPU a row), at workers = GOMAXPROCS, the fits made negligible (one
-// epoch on a 32-row window). It reports rows/s and
+// epoch on a 32-row window). It reports rows/s,
 // busy-share: the oracle CPU the campaign's rows need (rows × the cost of
 // a row measured alone on one goroutine beforehand) ÷ the worker-seconds
-// the campaign held (wall × workers).
+// the campaign held (wall × workers), and B/row: the bytes the campaign
+// allocated per design row, which streaming the design bounds.
 func BenchmarkOracleCampaign(b *testing.B) {
 	const rows = 4000
 	workers := runtime.GOMAXPROCS(0)
@@ -682,6 +683,10 @@ func BenchmarkOracleCampaign(b *testing.B) {
 		}
 	}
 	rowCost := time.Since(t0).Seconds() / rows
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	allocated := mem.TotalAlloc
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
@@ -692,9 +697,12 @@ func BenchmarkOracleCampaign(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&mem)
 	done := float64(b.N * rows)
 	b.ReportMetric(done/b.Elapsed().Seconds(), "rows/s")
 	b.ReportMetric(done*rowCost/(b.Elapsed().Seconds()*float64(workers)), "busy-share")
+	b.ReportMetric(float64(mem.TotalAlloc-allocated)/done, "B/row")
 }
 
 // BenchmarkFleetQPS measures the multi-tenant dispatch plane: N tenants

@@ -640,6 +640,7 @@ func (w *ShardedWrapper) QuantStats() (queries, fallbacks uint64) {
 // QueryBatchInto — the shard partition, the gather buffer, the miss index
 // list, the surrogate's mean/std staging and the guardrail's re-run batch
 // — so a warmed steady-state batch query performs zero heap allocations.
+// Ingest borrows it for its partition alone.
 type shardScratch struct {
 	byShard   [][]int
 	sub       tensor.Matrix  // one shard's rows, gathered
@@ -658,6 +659,20 @@ func (w *ShardedWrapper) getScratch() *shardScratch {
 		return sc
 	}
 	return &shardScratch{byShard: make([][]int, len(w.shards))}
+}
+
+// partition routes every row of xs into sc.byShard, the row indices of
+// each shard in row order, and returns it.
+func (w *ShardedWrapper) partition(sc *shardScratch, xs *tensor.Matrix) [][]int {
+	byShard := sc.byShard
+	for si := range byShard {
+		byShard[si] = byShard[si][:0]
+	}
+	for i := 0; i < xs.Rows; i++ {
+		si := w.router.Route(xs.Row(i))
+		byShard[si] = append(byShard[si], i)
+	}
+	return byShard
 }
 
 // QueryBatch answers every row of xs: rows are partitioned by shard, each
@@ -703,15 +718,7 @@ func (w *ShardedWrapper) QueryBatchInto(xs *tensor.Matrix, res []BatchResult) er
 // sc. A published surrogate is loaded with one atomic pointer read — no
 // lock is taken, so lookups proceed at full speed while a shard refits.
 func (w *ShardedWrapper) queryInto(sc *shardScratch, xs *tensor.Matrix, res []BatchResult) {
-	// Partition rows by shard.
-	byShard := sc.byShard
-	for si := range byShard {
-		byShard[si] = byShard[si][:0]
-	}
-	for i := 0; i < xs.Rows; i++ {
-		si := w.router.Route(xs.Row(i))
-		byShard[si] = append(byShard[si], i)
-	}
+	byShard := w.partition(sc, xs)
 
 	// Serve each shard's slice from its published surrogate; collect the
 	// UQ-rejected rows. The gather and staging buffers are reused across
@@ -747,28 +754,32 @@ func (w *ShardedWrapper) queryInto(sc *shardScratch, xs *tensor.Matrix, res []Ba
 	// and (with drift tracking armed) fold their residuals against the
 	// published models into the drift EWMAs.
 	for si, idx := range byShard {
-		var samples [][2][]float64
-		for _, i := range idx {
-			if res[i].Src == FromSimulation && res[i].Err == nil {
-				samples = append(samples, [2][]float64{xs.Row(i), res[i].Y})
-			}
-		}
-		if len(samples) > 0 {
-			w.addSamples(w.shards[si], samples)
-		}
+		w.addSamples(w.shards[si], xs, idx, res)
 		if w.cfg.DriftFactor > 0 {
 			w.foldFallbackResiduals(w.shards[si], xs, idx, res)
 		}
 	}
 }
 
-// addSamples appends oracle results to a shard and kicks off a background
-// refit when one is due.
-func (w *ShardedWrapper) addSamples(s *shard, samples [][2][]float64) {
-	s.mu.Lock()
-	for _, xy := range samples {
-		s.retain.add(s.xs, s.ys, xy[0], xy[1])
+// addSamples appends the rows of xs indexed by idx that the oracle
+// answered successfully in res to shard s, straight from res under the
+// shard lock, and kicks off a background refit when one is due. A shard
+// none of whose rows the oracle answered is not locked.
+func (w *ShardedWrapper) addSamples(s *shard, xs *tensor.Matrix, idx []int, res []BatchResult) {
+	locked := false
+	for _, i := range idx {
+		if res[i].Src != FromSimulation || res[i].Err != nil {
+			continue
+		}
+		if !locked {
+			s.mu.Lock()
+			locked = true
+		}
+		s.retain.add(s.xs, s.ys, xs.Row(i), res[i].Y)
 		s.newSinceTrain++
+	}
+	if !locked {
+		return
 	}
 	snapX, snapY, gen, consumed := w.refitDueLocked(s)
 	s.mu.Unlock()
@@ -1055,15 +1066,12 @@ func (w *ShardedWrapper) Ingest(xs, ys *tensor.Matrix) error {
 	if xs.Cols != w.in || ys.Cols != w.out {
 		return fmt.Errorf("core: ingest expects %d→%d, got %d→%d", w.in, w.out, xs.Cols, ys.Cols)
 	}
-	// Partition rows by shard so the bulk path pays one lock round-trip
-	// (and, for drift, one published-model load) per shard instead of
-	// per row.
-	byShard := make([][]int, len(w.shards))
-	for i := 0; i < xs.Rows; i++ {
-		si := w.router.Route(xs.Row(i))
-		byShard[si] = append(byShard[si], i)
-	}
-	for si, idx := range byShard {
+	// Partition rows by shard, in the pooled query scratch, so the bulk
+	// path pays one lock round-trip (and, for drift, one published-model
+	// load) per shard instead of per row.
+	sc := w.getScratch()
+	defer w.scratch.Put(sc)
+	for si, idx := range w.partition(sc, xs) {
 		if len(idx) == 0 {
 			continue
 		}
@@ -1145,31 +1153,53 @@ func (w *ShardedWrapper) TrainAll() error {
 	return nil
 }
 
+// Pretrain's design chunk is max(pretrainChunk, pretrainRowsPerWorker ·
+// OracleWorkers) rows. Every worker waits for the slowest at a chunk's
+// end, about half a row each, so 64 rows a worker keeps that idle time
+// under ~1/128 of the pool's.
+const (
+	pretrainChunk         = 1024
+	pretrainRowsPerWorker = 64
+)
+
 // Pretrain runs the oracle over every design point (through the bounded
 // worker pool, aborting early on the first failure), routes the results
 // into the shards, and fits every non-empty shard synchronously — the
 // batch alternative to the online Query path.
+//
+// The design streams through in fixed chunks, in design order: each
+// chunk's oracle runs fan out, its successful rows go into the shard
+// windows (Ingest), and the chunk's buffers are reused for the next one.
+// No per-row state outlives its chunk, so a campaign holds O(chunk +
+// window) memory at any design size. The rows each shard receives, and
+// their order, are those of one Ingest of the whole design.
 func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 	if design.Cols != w.in {
 		return fmt.Errorf("core: design has %d cols, oracle wants %d", design.Cols, w.in)
 	}
-	res, ferr := w.pretrainFanout(design)
-	// Keep every successful sample — "no run is wasted" — even when the
-	// campaign aborted on a failure. Both matrices start empty with room
-	// for the whole design, so AppendRow never regrows them.
-	xs := tensor.NewMatrix(design.Rows, w.in).Reshape(0, w.in)
-	ys := tensor.NewMatrix(design.Rows, w.out).Reshape(0, w.out)
-	for i, r := range res {
-		if r.Err == nil && r.Y != nil {
-			xs.AppendRow(design.Row(i))
-			ys.AppendRow(r.Y)
+	chunk := min(design.Rows, max(pretrainChunk, pretrainRowsPerWorker*w.cfg.OracleWorkers))
+	res := make([]BatchResult, chunk)
+	xs := tensor.NewMatrix(chunk, w.in)
+	ys := tensor.NewMatrix(chunk, w.out)
+	for lo := 0; lo < design.Rows; lo += chunk {
+		n := min(chunk, design.Rows-lo)
+		ferr := w.pretrainFanout(design, lo, res[:n])
+		// Keep every successful sample — "no run is wasted" — even when the
+		// campaign aborted on a failure.
+		xs.Reshape(0, w.in)
+		ys.Reshape(0, w.out)
+		for k, r := range res[:n] {
+			if r.Err == nil && r.Y != nil {
+				xs.AppendRow(design.Row(lo + k))
+				ys.AppendRow(r.Y)
+			}
 		}
-	}
-	if err := w.Ingest(xs, ys); err != nil {
-		return err
-	}
-	if ferr != nil {
-		return ferr
+		if err := w.Ingest(xs, ys); err != nil {
+			return err
+		}
+		if ferr != nil {
+			return ferr
+		}
 	}
 	return w.TrainAll()
 }
@@ -1241,29 +1271,31 @@ func (w *ShardedWrapper) oracleFanout(xs *tensor.Matrix, miss []int, res []Batch
 	tally.charge(w.record)
 }
 
-// pretrainFanout runs the oracle over every row of design with at most
-// OracleWorkers goroutines and early abort: once any run fails, rows not
-// yet started are skipped (their res entry stays zero: Y nil, Err nil), so
-// a design with an early deterministic failure doesn't burn the rest of an
-// expensive campaign. The first failing row's error is returned;
-// successful rows are usable from res either way.
-func (w *ShardedWrapper) pretrainFanout(design *tensor.Matrix) ([]BatchResult, error) {
-	res := make([]BatchResult, design.Rows)
+// pretrainFanout runs the oracle over one chunk of Pretrain's design, rows
+// [lo, lo+len(res)), into the caller-owned res (one entry a row, cleared
+// first), with at most OracleWorkers goroutines and early abort: once any
+// run fails, rows not yet started are skipped (their res entry stays zero:
+// Y nil, Err nil), so a design with an early deterministic failure doesn't
+// burn the rest of an expensive campaign. The first failing row's error,
+// naming the row by its design index, is returned; successful rows are
+// usable from res either way. Its memory is res's: O(chunk).
+func (w *ShardedWrapper) pretrainFanout(design *tensor.Matrix, lo int, res []BatchResult) error {
+	clear(res)
 	tally := fanoutTally{out: w.out}
-	parallel.ForEachBounded(design.Rows, w.cfg.OracleWorkers, func(i int) {
+	parallel.ForEachBounded(len(res), w.cfg.OracleWorkers, func(k int) {
 		if tally.failed.Load() > 0 {
 			return
 		}
-		res[i] = tally.run(w.oracle, design.Row(i))
-		if err := res[i].Err; err != nil {
-			res[i].Err = fmt.Errorf("core: pretrain point %d: %w", i, err)
+		res[k] = tally.run(w.oracle, design.Row(lo+k))
+		if err := res[k].Err; err != nil {
+			res[k].Err = fmt.Errorf("core: pretrain point %d: %w", lo+k, err)
 		}
 	})
 	tally.charge(w.record)
 	for _, r := range res {
 		if r.Err != nil {
-			return res, r.Err
+			return r.Err
 		}
 	}
-	return res, nil
+	return nil
 }

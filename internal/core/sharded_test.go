@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/raceflag"
 	"repro/internal/surrogatetest"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -919,6 +920,45 @@ func TestShardedQueryBatchIntoReusesBuffers(t *testing.T) {
 				t.Fatalf("trial %d row %d: Into %g vs QueryBatch %g", trial, i, res[i].Y[0], want[i].Y[0])
 			}
 		}
+	}
+}
+
+// TestFallbackFeedsShardWithoutStaging: oracle answers reach the shard
+// windows straight from the caller's results. With every row rejected by
+// the gate, full windows and an oracle answering from one shared slice, a
+// warmed QueryBatchInto allocates as often at 8 rows as at 64; staging the
+// samples per shard per call used to grow with the batch.
+func TestFallbackFeedsShardWithoutStaging(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("sync.Pool drops items under -race; alloc counts through pooled paths are meaningless")
+	}
+	y := []float64{0.5}
+	w := NewShardedWrapper(OracleFunc{In: 2, Out: 1, F: func([]float64) ([]float64, error) { return y, nil }},
+		func() Surrogate { return meanSur() }, ShardedConfig{
+			Shards: 2, MinTrainSamples: 1, UQThreshold: -1, OracleWorkers: 1,
+			Retention: Retention{Policy: RetainWindow, MaxSamples: 16},
+		})
+	if err := w.Pretrain(uniformRows(xrand.New(0xfa11), 256, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(rows int) float64 {
+		batch := uniformRows(xrand.New(uint64(rows)), rows, 1, 1)
+		res := make([]BatchResult, rows)
+		query := func() {
+			if err := w.QueryBatchInto(batch, res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		query()
+		for i, r := range res {
+			if r.Src != FromSimulation || r.Err != nil {
+				t.Fatalf("row %d: %+v, want an oracle answer", i, r)
+			}
+		}
+		return testing.AllocsPerRun(50, query)
+	}
+	if a8, a64 := allocs(8), allocs(64); a8 != a64 {
+		t.Fatalf("an all-miss QueryBatchInto allocates %g times at 8 rows and %g at 64", a8, a64)
 	}
 }
 

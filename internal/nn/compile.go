@@ -366,9 +366,11 @@ func (c *Compiled) PredictMC(x []float64, passes int, mean, std []float64) (m, s
 // compiledBatchCtx owns the per-call scratch of one in-flight batch
 // inference: ping-pong activation matrices for one chunk, the tall
 // pass-stacked panels for MC evaluation, the per-pass column masks, and
-// a private rng stream. All matrices grow on first use and are then
-// reused via Reshape, so a warmed context serves any chunk at zero heap
-// allocations.
+// a private rng stream. Each matrix is allocated on first use at the
+// largest size the program's chunks can need (maxBatch rows; passes ·
+// maxBatch for the pass-stacked panels) and then reused via Reshape, so a
+// warmed context serves any chunk at zero heap allocations and chunks of
+// varying width never reallocate it.
 type compiledBatchCtx struct {
 	buf   [2]*tensor.Matrix // chunk ping-pong activations (≤ maxBatch rows)
 	tall  [2]*tensor.Matrix // pass-stacked panels (≤ passes·maxBatch rows)
@@ -412,7 +414,7 @@ func (c *Compiled) forwardBatchPrefix(ctx *compiledBatchCtx, xs *tensor.Matrix, 
 		if st.kind != stepDense {
 			continue // eval-mode dropout is the identity
 		}
-		out := reuse(&ctx.buf[side], b, st.out)
+		out := reserve(&ctx.buf[side], b, st.out, c.maxBatch*c.maxW)
 		tensor.MatMulBiasInto(out, cur, &st.wm, st.b)
 		st.act.applyAll(out.Data)
 		cur = out
@@ -514,7 +516,8 @@ func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, 
 		return
 	}
 	pre := c.forwardBatchPrefix(ctx, xs, lo, b, c.fs)
-	tall := tensor.RepeatRowsInto(reuse(&ctx.tall[0], passes*b, pre.Cols), pre, passes)
+	panel := passes * c.maxBatch * c.maxW // the largest pass-stacked panel
+	tall := tensor.RepeatRowsInto(reserve(&ctx.tall[0], passes*b, pre.Cols, panel), pre, passes)
 	side := 1
 	for si := c.fs; si < len(c.steps); si++ {
 		st := &c.steps[si]
@@ -535,7 +538,7 @@ func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, 
 			}
 			tensor.ScaleColumnsBlocks(tall, tall, masks, b)
 		case stepDense:
-			out := reuse(&ctx.tall[side], passes*b, st.out)
+			out := reserve(&ctx.tall[side], passes*b, st.out, panel)
 			tensor.MatMulBiasInto(out, tall, &st.wm, st.b)
 			st.act.applyAll(out.Data)
 			tall = out
@@ -601,7 +604,7 @@ func (c *Compiled) predictMCChunkTail(ctx *compiledBatchCtx, xs *tensor.Matrix, 
 			}
 		}
 	}
-	packY := reuse(&ctx.tall[1], b, passes*out)
+	packY := reserve(&ctx.tall[1], b, passes*out, c.maxBatch*passes*out)
 	tensor.MatMulInto(packY, pre, packW)
 	reducePassPanel(packY, nd.b, nd.act, passes, mean.Data[lo*out:], std.Data[lo*out:])
 }

@@ -85,6 +85,34 @@ func TestCompiledPredictMCBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCompiledMCScratchSizedOnce: a batch context's MC scratch is sized to
+// the program's widest chunk on first use, so a context that first served
+// one row serves a full MaxBatch chunk without allocating — on the
+// pass-stacked path (two dropouts) and the masked-weight tail.
+func TestCompiledMCScratchSizedOnce(t *testing.T) {
+	skipAllocCheckUnderRace(t)
+	oldT := tensor.ParallelFlopThreshold
+	tensor.ParallelFlopThreshold = 1 << 60
+	defer func() { tensor.ParallelFlopThreshold = oldT }()
+	rng := xrand.New(37)
+	for name, net := range map[string]*Network{
+		"passstacked": NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2),
+		"tail":        NewMLP(rng, Tanh, 0.2, 6, 12, 2),
+	} {
+		c := net.CompileBatch(8)
+		mean, std := tensor.NewMatrix(8, 2), tensor.NewMatrix(8, 2)
+		c.PredictMCBatch(batchProbe(rng, 1, 6), 10, mean, std)
+		x := batchProbe(rng, 8, 6)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.PredictMCBatch(x, 10, mean, std)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("%s: an 8-row chunk after a 1-row one allocated %d times, want 0", name, n)
+		}
+	}
+}
+
 // TestBatchContextsSurviveGC: the batch contexts sit in a free list, not a
 // sync.Pool, so a warmed float or int8 batch call still allocates nothing
 // after garbage collections (two, which is what empties a sync.Pool's victim

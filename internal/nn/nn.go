@@ -156,9 +156,18 @@ type Dense struct {
 // reuse returns *m reshaped to rows x cols, allocating only on first use
 // or growth. The returned matrix's contents are unspecified.
 func reuse(m **tensor.Matrix, rows, cols int) *tensor.Matrix {
+	return reserve(m, rows, cols, 0)
+}
+
+// reserve is reuse for scratch sized once to the largest shape its owner
+// will ask for: an allocation (first use or growth) holds at least
+// atLeast values, so later calls of any smaller shape never reallocate.
+func reserve(m **tensor.Matrix, rows, cols, atLeast int) *tensor.Matrix {
 	if *m == nil {
-		*m = tensor.NewMatrix(rows, cols)
-		return *m
+		*m = new(tensor.Matrix)
+	}
+	if n := rows * cols; cap((*m).Data) < n {
+		(*m).Data = make([]float64, max(n, atLeast))
 	}
 	return (*m).Reshape(rows, cols)
 }

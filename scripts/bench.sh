@@ -68,6 +68,7 @@ echo "$raw" | awk -v out="$out" -v gomaxprocs="$gomaxprocs" -v cpus="$cpus" -v s
       if ($(i + 1) == "ns/sample-epoch") extra = extra sprintf(", \"ns_per_sample_epoch\": %s", $i)
       if ($(i + 1) == "rows/s") extra = extra sprintf(", \"rows_per_s\": %s", $i)
       if ($(i + 1) == "busy-share") extra = extra sprintf(", \"busy_share\": %s", $i)
+      if ($(i + 1) == "B/row") extra = extra sprintf(", \"bytes_per_row\": %s", $i)
       if ($(i + 1) == "ns/MAC") extra = extra sprintf(", \"ns_per_mac\": %s", $i)
       if ($(i + 1) == "ns/elem") extra = extra sprintf(", \"ns_per_elem\": %s", $i)
     }
