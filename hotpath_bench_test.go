@@ -441,9 +441,10 @@ func BenchmarkMatMulParallelSlope(b *testing.B) {
 // BenchmarkMatMulKernels times the three matmul kernels a training step
 // is made of — bias (forward, x·W+b), atb (GW = xᵀ·delta) and abt
 // (dX = delta·Wᵀ) — on one thread, at batch x in x out of the wide
-// batch_sweep layer and of the serving tenants' first layer, where the
-// rows are too short or too few for the vector kernels to matter. ns/MAC
-// is ns/op over batch·in·out multiply-adds.
+// batch_sweep layer and of the serving tenants' two layers: their first,
+// where bias is the short path (one to three inputs), and their output,
+// where bias is the narrow path, atb the p = 1 axpy and abt the k = 1
+// scaled copy. ns/MAC is ns/op over batch·in·out multiply-adds.
 func BenchmarkMatMulKernels(b *testing.B) {
 	rng := xrand.New(0x6e55)
 	random := func(rows, cols int) *tensor.Matrix {
@@ -454,7 +455,7 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		return m
 	}
 	for _, kernel := range []string{"bias", "atb", "abt"} {
-		for _, d := range [][3]int{{64, 128, 128}, {32, 2, 24}} {
+		for _, d := range [][3]int{{64, 128, 128}, {32, 2, 24}, {32, 24, 1}} {
 			batch, in, out := d[0], d[1], d[2]
 			x, w, delta := random(batch, in), random(in, out), random(batch, out)
 			bias := make([]float64, out)

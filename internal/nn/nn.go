@@ -73,8 +73,18 @@ func (a Activation) applyAll(z []float64) {
 // backSweep is the element-wise half of a backward step in one pass over a
 // batch of len(gb)-wide rows: delta = (g ⊙ mask) ⊙ f'(x) — f' in terms of
 // y = f(x), which every supported activation admits, so no pre-activations
-// are kept — and gb = delta's column sums. A nil mask is all ones.
+// are kept — and gb = delta's column sums. A nil mask is all ones. Tanh,
+// the hidden activation of every surrogate here, is one tensor kernel call
+// for the batch (tensor.TanhBackward); the others are the loops below.
 func (a Activation) backSweep(delta, gb, g, y []float64, mask *tensor.Matrix) {
+	if a == Tanh {
+		var m []float64
+		if mask != nil {
+			m = mask.Data
+		}
+		tensor.TanhBackward(delta, gb, g, y, m)
+		return
+	}
 	for j := range gb {
 		gb[j] = 0
 	}
@@ -94,11 +104,6 @@ func (a Activation) backSweep(delta, gb, g, y []float64, mask *tensor.Matrix) {
 				if yr[j] > 0 {
 					v = gr[j]
 				}
-				d[j], gb[j] = v, gb[j]+v
-			}
-		case Tanh:
-			for j := range d {
-				v := gr[j] * (1 - yr[j]*yr[j])
 				d[j], gb[j] = v, gb[j]+v
 			}
 		case Sigmoid:

@@ -2,12 +2,13 @@ package tensor
 
 import "math"
 
-// Element-wise slice kernels: the activations, the Adam update and the
-// dropout mask sweep. Each has a Go reference loop (…Ref) and, on amd64,
-// an AVX2 twin in elementwise_amd64.s that does the reference's operations
-// in the reference's order with separately rounded multiplies and adds, so
-// the two give the same bits; the assembly takes the whole 4-vectors of a
-// slice and the reference its tail, and the reference is the only path
+// Element-wise slice kernels: the activations, tanh's backward sweep, the
+// Adam update and the dropout mask sweep. Each has a Go reference loop
+// (…Ref) and, on amd64, an AVX2 twin in elementwise_amd64.s that does the
+// reference's operations in the reference's order with separately rounded
+// multiplies and adds, so the two give the same bits; the assembly takes
+// the whole 4-vectors of a slice (of each row, for tanh's backward sweep)
+// and the reference its tail, and the reference is the only path
 // where useAVX2 is false. Every product that feeds a sum is wrapped in
 // float64(), which forbids the compiler to fuse the pair on targets that
 // have a fused multiply-add: the bits are the same on every platform.
@@ -142,6 +143,52 @@ func Sigmoid(z []float64) {
 		sigmoidAVX2(&z[0], n)
 	}
 	sigmoidRef(z[n:])
+}
+
+// tanhBackwardRef is the reference loop of TanhBackward over the columns
+// from on of every row.
+func tanhBackwardRef(delta, gb, g, y, mask []float64, from int) {
+	w := len(gb)
+	acc := gb[from:]
+	for j := range acc {
+		acc[j] = 0
+	}
+	for lo := 0; lo < len(delta); lo += w {
+		d, gr, yr := delta[lo+from:lo+w], g[lo+from:lo+w], y[lo+from:lo+w]
+		if mask != nil {
+			for j, m := range mask[lo+from : lo+w] {
+				d[j] = gr[j] * m
+			}
+			gr = d
+		}
+		gr, yr, acc := gr[:len(d)], yr[:len(d)], acc[:len(d)] // bounds-check elimination hints
+		for j := range d {
+			v := gr[j] * (1 - float64(yr[j]*yr[j]))
+			d[j], acc[j] = v, acc[j]+v
+		}
+	}
+}
+
+// TanhBackward is the element-wise half of a tanh layer's backward step
+// over a batch of len(gb)-wide rows: delta = (g ⊙ mask) ⊙ (1 − y·y), with
+// y = tanh of the pre-activations, and gb = the column sums of delta, added
+// row by row. delta, g, y and a non-nil mask have one length, a whole
+// number of rows; a nil mask is all ones. The assembly takes the whole
+// 4-vectors of every row, the reference the last len(gb)%4 columns.
+func TanhBackward(delta, gb, g, y, mask []float64) {
+	g, y = g[:len(delta)], y[:len(delta)]
+	n := 0
+	if useAVX2 && len(gb) >= 4 && len(delta) > 0 {
+		var m *float64
+		if mask != nil {
+			m = &mask[:len(delta)][0]
+		}
+		n = len(gb) &^ 3
+		tanhBackwardAVX2(&delta[0], &gb[0], &g[0], &y[0], m, len(delta)/len(gb), len(gb), n)
+	}
+	if n < len(gb) {
+		tanhBackwardRef(delta, gb, g, y, mask, n)
+	}
 }
 
 // adamStepRef is the reference loop of AdamStep.

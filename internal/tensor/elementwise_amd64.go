@@ -26,6 +26,9 @@ func tanhAVX2(z *float64, n int)
 func sigmoidAVX2(z *float64, n int)
 
 //go:noescape
+func tanhBackwardAVX2(delta, gb, grad, y, mask *float64, rows, w, n int)
+
+//go:noescape
 func adamStepAVX2(val, grad, m, v *float64, n int, lr, beta1, beta2, eps, invC1, invC2 float64)
 
 //go:noescape

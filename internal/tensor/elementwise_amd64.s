@@ -163,6 +163,77 @@ sigmoid_loop:
 	VZEROUPPER
 	RET
 
+// TANHBACK is one vector of tanhBackwardRef's row statement at byte offset
+// AX of the rows at SI (g), R9 (y), DI (delta) and of gb at R10, g·mask
+// already in Y0: v = g·(1 − y·y), delta = v, gb += v.
+#define TANHBACK \
+	VMOVUPD (R9)(AX*1), Y1; \
+	VMULPD  Y1, Y1, Y1; \
+	VSUBPD  Y1, Y15, Y1; \
+	VMULPD  Y1, Y0, Y0; \
+	VMOVUPD Y0, (DI)(AX*1); \
+	VADDPD  (R10)(AX*1), Y0, Y0; \
+	VMOVUPD Y0, (R10)(AX*1)
+
+// func tanhBackwardAVX2(delta, gb, grad, y, mask *float64, rows, w, n int)
+// Mirrors tanhBackwardRef over the first n columns (n a positive multiple
+// of 4) of rows w-wide rows, rows > 0, and zeroes gb[:n] first: each gb
+// vector takes its rows in row order. A nil mask is all ones. (grad is
+// tanhBackwardRef's g: the assembler reserves that name.)
+TEXT ·tanhBackwardAVX2(SB), NOSPLIT, $0-64
+	MOVQ    delta+0(FP), DI
+	MOVQ    gb+8(FP), R10
+	MOVQ    grad+16(FP), SI
+	MOVQ    y+24(FP), R9
+	MOVQ    mask+32(FP), R8
+	MOVQ    rows+40(FP), BX
+	MOVQ    w+48(FP), DX
+	MOVQ    n+56(FP), CX
+	SHLQ    $3, DX                 // row stride in bytes
+	SHLQ    $3, CX                 // bytes of a row the kernel takes
+	VMOVUPD ONE, Y15
+	VXORPD  Y0, Y0, Y0
+	XORQ    AX, AX
+tanhback_zero:
+	VMOVUPD Y0, (R10)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     tanhback_zero
+	TESTQ   R8, R8
+	JZ      tanhback_plain
+tanhback_masked:
+	XORQ    AX, AX
+tanhback_masked_col:
+	VMOVUPD (SI)(AX*1), Y0
+	VMULPD  (R8)(AX*1), Y0, Y0     // g·mask
+	TANHBACK
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     tanhback_masked_col
+	ADDQ    DX, DI
+	ADDQ    DX, SI
+	ADDQ    DX, R9
+	ADDQ    DX, R8
+	DECQ    BX
+	JNZ     tanhback_masked
+	VZEROUPPER
+	RET
+tanhback_plain:
+	XORQ    AX, AX
+tanhback_plain_col:
+	VMOVUPD (SI)(AX*1), Y0
+	TANHBACK
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     tanhback_plain_col
+	ADDQ    DX, DI
+	ADDQ    DX, SI
+	ADDQ    DX, R9
+	DECQ    BX
+	JNZ     tanhback_plain
+	VZEROUPPER
+	RET
+
 // func adamStepAVX2(val, grad, m, v *float64, n int, lr, beta1, beta2, eps, invC1, invC2 float64)
 // Mirrors adamStepRef: VSQRTPD and VDIVPD are correctly rounded, as
 // math.Sqrt and / are.

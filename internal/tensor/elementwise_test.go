@@ -185,6 +185,48 @@ func TestSigmoidAccuracy(t *testing.T) {
 	}
 }
 
+// TestTanhBackwardMatchesReference holds TanhBackward to its reference loop
+// for every width the thin-shape kernels are held at, 1 to 33 rows, with no
+// mask and with one, NaN, ±0 and ±Inf among g, y and the mask, and a gb
+// that holds garbage on entry.
+func TestTanhBackwardMatchesReference(t *testing.T) {
+	rng := xrand.New(0x5eed15)
+	for _, w := range thinWidths() {
+		for rows := 1; rows <= 33; rows++ {
+			n := rows * w
+			g, y := make([]float64, n), make([]float64, n)
+			special := rows%2 == 1
+			fillKern(rng, g, special)
+			fillEW(rng, y, special)
+			Tanh(y)
+			if special { // y is a tanh, so |y| <= 1: plant the specials after it
+				for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)} {
+					y[rng.Intn(n)] = v
+				}
+			}
+			var mask []float64
+			if rows%3 != 0 {
+				mask = make([]float64, n)
+				for i := range mask {
+					mask[i] = []float64{0, 1 / 0.9}[rng.Intn(2)]
+				}
+				if special {
+					fillKern(rng, mask[:n/2], true)
+				}
+			}
+			gotD, wantD := make([]float64, n), make([]float64, n)
+			gotB, wantB := make([]float64, w), make([]float64, w)
+			fillKern(rng, gotB, true)
+			copy(wantB, gotB)
+			TanhBackward(gotD, gotB, g, y, mask)
+			tanhBackwardRef(wantD, wantB, g, y, mask, 0)
+			what := fmt.Sprintf("TanhBackward %dx%d mask %t", rows, w, mask != nil)
+			checkSame(t, what+" delta", gotD, wantD)
+			checkSame(t, what+" gb", gotB, wantB)
+		}
+	}
+}
+
 // adamCase runs AdamStep and adamStepRef on copies of the same state.
 func adamCase(t *testing.T, val, grad, m, v []float64, h [6]float64, off int) {
 	t.Helper()
@@ -361,7 +403,8 @@ func FuzzDropoutMask(f *testing.F) {
 
 // BenchmarkElementwise times each element-wise kernel against its
 // reference loop on one slice of n elements: 24 is a serving tenant's
-// hidden row, 768 its 32-row training batch, 8192 the wide net's 64 x 128.
+// hidden row, 768 its 32-row training batch, 8192 the wide net's 64 x 128
+// (tanhback takes them as rows of 24, 24 and 128).
 // ns/elem is ns/op over n. The libm rows are math.Tanh, which is what the
 // reference replaces on a target without the assembly; the -small rows
 // feed tanh inputs that stay under its blend point. scripts/bench.sh
@@ -404,6 +447,22 @@ func BenchmarkElementwise(b *testing.B) {
 			return func() { f(dst, x, mask, words, 3865470566, 1/0.9) }
 		}
 	}
+	// The backward sweep of a masked tanh layer over n/w rows of w: a
+	// serving tenant's hidden 24, the wide net's 128 at n = 8192.
+	tanhBack := func(f func(delta, gb, g, y, mask []float64)) func(n int) func() {
+		return func(n int) func() {
+			w := 24
+			if n%w != 0 {
+				w = 128
+			}
+			delta, gb, g, y, mask := make([]float64, n), make([]float64, w), make([]float64, n), make([]float64, n), make([]float64, n)
+			for i := range g {
+				g[i], y[i], mask[i] = rng.Normal(0, 1e-2), rng.Range(-1, 1), []float64{0, 1 / 0.9}[rng.Intn(2)]
+			}
+			return func() { f(delta, gb, g, y, mask) }
+		}
+	}
+	tanhBackRef := func(delta, gb, g, y, mask []float64) { tanhBackwardRef(delta, gb, g, y, mask, 0) }
 	libm := func(z []float64) {
 		for i, v := range z {
 			z[i] = math.Tanh(v)
@@ -416,6 +475,7 @@ func BenchmarkElementwise(b *testing.B) {
 		{"tanh", []variant{{"vector", unary(Tanh)}, {"reference", unary(tanhRef)}, {"libm", unary(libm)},
 			{"vector-small", unaryAt(Tanh, 0.2)}, {"reference-small", unaryAt(tanhRef, 0.2)}, {"libm-small", unaryAt(libm, 0.2)}}},
 		{"sigmoid", []variant{{"vector", unary(Sigmoid)}, {"reference", unary(sigmoidRef)}}},
+		{"tanhback", []variant{{"vector", tanhBack(TanhBackward)}, {"reference", tanhBack(tanhBackRef)}}},
 		{"adam", []variant{{"vector", adam(AdamStep)}, {"reference", adam(adamStepRef)}}},
 		{"dropout", []variant{{"vector", dropout(DropoutMask)}, {"reference", dropout(dropoutMaskRef)}}},
 	} {

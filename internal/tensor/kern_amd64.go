@@ -34,4 +34,13 @@ func axpy4AVX2(alpha float64, x, y *float64, n int)
 func dotRows4AVX2(dst, a, b *float64, k, n int)
 
 //go:noescape
+func shortRowsAVX2(out, a, b0, bm, bl, bias *float64, rows, n, p, pv int) (done int)
+
+//go:noescape
+func narrowColAVX2(out, a, b *float64, bias float64, blocks, n, p, kn int)
+
+//go:noescape
+func outerAVX2(dst, a, b *float64, rows, m, mv int)
+
+//go:noescape
 func sweepPairAVX2(c0, c1, ux *uint64, n int) (ae0, ao0, ae1, ao1 uint64)

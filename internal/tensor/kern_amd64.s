@@ -148,6 +148,188 @@ dot_loop:
 	VZEROUPPER
 	RET
 
+// func shortRowsAVX2(out, a, b0, bm, bl, bias *float64, rows, n, p, pv int) (done int)
+// Mirrors matMulShortRange's vector forms over the first pv columns (pv a
+// positive multiple of 4) of up to rows rows, rows > 0: a row of a is n
+// wide (1 to 3), one of out p wide, and b0, bm, bl are the b rows of a's
+// first, middle and last column. It stops before the first row that holds
+// a zero, which the axpy way takes, and returns the number of rows done.
+TEXT ·shortRowsAVX2(SB), NOSPLIT, $0-88
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b0+16(FP), R8
+	MOVQ bm+24(FP), R9
+	MOVQ bl+32(FP), R10
+	MOVQ bias+40(FP), R11
+	MOVQ rows+48(FP), BX
+	MOVQ n+56(FP), CX
+	MOVQ p+64(FP), DX
+	MOVQ pv+72(FP), R12
+	SHLQ $3, DX
+	SHLQ $3, R12
+	LEAQ -1(CX), R14
+	MOVQ R14, R13
+	SHRQ $1, R13
+	SHLQ $3, R13                   // byte offset of a's middle column
+	SHLQ $3, R14                   // and of its last
+short_row:
+	MOVQ (SI), AX                  // ±0 is the only value whose bits shift out to 0
+	SHLQ $1, AX
+	JZ   short_done
+	MOVQ (SI)(R13*1), AX
+	SHLQ $1, AX
+	JZ   short_done
+	MOVQ (SI)(R14*1), AX
+	SHLQ $1, AX
+	JZ   short_done
+	VBROADCASTSD (SI), Y0
+	VBROADCASTSD (SI)(R13*1), Y1
+	VBROADCASTSD (SI)(R14*1), Y2
+	XORQ AX, AX
+	CMPQ CX, $2
+	JLT  short_col1
+	JEQ  short_col2
+short_col3:                        // ((bias + a0·b0) + am·bm) + al·bl
+	VMULPD  (R8)(AX*1), Y0, Y3
+	VADDPD  (R11)(AX*1), Y3, Y3
+	VMULPD  (R9)(AX*1), Y1, Y4
+	VADDPD  Y4, Y3, Y3
+	VMULPD  (R10)(AX*1), Y2, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R12
+	JLT     short_col3
+	JMP     short_next
+short_col2:                        // (bias + a0·b0) + al·bl
+	VMULPD  (R8)(AX*1), Y0, Y3
+	VADDPD  (R11)(AX*1), Y3, Y3
+	VMULPD  (R10)(AX*1), Y2, Y4
+	VADDPD  Y4, Y3, Y3
+	VMOVUPD Y3, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R12
+	JLT     short_col2
+	JMP     short_next
+short_col1:                        // bias + a0·b0
+	VMULPD  (R8)(AX*1), Y0, Y3
+	VADDPD  (R11)(AX*1), Y3, Y3
+	VMOVUPD Y3, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R12
+	JLT     short_col1
+short_next:
+	LEAQ (SI)(CX*8), SI
+	ADDQ DX, DI
+	DECQ BX
+	JNZ  short_row
+short_done:
+	MOVQ rows+48(FP), AX
+	SUBQ BX, AX
+	MOVQ AX, done+80(FP)
+	VZEROUPPER
+	RET
+
+// func narrowColAVX2(out, a, b *float64, bias float64, blocks, n, p, kn int)
+// Mirrors matMulNarrowRange's 4-blocks for the output column whose b
+// column starts at b (stride p) over blocks groups of four rows of a (n
+// wide; out p wide), kn a positive multiple of 4 and at most n. A lane is
+// a row: each 4-block of a's rows is transposed so that Y8..Y11 hold
+// columns k..k+3, and s += ((p0 + p1) + p2) + p3 as the scalar loop adds
+// it, from s = bias. The rows' sums are stored; the k tail is left to the
+// caller.
+TEXT ·narrowColAVX2(SB), NOSPLIT, $0-64
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), R8
+	MOVQ b+16(FP), SI
+	MOVQ blocks+32(FP), BX
+	MOVQ n+40(FP), DX
+	MOVQ p+48(FP), R12
+	MOVQ kn+56(FP), CX
+	SHLQ $3, DX                    // a row stride in bytes
+	SHLQ $3, R12                   // b's and out's row stride
+	SHLQ $3, CX
+	LEAQ (R12)(R12*2), R13
+	LEAQ (R8)(DX*1), R9
+	LEAQ (R9)(DX*1), R10
+	LEAQ (R10)(DX*1), R11
+narrow_block:
+	VBROADCASTSD bias+24(FP), Y12  // s of the four rows
+	MOVQ         SI, R14
+	XORQ         AX, AX
+narrow_k:
+	VMOVUPD      (R8)(AX*1), Y0
+	VMOVUPD      (R9)(AX*1), Y1
+	VMOVUPD      (R10)(AX*1), Y2
+	VMOVUPD      (R11)(AX*1), Y3
+	VUNPCKLPD    Y1, Y0, Y4
+	VUNPCKHPD    Y1, Y0, Y5
+	VUNPCKLPD    Y3, Y2, Y6
+	VUNPCKHPD    Y3, Y2, Y7
+	VPERM2F128   $0x20, Y6, Y4, Y8
+	VPERM2F128   $0x20, Y7, Y5, Y9
+	VPERM2F128   $0x31, Y6, Y4, Y10
+	VPERM2F128   $0x31, Y7, Y5, Y11
+	VBROADCASTSD (R14), Y4
+	VMULPD       Y4, Y8, Y8
+	VBROADCASTSD (R14)(R12*1), Y5
+	VMULPD       Y5, Y9, Y9
+	VADDPD       Y9, Y8, Y8
+	VBROADCASTSD (R14)(R12*2), Y6
+	VMULPD       Y6, Y10, Y10
+	VADDPD       Y10, Y8, Y8
+	VBROADCASTSD (R14)(R13*1), Y7
+	VMULPD       Y7, Y11, Y11
+	VADDPD       Y11, Y8, Y8
+	VADDPD       Y8, Y12, Y12
+	LEAQ         (R14)(R12*4), R14
+	ADDQ         $32, AX
+	CMPQ         AX, CX
+	JLT          narrow_k
+	VEXTRACTF128 $1, Y12, X13
+	VMOVSD       X12, (DI)
+	VMOVHPD      X12, (DI)(R12*1)
+	VMOVSD       X13, (DI)(R12*2)
+	VMOVHPD      X13, (DI)(R13*1)
+	LEAQ         (R8)(DX*4), R8
+	LEAQ         (R9)(DX*4), R9
+	LEAQ         (R10)(DX*4), R10
+	LEAQ         (R11)(DX*4), R11
+	LEAQ         (DI)(R12*4), DI
+	DECQ         BX
+	JNZ          narrow_block
+	VZEROUPPER
+	RET
+
+// func outerAVX2(dst, a, b *float64, rows, m, mv int)
+// Mirrors matMulABTRange's k = 1 scaled copy dst[i][j] = a[i]·b[j] over
+// rows rows of dst (m wide), rows > 0, and their first mv columns, mv a
+// positive multiple of 4.
+TEXT ·outerAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ rows+24(FP), BX
+	MOVQ m+32(FP), DX
+	MOVQ mv+40(FP), CX
+	SHLQ $3, DX
+	SHLQ $3, CX
+outer_row:
+	VBROADCASTSD (SI), Y0
+	XORQ         AX, AX
+outer_col:
+	VMULPD       (R8)(AX*1), Y0, Y1
+	VMOVUPD      Y1, (DI)(AX*1)
+	ADDQ         $32, AX
+	CMPQ         AX, CX
+	JLT          outer_col
+	ADDQ         $8, SI
+	ADDQ         DX, DI
+	DECQ         BX
+	JNZ          outer_row
+	VZEROUPPER
+	RET
+
 // VPSHUFB control copying the low 16 bits of each 64-bit word to its
 // four 16-bit lanes.
 DATA spread16<>+0(SB)/8, $0x0100010001000100

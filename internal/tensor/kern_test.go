@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -223,6 +224,120 @@ func TestMatMulKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// thinWidths are the widths the thin-shape kernels are held at: every
+// 4-vector tail up to 13, a serving tenant's hidden 24 and the wide net's
+// 128. Each is run at 1 to 33 rows.
+func thinWidths() []int {
+	return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 24, 128}
+}
+
+// splitRange runs a row-range kernel over [0, rows) as two ranges, the way
+// a fan-out hands them out.
+func splitRange(rows int, f func(lo, hi int)) {
+	f(0, rows/3)
+	f(rows/3, rows)
+}
+
+// The short path (an a of one to three columns) against what it stands
+// for, the bias-seeded axpy loop that skips a zero multiplier: zero and
+// special values planted in a, b and the bias.
+func TestShortRangeMatchesReference(t *testing.T) {
+	rng := xrand.New(0x5eed05)
+	for n := 1; n <= 3; n++ {
+		for _, p := range thinWidths() {
+			for rows := 1; rows <= 33; rows++ {
+				special := rows%2 == 0
+				a, b, bias := NewMatrix(rows, n), NewMatrix(n, p), make([]float64, p)
+				fillKern(rng, a.Data, special)
+				fillKern(rng, b.Data, special)
+				fillKern(rng, bias, special)
+				a.Data[rng.Intn(len(a.Data))] = 0
+				a.Data[rng.Intn(len(a.Data))] = math.Copysign(0, -1)
+				got, want := NewMatrix(rows, p), NewMatrix(rows, p)
+				splitRange(rows, func(lo, hi int) { matMulShortRange(got, a, b, bias, lo, hi) })
+				for i := 0; i < rows; i++ {
+					y := want.Row(i)
+					copy(y, bias)
+					for k, v := range a.Row(i) {
+						if v != 0 {
+							naiveAxpy(v, b.Row(k), y)
+						}
+					}
+				}
+				checkSame(t, fmt.Sprintf("matMulShortRange %dx%dx%d", rows, n, p), got.Data, want.Data)
+			}
+		}
+	}
+}
+
+// narrowRef is matMulNarrowRange's scalar loop alone.
+func narrowRef(out, a, b *Matrix, bias []float64) {
+	n, p := a.Cols, b.Cols
+	for i := 0; i < a.Rows; i++ {
+		aRow := a.Row(i)
+		for j := 0; j < p; j++ {
+			s := 0.0
+			if bias != nil {
+				s = bias[j]
+			}
+			k := 0
+			for ; k+4 <= n; k += 4 {
+				s += aRow[k]*b.At(k, j) + aRow[k+1]*b.At(k+1, j) + aRow[k+2]*b.At(k+2, j) + aRow[k+3]*b.At(k+3, j)
+			}
+			for ; k < n; k++ {
+				s += aRow[k] * b.At(k, j)
+			}
+			out.Set(i, j, s)
+		}
+	}
+}
+
+// The narrow path (one to three output columns), with and without a bias:
+// whole groups of four rows in the assembly, the rest and every k tail in
+// the loop.
+func TestNarrowRangeMatchesReference(t *testing.T) {
+	rng := xrand.New(0x5eed06)
+	for _, n := range thinWidths() {
+		for p := 1; p < narrow; p++ {
+			for rows := 1; rows <= 33; rows++ {
+				special := rows%2 == 1
+				a, b := NewMatrix(rows, n), NewMatrix(n, p)
+				fillKern(rng, a.Data, special)
+				fillKern(rng, b.Data, special)
+				var bias []float64
+				if rows%3 != 0 {
+					bias = make([]float64, p)
+					fillKern(rng, bias, special)
+				}
+				got, want := NewMatrix(rows, p), NewMatrix(rows, p)
+				splitRange(rows, func(lo, hi int) { matMulNarrowRange(got, a, b, bias, lo, hi) })
+				narrowRef(want, a, b, bias)
+				checkSame(t, fmt.Sprintf("matMulNarrowRange %dx%dx%d", rows, n, p), got.Data, want.Data)
+			}
+		}
+	}
+}
+
+// The k = 1 scaled copy of MatMulABTInto, delta·Wᵀ for a one-output layer.
+func TestOuterMatchesReference(t *testing.T) {
+	rng := xrand.New(0x5eed07)
+	for _, m := range thinWidths() {
+		for rows := 1; rows <= 33; rows++ {
+			a, b := NewMatrix(rows, 1), NewMatrix(m, 1)
+			fillKern(rng, a.Data, rows%2 == 0)
+			fillKern(rng, b.Data, rows%2 == 0)
+			got, want := NewMatrix(rows, m), NewMatrix(rows, m)
+			splitRange(rows, func(lo, hi int) { matMulABTRange(got, a, b, lo, hi) })
+			for i := 0; i < rows; i++ {
+				for j := 0; j < m; j++ {
+					want.Set(i, j, a.Data[i]*b.Data[j])
+				}
+			}
+			checkSame(t, fmt.Sprintf("matMulABTRange %dx1x%d", rows, m), got.Data, want.Data)
+		}
+	}
+}
+
 // sweepCase packs w, moves the words and the scratch to the given 8-byte
 // offsets (the kernel's loads are unaligned) and checks the sweep against
 // the exact integer dot products.
@@ -294,6 +409,15 @@ func TestKernelsZeroLength(t *testing.T) {
 	MatMulATBInto(nil, NewMatrix(0, 16), NewMatrix(0, 16))
 	MatMulABTInto(nil, NewMatrix(3, 0), NewMatrix(8, 0))
 	MatMulABTInto(nil, NewMatrix(0, 16), NewMatrix(8, 16))
+	MatMulBiasInto(nil, NewMatrix(0, 2), NewMatrix(2, 24), make([]float64, 24)) // short
+	MatMulBiasInto(nil, NewMatrix(3, 2), NewMatrix(2, 0), none)
+	MatMulBiasInto(nil, NewMatrix(0, 24), NewMatrix(24, 1), []float64{1}) // narrow
+	MatMulBiasInto(nil, NewMatrix(3, 0), NewMatrix(0, 1), []float64{1})
+	MatMulABTInto(nil, NewMatrix(0, 1), NewMatrix(24, 1)) // k = 1
+	MatMulABTInto(nil, NewMatrix(5, 1), NewMatrix(0, 1))
+	TanhBackward(none, none, none, none, nil)
+	TanhBackward(none, make([]float64, 24), none, none, none)
+	TanhBackward([]float64{}, make([]float64, 8), []float64{}, []float64{}, []float64{})
 	p := PackQuantPanel(nil, 0, 8)
 	p.Sweep(make([]int32, 8), nil, nil)
 	p = PackQuantPanel(nil, 32, 0)

@@ -43,6 +43,11 @@ func TestGatherRowsInto(t *testing.T) {
 	if e := GatherRowsInto(nil, src, nil); e.Rows != 0 || e.Cols != 2 {
 		t.Fatalf("empty gather %dx%d", e.Rows, e.Cols)
 	}
+	// One column: a value an index.
+	col := FromRows([][]float64{{5}, {6}, {7}})
+	if got := GatherRowsInto(nil, col, []int{2, 2, 0}); got.Rows != 3 || got.Cols != 1 || got.Data[0] != 7 || got.Data[1] != 7 || got.Data[2] != 5 {
+		t.Fatalf("one-column gather got %dx%d %v", got.Rows, got.Cols, got.Data)
+	}
 	// Rows wider than the element-by-element copy takes.
 	wide := NewMatrix(3, 11)
 	for i := range wide.Data {

@@ -132,6 +132,21 @@ func GatherRowsInto(dst, src *Matrix, idx []int) *Matrix {
 		dst.Reshape(len(idx), src.Cols)
 	}
 	c := src.Cols
+	switch c {
+	case 1: // a surrogate's one input or target: one value an index
+		d := dst.Data[:len(idx)]
+		for k, i := range idx {
+			d[k] = src.Data[i]
+		}
+		return dst
+	case 2:
+		d := dst.Data[:2*len(idx)]
+		for k, i := range idx {
+			s := src.Data[2*i : 2*i+2 : 2*i+2]
+			d[2*k], d[2*k+1] = s[0], s[1]
+		}
+		return dst
+	}
 	for k, i := range idx {
 		d, s := dst.Data[k*c:(k+1)*c], src.Data[i*c:(i+1)*c]
 		if c > 8 {
@@ -369,53 +384,94 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 // pass in the order the seed-then-axpy loop there gives it, out[j] =
 // ((bias[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]. That loop skips the axpy of
 // a zero multiplier, and x + 0·y is not x for every x and y, so a row of a
-// that holds a zero is computed its way.
+// that holds a zero is computed its way. With AVX2, shortRowsAVX2 takes the
+// whole 4-vectors of each run of rows that hold no zero, and shortRow the
+// rest.
 func matMulShortRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 	n, p := a.Cols, b.Cols
 	mid, last := (n-1)/2, n-1 // with the first, the columns of a; some coincide when n < 3
-	bias = bias[:p]           // bounds-check elimination hints, as the [:p] below
-	b0, bm, bl := b.Data[:p], b.Data[mid*p:][:p], b.Data[last*p:][:p]
-	for i := lo; i < hi; i++ {
-		o, ar := out.Data[i*p:(i+1)*p], a.Data[i*n:(i+1)*n]
-		a0, am, al := ar[0], ar[mid], ar[last]
-		switch {
-		case a0 == 0 || am == 0 || al == 0:
-			copy(o, bias)
-			for k, v := range ar {
-				if v != 0 {
-					axpy4(v, b.Data[k*p:(k+1)*p], o)
-				}
+	pv := 0
+	if useAVX2 && p >= 4 {
+		pv = p &^ 3
+	}
+	for i := lo; i < hi; {
+		if pv > 0 {
+			done := i + shortRowsAVX2(&out.Data[i*p], &a.Data[i*n], &b.Data[0], &b.Data[mid*p], &b.Data[last*p], &bias[0], hi-i, n, p, pv)
+			for r := i; r < done && pv < p; r++ {
+				shortRow(out, a, b, bias, r, pv)
 			}
-		case n == 1:
-			for j := range o {
-				o[j] = bias[j] + a0*b0[j]
+			if i = done; i == hi {
+				break
 			}
-		case n == 2:
-			for j := range o {
-				o[j] = (bias[j] + a0*b0[j]) + al*bl[j]
+		}
+		shortRow(out, a, b, bias, i, 0)
+		i++
+	}
+}
+
+// shortRow is row i of matMulShortRange from column from on.
+func shortRow(out, a, b *Matrix, bias []float64, i, from int) {
+	n, p := a.Cols, b.Cols
+	mid, last := (n-1)/2, n-1
+	o, ar := out.Data[i*p+from:(i+1)*p], a.Data[i*n:(i+1)*n]
+	w := len(o) // bounds-check elimination hints, as the [:w] below
+	c, b0, bm, bl := bias[from:][:w], b.Data[from:][:w], b.Data[mid*p+from:][:w], b.Data[last*p+from:][:w]
+	a0, am, al := ar[0], ar[mid], ar[last]
+	switch {
+	case a0 == 0 || am == 0 || al == 0: // from is 0: the assembly takes no such row
+		copy(o, c)
+		for k, v := range ar {
+			if v != 0 {
+				axpy4(v, b.Data[k*p:(k+1)*p], o)
 			}
-		default:
-			for j := range o {
-				o[j] = ((bias[j] + a0*b0[j]) + am*bm[j]) + al*bl[j]
-			}
+		}
+	case n == 1:
+		for j := range o {
+			o[j] = c[j] + a0*b0[j]
+		}
+	case n == 2:
+		for j := range o {
+			o[j] = (c[j] + a0*b0[j]) + al*bl[j]
+		}
+	default:
+		for j := range o {
+			o[j] = ((c[j] + a0*b0[j]) + am*bm[j]) + al*bl[j]
 		}
 	}
 }
 
 // matMulNarrowRange is matMulBiasRange for a narrow b: one strided dot per
 // output element, summed in the panel kernel's order (four products per
-// accumulation) so both paths round alike.
+// accumulation) so both paths round alike. With AVX2, narrowColAVX2 takes
+// the 4-blocks of each whole group of four rows, a lane a row, and the
+// loop below their k tail and the last (hi-lo)%4 rows.
 func matMulNarrowRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 	n, p := a.Cols, b.Cols
 	bd := b.Data
-	for i := lo; i < hi; i++ {
-		aRow := a.Data[i*n : (i+1)*n]
+	kn, vecEnd := 0, lo // rows below vecEnd hold the sums of their first kn products
+	if blocks := (hi - lo) / 4; useAVX2 && n >= 4 && blocks > 0 {
+		kn, vecEnd = n&^3, lo+4*blocks
 		for j := 0; j < p; j++ {
 			s := 0.0
 			if bias != nil {
 				s = bias[j]
 			}
-			k := 0
+			narrowColAVX2(&out.Data[lo*p+j], &a.Data[lo*n], &bd[j], s, blocks, n, p, kn)
+		}
+	}
+	i := lo
+	if kn == n {
+		i = vecEnd
+	}
+	for ; i < hi; i++ {
+		aRow := a.Data[i*n : (i+1)*n]
+		for j := 0; j < p; j++ {
+			s, k := 0.0, 0
+			if i < vecEnd {
+				s, k = out.Data[i*p+j], kn
+			} else if bias != nil {
+				s = bias[j]
+			}
 			for ; k+4 <= n; k += 4 {
 				s += aRow[k]*bd[k*p+j] + aRow[k+1]*bd[(k+1)*p+j] + aRow[k+2]*bd[(k+2)*p+j] + aRow[k+3]*bd[(k+3)*p+j]
 			}
@@ -519,19 +575,28 @@ func MatMulABTInto(dst, a, b *Matrix) *Matrix {
 // matMulABTRange computes dst rows [lo,hi) of dst = a*bᵀ.
 func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 	k, m := a.Cols, b.Rows
+	if k == 1 { // a scaled copy of b's one column a row: an outer product
+		mv := 0
+		if useAVX2 && m >= 4 && hi > lo {
+			mv = m &^ 3
+			outerAVX2(&dst.Data[lo*m], &a.Data[lo], &b.Data[0], hi-lo, m, mv)
+		}
+		col := b.Data[mv:m]
+		for i := lo; i < hi; i++ {
+			a0, dstRow := a.Data[i], dst.Data[i*m+mv:(i+1)*m]
+			col := col[:len(dstRow)] // bounds-check elimination hint
+			for j := range dstRow {
+				dstRow[j] = a0 * col[j]
+			}
+		}
+		return
+	}
 	for i := lo; i < hi; i++ {
 		aRow := a.Data[i*k : (i+1)*k]
 		dstRow := dst.Data[i*m : (i+1)*m]
 		if k > 0 && k < narrow {
 			// One strided sweep of b per a element, not a dot call per
-			// dst element; k == 1 is a scaled copy.
-			if k == 1 {
-				a0, col := aRow[0], b.Data[:len(dstRow)]
-				for j := range dstRow {
-					dstRow[j] = a0 * col[j]
-				}
-				continue
-			}
+			// dst element.
 			for j := range dstRow {
 				dstRow[j] = aRow[0] * b.Data[j*k]
 			}

@@ -105,7 +105,9 @@ func (r *Rand) Intn(n int) int {
 }
 
 // Uint64n returns a uniform uint64 in [0,n) using Lemire's method with a
-// rejection step to remove modulo bias.
+// rejection step to remove modulo bias. The rejection threshold 2⁶⁴ mod n
+// is below n, so a draw whose low word is at least n is accepted without
+// it: the division that computes it runs only for the rare draw below n.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n with zero n")
@@ -114,13 +116,14 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		hi, lo := bits.Mul64(r.Uint64(), n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
+	return hi
 }
 
 // Range returns a uniform float64 in [lo, hi).

@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,52 @@ func TestIntnBounds(t *testing.T) {
 				t.Fatalf("Intn(%d) = %d out of range", n, v)
 			}
 		}
+	}
+}
+
+// uint64nDivide is Uint64n computing its rejection threshold, a 64-bit
+// division, before every draw.
+func uint64nDivide(r *Rand, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	threshold := -n % n
+	for {
+		hi, lo := bits.Mul64(r.Uint64(), n)
+		if lo >= threshold {
+			return hi
+		}
+	}
+}
+
+// TestUint64nMatchesDivideFirst: Uint64n, which divides only for a draw it
+// may reject, returns what uint64nDivide returns from the same stream and
+// leaves the stream where it leaves it, over 10⁵ draws: n from 1 to 5 000,
+// every power of two, and n near 2⁶³, where up to half the draws are
+// rejected.
+func TestUint64nMatchesDivideFirst(t *testing.T) {
+	var ns []uint64
+	for n := uint64(1); n <= 5000; n++ {
+		ns = append(ns, n)
+	}
+	for s := 0; s < 64; s++ {
+		ns = append(ns, 1<<s)
+	}
+	for d := uint64(1); d <= 8; d++ {
+		ns = append(ns, 1<<63-d, 1<<63+d)
+	}
+	ns = append(ns, 3<<62, 1<<64-1)
+	got, want := New(23), New(23)
+	for draws := 0; draws < 100000; {
+		for _, n := range ns {
+			if g, w := got.Uint64n(n), uint64nDivide(want, n); g != w {
+				t.Fatalf("draw %d: Uint64n(%d) = %d, dividing first gives %d", draws, n, g, w)
+			}
+			draws++
+		}
+	}
+	if got.Uint64() != want.Uint64() {
+		t.Fatal("the two left the stream at different words")
 	}
 }
 
