@@ -392,6 +392,35 @@ func BenchmarkDeepUQ(b *testing.B) {
 		// 1 prefix dense + 3 suffix dense stages, passes shared.
 		b.ReportMetric(4, "matmul-sweeps")
 	})
+
+	// Full 64-row chunks whose passes do not all fit one pass-group panel:
+	// wide is batch_sweep's float tenant (four groups of four passes), paper
+	// the §III-D autotuning net (three groups of ten).
+	for _, tc := range []struct {
+		name   string
+		widths []int
+		passes int
+	}{
+		{"wide", []int{8, 128, 128, 4}, 16},
+		{"paper", []int{6, 30, 48, 3}, 30},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			c := nn.NewMLP(xrand.New(3), nn.Tanh, 0.1, tc.widths...).CompileBatch(64)
+			xs := tensor.NewMatrix(64, tc.widths[0])
+			xr := xrand.New(4)
+			for i := range xs.Data {
+				xs.Data[i] = xr.Range(-1, 1)
+			}
+			out := tc.widths[len(tc.widths)-1]
+			mean, std := tensor.NewMatrix(64, out), tensor.NewMatrix(64, out)
+			c.PredictMCBatch(xs, tc.passes, mean, std)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.PredictMCBatch(xs, tc.passes, mean, std)
+			}
+		})
+	}
 }
 
 // BenchmarkMatMulParallelSlope measures the matmul fan-out break-even

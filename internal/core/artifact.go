@@ -27,8 +27,10 @@ import (
 // installing a restored model.
 func (s *NNSurrogate) Dims() (in, out int) { return s.inDim, s.outDim }
 
-// maxMCPasses bounds a decoded MCPasses: the pass-stacked scratch is sized
-// passes·MaxBatch rows, and no UQ estimate needs more stochastic passes.
+// maxMCPasses bounds a decoded MCPasses. The bound is statistical: no UQ
+// estimate needs more stochastic passes. The pass-group panels do not grow
+// with passes; the mask store does, passes × the suffix's dropout widths
+// (2 MB at the cap for two 128-wide dropouts).
 const maxMCPasses = 1024
 
 // surrogateMeta is the gob-encoded artifact meta section: what an

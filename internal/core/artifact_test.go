@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/nn"
@@ -114,6 +115,43 @@ func TestDecodeRejectsHostileMeta(t *testing.T) {
 	}
 	if _, _, err := DecodeNNSurrogate(remeta(t, blob, func(m *surrogateMeta) { m.MCPasses = maxMCPasses }), xrand.New(1)); err != nil {
 		t.Errorf("MCPasses at the cap refused: %v", err)
+	}
+}
+
+// TestDecodedPassCapQueryMemory: an artifact may carry up to maxMCPasses
+// passes, and that count must not size the UQ scratch: the first 64-row UQ
+// query of a decoded two-hidden-layer surrogate at the cap allocates under
+// 4 MB (one panel per pass would be 2 × 1 024 × 64 rows × 32 floats, 33 MB).
+func TestDecodedPassCapQueryMemory(t *testing.T) {
+	rng := xrand.New(0xa28)
+	x, y := tensor.NewMatrix(64, 4), tensor.NewMatrix(64, 2)
+	for i := 0; i < x.Rows; i++ {
+		r := x.Row(i)
+		for j := range r {
+			r[j] = rng.Range(-1, 1)
+		}
+		copy(y.Row(i), []float64{math.Sin(r[0]) - r[1], r[2] * r[3]})
+	}
+	live := NewNNSurrogate(4, 2, []int{32, 32}, 0.1, rng)
+	live.Epochs = 5
+	if err := live.Train(x, y); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := live.EncodeArtifact(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sur, _, err := DecodeNNSurrogate(remeta(t, blob, func(m *surrogateMeta) { m.MCPasses = maxMCPasses }), xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, std := tensor.NewMatrix(64, 2), tensor.NewMatrix(64, 2)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sur.PredictInto(x, mean, std)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("first UQ query at %d passes allocated %d bytes, want < 4 MB", maxMCPasses, got)
 	}
 }
 

@@ -361,11 +361,12 @@ func (s *NNSurrogate) PredictQuantInto(x, mean, std *tensor.Matrix, ok []bool) {
 
 // PredictInto implements Surrogate on the compiled batch program. With
 // std it is MC dropout: the MCPasses stochastic evaluations run
-// pass-stacked — every pass of a MaxBatch-row chunk shares one tall fused
-// matmul per dense stage. With Dropout == 0 the std is identically zero
-// (a deterministic surrogate claims perfect confidence, which is why the
-// wrapper requires Dropout > 0 to gate). Without std it is one eval-mode
-// pass. A warmed call allocates nothing, for any batch width.
+// pass-stacked — the passes of a MaxBatch-row chunk share one fused matmul
+// per dense stage and pass group, over panels that do not grow with
+// MCPasses. With Dropout == 0 the std is identically zero (a deterministic
+// surrogate claims perfect confidence, which is why the wrapper requires
+// Dropout > 0 to gate). Without std it is one eval-mode pass. A warmed
+// call allocates nothing, for any batch width.
 func (s *NNSurrogate) PredictInto(x, mean, std *tensor.Matrix) {
 	s.mustBeTrained()
 	xs := s.getStage(x)

@@ -1173,6 +1173,14 @@ const (
 // No per-row state outlives its chunk, so a campaign holds O(chunk +
 // window) memory at any design size. The rows each shard receives, and
 // their order, are those of one Ingest of the whole design.
+//
+// The campaign is not planned against the retention policy: every design
+// row costs an oracle run, but under RetainWindow or RetainReservoir a
+// shard keeps only its window, and Ingest never fits, so the runs of rows
+// the windows drop before the closing TrainAll buy samples no fit sees. A
+// design beyond Shards × MaxSamples (plus RetainWindow's slack) pays for
+// that; measured on a 40 000-row design into 4 × 1 024-row windows, 89 %
+// of the runs.
 func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 	if design.Cols != w.in {
 		return fmt.Errorf("core: design has %d cols, oracle wants %d", design.Cols, w.in)

@@ -62,9 +62,10 @@ type Compiled struct {
 }
 
 // freeList is a LIFO of idle contexts. A sync.Pool is emptied by every
-// garbage collection, and minting the MB-sized pass-stacked panels again is
-// most of what brings the next one on; this list keeps them, cannot outgrow
-// the peak number of concurrent calls and dies with its program.
+// garbage collection, and minting a context's pass-group panels (a quarter
+// MB each, or more for a wide MaxBatch) again is most of what brings the
+// next one on; this list keeps them, cannot outgrow the peak number of
+// concurrent calls and dies with its program.
 type freeList[T any] struct {
 	mu   sync.Mutex
 	idle []*T
@@ -119,8 +120,9 @@ func (n *Network) Compile() *Compiled {
 // accept any row count and internally split it into chunks of at most
 // maxBatch rows, each served from pooled ping-pong scratch at zero heap
 // allocations. Larger widths amortize per-pass overhead further at the
-// cost of proportionally larger pooled buffers (the MC scratch scales
-// with passes·maxBatch rows).
+// cost of proportionally larger pooled buffers; the MC scratch does not
+// grow with the pass count (the passes run in groups over a fixed panel),
+// only its mask store does.
 func (n *Network) CompileBatch(maxBatch int) *Compiled {
 	if maxBatch < 1 {
 		maxBatch = 1
@@ -364,20 +366,35 @@ func (c *Compiled) PredictMC(x []float64, passes int, mean, std []float64) (m, s
 }
 
 // compiledBatchCtx owns the per-call scratch of one in-flight batch
-// inference: ping-pong activation matrices for one chunk, the tall
-// pass-stacked panels for MC evaluation, the per-pass column masks, and
-// a private rng stream. Each matrix is allocated on first use at the
-// largest size the program's chunks can need (maxBatch rows; passes ·
-// maxBatch for the pass-stacked panels) and then reused via Reshape, so a
-// warmed context serves any chunk at zero heap allocations and chunks of
-// varying width never reallocate it.
+// inference: ping-pong activation matrices for one chunk, the two
+// pass-group panels and the pass reduction for MC evaluation, the column
+// masks, and a private rng stream. Each matrix is allocated on first use
+// at the largest size the program's chunks can need (maxBatch rows;
+// mcPanel floats for the pass-group panels, whatever the pass count) and
+// then reused via Reshape, so a warmed context serves any chunk at zero
+// heap allocations and chunks of varying width never reallocate it. Only
+// the mask store scales with passes, so a larger pass count than any
+// before grows that alone.
 type compiledBatchCtx struct {
 	buf   [2]*tensor.Matrix // chunk ping-pong activations (≤ maxBatch rows)
-	tall  [2]*tensor.Matrix // pass-stacked panels (≤ passes·maxBatch rows)
-	masks []float64         // per-pass column masks, passes x width
+	tall  [2]*tensor.Matrix // pass-group panels (mcPanel floats each)
+	masks []float64         // every live dropout's column masks, passes x width each
+	ref   []float64         // pass 0's outputs (maxBatch x out)
+	sum   []float64         // per-(row, out) deviations from ref, summed over passes
+	ssq   []float64         // and their squares
 	view  tensor.Matrix     // reusable window header over the caller's input
 	rng   *xrand.Rand
 }
+
+// mcPanelFloats is the floor of a pass-group panel's size in floats
+// (256 KB). The pass-stacked MC path runs a chunk's passes in groups as
+// tall as the panel holds, so its scratch is the same for 4 passes or 1 024
+// and two panels stay cache-resident next to the weights.
+const mcPanelFloats = 1 << 15
+
+// mcPanel is the size of each pass-group panel in floats: at least one
+// pass of a full chunk at the widest step.
+func (c *Compiled) mcPanel() int { return max(mcPanelFloats, c.maxBatch*c.maxW) }
 
 // getBatchCtx leases a warm batch context, minting one with a fresh
 // deterministic rng substream when none is idle.
@@ -462,16 +479,18 @@ func (c *Compiled) PredictBatch(xs, dst *tensor.Matrix) *tensor.Matrix {
 //
 // Instead of replaying the stochastic suffix once per pass, the passes
 // are stacked: the deterministic prefix is evaluated once per chunk, its
-// output is tiled passes times into one tall (passes·rows)-row panel, and
-// the whole suffix — arbitrarily many [Dropout, Dense, ...] stages — runs
-// over that panel with ONE fused matmul per dense step. Each dropout step
+// output is tiled into a tall panel one block of rows per pass, and the
+// whole suffix — arbitrarily many [Dropout, Dense, ...] stages — runs over
+// that panel with ONE fused matmul per dense step. Each dropout step
 // samples one column mask per pass (shared across the pass's rows, the
 // same marginals as per-element masking) and scales its pass block, so
-// deep multi-dropout surrogates pay len(suffix) matmul sweeps total
-// rather than passes·len(suffix). Inputs wider than MaxBatch chunk
-// internally; with caller-provided buffers a warmed call allocates
-// nothing. The variance is accumulated as deviations from the first pass,
-// matching PredictMC's numerics. Safe for concurrent use.
+// deep multi-dropout surrogates pay a matmul sweep per dense step and pass
+// group rather than per pass. The panel has a fixed size, so passes that
+// do not fit in one run in groups; the answer's bits do not depend on the
+// grouping. Inputs wider than MaxBatch chunk internally; with
+// caller-provided buffers a warmed call allocates nothing. The variance
+// is accumulated as deviations from the first pass, matching PredictMC's
+// numerics. Safe for concurrent use.
 func (c *Compiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std *tensor.Matrix) (m, s *tensor.Matrix) {
 	if passes < 1 {
 		panic("nn: PredictMCBatch needs at least one pass")
@@ -510,66 +529,107 @@ func (c *Compiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std *tens
 // (stack every pass's diag(mₜ)·W side by side and run all passes as one
 // b x (passes·out) matmul — O(in·passes·out) mask work); deeper
 // stochastic suffixes take the general pass-stacked path below.
+//
+// That path runs the passes in groups of g, as many as one pass-group
+// panel holds at b rows of the widest step: each group tiles the prefix
+// output g times, applies its passes' masks and runs the suffix's fused
+// matmuls over g·b rows. The masks are all drawn before the first group,
+// in the order a single group would draw them, and a matmul row does not
+// depend on how many rows share its panel, so the grouping never shows in
+// the answer. The groups reduce into per-(row, out) accumulators in pass
+// order: pass 0's outputs are the reference, later passes add their
+// deviations from it (the shifted-data accumulation PredictMC uses).
 func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, b, passes int, mean, std *tensor.Matrix) {
 	if c.fs == len(c.steps)-2 && c.steps[c.fs+1].kind == stepDense {
 		c.predictMCChunkTail(ctx, xs, lo, b, passes, mean, std)
 		return
 	}
 	pre := c.forwardBatchPrefix(ctx, xs, lo, b, c.fs)
-	panel := passes * c.maxBatch * c.maxW // the largest pass-stacked panel
-	tall := tensor.RepeatRowsInto(reserve(&ctx.tall[0], passes*b, pre.Cols, panel), pre, passes)
-	side := 1
-	for si := c.fs; si < len(c.steps); si++ {
-		st := &c.steps[si]
-		switch st.kind {
-		case stepDropout:
-			if st.p == 0 {
+	masks := c.drawMasks(ctx, pre.Cols, passes)
+	panel := c.mcPanel()
+	group := min(panel/(b*c.maxW), passes)
+	n := b * c.out
+	ref := growFloats(&ctx.ref, c.maxBatch*c.out)[:n]
+	sum := growFloats(&ctx.sum, c.maxBatch*c.out)[:n]
+	ssq := growFloats(&ctx.ssq, c.maxBatch*c.out)[:n]
+	clear(sum)
+	clear(ssq)
+	for t0 := 0; t0 < passes; t0 += group {
+		g := min(group, passes-t0)
+		tall := tensor.RepeatRowsInto(reserve(&ctx.tall[0], g*b, pre.Cols, panel), pre, g)
+		side, mo := 1, 0 // mo: the current dropout stage's offset in masks
+		for si := c.fs; si < len(c.steps); si++ {
+			st := &c.steps[si]
+			switch {
+			case st.kind == stepDense:
+				out := reserve(&ctx.tall[side], g*b, st.out, panel)
+				tensor.MatMulBiasInto(out, tall, &st.wm, st.b)
+				st.act.applyAll(out.Data)
+				tall = out
+				side = 1 - side
+			case st.p > 0:
+				w := tall.Cols
+				tensor.ScaleColumnsBlocks(tall, tall, masks[mo+t0*w:mo+(t0+g)*w], b)
+				mo += passes * w
+			}
+		}
+		for t := 0; t < g; t++ {
+			blk := tall.Data[t*n : (t+1)*n]
+			if t0+t == 0 {
+				copy(ref, blk)
 				continue
 			}
-			masks := growFloats(&ctx.masks, passes*tall.Cols)
+			for k, v := range blk {
+				d := v - ref[k]
+				sum[k] += d
+				ssq[k] += d * d
+			}
+		}
+	}
+	invP := 1 / float64(passes)
+	mrow, srow := mean.Data[lo*c.out:lo*c.out+n], std.Data[lo*c.out:lo*c.out+n]
+	for k, r := range ref {
+		d := sum[k] * invP
+		mrow[k] = r + d
+		v := ssq[k]*invP - d*d
+		if v < 0 {
+			v = 0
+		}
+		srow[k] = math.Sqrt(v)
+	}
+}
+
+// drawMasks samples the column masks of every live dropout step of the
+// stochastic suffix for all passes into ctx.masks and returns them: step
+// by step, passes x width each, pass-major — the order one tall panel
+// over all passes reads the rng in. w is the width entering the suffix.
+func (c *Compiled) drawMasks(ctx *compiledBatchCtx, w, passes int) []float64 {
+	n := 0
+	for si, cols := c.fs, w; si < len(c.steps); si++ {
+		if st := &c.steps[si]; st.kind == stepDense {
+			cols = st.out
+		} else if st.p > 0 {
+			n += passes * cols
+		}
+	}
+	masks := growFloats(&ctx.masks, n)
+	k := 0
+	for si, cols := c.fs, w; si < len(c.steps); si++ {
+		if st := &c.steps[si]; st.kind == stepDense {
+			cols = st.out
+		} else if st.p > 0 {
 			keep := 1 - st.p
 			inv := 1 / keep
-			for i := range masks {
+			for end := k + passes*cols; k < end; k++ {
 				if ctx.rng.Float64() < keep {
-					masks[i] = inv
+					masks[k] = inv
 				} else {
-					masks[i] = 0
+					masks[k] = 0
 				}
 			}
-			tensor.ScaleColumnsBlocks(tall, tall, masks, b)
-		case stepDense:
-			out := reserve(&ctx.tall[side], passes*b, st.out, panel)
-			tensor.MatMulBiasInto(out, tall, &st.wm, st.b)
-			st.act.applyAll(out.Data)
-			tall = out
-			side = 1 - side
 		}
 	}
-	// Reduce the pass blocks row-wise with the shifted-data accumulation
-	// (deviations from pass 0) the single-query path uses.
-	out := c.out
-	invP := 1 / float64(passes)
-	for r := 0; r < b; r++ {
-		mrow := mean.Data[(lo+r)*out : (lo+r+1)*out]
-		srow := std.Data[(lo+r)*out : (lo+r+1)*out]
-		ref := tall.Data[r*out : (r+1)*out]
-		for j := 0; j < out; j++ {
-			refv := ref[j]
-			sum, ssq := 0.0, 0.0
-			for t := 1; t < passes; t++ {
-				d := tall.Data[(t*b+r)*out+j] - refv
-				sum += d
-				ssq += d * d
-			}
-			d := sum * invP
-			mrow[j] = refv + d
-			v := ssq*invP - d*d
-			if v < 0 {
-				v = 0
-			}
-			srow[j] = math.Sqrt(v)
-		}
-	}
+	return masks
 }
 
 // predictMCChunkTail is the canonical-tail fast path: the stochastic

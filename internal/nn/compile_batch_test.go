@@ -113,6 +113,62 @@ func TestCompiledMCScratchSizedOnce(t *testing.T) {
 	}
 }
 
+// TestCompiledMCScratchSizedOnceWide: on batch_sweep's float shape
+// (8-128-128-4, a 64-row chunk, 16 passes) a fresh program's first UQ call
+// allocates its two pass-group panels, the prefix chunk buffer, the mask
+// store and the pass reduction, and nothing sized by passes·rows.
+func TestCompiledMCScratchSizedOnceWide(t *testing.T) {
+	skipAllocCheckUnderRace(t)
+	oldT := tensor.ParallelFlopThreshold
+	tensor.ParallelFlopThreshold = 1 << 60
+	defer func() { tensor.ParallelFlopThreshold = oldT }()
+	const rows, passes = 64, 16
+	rng := xrand.New(39)
+	c := NewMLP(rng, Tanh, 0.1, 8, 128, 128, 4).CompileBatch(rows)
+	x := batchProbe(rng, rows, 8)
+	mean, std := tensor.NewMatrix(rows, 4), tensor.NewMatrix(rows, 4)
+	floats := 2*c.mcPanel() + rows*128 + passes*(128+128) + 3*rows*4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.PredictMCBatch(x, passes, mean, std)
+	runtime.ReadMemStats(&after)
+	// 64 KB covers the context, its rng, the matrix headers and what the
+	// runtime allocates meanwhile; one panel per pass would be 2 MB.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*floats+64<<10); got > limit {
+		t.Fatalf("first 64-row, 16-pass call allocated %d bytes, want ≤ %d", got, limit)
+	}
+}
+
+// TestCompiledMCPassCapLiftKeepsPanels: a context first used under a
+// brownout pass cap (4 passes) serves the next uncapped call (10 passes) on
+// the panels it has; only its mask store may grow, once.
+func TestCompiledMCPassCapLiftKeepsPanels(t *testing.T) {
+	skipAllocCheckUnderRace(t)
+	oldT := tensor.ParallelFlopThreshold
+	tensor.ParallelFlopThreshold = 1 << 60
+	defer func() { tensor.ParallelFlopThreshold = oldT }()
+	rng := xrand.New(38)
+	c := NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2).CompileBatch(8)
+	x := batchProbe(rng, 8, 6)
+	mean, std := tensor.NewMatrix(8, 2), tensor.NewMatrix(8, 2)
+	c.PredictMCBatch(x, 4, mean, std)
+	ctx := c.bpool.get()
+	c.bpool.put(ctx)
+	panels := [2]*float64{&ctx.tall[0].Data[:1][0], &ctx.tall[1].Data[:1][0]}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.PredictMCBatch(x, 10, mean, std)
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > 1 {
+		t.Fatalf("uncapped call after a capped one allocated %d times, want at most 1 (the mask store)", n)
+	}
+	for i, p := range panels {
+		if &ctx.tall[i].Data[:1][0] != p {
+			t.Fatalf("uncapped call reallocated pass-group panel %d", i)
+		}
+	}
+}
+
 // TestBatchContextsSurviveGC: the batch contexts sit in a free list, not a
 // sync.Pool, so a warmed float or int8 batch call still allocates nothing
 // after garbage collections (two, which is what empties a sync.Pool's victim

@@ -181,9 +181,9 @@ func ScaleColumnsBlocks(dst, x *Matrix, scales []float64, block int) *Matrix {
 		mask := scales[t*cols : (t+1)*cols]
 		for i := t * block; i < (t+1)*block; i++ {
 			src := x.Data[i*cols : (i+1)*cols]
-			out := dst.Data[i*cols : (i+1)*cols]
-			for j, v := range src {
-				out[j] = v * mask[j]
+			out := dst.Data[i*cols : (i+1)*cols][:len(src)] // [:len(src)]: bounds-check elimination hints
+			for j, m := range mask[:len(src)] {
+				out[j] = src[j] * m
 			}
 		}
 	}
