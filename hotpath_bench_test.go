@@ -686,14 +686,17 @@ func BenchmarkOracleFanout(b *testing.B) {
 }
 
 // BenchmarkOracleCampaign is BenchmarkOracleFanout's CPU-bound sibling:
-// the offline campaign, Pretrain over an oracle that is a counted loop of
-// dependent multiply-adds (the benchmark's learn_loop oracle, 20–40 µs of
-// CPU a row), at workers = GOMAXPROCS, the fits made negligible (one
-// epoch on a 32-row window). It reports rows/s,
-// busy-share: the oracle CPU the campaign's rows need (rows × the cost of
-// a row measured alone on one goroutine beforehand) ÷ the worker-seconds
-// the campaign held (wall × workers), and B/row: the bytes the campaign
-// allocated per design row, which streaming the design bounds.
+// the offline campaign's oracle fan-out, Pretrain over an oracle that is a
+// counted loop of dependent multiply-adds (the benchmark's learn_loop
+// oracle, 20–40 µs of CPU a row), at workers = GOMAXPROCS. The wrapper
+// retains everything, so every design row runs (a sliding window would
+// plan most of them away), and the fits are negligible: one epoch of a
+// 4-wide net on ~1 000 rows a shard against ~80 ms of oracle work. It
+// reports rows/s, busy-share: the oracle CPU the campaign's rows need
+// (rows × the cost of a row measured alone on one goroutine beforehand) ÷
+// the worker-seconds the campaign held (wall × workers), and B/row: the
+// bytes the campaign allocated per design row, which streaming the design
+// bounds.
 func BenchmarkOracleCampaign(b *testing.B) {
 	const rows = 4000
 	workers := runtime.GOMAXPROCS(0)
@@ -719,10 +722,7 @@ func BenchmarkOracleCampaign(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
-			Shards: 4, OracleWorkers: workers,
-			Retention: core.Retention{Policy: core.RetainWindow, MaxSamples: 32},
-		})
+		w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{Shards: 4, OracleWorkers: workers})
 		if err := w.Pretrain(design); err != nil {
 			b.Fatal(err)
 		}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -90,7 +92,11 @@ func TestPretrainStreamsLikeOneIngest(t *testing.T) {
 					}
 				}
 				got, want := streamed.Ledger(), twin.Ledger()
-				if got.NTrain != n || got.NFailed != 0 || want.NTrain != 0 ||
+				runs := n // every row runs, except the rows a sliding window drops
+				if ret.Policy == RetainWindow {
+					runs = twin.TrainingSetSize()
+				}
+				if got.NTrain != runs || got.NFailed != 0 || want.NTrain != 0 ||
 					got.NTrainingRuns != want.NTrainingRuns || got.LearnSamples != want.LearnSamples {
 					t.Fatalf("ledger streamed %+v, ingested at once %+v (%d design rows)", got, want, n)
 				}
@@ -141,6 +147,191 @@ func TestPretrainAbortStopsLaterChunks(t *testing.T) {
 			t.Fatalf("aborted campaign still trained shard %d", si)
 		}
 	}
+}
+
+// windowedConfig is the 4-shard RetainWindow wrapper the plan tests run.
+var windowedConfig = ShardedConfig{
+	Shards: 4, OracleWorkers: pretrainWorkers, Retention: Retention{Policy: RetainWindow, MaxSamples: 300},
+}
+
+// indexedDesign returns rows design points whose first coordinate names
+// the row: base + its index.
+func indexedDesign(rows, base int) *tensor.Matrix {
+	rng := xrand.New(uint64(rows))
+	m := tensor.NewMatrix(rows, 2)
+	for i := 0; i < rows; i++ {
+		m.Set(i, 0, float64(base+i))
+		m.Set(i, 1, rng.Range(-1, 1))
+	}
+	return m
+}
+
+// indexAnswers is what an indexOracle answers for every row of design.
+func indexAnswers(design *tensor.Matrix) *tensor.Matrix {
+	ys := tensor.NewMatrix(design.Rows, 1)
+	for i := 0; i < design.Rows; i++ {
+		ys.Set(i, 0, design.At(i, 1))
+	}
+	return ys
+}
+
+// indexOracle answers x[1], records the name x[0] of every row it runs,
+// and fails the row named bad.
+type indexOracle struct {
+	bad int
+	mu  sync.Mutex
+	ran []int
+}
+
+func (o *indexOracle) Dims() (int, int) { return 2, 1 }
+
+func (o *indexOracle) Run(x []float64) ([]float64, error) {
+	o.mu.Lock()
+	o.ran = append(o.ran, int(x[0]))
+	o.mu.Unlock()
+	if int(x[0]) == o.bad {
+		return nil, errors.New("rig crashed")
+	}
+	return []float64{x[1]}, nil
+}
+
+// runs returns the names of the rows run so far, ascending.
+func (o *indexOracle) runs() []int {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	ran := slices.Clone(o.ran)
+	slices.Sort(ran)
+	return ran
+}
+
+// windowNames returns the names (first coordinates) of every row w's
+// shard windows hold, ascending.
+func windowNames(w *ShardedWrapper) []int {
+	var names []int
+	for _, s := range w.shards {
+		s.mu.Lock()
+		for i := 0; i < s.xs.Rows; i++ {
+			names = append(names, int(s.xs.At(i, 0)))
+		}
+		s.mu.Unlock()
+	}
+	slices.Sort(names)
+	return names
+}
+
+// TestPretrainRunsOnlyKeptRows: under RetainWindow the oracle runs exactly
+// the design rows the shard windows hold when the campaign ends.
+func TestPretrainRunsOnlyKeptRows(t *testing.T) {
+	for _, n := range []int{1, pretrainChunk - 1, pretrainChunk + 1, 5*pretrainChunk + 7} {
+		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
+			oracle := &indexOracle{bad: -1}
+			w := NewShardedWrapper(oracle, func() Surrogate { return meanSur() }, windowedConfig)
+			if err := w.Pretrain(indexedDesign(n, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if ran, kept := oracle.runs(), windowNames(w); !slices.Equal(ran, kept) {
+				t.Fatalf("the oracle ran %d rows, the windows hold %d; the sets differ", len(ran), len(kept))
+			}
+		})
+	}
+}
+
+// TestPretrainOverHeldRows: shards that already hold rows from an earlier
+// Ingest end the campaign with windows bit-identical to a twin's that
+// ingests those rows, then the whole design's answers — for a design small
+// enough that some held rows survive and the window still cuts the oldest
+// (a shard's design rows m fewer than its final window r), and one large
+// enough that none survive (m ≥ r).
+func TestPretrainOverHeldRows(t *testing.T) {
+	held := indexedDesign(1400, -1400) // named -1400 … -1
+	for _, n := range []int{100, 5*pretrainChunk + 7} {
+		t.Run(fmt.Sprintf("rows=%d", n), func(t *testing.T) {
+			design := indexedDesign(n, 0)
+			oracle := &indexOracle{bad: -1}
+			streamed := NewShardedWrapper(oracle, func() Surrogate { return meanSur() }, windowedConfig)
+			twin := NewShardedWrapper(oracle, func() Surrogate { return meanSur() }, windowedConfig)
+			for _, w := range []*ShardedWrapper{streamed, twin} {
+				if err := w.Ingest(held, indexAnswers(held)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := streamed.TrainingSetSize()
+			if err := streamed.Pretrain(design); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.Ingest(design, indexAnswers(design)); err != nil {
+				t.Fatal(err)
+			}
+			if err := twin.TrainAll(); err != nil {
+				t.Fatal(err)
+			}
+			for si := range streamed.shards {
+				a, b := streamed.shards[si], twin.shards[si]
+				if !sameBits(a.xs.Data, b.xs.Data) || !sameBits(a.ys.Data, b.ys.Data) {
+					t.Fatalf("shard %d window: %d rows streamed, %d ingested at once, contents differ", si, a.xs.Rows, b.xs.Rows)
+				}
+			}
+			names := windowNames(streamed)
+			survivors := 0
+			for survivors < len(names) && names[survivors] < 0 {
+				survivors++
+			}
+			t.Logf("%d of %d held rows survive, %d of %d design rows ran", survivors, before, len(oracle.runs()), n)
+			if (survivors > 0) != (n < pretrainChunk) || survivors == before {
+				t.Fatalf("%d of %d held rows survive a %d-row design: the case does not exercise the plan", survivors, before, n)
+			}
+			if ran := oracle.runs(); !slices.Equal(ran, names[survivors:]) {
+				t.Fatalf("the oracle ran %d rows, the windows hold %d design rows; the sets differ", len(ran), len(names)-survivors)
+			}
+		})
+	}
+}
+
+// TestPretrainAbortUnderWindow: under RetainWindow a failing row the
+// windows would drop is never run, so the campaign succeeds; a failing
+// kept row aborts it by its design index, and no kept row of a later
+// chunk reaches the oracle.
+func TestPretrainAbortUnderWindow(t *testing.T) {
+	design := indexedDesign(5*pretrainChunk, 0)
+	twin := NewShardedWrapper(&indexOracle{bad: -1}, func() Surrogate { return meanSur() }, windowedConfig)
+	if err := twin.Ingest(design, indexAnswers(design)); err != nil {
+		t.Fatal(err)
+	}
+	kept := windowNames(twin)
+	if kept[0] == 0 || len(kept) <= pretrainChunk {
+		t.Fatalf("the windows keep rows %d… (%d of them): want a dropped first row and more than one chunk", kept[0], len(kept))
+	}
+
+	t.Run("dropped", func(t *testing.T) {
+		oracle := &indexOracle{bad: kept[0] - 1}
+		w := NewShardedWrapper(oracle, func() Surrogate { return meanSur() }, windowedConfig)
+		if err := w.Pretrain(design); err != nil {
+			t.Fatalf("a failing row the windows drop aborted the campaign: %v", err)
+		}
+		if ran := oracle.runs(); !slices.Equal(ran, kept) {
+			t.Fatalf("the oracle ran %d rows, the windows keep %d", len(ran), len(kept))
+		}
+		if led := w.Ledger(); led.NFailed != 0 || led.NTrain != len(kept) {
+			t.Fatalf("ledger charged %d ok + %d failed, want %d + 0", led.NTrain, led.NFailed, len(kept))
+		}
+	})
+
+	t.Run("kept", func(t *testing.T) {
+		oracle := &indexOracle{bad: kept[0]}
+		w := NewShardedWrapper(oracle, func() Surrogate { return meanSur() }, windowedConfig)
+		err := w.Pretrain(design)
+		if want := fmt.Sprintf("pretrain point %d:", kept[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Pretrain returned %v, want the error of %q", err, want)
+		}
+		for _, i := range oracle.runs() {
+			if _, later := slices.BinarySearch(kept[pretrainChunk:], i); later {
+				t.Fatalf("row %d of a kept chunk after the failing one ran", i)
+			}
+		}
+		if led := w.Ledger(); led.NFailed != 1 {
+			t.Fatalf("ledger charged %d failed runs, want 1", led.NFailed)
+		}
+	})
 }
 
 // TestPretrainMemoryIsBoundedByChunk: a campaign's allocations do not grow

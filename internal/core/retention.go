@@ -62,6 +62,28 @@ func (r Retention) bounded() bool {
 	return r.Policy != RetainAll && r.MaxSamples > 0
 }
 
+// windowBounds is RetainWindow's one trim rule: a window that reaches
+// limit rows cuts back to its newest keep rows. The overhang it lets build
+// (limit − keep, 25 % of MaxSamples, at least one row) is what amortizes
+// the cut's memmove over many adds. retainer.add applies the rule and
+// windowAfter predicts it, so the two cannot disagree.
+func (r Retention) windowBounds() (keep, limit int) {
+	return r.MaxSamples, r.MaxSamples + max(r.MaxSamples/4, 1)
+}
+
+// windowAfter is the row count a RetainWindow window holding held rows
+// (fewer than the rule's limit, as every window add leaves) ends with
+// after adds more adds.
+func (r Retention) windowAfter(held, adds int) int {
+	keep, limit := r.windowBounds()
+	if held+adds < limit {
+		return held + adds
+	}
+	// The first cut lands on the add that reaches limit; from then on the
+	// window climbs from keep and cuts again every limit − keep adds.
+	return keep + (adds-(limit-held))%(limit-keep)
+}
+
 // retainer applies one Retention policy to a paired (xs, ys) sample
 // store. Callers hold whatever lock guards the store.
 type retainer struct {
@@ -89,16 +111,12 @@ func (r *retainer) add(xs, ys *tensor.Matrix, x, y []float64) {
 	case RetainWindow:
 		xs.AppendRow(x)
 		ys.AppendRow(y)
-		// Amortized trim: let the window overshoot by 25% and drop the
-		// oldest overhang in one memmove, so the per-sample cost stays O(1)
-		// while refits stay O(MaxSamples).
-		slack := r.cfg.MaxSamples / 4
-		if slack < 1 {
-			slack = 1
-		}
-		if drop := xs.Rows - r.cfg.MaxSamples; drop >= slack {
-			dropOldestRows(xs, drop)
-			dropOldestRows(ys, drop)
+		// Amortized trim: let the window overshoot and drop the oldest
+		// overhang in one memmove, so the per-sample cost stays O(1) while
+		// refits stay O(MaxSamples).
+		if keep, limit := r.cfg.windowBounds(); xs.Rows >= limit {
+			dropOldestRows(xs, xs.Rows-keep)
+			dropOldestRows(ys, ys.Rows-keep)
 		}
 	case RetainReservoir:
 		if xs.Rows < r.cfg.MaxSamples {

@@ -48,6 +48,35 @@ func TestRetainerWindowKeepsRecent(t *testing.T) {
 	}
 }
 
+// TestWindowAfterPredictsAdd: windowAfter(held, n), the planner's
+// prediction, is the row count add leaves after n adds onto a window of
+// held rows — at every step to 3 000 adds, from an empty window to one a
+// row short of its cut, and for a window small enough that its overhang is
+// the one-row floor.
+func TestWindowAfterPredictsAdd(t *testing.T) {
+	for _, tc := range []struct {
+		max  int
+		held []int
+	}{{1024, []int{0, 1, 300, 1279}}, {3, []int{0, 1, 3}}} {
+		ret := Retention{Policy: RetainWindow, MaxSamples: tc.max}
+		for _, held := range tc.held {
+			r := newRetainer(ret, 1)
+			xs, ys := tensor.NewMatrix(0, 1), tensor.NewMatrix(0, 1)
+			for i := 0; i < held; i++ {
+				r.add(xs, ys, fillRow(i, 1), fillRow(i, 1))
+			}
+			for n := 0; n <= 3000; n++ {
+				if n > 0 {
+					r.add(xs, ys, fillRow(held+n, 1), fillRow(held+n, 1))
+				}
+				if got := ret.windowAfter(held, n); got != xs.Rows {
+					t.Fatalf("MaxSamples %d, %d held: after %d adds the window holds %d rows, windowAfter says %d", tc.max, held, n, xs.Rows, got)
+				}
+			}
+		}
+	}
+}
+
 // TestRetainerReservoirBoundedAndCovering checks reservoir sampling: the
 // store never exceeds MaxSamples, pairs stay aligned, and the survivors
 // cover the whole history rather than only its tail.

@@ -1153,52 +1153,81 @@ func (w *ShardedWrapper) TrainAll() error {
 	return nil
 }
 
-// Pretrain's design chunk is max(pretrainChunk, pretrainRowsPerWorker ·
-// OracleWorkers) rows. Every worker waits for the slowest at a chunk's
-// end, about half a row each, so 64 rows a worker keeps that idle time
-// under ~1/128 of the pool's.
+// Pretrain's chunk is max(pretrainChunk, pretrainRowsPerWorker ·
+// OracleWorkers) kept design rows — rows the plan sends to the oracle,
+// skipped rows not counted — so every fan-out but the last is full. Every
+// worker waits for the slowest at a chunk's end, about half a row each, so
+// 64 rows a worker keeps that idle time under ~1/128 of the pool's.
 const (
 	pretrainChunk         = 1024
 	pretrainRowsPerWorker = 64
 )
 
-// Pretrain runs the oracle over every design point (through the bounded
-// worker pool, aborting early on the first failure), routes the results
-// into the shards, and fits every non-empty shard synchronously — the
-// batch alternative to the online Query path.
+// Pretrain runs the oracle over the design points the shard windows will
+// keep (through the bounded worker pool, aborting early on the first
+// failure), routes the results into the shards, and fits every non-empty
+// shard synchronously — the batch alternative to the online Query path.
 //
-// The design streams through in fixed chunks, in design order: each
-// chunk's oracle runs fan out, its successful rows go into the shard
-// windows (Ingest), and the chunk's buffers are reused for the next one.
-// No per-row state outlives its chunk, so a campaign holds O(chunk +
-// window) memory at any design size. The rows each shard receives, and
-// their order, are those of one Ingest of the whole design.
+// Under RetainWindow the campaign is planned first. Which rows a window
+// keeps depends only on how many rows reach it, and the Router is a fixed
+// function of x, so one routing pass tells how many of each shard's
+// design rows its window will have pushed out by the closing TrainAll
+// (and how many of the rows it already holds); those rows never reach the
+// oracle, and the held rows the full campaign would push out are dropped
+// up front. Every window, and so every published model, ends bit-identical
+// to one Ingest of the whole design's answers followed by TrainAll. The
+// plan assumes the campaign is the shards' only writer while it runs:
+// rows a concurrent query ingests are newer than the plan knows, so they
+// only push more of the campaign's rows out. RetainAll keeps every row, so
+// every row runs. RetainReservoir runs every row too: its survivors are
+// random draws over the whole history, and planning them would mean
+// replaying the draws slot by slot.
 //
-// The campaign is not planned against the retention policy: every design
-// row costs an oracle run, but under RetainWindow or RetainReservoir a
-// shard keeps only its window, and Ingest never fits, so the runs of rows
-// the windows drop before the closing TrainAll buy samples no fit sees. A
-// design beyond Shards × MaxSamples (plus RetainWindow's slack) pays for
-// that; measured on a 40 000-row design into 4 × 1 024-row windows, 89 %
-// of the runs.
+// The Ledger charges the runs made, not the design's size. A failing row
+// that the windows would drop is never run, so it cannot abort the
+// campaign; a failing kept row aborts it, with the error naming the row by
+// its design index, and no later chunk runs (held rows the plan dropped
+// stay dropped).
+//
+// The kept rows stream through in chunks, in design order: each chunk's
+// oracle runs fan out, its successful rows go into the shard windows
+// (Ingest), and the chunk's buffers are reused for the next one. No
+// per-row state outlives its chunk and the plan is O(Shards), so a
+// campaign holds O(chunk + window) memory at any design size.
 func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 	if design.Cols != w.in {
 		return fmt.Errorf("core: design has %d cols, oracle wants %d", design.Cols, w.in)
 	}
-	chunk := min(design.Rows, max(pretrainChunk, pretrainRowsPerWorker*w.cfg.OracleWorkers))
+	skip := w.pretrainSkip(design)
+	kept := design.Rows
+	for _, n := range skip {
+		kept -= n
+	}
+	chunk := min(kept, max(pretrainChunk, pretrainRowsPerWorker*w.cfg.OracleWorkers))
 	res := make([]BatchResult, chunk)
+	sel := make([]int, 0, chunk)
+	routed := make([]int, len(skip))
 	xs := tensor.NewMatrix(chunk, w.in)
 	ys := tensor.NewMatrix(chunk, w.out)
-	for lo := 0; lo < design.Rows; lo += chunk {
-		n := min(chunk, design.Rows-lo)
-		ferr := w.pretrainFanout(design, lo, res[:n])
+	for i := 0; i < design.Rows; {
+		sel = sel[:0]
+		for ; i < design.Rows && len(sel) < chunk; i++ {
+			if skip != nil {
+				si := w.router.Route(design.Row(i))
+				if routed[si]++; routed[si] <= skip[si] {
+					continue
+				}
+			}
+			sel = append(sel, i)
+		}
+		ferr := w.pretrainFanout(design, sel, res[:len(sel)])
 		// Keep every successful sample — "no run is wasted" — even when the
 		// campaign aborted on a failure.
 		xs.Reshape(0, w.in)
 		ys.Reshape(0, w.out)
-		for k, r := range res[:n] {
+		for k, r := range res[:len(sel)] {
 			if r.Err == nil && r.Y != nil {
-				xs.AppendRow(design.Row(lo + k))
+				xs.AppendRow(design.Row(sel[k]))
 				ys.AppendRow(r.Y)
 			}
 		}
@@ -1210,6 +1239,39 @@ func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 		}
 	}
 	return w.TrainAll()
+}
+
+// pretrainSkip plans a RetainWindow campaign: entry s is how many of the
+// design rows routed to shard s the window will have pushed out by the
+// campaign's end, which are the first ones routed there. Rows the shard
+// already holds that the full campaign would push out are dropped here, so
+// the kept rows then append with no trim firing and the window ends as the
+// unplanned campaign leaves it. Under any other policy it returns nil:
+// every row runs.
+func (w *ShardedWrapper) pretrainSkip(design *tensor.Matrix) []int {
+	ret := w.cfg.Retention
+	if ret.Policy != RetainWindow || !ret.bounded() {
+		return nil
+	}
+	skip := make([]int, len(w.shards))
+	for i := 0; i < design.Rows; i++ {
+		skip[w.router.Route(design.Row(i))]++
+	}
+	for si, s := range w.shards {
+		m := skip[si]
+		s.mu.Lock()
+		held := s.xs.Rows
+		r := ret.windowAfter(held, m)
+		// The window ends as the newest r of held ++ m rows: max(0, r−m)
+		// held rows survive, and the first max(0, m−r) design rows do not.
+		if drop := held - max(0, r-m); drop > 0 {
+			dropOldestRows(s.xs, drop)
+			dropOldestRows(s.ys, drop)
+		}
+		s.mu.Unlock()
+		skip[si] = max(0, m-r)
+	}
+	return skip
 }
 
 // fanoutTally accumulates what one oracle fan-out owes the ledger, so the
@@ -1279,24 +1341,25 @@ func (w *ShardedWrapper) oracleFanout(xs *tensor.Matrix, miss []int, res []Batch
 	tally.charge(w.record)
 }
 
-// pretrainFanout runs the oracle over one chunk of Pretrain's design, rows
-// [lo, lo+len(res)), into the caller-owned res (one entry a row, cleared
-// first), with at most OracleWorkers goroutines and early abort: once any
-// run fails, rows not yet started are skipped (their res entry stays zero:
-// Y nil, Err nil), so a design with an early deterministic failure doesn't
-// burn the rest of an expensive campaign. The first failing row's error,
-// naming the row by its design index, is returned; successful rows are
-// usable from res either way. Its memory is res's: O(chunk).
-func (w *ShardedWrapper) pretrainFanout(design *tensor.Matrix, lo int, res []BatchResult) error {
+// pretrainFanout runs the oracle over one chunk of Pretrain's design, the
+// rows indexed by sel, into the caller-owned res (res[k] answers row
+// sel[k]; cleared first), with at most OracleWorkers goroutines and early
+// abort: once any run fails, rows not yet started are skipped (their res
+// entry stays zero: Y nil, Err nil), so a design with an early
+// deterministic failure doesn't burn the rest of an expensive campaign.
+// The first failing row's error, naming the row by its design index, is
+// returned; successful rows are usable from res either way. Its memory is
+// res's: O(chunk).
+func (w *ShardedWrapper) pretrainFanout(design *tensor.Matrix, sel []int, res []BatchResult) error {
 	clear(res)
 	tally := fanoutTally{out: w.out}
-	parallel.ForEachBounded(len(res), w.cfg.OracleWorkers, func(k int) {
+	parallel.ForEachBounded(len(sel), w.cfg.OracleWorkers, func(k int) {
 		if tally.failed.Load() > 0 {
 			return
 		}
-		res[k] = tally.run(w.oracle, design.Row(lo+k))
+		res[k] = tally.run(w.oracle, design.Row(sel[k]))
 		if err := res[k].Err; err != nil {
-			res[k].Err = fmt.Errorf("core: pretrain point %d: %w", lo+k, err)
+			res[k].Err = fmt.Errorf("core: pretrain point %d: %w", sel[k], err)
 		}
 	})
 	tally.charge(w.record)
