@@ -288,8 +288,9 @@ func BenchmarkCompiledForward(b *testing.B) {
 // on the same 6-30-48-3 autotuning net as BenchmarkCompiledForward. The
 // quantized program packs each dense panel into 7-bit SWAR words and runs
 // the whole hidden stack in integer arithmetic with a fused
-// dequant+activation+requant epilogue, so it must run at 0 allocs/op and
-// ≥1.5× faster than the float compiled path (gated by bench_diff in CI).
+// dequant+activation+requant epilogue. CI's bench_diff gate holds it to
+// 0 allocs/op and a ceiling of 650 ns/op; it is slower than the float
+// compiled path on this shape (README "Int8 programs").
 func BenchmarkQuantizedForward(b *testing.B) {
 	rng := xrand.New(0xf00d)
 	net := nn.NewMLP(xrand.New(1), nn.Tanh, 0.1, 6, 30, 48, 3)

@@ -3,12 +3,11 @@ package netserve
 // This file implements ResilientClient, the wire client: a small pool of
 // multiplexed connections (transport, client.go) with automatic reconnect
 // under jittered exponential backoff, a deadline-aware retry budget over
-// the protocol's explicit retry signal and transport failures, optional
-// request hedging against tail latency, and a per-tenant circuit breaker
-// so a hard-down tenant sheds locally instead of burning its callers'
-// retry budgets. The steady state — healthy connection, first attempt
-// succeeds — adds only atomic bookkeeping to the transport's round-trip
-// and stays allocation-free.
+// the protocol's explicit retry signal and transport failures, and a
+// per-tenant circuit breaker so a hard-down tenant sheds locally instead of
+// burning its callers' retry budgets. The steady state — healthy
+// connection, first attempt succeeds — adds only atomic bookkeeping to the
+// transport's round-trip and stays allocation-free.
 
 import (
 	"errors"
@@ -212,11 +211,6 @@ type ResilientConfig struct {
 	// ReconnectBackoff / ReconnectBackoffMax shape the background redial
 	// loop for a broken pooled connection (defaults 10ms and 1s).
 	ReconnectBackoff, ReconnectBackoffMax time.Duration
-	// HedgeDelay, when positive, arms tail-latency hedging: a first
-	// attempt still unanswered after this long triggers a duplicate on
-	// another connection, first answer wins. Hedged attempts allocate;
-	// leave 0 (off) on allocation-sensitive paths.
-	HedgeDelay time.Duration
 	// ExpireStreak is how many consecutive client-side deadline
 	// expirations on one connection condemn it as blackholed and force a
 	// reconnect (default 8; negative disables). A stalled-but-open TCP
@@ -273,14 +267,13 @@ type ResilientStats struct {
 	// up.
 	Conns, Live int
 	// Retries counts extra attempts, Reconnects successful redials,
-	// Hedges launched duplicates, HedgeWins hedges that answered first,
 	// BreakerShed queries refused by an open breaker.
-	Retries, Reconnects, Hedges, HedgeWins, BreakerShed int64
+	Retries, Reconnects, BreakerShed int64
 }
 
 // ResilientClient is the wire client: multiplexed connections with a
-// zero-allocation steady state, plus reconnection, retries, hedging and
-// per-tenant circuit breaking. Safe for concurrent use.
+// zero-allocation steady state, plus reconnection, retries and per-tenant
+// circuit breaking. Safe for concurrent use.
 type ResilientClient struct {
 	cfg  ResilientConfig
 	addr string
@@ -300,7 +293,7 @@ type ResilientClient struct {
 	quit    chan struct{}
 	repairs sync.WaitGroup
 
-	retries, reconnects, hedges, hedgeWins, breakerShed atomic.Int64
+	retries, reconnects, breakerShed atomic.Int64
 }
 
 // DialResilient builds the pool. Connections that fail to dial start
@@ -372,8 +365,6 @@ func (rc *ResilientClient) Stats() ResilientStats {
 		Live:        live,
 		Retries:     rc.retries.Load(),
 		Reconnects:  rc.reconnects.Load(),
-		Hedges:      rc.hedges.Load(),
-		HedgeWins:   rc.hedgeWins.Load(),
 		BreakerShed: rc.breakerShed.Load(),
 	}
 }
@@ -385,8 +376,8 @@ func (rc *ResilientClient) Query(tenant string, x []float64, deadline time.Time)
 }
 
 // QueryInto submits one row to the named tenant through the pool with
-// retries, hedging and circuit breaking. The answer lands in y (and std,
-// when the surrogate produced one; nil discards it), which must hold the
+// retries and circuit breaking. The answer lands in y (and std, when the
+// surrogate produced one; nil discards it), which must hold the
 // tenant's output dimensionality; deadline is propagated into the
 // server's admission control, the zero time meaning none. Safe for
 // concurrent use; each concurrent caller must pass its own buffers.
@@ -400,12 +391,8 @@ func (rc *ResilientClient) QueryInto(tenant string, x, y, std []float64, deadlin
 		return WireResult{}, br.openErr
 	}
 	var res WireResult
-	err := rc.attempts(deadline, func(tr *transport, sl *rslot, first bool) (err error) {
-		if first && rc.cfg.HedgeDelay > 0 {
-			res, err = rc.hedge(tenant, x, y, std, deadline, tr, sl)
-		} else {
-			res, err = tr.QueryInto(tenant, x, y, std, deadline)
-		}
+	err := rc.attempts(deadline, func(tr *transport) (err error) {
+		res, err = tr.QueryInto(tenant, x, y, std, deadline)
 		return err
 	})
 	if br != nil {
@@ -428,9 +415,8 @@ func isBreakerFailure(err error) bool {
 // up to MaxAttempts tries of call across the pool, jittered exponential
 // backoff between them, never sleeping past a non-zero deadline.
 // Transport failures condemn the connection and try another, explicit
-// sheds back off, definitive answers return at once. first marks the
-// attempt hedging may duplicate.
-func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *transport, sl *rslot, first bool) error) error {
+// sheds back off, definitive answers return at once.
+func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *transport) error) error {
 	if rc.closed.Load() {
 		return ErrClientClosed
 	}
@@ -452,12 +438,12 @@ func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *transport,
 			}
 			back = min(2*back, rc.cfg.RetryBackoffMax)
 		}
-		tr, sl := rc.pick(nil)
+		tr, sl := rc.pick()
 		if tr == nil {
 			last = ErrNoConn
 			continue
 		}
-		err := call(tr, sl, attempt == 0)
+		err := call(tr)
 		if err == nil {
 			if sl.expStreak.Load() != 0 {
 				sl.expStreak.Store(0)
@@ -491,93 +477,20 @@ func isTransport(err error) bool {
 	return errors.Is(err, ErrConnLost) || errors.Is(err, ErrClientClosed)
 }
 
-// hedgeAnswer carries one hedged attempt's outcome.
-type hedgeAnswer struct {
-	res WireResult
-	err error
-	tr  *transport
-	sl  *rslot
-}
-
-// hedge runs the first attempt with a duplicate launched on another
-// connection if no answer lands within HedgeDelay; the first success
-// wins. The loser may still be encoding or decoding after hedge returns,
-// so every copy works on a snapshot of x and its own result buffers —
-// never the caller's.
-func (rc *ResilientClient) hedge(tenant string, x, y, std []float64, deadline time.Time, tr *transport, sl *rslot) (WireResult, error) {
-	x = append([]float64(nil), x...)
-	ch := make(chan hedgeAnswer, 2)
-	launch := func(t *transport, s *rslot) {
-		go func() {
-			var hstd []float64
-			if std != nil {
-				hstd = make([]float64, len(std))
-			}
-			r, e := t.QueryInto(tenant, x, make([]float64, len(y)), hstd, deadline)
-			ch <- hedgeAnswer{res: r, err: e, tr: t, sl: s}
-		}()
-	}
-	launch(tr, sl)
-	inflight := 1
-	hedged := false
-	tm := time.NewTimer(rc.cfg.HedgeDelay)
-	defer tm.Stop()
-	var firstErr error
-	for inflight > 0 {
-		select {
-		case <-tm.C:
-			if !hedged {
-				hedged = true
-				if t2, s2 := rc.pick(sl); t2 != nil {
-					rc.hedges.Add(1)
-					launch(t2, s2)
-					inflight++
-				}
-			}
-		case a := <-ch:
-			inflight--
-			if a.err == nil {
-				if a.tr != tr {
-					rc.hedgeWins.Add(1)
-				}
-				a.sl.expStreak.Store(0)
-				// Land the winner in the caller's buffers (QueryInto's
-				// aliasing contract); the copies were sized from them.
-				a.res.Y = y[:copy(y, a.res.Y)]
-				if a.res.Std != nil {
-					a.res.Std = std[:copy(std, a.res.Std)]
-				}
-				return a.res, nil
-			}
-			if isTransport(a.err) {
-				rc.markBroken(a.sl, a.tr)
-			}
-			if firstErr == nil {
-				firstErr = a.err
-			}
-		}
-	}
-	return WireResult{}, firstErr
-}
-
-// pick round-robins over live slots, skipping avoid (nil to allow all).
-// A one-connection pool has nothing to rotate, so it skips the counter.
-func (rc *ResilientClient) pick(avoid *rslot) (*transport, *rslot) {
+// pick round-robins over live slots. A one-connection pool has nothing to
+// rotate, so it skips the counter.
+func (rc *ResilientClient) pick() (*transport, *rslot) {
 	n := len(rc.slots)
 	if n == 1 {
-		if sl := rc.slots[0]; sl != avoid {
-			if cl := sl.cl.Load(); cl != nil {
-				return cl, sl
-			}
+		sl := rc.slots[0]
+		if cl := sl.cl.Load(); cl != nil {
+			return cl, sl
 		}
 		return nil, nil
 	}
 	start := int(rc.next.Add(1) % uint64(n))
 	for i := 0; i < n; i++ {
 		sl := rc.slots[(start+i)%n]
-		if sl == avoid {
-			continue
-		}
 		if cl := sl.cl.Load(); cl != nil {
 			return cl, sl
 		}
@@ -709,7 +622,7 @@ func (rc *ResilientClient) jitter(d time.Duration) time.Duration {
 // StatArtifact asks the server for key's current registry generation.
 // ok=false means the key has no committed generation.
 func (rc *ResilientClient) StatArtifact(key string) (gen uint64, ok bool, err error) {
-	err = rc.attempts(time.Time{}, func(tr *transport, _ *rslot, _ bool) (e error) {
+	err = rc.attempts(time.Time{}, func(tr *transport) (e error) {
 		_, gen, ok, e = tr.artCall(frameArtFetch, key, 0, FlagArtStat, nil)
 		return e
 	})
@@ -721,7 +634,7 @@ func (rc *ResilientClient) StatArtifact(key string) (gen uint64, ok bool, err er
 // caller-owned. ResilientConfig.Client.MaxFrame must admit artifact-sized
 // responses (DefaultMaxArtifactFrame, or the server's configured cap).
 func (rc *ResilientClient) FetchArtifact(key string, gen uint64) (data []byte, actual uint64, ok bool, err error) {
-	err = rc.attempts(time.Time{}, func(tr *transport, _ *rslot, _ bool) (e error) {
+	err = rc.attempts(time.Time{}, func(tr *transport) (e error) {
 		data, actual, ok, e = tr.artCall(frameArtFetch, key, gen, 0, nil)
 		return e
 	})
@@ -736,7 +649,7 @@ func (rc *ResilientClient) PushArtifact(key string, gen uint64, data []byte) err
 	if data == nil {
 		flags = FlagArtCold
 	}
-	return rc.attempts(time.Time{}, func(tr *transport, _ *rslot, _ bool) error {
+	return rc.attempts(time.Time{}, func(tr *transport) error {
 		_, _, _, err := tr.artCall(frameArtPush, key, gen, flags, data)
 		return err
 	})

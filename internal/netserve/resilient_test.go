@@ -191,40 +191,6 @@ func TestResilientBreaker(t *testing.T) {
 	}
 }
 
-// TestResilientHedge arms hedging against a backend whose delay sits at
-// HedgeDelay, so duplicates launch right as primaries answer and the
-// loser is often still encoding when QueryInto returns. The caller reuses
-// one x across queries, as every loop in this repo does: each answer must
-// match the x it was issued with, and under -race the loser must not be
-// caught reading the caller's x.
-func TestResilientHedge(t *testing.T) {
-	bk := &testBackend{in: 2, out: 1, delay: time.Millisecond}
-	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	rc, err := DialResilient(addr, ResilientConfig{
-		Conns:      2,
-		HedgeDelay: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	x := make([]float64, 2)
-	y, std := make([]float64, 1), make([]float64, 1)
-	for i := 0; i < 200; i++ {
-		x[0], x[1] = float64(i), 2
-		res, err := rc.QueryInto("m", x, y, std, time.Time{})
-		if err != nil {
-			t.Fatalf("hedged query %d: %v", i, err)
-		}
-		if want := float64(i) + 2; res.Y[0] != want || &res.Y[0] != &y[0] {
-			t.Fatalf("hedged query %d: got %v (in caller's y: %v), want %v", i, res.Y[0], &res.Y[0] == &y[0], want)
-		}
-	}
-	if st := rc.Stats(); st.Hedges == 0 {
-		t.Fatalf("no hedges launched against a backend as slow as HedgeDelay: %+v", st)
-	}
-}
-
 // oneGenStore is an ArtifactStore holding generation 3 of every key.
 type oneGenStore struct{}
 

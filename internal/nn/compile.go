@@ -11,10 +11,10 @@ import (
 )
 
 // This file implements the inference engine, the only float inference
-// path: a trained Network is compiled into a flat program whose forward
-// passes run with zero heap allocations and no per-layer interface
-// dispatch. Serving wrappers recompile on every publish; the layer graph
-// is for training.
+// path: a trained Network is compiled into a flat batch program whose
+// forward passes run with zero heap allocations and no per-layer interface
+// dispatch. A single row is a batch of one. Serving wrappers recompile on
+// every publish; the layer graph is for training.
 
 // stepKind discriminates compiled program steps; the values are the
 // artifact format's layer kinds.
@@ -41,9 +41,11 @@ type compiledStep struct {
 }
 
 // Compiled is an immutable, flattened inference program for a Network.
-// All mutable per-call state (ping-pong activation buffers, dropout rng,
-// MC accumulators) lives in pooled contexts, so a Compiled value is safe
-// for concurrent use and its warmed single-query passes allocate nothing.
+// All mutable per-call state (ping-pong activation matrices, dropout rng,
+// MC accumulators) lives in batch contexts leased from a free list, so a
+// Compiled value is safe for concurrent use and its warmed calls, a row or
+// a batch, allocate nothing unless a matmul is large enough to fan out
+// across tensor.ParallelWorkers (a row's pass-stacked MC panel can be).
 //
 // A Compiled program captures the network weights by copy at Compile
 // time: training the source network afterwards does not affect it, which
@@ -57,15 +59,14 @@ type Compiled struct {
 	maxBatch int       // batch-program chunk width (rows per fused pass)
 	seedBase uint64
 	seedCtr  atomic.Uint64
-	pool     sync.Pool // *compiledCtx
 	bpool    freeList[compiledBatchCtx]
 }
 
-// freeList is a LIFO of idle contexts. A sync.Pool is emptied by every
-// garbage collection, and minting a context's pass-group panels (a quarter
-// MB each, or more for a wide MaxBatch) again is most of what brings the
-// next one on; this list keeps them, cannot outgrow the peak number of
-// concurrent calls and dies with its program.
+// freeList is a LIFO of idle contexts. A pool the runtime empties at every
+// garbage collection would mint a context's pass-group panels (a quarter
+// MB each, or more for a wide MaxBatch) again after each one; this list
+// keeps them, cannot outgrow the peak number of concurrent calls and dies
+// with its program.
 type freeList[T any] struct {
 	mu   sync.Mutex
 	idle []*T
@@ -85,18 +86,6 @@ func (f *freeList[T]) put(x *T) {
 	f.mu.Lock()
 	f.idle = append(f.idle, x)
 	f.mu.Unlock()
-}
-
-// compiledCtx owns the per-call scratch of one in-flight inference: two
-// ping-pong activation buffers sized at compile time plus the MC-dropout
-// accumulators and a private rng stream.
-type compiledCtx struct {
-	buf [2][]float64
-	pre []float64 // deterministic-prefix output shared by all MC passes
-	rng *xrand.Rand
-	ref []float64 // first-pass output (shifted-variance reference)
-	sum []float64
-	ssq []float64
 }
 
 // DefaultMaxBatch is the batch-program chunk width Compile provisions
@@ -211,101 +200,31 @@ func (c *Compiled) Dropout() float64 {
 // one fused pass serves before the batch entry points split the input.
 func (c *Compiled) MaxBatch() int { return c.maxBatch }
 
-// getCtx leases a warm context, minting one with a fresh deterministic
-// rng substream on pool miss.
-func (c *Compiled) getCtx() *compiledCtx {
-	if ctx, ok := c.pool.Get().(*compiledCtx); ok {
-		return ctx
-	}
-	return &compiledCtx{
-		buf: [2][]float64{make([]float64, c.maxW), make([]float64, c.maxW)},
-		pre: make([]float64, c.maxW),
-		rng: xrand.New(c.seedBase + c.seedCtr.Add(1)*0x9e3779b97f4a7c15),
-		ref: make([]float64, c.out),
-		sum: make([]float64, c.out),
-		ssq: make([]float64, c.out),
-	}
-}
+// oneRow is a one-row matrix view over v: how the row entry points hand
+// the caller's slices to the batch program.
+func oneRow(v []float64) tensor.Matrix { return tensor.Matrix{Rows: 1, Cols: len(v), Data: v} }
 
-// forward runs one input vector through the program using ctx's ping-pong
-// buffers and returns a view of the output buffer (valid until the next
-// use of ctx). stochastic toggles dropout sampling for MC passes.
-func (c *Compiled) forward(ctx *compiledCtx, x []float64, stochastic bool) []float64 {
-	return c.forwardRange(ctx, x, 0, len(c.steps), stochastic)
-}
-
-// forwardRange runs steps [lo,hi) on x through ctx's ping-pong buffers.
-func (c *Compiled) forwardRange(ctx *compiledCtx, x []float64, lo, hi int, stochastic bool) []float64 {
-	cur := ctx.buf[0][:len(x)]
-	copy(cur, x)
-	side := 1
-	for si := lo; si < hi; si++ {
-		st := &c.steps[si]
-		switch st.kind {
-		case stepDense:
-			out := ctx.buf[side][:st.out]
-			copy(out, st.b) // seed with the bias: no zeroing pass
-			tensor.AxpyPanels(out, cur, st.w)
-			st.act.applyAll(out)
-			cur = out
-			side = 1 - side
-		case stepDropout:
-			if !stochastic || st.p == 0 {
-				continue
-			}
-			keep := 1 - st.p
-			inv := 1 / keep
-			for i := range cur {
-				if ctx.rng.Float64() < keep {
-					cur[i] *= inv
-				} else {
-					cur[i] = 0
-				}
-			}
-		}
-	}
-	return cur
-}
-
-// checkIn panics on input-width mismatch (programming error, mirroring
-// the layer-path behaviour).
-func (c *Compiled) checkIn(x []float64) {
-	if len(x) != c.in {
-		panic(fmt.Sprintf("nn: compiled program expects %d inputs, got %d", c.in, len(x)))
-	}
-}
-
-// Predict runs one deterministic (eval-mode) forward pass, writing the
-// result into dst (len == out; nil allocates) and returning it. With a
-// caller-provided dst a warmed Predict performs zero heap allocations.
-// Safe for concurrent use.
+// Predict runs one deterministic (eval-mode) forward pass — a batch of one
+// through PredictBatch — writing the result into dst (len == out; nil
+// allocates) and returning it. With a caller-provided dst a warmed Predict
+// performs zero heap allocations. Safe for concurrent use.
 func (c *Compiled) Predict(x, dst []float64) []float64 {
-	c.checkIn(x)
 	if dst == nil {
 		dst = make([]float64, c.out)
 	} else if len(dst) != c.out {
 		panic(fmt.Sprintf("nn: compiled dst len %d, want %d", len(dst), c.out))
 	}
-	ctx := c.getCtx()
-	copy(dst, c.forward(ctx, x, false))
-	c.pool.Put(ctx)
+	xs, ys := oneRow(x), oneRow(dst)
+	c.PredictBatch(&xs, &ys)
 	return dst
 }
 
-// PredictMC runs passes stochastic forward evaluations (MC dropout) and
-// writes the predictive mean and std into mean/std (len == out; nil
-// allocates), returning both. The deterministic prefix — every step
-// before the first live dropout — is evaluated once and shared by all
-// passes; a program with no live dropout collapses to one eval pass with
-// zero std. The variance is accumulated as deviations from the first
-// pass (shifted data), exact for deterministic nets and robust when the
-// spread is small against the mean. With caller-provided buffers a warmed
-// call allocates nothing. Safe for concurrent use.
+// PredictMC runs passes MC-dropout evaluations of one row — a batch of one
+// through PredictMCBatch — and writes the predictive mean and std into
+// mean/std (len == out; nil allocates), returning both. With
+// caller-provided buffers a warmed call allocates nothing. Safe for
+// concurrent use.
 func (c *Compiled) PredictMC(x []float64, passes int, mean, std []float64) (m, s []float64) {
-	if passes < 1 {
-		panic("nn: PredictMC needs at least one pass")
-	}
-	c.checkIn(x)
 	if mean == nil {
 		mean = make([]float64, c.out)
 	}
@@ -315,53 +234,8 @@ func (c *Compiled) PredictMC(x []float64, passes int, mean, std []float64) (m, s
 	if len(mean) != c.out || len(std) != c.out {
 		panic("nn: compiled mean/std length mismatch")
 	}
-	ctx := c.getCtx()
-	if c.fs < 0 {
-		copy(mean, c.forward(ctx, x, false))
-		for k := range std {
-			std[k] = 0
-		}
-		c.pool.Put(ctx)
-		return mean, std
-	}
-	// The ping-pong buffers are clobbered by every pass, so the prefix
-	// output is parked in its own buffer and replayed from there.
-	pre := ctx.pre[:len(x)]
-	if c.fs > 0 {
-		prefix := c.forwardRange(ctx, x, 0, c.fs, false)
-		pre = ctx.pre[:len(prefix)]
-		copy(pre, prefix)
-	} else {
-		copy(pre, x)
-	}
-	ref, sum, ssq := ctx.ref, ctx.sum, ctx.ssq
-	for k := range sum {
-		sum[k] = 0
-		ssq[k] = 0
-	}
-	for t := 0; t < passes; t++ {
-		out := c.forwardRange(ctx, pre, c.fs, len(c.steps), true)
-		if t == 0 {
-			copy(ref, out)
-			continue
-		}
-		for k, v := range out {
-			d := v - ref[k]
-			sum[k] += d
-			ssq[k] += d * d
-		}
-	}
-	inv := 1 / float64(passes)
-	for k := range mean {
-		d := sum[k] * inv
-		mean[k] = ref[k] + d
-		v := ssq[k]*inv - d*d
-		if v < 0 {
-			v = 0
-		}
-		std[k] = math.Sqrt(v)
-	}
-	c.pool.Put(ctx)
+	xs, ms, ss := oneRow(x), oneRow(mean), oneRow(std)
+	c.PredictMCBatch(&xs, passes, &ms, &ss)
 	return mean, std
 }
 
@@ -487,10 +361,12 @@ func (c *Compiled) PredictBatch(xs, dst *tensor.Matrix) *tensor.Matrix {
 // deep multi-dropout surrogates pay a matmul sweep per dense step and pass
 // group rather than per pass. The panel has a fixed size, so passes that
 // do not fit in one run in groups; the answer's bits do not depend on the
-// grouping. Inputs wider than MaxBatch chunk internally; with
+// grouping. A program with no live dropout collapses to one eval pass with
+// zero std. Inputs wider than MaxBatch chunk internally; with
 // caller-provided buffers a warmed call allocates nothing. The variance
-// is accumulated as deviations from the first pass, matching PredictMC's
-// numerics. Safe for concurrent use.
+// is accumulated as deviations from the first pass (shifted data), exact
+// for deterministic nets and robust when the spread is small against the
+// mean. Safe for concurrent use.
 func (c *Compiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std *tensor.Matrix) (m, s *tensor.Matrix) {
 	if passes < 1 {
 		panic("nn: PredictMCBatch needs at least one pass")
@@ -538,7 +414,8 @@ func (c *Compiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std *tens
 // depend on how many rows share its panel, so the grouping never shows in
 // the answer. The groups reduce into per-(row, out) accumulators in pass
 // order: pass 0's outputs are the reference, later passes add their
-// deviations from it (the shifted-data accumulation PredictMC uses).
+// deviations from it (the shifted-data accumulation PredictMCBatch
+// documents).
 func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, b, passes int, mean, std *tensor.Matrix) {
 	if c.fs == len(c.steps)-2 && c.steps[c.fs+1].kind == stepDense {
 		c.predictMCChunkTail(ctx, xs, lo, b, passes, mean, std)

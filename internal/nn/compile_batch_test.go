@@ -306,3 +306,44 @@ func TestCompiledBatchConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRowIsBatchOfOne: the row entry points are the batch program run on
+// one row. Predict(x.Row(r)) is row r of PredictBatch(x) bit for bit, and
+// PredictMC on a row gives what PredictMCBatch gives on that row alone from
+// the same rng stream — on the pass-stacked path (6-30-48-3 and a deeper
+// three-dropout net), the [Dropout, Dense] tail (2-24-1) and a net without
+// dropout, at several chunk widths.
+func TestRowIsBatchOfOne(t *testing.T) {
+	rng := xrand.New(43)
+	for _, tc := range []struct {
+		widths []int
+		drop   float64
+	}{{[]int{6, 30, 48, 3}, 0.1}, {[]int{2, 24, 1}, 0.1}, {[]int{8, 64, 64, 64, 1}, 0.15}, {[]int{4, 16, 2}, 0}} {
+		net := NewMLP(rng.Split(), Tanh, tc.drop, tc.widths...)
+		for _, maxBatch := range []int{1, 4, 64} {
+			c := net.CompileBatch(maxBatch)
+			x := batchProbe(rng, 13, tc.widths[0])
+			batch := c.PredictBatch(x, nil)
+			for r := 0; r < x.Rows; r++ {
+				check := func(what string, got, want []float64) {
+					t.Helper()
+					for j := range want {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("%v maxBatch %d row %d: %s output %d is %v, the batch of one gives %v",
+								tc.widths, maxBatch, r, what, j, got[j], want[j])
+						}
+					}
+				}
+				check("Predict", c.Predict(x.Row(r), nil), batch.Row(r))
+				for _, passes := range []int{1, 10, 30} {
+					restartStreams(c)
+					mean, std := c.PredictMC(x.Row(r), passes, nil, nil)
+					restartStreams(c)
+					bm, bs := c.PredictMCBatch(x.SliceRows(r, r+1), passes, nil, nil)
+					check("PredictMC mean", mean, bm.Data)
+					check("PredictMC std", std, bs.Data)
+				}
+			}
+		}
+	}
+}

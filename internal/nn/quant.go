@@ -316,20 +316,15 @@ func (c *Compiled) Quantize(calib *tensor.Matrix) *QuantCompiled {
 	return q
 }
 
-// measureCalibError runs the calibration slice through both programs
-// and returns the max abs output delta in scaled units.
+// measureCalibError runs the calibration slice through both programs as
+// one batch each and returns the max abs output delta in scaled units.
 func (q *QuantCompiled) measureCalibError(c *Compiled, calib *tensor.Matrix) float64 {
-	qout := make([]float64, q.out)
-	fout := make([]float64, q.out)
+	qout := q.PredictBatch(calib, nil, nil)
+	fout := c.PredictBatch(calib, nil)
 	maxd := 0.0
-	for r := 0; r < calib.Rows; r++ {
-		row := calib.Row(r)
-		q.Predict(row, qout)
-		c.Predict(row, fout)
-		for j := range qout {
-			if d := math.Abs(qout[j] - fout[j]); d > maxd {
-				maxd = d
-			}
+	for k, v := range qout.Data {
+		if d := math.Abs(v - fout.Data[k]); d > maxd {
+			maxd = d
 		}
 	}
 	return maxd

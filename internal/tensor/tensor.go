@@ -310,9 +310,9 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 // MatMulBiasInto stores a*b + bias into dst (bias broadcast over rows,
 // len(bias) == b.Cols) and returns dst. Each destination row is seeded
 // with the bias before the panel-axpy accumulation streams through — no
-// separate zeroing or bias pass — which makes it the batch analogue of
-// the fused single-query dense step: one sweep per output row. dst must
-// not alias a or b; shapes follow MatMulInto.
+// separate zeroing or bias pass: one sweep per output row, rounding as
+// AxpyPanels over a bias-seeded row does. dst must not alias a or b;
+// shapes follow MatMulInto.
 func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -744,7 +744,8 @@ func dot4(a, b []float64) float64 {
 // AxpyPanels accumulates dst += Σᵢ x[i]·a[i·w:(i+1)·w] where w = len(dst)
 // — the single-row matmul kernel y += xᵀA for a row-major A (len(a) ==
 // len(x)·len(dst)), streaming A exactly once with four source rows fused
-// per pass. The fused inference engine's dense step is built on it.
+// per pass. Each row of MatMulBiasInto rounds exactly as this does over a
+// bias-seeded row; panel_test.go holds the two together.
 func AxpyPanels(dst, x, a []float64) {
 	w := len(dst)
 	if len(a) != len(x)*w {

@@ -272,9 +272,9 @@ type (
 	// and benchmarks record into.
 	LatencyHist = netserve.Hist
 	// WireResilientClient is the wire client: a pool of multiplexed
-	// connections with automatic reconnect, deadline-aware retries,
-	// optional hedging and per-tenant circuit breaking. Any number of
-	// goroutines may query it concurrently.
+	// connections with automatic reconnect, deadline-aware retries and
+	// per-tenant circuit breaking. Any number of goroutines may query it
+	// concurrently.
 	WireResilientClient = netserve.ResilientClient
 	// WireResilientConfig tunes a WireResilientClient.
 	WireResilientConfig = netserve.ResilientConfig
