@@ -338,10 +338,9 @@ func main() {
 	defer mirror.Close()
 	names := []string{"potential", "tissue", "epi"}
 	rt, err := repro.NewWireRouter(repro.WireRouterConfig{
-		Workers:        []string{wa.addr, wb.addr},
-		Registry:       mirror,
-		Tenants:        names,
-		MirrorInterval: 20 * time.Millisecond,
+		Workers:  []string{wa.addr, wb.addr},
+		Registry: mirror,
+		Tenants:  names,
 	})
 	if err != nil {
 		panic(err)

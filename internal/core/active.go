@@ -3,167 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
-	"repro/internal/stats"
 	"repro/internal/tensor"
-	"repro/internal/xrand"
 )
-
-// AcquisitionStrategy selects which pool points an active learner queries
-// next.
-type AcquisitionStrategy int
-
-// Available acquisition strategies.
-const (
-	// AcquireRandom picks pool points uniformly (the baseline).
-	AcquireRandom AcquisitionStrategy = iota
-	// AcquireMaxUncertainty picks the points with the largest predictive
-	// std — the paper's AL narrative ("iteratively adding training data
-	// calculations for regions of chemical space where the current ML
-	// model could not make good predictions", §II-C2).
-	AcquireMaxUncertainty
-)
-
-// String returns the strategy name.
-func (s AcquisitionStrategy) String() string {
-	if s == AcquireMaxUncertainty {
-		return "max-uncertainty"
-	}
-	return "random"
-}
-
-// ALRound records one active-learning iteration for learning curves.
-type ALRound struct {
-	Samples int     // cumulative training-set size after the round
-	TestMAE float64 // mean MAE across outputs on the held-out test set
-}
-
-// ActiveLearner drives pool-based active learning around an Oracle.
-type ActiveLearner struct {
-	Oracle    Oracle
-	Surrogate Surrogate
-	Strategy  AcquisitionStrategy
-	// InitialSamples seeds the first fit; BatchSize points are acquired
-	// per round up to MaxSamples.
-	InitialSamples int
-	BatchSize      int
-	MaxSamples     int
-	rng            *xrand.Rand
-}
-
-// NewActiveLearner constructs an active learner with sane defaults.
-func NewActiveLearner(o Oracle, s Surrogate, strat AcquisitionStrategy, rng *xrand.Rand) *ActiveLearner {
-	return &ActiveLearner{
-		Oracle: o, Surrogate: s, Strategy: strat,
-		InitialSamples: 20, BatchSize: 10, MaxSamples: 200, rng: rng,
-	}
-}
-
-// Run learns from the candidate pool, evaluating on (testX, testY) after
-// each round, and returns the learning curve. Pool rows consumed by
-// acquisition are not revisited.
-func (a *ActiveLearner) Run(pool *tensor.Matrix, testX, testY *tensor.Matrix) ([]ALRound, error) {
-	if pool.Rows < a.InitialSamples {
-		return nil, fmt.Errorf("core: pool size %d < initial samples %d", pool.Rows, a.InitialSamples)
-	}
-	available := a.rng.Perm(pool.Rows)
-	in, out := a.Oracle.Dims()
-	trainX := tensor.NewMatrix(0, in)
-	trainY := tensor.NewMatrix(0, out)
-
-	acquire := func(idx []int) error {
-		for _, id := range idx {
-			x := pool.Row(id)
-			y, err := a.Oracle.Run(x)
-			if err != nil {
-				return fmt.Errorf("core: AL oracle run: %w", err)
-			}
-			trainX.Data = append(trainX.Data, x...)
-			trainX.Rows++
-			trainY.Data = append(trainY.Data, y...)
-			trainY.Rows++
-		}
-		return nil
-	}
-
-	// Seed round.
-	if err := acquire(available[:a.InitialSamples]); err != nil {
-		return nil, err
-	}
-	available = available[a.InitialSamples:]
-
-	var curve []ALRound
-	for {
-		if err := a.Surrogate.Train(trainX, trainY); err != nil {
-			return curve, err
-		}
-		curve = append(curve, ALRound{Samples: trainX.Rows, TestMAE: a.testMAE(testX, testY)})
-		if trainX.Rows >= a.MaxSamples || len(available) == 0 {
-			return curve, nil
-		}
-		batch := a.BatchSize
-		if batch > len(available) {
-			batch = len(available)
-		}
-		var chosen []int
-		switch a.Strategy {
-		case AcquireMaxUncertainty:
-			type cand struct {
-				pos int
-				unc float64
-			}
-			cands := make([]cand, len(available))
-			for i, id := range available {
-				_, sd := PredictWithUQ(a.Surrogate, pool.Row(id))
-				cands[i] = cand{pos: i, unc: maxOf(sd)}
-			}
-			sort.Slice(cands, func(i, j int) bool { return cands[i].unc > cands[j].unc })
-			taken := map[int]bool{}
-			for _, c := range cands[:batch] {
-				chosen = append(chosen, available[c.pos])
-				taken[c.pos] = true
-			}
-			var rest []int
-			for i, id := range available {
-				if !taken[i] {
-					rest = append(rest, id)
-				}
-			}
-			available = rest
-		default: // AcquireRandom
-			chosen = append(chosen, available[:batch]...)
-			available = available[batch:]
-		}
-		if err := acquire(chosen); err != nil {
-			return curve, err
-		}
-	}
-}
-
-func (a *ActiveLearner) testMAE(testX, testY *tensor.Matrix) float64 {
-	if testX == nil || testX.Rows == 0 {
-		return math.NaN()
-	}
-	var pred tensor.Matrix
-	a.Surrogate.PredictInto(testX, &pred, nil)
-	// Equal-length columns: the mean of per-output MAEs is the MAE over
-	// every element.
-	return stats.MAE(pred.Data, testY.Data)
-}
-
-// SamplesToReachMAE returns the training-set size at which the learning
-// curve first reaches the target MAE, or -1 if it never does. Used to
-// compare acquisition strategies (experiment E6: AL should need ~10% of
-// the random baseline's data).
-func SamplesToReachMAE(curve []ALRound, target float64) int {
-	for _, r := range curve {
-		if r.TestMAE <= target {
-			return r.Samples
-		}
-	}
-	return -1
-}
 
 // Autotuner implements MLautotuning (§I, §III-D / ref [9]): it learns the
 // map from (simulation parameters ++ control parameters) to a quality

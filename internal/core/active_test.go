@@ -8,124 +8,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// rastriginOracle is a 1->1 oracle with both smooth and wiggly regions so
-// uncertainty sampling has something to find.
-type rastriginOracle struct{ calls int }
-
-func (o *rastriginOracle) Dims() (int, int) { return 1, 1 }
-
-func (o *rastriginOracle) Run(x []float64) ([]float64, error) {
-	o.calls++
-	v := x[0]
-	return []float64{v*v + 0.5*math.Sin(6*v)}, nil
-}
-
-func alSurrogate(rng *xrand.Rand) *NNSurrogate {
-	s := NewNNSurrogate(1, 1, []int{16}, 0.1, rng)
-	s.Epochs = 120
-	s.MCPasses = 15
-	return s
-}
-
-func makePoolAndTest(rng *xrand.Rand, o Oracle, nPool, nTest int) (pool, testX, testY *tensor.Matrix) {
-	pool = tensor.NewMatrix(nPool, 1)
-	for i := 0; i < nPool; i++ {
-		pool.Set(i, 0, rng.Range(-2, 2))
-	}
-	testX = tensor.NewMatrix(nTest, 1)
-	testY = tensor.NewMatrix(nTest, 1)
-	for i := 0; i < nTest; i++ {
-		testX.Set(i, 0, rng.Range(-2, 2))
-		y, _ := o.Run(testX.Row(i))
-		testY.Set(i, 0, y[0])
-	}
-	return pool, testX, testY
-}
-
-func TestActiveLearnerCurveImproves(t *testing.T) {
-	rng := xrand.New(11)
-	oracle := &rastriginOracle{}
-	pool, testX, testY := makePoolAndTest(rng, oracle, 200, 40)
-	al := NewActiveLearner(oracle, alSurrogate(rng), AcquireMaxUncertainty, rng.Split())
-	al.InitialSamples = 15
-	al.BatchSize = 15
-	al.MaxSamples = 90
-	curve, err := al.Run(pool, testX, testY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) < 3 {
-		t.Fatalf("curve too short: %d rounds", len(curve))
-	}
-	first, last := curve[0], curve[len(curve)-1]
-	if last.Samples <= first.Samples {
-		t.Fatal("samples did not grow")
-	}
-	if last.TestMAE >= first.TestMAE {
-		t.Fatalf("AL did not improve: first MAE %g, last %g", first.TestMAE, last.TestMAE)
-	}
-}
-
-func TestActiveLearnerRandomStrategy(t *testing.T) {
-	rng := xrand.New(13)
-	oracle := &rastriginOracle{}
-	pool, testX, testY := makePoolAndTest(rng, oracle, 150, 30)
-	al := NewActiveLearner(oracle, alSurrogate(rng), AcquireRandom, rng.Split())
-	al.InitialSamples = 20
-	al.BatchSize = 20
-	al.MaxSamples = 60
-	curve, err := al.Run(pool, testX, testY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := curve[len(curve)-1].Samples; got != 60 {
-		t.Fatalf("final training size %d want 60", got)
-	}
-}
-
-func TestActiveLearnerPoolExhaustion(t *testing.T) {
-	rng := xrand.New(17)
-	oracle := &rastriginOracle{}
-	pool, testX, testY := makePoolAndTest(rng, oracle, 30, 10)
-	al := NewActiveLearner(oracle, alSurrogate(rng), AcquireMaxUncertainty, rng.Split())
-	al.InitialSamples = 10
-	al.BatchSize = 10
-	al.MaxSamples = 10000 // larger than pool: must stop at pool exhaustion
-	curve, err := al.Run(pool, testX, testY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := curve[len(curve)-1].Samples; got != 30 {
-		t.Fatalf("final size %d want full pool 30", got)
-	}
-}
-
-func TestActiveLearnerPoolTooSmall(t *testing.T) {
-	rng := xrand.New(19)
-	oracle := &rastriginOracle{}
-	al := NewActiveLearner(oracle, alSurrogate(rng), AcquireRandom, rng.Split())
-	al.InitialSamples = 50
-	if _, err := al.Run(tensor.NewMatrix(10, 1), nil, nil); err == nil {
-		t.Fatal("undersized pool should error")
-	}
-}
-
-func TestSamplesToReachMAE(t *testing.T) {
-	curve := []ALRound{{10, 1.0}, {20, 0.5}, {30, 0.1}}
-	if got := SamplesToReachMAE(curve, 0.5); got != 20 {
-		t.Fatalf("got %d want 20", got)
-	}
-	if got := SamplesToReachMAE(curve, 0.01); got != -1 {
-		t.Fatalf("unreachable target should be -1, got %d", got)
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if AcquireRandom.String() != "random" || AcquireMaxUncertainty.String() != "max-uncertainty" {
-		t.Fatal("strategy names wrong")
-	}
-}
-
 func TestAutotunerSelectsLargestAcceptableControl(t *testing.T) {
 	rng := xrand.New(23)
 	// Ground truth: quality = 1 if dt <= 0.1*param else degrades linearly.

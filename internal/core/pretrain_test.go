@@ -41,7 +41,7 @@ func sameBits(a, b []float64) bool {
 // window, the ledger's counts and every published model bit-identical to
 // one Ingest of the whole design's answers followed by TrainAll on a twin
 // wrapper — for design sizes on both sides of a chunk boundary and every
-// retention policy, the reservoir's random draws included.
+// retention policy.
 func TestPretrainStreamsLikeOneIngest(t *testing.T) {
 	oracle := &atomicOracle{}
 	factory := func() Surrogate {
@@ -50,7 +50,7 @@ func TestPretrainStreamsLikeOneIngest(t *testing.T) {
 		return s
 	}
 	probe := uniformRows(xrand.New(0x9b0be), 64, 1, 1)
-	for _, ret := range []Retention{{}, {Policy: RetainWindow, MaxSamples: 300}, {Policy: RetainReservoir, MaxSamples: 300}} {
+	for _, ret := range []Retention{{}, {Policy: RetainWindow, MaxSamples: 300}} {
 		for _, n := range []int{1, pretrainChunk - 1, pretrainChunk, pretrainChunk + 1, 5*pretrainChunk + 7} {
 			t.Run(fmt.Sprintf("%v/rows=%d", ret.Policy, n), func(t *testing.T) {
 				cfg := ShardedConfig{Shards: 4, OracleWorkers: pretrainWorkers, Retention: ret}

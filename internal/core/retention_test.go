@@ -21,7 +21,7 @@ func fillRow(idx, n int) []float64 {
 // holds a contiguous run of the most recent samples.
 func TestRetainerWindowKeepsRecent(t *testing.T) {
 	const max = 20
-	r := newRetainer(Retention{Policy: RetainWindow, MaxSamples: max}, 1)
+	r := Retention{Policy: RetainWindow, MaxSamples: max}
 	xs := tensor.NewMatrix(0, 2)
 	ys := tensor.NewMatrix(0, 1)
 	for i := 0; i < 500; i++ {
@@ -60,14 +60,13 @@ func TestWindowAfterPredictsAdd(t *testing.T) {
 	}{{1024, []int{0, 1, 300, 1279}}, {3, []int{0, 1, 3}}} {
 		ret := Retention{Policy: RetainWindow, MaxSamples: tc.max}
 		for _, held := range tc.held {
-			r := newRetainer(ret, 1)
 			xs, ys := tensor.NewMatrix(0, 1), tensor.NewMatrix(0, 1)
 			for i := 0; i < held; i++ {
-				r.add(xs, ys, fillRow(i, 1), fillRow(i, 1))
+				ret.add(xs, ys, fillRow(i, 1), fillRow(i, 1))
 			}
 			for n := 0; n <= 3000; n++ {
 				if n > 0 {
-					r.add(xs, ys, fillRow(held+n, 1), fillRow(held+n, 1))
+					ret.add(xs, ys, fillRow(held+n, 1), fillRow(held+n, 1))
 				}
 				if got := ret.windowAfter(held, n); got != xs.Rows {
 					t.Fatalf("MaxSamples %d, %d held: after %d adds the window holds %d rows, windowAfter says %d", tc.max, held, n, xs.Rows, got)
@@ -77,40 +76,9 @@ func TestWindowAfterPredictsAdd(t *testing.T) {
 	}
 }
 
-// TestRetainerReservoirBoundedAndCovering checks reservoir sampling: the
-// store never exceeds MaxSamples, pairs stay aligned, and the survivors
-// cover the whole history rather than only its tail.
-func TestRetainerReservoirBoundedAndCovering(t *testing.T) {
-	const max, total = 50, 2000
-	r := newRetainer(Retention{Policy: RetainReservoir, MaxSamples: max}, 7)
-	xs := tensor.NewMatrix(0, 1)
-	ys := tensor.NewMatrix(0, 1)
-	for i := 0; i < total; i++ {
-		r.add(xs, ys, fillRow(i, 1), fillRow(i, 1))
-		if xs.Rows > max {
-			t.Fatalf("reservoir grew to %d rows, want <= %d", xs.Rows, max)
-		}
-	}
-	if xs.Rows != max {
-		t.Fatalf("reservoir holds %d rows after %d adds, want %d", xs.Rows, total, max)
-	}
-	old := 0
-	for i := 0; i < max; i++ {
-		if xs.At(i, 0) != ys.At(i, 0) {
-			t.Fatal("reservoir replacement desynchronized xs and ys")
-		}
-		if xs.At(i, 0) < total/2 {
-			old++
-		}
-	}
-	// A uniform sample keeps ~50% old samples; a window would keep none.
-	if old == 0 {
-		t.Fatal("reservoir retained no samples from the first half of the history")
-	}
-}
-
 // TestShardedRetentionBoundsShards ingests a long stream into a sharded
-// wrapper with a reservoir and checks every shard stays bounded.
+// wrapper with a sliding window and checks every shard stays under the
+// window's limit.
 func TestShardedRetentionBoundsShards(t *testing.T) {
 	rng := xrand.New(0x7e7a2)
 	oracle := OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
@@ -120,10 +88,10 @@ func TestShardedRetentionBoundsShards(t *testing.T) {
 		s.Epochs = 5
 		s.MCPasses = 4
 	})
-	const window = 25
+	ret := Retention{Policy: RetainWindow, MaxSamples: 25}
 	w := NewShardedWrapper(oracle, factory, ShardedConfig{
 		Shards: 3, MinTrainSamples: 10, UQThreshold: 100,
-		Retention: Retention{Policy: RetainReservoir, MaxSamples: window},
+		Retention: ret,
 	})
 	xs := tensor.NewMatrix(600, 2)
 	ys := tensor.NewMatrix(600, 1)
@@ -136,9 +104,10 @@ func TestShardedRetentionBoundsShards(t *testing.T) {
 	if err := w.Ingest(xs, ys); err != nil {
 		t.Fatal(err)
 	}
+	_, limit := ret.windowBounds()
 	for si, n := range w.ShardSizes() {
-		if n > window {
-			t.Fatalf("shard %d holds %d samples, want <= %d", si, n, window)
+		if n >= limit {
+			t.Fatalf("shard %d holds %d samples, want < %d", si, n, limit)
 		}
 	}
 	if err := w.TrainAll(); err != nil {

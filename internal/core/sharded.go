@@ -159,8 +159,8 @@ type ShardedConfig struct {
 	// tolerate concurrent Run calls, the same contract querying the
 	// wrapper from several goroutines already imposes.
 	OracleWorkers int
-	// Retention bounds each shard's retained training window (sliding
-	// window or reservoir sampling) so background refits stay O(window)
+	// Retention bounds each shard's retained training window (a sliding
+	// window of the newest samples) so background refits stay O(window)
 	// on long-running servers. The zero value retains everything. A
 	// bounded window is raised to at least MinTrainSamples.
 	Retention Retention
@@ -207,7 +207,6 @@ type shard struct {
 
 	mu            sync.Mutex // everything below
 	xs, ys        *tensor.Matrix
-	retain        retainer
 	newSinceTrain int
 	refitting     bool
 	nextSnapGen   int // id assigned to the next training snapshot
@@ -512,7 +511,6 @@ func NewShardedWrapper(oracle Oracle, factory SurrogateFactory, cfg ShardedConfi
 		w.shards = append(w.shards, &shard{
 			idx: i,
 			xs:  tensor.NewMatrix(0, in), ys: tensor.NewMatrix(0, out),
-			retain:       newRetainer(cfg.Retention, 0x5aa2d+uint64(i)*0x9e3779b9),
 			publishedGen: -1,
 		})
 	}
@@ -775,7 +773,7 @@ func (w *ShardedWrapper) addSamples(s *shard, xs *tensor.Matrix, idx []int, res 
 			s.mu.Lock()
 			locked = true
 		}
-		s.retain.add(s.xs, s.ys, xs.Row(i), res[i].Y)
+		w.cfg.Retention.add(s.xs, s.ys, xs.Row(i), res[i].Y)
 		s.newSinceTrain++
 	}
 	if !locked {
@@ -1099,7 +1097,7 @@ func (w *ShardedWrapper) Ingest(xs, ys *tensor.Matrix) error {
 			resids = nil // a newer model published mid-computation
 		}
 		for k, i := range idx {
-			s.retain.add(s.xs, s.ys, xs.Row(i), ys.Row(i))
+			w.cfg.Retention.add(s.xs, s.ys, xs.Row(i), ys.Row(i))
 			s.newSinceTrain++
 			if resids != nil {
 				s.observeResidualLocked(resids[k], w.cfg.DriftFactor, w.cfg.DriftAlpha)
@@ -1179,9 +1177,7 @@ const (
 // plan assumes the campaign is the shards' only writer while it runs:
 // rows a concurrent query ingests are newer than the plan knows, so they
 // only push more of the campaign's rows out. RetainAll keeps every row, so
-// every row runs. RetainReservoir runs every row too: its survivors are
-// random draws over the whole history, and planning them would mean
-// replaying the draws slot by slot.
+// every row runs.
 //
 // The Ledger charges the runs made, not the design's size. A failing row
 // that the windows would drop is never run, so it cannot abort the
@@ -1246,11 +1242,11 @@ func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 // campaign's end, which are the first ones routed there. Rows the shard
 // already holds that the full campaign would push out are dropped here, so
 // the kept rows then append with no trim firing and the window ends as the
-// unplanned campaign leaves it. Under any other policy it returns nil:
-// every row runs.
+// unplanned campaign leaves it. Under RetainAll it returns nil: every row
+// runs.
 func (w *ShardedWrapper) pretrainSkip(design *tensor.Matrix) []int {
 	ret := w.cfg.Retention
-	if ret.Policy != RetainWindow || !ret.bounded() {
+	if !ret.bounded() {
 		return nil
 	}
 	skip := make([]int, len(w.shards))

@@ -19,9 +19,9 @@ import (
 
 // BrownoutConfig tunes the fleet's brownout controller. The controller
 // is enabled by setting at least one SLO signal (P99SLO or MaxShedRate);
-// it evaluates every tenant each Interval and acts only on backends that
-// expose SetBrownoutLevel/BrownoutLevel (core.ShardedWrapper does);
-// other backends are left alone.
+// it evaluates every tenant each brownoutInterval and acts only on
+// backends that expose SetBrownoutLevel/BrownoutLevel (core.ShardedWrapper
+// does); other backends are left alone.
 type BrownoutConfig struct {
 	// P99SLO is the tenant latency objective: a measured p99 (over the
 	// tenant's recent-latency ring) above it is a breach. 0 disables the
@@ -31,42 +31,27 @@ type BrownoutConfig struct {
 	// per evaluation interval, in (0, 1): rejected/(completed+rejected)
 	// above it is a breach. 0 disables the shed signal.
 	MaxShedRate float64
-	// Interval is the evaluation cadence (default 250ms).
-	Interval time.Duration
-	// StepDownAfter / StepUpAfter are how many consecutive breaching /
-	// healthy intervals trigger one ladder transition (defaults 2 and 8:
-	// quick to give up fidelity under pressure, deliberately slow to
-	// spend it again — recovery oscillation is worse than a few extra
-	// intervals of cheap answers).
-	StepDownAfter, StepUpAfter int
-	// MinSamples is the fewest admission attempts in an interval for the
-	// shed-rate signal to count (default 16), so an idle tenant's
-	// occasional rejection cannot brown it out.
-	MinSamples int
-	// MaxLevel caps how far down the ladder the controller steps
-	// (default core.BrownoutNoUQ, the bottom).
-	MaxLevel int
 }
 
 func (c BrownoutConfig) enabled() bool { return c.P99SLO > 0 || c.MaxShedRate > 0 }
 
-func (c *BrownoutConfig) fill() {
-	if c.Interval <= 0 {
-		c.Interval = 250 * time.Millisecond
-	}
-	if c.StepDownAfter <= 0 {
-		c.StepDownAfter = 2
-	}
-	if c.StepUpAfter <= 0 {
-		c.StepUpAfter = 8
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MaxLevel <= 0 || c.MaxLevel > core.BrownoutNoUQ {
-		c.MaxLevel = core.BrownoutNoUQ
-	}
-}
+const (
+	// brownoutStepDown and brownoutStepUp are how many consecutive
+	// breaching / healthy intervals trigger one ladder transition: quick to
+	// give up fidelity under pressure, deliberately slow to spend it again
+	// — recovery oscillation is worse than a few extra intervals of cheap
+	// answers. The controller steps as far as core.BrownoutNoUQ, the bottom.
+	brownoutStepDown = 2
+	brownoutStepUp   = 8
+	// brownoutMinSamples is the fewest admission attempts in an interval
+	// for the shed-rate signal to count, so an idle tenant's occasional
+	// rejection cannot brown it out.
+	brownoutMinSamples = 16
+)
+
+// brownoutInterval is the controller's evaluation cadence. A variable only
+// so the tests can reach it.
+var brownoutInterval = 250 * time.Millisecond
 
 // degradable is the backend face the controller drives. It is matched
 // structurally so any backend — not just the core wrappers — can opt in.
@@ -87,8 +72,7 @@ type brownoutWindow struct {
 func (f *Fleet) brownoutLoop() {
 	defer close(f.bdone)
 	cfg := f.cfg.Brownout
-	cfg.fill()
-	tick := time.NewTicker(cfg.Interval)
+	tick := time.NewTicker(brownoutInterval)
 	defer tick.Stop()
 	wins := make(map[*tenant]*brownoutWindow)
 	for {
@@ -122,7 +106,7 @@ func (f *Fleet) brownoutLoop() {
 			dq, dr := q-w.lastQ, r-w.lastR
 			w.lastQ, w.lastR = q, r
 			breach := false
-			if cfg.MaxShedRate > 0 && dq+dr >= int64(cfg.MinSamples) {
+			if cfg.MaxShedRate > 0 && dq+dr >= brownoutMinSamples {
 				if float64(dr)/float64(dq+dr) > cfg.MaxShedRate {
 					breach = true
 				}
@@ -141,10 +125,10 @@ func (f *Fleet) brownoutLoop() {
 			}
 			lvl := int(t.brownout.Load())
 			switch {
-			case w.breach >= cfg.StepDownAfter && lvl < cfg.MaxLevel:
+			case w.breach >= brownoutStepDown && lvl < core.BrownoutNoUQ:
 				t.setBrownout(d, lvl+1)
 				w.breach = 0
-			case w.healthy >= cfg.StepUpAfter && lvl > 0:
+			case w.healthy >= brownoutStepUp && lvl > 0:
 				t.setBrownout(d, lvl-1)
 				w.healthy = 0
 			}

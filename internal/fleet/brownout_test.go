@@ -33,21 +33,23 @@ func (b *degradableBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchRe
 	return nil
 }
 
+// withBrownoutInterval runs the brownout controller at d for the rest of
+// the test.
+func withBrownoutInterval(t *testing.T, d time.Duration) {
+	old := brownoutInterval
+	brownoutInterval = d
+	t.Cleanup(func() { brownoutInterval = old })
+}
+
 // TestBrownoutControllerStepsDownAndRecovers drives a latency-SLO breach
 // through the controller and asserts the full arc: step down under
 // sustained breach, stats exposing level and transition counters, and
 // step back up once the tenant holds healthy.
 func TestBrownoutControllerStepsDownAndRecovers(t *testing.T) {
+	withBrownoutInterval(t, 10*time.Millisecond)
 	bk := &degradableBackend{}
 	f := New(Config{
-		LatencyWindow: 16, // small ring so recovery flushes slow samples fast
-		Brownout: BrownoutConfig{
-			P99SLO:        time.Millisecond,
-			Interval:      10 * time.Millisecond,
-			StepDownAfter: 2,
-			StepUpAfter:   2,
-			MinSamples:    1,
-		},
+		Brownout: BrownoutConfig{P99SLO: time.Millisecond},
 	})
 	defer f.Close()
 	if err := f.Register("m", bk); err != nil {
@@ -110,15 +112,11 @@ func TestBrownoutControllerStepsDownAndRecovers(t *testing.T) {
 // and the controller steps the tenant down on the rejection fraction
 // alone (no latency SLO configured).
 func TestBrownoutShedSignal(t *testing.T) {
+	withBrownoutInterval(t, 10*time.Millisecond)
 	bk := &degradableBackend{}
 	f := New(Config{
 		MaxInFlight: 1,
-		Brownout: BrownoutConfig{
-			MaxShedRate:   0.25,
-			Interval:      10 * time.Millisecond,
-			StepDownAfter: 2,
-			MinSamples:    4,
-		},
+		Brownout:    BrownoutConfig{MaxShedRate: 0.25},
 	})
 	defer f.Close()
 	if err := f.Register("m", bk); err != nil {
@@ -160,13 +158,9 @@ func TestBrownoutShedSignal(t *testing.T) {
 // that don't expose the ladder untouched rather than erroring or leaking
 // window state.
 func TestBrownoutIgnoresNonDegradable(t *testing.T) {
+	withBrownoutInterval(t, 5*time.Millisecond)
 	f := New(Config{
-		Brownout: BrownoutConfig{
-			P99SLO:        time.Microsecond,
-			Interval:      5 * time.Millisecond,
-			StepDownAfter: 1,
-			MinSamples:    1,
-		},
+		Brownout: BrownoutConfig{P99SLO: time.Microsecond},
 	})
 	defer f.Close()
 	bk := &plainBackend{}

@@ -77,10 +77,6 @@ type Config struct {
 	// (default 4× the coalescer MaxBatch). Queries beyond the bound fail
 	// fast with ErrOverloaded instead of queueing without limit.
 	MaxInFlight int
-	// LatencyWindow is how many recent per-query latencies each tenant
-	// retains for the percentile stats (default 1024, rounded up to a
-	// power of two).
-	LatencyWindow int
 	// Brownout, when enabled (a positive P99SLO or MaxShedRate), starts
 	// the fleet-level brownout controller: a background loop that steps
 	// overloaded tenants' backends down a degradation ladder and back up
@@ -96,15 +92,11 @@ func (c *Config) fill() {
 		}
 		c.MaxInFlight = 4 * mb
 	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 1024
-	}
-	w := 1
-	for w < c.LatencyWindow {
-		w <<= 1
-	}
-	c.LatencyWindow = w
 }
+
+// latencyWindow is how many recent per-query latencies each tenant retains
+// for the percentile stats. A power of two, so the ring index is a mask.
+const latencyWindow = 1024
 
 // tenant is one registered backend: its coalescer plus admission and
 // stats state. All counters are atomics so the query path takes no
@@ -140,9 +132,9 @@ type tenant struct {
 	// dispatch tier records one); see SetPlacement.
 	placement atomic.Pointer[Placement]
 
-	// lats is a power-of-two ring of recent query latencies (ns),
-	// written with atomic stores so Stats can read concurrently.
-	lats   []int64
+	// lats is a ring of recent query latencies (ns), written with atomic
+	// stores so Stats can read concurrently.
+	lats   [latencyWindow]int64
 	latPos atomic.Uint64
 
 	// QPS sampling window (Stats-call to Stats-call).
@@ -161,7 +153,7 @@ func (t *tenant) observeN(d time.Duration, n int64) {
 	if d <= 0 {
 		d = 1
 	}
-	i := (t.latPos.Add(1) - 1) & uint64(len(t.lats)-1)
+	i := (t.latPos.Add(1) - 1) & (latencyWindow - 1)
 	atomic.StoreInt64(&t.lats[i], int64(d))
 	t.queries.Add(n)
 }
@@ -262,7 +254,6 @@ func (f *Fleet) RegisterWithConfig(name string, backend serve.Backend, cfg serve
 		co:      serve.NewCoalescer(backend, cfg),
 		limit:   int64(f.cfg.MaxInFlight),
 		overErr: &OverloadedError{Tenant: name},
-		lats:    make([]int64, f.cfg.LatencyWindow),
 		lastAt:  time.Now(),
 	}
 	f.mu.Lock()

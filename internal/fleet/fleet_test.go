@@ -327,7 +327,7 @@ func TestFleetStats(t *testing.T) {
 			{Samples: 100, Stale: 7}, {Samples: 50, Stale: 5},
 		},
 	}
-	f := New(Config{LatencyWindow: 100}) // rounds up to 128
+	f := New(Config{})
 	defer f.Close()
 	if err := f.Register("s", sb); err != nil {
 		t.Fatal(err)

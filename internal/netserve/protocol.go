@@ -86,7 +86,8 @@ const (
 )
 
 // Frame-size limits. MaxTenant is a hard protocol bound (tlen is one
-// byte); the others are defaults the Config can override.
+// byte); DefaultMaxFrame caps every query frame a server or router reads
+// and the default a ClientConfig reads responses under.
 const (
 	MaxTenant       = 255
 	DefaultMaxFrame = 64 << 10

@@ -632,7 +632,7 @@ func (rc *ResilientClient) StatArtifact(key string) (gen uint64, ok bool, err er
 // FetchArtifact pulls key's artifact at generation gen (0 = newest);
 // ok=false means no such key/generation, and the returned bytes are
 // caller-owned. ResilientConfig.Client.MaxFrame must admit artifact-sized
-// responses (DefaultMaxArtifactFrame, or the server's configured cap).
+// responses (DefaultMaxArtifactFrame).
 func (rc *ResilientClient) FetchArtifact(key string, gen uint64) (data []byte, actual uint64, ok bool, err error) {
 	err = rc.attempts(time.Time{}, func(tr *transport) (e error) {
 		data, actual, ok, e = tr.artCall(frameArtFetch, key, gen, 0, nil)

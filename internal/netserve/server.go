@@ -18,15 +18,14 @@ import (
 
 // Config tunes a Server. The zero value is not usable: Fleet is required.
 // How the reader gathers (readLoop), how many workers a connection has,
-// how many rows a burst may hold, the buffer sizes and the in-flight bound
-// are not options: one value of each is in use, the constants below.
+// how many rows a burst may hold, the buffer sizes, the in-flight bound and
+// the frame caps are not options: one value of each is in use, the
+// constants below and DefaultMaxFrame (query frames) and
+// DefaultMaxArtifactFrame (artifact frames).
 type Config struct {
 	// Fleet is the multi-tenant dispatch plane every decoded request is
 	// fed into (required).
 	Fleet *fleet.Fleet
-	// MaxFrame caps the accepted request-frame body size (default 64KiB);
-	// larger frames kill the connection before their payload is read.
-	MaxFrame int
 	// FlushSpins is how many scheduler yields the response writer spends
 	// on an empty queue while requests of its connection are still in
 	// flight — the other bursts of the same read, about to answer — before
@@ -55,10 +54,6 @@ type Config struct {
 	// placement onto this worker without retraining. Nil treats the frame
 	// type as a protocol violation.
 	Install ArtifactSink
-	// MaxArtifactFrame caps artifact frame bodies (default
-	// DefaultMaxArtifactFrame). Only consulted when Artifacts or Install
-	// is set; query frames stay bounded by MaxFrame either way.
-	MaxArtifactFrame int
 }
 
 const (
@@ -81,9 +76,6 @@ const (
 var maxConnInFlight = 1024
 
 func (c *Config) fill() {
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
 	if c.FlushSpins <= 0 {
 		c.FlushSpins = 2
 	}
@@ -92,9 +84,6 @@ func (c *Config) fill() {
 	}
 	if c.WriteTimeout < 0 {
 		c.WriteTimeout = 0
-	}
-	if c.MaxArtifactFrame <= 0 {
-		c.MaxArtifactFrame = DefaultMaxArtifactFrame
 	}
 }
 
@@ -524,14 +513,14 @@ func (cn *serverConn) readLoop() {
 	}()
 	br := bufio.NewReaderSize(cn.c, connBuffer)
 	buf := make([]byte, 0, 4096)
-	readMax := s.cfg.MaxFrame
-	if (s.cfg.Artifacts != nil || s.cfg.Install != nil) && s.cfg.MaxArtifactFrame > readMax {
+	readMax := DefaultMaxFrame
+	if s.cfg.Artifacts != nil || s.cfg.Install != nil {
 		// Artifact frames dwarf query frames; the parsers still hold
-		// query bodies to MaxFrame-compatible geometry.
-		readMax = s.cfg.MaxArtifactFrame
+		// query bodies to DefaultMaxFrame-compatible geometry.
+		readMax = DefaultMaxArtifactFrame
 	}
 	for {
-		if !frameBuffered(br, s.cfg.MaxFrame) {
+		if !frameBuffered(br, DefaultMaxFrame) {
 			// Nothing more to gather without blocking: submit now.
 			cn.submitOpen()
 		}
@@ -558,7 +547,7 @@ func (cn *serverConn) readLoop() {
 			}
 			continue
 		}
-		if len(buf) > s.cfg.MaxFrame {
+		if len(buf) > DefaultMaxFrame {
 			// The raised artifact read cap never loosens the query bound.
 			s.protoErrs.Add(1)
 			return

@@ -142,30 +142,41 @@ func TestCompiledMCScratchSizedOnceWide(t *testing.T) {
 // TestCompiledMCPassCapLiftKeepsPanels: a context first used under a
 // brownout pass cap (4 passes) serves the next uncapped call (10 passes) on
 // the panels it has; only its mask store may grow, once.
+//
+// MemStats.Mallocs counts every goroutine's allocations: now and then the
+// test runner's parent goroutine or the runtime allocates inside the window
+// (a sudog after a GC emptied the caches, a g), so one sequence can read
+// high by chance. A regression allocates in every sequence, so the least
+// count over several fresh programs is the call's own.
 func TestCompiledMCPassCapLiftKeepsPanels(t *testing.T) {
 	skipAllocCheckUnderRace(t)
 	oldT := tensor.ParallelFlopThreshold
 	tensor.ParallelFlopThreshold = 1 << 60
 	defer func() { tensor.ParallelFlopThreshold = oldT }()
 	rng := xrand.New(38)
-	c := NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2).CompileBatch(8)
+	net := NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2)
 	x := batchProbe(rng, 8, 6)
 	mean, std := tensor.NewMatrix(8, 2), tensor.NewMatrix(8, 2)
-	c.PredictMCBatch(x, 4, mean, std)
-	ctx := c.bpool.get()
-	c.bpool.put(ctx)
-	panels := [2]*float64{&ctx.tall[0].Data[:1][0], &ctx.tall[1].Data[:1][0]}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	c.PredictMCBatch(x, 10, mean, std)
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > 1 {
-		t.Fatalf("uncapped call after a capped one allocated %d times, want at most 1 (the mask store)", n)
-	}
-	for i, p := range panels {
-		if &ctx.tall[i].Data[:1][0] != p {
-			t.Fatalf("uncapped call reallocated pass-group panel %d", i)
+	least := uint64(math.MaxUint64)
+	for k := 0; k < 5; k++ {
+		c := net.CompileBatch(8)
+		c.PredictMCBatch(x, 4, mean, std)
+		ctx := c.bpool.get()
+		c.bpool.put(ctx)
+		panels := [2]*float64{&ctx.tall[0].Data[:1][0], &ctx.tall[1].Data[:1][0]}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.PredictMCBatch(x, 10, mean, std)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+		for i, p := range panels {
+			if &ctx.tall[i].Data[:1][0] != p {
+				t.Fatalf("uncapped call reallocated pass-group panel %d", i)
+			}
 		}
+	}
+	if least > 1 {
+		t.Fatalf("uncapped call after a capped one allocated %d times, want at most 1 (the mask store)", least)
 	}
 }
 

@@ -39,8 +39,8 @@ const (
 	manifestVersion = 1
 	manifestName    = "MANIFEST"
 	quarantineDir   = "quarantine"
-	// DefaultKeep is how many generations GC retains per name. The floor
-	// is 2 so a rollback always has a predecessor on disk.
+	// DefaultKeep is how many generations GC retains per name: at least 2,
+	// so a rollback always has a predecessor on disk.
 	DefaultKeep = 4
 )
 
@@ -50,18 +50,11 @@ var manifestCRC = crc64.MakeTable(crc64.ECMA)
 type Config struct {
 	// Dir is the registry root; one subdirectory per published name.
 	Dir string
-	// Keep bounds generations retained per name (0 = DefaultKeep,
-	// floored at 2 so rollback always has somewhere to go).
-	Keep int
 	// FS overrides the filesystem (fault injection); nil uses the real
 	// one. With the real filesystem artifacts open zero-copy via mmap;
 	// a custom FS routes artifact reads through FS.ReadFile instead so
 	// injected read faults are observable.
 	FS chaos.FS
-	// Verify validates artifact bytes before they are served or
-	// published; nil uses nn.VerifyArtifact (envelope + per-section
-	// CRC64 walk, no decoding).
-	Verify func([]byte) error
 }
 
 // Stats is a snapshot of registry activity counters.
@@ -95,10 +88,8 @@ type nameState struct {
 // are safe for concurrent use.
 type Registry struct {
 	dir    string
-	keep   int
 	fs     chaos.FS
 	useMap bool
-	verify func([]byte) error
 
 	mu       sync.Mutex
 	state    map[string]*nameState
@@ -119,28 +110,16 @@ func Open(cfg Config) (*Registry, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("registry: Dir is required")
 	}
-	keep := cfg.Keep
-	if keep == 0 {
-		keep = DefaultKeep
-	}
-	if keep < 2 {
-		keep = 2
-	}
 	r := &Registry{
 		dir:      cfg.Dir,
-		keep:     keep,
 		fs:       cfg.FS,
 		useMap:   cfg.FS == nil,
-		verify:   cfg.Verify,
 		state:    map[string]*nameState{},
 		counters: map[string]*Stats{},
 		latests:  map[string]*Handle{},
 	}
 	if r.fs == nil {
 		r.fs = chaos.OSFS{}
-	}
-	if r.verify == nil {
-		r.verify = nn.VerifyArtifact
 	}
 	if err := r.fs.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: %w", err)
@@ -324,7 +303,7 @@ func (r *Registry) loadStateLocked(name string) *nameState {
 // on-disk state is at worst the previous generation plus inert temp or
 // orphan files that the next successful publish overwrites.
 func (r *Registry) Publish(name string, data []byte) (uint64, error) {
-	if err := r.verify(data); err != nil {
+	if err := nn.VerifyArtifact(data); err != nil {
 		return 0, fmt.Errorf("registry: refusing to publish %s: %w", name, err)
 	}
 	r.mu.Lock()
@@ -359,14 +338,14 @@ func (r *Registry) Publish(name string, data []byte) (uint64, error) {
 // gcLocked removes generations older than the retention window.
 // Best-effort: a GC failure never fails the publish that triggered it.
 func (r *Registry) gcLocked(ndir string, cur uint64) {
-	if cur <= uint64(r.keep) {
+	if cur <= DefaultKeep {
 		return
 	}
 	gens, err := r.scanGens(ndir)
 	if err != nil {
 		return
 	}
-	cut := cur - uint64(r.keep)
+	cut := cur - DefaultKeep
 	for _, g := range gens {
 		if g <= cut {
 			r.fs.Remove(filepath.Join(ndir, genFile(g)))
@@ -413,7 +392,7 @@ func (r *Registry) Latest(name string) (*Handle, error) {
 		path := filepath.Join(ndir, genFile(g))
 		data, unmap, rerr := r.readArtifact(path)
 		if rerr == nil {
-			if verr := r.verify(data); verr == nil {
+			if verr := nn.VerifyArtifact(data); verr == nil {
 				r.unmaps = append(r.unmaps, unmap)
 				r.global.Opens++
 				if g != st.cur {
@@ -570,7 +549,7 @@ func (r *Registry) FetchArtifact(name string, gen uint64) (data []byte, actual u
 		}
 		return nil, 0, false, fmt.Errorf("registry: fetch %s gen %d: %w", name, gen, rerr)
 	}
-	if verr := r.verify(bytes); verr != nil {
+	if verr := nn.VerifyArtifact(bytes); verr != nil {
 		unmap()
 		return nil, 0, false, fmt.Errorf("registry: fetch %s gen %d: %w", name, gen, verr)
 	}
@@ -596,7 +575,7 @@ func (r *Registry) ReplayPublish(name string, gen uint64, data []byte) (applied 
 	if gen == 0 {
 		return false, fmt.Errorf("registry: replay %s: generation 0 is not publishable", name)
 	}
-	if err := r.verify(data); err != nil {
+	if err := nn.VerifyArtifact(data); err != nil {
 		return false, fmt.Errorf("registry: refusing to replay %s gen %d: %w", name, gen, err)
 	}
 	r.mu.Lock()

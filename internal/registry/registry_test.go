@@ -86,12 +86,13 @@ func TestPublishLatestRoundTrip(t *testing.T) {
 }
 
 func TestGCRetention(t *testing.T) {
-	r, err := Open(Config{Dir: t.TempDir(), Keep: 2})
+	r, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	for i := 0; i < 5; i++ {
+	const published = DefaultKeep + 3
+	for i := 0; i < published; i++ {
 		if _, err := r.Publish("m", testArtifact(t, "x")); err != nil {
 			t.Fatal(err)
 		}
@@ -100,8 +101,8 @@ func TestGCRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gens) != 2 || gens[0] != 4 || gens[1] != 5 {
-		t.Fatalf("retained %v, want [4 5]", gens)
+	if len(gens) != DefaultKeep || gens[0] != published-DefaultKeep+1 || gens[DefaultKeep-1] != published {
+		t.Fatalf("retained %v, want the newest %d of %d", gens, DefaultKeep, published)
 	}
 }
 

@@ -35,26 +35,18 @@ type worker struct {
 
 func (wk *worker) live() bool { return wk.alive.Load() }
 
-// control returns the worker's control-plane client, dialing it
-// lazily. Artifact frames need the raised MaxFrame.
+// control returns the worker's control-plane client (one connection,
+// artifact stat/fetch/push), dialing it lazily. Artifact frames need the
+// raised MaxFrame.
 func (wk *worker) control() (*netserve.ResilientClient, error) {
 	wk.ctlMu.Lock()
 	defer wk.ctlMu.Unlock()
 	if wk.ctl != nil {
 		return wk.ctl, nil
 	}
-	cfg := wk.rt.cfg.Control
-	if cfg.Conns <= 0 {
-		cfg.Conns = 1
-	}
-	if cfg.Client.MaxFrame < netserve.DefaultMaxArtifactFrame {
-		cfg.Client.MaxFrame = netserve.DefaultMaxArtifactFrame
-	}
-	if cfg.Client.Dialer == nil && wk.rt.cfg.Dialer != nil {
-		dial := wk.rt.cfg.Dialer
-		cfg.Client.Dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return dial(addr, timeout)
-		}
+	cfg := netserve.ResilientConfig{
+		Conns:  1,
+		Client: netserve.ClientConfig{MaxFrame: netserve.DefaultMaxArtifactFrame, Dialer: wk.rt.cfg.Dialer},
 	}
 	rc, err := netserve.DialResilient(wk.addr, cfg)
 	if err != nil {
@@ -74,9 +66,9 @@ func (wk *worker) connect() error {
 		err error
 	)
 	if dial != nil {
-		c, err = dial(wk.addr, rt.cfg.DialTimeout)
+		c, err = dial(wk.addr, dialTimeout)
 	} else {
-		c, err = net.DialTimeout("tcp", wk.addr, rt.cfg.DialTimeout)
+		c, err = net.DialTimeout("tcp", wk.addr, dialTimeout)
 	}
 	if err != nil {
 		return err
@@ -87,12 +79,9 @@ func (wk *worker) connect() error {
 	bc := newBackendConn(wk, c)
 	wk.hot.Store(bc)
 	wk.alive.Store(true)
-	rt.bg.Add(1)
+	rt.bg.Add(2)
 	go bc.readLoop()
-	if rt.cfg.StallTimeout > 0 {
-		rt.bg.Add(1)
-		go bc.stallWatch()
-	}
+	go bc.stallWatch()
 	return nil
 }
 
@@ -107,7 +96,7 @@ func (wk *worker) spawnRepair() {
 	go func() {
 		defer rt.bg.Done()
 		defer wk.repairing.Store(false)
-		backoff := rt.cfg.ReconnectBackoff
+		backoff := reconnectBackoff
 		for {
 			select {
 			case <-rt.quit:
@@ -124,10 +113,7 @@ func (wk *worker) spawnRepair() {
 				rt.pmu.Unlock()
 				return
 			}
-			backoff *= 2
-			if backoff > rt.cfg.ReconnectBackoffMax {
-				backoff = rt.cfg.ReconnectBackoffMax
-			}
+			backoff = min(2*backoff, reconnectBackoffMax)
 		}
 	}()
 }
@@ -220,8 +206,8 @@ func (bc *backendConn) splice(cc *clientConn, origID uint64, frame []byte) bool 
 	netserve.SetRawQueryID(frame, id)
 	// Arm the write deadline only when this frame will spill the buffer
 	// to the socket — the common buffered append costs no syscall.
-	if bc.bw.Available() < len(frame) && bc.wk.rt.cfg.WriteTimeout > 0 {
-		bc.c.SetWriteDeadline(time.Now().Add(bc.wk.rt.cfg.WriteTimeout))
+	if bc.bw.Available() < len(frame) {
+		bc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
 	if _, err := bc.bw.Write(frame); err != nil {
 		bc.werr = err
@@ -244,9 +230,7 @@ func (bc *backendConn) flush() {
 	if bc.werr != nil || !bc.pendingW {
 		return
 	}
-	if bc.wk.rt.cfg.WriteTimeout > 0 {
-		bc.c.SetWriteDeadline(time.Now().Add(bc.wk.rt.cfg.WriteTimeout))
-	}
+	bc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if err := bc.bw.Flush(); err != nil {
 		bc.werr = err
 		go bc.teardown(err)
@@ -284,12 +268,12 @@ func (bc *backendConn) readLoop() {
 	buf := make([]byte, 0, 4096)
 	var touched []*clientConn
 	for {
-		if !netserve.RawFrameBuffered(br, rt.cfg.MaxFrame) {
+		if !netserve.RawFrameBuffered(br, netserve.DefaultMaxFrame) {
 			// About to block: deliver the batch.
 			touched = flushAll(touched)
 		}
 		var err error
-		buf, err = netserve.ReadRawFrame(br, buf, rt.cfg.MaxFrame)
+		buf, err = netserve.ReadRawFrame(br, buf, netserve.DefaultMaxFrame)
 		if err != nil {
 			flushAll(touched)
 			bc.teardown(err)
@@ -320,12 +304,12 @@ func (bc *backendConn) readLoop() {
 }
 
 // stallWatch condemns the connection when it holds in-flight requests
-// but has delivered no bytes for StallTimeout — the router-side analog
+// but has delivered no bytes for stallTimeout — the router-side analog
 // of the resilient client's expire-streak blackhole detection.
 func (bc *backendConn) stallWatch() {
 	rt := bc.wk.rt
 	defer rt.bg.Done()
-	tick := time.NewTicker(rt.cfg.StallTimeout / 4)
+	tick := time.NewTicker(stallTimeout / 4)
 	defer tick.Stop()
 	for {
 		select {
@@ -343,7 +327,7 @@ func (bc *backendConn) stallWatch() {
 			continue
 		}
 		idle := time.Duration(time.Now().UnixNano() - bc.lastRead.Load())
-		if idle >= rt.cfg.StallTimeout {
+		if idle >= stallTimeout {
 			rt.logf("router: worker %s stalled %v with %d in flight; condemning", bc.wk.addr, idle, inflight)
 			bc.teardown(errStalled)
 			return

@@ -6,6 +6,7 @@ import (
 	"net"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,13 +58,11 @@ func TestChaosPartitionFailover(t *testing.T) {
 	}
 	defer mirror.Close()
 	rt, err := New(Config{
-		Workers:          []string{w1.addr, w2.addr},
-		Registry:         mirror,
-		Tenants:          []string{"pot"},
-		MirrorInterval:   10 * time.Millisecond,
-		ReconnectBackoff: 5 * time.Millisecond,
-		Dialer:           dialer,
-		Logf:             t.Logf,
+		Workers:  []string{w1.addr, w2.addr},
+		Registry: mirror,
+		Tenants:  []string{"pot"},
+		Dialer:   dialer,
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,5 +195,161 @@ func TestChaosPartitionFailover(t *testing.T) {
 	mirror.Close()
 	w1.kill()
 	w2.kill()
+	waitGoroutines(t, base, 3)
+}
+
+// TestStallWatchCondemnsBlackholedWorker blackholes the router's hot
+// connection to its only worker mid-load: writes vanish, so the worker
+// never answers and no transport error surfaces. The stall watch must
+// condemn the connection, so every query resolves — ok, or Retry and the
+// other typed errors — within a bounded time instead of hanging; the router
+// logs the condemnation; and once the fault clears the worker rejoins the
+// ring and serves again.
+func TestStallWatchCondemnsBlackholedWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a worker stack under fault injection")
+	}
+	defer func(d time.Duration) { stallTimeout = d }(stallTimeout)
+	stallTimeout = 100 * time.Millisecond
+	base := runtime.NumGoroutine()
+	w := startWorker(t, filepath.Join(t.TempDir(), "w"), 1)
+	sw := testWrapper(w.oracle, 1)
+	if err := sw.Pretrain(testDesign(30, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.fl.Register("pot", sw); err != nil {
+		t.Fatal(err)
+	}
+
+	// While the fault holds, redials are refused too, so the condemned
+	// worker stays out of the ring until the test clears it.
+	inj := chaos.New(11)
+	var refuse atomic.Bool
+	dial := inj.Dialer(nil)
+	var logMu sync.Mutex
+	var logs []string
+	rt, err := New(Config{
+		Workers: []string{w.addr},
+		Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+			if refuse.Load() {
+				return nil, fmt.Errorf("chaos: %s unreachable", addr)
+			}
+			return dial(addr, timeout)
+		},
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.Serve(ln)
+	rc := dialRouter(t, ln.Addr().String())
+
+	y, std := make([]float64, 1), make([]float64, 1)
+	waitServe := func() {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) {
+			if _, qerr := rc.QueryInto("pot", []float64{0.1, 0.1}, y, std, time.Now().Add(time.Second)); qerr == nil {
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		t.Fatalf("tenant pot never served; router %+v", rt.Stats())
+	}
+	waitServe()
+
+	// Load through the blackhole. A query's deadline is far beyond the
+	// stall timeout, so one that resolves slowly has hung on the dead
+	// connection rather than been failed by it.
+	const bound = time.Second
+	var issued, okCount, typedErr, slow atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			yy, ss := make([]float64, 1), make([]float64, 1)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				issued.Add(1)
+				t0 := time.Now()
+				_, qerr := rc.QueryInto("pot", []float64{0.2, -0.1}, yy, ss, t0.Add(5*time.Second))
+				if time.Since(t0) > bound {
+					slow.Add(1)
+				}
+				var re *netserve.RemoteError
+				switch {
+				case qerr == nil:
+					okCount.Add(1)
+				case errors.Is(qerr, netserve.ErrRetry), errors.Is(qerr, netserve.ErrExpired),
+					errors.Is(qerr, netserve.ErrConnLost), errors.Is(qerr, netserve.ErrNoConn),
+					errors.As(qerr, &re):
+					typedErr.Add(1)
+				default:
+					t.Errorf("untyped query error under blackhole: %v", qerr)
+					return
+				}
+			}
+		}()
+	}
+	time.Sleep(30 * time.Millisecond) // load flowing through the hot connection
+	refuse.Store(true)
+	inj.SetBlackhole(true)
+	time.Sleep(400 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	if n := slow.Load(); n > 0 {
+		t.Errorf("%d queries took over %v to resolve through the blackhole", n, bound)
+	}
+	if got := okCount.Load() + typedErr.Load(); got != issued.Load() {
+		t.Errorf("accounting hole: ok %d + typed %d != issued %d", okCount.Load(), typedErr.Load(), issued.Load())
+	}
+	if typedErr.Load() == 0 {
+		t.Error("no query failed through the blackhole: the stall was never seen")
+	}
+	logMu.Lock()
+	condemned := false
+	for _, l := range logs {
+		condemned = condemned || strings.Contains(l, "stalled") && strings.Contains(l, "condemning")
+	}
+	logMu.Unlock()
+	if !condemned {
+		t.Errorf("router never logged the condemnation; log %q", logs)
+	}
+	if st := rt.Stats(); st.WorkersLive != 0 {
+		t.Errorf("blackholed worker still live: %+v", st)
+	}
+
+	// Heal: the repair loop redials, the worker rejoins and serves.
+	inj.Clear()
+	refuse.Store(false)
+	waitServe()
+	if got := rt.Placements()["pot"]; got != w.addr {
+		t.Errorf("after the stall pot placed at %q, want %q", got, w.addr)
+	}
+	t.Logf("issued=%d ok=%d typed=%d router=%+v", issued.Load(), okCount.Load(), typedErr.Load(), rt.Stats())
+
+	rc.Close()
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bal := rt.poolBalance(); bal != 0 {
+		t.Errorf("remap pool leaked %d entries", bal)
+	}
+	w.kill()
 	waitGoroutines(t, base, 3)
 }

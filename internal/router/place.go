@@ -48,7 +48,7 @@ func (rt *Router) rebalanceLocked() {
 // rebalance bumps moveSeq and this mover abandons silently.
 func (rt *Router) move(p *placement, target *worker, seq uint64) {
 	defer rt.bg.Done()
-	backoff := 25 * time.Millisecond
+	backoff := reconnectBackoff
 	for {
 		select {
 		case <-rt.quit:
@@ -79,9 +79,7 @@ func (rt *Router) move(p *placement, target *worker, seq uint64) {
 				return
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
+			backoff = min(2*backoff, reconnectBackoffMax)
 			continue
 		}
 		rt.pmu.Lock()
@@ -153,7 +151,7 @@ func (rt *Router) pushTenant(tenant string, target *worker) (warm bool, err erro
 // surviving owner is pushed the generations mirrored here.
 func (rt *Router) mirrorLoop() {
 	defer rt.bg.Done()
-	tick := time.NewTicker(rt.cfg.MirrorInterval)
+	tick := time.NewTicker(mirrorInterval)
 	defer tick.Stop()
 	for {
 		select {

@@ -53,28 +53,6 @@ type Config struct {
 	// not listed are routed on demand to their ring owner without a
 	// provisioning push.
 	Tenants []string
-	// MaxFrame caps request frames (default netserve.DefaultMaxFrame).
-	MaxFrame int
-	// MirrorInterval is the artifact-mirror poll cadence (default
-	// 500ms). Only meaningful with Registry set.
-	MirrorInterval time.Duration
-	// StallTimeout condemns a worker connection that holds in-flight
-	// requests but delivers no response bytes for this long — the
-	// blackhole analog of the resilient client's ExpireStreak (default
-	// 10s; negative disables).
-	StallTimeout time.Duration
-	// WriteTimeout bounds each backend/frontend write and flush
-	// (default 10s). A stall past it condemns the connection.
-	WriteTimeout time.Duration
-	// DialTimeout bounds each backend dial (default 2s).
-	DialTimeout time.Duration
-	// ReconnectBackoff / ReconnectBackoffMax shape the backend redial
-	// ladder (defaults 25ms and 1s).
-	ReconnectBackoff, ReconnectBackoffMax time.Duration
-	// Control tunes the per-worker resilient control-plane client pool
-	// (artifact stat/fetch/push). Conns defaults to 1 and the client
-	// MaxFrame is raised to admit artifact frames.
-	Control netserve.ResilientConfig
 	// Dialer overrides the backend transport dial — fault-injection
 	// harnesses wrap connections here. Nil uses net.DialTimeout("tcp").
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
@@ -88,6 +66,17 @@ const (
 	// connBuffer sizes each connection's buffered reader and writer. One
 	// reader fill is also the most a gather can hold before it flushes.
 	connBuffer = 32 << 10
+	// mirrorInterval is the artifact-mirror poll cadence.
+	mirrorInterval = 500 * time.Millisecond
+	// writeTimeout bounds each backend/frontend write and flush. A stall
+	// past it condemns the connection.
+	writeTimeout = 10 * time.Second
+	// dialTimeout bounds each backend dial.
+	dialTimeout = 2 * time.Second
+	// reconnectBackoff and reconnectBackoffMax shape the ladders a worker
+	// redial and a placement move retry on.
+	reconnectBackoff    = 25 * time.Millisecond
+	reconnectBackoffMax = time.Second
 )
 
 // In-flight bounds, beyond which the router answers Retry itself:
@@ -99,35 +88,11 @@ var (
 	maxWorkerInFlight int64 = 4096
 )
 
-func (c *Config) fill() {
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = netserve.DefaultMaxFrame
-	}
-	if c.MirrorInterval <= 0 {
-		c.MirrorInterval = 500 * time.Millisecond
-	}
-	if c.StallTimeout == 0 {
-		c.StallTimeout = 10 * time.Second
-	}
-	if c.StallTimeout < 0 {
-		c.StallTimeout = 0
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.WriteTimeout < 0 {
-		c.WriteTimeout = 0
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = 25 * time.Millisecond
-	}
-	if c.ReconnectBackoffMax <= 0 {
-		c.ReconnectBackoffMax = time.Second
-	}
-}
+// stallTimeout condemns a worker connection that holds in-flight requests
+// but delivers no response bytes for this long — the blackhole analog of
+// the resilient client's ExpireStreak. A variable only so the tests can
+// reach it.
+var stallTimeout = 10 * time.Second
 
 // Stats is a snapshot of router-wide counters.
 type Stats struct {
@@ -229,7 +194,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("router: Config.Workers is required")
 	}
-	cfg.fill()
 	rt := &Router{
 		cfg:        cfg,
 		reg:        cfg.Registry,
@@ -477,14 +441,14 @@ func (cc *clientConn) readLoop() {
 	defer func() { flushAll(touched) }()
 
 	for {
-		if !netserve.RawFrameBuffered(br, rt.cfg.MaxFrame) {
+		if !netserve.RawFrameBuffered(br, netserve.DefaultMaxFrame) {
 			// About to block: hand over what was gathered, and flush any
 			// Retry frames owed to this caller.
 			touched = flushAll(touched)
 			cc.flush()
 		}
 		var err error
-		buf, err = netserve.ReadRawFrame(br, buf, rt.cfg.MaxFrame)
+		buf, err = netserve.ReadRawFrame(br, buf, netserve.DefaultMaxFrame)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				rt.protoErrs.Add(1)
@@ -589,8 +553,8 @@ func (cc *clientConn) writeRaw(frame []byte) bool {
 		return false
 	}
 	// Deadline only on a buffer spill; the common append is syscall-free.
-	if cc.bw.Available() < len(frame) && cc.rt.cfg.WriteTimeout > 0 {
-		cc.c.SetWriteDeadline(time.Now().Add(cc.rt.cfg.WriteTimeout))
+	if cc.bw.Available() < len(frame) {
+		cc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	}
 	if _, err := cc.bw.Write(frame); err != nil {
 		cc.werr = err
@@ -607,9 +571,7 @@ func (cc *clientConn) writeRaw(frame []byte) bool {
 func (cc *clientConn) flush() {
 	cc.wmu.Lock()
 	if cc.pending && cc.werr == nil && !cc.closed.Load() {
-		if cc.rt.cfg.WriteTimeout > 0 {
-			cc.c.SetWriteDeadline(time.Now().Add(cc.rt.cfg.WriteTimeout))
-		}
+		cc.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := cc.bw.Flush(); err != nil {
 			cc.werr = err
 			cc.wmu.Unlock()

@@ -205,11 +205,10 @@ func TestRoutedQueries(t *testing.T) {
 	}
 	tenants := []string{"alpha", "beta", "gamma", "delta"}
 	rt, err := New(Config{
-		Workers:        []string{w1.addr, w2.addr},
-		Registry:       mirror,
-		Tenants:        tenants,
-		MirrorInterval: 20 * time.Millisecond,
-		Logf:           t.Logf,
+		Workers:  []string{w1.addr, w2.addr},
+		Registry: mirror,
+		Tenants:  tenants,
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,11 +308,10 @@ func TestFailoverWarmStart(t *testing.T) {
 	}
 	defer mirror.Close()
 	rt, err := New(Config{
-		Workers:        []string{w1.addr, w2.addr},
-		Registry:       mirror,
-		Tenants:        []string{"pot"},
-		MirrorInterval: 10 * time.Millisecond,
-		Logf:           t.Logf,
+		Workers:  []string{w1.addr, w2.addr},
+		Registry: mirror,
+		Tenants:  []string{"pot"},
+		Logf:     t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

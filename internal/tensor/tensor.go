@@ -310,8 +310,9 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 // MatMulBiasInto stores a*b + bias into dst (bias broadcast over rows,
 // len(bias) == b.Cols) and returns dst. Each destination row is seeded
 // with the bias before the panel-axpy accumulation streams through — no
-// separate zeroing or bias pass: one sweep per output row, rounding as
-// AxpyPanels over a bias-seeded row does. dst must not alias a or b;
+// separate zeroing or bias pass: one sweep per output row, four source
+// rows fused per pass, rounding as the one-row reference AxpyPanels
+// (panel_test.go) does over a bias-seeded row. dst must not alias a or b;
 // shapes follow MatMulInto.
 func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Rows {
@@ -739,34 +740,6 @@ func dot4(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// AxpyPanels accumulates dst += Σᵢ x[i]·a[i·w:(i+1)·w] where w = len(dst)
-// — the single-row matmul kernel y += xᵀA for a row-major A (len(a) ==
-// len(x)·len(dst)), streaming A exactly once with four source rows fused
-// per pass. Each row of MatMulBiasInto rounds exactly as this does over a
-// bias-seeded row; panel_test.go holds the two together.
-func AxpyPanels(dst, x, a []float64) {
-	w := len(dst)
-	if len(a) != len(x)*w {
-		panic(fmt.Sprintf("tensor: axpy-panels %d x %d panel block of len %d", len(x), w, len(a)))
-	}
-	wide := useAVX2 && w >= simdMin
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		if wide {
-			axpyPanel4Wide(x[i], x[i+1], x[i+2], x[i+3], a[i*w:(i+4)*w], dst)
-			continue
-		}
-		axpyPanel4(x[i], x[i+1], x[i+2], x[i+3],
-			a[i*w:(i+1)*w], a[(i+1)*w:(i+2)*w],
-			a[(i+2)*w:(i+3)*w], a[(i+3)*w:(i+4)*w], dst)
-	}
-	for ; i < len(x); i++ {
-		if xi := x[i]; xi != 0 {
-			axpy4(xi, a[i*w:(i+1)*w], dst)
-		}
-	}
 }
 
 // Axpy computes y += alpha*x in place.

@@ -132,8 +132,6 @@ type (
 	Ledger = core.Ledger
 	// Source tells which path answered a query.
 	Source = core.Source
-	// ActiveLearner drives pool-based active learning.
-	ActiveLearner = core.ActiveLearner
 	// Autotuner implements MLautotuning.
 	Autotuner = core.Autotuner
 	// Controller implements MLControl acquisition.
@@ -159,8 +157,6 @@ const (
 	RetainAll = core.RetainAll
 	// RetainWindow keeps the most recent MaxSamples samples.
 	RetainWindow = core.RetainWindow
-	// RetainReservoir keeps a uniform sample of the entire history.
-	RetainReservoir = core.RetainReservoir
 )
 
 // The paper's taxonomy (§I).
