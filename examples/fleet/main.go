@@ -247,10 +247,7 @@ func main() {
 	}
 	go srv.Serve(ln)
 	wireAddr := ln.Addr().String()
-	cl, err := repro.DialWireResilient(wireAddr, repro.WireResilientConfig{
-		Conns:            2,
-		ReconnectBackoff: 2 * time.Millisecond,
-	})
+	cl, err := repro.DialWireResilient(wireAddr, repro.WireResilientConfig{Conns: 2})
 	if err != nil {
 		panic(err)
 	}

@@ -44,17 +44,8 @@ func TestChaosSoak(t *testing.T) {
 	go srv.Serve(inj.Listener(ln))
 
 	rc, err := DialResilient(ln.Addr().String(), ResilientConfig{
-		Conns:            2,
-		MaxAttempts:      4,
-		RetryBackoff:     time.Millisecond,
-		ReconnectBackoff: 5 * time.Millisecond,
-		ExpireStreak:     3,
-		Breaker:          BreakerConfig{Disable: true}, // the retry path is under test
-		Client: ClientConfig{
-			Dialer:        inj.Dialer(nil),
-			DeadlineGrace: 100 * time.Millisecond,
-			DialTimeout:   time.Second,
-		},
+		Conns:  2,
+		Client: ClientConfig{Dialer: inj.Dialer(nil)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,7 +54,8 @@ type WireResult struct {
 	// dimensionality.
 	Y []float64
 	// Std is the per-output predictive uncertainty; nil for oracle
-	// answers and for FlagNoStd requests.
+	// answers and when the caller passed a nil std (the request then
+	// carries FlagNoStd and the server sends none).
 	Std []float64
 	// Src reports which path answered (surrogate or simulation).
 	Src core.Source
@@ -65,22 +66,10 @@ type WireResult struct {
 type ClientConfig struct {
 	// MaxFrame caps accepted response-frame bodies (default 64KiB).
 	MaxFrame int
-	// Flags is OR-ed into every request (e.g. FlagNoStd).
-	Flags byte
-	// DialTimeout bounds each (re)connect (default 5s).
-	DialTimeout time.Duration
 	// FlushSpins is how many scheduler yields the write loop donates after
 	// draining the queue before flushing, letting concurrent callers land
 	// their requests in the same syscall (default 2; negative disables).
 	FlushSpins int
-	// DeadlineGrace is how long past a request's deadline QueryInto keeps
-	// waiting for the server's answer before giving up client-side with
-	// ErrExpired (default 250ms). The server sheds expired requests with
-	// an explicit status frame, so the grace normally never fires; it
-	// exists so a stalled or blackholed connection cannot hold a
-	// deadline-bearing caller forever. Negative disables the client-side
-	// bound. Requests without a deadline wait indefinitely either way.
-	DeadlineGrace time.Duration
 	// Dialer overrides the transport dial — fault-injection harnesses
 	// wrap connections here. Nil uses net.DialTimeout("tcp", ...).
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
@@ -90,22 +79,25 @@ func (c *ClientConfig) fill() {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
 	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
-	}
 	if c.FlushSpins == 0 {
 		c.FlushSpins = 2
 	}
 	if c.FlushSpins < 0 {
 		c.FlushSpins = 0
 	}
-	if c.DeadlineGrace == 0 {
-		c.DeadlineGrace = 250 * time.Millisecond
-	}
-	if c.DeadlineGrace < 0 {
-		c.DeadlineGrace = 0
-	}
 }
+
+const (
+	// dialTimeout bounds each (re)connect.
+	dialTimeout = 5 * time.Second
+	// deadlineGrace is how long past a request's deadline QueryInto keeps
+	// waiting for the server's answer before giving up client-side with
+	// ErrExpired. The server sheds expired requests with an explicit
+	// status frame, so the grace normally never fires; it exists so a
+	// stalled or blackholed connection cannot hold a deadline-bearing
+	// caller forever. Requests without a deadline wait indefinitely.
+	deadlineGrace = 250 * time.Millisecond
+)
 
 // connBuffer sizes each connection's buffered reader and writer, on both
 // ends — large enough that a coalesced batch's requests arrive in one
@@ -160,7 +152,7 @@ func dial(addr string, cfg ClientConfig) (*transport, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	c, err := dialer(addr, cfg.DialTimeout)
+	c, err := dialer(addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -206,9 +198,9 @@ func (tr *transport) Close() error {
 // answer, which lands in y (and std, when the surrogate produced one);
 // both must hold the tenant's output dimensionality. deadline is
 // propagated into the server's admission control; the zero time means
-// none. A nil std discards any returned uncertainty row (set FlagNoStd in
-// the config to stop the server sending it at all). Safe for concurrent
-// use; each concurrent caller must pass its own buffers.
+// none. A nil std sets FlagNoStd on the request, so the server sends no
+// uncertainty row at all. Safe for concurrent use; each concurrent caller
+// must pass its own buffers.
 func (tr *transport) QueryInto(tenant string, x, y, std []float64, deadline time.Time) (WireResult, error) {
 	p, id := tr.lease()
 	p.y, p.std = y, std
@@ -216,15 +208,14 @@ func (tr *transport) QueryInto(tenant string, x, y, std []float64, deadline time
 	var bound time.Duration
 	if !deadline.IsZero() {
 		dl = deadline.UnixNano()
-		// The server sheds expired requests with an explicit status frame,
-		// so the grace normally never fires; it is what keeps a stalled
-		// connection from holding a deadline-bearing caller forever.
-		if grace := tr.cfg.DeadlineGrace; grace > 0 {
-			bound = max(time.Until(deadline), 0) + grace
-		}
+		bound = max(time.Until(deadline), 0) + deadlineGrace
+	}
+	var flags byte
+	if std == nil {
+		flags = FlagNoStd
 	}
 	var err error
-	if p.buf, err = appendRequest(p.buf[:0], tenant, id, dl, tr.cfg.Flags, x); err != nil {
+	if p.buf, err = appendRequest(p.buf[:0], tenant, id, dl, flags, x); err != nil {
 		tr.release(p)
 		return WireResult{}, err
 	}

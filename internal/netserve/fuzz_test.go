@@ -149,9 +149,8 @@ func FuzzClientResponse(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := netPipe()
-		cfg := ClientConfig{DeadlineGrace: 50 * time.Millisecond}
+		var cfg ClientConfig
 		cfg.fill()
-		cfg.DeadlineGrace = 50 * time.Millisecond
 		cl := newTransport(a, cfg)
 		defer cl.Close()
 		go func() {

@@ -39,7 +39,7 @@ func TestWriteStallWatchdog(t *testing.T) {
 	go srv.Serve(inj.Listener(ln))
 	defer srv.Close()
 
-	cl, err := dial(ln.Addr().String(), ClientConfig{DeadlineGrace: 100 * time.Millisecond})
+	cl, err := dial(ln.Addr().String(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

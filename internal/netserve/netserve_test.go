@@ -1,6 +1,7 @@
 package netserve
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -137,23 +138,99 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// tapConn records the bytes a client connection writes and reads.
+type tapConn struct {
+	net.Conn
+	mu      sync.Mutex
+	out, in []byte
+}
+
+func (c *tapConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.out = append(c.out, b...)
+	c.mu.Unlock()
+	return c.Conn.Write(b)
+}
+
+func (c *tapConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.mu.Lock()
+	c.in = append(c.in, b[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+// take decodes and clears the recorded traffic, which must be exactly one
+// request frame out and one response frame in.
+func (c *tapConn) take(t *testing.T) (request, response) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	body := func(raw []byte) []byte {
+		n := int(binary.BigEndian.Uint32(raw))
+		if len(raw) != lenPrefix+n {
+			t.Fatalf("recorded %d bytes, want one %d-byte frame", len(raw), lenPrefix+n)
+		}
+		return raw[lenPrefix:]
+	}
+	req, err := parseRequest(body(c.out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := parseResponse(body(c.in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.out, c.in = nil, nil
+	return req, resp
+}
+
+// TestWireNoStdFlag pins the flag the client derives from its input: a
+// nil std puts FlagNoStd on the wire and the response frame carries no
+// std bytes; a non-nil std leaves the flag off and receives the row.
 func TestWireNoStdFlag(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{Flags: FlagNoStd})
+	tap := &tapConn{}
+	cl, err := dial(addr, ClientConfig{Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, timeout)
+		tap.Conn = c
+		return tap, err
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	res, err := query(cl, "m", []float64{1, 2}, time.Time{})
+	y := make([]float64, 1)
+	res, err := cl.QueryInto("m", []float64{1, 2}, y, nil, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Std != nil {
-		t.Fatalf("FlagNoStd response carried std %v", res.Std)
+	if res.Std != nil || res.Y[0] != 3 {
+		t.Fatalf("nil-std query: y = %v, std = %v", res.Y, res.Std)
 	}
-	if res.Y[0] != 3 {
-		t.Fatalf("y = %v", res.Y)
+	req, resp := tap.take(t)
+	if req.flags&FlagNoStd == 0 {
+		t.Fatalf("nil-std request flags %#x, want FlagNoStd", req.flags)
+	}
+	if resp.nstd != 0 || len(resp.std) != 0 {
+		t.Fatalf("FlagNoStd response carried %d std values", resp.nstd)
+	}
+
+	std := make([]float64, 1)
+	res, err = cl.QueryInto("m", []float64{1, 2}, y, std, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Std) != 1 || res.Std[0] != 0.01 || res.Y[0] != 3 {
+		t.Fatalf("std query: y = %v, std = %v", res.Y, res.Std)
+	}
+	req, resp = tap.take(t)
+	if req.flags&FlagNoStd != 0 {
+		t.Fatalf("std request flags %#x, want FlagNoStd clear", req.flags)
+	}
+	if resp.nstd != 1 {
+		t.Fatalf("std response carried %d std values, want 1", resp.nstd)
 	}
 }
 
@@ -277,8 +354,9 @@ func TestWireRowErrorAndPanicContainment(t *testing.T) {
 // TestWireStatusMapping pins the status → error contract (OK, ErrRetry,
 // ErrExpired, ErrUnknownTenant, *RemoteError) on the exported client, not
 // only on the transport under it: the same assertions run through a bare
-// transport and through DialResilient with one connection and one attempt
-// (so a shed surfaces instead of being retried away).
+// transport and through DialResilient with one connection. The slow row
+// holds the admission slot for 50ms, longer than the resilient client's
+// whole retry ladder, so a shed still surfaces.
 func TestWireStatusMapping(t *testing.T) {
 	type client interface {
 		querier
@@ -290,7 +368,7 @@ func TestWireStatusMapping(t *testing.T) {
 	}{
 		{"transport", func(addr string) (client, error) { return dial(addr, ClientConfig{}) }},
 		{"resilient", func(addr string) (client, error) {
-			return DialResilient(addr, ResilientConfig{Conns: 1, MaxAttempts: 1})
+			return DialResilient(addr, ResilientConfig{Conns: 1})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -37,42 +37,20 @@ func (e *CircuitOpenError) Error() string {
 
 func (e *CircuitOpenError) Is(target error) bool { return target == ErrCircuitOpen }
 
-// BreakerConfig tunes the per-tenant circuit breakers. The zero value
-// selects the defaults; set Disable to run without breakers.
-type BreakerConfig struct {
-	// Window is the rolling per-tenant sample window, at most 64 (default
-	// 64; the window lives in one uint64 shift register).
-	Window int
-	// MinSamples is the fewest windowed samples before the breaker may
-	// trip (default 16), so one early failure cannot open it.
-	MinSamples int
-	// TripRate is the windowed failure fraction at which the breaker
-	// opens (default 0.5).
-	TripRate float64
-	// Cooldown is how long an open breaker waits before letting one
-	// half-open probe through (default 1s).
-	Cooldown time.Duration
-	// Disable turns breakers off entirely.
-	Disable bool
-}
+// Per-tenant circuit-breaker constants: a rolling window of the last
+// breakerWindow outcomes (at most 64 — the window lives in one uint64
+// shift register) trips the breaker open once it holds at least
+// breakerMinSamples samples, so one early failure cannot open it, and
+// their failure fraction reaches breakerTripRate.
+const (
+	breakerWindow     = 64
+	breakerMinSamples = 16
+	breakerTripRate   = 0.5
+)
 
-func (c *BreakerConfig) fill() {
-	if c.Window <= 0 || c.Window > 64 {
-		c.Window = 64
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MinSamples > c.Window {
-		c.MinSamples = c.Window
-	}
-	if c.TripRate <= 0 {
-		c.TripRate = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = time.Second
-	}
-}
+// breakerCooldown is how long an open breaker waits before letting one
+// half-open probe through. A variable only so tests can reach it.
+var breakerCooldown = time.Second
 
 const (
 	bkClosed = iota
@@ -84,7 +62,6 @@ const (
 // a shift register, the classic closed → open → half-open state machine,
 // and a preallocated open error so shedding allocates nothing.
 type breaker struct {
-	cfg     BreakerConfig
 	tenant  string
 	openErr *CircuitOpenError
 	// state is mirrored atomically so the healthy fast path (closed →
@@ -100,8 +77,8 @@ type breaker struct {
 	probing  bool // half-open: one probe in flight
 }
 
-func newBreaker(cfg BreakerConfig, tenant string) *breaker {
-	return &breaker{cfg: cfg, tenant: tenant, openErr: &CircuitOpenError{Tenant: tenant}}
+func newBreaker(tenant string) *breaker {
+	return &breaker{tenant: tenant, openErr: &CircuitOpenError{Tenant: tenant}}
 }
 
 // allow reports whether a query may proceed, transitioning open →
@@ -116,7 +93,7 @@ func (b *breaker) allow() bool {
 	case bkClosed:
 		return true
 	case bkOpen:
-		if time.Since(b.openedAt) >= b.cfg.Cooldown {
+		if time.Since(b.openedAt) >= breakerCooldown {
 			b.state.Store(bkHalfOpen)
 			b.probing = true
 			return true
@@ -159,8 +136,8 @@ func (b *breaker) record(fail bool) {
 		}
 		return
 	}
-	if b.n == b.cfg.Window {
-		if b.bits>>uint(b.cfg.Window-1)&1 == 1 {
+	if b.n == breakerWindow {
+		if b.bits>>(breakerWindow-1)&1 == 1 {
 			b.fails--
 		}
 		b.n--
@@ -173,7 +150,7 @@ func (b *breaker) record(fail bool) {
 	}
 	b.n++
 	switch {
-	case b.n >= b.cfg.MinSamples && float64(b.fails)/float64(b.n) >= b.cfg.TripRate:
+	case b.n >= breakerMinSamples && float64(b.fails)/float64(b.n) >= breakerTripRate:
 		b.state.Store(bkOpen)
 		b.openedAt = time.Now()
 		b.reset()
@@ -198,60 +175,42 @@ type ResilientConfig struct {
 	Conns int
 	// Client tunes each pooled connection.
 	Client ClientConfig
-	// MaxAttempts bounds one query's tries across connections (default
-	// 3): the first attempt plus retries after ErrRetry or a transport
-	// failure. Definitive answers (OK, expired, unknown tenant, server
-	// error) never retry.
-	MaxAttempts int
-	// RetryBackoff / RetryBackoffMax shape the jittered exponential
-	// backoff between attempts (defaults 2ms and 250ms). A backoff that
-	// would overshoot the request's deadline returns the last error
-	// instead of sleeping into certain expiry.
-	RetryBackoff, RetryBackoffMax time.Duration
-	// ReconnectBackoff / ReconnectBackoffMax shape the background redial
-	// loop for a broken pooled connection (defaults 10ms and 1s).
-	ReconnectBackoff, ReconnectBackoffMax time.Duration
-	// ExpireStreak is how many consecutive client-side deadline
-	// expirations on one connection condemn it as blackholed and force a
-	// reconnect (default 8; negative disables). A stalled-but-open TCP
-	// connection never yields a transport error on its own — this streak
-	// is the only signal that crosses it.
-	ExpireStreak int
-	// Breaker tunes the per-tenant circuit breakers.
-	Breaker BreakerConfig
-	// Seed fixes the jitter stream (default 1).
-	Seed uint64
 }
 
 func (c *ResilientConfig) fill() {
 	if c.Conns <= 0 {
 		c.Conns = 2
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 2 * time.Millisecond
-	}
-	if c.RetryBackoffMax <= 0 {
-		c.RetryBackoffMax = 250 * time.Millisecond
-	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = 10 * time.Millisecond
-	}
-	if c.ReconnectBackoffMax <= 0 {
-		c.ReconnectBackoffMax = time.Second
-	}
-	if c.ExpireStreak == 0 {
-		c.ExpireStreak = 8
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	c.Breaker.fill()
 	// c.Client is filled by dial on each (re)connect; filling it here too
-	// would double-apply the negative-means-disable conversions.
+	// would double-apply the negative-means-disable conversion.
 }
+
+// Retry, reconnect and blackhole-detection constants.
+const (
+	// maxAttempts bounds one call's tries across connections: the first
+	// attempt plus retries after ErrRetry or a transport failure.
+	// Definitive answers (OK, expired, unknown tenant, server error) never
+	// retry.
+	maxAttempts = 3
+	// retryBackoff / retryBackoffMax shape the jittered exponential
+	// backoff between attempts. A backoff that would overshoot the
+	// request's deadline returns the last error instead of sleeping into
+	// certain expiry.
+	retryBackoff    = 2 * time.Millisecond
+	retryBackoffMax = 250 * time.Millisecond
+	// reconnectBackoff / reconnectBackoffMax shape the background redial
+	// loop for a broken pooled connection.
+	reconnectBackoff    = 10 * time.Millisecond
+	reconnectBackoffMax = time.Second
+	// expireStreak is how many consecutive client-side deadline
+	// expirations on one connection condemn it as blackholed and force a
+	// reconnect. A stalled-but-open TCP connection never yields a
+	// transport error on its own — this streak is the only signal that
+	// crosses it.
+	expireStreak = 8
+	// jitterSeed fixes the jitter stream.
+	jitterSeed = 1
+)
 
 // rslot is one pooled connection slot: the live transport (nil while
 // down) and its repair/blackhole-detection state.
@@ -306,7 +265,7 @@ func DialResilient(addr string, cfg ResilientConfig) (*ResilientClient, error) {
 		addr:     addr,
 		slots:    make([]*rslot, cfg.Conns),
 		breakers: map[string]*breaker{},
-		rng:      xrand.New(cfg.Seed),
+		rng:      xrand.New(jitterSeed),
 		quit:     make(chan struct{}),
 	}
 	var firstErr error
@@ -377,16 +336,17 @@ func (rc *ResilientClient) Query(tenant string, x []float64, deadline time.Time)
 
 // QueryInto submits one row to the named tenant through the pool with
 // retries and circuit breaking. The answer lands in y (and std, when the
-// surrogate produced one; nil discards it), which must hold the
-// tenant's output dimensionality; deadline is propagated into the
-// server's admission control, the zero time meaning none. Safe for
-// concurrent use; each concurrent caller must pass its own buffers.
+// surrogate produced one; a nil std asks the server not to send it),
+// which must hold the tenant's output dimensionality; deadline is
+// propagated into the server's admission control, the zero time meaning
+// none. Safe for concurrent use; each concurrent caller must pass its own
+// buffers.
 func (rc *ResilientClient) QueryInto(tenant string, x, y, std []float64, deadline time.Time) (WireResult, error) {
 	if rc.closed.Load() {
 		return WireResult{}, ErrClientClosed // before the breaker: not a tenant-health signal
 	}
 	br := rc.breakerFor(tenant)
-	if br != nil && !br.allow() {
+	if !br.allow() {
 		rc.breakerShed.Add(1)
 		return WireResult{}, br.openErr
 	}
@@ -395,9 +355,7 @@ func (rc *ResilientClient) QueryInto(tenant string, x, y, std []float64, deadlin
 		res, err = tr.QueryInto(tenant, x, y, std, deadline)
 		return err
 	})
-	if br != nil {
-		br.record(isBreakerFailure(err))
-	}
+	br.record(isBreakerFailure(err))
 	return res, err
 }
 
@@ -412,7 +370,7 @@ func isBreakerFailure(err error) bool {
 }
 
 // attempts is the one retry ladder, for queries and artifact calls alike:
-// up to MaxAttempts tries of call across the pool, jittered exponential
+// up to maxAttempts tries of call across the pool, jittered exponential
 // backoff between them, never sleeping past a non-zero deadline.
 // Transport failures condemn the connection and try another, explicit
 // sheds back off, definitive answers return at once.
@@ -421,8 +379,8 @@ func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *transport)
 		return ErrClientClosed
 	}
 	var last error = ErrNoConn
-	back := rc.cfg.RetryBackoff
-	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
+	back := retryBackoff
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			rc.retries.Add(1)
 			d := rc.jitter(back)
@@ -436,7 +394,7 @@ func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *transport)
 				return ErrClientClosed
 			case <-time.After(d):
 			}
-			back = min(2*back, rc.cfg.RetryBackoffMax)
+			back = min(2*back, retryBackoffMax)
 		}
 		tr, sl := rc.pick()
 		if tr == nil {
@@ -511,14 +469,11 @@ func (rc *ResilientClient) markBroken(sl *rslot, cl *transport) {
 }
 
 // noteExpired advances a slot's consecutive-expiry streak; at
-// ExpireStreak the connection is condemned as blackholed — an open-but-
+// expireStreak the connection is condemned as blackholed — an open-but-
 // silent connection yields no transport error, so the streak is the only
 // crossing signal.
 func (rc *ResilientClient) noteExpired(sl *rslot, cl *transport) {
-	if rc.cfg.ExpireStreak <= 0 {
-		return
-	}
-	if sl.expStreak.Add(1) >= int32(rc.cfg.ExpireStreak) {
+	if sl.expStreak.Add(1) >= expireStreak {
 		sl.expStreak.Store(0)
 		rc.markBroken(sl, cl)
 	}
@@ -548,7 +503,7 @@ func (rc *ResilientClient) spawnRepair(sl *rslot) {
 func (rc *ResilientClient) repair(sl *rslot) {
 	defer rc.repairs.Done()
 	defer sl.repairing.Store(false)
-	back := rc.cfg.ReconnectBackoff
+	back := reconnectBackoff
 	for {
 		if rc.closed.Load() {
 			return
@@ -572,20 +527,14 @@ func (rc *ResilientClient) repair(sl *rslot) {
 			return
 		case <-time.After(rc.jitter(back)):
 		}
-		back *= 2
-		if back > rc.cfg.ReconnectBackoffMax {
-			back = rc.cfg.ReconnectBackoffMax
-		}
+		back = min(2*back, reconnectBackoffMax)
 	}
 }
 
-// breakerFor returns (creating on first use) the tenant's breaker, or nil
-// when breakers are disabled. A one-entry MRU cache serves the common
-// single-tenant-per-client case without touching the map lock.
+// breakerFor returns (creating on first use) the tenant's breaker. A
+// one-entry MRU cache serves the common single-tenant-per-client case
+// without touching the map lock.
 func (rc *ResilientClient) breakerFor(tenant string) *breaker {
-	if rc.cfg.Breaker.Disable {
-		return nil
-	}
 	if b := rc.lastBk.Load(); b != nil && b.tenant == tenant {
 		return b
 	}
@@ -595,7 +544,7 @@ func (rc *ResilientClient) breakerFor(tenant string) *breaker {
 	if b == nil {
 		rc.bmu.Lock()
 		if b = rc.breakers[tenant]; b == nil {
-			b = newBreaker(rc.cfg.Breaker, tenant)
+			b = newBreaker(tenant)
 			rc.breakers[tenant] = b
 		}
 		rc.bmu.Unlock()

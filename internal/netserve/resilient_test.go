@@ -44,11 +44,8 @@ func TestResilientReconnect(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
 	rc, err := DialResilient(addr, ResilientConfig{
-		Conns:            2,
-		MaxAttempts:      5,
-		RetryBackoff:     time.Millisecond,
-		ReconnectBackoff: time.Millisecond,
-		Client:           ClientConfig{Dialer: inj.Dialer(nil)},
+		Conns:  2,
+		Client: ClientConfig{Dialer: inj.Dialer(nil)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,11 +90,7 @@ func TestResilientRetriesOverload(t *testing.T) {
 	_, _, addr := newTestServer(t,
 		fleet.Config{MaxInFlight: 1, Coalescer: serve.Config{MaxBatch: 1}},
 		Config{}, map[string]serve.Backend{"m": bk})
-	rc, err := DialResilient(addr, ResilientConfig{
-		Conns:        1,
-		MaxAttempts:  8,
-		RetryBackoff: time.Millisecond,
-	})
+	rc, err := DialResilient(addr, ResilientConfig{Conns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +117,14 @@ func TestResilientRetriesOverload(t *testing.T) {
 
 // TestResilientBreaker trips a tenant's breaker on a hard-failing tenant,
 // asserts shedding, then registers the tenant and asserts the half-open
-// probe closes the breaker again.
+// probe closes the breaker again. Window, minimum and trip rate are the
+// production ones; only the cooldown is shortened.
 func TestResilientBreaker(t *testing.T) {
+	defer func(d time.Duration) { breakerCooldown = d }(breakerCooldown)
+	breakerCooldown = 50 * time.Millisecond
 	bk := &testBackend{in: 2, out: 1}
 	fl, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	rc, err := DialResilient(addr, ResilientConfig{
-		Breaker: BreakerConfig{MinSamples: 4, TripRate: 0.5, Cooldown: 50 * time.Millisecond},
-	})
+	rc, err := DialResilient(addr, ResilientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,20 +134,20 @@ func TestResilientBreaker(t *testing.T) {
 		_, qerr := rc.QueryInto("ghost", []float64{1, 2}, y, std, time.Time{})
 		return qerr
 	}
-	// Unknown tenant is a definitive failure: the window fills and trips.
-	var tripped bool
-	for i := 0; i < 64; i++ {
+	// Unknown tenant is a definitive failure: the window fills and trips
+	// at the 16-sample minimum.
+	fails := 0
+	for ; fails < 64; fails++ {
 		err := query()
 		if errors.Is(err, ErrCircuitOpen) {
-			tripped = true
 			break
 		}
 		if !errors.Is(err, ErrUnknownTenant) {
 			t.Fatalf("want unknown-tenant, got %v", err)
 		}
 	}
-	if !tripped {
-		t.Fatal("breaker never opened on a 100% failing tenant")
+	if fails != 16 {
+		t.Fatalf("breaker opened after %d failures on a 100%% failing tenant, want 16", fails)
 	}
 	var coe *CircuitOpenError
 	if err := query(); !errors.As(err, &coe) || coe.Tenant != "ghost" {
@@ -162,6 +156,26 @@ func TestResilientBreaker(t *testing.T) {
 	shed := rc.Stats().BreakerShed
 	if shed == 0 {
 		t.Fatal("breaker sheds not counted")
+	}
+
+	// A mixed tenant: after its first failure every outcome counts. 7
+	// failures in 16 samples and 8 in 17 stay under the 0.5 trip rate; the
+	// 9th failure, at 18 samples, reaches it.
+	seq := []bool{true, false, false, false, false, false, false, false, false, false,
+		true, true, true, true, true, true, true, true}
+	for i, fail := range seq {
+		x0 := 1.0
+		if fail {
+			x0 = poisonErr
+		}
+		_, err := rc.QueryInto("m", []float64{x0, 2}, y, std, time.Time{})
+		var re *RemoteError
+		if fail && !errors.As(err, &re) || !fail && err != nil {
+			t.Fatalf("mixed query %d (fail=%v): got %v", i, fail, err)
+		}
+	}
+	if _, err := rc.QueryInto("m", []float64{1, 2}, y, std, time.Time{}); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("9 failures in 18 samples: got %v, want the breaker open", err)
 	}
 
 	// Heal the tenant; after the cooldown one probe goes through,
@@ -210,10 +224,8 @@ func TestResilientArtifactCallBounded(t *testing.T) {
 	inj := chaos.New(7)
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{Artifacts: oneGenStore{}}, nil)
 	rc, err := DialResilient(addr, ResilientConfig{
-		Conns:            1,
-		MaxAttempts:      1,
-		ReconnectBackoff: time.Millisecond,
-		Client:           ClientConfig{Dialer: inj.Dialer(nil)},
+		Conns:  1,
+		Client: ClientConfig{Dialer: inj.Dialer(nil)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,18 +271,18 @@ func TestResilientArtifactCallBounded(t *testing.T) {
 }
 
 // TestResilientDeadlineBound asserts the retry loop refuses to sleep past
-// the caller's deadline: with every connection down, a short-deadline
-// query returns promptly rather than burning the full backoff ladder.
+// the caller's deadline: with the pool's only connection killed, a query
+// whose deadline falls inside the first backoff returns the first
+// attempt's transport error at once. A ladder that slept and retried
+// would answer from the repaired connection with ErrExpired (or find no
+// connection yet) instead.
 func TestResilientDeadlineBound(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
 	inj := chaos.New(5)
 	rc, err := DialResilient(addr, ResilientConfig{
-		Conns:            1,
-		MaxAttempts:      10,
-		RetryBackoff:     100 * time.Millisecond,
-		ReconnectBackoff: time.Hour, // keep the slot down for the test
-		Client:           ClientConfig{Dialer: inj.Dialer(nil)},
+		Conns:  1,
+		Client: ClientConfig{Dialer: inj.Dialer(nil)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,9 +291,13 @@ func TestResilientDeadlineBound(t *testing.T) {
 	inj.KillAll()
 	y, std := make([]float64, 1), make([]float64, 1)
 	start := time.Now()
-	_, qerr := rc.QueryInto("m", []float64{1, 2}, y, std, time.Now().Add(30*time.Millisecond))
+	// The first backoff sleeps at least retryBackoff/2.
+	_, qerr := rc.QueryInto("m", []float64{1, 2}, y, std, start.Add(retryBackoff/2))
 	if qerr == nil {
-		t.Fatal("query through a fully-dead pool succeeded")
+		t.Fatal("query through a killed connection succeeded")
+	}
+	if !errors.Is(qerr, ErrConnLost) {
+		t.Fatalf("deadline-bounded retry returned %v, want the first attempt's ErrConnLost", qerr)
 	}
 	if el := time.Since(start); el > 500*time.Millisecond {
 		t.Fatalf("deadline-bounded retry took %v, want well under the backoff ladder", el)

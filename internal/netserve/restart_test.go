@@ -93,12 +93,7 @@ func TestRestartRecoverySoak(t *testing.T) {
 	addr := ln1.Addr().String()
 	go srv1.Serve(ln1)
 
-	rc, err := DialResilient(addr, ResilientConfig{
-		Conns:            2,
-		MaxAttempts:      4,
-		RetryBackoff:     time.Millisecond,
-		ReconnectBackoff: time.Millisecond,
-	})
+	rc, err := DialResilient(addr, ResilientConfig{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,7 @@
 // communication improves model update speed and convergence. This package
 // provides those four drivers over goroutines and channels, two allreduce
 // implementations (a naive lock-based reducer and a ring allreduce), and
-// representative kernels from the paper's list: SGD and Gibbs sampling
-// (Ising).
+// a representative kernel from the paper's list: SGD.
 package parallel
 
 import (

@@ -233,78 +233,6 @@ func TestReplicaDivergence(t *testing.T) {
 	}
 }
 
-func TestIsingHighTemperatureDisordered(t *testing.T) {
-	// beta well below critical (0.4407): |m| ~ 0.
-	m, err := IsingRun(24, 0.2, 60, 4, false, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m > 0.25 {
-		t.Fatalf("high-T magnetization %g, want near 0", m)
-	}
-}
-
-func TestIsingLowTemperatureOrdered(t *testing.T) {
-	// beta well above critical: |m| ~ 1.
-	m, err := IsingRun(24, 0.7, 120, 4, false, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m < 0.7 {
-		t.Fatalf("low-T magnetization %g, want near 1", m)
-	}
-}
-
-func TestIsingAsyncApproximatesSync(t *testing.T) {
-	// Hogwild sweeps should land in the same thermodynamic phase at low
-	// temperature. Magnetization is a poor comparison observable (striped
-	// domain states have |m|≈0 while locally ordered), so compare the mean
-	// energy per spin, which is domain-wall-insensitive.
-	runEnergy := func(async bool) float64 {
-		root := xrand.New(7)
-		m := NewIsing(20, 0.7, root)
-		rngs := make([]*xrand.Rand, 4)
-		for i := range rngs {
-			rngs[i] = root.Split()
-		}
-		for s := 0; s < 150; s++ {
-			if async {
-				m.SweepAsync(4, rngs)
-			} else {
-				m.SweepCheckerboard(4, rngs)
-			}
-		}
-		return m.Energy()
-	}
-	sync1 := runEnergy(false)
-	async1 := runEnergy(true)
-	// Deep in the ordered phase both should approach -2J per spin.
-	if sync1 > -1.4 || async1 > -1.4 {
-		t.Fatalf("low-T energies not ordered: sync %g async %g", sync1, async1)
-	}
-	if math.Abs(sync1-async1) > 0.3 {
-		t.Fatalf("async energy %g far from sync %g", async1, sync1)
-	}
-}
-
-func TestIsingValidation(t *testing.T) {
-	if _, err := IsingRun(2, 0.5, 10, 1, false, 1); err == nil {
-		t.Fatal("tiny lattice accepted")
-	}
-	if _, err := IsingRun(8, 0.5, 1, 1, false, 1); err == nil {
-		t.Fatal("single sweep accepted")
-	}
-}
-
-func TestIsingEnergyBounds(t *testing.T) {
-	rng := xrand.New(13)
-	m := NewIsing(16, 0.5, rng)
-	e := m.Energy()
-	if e < -2 || e > 2 {
-		t.Fatalf("energy per spin %g outside [-2,2]", e)
-	}
-}
-
 func BenchmarkRingAllreduce8x1024(b *testing.B) {
 	const p, n = 8, 1024
 	ring := NewRingAllreducer(p)

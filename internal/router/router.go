@@ -90,7 +90,7 @@ var (
 
 // stallTimeout condemns a worker connection that holds in-flight requests
 // but delivers no response bytes for this long — the blackhole analog of
-// the resilient client's ExpireStreak. A variable only so the tests can
+// the resilient client's expiry streak. A variable only so the tests can
 // reach it.
 var stallTimeout = 10 * time.Second
 

@@ -109,13 +109,7 @@ func (w *testWorker) kill() {
 
 func dialRouter(t *testing.T, addr string) *netserve.ResilientClient {
 	t.Helper()
-	rc, err := netserve.DialResilient(addr, netserve.ResilientConfig{
-		Conns:            2,
-		MaxAttempts:      6,
-		RetryBackoff:     2 * time.Millisecond,
-		ReconnectBackoff: 5 * time.Millisecond,
-		Breaker:          netserve.BreakerConfig{Disable: true},
-	})
+	rc, err := netserve.DialResilient(addr, netserve.ResilientConfig{Conns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // the serving front-end that makes many concurrent small queries as cheap
 // per point as one large batch. Concurrent QueryRows bursts are gathered
 // into micro-batches with a dual trigger — a batch fills to MaxBatch, or
-// the gather stalls (no new arrivals) with MaxDelay as the hard cap — and
+// the gather stalls (no new arrivals) with maxDelay as the hard cap — and
 // each batch runs once through the backend's amortized QueryBatchInto
 // path, fanning results back to the blocked callers. A Query is a burst
 // of one: there is no second, single-row path.
@@ -59,15 +59,6 @@ type Config struct {
 	// MaxBatch dispatches a batch as soon as it gathers this many
 	// requests (default 64).
 	MaxBatch int
-	// MaxDelay caps how long a batch may gather before dispatching
-	// whatever has arrived (default 200µs). It also anchors the sparse
-	// cutoff: when the arrival-rate estimate says even MaxDelay could
-	// not fill a batch, queries dispatch immediately instead of waiting.
-	MaxDelay time.Duration
-	// StallSpins is how many consecutive leader yields without a new
-	// arrival count as a stalled gather (default 4). Smaller dispatches
-	// sooner at lower concurrency; larger rides out scheduling jitter.
-	StallSpins int
 	// Pool supplies the recycled batch/dispatch state. Coalescers sharing
 	// one pool (the per-tenant instances of a fleet) amortize their gather
 	// buffers across tenants; nil gives the coalescer a private pool.
@@ -78,15 +69,21 @@ type Config struct {
 // (0, 1]; larger adapts faster.
 const ewmaAlpha = 0.2
 
+// Gather bounds. maxDelay caps how long a batch may gather before
+// dispatching whatever has arrived; it also anchors the sparse cutoff:
+// when the arrival-rate estimate says even maxDelay could not fill a
+// batch, queries dispatch immediately instead of waiting. stallSpins is
+// how many consecutive leader yields without a new arrival count as a
+// stalled gather: smaller dispatches sooner at lower concurrency, larger
+// rides out scheduling jitter. Variables only so tests can reach them.
+var (
+	maxDelay   = 200 * time.Microsecond
+	stallSpins = 4
+)
+
 func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 200 * time.Microsecond
-	}
-	if c.StallSpins <= 0 {
-		c.StallSpins = 4
 	}
 	if c.Pool == nil {
 		c.Pool = NewBatchPool()
@@ -259,8 +256,8 @@ func (r Result) CopyOut(y, std []float64) (Result, error) {
 // on the batch anyway and so donates its wait to arrival detection: it
 // yields the processor, letting other ready callers join, and dispatches
 // when every in-flight caller has joined, when the batch stops growing
-// for StallSpins consecutive yields, or when the EWMA-tuned deadline
-// (the estimated time for a full batch to arrive, capped at MaxDelay)
+// for stallSpins consecutive yields, or when the EWMA-tuned deadline
+// (the estimated time for a full batch to arrive, capped at maxDelay)
 // elapses. If another caller dispatches the batch first (size trigger or
 // Close), the leader reports dispatched=false along with the batch's
 // completion channel (captured under the lock; guaranteed non-nil, since
@@ -287,7 +284,7 @@ func (c *Coalescer) lead(b *batch) (dispatched bool, done chan struct{}) {
 		}
 		// Everyone currently in flight has joined: waiting longer can
 		// only add latency. (New arrivals would start the next batch.)
-		expire := int64(b.n) >= c.active.Load() || stall >= c.cfg.StallSpins
+		expire := int64(b.n) >= c.active.Load() || stall >= stallSpins
 		if !expire && spins%32 == 31 {
 			// Growth is steady but slow: enforce the adaptive deadline
 			// with a coarse (every-32-yields) clock check.
@@ -315,22 +312,18 @@ func (c *Coalescer) lead(b *batch) (dispatched bool, done chan struct{}) {
 // when no peer is observably in flight right now. Cold starts (no
 // estimate yet) read as sparse. Callers hold c.mu.
 func (c *Coalescer) denseLocked() bool {
-	return c.ewmaNs > 0 && time.Duration(4*c.ewmaNs) <= c.cfg.MaxDelay
+	return c.ewmaNs > 0 && time.Duration(4*c.ewmaNs) <= maxDelay
 }
 
 // adaptiveDeadlineLocked is the EWMA-tuned gather deadline: the
 // estimated time for a full batch to arrive at the observed rate, capped
-// at MaxDelay — slow arrival streams are never held for longer than
+// at maxDelay — slow arrival streams are never held for longer than
 // their own cadence justifies. Callers hold c.mu.
 func (c *Coalescer) adaptiveDeadlineLocked() time.Duration {
 	if c.ewmaNs == 0 {
-		return c.cfg.MaxDelay
+		return maxDelay
 	}
-	fill := time.Duration(c.ewmaNs * float64(c.cfg.MaxBatch-1))
-	if fill > c.cfg.MaxDelay {
-		return c.cfg.MaxDelay
-	}
-	return fill
+	return min(time.Duration(c.ewmaNs*float64(c.cfg.MaxBatch-1)), maxDelay)
 }
 
 // registerDispatchLocked accounts one batch dispatch: claims the caller

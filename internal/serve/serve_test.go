@@ -94,12 +94,21 @@ func TestCoalescerCorrectness(t *testing.T) {
 	}
 }
 
+// withGather sets the coalescer's gather deadline and stall count for
+// the rest of the test.
+func withGather(t *testing.T, delay time.Duration, spins int) {
+	t.Helper()
+	oldDelay, oldSpins := maxDelay, stallSpins
+	maxDelay, stallSpins = delay, spins
+	t.Cleanup(func() { maxDelay, stallSpins = oldDelay, oldSpins })
+}
+
 // TestCoalescerLoneQueryNoWait pins the sparse-traffic contract: a query
 // with no concurrent company dispatches immediately as a batch of 1 —
 // it is never taxed with a gather wait.
 func TestCoalescerLoneQueryNoWait(t *testing.T) {
 	fb := newFakeBackend()
-	c := NewCoalescer(fb, Config{MaxBatch: 64, MaxDelay: time.Hour})
+	c := NewCoalescer(fb, Config{MaxBatch: 64})
 	defer c.Close()
 	t0 := time.Now()
 	r, err := c.Query([]float64{0.5, 0.25})
@@ -113,7 +122,7 @@ func TestCoalescerLoneQueryNoWait(t *testing.T) {
 	if got := c.Stats().Batches; got != 1 {
 		t.Fatalf("dispatched %d batches, want 1", got)
 	}
-	// Generous bound: the point is that the hour-long MaxDelay (and any
+	// Generous bound: the point is that the gather deadline (and any
 	// timer machinery) never entered the picture.
 	if dt > time.Second {
 		t.Fatalf("lone query took %v; sparse bypass dead", dt)
@@ -126,13 +135,13 @@ func TestCoalescerLoneQueryNoWait(t *testing.T) {
 // budget read as dense (lead a gather even when active == 1, so
 // invisible concurrency on few cores still coalesces).
 func TestCoalescerDenseClassification(t *testing.T) {
-	c := NewCoalescer(newFakeBackend(), Config{MaxDelay: 200 * time.Microsecond})
+	c := NewCoalescer(newFakeBackend(), Config{})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.denseLocked() {
 		t.Fatal("cold start classified dense; first queries must bypass solo")
 	}
-	c.ewmaNs = float64(5 * time.Microsecond) // 4x estimate well under MaxDelay
+	c.ewmaNs = float64(5 * time.Microsecond) // 4x estimate well under maxDelay
 	if !c.denseLocked() {
 		t.Fatal("5µs arrival interval classified sparse under a 200µs budget")
 	}
@@ -144,11 +153,12 @@ func TestCoalescerDenseClassification(t *testing.T) {
 
 // TestCoalescerSizeTrigger checks a full batch dispatches without
 // waiting out any deadline: concurrent queries against a blocked-forming
-// batch complete promptly even with an hour-long MaxDelay.
+// batch complete promptly even with an hour-long gather deadline.
 func TestCoalescerSizeTrigger(t *testing.T) {
 	fb := newFakeBackend()
 	fb.delay = 50 * time.Microsecond
-	c := NewCoalescer(fb, Config{MaxBatch: 4, MaxDelay: time.Hour})
+	withGather(t, time.Hour, stallSpins)
+	c := NewCoalescer(fb, Config{MaxBatch: 4})
 	defer c.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -230,7 +240,8 @@ func TestCoalescerPanicPropagation(t *testing.T) {
 	fb.panicAt = 9
 	// Stall/deadline triggers effectively disabled: batch membership is
 	// decided purely by the size trigger, deterministically.
-	c := NewCoalescer(fb, Config{MaxBatch: 3, MaxDelay: time.Hour, StallSpins: 1 << 30})
+	withGather(t, time.Hour, 1<<30)
+	c := NewCoalescer(fb, Config{MaxBatch: 3})
 	defer c.Close()
 
 	// A blocked lone query keeps the concurrency up so the poisoned trio
@@ -304,7 +315,8 @@ func TestCoalescerCloseDuringInflight(t *testing.T) {
 // triggers) instead of stranding its callers.
 func TestCoalescerCloseFlushesFormingBatch(t *testing.T) {
 	fb := newFakeBackend()
-	c := NewCoalescer(fb, Config{MaxBatch: 64, MaxDelay: time.Hour, StallSpins: 1 << 30})
+	withGather(t, time.Hour, 1<<30)
+	c := NewCoalescer(fb, Config{MaxBatch: 64})
 	blockerRes := blockerQuery(c, fb)
 
 	// This query gathers (the blocker keeps active > 1) and can only
@@ -433,7 +445,8 @@ func TestCoalescerBatchWiderThanCompiledWidth(t *testing.T) {
 		block:    make(chan struct{}),
 		sawFirst: make(chan struct{}),
 	}
-	c := NewCoalescer(rec, Config{MaxBatch: 64, StallSpins: 512, MaxDelay: 50 * time.Millisecond})
+	withGather(t, 50*time.Millisecond, 512)
+	c := NewCoalescer(rec, Config{MaxBatch: 64})
 	defer c.Close()
 
 	// A blocker query holds the first batch in flight, so the following 16

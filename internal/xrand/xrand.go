@@ -2,7 +2,7 @@
 // generation for reproducible parallel simulations.
 //
 // The paper's exemplars (MD sampling, stochastic SEIR dynamics, dropout
-// masks, Gibbs sweeps) all require reproducibility across worker counts.
+// masks) all require reproducibility across worker counts.
 // xrand offers xoshiro256** streams seeded through SplitMix64, plus a
 // Split operation that derives statistically independent substreams so
 // each goroutine owns its own generator.

@@ -255,7 +255,8 @@ type (
 	// WireServerStats is the server-wide wire counter snapshot.
 	WireServerStats = netserve.Stats
 	// WireClientConfig tunes each pooled connection of a
-	// WireResilientClient (WireResilientConfig.Client).
+	// WireResilientClient (WireResilientConfig.Client): frame cap, flush
+	// spins and dialer.
 	WireClientConfig = netserve.ClientConfig
 	// WireResult is one wire query's answer.
 	WireResult = netserve.WireResult
@@ -272,10 +273,10 @@ type (
 	// per-tenant circuit breaking. Any number of goroutines may query it
 	// concurrently.
 	WireResilientClient = netserve.ResilientClient
-	// WireResilientConfig tunes a WireResilientClient.
+	// WireResilientConfig sizes a WireResilientClient's pool and tunes its
+	// connections; the retry, reconnect and circuit-breaker figures are
+	// fixed (see README "Failure model").
 	WireResilientConfig = netserve.ResilientConfig
-	// WireBreakerConfig tunes the per-tenant circuit breakers.
-	WireBreakerConfig = netserve.BreakerConfig
 	// WireResilientStats snapshots a resilient client's failure counters.
 	WireResilientStats = netserve.ResilientStats
 	// WireCircuitOpenError names the tenant an open breaker shed; match
