@@ -81,9 +81,13 @@ func (OSFS) SyncDir(path string) error {
 	return err
 }
 
+// tornFraction is how much of a failing write's buffer still reaches the
+// disk.
+const tornFraction = 0.5
+
 // FaultFS wraps an FS with deterministic crash injection. Arm(n) makes
 // the n-th subsequent operation (1-based) fail with ErrInjectedFault —
-// a Write fails torn, committing a prefix of the buffer first — and
+// a Write fails torn, committing tornFraction of the buffer first — and
 // every mutating operation after that fails with ErrCrashed, emulating
 // the process dying at that exact point. Reads can instead be truncated
 // with SetShortRead to model a torn read of an otherwise-durable file.
@@ -93,19 +97,18 @@ type FaultFS struct {
 	inner  FS
 	ops    int     // operations observed since the last Arm/Disarm
 	failAt int     // 1-based op index to fail, 0 = disarmed
-	torn   float64 // fraction of a failing write that still hits the disk
 	short  float64 // >0: ReadFile returns only this fraction, no error
 	crash  bool
 	faults int64
 }
 
 // NewFaultFS wraps inner (nil = the real filesystem) with a disarmed
-// injector; failing writes commit half their buffer by default.
+// injector.
 func NewFaultFS(inner FS) *FaultFS {
 	if inner == nil {
 		inner = OSFS{}
 	}
-	return &FaultFS{inner: inner, torn: 0.5}
+	return &FaultFS{inner: inner}
 }
 
 // Arm schedules the n-th subsequent operation (1-based) to fail and
@@ -120,19 +123,6 @@ func (f *FaultFS) Arm(n int) {
 
 // Disarm clears the fail point and crash state; the op counter restarts.
 func (f *FaultFS) Disarm() { f.Arm(0) }
-
-// SetTornFraction sets how much of a failing write's buffer still
-// reaches the disk (clamped to [0, 1]).
-func (f *FaultFS) SetTornFraction(frac float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if frac < 0 {
-		frac = 0
-	} else if frac > 1 {
-		frac = 1
-	}
-	f.torn = frac
-}
 
 // SetShortRead makes every ReadFile return only the leading frac of the
 // file without an error — the torn-read fault only checksums catch.
@@ -258,9 +248,7 @@ func (w *faultFile) Write(p []byte) (int, error) {
 			// The torn write: a prefix reached the page cache before the
 			// crash. The file is left with partial content and no error
 			// ever told the writer how much.
-			w.fs.mu.Lock()
-			n := int(float64(len(p)) * w.fs.torn)
-			w.fs.mu.Unlock()
+			n := int(float64(len(p)) * tornFraction)
 			if n > 0 {
 				w.f.Write(p[:n])
 			}

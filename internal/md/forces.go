@@ -360,37 +360,3 @@ func wallRepulsion(dz, sigma float64) float64 {
 	}
 	return f
 }
-
-// PotentialEnergy computes the total pair + wall potential energy by brute
-// force; used in tests and diagnostics, not in the integration hot path.
-func (s *System) PotentialEnergy() float64 {
-	cut2 := s.Cfg.Cutoff * s.Cfg.Cutoff
-	d2 := s.P.D * s.P.D
-	u := 0.0
-	for i := 0; i < s.N; i++ {
-		for j := i + 1; j < s.N; j++ {
-			dx := s.Pos[3*i] - s.Pos[3*j]
-			dy := s.Pos[3*i+1] - s.Pos[3*j+1]
-			dz := s.Pos[3*i+2] - s.Pos[3*j+2]
-			dx, dy = s.minimumImage(dx, dy)
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 >= cut2 || r2 == 0 {
-				continue
-			}
-			if s.Kind[i] == Solvent && s.Kind[j] == Solvent {
-				continue // kernel energy not tracked
-			}
-			wcaCut := 1.2599210498948732 * d2
-			if r2 < wcaCut {
-				inv2 := d2 / r2
-				inv6 := inv2 * inv2 * inv2
-				u += 4*(inv6*inv6-inv6) + 1
-			}
-			if s.Charge[i] != 0 && s.Charge[j] != 0 {
-				r := math.Sqrt(r2)
-				u += s.Cfg.Bjerrum * s.Charge[i] * s.Charge[j] * math.Exp(-s.Kappa*r) / r
-			}
-		}
-	}
-	return u
-}

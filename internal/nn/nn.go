@@ -315,25 +315,11 @@ func (dr *Dropout) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 // Params implements Layer.
 func (dr *Dropout) Params() []ParamPair { return nil }
 
-// Loss scores a prediction batch against targets and produces the gradient
-// of the mean loss with respect to the predictions.
-type Loss interface {
-	// Value returns the mean loss over the batch.
-	Value(pred, target *tensor.Matrix) float64
-	// Grad stores d(meanLoss)/d(pred) into dst and returns it. A nil dst
-	// allocates; hot loops pass a reused buffer of pred's shape. dst must
-	// not alias pred or target.
-	Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix
-	Name() string
-}
-
-// MSE is mean squared error, averaged over batch and outputs.
+// MSE is mean squared error, averaged over batch and outputs: the loss
+// Fit trains on.
 type MSE struct{}
 
-// Name implements Loss.
-func (MSE) Name() string { return "mse" }
-
-// Value implements Loss.
+// Value returns the mean loss over the batch.
 func (MSE) Value(pred, target *tensor.Matrix) float64 {
 	s := 0.0
 	for i := range pred.Data {
@@ -343,7 +329,9 @@ func (MSE) Value(pred, target *tensor.Matrix) float64 {
 	return s / float64(len(pred.Data))
 }
 
-// Grad implements Loss.
+// Grad stores d(meanLoss)/d(pred) into dst and returns it. A nil dst
+// allocates; hot loops pass a reused buffer of pred's shape. dst must not
+// alias pred or target.
 func (MSE) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
 	if dst == nil {
 		dst = tensor.NewMatrix(pred.Rows, pred.Cols)
@@ -351,80 +339,6 @@ func (MSE) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
 	scale := 2 / float64(len(pred.Data))
 	for i := range pred.Data {
 		dst.Data[i] = scale * (pred.Data[i] - target.Data[i])
-	}
-	return dst
-}
-
-// SoftmaxCrossEntropy applies a softmax over each output row and scores it
-// against one-hot (or soft) target rows with cross entropy. Like MSE it is
-// hot-loop friendly: the per-row softmax runs through an owned scratch
-// buffer, so after the first call Value and Grad allocate nothing. A
-// SoftmaxCrossEntropy value must therefore not be shared across concurrent
-// Fit calls; give each training loop its own (the zero value is ready).
-type SoftmaxCrossEntropy struct {
-	probs []float64 // owned softmax scratch row
-}
-
-// Name implements Loss.
-func (*SoftmaxCrossEntropy) Name() string { return "softmax-xent" }
-
-// scratch returns the owned n-wide softmax row, growing it on first use.
-func (sx *SoftmaxCrossEntropy) scratch(n int) []float64 {
-	if cap(sx.probs) < n {
-		sx.probs = make([]float64, n)
-	}
-	return sx.probs[:n]
-}
-
-// softmaxRowInto writes softmax(row) into dst (same length) and returns it.
-func softmaxRowInto(dst, row []float64) []float64 {
-	m := row[0]
-	for _, v := range row[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	sum := 0.0
-	for i, v := range row {
-		dst[i] = math.Exp(v - m)
-		sum += dst[i]
-	}
-	for i := range dst {
-		dst[i] /= sum
-	}
-	return dst
-}
-
-// Value implements Loss.
-func (sx *SoftmaxCrossEntropy) Value(pred, target *tensor.Matrix) float64 {
-	s := 0.0
-	buf := sx.scratch(pred.Cols)
-	for i := 0; i < pred.Rows; i++ {
-		p := softmaxRowInto(buf, pred.Row(i))
-		trow := target.Row(i)
-		for j := range p {
-			if trow[j] > 0 {
-				s -= trow[j] * math.Log(math.Max(p[j], 1e-15))
-			}
-		}
-	}
-	return s / float64(pred.Rows)
-}
-
-// Grad implements Loss.
-func (sx *SoftmaxCrossEntropy) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
-	if dst == nil {
-		dst = tensor.NewMatrix(pred.Rows, pred.Cols)
-	}
-	inv := 1 / float64(pred.Rows)
-	buf := sx.scratch(pred.Cols)
-	for i := 0; i < pred.Rows; i++ {
-		p := softmaxRowInto(buf, pred.Row(i))
-		trow := target.Row(i)
-		grow := dst.Row(i)
-		for j := range p {
-			grow[j] = (p[j] - trow[j]) * inv
-		}
 	}
 	return dst
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -126,48 +127,6 @@ func TestGradientCheckTanh(t *testing.T)     { gradCheck(t, Tanh, 11) }
 func TestGradientCheckSigmoid(t *testing.T)  { gradCheck(t, Sigmoid, 12) }
 func TestGradientCheckIdentity(t *testing.T) { gradCheck(t, Identity, 13) }
 
-func TestGradientCheckCrossEntropy(t *testing.T) {
-	rng := xrand.New(21)
-	net := NewMLP(rng, Tanh, 0, 4, 6, 3)
-	x := tensor.FromRows([][]float64{{0.1, -0.5, 0.7, 0.2}, {0.9, 0.4, -0.3, -0.8}})
-	y := tensor.FromRows([][]float64{{1, 0, 0}, {0, 0, 1}})
-	loss := &SoftmaxCrossEntropy{}
-	pred := net.Forward(x, true)
-	net.Backward(loss.Grad(nil, pred, y))
-	const h = 1e-6
-	for pi, p := range net.Params() {
-		for k := 0; k < len(p.Value.Data); k += 3 { // sample every third weight
-			orig := p.Value.Data[k]
-			p.Value.Data[k] = orig + h
-			up := loss.Value(net.Forward(x, false), y)
-			p.Value.Data[k] = orig - h
-			down := loss.Value(net.Forward(x, false), y)
-			p.Value.Data[k] = orig
-			numeric := (up - down) / (2 * h)
-			if math.Abs(numeric-p.Grad.Data[k]) > 1e-4*(1+math.Abs(numeric)) {
-				t.Fatalf("xent param %d[%d]: analytic %g numeric %g", pi, k, p.Grad.Data[k], numeric)
-			}
-		}
-	}
-}
-
-func TestSoftmaxRowNormalizes(t *testing.T) {
-	p := softmaxRowInto(make([]float64, 4), []float64{1, 2, 3, 1000})
-	sum := 0.0
-	for _, v := range p {
-		if v < 0 || math.IsNaN(v) {
-			t.Fatalf("softmax produced %g", v)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("softmax sums to %g", sum)
-	}
-	if p[3] < 0.99 {
-		t.Fatal("softmax should concentrate on large logit")
-	}
-}
-
 func TestFitLearnsLinearFunction(t *testing.T) {
 	rng := xrand.New(31)
 	const n = 400
@@ -221,32 +180,6 @@ func TestFitLearnsNonlinearFunction(t *testing.T) {
 	}
 }
 
-func TestEarlyStopping(t *testing.T) {
-	rng := xrand.New(41)
-	const n = 200
-	x := tensor.NewMatrix(n, 1)
-	y := tensor.NewMatrix(n, 1)
-	for i := 0; i < n; i++ {
-		v := rng.Range(-1, 1)
-		x.Set(i, 0, v)
-		y.Set(i, 0, v)
-	}
-	net := NewMLP(rng, Tanh, 0, 1, 8, 1)
-	hist, err := net.Fit(x, y, TrainConfig{
-		Epochs: 5000, BatchSize: 32, Optimizer: NewAdam(0.01),
-		ValFrac: 0.25, Patience: 10, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist.Stopped < 0 {
-		t.Fatal("expected early stopping to trigger on a trivially learnable task")
-	}
-	if len(hist.ValLoss) == 0 {
-		t.Fatal("validation loss history empty")
-	}
-}
-
 func TestFitErrorsOnMismatchedRows(t *testing.T) {
 	rng := xrand.New(43)
 	net := NewMLP(rng, Tanh, 0, 1, 4, 1)
@@ -264,6 +197,9 @@ func TestFitErrorsOnEmpty(t *testing.T) {
 	}
 }
 
+// TestFitDivergenceDetected: Adam moves every weight by about its learning
+// rate a step, so at 1e200 the second minibatch's forward overflows and the
+// loss is non-finite.
 func TestFitDivergenceDetected(t *testing.T) {
 	rng := xrand.New(47)
 	const n = 64
@@ -274,10 +210,9 @@ func TestFitDivergenceDetected(t *testing.T) {
 		y.Set(i, 0, rng.Range(-100, 100))
 	}
 	net := NewMLP(rng, ReLU, 0, 1, 16, 1)
-	// Absurd learning rate to force divergence.
-	_, err := net.Fit(x, y, TrainConfig{Epochs: 200, BatchSize: 8, Optimizer: NewSGD(1e6, 0.9), Seed: 4})
-	if err == nil {
-		t.Fatal("expected ErrDiverged with lr=1e6")
+	_, err := net.Fit(x, y, TrainConfig{Epochs: 200, BatchSize: 8, Optimizer: NewAdam(1e200), Seed: 4})
+	if !errors.Is(err, ErrDiverged) {
+		t.Fatalf("Fit with lr=1e200 returned %v, want ErrDiverged", err)
 	}
 }
 
@@ -451,21 +386,6 @@ func TestMCDropoutMeanNearDeterministicQuick(t *testing.T) {
 		return math.Abs(mean[0]-det) < 0.15*(1+math.Abs(det))
 	}, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSGDMomentumStep(t *testing.T) {
-	w := tensor.FromRows([][]float64{{1}})
-	g := tensor.FromRows([][]float64{{2}})
-	opt := NewSGD(0.1, 0.5)
-	params := []ParamPair{{w, g}}
-	opt.Step(params) // v = -0.2, w = 0.8
-	if math.Abs(w.At(0, 0)-0.8) > 1e-12 {
-		t.Fatalf("after step1 w=%g want 0.8", w.At(0, 0))
-	}
-	opt.Step(params) // v = 0.5*(-0.2) - 0.2 = -0.3, w = 0.5
-	if math.Abs(w.At(0, 0)-0.5) > 1e-12 {
-		t.Fatalf("after step2 w=%g want 0.5", w.At(0, 0))
 	}
 }
 

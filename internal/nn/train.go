@@ -10,79 +10,28 @@ import (
 	"repro/internal/xrand"
 )
 
-// Optimizer updates parameters from accumulated gradients.
-type Optimizer interface {
-	Step(params []ParamPair)
-	Name() string
-}
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity []*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// Step implements Optimizer. The velocity update and parameter step are
-// fused into one pass per parameter matrix over the preallocated velocity
-// buffers (the same treatment Adam.Step got); after the first call, which
-// allocates those buffers, Step performs zero heap allocations.
-func (s *SGD) Step(params []ParamPair) {
-	if s.velocity == nil {
-		s.velocity = make([]*tensor.Matrix, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.NewMatrix(p.Value.Rows, p.Value.Cols)
-		}
-	}
-	for i, p := range params {
-		sgdStep(p.Value.Data, p.Grad.Data, s.velocity[i].Data, s.LR, s.Momentum)
-	}
-}
-
-// sgdStep applies one fused momentum-SGD update in a single sweep. The
-// momentum-free case skips the velocity traffic entirely: v stays zero
-// and the update degenerates to a plain axpy, halving the memory streams.
-func sgdStep(val, grad, v []float64, lr, momentum float64) {
-	grad = grad[:len(val)] // bounds-check elimination hints
-	if momentum == 0 {
-		for k := range val {
-			val[k] -= lr * grad[k]
-		}
-		return
-	}
-	v = v[:len(val)]
-	for k := range val {
-		vk := momentum*v[k] - lr*grad[k]
-		v[k] = vk
-		val[k] += vk
-	}
-}
-
-// Adam is the Adam optimizer (Kingma & Ba) with bias correction.
+// Adam is the Adam optimizer (Kingma & Ba) with bias correction, the one
+// Fit steps. Only the learning rate is settable; β₁, β₂ and ε are Kingma &
+// Ba's defaults.
 type Adam struct {
-	LR, Beta1, Beta2, Eps float64
-	pow1, pow2            float64 // Beta1^t and Beta2^t, as running products
-	m, v                  []*tensor.Matrix
+	LR         float64
+	pow1, pow2 float64 // adamBeta1^t and adamBeta2^t, as running products
+	m, v       []*tensor.Matrix
 }
 
-// NewAdam returns an Adam optimizer with standard defaults for any zero
-// hyperparameter.
-func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
-}
+const (
+	adamBeta1 = 0.9
+	adamBeta2 = 0.999
+	adamEps   = 1e-8
+)
 
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "adam" }
+// NewAdam returns an Adam optimizer with learning rate lr.
+func NewAdam(lr float64) *Adam { return &Adam{LR: lr} }
 
-// Step implements Optimizer: one fused sweep per parameter matrix
-// (tensor.AdamStep) over the preallocated m/v buffers; after the first
-// call, which allocates those buffers, Step performs zero heap allocations.
+// Step applies one update from params' accumulated gradients: one fused
+// sweep per parameter matrix (tensor.AdamStep) over the preallocated m/v
+// buffers; after the first call, which allocates those buffers, Step
+// performs zero heap allocations.
 func (a *Adam) Step(params []ParamPair) {
 	if a.m == nil {
 		a.m = make([]*tensor.Matrix, len(params))
@@ -93,30 +42,22 @@ func (a *Adam) Step(params []ParamPair) {
 		}
 		a.pow1, a.pow2 = 1, 1
 	}
-	a.pow1 *= a.Beta1
-	a.pow2 *= a.Beta2
+	a.pow1 *= adamBeta1
+	a.pow2 *= adamBeta2
 	invC1 := 1 / (1 - a.pow1)
 	invC2 := 1 / (1 - a.pow2)
 	for i, p := range params {
 		tensor.AdamStep(p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data,
-			a.LR, a.Beta1, a.Beta2, a.Eps, invC1, invC2)
+			a.LR, adamBeta1, adamBeta2, adamEps, invC1, invC2)
 	}
 }
 
-// TrainConfig controls Fit.
+// TrainConfig controls Fit. Zero values take the defaults: 100 epochs,
+// batches of 32, Adam at 1e-3.
 type TrainConfig struct {
 	Epochs    int
 	BatchSize int
-	Optimizer Optimizer
-	Loss      Loss
-	// ValFrac holds out this fraction of the data for validation-based
-	// early stopping (0 disables).
-	ValFrac float64
-	// Patience is the number of epochs without validation improvement
-	// tolerated before stopping early (0 disables early stopping).
-	Patience int
-	// Verbose, if non-nil, receives one line per epoch.
-	Verbose func(epoch int, trainLoss, valLoss float64)
+	Optimizer *Adam
 	// Seed controls shuffling; independent of network init.
 	Seed uint64
 }
@@ -124,8 +65,6 @@ type TrainConfig struct {
 // History records per-epoch losses from a Fit call.
 type History struct {
 	TrainLoss []float64
-	ValLoss   []float64 // empty when ValFrac == 0
-	Stopped   int       // epoch at which early stopping triggered, or -1
 }
 
 // ErrDiverged is returned when training produced non-finite parameters.
@@ -219,9 +158,9 @@ func (p *program) release(n *Network) {
 	}
 }
 
-// step runs one minibatch, the rows idx of x and y — forward, loss and,
-// if that is finite, backward into grad — and returns the loss.
-func (p *program) step(x, y *tensor.Matrix, idx []int, loss Loss, rng *xrand.Rand) float64 {
+// step runs one minibatch, the rows idx of x and y — forward, mean squared
+// error and, if that is finite, backward into grad — and returns the loss.
+func (p *program) step(x, y *tensor.Matrix, idx []int, rng *xrand.Rand) float64 {
 	if len(idx) != p.g.Rows {
 		for _, m := range p.batch {
 			m.Reshape(len(idx), m.Cols)
@@ -237,7 +176,7 @@ func (p *program) step(x, y *tensor.Matrix, idx []int, loss Loss, rng *xrand.Ran
 		}
 	}
 	pred := p.stages[len(p.stages)-1].out
-	v, g := loss.Value(pred, p.y), loss.Grad(p.g, pred, p.y)
+	v, g := MSE{}.Value(pred, p.y), MSE{}.Grad(p.g, pred, p.y)
 	for i := len(p.stages) - 1; i >= 0 && !math.IsNaN(v) && !math.IsInf(v, 0); i-- {
 		st := &p.stages[i]
 		st.d.backInto(st.dx, st.delta, g, st.mask, st.x, st.z)
@@ -246,15 +185,15 @@ func (p *program) step(x, y *tensor.Matrix, idx []int, loss Loss, rng *xrand.Ran
 	return v
 }
 
-// Fit trains the network on inputs x and targets y (row-aligned) and
-// returns the loss history. It shuffles each epoch, supports minibatches,
-// optional validation split and early stopping, and fails fast with
-// ErrDiverged if the loss or any parameter becomes non-finite.
+// Fit trains the network on inputs x and targets y (row-aligned) by Adam
+// on the mean squared error and returns the loss history. It shuffles each
+// epoch, runs minibatches, and fails fast with ErrDiverged if the loss or
+// any parameter becomes non-finite.
 //
 // The epochs run a step program the layer graph is lowered into once. A
 // Layer from outside this package, or a Dropout no Dense precedes, has no
-// program and Fit returns an error. The optimizer is stepped with one
-// ParamPair that holds every parameter of the network.
+// program and Fit returns an error. Adam is stepped with one ParamPair that
+// holds every parameter of the network.
 func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	if x.Rows != y.Rows {
 		return nil, fmt.Errorf("nn: x has %d rows, y has %d", x.Rows, y.Rows)
@@ -271,40 +210,27 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	if cfg.Optimizer == nil {
 		cfg.Optimizer = NewAdam(1e-3)
 	}
-	if cfg.Loss == nil {
-		cfg.Loss = MSE{}
-	}
 	rng := xrand.New(cfg.Seed + 0x5eed)
-
-	// Validation split.
-	nVal := 0
-	if cfg.ValFrac > 0 && cfg.ValFrac < 1 {
-		nVal = int(cfg.ValFrac * float64(x.Rows))
-	}
 	perm := rng.Perm(x.Rows)
-	trainIdx := perm[nVal:]
 
 	// Every buffer is made here, at the largest batch; an epoch allocates none.
-	p, err := n.lower(x, y, min(cfg.BatchSize, len(trainIdx)))
+	p, err := n.lower(x, y, min(cfg.BatchSize, x.Rows))
 	if err != nil {
 		return nil, err
 	}
 	defer p.release(n)
-	vx := tensor.GatherRowsInto(nil, x, perm[:nVal])
-	vy := tensor.GatherRowsInto(nil, y, perm[:nVal])
 	params := []ParamPair{{p.val, p.grad}}
-	hist := &History{Stopped: -1, TrainLoss: make([]float64, 0, cfg.Epochs)}
-	bestVal, sinceBest := math.Inf(1), 0
+	hist := &History{TrainLoss: make([]float64, 0, cfg.Epochs)}
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for i := len(trainIdx) - 1; i > 0; i-- { // rng.Shuffle, without the call per swap
+		for i := len(perm) - 1; i > 0; i-- { // rng.Shuffle, without the call per swap
 			j := rng.Intn(i + 1)
-			trainIdx[i], trainIdx[j] = trainIdx[j], trainIdx[i]
+			perm[i], perm[j] = perm[j], perm[i]
 		}
 		epochLoss, batches := 0.0, 0
-		for start := 0; start < len(trainIdx); start += cfg.BatchSize {
-			idx := trainIdx[start:min(start+cfg.BatchSize, len(trainIdx))]
-			loss := p.step(x, y, idx, cfg.Loss, n.rng)
+		for start := 0; start < len(perm); start += cfg.BatchSize {
+			idx := perm[start:min(start+cfg.BatchSize, len(perm))]
+			loss := p.step(x, y, idx, n.rng)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
 				return hist, ErrDiverged
 			}
@@ -324,29 +250,7 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 			// 233.7 ns/sample-epoch in BENCH_18.json, 366.4 in .cpus2.json).
 			runtime.Gosched()
 		}
-		epochLoss /= float64(batches)
-		hist.TrainLoss = append(hist.TrainLoss, epochLoss)
-
-		valLoss := math.NaN()
-		if nVal > 0 {
-			valLoss = cfg.Loss.Value(n.Forward(vx, false), vy)
-			hist.ValLoss = append(hist.ValLoss, valLoss)
-		}
-		if cfg.Verbose != nil {
-			cfg.Verbose(epoch, epochLoss, valLoss)
-		}
-		if nVal > 0 && cfg.Patience > 0 {
-			if valLoss < bestVal-1e-12 {
-				bestVal = valLoss
-				sinceBest = 0
-			} else {
-				sinceBest++
-				if sinceBest >= cfg.Patience {
-					hist.Stopped = epoch
-					break
-				}
-			}
-		}
+		hist.TrainLoss = append(hist.TrainLoss, epochLoss/float64(batches))
 	}
 	if tensor.HasNaN(p.val) {
 		return hist, ErrDiverged

@@ -283,20 +283,6 @@ func (rt *Router) Placements() map[string]string {
 	return out
 }
 
-// AddTenant places a new tenant on its ring owner, pushing mirrored
-// artifacts (or a cold placement) before traffic routes to it.
-func (rt *Router) AddTenant(name string) {
-	rt.pmu.Lock()
-	defer rt.pmu.Unlock()
-	if _, ok := rt.placements[name]; ok {
-		return
-	}
-	p := &placement{tenant: name}
-	p.state.Store(placeMoving)
-	rt.placements[name] = p
-	rt.rebalanceLocked()
-}
-
 // ErrRouterClosed is returned by Serve after Close.
 var ErrRouterClosed = errors.New("router: closed")
 

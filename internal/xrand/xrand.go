@@ -88,9 +88,6 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64())
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Float64 returns a uniform float64 in [0,1) with 53 random bits.
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
