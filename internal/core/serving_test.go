@@ -10,11 +10,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestSurrogateCompiledPathMatchesInterpreted checks the compiled serving
-// kernel against the layer graph's own eval-mode forward: Train keeps only
-// the program, so the reference graph is fitted here, Train's way, from a
-// twin of the surrogate's rng. Identical point predictions (up to rounding)
-// and consistent UQ behaviour.
+// TestSurrogateCompiledPathMatchesInterpreted checks the surrogate's
+// serving path against a twin network fitted here, Train's way, from a twin
+// of the surrogate's rng, and evaluated by a program of its own (nn's tests
+// hold that program to a layer-by-layer reference). Identical point
+// predictions (up to rounding) and consistent UQ behaviour.
 func TestSurrogateCompiledPathMatchesInterpreted(t *testing.T) {
 	rng := xrand.New(0xc0de)
 	x := tensor.NewMatrix(30, 2)
@@ -42,11 +42,10 @@ func TestSurrogateCompiledPathMatchesInterpreted(t *testing.T) {
 	}
 	probe := []float64{0.4, -0.3}
 	got := Predict(sur, probe)
-	// Independent reference: run the layer graph directly.
-	scaled := tensor.FromRows([][]float64{sur.xScaler.TransformVec(probe)})
-	want := sur.yScaler.Inverse(net.Forward(scaled, false).Row(0))
+	// Independent reference: the twin's own eval-mode program.
+	want := sur.yScaler.Inverse(net.Compile().Predict(sur.xScaler.TransformVec(probe), nil))
 	if math.Abs(got[0]-want[0]) > 1e-12 {
-		t.Fatalf("compiled Predict %g vs layer graph %g", got[0], want[0])
+		t.Fatalf("compiled Predict %g vs the twin network %g", got[0], want[0])
 	}
 	mean, std := PredictWithUQ(sur, probe)
 	if len(mean) != 1 || len(std) != 1 {

@@ -3,7 +3,6 @@ package epi
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -33,85 +32,74 @@ func Surveil(stateWeekly []float64, reportRate, noiseFrac float64, rng *xrand.Ra
 // surveillance); branch B consumes between-season context (normalized
 // season week and the historical seasonal curve); their hidden features
 // are concatenated into a head that emits county-resolution incidence.
+//
+// The branches and the head are three networks, each trained through a
+// tape of its own: the head's input gradient is split between the
+// branches. Not safe for concurrent use.
 type TwoBranchNet struct {
-	InA, InB, Out    int
-	branchA, branchB *nn.Dense
-	head, out        *nn.Dense
-	xScaler          *nn.Scaler
-	yScaler          *nn.Scaler
-	trained          bool
-	rng              *xrand.Rand
+	InA, InB, Out          int
+	hiddenA, hiddenB       int
+	branchA, branchB, head *nn.Network
+	tapes                  [3]*nn.Tape // branch A, branch B, head; built by Fit
+	xScaler                *nn.Scaler
+	yScaler                *nn.Scaler
+	trained                bool
+	rng                    *xrand.Rand
 
-	// Owned forward/backward workspaces, reused across steps so the
-	// training loop is allocation-free (the dense layers copy their
-	// inputs, so reuse is safe). Not safe for concurrent use.
-	xa, xb, concat *tensor.Matrix
-	ga, gb         *tensor.Matrix
-}
-
-// scratch returns *m reshaped to rows x cols, allocating only on growth.
-func scratch(m **tensor.Matrix, rows, cols int) *tensor.Matrix {
-	if *m == nil {
-		*m = tensor.NewMatrix(rows, cols)
-		return *m
-	}
-	return (*m).Reshape(rows, cols)
+	// The branches' inputs, the head's input and its gradient, and the
+	// branches' shares of it, sized by Fit for its batches.
+	xa, xb, cat, gcat, ga, gb *tensor.Matrix
 }
 
 // NewTwoBranchNet builds the network with the given hidden widths.
 func NewTwoBranchNet(inA, inB, hiddenA, hiddenB, hiddenHead, out int, rng *xrand.Rand) *TwoBranchNet {
 	return &TwoBranchNet{
-		InA: inA, InB: inB, Out: out,
-		branchA: nn.NewDense(inA, hiddenA, nn.Tanh, rng),
-		branchB: nn.NewDense(inB, hiddenB, nn.Tanh, rng),
-		head:    nn.NewDense(hiddenA+hiddenB, hiddenHead, nn.Tanh, rng),
-		out:     nn.NewDense(hiddenHead, out, nn.Identity, rng),
+		InA: inA, InB: inB, Out: out, hiddenA: hiddenA, hiddenB: hiddenB,
+		branchA: nn.NewNetwork(rng, []nn.Activation{nn.Tanh}, inA, hiddenA),
+		branchB: nn.NewNetwork(rng, []nn.Activation{nn.Tanh}, inB, hiddenB),
+		head:    nn.NewMLP(rng, nn.Tanh, 0, hiddenA+hiddenB, hiddenHead, out),
 		rng:     rng,
 	}
 }
 
-// forward runs a (scaled) batch through both branches and the head.
-func (t *TwoBranchNet) forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	xa := scratch(&t.xa, x.Rows, t.InA)
-	xb := scratch(&t.xb, x.Rows, t.InB)
-	for i := 0; i < x.Rows; i++ {
-		copy(xa.Row(i), x.Row(i)[:t.InA])
-		copy(xb.Row(i), x.Row(i)[t.InA:])
+// split stages rows idx of x, each [branch A features ++ branch B
+// features], as the branches' inputs.
+func (t *TwoBranchNet) split(x *tensor.Matrix, idx []int) {
+	xa, xb := t.xa.Reshape(len(idx), t.InA), t.xb.Reshape(len(idx), t.InB)
+	for bi, id := range idx {
+		copy(xa.Row(bi), x.Row(id)[:t.InA])
+		copy(xb.Row(bi), x.Row(id)[t.InA:])
 	}
-	ha := t.branchA.Forward(xa, training, t.rng)
-	hb := t.branchB.Forward(xb, training, t.rng)
-	concat := scratch(&t.concat, x.Rows, ha.Cols+hb.Cols)
-	for i := 0; i < x.Rows; i++ {
-		copy(concat.Row(i)[:ha.Cols], ha.Row(i))
-		copy(concat.Row(i)[ha.Cols:], hb.Row(i))
-	}
-	h := t.head.Forward(concat, training, t.rng)
-	return t.out.Forward(h, training, t.rng)
 }
 
-// backward propagates the loss gradient through head and both branches.
-func (t *TwoBranchNet) backward(gradOut *tensor.Matrix) {
-	g := t.out.Backward(gradOut)
-	gConcat := t.head.Backward(g)
-	ga := scratch(&t.ga, gConcat.Rows, t.branchA.Out)
-	gb := scratch(&t.gb, gConcat.Rows, t.branchB.Out)
-	for i := 0; i < gConcat.Rows; i++ {
-		copy(ga.Row(i), gConcat.Row(i)[:t.branchA.Out])
-		copy(gb.Row(i), gConcat.Row(i)[t.branchA.Out:])
+// forward runs the staged inputs through both branches and the head.
+func (t *TwoBranchNet) forward() *tensor.Matrix {
+	ha, hb := t.tapes[0].Forward(t.xa), t.tapes[1].Forward(t.xb)
+	cat := t.cat.Reshape(ha.Rows, t.hiddenA+t.hiddenB)
+	for i := 0; i < cat.Rows; i++ {
+		copy(cat.Row(i), ha.Row(i))
+		copy(cat.Row(i)[t.hiddenA:], hb.Row(i))
 	}
-	t.branchA.Backward(ga)
-	t.branchB.Backward(gb)
+	return t.tapes[2].Forward(cat)
 }
 
-func (t *TwoBranchNet) params() []nn.ParamPair {
-	var out []nn.ParamPair
-	for _, l := range []*nn.Dense{t.branchA, t.branchB, t.head, t.out} {
-		out = append(out, l.Params()...)
+// backward propagates the loss gradient through the head and its input
+// gradient's shares through the branches.
+func (t *TwoBranchNet) backward(g *tensor.Matrix) {
+	gcat := t.gcat.Reshape(g.Rows, t.hiddenA+t.hiddenB)
+	t.tapes[2].Backward(g, gcat)
+	ga, gb := t.ga.Reshape(g.Rows, t.hiddenA), t.gb.Reshape(g.Rows, t.hiddenB)
+	for i := 0; i < g.Rows; i++ {
+		copy(ga.Row(i), gcat.Row(i)[:t.hiddenA])
+		copy(gb.Row(i), gcat.Row(i)[t.hiddenA:])
 	}
-	return out
+	t.tapes[0].Backward(ga, nil)
+	t.tapes[1].Backward(gb, nil)
 }
 
 // Fit trains on rows of [branchA features ++ branchB features] → targets.
+// A fit whose loss or weights stop being finite returns nn.ErrDiverged and
+// leaves the net untrained.
 func (t *TwoBranchNet) Fit(x, y *tensor.Matrix, epochs, batchSize int, lr float64) error {
 	if x.Rows != y.Rows {
 		return fmt.Errorf("epi: x rows %d != y rows %d", x.Rows, y.Rows)
@@ -122,41 +110,37 @@ func (t *TwoBranchNet) Fit(x, y *tensor.Matrix, epochs, batchSize int, lr float6
 	if x.Cols != t.InA+t.InB {
 		return fmt.Errorf("epi: expected %d features, got %d", t.InA+t.InB, x.Cols)
 	}
+	t.trained = false
 	t.xScaler = nn.FitScaler(x)
 	t.yScaler = nn.FitScaler(y)
 	xs := t.xScaler.Transform(x)
 	ys := t.yScaler.Transform(y)
-	opt := nn.NewAdam(lr)
-	loss := nn.MSE{}
 	idx := t.rng.Perm(xs.Rows)
-	params := t.params()
-	maxBatch := batchSize
-	if maxBatch > len(idx) {
-		maxBatch = len(idx)
-	}
-	xb := tensor.NewMatrix(maxBatch, xs.Cols)
-	yb := tensor.NewMatrix(maxBatch, ys.Cols)
-	gb := tensor.NewMatrix(maxBatch, ys.Cols)
+	rows := min(batchSize, len(idx))
+	t.tapes = [3]*nn.Tape{t.branchA.Tape(rows), t.branchB.Tape(rows), t.head.Tape(rows)}
+	t.xa, t.xb = tensor.NewMatrix(rows, t.InA), tensor.NewMatrix(rows, t.InB)
+	t.cat, t.gcat = tensor.NewMatrix(rows, t.hiddenA+t.hiddenB), tensor.NewMatrix(rows, t.hiddenA+t.hiddenB)
+	t.ga, t.gb = tensor.NewMatrix(rows, t.hiddenA), tensor.NewMatrix(rows, t.hiddenB)
+	yb, g := tensor.NewMatrix(rows, ys.Cols), tensor.NewMatrix(rows, ys.Cols)
+	opts := [3]*nn.Adam{nn.NewAdam(lr), nn.NewAdam(lr), nn.NewAdam(lr)}
 	for epoch := 0; epoch < epochs; epoch++ {
 		t.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		loss := 0.0
 		for start := 0; start < len(idx); start += batchSize {
-			end := start + batchSize
-			if end > len(idx) {
-				end = len(idx)
+			batch := idx[start:min(start+batchSize, len(idx))]
+			t.split(xs, batch)
+			by := tensor.GatherRowsInto(yb, ys, batch)
+			pred := t.forward()
+			loss += nn.MSE{}.Value(pred, by)
+			t.backward(nn.MSE{}.Grad(g.Reshape(len(batch), ys.Cols), pred, by))
+			for i, tp := range t.tapes {
+				opts[i].Step(tp.Params())
 			}
-			bs := end - start
-			bx := xb.Reshape(bs, xs.Cols)
-			by := yb.Reshape(bs, ys.Cols)
-			for bi, id := range idx[start:end] {
-				copy(bx.Row(bi), xs.Row(id))
-				copy(by.Row(bi), ys.Row(id))
+		}
+		for _, tp := range t.tapes {
+			if err := tp.Check(loss); err != nil {
+				return err
 			}
-			pred := t.forward(bx, true)
-			if math.IsNaN(loss.Value(pred, by)) {
-				return nn.ErrDiverged
-			}
-			t.backward(loss.Grad(gb.Reshape(bs, ys.Cols), pred, by))
-			opt.Step(params)
 		}
 	}
 	t.trained = true
@@ -168,9 +152,8 @@ func (t *TwoBranchNet) Predict(x []float64) []float64 {
 	if !t.trained {
 		panic("epi: TwoBranchNet used before Fit")
 	}
-	in := tensor.FromRows([][]float64{t.xScaler.TransformVec(x)})
-	out := t.forward(in, false)
-	pred := t.yScaler.Inverse(out.Row(0))
+	t.split(tensor.FromRows([][]float64{t.xScaler.TransformVec(x)}), []int{0})
+	pred := t.yScaler.Inverse(t.forward().Row(0))
 	// Incidence cannot be negative.
 	for i, v := range pred {
 		if v < 0 {

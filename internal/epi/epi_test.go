@@ -1,10 +1,12 @@
 package epi
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -298,6 +300,26 @@ func TestTwoBranchNetErrors(t *testing.T) {
 	if err := net.Fit(toMatrix(bad), toMatrix([][]float64{{1, 2}}), 1, 8, 1e-3); err == nil {
 		t.Fatal("wrong feature count should error")
 	}
+	// At lr = 1e200 the second step's loss overflows to +Inf (not NaN): the
+	// fit must report the divergence and leave the net untrained.
+	rng = xrand.New(3)
+	net = NewTwoBranchNet(2, 1, 4, 4, 8, 2, rng)
+	x, y := tensor.NewMatrix(16, 3), tensor.NewMatrix(16, 2)
+	for i := range x.Data {
+		x.Data[i] = rng.Range(-1, 1)
+	}
+	for i := range y.Data {
+		y.Data[i] = rng.Range(0, 5)
+	}
+	if err := net.Fit(x, y, 2, 16, 1e200); !errors.Is(err, nn.ErrDiverged) {
+		t.Fatalf("Fit at lr 1e200 returned %v, want nn.ErrDiverged", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a diverged net predicted")
+		}
+	}()
+	net.Predict([]float64{0, 0, 0})
 }
 
 func TestTwoBranchPredictPanicsUntrained(t *testing.T) {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/tensor"
@@ -9,13 +10,13 @@ import (
 )
 
 // TestActivationPathsAgree proves there is one activation implementation:
-// for the same pre-activations, training-graph eval, the compiled row
-// program, the compiled batch program (its eval prefix and its
-// pass-stacked MC suffix) and the float stage of the int8 program give
+// for the same pre-activations, the reference graph's eval, the tape, the
+// compiled row program, the compiled batch program (its eval prefix and
+// its pass-stacked MC suffix) and the float stage of the int8 program give
 // bit-identical activations.
 //
 // The layer under test has a diagonal weight matrix, so unit j's
-// pre-activation is x[j]·s[j] + b[j] whatever order a matmul kernel sums
+// pre-activation is x[j]·diag[j] + b[j] whatever order a matmul kernel sums
 // in (every other term is an exact zero), and the paths differ only in
 // how they reach applyAll: on slices of 1, width, rows·width and
 // passes·rows·width elements, at different offsets from a vector boundary.
@@ -23,11 +24,13 @@ func TestActivationPathsAgree(t *testing.T) {
 	const width, rows = 27, 9 // neither a multiple of the vector length
 	for _, act := range []Activation{Tanh, Sigmoid} {
 		rng := xrand.New(0xac7 + uint64(act))
-		hidden := NewDense(width, width, act, rng)
-		hidden.W.Zero()
+		net := NewNetwork(rng, []Activation{act}, width, width)
+		clear(net.slab)
+		diag, bias := make([]float64, width), net.layers[0].bias(net.slab)
 		for j := 0; j < width; j++ {
-			hidden.W.Set(j, j, rng.Range(-3, 3))
-			hidden.B.Data[j] = rng.Range(-1, 1)
+			diag[j] = rng.Range(-3, 3)
+			bias[j] = rng.Range(-1, 1)
+			net.slab[j*width+j] = diag[j]
 		}
 		x := tensor.NewMatrix(rows, width)
 		for i := range x.Data {
@@ -35,7 +38,7 @@ func TestActivationPathsAgree(t *testing.T) {
 		}
 		// want[r][j] is the activation of one value alone (the scalar
 		// tail); pre is how every float path forms the pre-activation.
-		pre := func(xv float64, j int) float64 { return xv*hidden.W.At(j, j) + hidden.B.Data[j] }
+		pre := func(xv float64, j int) float64 { return xv*diag[j] + bias[j] }
 		want := tensor.NewMatrix(rows, width)
 		for r := 0; r < rows; r++ {
 			for j := 0; j < width; j++ {
@@ -52,9 +55,11 @@ func TestActivationPathsAgree(t *testing.T) {
 			}
 		}
 
-		net := NewNetwork(rng, hidden)
-		for r, out := 0, net.Forward(x, false); r < rows; r++ {
-			same("Network.Forward(eval)", out.Row(r), r)
+		for r, out := 0, newRefGraph(net).forward(x, false); r < rows; r++ {
+			same("reference graph (eval)", out.Row(r), r)
+		}
+		for r, out := 0, net.Tape(rows).Forward(x); r < rows; r++ {
+			same("Tape.Forward", out.Row(r), r)
 		}
 		c := net.Compile()
 		for r := 0; r < rows; r++ {
@@ -69,12 +74,13 @@ func TestActivationPathsAgree(t *testing.T) {
 		// [hidden, Dropout, read-out] returns 0 or exactly twice the hidden
 		// activation: the compiled batch program takes its eval prefix and
 		// the fused panel tail.
-		readout := NewDense(width, width, Identity, rng)
-		readout.W.Zero()
+		tail := NewNetwork(rng, []Activation{act, Identity}, width, width, width)
+		clear(tail.slab)
+		copy(tail.slab, net.slab)
 		for j := 0; j < width; j++ {
-			readout.W.Set(j, j, 1)
+			tail.layers[1].weights(tail.slab)[j*width+j] = 1
 		}
-		tail := NewNetwork(rng, hidden, NewDropout(0.5), readout)
+		tail.layers[1].p = 0.5
 		// oneOf checks every element of a one-pass MC mean against the values
 		// the masks allow for it, and that the masks did vary.
 		oneOf := func(path string, mean *tensor.Matrix, allowed func(r, j int) []float64) {
@@ -105,7 +111,8 @@ func TestActivationPathsAgree(t *testing.T) {
 		// suffix two dense steps deep, which is the pass-stacked path: the
 		// hidden layer then sees 2x or 0, and its activation is applied to
 		// the tall pass-stacked panel.
-		deep := NewNetwork(rng, NewDropout(0.5), hidden, NewDropout(0.5), readout)
+		deep := &Network{layers: slices.Clone(tail.layers), slab: tail.slab, rng: rng}
+		deep.layers[0].p = 0.5
 		mean, _ = deep.Compile().PredictMCBatch(x, 1, nil, nil)
 		oneOf("Compiled batch, pass-stacked MC", mean, func(r, j int) []float64 {
 			return []float64{0, 2 * apply1(act, pre(2*x.At(r, j), j)), 2 * apply1(act, pre(0, j))}

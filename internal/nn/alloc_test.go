@@ -8,13 +8,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestDenseForwardBackwardZeroAlloc pins the hot-path contract: once a
-// Dense layer has warmed up its owned workspaces for a batch size,
-// Forward(training)+Backward allocate nothing. Shapes are kept below the
-// matmul parallel-fanout threshold so goroutine spawning doesn't count.
+// TestDenseForwardBackwardZeroAlloc pins the hot-path contract: a tape
+// of one dense layer allocates nothing in Forward+Backward. Shapes are kept
+// below the matmul parallel-fanout threshold so goroutine spawning doesn't
+// count.
 func TestDenseForwardBackwardZeroAlloc(t *testing.T) {
 	rng := xrand.New(5)
-	d := NewDense(16, 16, Tanh, rng)
+	tape := NewNetwork(rng, []Activation{Tanh}, 16, 16).Tape(8)
 	x := tensor.NewMatrix(8, 16)
 	g := tensor.NewMatrix(8, 16)
 	for i := range x.Data {
@@ -22,30 +22,29 @@ func TestDenseForwardBackwardZeroAlloc(t *testing.T) {
 		g.Data[i] = rng.Range(-1, 1)
 	}
 	step := func() {
-		d.Forward(x, true, nil)
-		d.Backward(g)
+		tape.Forward(x)
+		tape.Backward(g, nil)
 	}
-	step() // warm up owned buffers
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state Dense Forward+Backward allocates %g times per step, want 0", allocs)
+		t.Fatalf("tape Forward+Backward allocates %g times per step, want 0", allocs)
 	}
 }
 
-// TestDropoutForwardBackwardZeroAlloc pins the same contract for Dropout.
+// TestDropoutForwardBackwardZeroAlloc pins the same contract for a tape
+// whose layer drops its input, with the input gradient asked for.
 func TestDropoutForwardBackwardZeroAlloc(t *testing.T) {
-	rng := xrand.New(6)
-	dr := NewDropout(0.3)
+	tape := dropoutProbe(0.3, 16, xrand.New(6)).Tape(8)
 	x := tensor.NewMatrix(8, 16)
-	g := tensor.NewMatrix(8, 16)
+	g := tensor.NewMatrix(8, 1)
+	dx := tensor.NewMatrix(8, 16)
 	x.Fill(1)
 	g.Fill(1)
 	step := func() {
-		dr.Forward(x, true, rng)
-		dr.Backward(g)
+		tape.Forward(x)
+		tape.Backward(g, dx)
 	}
-	step()
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state Dropout Forward+Backward allocates %g times per step, want 0", allocs)
+		t.Fatalf("dropout tape Forward+Backward allocates %g times per step, want 0", allocs)
 	}
 }
 
@@ -72,16 +71,13 @@ func TestPredictorForwardZeroAlloc(t *testing.T) {
 // nothing.
 func TestAdamStepZeroAlloc(t *testing.T) {
 	rng := xrand.New(12)
-	net := NewMLP(rng, Tanh, 0, 8, 16, 4)
-	params := net.Params()
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = rng.Range(-1, 1)
-		}
+	val, grad := NewMLP(rng, Tanh, 0, 8, 16, 4).Tape(1).Params()
+	for i := range grad {
+		grad[i] = rng.Range(-1, 1)
 	}
 	opt := NewAdam(1e-3)
-	opt.Step(params) // warm up m/v buffers
-	if allocs := testing.AllocsPerRun(50, func() { opt.Step(params) }); allocs != 0 {
+	opt.Step(val, grad) // warm up m/v buffers
+	if allocs := testing.AllocsPerRun(50, func() { opt.Step(val, grad) }); allocs != 0 {
 		t.Fatalf("steady-state Adam.Step allocates %g times per step, want 0", allocs)
 	}
 }
@@ -99,12 +95,11 @@ func TestAdamFusedMatchesReference(t *testing.T) {
 	refM := tensor.NewMatrix(3, 4)
 	refV := tensor.NewMatrix(3, 4)
 	opt := NewAdam(1e-2)
-	params := []ParamPair{{Value: val, Grad: grad}}
 	for step := 1; step <= 5; step++ {
 		for i := range grad.Data {
 			grad.Data[i] = rng.Range(-1, 1)
 		}
-		opt.Step(params)
+		opt.Step(val.Data, grad.Data)
 		c1 := 1 - math.Pow(adamBeta1, float64(step))
 		c2 := 1 - math.Pow(adamBeta2, float64(step))
 		for k := range ref.Data {
@@ -119,27 +114,6 @@ func TestAdamFusedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDenseTrainingInputIsCopied locks in the aliasing fix: mutating the
-// caller's batch buffer between Forward and Backward must not corrupt
-// the cached activations the gradients are computed from.
-func TestDenseTrainingInputIsCopied(t *testing.T) {
-	rng := xrand.New(8)
-	d := NewDense(2, 2, Identity, rng)
-	x := tensor.FromRows([][]float64{{1, 2}, {3, 4}})
-	g := tensor.FromRows([][]float64{{1, 0}, {0, 1}})
-
-	d.Forward(x, true, nil)
-	d.Backward(g)
-	want := d.GW.Clone()
-
-	d.Forward(x, true, nil)
-	x.Fill(-99) // caller reuses its batch buffer before Backward
-	d.Backward(g)
-	if !tensor.Equal(d.GW, want, 1e-12) {
-		t.Fatal("weight gradient depends on caller's buffer after Forward returned")
-	}
-}
-
 // TestPredictorMatchesNetworkPredict checks that the workspace-reusing
 // inference path — the compiled batch program — computes exactly what
 // the layer graph's allocating eval path does.
@@ -151,7 +125,8 @@ func TestPredictorMatchesNetworkPredict(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = rng.Range(-1, 1)
 	}
-	want := net.Forward(x, false)
+	ref := newRefGraph(net)
+	want := ref.forward(x, false)
 	got := c.PredictBatch(x, nil)
 	if !tensor.Equal(got, want, 0) {
 		t.Fatal("Compiled.PredictBatch differs from eval Forward")
@@ -159,7 +134,7 @@ func TestPredictorMatchesNetworkPredict(t *testing.T) {
 	// Repeated passes over different batch sizes, into the same result
 	// matrix, stay correct.
 	x2 := x.SliceRows(0, 2)
-	want2 := net.Forward(x2, false)
+	want2 := ref.forward(x2, false)
 	if !tensor.Equal(c.PredictBatch(x2, got), want2, 0) {
 		t.Fatal("Compiled.PredictBatch wrong after batch-size change")
 	}
@@ -176,7 +151,7 @@ func TestPredictMCBatchMatchesSingle(t *testing.T) {
 		x.Data[i] = rng.Range(-1, 1)
 	}
 	mean, std := net.Compile().PredictMCBatch(x, 20, nil, nil)
-	want := net.Forward(x, false)
+	want := newRefGraph(net).forward(x, false)
 	if !tensor.Equal(mean, want, 1e-12) {
 		t.Fatal("deterministic MC batch mean differs from eval forward")
 	}

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,7 +15,7 @@ import (
 // path: a trained Network is compiled into a flat batch program whose
 // forward passes run with zero heap allocations and no per-layer interface
 // dispatch. A single row is a batch of one. Serving wrappers recompile on
-// every publish; the layer graph is for training.
+// every publish; the Tape is for training.
 
 // stepKind discriminates compiled program steps; the values are the
 // artifact format's layer kinds.
@@ -53,7 +54,7 @@ type compiledStep struct {
 type Compiled struct {
 	in, out  int
 	steps    []compiledStep
-	slab     []float64 // every dense step's w|b in step order, Params() order
+	slab     []float64 // every dense step's w|b in step order: the network's slab
 	fs       int       // first stochastic step (live dropout), -1 if none
 	maxW     int       // widest activation buffer any step needs
 	maxBatch int       // batch-program chunk width (rows per fused pass)
@@ -94,12 +95,9 @@ func (f *freeList[T]) put(x *T) {
 // fused pass.
 const DefaultMaxBatch = 64
 
-// Compile flattens the network into a fused inference program. Dense and
-// Dropout are the whole layer vocabulary; a network with no Dense layer
-// (or with a Layer implemented outside this package) has no program and
-// returns nil — there is no interpreted path to fall back to, so callers
-// treat nil as an error. The program's batch entry points chunk at
-// DefaultMaxBatch rows; CompileBatch picks the width explicitly.
+// Compile flattens the network into a fused inference program whose batch
+// entry points chunk at DefaultMaxBatch rows; CompileBatch picks the width
+// explicitly.
 func (n *Network) Compile() *Compiled {
 	return n.CompileBatch(DefaultMaxBatch)
 }
@@ -112,34 +110,19 @@ func (n *Network) Compile() *Compiled {
 // cost of proportionally larger pooled buffers; the MC scratch does not
 // grow with the pass count (the passes run in groups over a fixed panel),
 // only its mask store does.
+//
+// The program takes one copy of the network's slab: it is immutable, so a
+// later Fit of the network must not reach it.
 func (n *Network) CompileBatch(maxBatch int) *Compiled {
-	if maxBatch < 1 {
-		maxBatch = 1
-	}
-	c := &Compiled{seedBase: n.deriveSeed(), maxBatch: maxBatch, steps: make([]compiledStep, 0, len(n.Layers))}
-	np := 0
-	for _, l := range n.Layers {
-		switch ly := l.(type) {
-		case *Dense:
-			c.steps = append(c.steps, compiledStep{kind: stepDense, in: ly.In, out: ly.Out, act: ly.Act})
-			np += len(ly.W.Data) + len(ly.B.Data)
-		case *Dropout:
-			c.steps = append(c.steps, compiledStep{kind: stepDropout, p: ly.P})
-		default:
-			return nil
+	c := &Compiled{seedBase: n.deriveSeed(), maxBatch: max(maxBatch, 1), steps: make([]compiledStep, 0, 2*len(n.layers))}
+	for _, l := range n.layers {
+		if l.p > 0 {
+			c.steps = append(c.steps, compiledStep{kind: stepDropout, p: l.p})
 		}
+		c.steps = append(c.steps, compiledStep{kind: stepDense, in: l.in, out: l.out, act: l.act})
 	}
-	if np == 0 {
-		return nil // no dense layer: nothing to compile
-	}
-	c.slab = make([]float64, np)
+	c.slab = slices.Clone(n.slab)
 	c.bind()
-	for i, l := range n.Layers {
-		if ly, ok := l.(*Dense); ok {
-			copy(c.steps[i].w, ly.W.Data)
-			copy(c.steps[i].b, ly.B.Data)
-		}
-	}
 	return c
 }
 
@@ -279,6 +262,20 @@ func (c *Compiled) getBatchCtx() *compiledBatchCtx {
 	return &compiledBatchCtx{
 		rng: xrand.New(c.seedBase + c.seedCtr.Add(1)*0x9e3779b97f4a7c15),
 	}
+}
+
+// reserve returns *m reshaped to rows x cols, allocating only on first use
+// or growth; an allocation holds at least atLeast values, so scratch sized
+// once to the largest shape its context will ask for never reallocates.
+// The returned matrix's contents are unspecified.
+func reserve(m **tensor.Matrix, rows, cols, atLeast int) *tensor.Matrix {
+	if *m == nil {
+		*m = new(tensor.Matrix)
+	}
+	if n := rows * cols; cap((*m).Data) < n {
+		(*m).Data = make([]float64, max(n, atLeast))
+	}
+	return (*m).Reshape(rows, cols)
 }
 
 // growFloats returns *buf resized to n, reallocating only on growth.
@@ -524,7 +521,7 @@ func (c *Compiled) predictMCChunkTail(ctx *compiledBatchCtx, xs *tensor.Matrix, 
 	dr := &c.steps[c.fs]
 	nd := &c.steps[c.fs+1]
 	in, out := nd.in, nd.out
-	packW := reuse(&ctx.tall[0], in, passes*out)
+	packW := reserve(&ctx.tall[0], in, passes*out, 0)
 	keep := 1 - dr.p
 	inv := 1 / keep
 	for r := 0; r < in; r++ {

@@ -171,21 +171,3 @@ func TestCompiledConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestCompileRejectsUnknownLayer checks the fallback contract: programs
-// with layers outside the Dense/Dropout vocabulary do not compile.
-func TestCompileRejectsUnknownLayer(t *testing.T) {
-	rng := xrand.New(27)
-	net := NewNetwork(rng, NewDense(2, 2, Tanh, rng), fakeLayer{})
-	if net.Compile() != nil {
-		t.Fatal("Compile accepted an unknown layer type")
-	}
-}
-
-type fakeLayer struct{}
-
-func (fakeLayer) Forward(x *tensor.Matrix, training bool, rng *xrand.Rand) *tensor.Matrix {
-	return x
-}
-func (fakeLayer) Backward(g *tensor.Matrix) *tensor.Matrix { return g }
-func (fakeLayer) Params() []ParamPair                      { return nil }

@@ -10,13 +10,17 @@ import (
 
 // referenceFit is Fit written against the layer graph: the same data
 // order (a seeded permutation, then a Fisher–Yates shuffle an epoch), and
-// for every minibatch Network.Forward(x, true) → MSE → Network.Backward →
-// Adam stepped with the layers' own parameter pairs. Fit's step program is
-// held to it bit for bit.
-func referenceFit(n *Network, x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
+// for every minibatch refGraph.forward(x, true) → MSE → refGraph.backward
+// → Adam stepped on each layer's weights and biases as pairs of their own.
+// Fit's tape is held to it bit for bit.
+func referenceFit(ref *refGraph, x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	rng := xrand.New(cfg.Seed + 0x5eed)
 	trainIdx := rng.Perm(x.Rows)
 	hist := &History{}
+	opts := make([]*Adam, 2*len(ref.n.layers))
+	for i := range opts {
+		opts[i] = NewAdam(cfg.Optimizer.LR)
+	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(trainIdx), func(i, j int) { trainIdx[i], trainIdx[j] = trainIdx[j], trainIdx[i] })
 		epochLoss, batches := 0.0, 0
@@ -24,24 +28,29 @@ func referenceFit(n *Network, x, y *tensor.Matrix, cfg TrainConfig) (*History, e
 			idx := trainIdx[start:min(start+cfg.BatchSize, len(trainIdx))]
 			bx := tensor.GatherRowsInto(nil, x, idx)
 			by := tensor.GatherRowsInto(nil, y, idx)
-			pred := n.Forward(bx, true)
+			pred := ref.forward(bx, true)
 			loss := MSE{}.Value(pred, by)
 			if math.IsNaN(loss) || math.IsInf(loss, 0) {
 				return hist, ErrDiverged
 			}
 			epochLoss += loss
 			batches++
-			n.Backward(MSE{}.Grad(nil, pred, by))
-			cfg.Optimizer.Step(n.Params())
+			ref.backward(MSE{}.Grad(nil, pred, by))
+			for i := range ref.n.layers {
+				l := &ref.n.layers[i]
+				opts[2*i].Step(l.weights(ref.n.slab), l.weights(ref.grad))
+				opts[2*i+1].Step(l.bias(ref.n.slab), l.bias(ref.grad))
+			}
 		}
 		hist.TrainLoss = append(hist.TrainLoss, epochLoss/float64(batches))
 	}
 	return hist, nil
 }
 
-// TestFitMatchesLayerReference trains the same seed through Fit and through
-// referenceFit and compares every parameter, the gradients the last step
-// left, the loss history and the position of the dropout stream bit for bit.
+// TestFitMatchesLayerReference trains the same seed through Fit's tape and
+// through referenceFit and compares every parameter, the gradients the last
+// step left, the loss history and the position of the dropout stream bit
+// for bit.
 func TestFitMatchesLayerReference(t *testing.T) {
 	type tc struct {
 		name        string
@@ -52,6 +61,16 @@ func TestFitMatchesLayerReference(t *testing.T) {
 	mlp := func(act Activation, drop float64, widths ...int) func(*xrand.Rand) *Network {
 		return func(rng *xrand.Rand) *Network { return NewMLP(rng, act, drop, widths...) }
 	}
+	// dropped builds a network with the given input dropouts per layer.
+	dropped := func(acts []Activation, drops []float64, widths ...int) func(*xrand.Rand) *Network {
+		return func(rng *xrand.Rand) *Network {
+			n := NewNetwork(rng, acts, widths...)
+			for i, p := range drops {
+				n.layers[i].p = p
+			}
+			return n
+		}
+	}
 	cases := []tc{
 		{name: "serving 2-24-1", build: mlp(Tanh, 0.1, 2, 24, 1), rows: 200, batch: 32, epochs: 6},
 		{name: "paper 6-30-48-3, two dropouts, early stop", build: mlp(Tanh, 0.1, 6, 30, 48, 3), rows: 150, batch: 32, epochs: 40},
@@ -60,15 +79,16 @@ func TestFitMatchesLayerReference(t *testing.T) {
 		{name: "relu, no dropout, momentum", build: mlp(ReLU, 0, 6, 30, 48, 3), rows: 70, batch: 32, epochs: 5},
 		{name: "sigmoid, plain sgd, batch larger than the data", build: mlp(Sigmoid, 0.1, 2, 24, 1), rows: 20, batch: 64, epochs: 5},
 		{name: "one input, tail batch of one", build: mlp(Tanh, 0.1, 1, 8, 1), rows: 33, batch: 8, epochs: 4},
-		{name: "dropout behind an identity layer, a P=0 dropout", build: func(rng *xrand.Rand) *Network {
-			return NewNetwork(rng, NewDense(3, 7, Identity, rng), NewDropout(0.3), NewDense(7, 5, Tanh, rng), NewDropout(0), NewDense(5, 2, Identity, rng))
-		}, rows: 40, batch: 16, epochs: 4},
+		{name: "dropout behind an identity layer, a P=0 dropout",
+			build: dropped([]Activation{Identity, Tanh, Identity}, []float64{0, 0.3, 0}, 3, 7, 5, 2), rows: 40, batch: 16, epochs: 4},
+		{name: "dropout on the input, branch-shaped tanh output",
+			build: dropped([]Activation{Tanh, Tanh}, []float64{0.25, 0.1}, 5, 9, 4), rows: 37, batch: 16, epochs: 4},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			data := xrand.New(17)
 			nets := [2]*Network{c.build(xrand.New(99)), c.build(xrand.New(99))}
-			in, out, _ := nets[0].Dims()
+			in, out := nets[0].layers[0].in, nets[0].layers[len(nets[0].layers)-1].out
 			x, y := tensor.NewMatrix(c.rows, in), tensor.NewMatrix(c.rows, out)
 			for i := range x.Data {
 				x.Data[i] = data.Range(-1, 1)
@@ -80,24 +100,27 @@ func TestFitMatchesLayerReference(t *testing.T) {
 			cfg := func() TrainConfig {
 				return TrainConfig{Epochs: c.epochs, BatchSize: c.batch, Optimizer: NewAdam(1e-2), Seed: 7}
 			}
-			got, err := nets[0].Fit(x, y, cfg())
+			tape := nets[0].Tape(min(c.batch, c.rows)) // what Fit runs
+			got, err := tape.fit(x, y, cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := referenceFit(nets[1], x, y, cfg())
+			ref := newRefGraph(nets[1])
+			want, err := referenceFit(ref, x, y, cfg())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameBits(got.TrainLoss, want.TrainLoss) {
 				t.Fatalf("history %+v, the layer graph's is %+v", got, want)
 			}
-			wantParams := nets[1].Params()
-			for i, p := range nets[0].Params() {
-				if !sameBits(p.Value.Data, wantParams[i].Value.Data) {
-					t.Fatalf("parameter %d differs from the layer graph's", i)
+			val, grad := tape.Params()
+			for i := range nets[0].layers {
+				l := &nets[0].layers[i]
+				if !sameBits(l.weights(val), l.weights(nets[1].slab)) || !sameBits(l.bias(val), l.bias(nets[1].slab)) {
+					t.Fatalf("layer %d's parameters differ from the layer graph's", i)
 				}
-				if !sameBits(p.Grad.Data, wantParams[i].Grad.Data) {
-					t.Fatalf("gradient %d differs from the layer graph's", i)
+				if !sameBits(l.weights(grad), l.weights(ref.grad)) || !sameBits(l.bias(grad), l.bias(ref.grad)) {
+					t.Fatalf("layer %d's gradients differ from the layer graph's", i)
 				}
 			}
 			if nets[0].rng.Uint64() != nets[1].rng.Uint64() {
@@ -141,47 +164,24 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFitReleasesArena: after Fit the network's parameter matrices are the
-// ones it had before, holding the trained values — nothing of the fit's
-// slab stays reachable through them.
+// TestFitReleasesArena: Fit trains the network's slab in place, so after
+// it the network holds the trained values in the array it had before and
+// nothing of the fit's arena is reachable through it.
 func TestFitReleasesArena(t *testing.T) {
 	rng := xrand.New(4)
 	net := NewMLP(rng, Tanh, 0.1, 2, 24, 1)
-	before := net.Params()
-	own := make([]*float64, len(before))
-	for i, p := range before {
-		own[i] = &p.Value.Data[0]
-	}
+	own, w0 := &net.slab[0], net.slab[0]
 	x, y := tensor.NewMatrix(64, 2), tensor.NewMatrix(64, 1)
 	for i := range x.Data {
 		x.Data[i] = rng.Range(-1, 1)
 	}
-	w0 := before[0].Value.Data[0]
 	if _, err := net.Fit(x, y, TrainConfig{Epochs: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range net.Params() {
-		if &p.Value.Data[0] != own[i] || cap(p.Value.Data) != len(p.Value.Data) {
-			t.Fatalf("parameter %d no longer lives in the network's own storage", i)
-		}
+	if &net.slab[0] != own || cap(net.slab) != len(net.slab) || len(net.slab) != net.NumParams() {
+		t.Fatal("the parameters no longer live in the network's own slab")
 	}
-	if before[0].Value.Data[0] == w0 {
-		t.Fatal("the trained weights were not copied back")
-	}
-}
-
-// TestFitRejectsUnknownLayer: like Compile, Fit has no interpreted path for
-// a Layer from outside the package, nor for a Dropout with no Dense in
-// front of it.
-func TestFitRejectsUnknownLayer(t *testing.T) {
-	rng := xrand.New(1)
-	x, y := tensor.NewMatrix(4, 2), tensor.NewMatrix(4, 2)
-	for name, net := range map[string]*Network{
-		"foreign layer":   NewNetwork(rng, NewDense(2, 2, Tanh, rng), fakeLayer{}),
-		"leading dropout": NewNetwork(rng, NewDropout(0.5), NewDense(2, 2, Tanh, rng)),
-	} {
-		if _, err := net.Fit(x, y, TrainConfig{Epochs: 1}); err == nil {
-			t.Fatalf("%s: Fit returned no error", name)
-		}
+	if net.slab[0] == w0 {
+		t.Fatal("Fit did not train the slab")
 	}
 }

@@ -48,11 +48,9 @@ func TestFitPinnedBits(t *testing.T) {
 			}
 			h := fnv.New64a()
 			var b [8]byte
-			for _, p := range net.Params() {
-				for _, v := range p.Value.Data {
-					binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-					h.Write(b[:])
-				}
+			for _, v := range net.slab {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				h.Write(b[:])
 			}
 			if got := h.Sum64(); got != c.hash {
 				t.Fatalf("trained parameters hash to %016x, pinned %016x", got, c.hash)

@@ -6,10 +6,13 @@
 // dropout machinery the paper's UQ discussion (§III-B) depends on:
 // MC-dropout predictive distributions.
 //
-// The layer methods (Forward, Backward) are the reference, for callers that
-// drive a graph themselves and for the tests. Fit runs a step program
-// lowered from the layers (train.go) and inference a Compiled one
-// (compile.go), each held to the layer methods bit for bit.
+// A Network is a table of dense layers over one weight slab. It has one
+// trainable form, the Tape (train.go): the step program Fit loops over, and
+// the one the exemplars that wire several networks together (DEFSI's two
+// branches and head, the Behler–Parrinello atomic net) drive themselves. A
+// tape trains the slab in place; inference runs on a Compiled copy of it
+// (compile.go). The tests hold both to a layer-by-layer reference bit for
+// bit.
 package nn
 
 import (
@@ -119,202 +122,6 @@ func (a Activation) backSweep(delta, gb, g, y []float64, mask *tensor.Matrix) {
 	}
 }
 
-// Layer is one differentiable stage of a network. Forward consumes a batch
-// (rows = samples) and Backward consumes the gradient of the loss with
-// respect to the layer output, returning the gradient with respect to the
-// layer input and storing this batch's parameter gradients, which replace
-// the previous step's: a step needs no zeroing sweep.
-type Layer interface {
-	Forward(x *tensor.Matrix, training bool, rng *xrand.Rand) *tensor.Matrix
-	Backward(gradOut *tensor.Matrix) *tensor.Matrix
-	// Params returns parameter/gradient matrix pairs (may be empty).
-	Params() []ParamPair
-}
-
-// ParamPair couples a parameter matrix with its gradient.
-type ParamPair struct {
-	Value *tensor.Matrix
-	Grad  *tensor.Matrix
-}
-
-// Dense is a fully connected layer: out = act(x*W + b).
-//
-// forwardInto and backInto are the layer's arithmetic over buffers the
-// caller names: Fit's arena, or for Forward(training) and Backward scratch
-// the layer makes on first use and keeps (input copy, activations, delta,
-// input gradient), so a warmed pair allocates nothing. The input batch is
-// copied, so callers may overwrite their batch buffer between steps.
-type Dense struct {
-	In, Out int
-	Act     Activation
-
-	W, B   *tensor.Matrix // B is 1 x Out
-	GW, GB *tensor.Matrix
-
-	lastIn *tensor.Matrix // owned copy of the input batch
-	z      *tensor.Matrix // owned post-activation output
-	delta  *tensor.Matrix // owned gradOut ⊙ act' workspace
-	gradIn *tensor.Matrix // owned input-gradient output
-	cached bool           // true once Forward(training=true) has run
-}
-
-// reuse returns *m reshaped to rows x cols, allocating only on first use
-// or growth. The returned matrix's contents are unspecified.
-func reuse(m **tensor.Matrix, rows, cols int) *tensor.Matrix {
-	return reserve(m, rows, cols, 0)
-}
-
-// reserve is reuse for scratch sized once to the largest shape its owner
-// will ask for: an allocation (first use or growth) holds at least
-// atLeast values, so later calls of any smaller shape never reallocate.
-func reserve(m **tensor.Matrix, rows, cols, atLeast int) *tensor.Matrix {
-	if *m == nil {
-		*m = new(tensor.Matrix)
-	}
-	if n := rows * cols; cap((*m).Data) < n {
-		(*m).Data = make([]float64, max(n, atLeast))
-	}
-	return (*m).Reshape(rows, cols)
-}
-
-// NewDense constructs a dense layer with Glorot-uniform initialized weights.
-func NewDense(in, out int, act Activation, rng *xrand.Rand) *Dense {
-	d := &Dense{
-		In: in, Out: out, Act: act,
-		W:  tensor.NewMatrix(in, out),
-		B:  tensor.NewMatrix(1, out),
-		GW: tensor.NewMatrix(in, out),
-		GB: tensor.NewMatrix(1, out),
-	}
-	limit := math.Sqrt(6.0 / float64(in+out))
-	for i := range d.W.Data {
-		d.W.Data[i] = rng.Range(-limit, limit)
-	}
-	return d
-}
-
-// Forward implements Layer. In training mode the result matrix is owned
-// by the layer and valid until its next training Forward; in eval mode a
-// fresh matrix is returned.
-func (d *Dense) Forward(x *tensor.Matrix, training bool, _ *xrand.Rand) *tensor.Matrix {
-	if x.Cols != d.In {
-		panic(fmt.Sprintf("nn: dense expects %d inputs, got %d", d.In, x.Cols))
-	}
-	if !training {
-		return d.forwardInto(tensor.NewMatrix(x.Rows, d.Out), x)
-	}
-	in := reuse(&d.lastIn, x.Rows, d.In)
-	copy(in.Data, x.Data)
-	d.cached = true
-	return d.forwardInto(reuse(&d.z, x.Rows, d.Out), in)
-}
-
-// forwardInto stores act(x*W + b) into dst, the bias seeded into the
-// product and the activation selected once for the batch.
-func (d *Dense) forwardInto(dst, x *tensor.Matrix) *tensor.Matrix {
-	tensor.MatMulBiasInto(dst, x, d.W, d.B.Data)
-	d.Act.applyAll(dst.Data)
-	return dst
-}
-
-// Backward implements Layer. The returned input-gradient matrix is owned
-// by the layer and valid until its next Backward.
-func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	return d.backward(gradOut, true)
-}
-
-// backward is Backward; with needInput false it stops after the parameter
-// gradients and returns nil, which is what a network's first layer wants.
-func (d *Dense) backward(gradOut *tensor.Matrix, needInput bool) *tensor.Matrix {
-	if !d.cached {
-		panic("nn: Backward before Forward(training=true)")
-	}
-	delta, dx := gradOut, (*tensor.Matrix)(nil)
-	if d.Act != Identity {
-		delta = reuse(&d.delta, gradOut.Rows, gradOut.Cols)
-	}
-	if needInput {
-		dx = reuse(&d.gradIn, gradOut.Rows, d.In)
-	}
-	d.backInto(dx, delta, gradOut, nil, d.lastIn, d.z)
-	return dx
-}
-
-// backInto leaves in GW and GB the gradients of the batch with input x and
-// output z, from the loss gradient g with respect to z — or, with a mask, to
-// what the Dropout behind the layer made of z — and stores the gradient with
-// respect to x into dx unless that is nil. delta is g-shaped workspace.
-func (d *Dense) backInto(dx, delta, g, mask, x, z *tensor.Matrix) {
-	d.Act.backSweep(delta.Data, d.GB.Data, g.Data, z.Data, mask)
-	tensor.MatMulATBInto(d.GW, x, delta) // GW = xᵀ·delta; the loss applies the batch mean
-	if dx != nil {
-		tensor.MatMulABTInto(dx, delta, d.W) // dX = delta·Wᵀ
-	}
-}
-
-// Params implements Layer.
-func (d *Dense) Params() []ParamPair {
-	return []ParamPair{{d.W, d.GW}, {d.B, d.GB}}
-}
-
-// Dropout zeroes each input unit with probability P during training (and
-// during MC-dropout inference), scaling survivors by 1/(1-P) (inverted
-// dropout) so expected activations match eval mode.
-type Dropout struct {
-	P      float64
-	mask   *tensor.Matrix // the multipliers of the last training Forward
-	words  []uint64       // the random words that Forward drew them from
-	active bool           // a mask is live from the last training Forward
-	out    *tensor.Matrix // owned masked output
-	gradIn *tensor.Matrix // owned backward output
-}
-
-// NewDropout returns a dropout layer with drop probability p in [0,1).
-func NewDropout(p float64) *Dropout {
-	if p < 0 || p >= 1 {
-		panic("nn: dropout probability must be in [0,1)")
-	}
-	return &Dropout{P: p}
-}
-
-// Forward implements Layer. In training mode the result is an owned
-// buffer reused across steps.
-func (dr *Dropout) Forward(x *tensor.Matrix, training bool, rng *xrand.Rand) *tensor.Matrix {
-	if !training || dr.P == 0 {
-		dr.active = false
-		return x
-	}
-	if rng == nil {
-		panic("nn: dropout in training mode requires rng")
-	}
-	if n := (len(x.Data) + 1) / 2; cap(dr.words) < n {
-		dr.words = make([]uint64, n)
-	}
-	dr.active = true
-	return dr.maskInto(reuse(&dr.out, x.Rows, x.Cols), reuse(&dr.mask, x.Rows, x.Cols), dr.words, x, rng)
-}
-
-// maskInto stores a dropout sample of x into out and its multipliers into
-// mask. One word of the stream, for which words has room, decides two units
-// (tensor.DropoutMask), each kept when its 32-bit lane is below (1-p)·2³².
-func (dr *Dropout) maskInto(out, mask *tensor.Matrix, words []uint64, x *tensor.Matrix, rng *xrand.Rand) *tensor.Matrix {
-	words = words[:(len(x.Data)+1)/2]
-	rng.Fill(words)
-	tensor.DropoutMask(out.Data, x.Data, mask.Data, words, uint64((1-dr.P)*(1<<32)), 1/(1-dr.P))
-	return out
-}
-
-// Backward implements Layer.
-func (dr *Dropout) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	if !dr.active {
-		return gradOut
-	}
-	return tensor.Hadamard(reuse(&dr.gradIn, gradOut.Rows, gradOut.Cols), gradOut, dr.mask)
-}
-
-// Params implements Layer.
-func (dr *Dropout) Params() []ParamPair { return nil }
-
 // MSE is mean squared error, averaged over batch and outputs: the loss
 // Fit trains on.
 type MSE struct{}
@@ -343,14 +150,40 @@ func (MSE) Grad(dst, pred, target *tensor.Matrix) *tensor.Matrix {
 	return dst
 }
 
-// Network is an ordered stack of layers.
+// layer is one row of a Network's table: out = act(drop(x)·W + b), where
+// drop zeroes each input unit with probability p and scales the survivors
+// by 1/(1-p) (inverted dropout) in training and MC-dropout inference, and
+// is the identity otherwise. W (in x out, row-major) and b are the windows
+// of the network's slab at off and off+in·out.
+type layer struct {
+	in, out int
+	act     Activation
+	p       float64
+	off     int
+}
+
+// weights and bias are the layer's windows of a slab laid out like its
+// network's: the weights themselves, or a tape's gradients of them.
+func (l *layer) weights(slab []float64) []float64 {
+	k := l.off + l.in*l.out
+	return slab[l.off:k:k]
+}
+
+func (l *layer) bias(slab []float64) []float64 {
+	k := l.off + l.in*l.out
+	return slab[k : k+l.out : k+l.out]
+}
+
+// Network is a feed-forward net: a table of dense layers and one slab that
+// holds every parameter, W₀|b₀|W₁|b₁|…, the order Compiled.slab and
+// artifact v3 use.
 //
-// The layer graph is the training side: Forward, Backward and Fit mutate
-// shared layer state and must be single-threaded. Inference runs on the
-// program Compile flattens the trained graph into, which is immutable and
-// safe for concurrent use.
+// Fit and Tape train the slab in place and must be single-threaded.
+// Inference runs on the program Compile copies the slab into, which is
+// immutable and safe for concurrent use.
 type Network struct {
-	Layers []Layer
+	layers []layer
+	slab   []float64
 	rng    *xrand.Rand
 
 	seedOnce sync.Once // seeds seedBase from rng on first use
@@ -358,91 +191,56 @@ type Network struct {
 	seedCtr  atomic.Uint64
 }
 
-// NewNetwork builds a network around the given layers; rng drives dropout
-// masks and any stochastic layer behaviour.
-func NewNetwork(rng *xrand.Rand, layers ...Layer) *Network {
-	return &Network{Layers: layers, rng: rng}
+// NewNetwork builds a fully connected net with the given layer widths (e.g.
+// 6,30,48,3), acts[i] the activation of layer i, and no dropout. The
+// weights are Glorot-uniform draws from rng, layer by layer, and the
+// biases zero; rng then drives dropout masks and the compiled programs'
+// streams.
+func NewNetwork(rng *xrand.Rand, acts []Activation, widths ...int) *Network {
+	if len(acts) == 0 || len(acts) != len(widths)-1 {
+		panic(fmt.Sprintf("nn: %d activations for %d widths", len(acts), len(widths)))
+	}
+	n := &Network{layers: make([]layer, len(acts)), rng: rng}
+	off := 0
+	for i, a := range acts {
+		n.layers[i] = layer{in: widths[i], out: widths[i+1], act: a, off: off}
+		off += (widths[i] + 1) * widths[i+1]
+	}
+	n.slab = make([]float64, off)
+	for i := range n.layers {
+		l := &n.layers[i]
+		limit := math.Sqrt(6.0 / float64(l.in+l.out))
+		for k := range l.weights(n.slab) {
+			n.slab[l.off+k] = rng.Range(-limit, limit)
+		}
+	}
+	return n
 }
 
-// NewMLP is a convenience constructor: a fully connected net with the given
-// layer widths (e.g. 6,30,48,3), hidden activation act, Identity output,
-// and optional dropout after each hidden layer (dropP == 0 disables).
+// NewMLP is NewNetwork with activation act on every hidden layer, an
+// Identity output, and dropout with probability dropP (0 disables) on the
+// input of every layer after the first.
 func NewMLP(rng *xrand.Rand, act Activation, dropP float64, widths ...int) *Network {
 	if len(widths) < 2 {
 		panic("nn: MLP needs at least input and output widths")
 	}
-	var layers []Layer
-	for i := 0; i < len(widths)-1; i++ {
-		last := i == len(widths)-2
-		a := act
-		if last {
-			a = Identity
-		}
-		layers = append(layers, NewDense(widths[i], widths[i+1], a, rng))
-		if !last && dropP > 0 {
-			layers = append(layers, NewDropout(dropP))
-		}
+	if dropP < 0 || dropP >= 1 {
+		panic("nn: dropout probability must be in [0,1)")
 	}
-	return NewNetwork(rng, layers...)
-}
-
-// Forward runs a batch through the network. training toggles dropout and
-// gradient caching.
-func (n *Network) Forward(x *tensor.Matrix, training bool) *tensor.Matrix {
-	h := x
-	for _, l := range n.Layers {
-		h = l.Forward(h, training, n.rng)
+	acts := make([]Activation, len(widths)-1)
+	for i := range acts {
+		acts[i] = act
 	}
-	return h
-}
-
-// Backward propagates the loss gradient through all layers, leaving this
-// batch's parameter gradients in them. Nothing reads the gradient with
-// respect to the network's input, so a first Dense layer skips it.
-func (n *Network) Backward(gradOut *tensor.Matrix) {
-	g := gradOut
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		if d, ok := n.Layers[i].(*Dense); ok && i == 0 {
-			d.backward(g, false)
-			return
-		}
-		g = n.Layers[i].Backward(g)
+	acts[len(acts)-1] = Identity
+	n := NewNetwork(rng, acts, widths...)
+	for i := 1; i < len(n.layers); i++ {
+		n.layers[i].p = dropP
 	}
-}
-
-// Params returns every parameter pair in the network, in layer order.
-func (n *Network) Params() []ParamPair {
-	var out []ParamPair
-	for _, l := range n.Layers {
-		out = append(out, l.Params()...)
-	}
-	return out
+	return n
 }
 
 // NumParams returns the total scalar parameter count.
-func (n *Network) NumParams() int {
-	c := 0
-	for _, p := range n.Params() {
-		c += len(p.Value.Data)
-	}
-	return c
-}
-
-// Dims returns the network's input and output widths (the first dense
-// layer's fan-in and the last dense layer's fan-out); ok is false when
-// the network has no dense layer.
-func (n *Network) Dims() (in, out int, ok bool) {
-	for _, l := range n.Layers {
-		if d, isDense := l.(*Dense); isDense {
-			if !ok {
-				in = d.In
-				ok = true
-			}
-			out = d.Out
-		}
-	}
-	return in, out, ok
-}
+func (n *Network) NumParams() int { return len(n.slab) }
 
 // deriveSeed returns a distinct deterministic seed per call, split off the
 // network's rng on first use: every compiled program of one network draws

@@ -67,29 +67,25 @@ func TestActivationDerivativeConsistency(t *testing.T) {
 }
 
 func TestDenseForwardShape(t *testing.T) {
-	rng := xrand.New(1)
-	d := NewDense(3, 5, ReLU, rng)
-	x := tensor.NewMatrix(7, 3)
-	out := d.Forward(x, false, nil)
+	tape := NewNetwork(xrand.New(1), []Activation{ReLU}, 3, 5).Tape(7)
+	out := tape.Forward(tensor.NewMatrix(7, 3))
 	if out.Rows != 7 || out.Cols != 5 {
 		t.Fatalf("dense output %dx%d", out.Rows, out.Cols)
 	}
 }
 
 func TestDenseForwardKnown(t *testing.T) {
-	rng := xrand.New(1)
-	d := NewDense(2, 1, Identity, rng)
-	d.W.Set(0, 0, 2)
-	d.W.Set(1, 0, 3)
-	d.B.Set(0, 0, 1)
-	out := d.Forward(tensor.FromRows([][]float64{{1, 1}}), false, nil)
+	net := NewNetwork(xrand.New(1), []Activation{Identity}, 2, 1)
+	copy(net.slab, []float64{2, 3, 1}) // W₀ | b₀
+	out := net.Tape(1).Forward(tensor.FromRows([][]float64{{1, 1}}))
 	if out.At(0, 0) != 6 {
 		t.Fatalf("dense forward = %g want 6", out.At(0, 0))
 	}
 }
 
-// gradCheck compares analytic parameter gradients with central finite
-// differences of the loss for a small network.
+// gradCheck compares the tape's parameter gradients with central finite
+// differences of the loss, evaluated by the reference graph in eval mode,
+// for a small network.
 func gradCheck(t *testing.T, act Activation, seed uint64) {
 	t.Helper()
 	rng := xrand.New(seed)
@@ -97,28 +93,28 @@ func gradCheck(t *testing.T, act Activation, seed uint64) {
 	x := tensor.FromRows([][]float64{{0.5, -0.2, 0.8}, {-1, 0.3, 0.1}, {0.2, 0.9, -0.4}})
 	y := tensor.FromRows([][]float64{{1, 0}, {0, 1}, {0.5, 0.5}})
 	loss := MSE{}
+	ref := newRefGraph(net)
 
 	lossAt := func() float64 {
-		return loss.Value(net.Forward(x, false), y)
+		return loss.Value(ref.forward(x, false), y)
 	}
 
-	pred := net.Forward(x, true)
-	net.Backward(loss.Grad(nil, pred, y))
+	tape := net.Tape(x.Rows)
+	pred := tape.Forward(x)
+	tape.Backward(loss.Grad(nil, pred, y), nil)
 
 	const h = 1e-6
-	for pi, p := range net.Params() {
-		for k := range p.Value.Data {
-			orig := p.Value.Data[k]
-			p.Value.Data[k] = orig + h
-			up := lossAt()
-			p.Value.Data[k] = orig - h
-			down := lossAt()
-			p.Value.Data[k] = orig
-			numeric := (up - down) / (2 * h)
-			analytic := p.Grad.Data[k]
-			if math.Abs(numeric-analytic) > 1e-4*(1+math.Abs(numeric)) {
-				t.Fatalf("%v param %d[%d]: analytic %g numeric %g", act, pi, k, analytic, numeric)
-			}
+	val, grad := tape.Params()
+	for k := range val {
+		orig := val[k]
+		val[k] = orig + h
+		up := lossAt()
+		val[k] = orig - h
+		down := lossAt()
+		val[k] = orig
+		numeric := (up - down) / (2 * h)
+		if analytic := grad[k]; math.Abs(numeric-analytic) > 1e-4*(1+math.Abs(numeric)) {
+			t.Fatalf("%v param [%d]: analytic %g numeric %g", act, k, analytic, numeric)
 		}
 	}
 }
@@ -217,20 +213,24 @@ func TestFitDivergenceDetected(t *testing.T) {
 }
 
 func TestDropoutEvalIsIdentity(t *testing.T) {
-	d := NewDropout(0.5)
-	x := tensor.FromRows([][]float64{{1, 2, 3}})
-	out := d.Forward(x, false, nil)
-	if !tensor.Equal(out, x, 0) {
+	net := NewNetwork(xrand.New(1), []Activation{Identity}, 3, 3)
+	net.layers[0].p = 0.5
+	clear(net.slab)
+	for j := 0; j < 3; j++ {
+		net.slab[j*3+j] = 1
+	}
+	x := []float64{1, 2, 3}
+	if out := net.Compile().Predict(x, nil); !sameBits(out, x) {
 		t.Fatal("dropout in eval mode should be identity")
 	}
 }
 
 func TestDropoutTrainingMaskStatistics(t *testing.T) {
-	rng := xrand.New(53)
-	d := NewDropout(0.3)
+	tape := dropoutProbe(0.3, 10000, xrand.New(53)).Tape(1)
 	x := tensor.NewMatrix(1, 10000)
 	x.Fill(1)
-	out := d.Forward(x, true, rng)
+	tape.Forward(x)
+	out := tape.stages[0].x
 	zeros := 0
 	sum := 0.0
 	for _, v := range out.Data {
@@ -250,14 +250,15 @@ func TestDropoutTrainingMaskStatistics(t *testing.T) {
 }
 
 func TestDropoutBackwardUsesMask(t *testing.T) {
-	rng := xrand.New(59)
-	d := NewDropout(0.5)
+	tape := dropoutProbe(0.5, 100, xrand.New(59)).Tape(1)
 	x := tensor.NewMatrix(1, 100)
 	x.Fill(1)
-	out := d.Forward(x, true, rng)
-	g := tensor.NewMatrix(1, 100)
+	tape.Forward(x)
+	out := tape.stages[0].x
+	g := tensor.NewMatrix(1, 1)
 	g.Fill(1)
-	back := d.Backward(g)
+	back := tensor.NewMatrix(1, 100)
+	tape.Backward(g, back)
 	for i := range out.Data {
 		if (out.Data[i] == 0) != (back.Data[i] == 0) {
 			t.Fatal("backward mask inconsistent with forward mask")
@@ -270,10 +271,10 @@ func TestDropoutInvalidP(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("NewDropout(%g) did not panic", p)
+					t.Fatalf("NewMLP with dropout %g did not panic", p)
 				}
 			}()
-			NewDropout(p)
+			NewMLP(xrand.New(1), Tanh, p, 2, 3, 1)
 		}()
 	}
 }
@@ -391,16 +392,14 @@ func TestMCDropoutMeanNearDeterministicQuick(t *testing.T) {
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w-3)^2 by hand-feeding gradients.
-	w := tensor.FromRows([][]float64{{0}})
-	g := tensor.FromRows([][]float64{{0}})
+	w, g := []float64{0}, []float64{0}
 	opt := NewAdam(0.1)
-	params := []ParamPair{{w, g}}
 	for i := 0; i < 500; i++ {
-		g.Set(0, 0, 2*(w.At(0, 0)-3))
-		opt.Step(params)
+		g[0] = 2 * (w[0] - 3)
+		opt.Step(w, g)
 	}
-	if math.Abs(w.At(0, 0)-3) > 0.01 {
-		t.Fatalf("Adam converged to %g want 3", w.At(0, 0))
+	if math.Abs(w[0]-3) > 0.01 {
+		t.Fatalf("Adam converged to %g want 3", w[0])
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 type Adam struct {
 	LR         float64
 	pow1, pow2 float64 // adamBeta1^t and adamBeta2^t, as running products
-	m, v       []*tensor.Matrix
+	m, v       []float64
 }
 
 const (
@@ -28,28 +28,18 @@ const (
 // NewAdam returns an Adam optimizer with learning rate lr.
 func NewAdam(lr float64) *Adam { return &Adam{LR: lr} }
 
-// Step applies one update from params' accumulated gradients: one fused
-// sweep per parameter matrix (tensor.AdamStep) over the preallocated m/v
-// buffers; after the first call, which allocates those buffers, Step
-// performs zero heap allocations.
-func (a *Adam) Step(params []ParamPair) {
+// Step applies one update of the parameters val from their gradients grad
+// (a Tape's Params) in one fused sweep (tensor.AdamStep). The first call
+// sizes the moment buffers to val, so an optimizer steps one pair for its
+// life; after that call Step performs zero heap allocations.
+func (a *Adam) Step(val, grad []float64) {
 	if a.m == nil {
-		a.m = make([]*tensor.Matrix, len(params))
-		a.v = make([]*tensor.Matrix, len(params))
-		for i, p := range params {
-			a.m[i] = tensor.NewMatrix(p.Value.Rows, p.Value.Cols)
-			a.v[i] = tensor.NewMatrix(p.Value.Rows, p.Value.Cols)
-		}
+		a.m, a.v = make([]float64, len(val)), make([]float64, len(val))
 		a.pow1, a.pow2 = 1, 1
 	}
 	a.pow1 *= adamBeta1
 	a.pow2 *= adamBeta2
-	invC1 := 1 / (1 - a.pow1)
-	invC2 := 1 / (1 - a.pow2)
-	for i, p := range params {
-		tensor.AdamStep(p.Value.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data,
-			a.LR, adamBeta1, adamBeta2, adamEps, invC1, invC2)
-	}
+	tensor.AdamStep(val, grad, a.m, a.v, a.LR, adamBeta1, adamBeta2, adamEps, 1/(1-a.pow1), 1/(1-a.pow2))
 }
 
 // TrainConfig controls Fit. Zero values take the defaults: 100 epochs,
@@ -70,130 +60,151 @@ type History struct {
 // ErrDiverged is returned when training produced non-finite parameters.
 var ErrDiverged = errors.New("nn: training diverged (non-finite loss or parameters)")
 
-// stage is one Dense of a fit's step program, the live Dropout behind it if
-// any, and their arena matrices: x is the stage before's out, out is z
-// without a Dropout, dx is nil on stage 0.
+// Tape is a network's step program for batches of up to a fixed row
+// count: Forward, Backward and the parameter/gradient pair an optimizer
+// steps, over the network's own slab and one arena of activations and
+// gradients made with the tape. A warmed Forward+Backward allocates
+// nothing. A tape is single-threaded, like the network it trains.
+type Tape struct {
+	n       *Network
+	stages  []stage
+	grad    []float64        // the last Backward's gradients, laid out like n.slab
+	batch   []*tensor.Matrix // every arena matrix with a row per sample
+	maxRows int
+}
+
+// stage is one layer of a tape: views of its parameters and their
+// gradients, and its arena matrices. x is the input the product reads:
+// Forward's own argument on an undropped stage 0, the stage before's z on
+// an undropped later one, the masked copy otherwise. mask holds the input
+// dropout's multipliers (nil when p is 0), dx the gradient with respect to
+// x (nil on stage 0, where Backward's caller names it).
 type stage struct {
-	d                          *Dense
-	dr                         *Dropout
-	x, z, out, mask, delta, dx *tensor.Matrix
-	words                      []uint64
+	act          Activation
+	p            float64
+	w, gw        tensor.Matrix
+	b, gb        []float64
+	x, mask      *tensor.Matrix
+	z, delta, dx *tensor.Matrix
+	words        []uint64
 }
 
-// program is what Fit lowers the layer graph into, once a call: the stages
-// and every float a minibatch step touches — the parameters and their
-// gradients included — carved from one slab that dies with the fit.
-type program struct {
-	stages    []stage
-	x, y, g   *tensor.Matrix   // gathered minibatch, its targets, the loss gradient
-	batch     []*tensor.Matrix // every matrix with a row per minibatch sample
-	val, grad *tensor.Matrix   // all parameters, Params() order: the optimizer's one pair
-	own       [][]float64      // the network's own value and gradient storage, alternating
-}
-
-// lower builds the step program for minibatches of up to rows rows and moves
-// the parameters into its slab, every matrix of which starts a cache line.
-func (n *Network) lower(x, y *tensor.Matrix, rows int) (*program, error) {
-	params := n.Params()
-	p := &program{stages: make([]stage, 0, len(n.Layers)), own: make([][]float64, 0, 2*len(params))}
-	mats := make([]*tensor.Matrix, 0, 5+5*len(n.Layers))
-	total := 0
-	add := func(rows, cols int) *tensor.Matrix {
-		mats = append(mats, &tensor.Matrix{Rows: rows, Cols: cols})
-		total += (rows*cols + 7) &^ 7
-		return mats[len(mats)-1]
+// Tape builds the network's step program for batches of up to maxRows rows.
+// Every arena matrix starts a cache line.
+func (n *Network) Tape(maxRows int) *Tape {
+	t := &Tape{n: n, stages: make([]stage, len(n.layers)), maxRows: maxRows}
+	total := (len(n.slab) + 7) &^ 7
+	add := func(cols int) *tensor.Matrix {
+		t.batch = append(t.batch, &tensor.Matrix{Rows: maxRows, Cols: cols})
+		total += (maxRows*cols + 7) &^ 7
+		return t.batch[len(t.batch)-1]
 	}
-	p.x, p.y, p.g = add(rows, x.Cols), add(rows, y.Cols), add(rows, y.Cols)
-	cur := p.x
-	var st *stage // the last one, until the next Dense appends
-	for _, l := range n.Layers {
-		switch ly := l.(type) {
-		case *Dense:
-			p.stages = append(p.stages, stage{d: ly, x: cur, z: add(rows, ly.Out), delta: add(rows, ly.Out)})
-			st = &p.stages[len(p.stages)-1]
-			if len(p.stages) > 1 {
-				st.dx = add(rows, ly.In)
-			}
-			cur, st.out = st.z, st.z
-		case *Dropout:
-			if ly.P == 0 {
-				continue
-			}
-			if st == nil || st.dr != nil {
-				return nil, errors.New("nn: Fit needs a Dense layer in front of every Dropout")
-			}
-			st.dr, st.mask, st.out = ly, add(rows, cur.Cols), add(rows, cur.Cols)
-			st.words = make([]uint64, (rows*cur.Cols+1)/2)
-			cur = st.out
-		default:
-			return nil, fmt.Errorf("nn: Fit cannot train a %T layer", l)
+	for i, l := range n.layers {
+		st := &t.stages[i]
+		st.act, st.p = l.act, l.p
+		st.z, st.delta = add(l.out), add(l.out)
+		if i > 0 {
+			st.x, st.dx = t.stages[i-1].z, add(l.in)
+		}
+		if l.p > 0 {
+			st.x, st.mask = add(l.in), add(l.in)
+			st.words = make([]uint64, (maxRows*l.in+1)/2)
 		}
 	}
-	p.batch = mats
-	np := n.NumParams()
-	p.val, p.grad = add(1, np), add(1, np)
-	slab := make([]float64, total)
-	for _, m := range mats {
+	arena := make([]float64, total)
+	np := len(n.slab)
+	t.grad, arena = arena[:np:np], arena[(np+7)&^7:]
+	for _, m := range t.batch {
 		k := m.Rows * m.Cols
-		m.Data, slab = slab[:k:k], slab[(k+7)&^7:]
+		m.Data, arena = arena[:k:k], arena[(k+7)&^7:]
 	}
-	off := 0
-	for _, pr := range params {
-		k := off + len(pr.Value.Data)
-		p.own = append(p.own, pr.Value.Data, pr.Grad.Data)
-		pr.Value.Data, pr.Grad.Data = p.val.Data[off:k:k], p.grad.Data[off:k:k]
-		copy(pr.Value.Data, p.own[len(p.own)-2])
-		copy(pr.Grad.Data, p.own[len(p.own)-1])
-		off = k
+	for i := range n.layers {
+		l, st := &n.layers[i], &t.stages[i]
+		st.w = tensor.Matrix{Rows: l.in, Cols: l.out, Data: l.weights(n.slab)}
+		st.gw = tensor.Matrix{Rows: l.in, Cols: l.out, Data: l.weights(t.grad)}
+		st.b, st.gb = l.bias(n.slab), l.bias(t.grad)
 	}
-	return p, nil
+	return t
 }
 
-// release moves the parameters and the last step's gradients back home.
-func (p *program) release(n *Network) {
-	for i, pr := range n.Params() {
-		copy(p.own[2*i], pr.Value.Data)
-		copy(p.own[2*i+1], pr.Grad.Data)
-		pr.Value.Data, pr.Grad.Data = p.own[2*i], p.own[2*i+1]
+// Params returns the pair an optimizer steps: the network's slab and the
+// tape's gradients of it, in the same layout.
+func (t *Tape) Params() (val, grad []float64) { return t.n.slab, t.grad }
+
+// Forward runs a batch of up to the tape's row count through the network
+// in training mode, drawing dropout masks from the network's stream, and
+// returns the output, which the tape owns until its next Forward. x is
+// read again by Backward, so the caller leaves it unchanged until then.
+func (t *Tape) Forward(x *tensor.Matrix) *tensor.Matrix {
+	if x.Rows > t.maxRows || x.Cols != t.stages[0].w.Rows {
+		panic(fmt.Sprintf("nn: tape for %d x %d batches given %d x %d", t.maxRows, t.stages[0].w.Rows, x.Rows, x.Cols))
+	}
+	if x.Rows != t.stages[0].z.Rows {
+		for _, m := range t.batch {
+			m.Reshape(x.Rows, m.Cols)
+		}
+	}
+	in := x
+	for i := range t.stages {
+		st := &t.stages[i]
+		switch {
+		case st.mask != nil:
+			// One word of the stream decides two units (tensor.DropoutMask),
+			// each kept when its 32-bit lane is below (1-p)·2³².
+			words := st.words[:(len(in.Data)+1)/2]
+			t.n.rng.Fill(words)
+			tensor.DropoutMask(st.x.Data, in.Data, st.mask.Data, words, uint64((1-st.p)*(1<<32)), 1/(1-st.p))
+		case i == 0:
+			st.x = x
+		}
+		tensor.MatMulBiasInto(st.z, st.x, &st.w, st.b)
+		st.act.applyAll(st.z.Data)
+		in = st.z
+	}
+	return in
+}
+
+// Backward takes g, the loss gradient with respect to the last Forward's
+// output, and leaves that batch's parameter gradients in the tape's
+// gradient slab, replacing the previous step's: a step needs no zeroing
+// sweep. With a non-nil dx it also stores the gradient with respect to
+// Forward's input there; a nil dx skips that product.
+func (t *Tape) Backward(g, dx *tensor.Matrix) {
+	for i := len(t.stages) - 1; i >= 0; i-- {
+		st := &t.stages[i]
+		var mask *tensor.Matrix // the dropout behind this stage's output
+		if i+1 < len(t.stages) {
+			mask = t.stages[i+1].mask
+		}
+		st.act.backSweep(st.delta.Data, st.gb, g.Data, st.z.Data, mask)
+		tensor.MatMulATBInto(&st.gw, st.x, st.delta) // the loss applies the batch mean
+		if i > 0 {
+			tensor.MatMulABTInto(st.dx, st.delta, &st.w)
+			g = st.dx
+		}
+	}
+	if st := &t.stages[0]; dx != nil {
+		tensor.MatMulABTInto(dx, st.delta, &st.w)
+		if st.mask != nil {
+			tensor.Hadamard(dx, dx, st.mask)
+		}
 	}
 }
 
-// step runs one minibatch, the rows idx of x and y — forward, mean squared
-// error and, if that is finite, backward into grad — and returns the loss.
-func (p *program) step(x, y *tensor.Matrix, idx []int, rng *xrand.Rand) float64 {
-	if len(idx) != p.g.Rows {
-		for _, m := range p.batch {
-			m.Reshape(len(idx), m.Cols)
-		}
+// Check is the divergence rule of every loop that trains through a tape,
+// Fit's included: a non-finite loss — one step's, or a sum over steps —
+// or a non-finite parameter returns ErrDiverged.
+func (t *Tape) Check(loss float64) error {
+	if math.IsNaN(loss) || math.IsInf(loss, 0) || tensor.HasNaN(&tensor.Matrix{Rows: 1, Cols: len(t.n.slab), Data: t.n.slab}) {
+		return ErrDiverged
 	}
-	tensor.GatherRowsInto(p.x, x, idx)
-	tensor.GatherRowsInto(p.y, y, idx)
-	for i := range p.stages {
-		st := &p.stages[i]
-		st.d.forwardInto(st.z, st.x)
-		if st.dr != nil {
-			st.dr.maskInto(st.out, st.mask, st.words, st.z, rng)
-		}
-	}
-	pred := p.stages[len(p.stages)-1].out
-	v, g := MSE{}.Value(pred, p.y), MSE{}.Grad(p.g, pred, p.y)
-	for i := len(p.stages) - 1; i >= 0 && !math.IsNaN(v) && !math.IsInf(v, 0); i-- {
-		st := &p.stages[i]
-		st.d.backInto(st.dx, st.delta, g, st.mask, st.x, st.z)
-		g = st.dx
-	}
-	return v
+	return nil
 }
 
 // Fit trains the network on inputs x and targets y (row-aligned) by Adam
 // on the mean squared error and returns the loss history. It shuffles each
-// epoch, runs minibatches, and fails fast with ErrDiverged if the loss or
-// any parameter becomes non-finite.
-//
-// The epochs run a step program the layer graph is lowered into once. A
-// Layer from outside this package, or a Dropout no Dense precedes, has no
-// program and Fit returns an error. Adam is stepped with one ParamPair that
-// holds every parameter of the network.
+// epoch, runs minibatches through a Tape, and returns ErrDiverged at the
+// end of the first epoch whose loss or parameters are not finite.
 func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	if x.Rows != y.Rows {
 		return nil, fmt.Errorf("nn: x has %d rows, y has %d", x.Rows, y.Rows)
@@ -210,18 +221,18 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	if cfg.Optimizer == nil {
 		cfg.Optimizer = NewAdam(1e-3)
 	}
+	return n.Tape(min(cfg.BatchSize, x.Rows)).fit(x, y, cfg)
+}
+
+// fit is Fit's loop over t: gather a minibatch, forward, mean squared
+// error, backward, Adam. Every buffer is made before the first epoch, so
+// an epoch allocates none.
+func (t *Tape) fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	rng := xrand.New(cfg.Seed + 0x5eed)
 	perm := rng.Perm(x.Rows)
-
-	// Every buffer is made here, at the largest batch; an epoch allocates none.
-	p, err := n.lower(x, y, min(cfg.BatchSize, x.Rows))
-	if err != nil {
-		return nil, err
-	}
-	defer p.release(n)
-	params := []ParamPair{{p.val, p.grad}}
+	bx, by, g := tensor.NewMatrix(t.maxRows, x.Cols), tensor.NewMatrix(t.maxRows, y.Cols), tensor.NewMatrix(t.maxRows, y.Cols)
+	val, grad := t.Params()
 	hist := &History{TrainLoss: make([]float64, 0, cfg.Epochs)}
-
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		for i := len(perm) - 1; i > 0; i-- { // rng.Shuffle, without the call per swap
 			j := rng.Intn(i + 1)
@@ -230,13 +241,13 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 		epochLoss, batches := 0.0, 0
 		for start := 0; start < len(perm); start += cfg.BatchSize {
 			idx := perm[start:min(start+cfg.BatchSize, len(perm))]
-			loss := p.step(x, y, idx, n.rng)
-			if math.IsNaN(loss) || math.IsInf(loss, 0) {
-				return hist, ErrDiverged
-			}
-			epochLoss += loss
+			tensor.GatherRowsInto(bx, x, idx)
+			tensor.GatherRowsInto(by, y, idx)
+			pred := t.Forward(bx)
+			epochLoss += MSE{}.Value(pred, by)
 			batches++
-			cfg.Optimizer.Step(params)
+			t.Backward(MSE{}.Grad(g.Reshape(len(idx), y.Cols), pred, by), nil)
+			cfg.Optimizer.Step(val, grad)
 			// Cooperative backgrounding: on oversubscribed machines a refit
 			// otherwise holds a core for tens of milliseconds, the serving
 			// stall the double-buffered wrappers exist to avoid. One yield
@@ -250,10 +261,10 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 			// 233.7 ns/sample-epoch in BENCH_18.json, 366.4 in .cpus2.json).
 			runtime.Gosched()
 		}
+		if err := t.Check(epochLoss); err != nil {
+			return hist, err
+		}
 		hist.TrainLoss = append(hist.TrainLoss, epochLoss/float64(batches))
-	}
-	if tensor.HasNaN(p.val) {
-		return hist, ErrDiverged
 	}
 	return hist, nil
 }

@@ -50,7 +50,9 @@ func (p *NNPotential) TrainingSetSize() int { return p.trainSeen }
 
 // Fit trains the atomic network so that summed atomic energies match the
 // provided total energies. Each configuration is one training unit; the
-// per-atom gradient is the standard sum-pooled MSE gradient.
+// per-atom gradient is the standard sum-pooled MSE gradient. A fit whose
+// loss or weights stop being finite returns nn.ErrDiverged and leaves the
+// potential untrained.
 func (p *NNPotential) Fit(configs []*Configuration, energies []float64) error {
 	if len(configs) == 0 {
 		return errors.New("potential: empty training set")
@@ -58,6 +60,7 @@ func (p *NNPotential) Fit(configs []*Configuration, energies []float64) error {
 	if len(configs) != len(energies) {
 		return fmt.Errorf("potential: %d configs vs %d energies", len(configs), len(energies))
 	}
+	p.trained = false
 	// Descriptor statistics over all atoms of all configurations.
 	dim := p.SF.Dim()
 	feats := make([][][]float64, len(configs))
@@ -95,46 +98,43 @@ func (p *NNPotential) Fit(configs []*Configuration, energies []float64) error {
 	widths := append([]int{dim}, append(append([]int(nil), p.Hidden...), 1)...)
 	net := nn.NewMLP(p.rng.Split(), nn.Tanh, 0, widths...)
 	opt := nn.NewAdam(p.LR)
-	params := net.Params()
 	order := make([]int, len(configs))
 	for i := range order {
 		order[i] = i
 	}
 	// Scale every configuration's descriptor matrix once up front; the
-	// scaled features are constant across epochs, so the epoch loop below
-	// runs allocation-free (one reshaped gradient buffer per step).
+	// scaled features are constant across epochs, and the tape reads them
+	// in place, so the epoch loop below runs allocation-free.
 	scaled := make([]*tensor.Matrix, len(configs))
 	maxAtoms := 0
 	for ci := range feats {
 		scaled[ci] = p.scaledFeatures(feats[ci])
-		if n := len(feats[ci]); n > maxAtoms {
-			maxAtoms = n
-		}
+		maxAtoms = max(maxAtoms, len(feats[ci]))
 	}
+	tape := net.Tape(maxAtoms)
 	grad := tensor.NewMatrix(maxAtoms, 1)
 	shuffleRng := p.rng.Split()
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		shuffleRng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		loss := 0.0
 		for _, ci := range order {
-			x := scaled[ci]
 			target := (perAtom[ci] - p.eShift) / p.eScale
-			out := net.Forward(x, true)
-			// Predicted normalized per-atom energy is the mean output.
+			out := tape.Forward(scaled[ci])
+			// Predicted normalized per-atom energy is the mean output; its
+			// squared error's gradient reaches every atom alike.
 			mean := 0.0
-			for i := 0; i < out.Rows; i++ {
-				mean += out.At(i, 0)
+			for _, v := range out.Data {
+				mean += v
 			}
 			mean /= float64(out.Rows)
-			if math.IsNaN(mean) || math.IsInf(mean, 0) {
-				return nn.ErrDiverged
-			}
+			loss += (mean - target) * (mean - target)
 			gb := grad.Reshape(out.Rows, 1)
-			g := 2 * (mean - target) / float64(out.Rows)
-			for i := range gb.Data {
-				gb.Data[i] = g
-			}
-			net.Backward(gb)
-			opt.Step(params)
+			gb.Fill(2 * (mean - target) / float64(out.Rows))
+			tape.Backward(gb, nil)
+			opt.Step(tape.Params())
+		}
+		if err := tape.Check(loss); err != nil {
+			return err
 		}
 	}
 	p.prog = net.Compile()
