@@ -7,12 +7,12 @@
 // MC-dropout predictive distributions.
 //
 // A Network is a table of dense layers over one weight slab. It has one
-// trainable form, the Tape (train.go): the step program Fit loops over, and
-// the one the exemplars that wire several networks together (DEFSI's two
-// branches and head, the Behler–Parrinello atomic net) drive themselves. A
-// tape trains the slab in place; inference runs on a Compiled copy of it
-// (compile.go). The tests hold both to a layer-by-layer reference bit for
-// bit.
+// trainable form, the Tape (train.go): the step program Fit loops over,
+// which the exemplars Fit does not fit drive themselves (DEFSI's two
+// branches and head, the Behler–Parrinello atomic net whose energy pools
+// its atoms). A tape trains the slab in place; inference runs on a
+// Compiled copy of it (compile.go). The tests hold both to a
+// layer-by-layer reference bit for bit.
 package nn
 
 import (
