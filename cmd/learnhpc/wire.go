@@ -43,8 +43,6 @@ func runServe(args []string) {
 	health := fs.String("health", "127.0.0.1:9091", "health/stats HTTP address (empty disables)")
 	tenants := fs.String("tenants", "potential,tissue,epi", "comma-separated demo tenants to register")
 	maxBatch := fs.Int("max-batch", 64, "per-tenant coalescer batch bound")
-	brownP99 := fs.Duration("brownout-p99", 0, "p99 latency SLO that arms the brownout controller (0 = off)")
-	brownShed := fs.Float64("brownout-shed", 0, "tolerated admission-shed fraction before brownout (0 = off)")
 	regDir := fs.String("registry", "", "artifact registry directory: warm-start tenants from it and persist every published generation (empty disables)")
 	rollback := fs.Float64("rollback-factor", 0, "drift ratio that auto-rolls a tenant shard back one registry generation (0 = off; needs -registry)")
 	fs.Parse(args)
@@ -61,10 +59,6 @@ func runServe(args []string) {
 
 	fl := repro.NewFleet(repro.FleetConfig{
 		Coalescer: repro.CoalescerConfig{MaxBatch: *maxBatch},
-		Brownout: repro.BrownoutConfig{
-			P99SLO:      *brownP99,
-			MaxShedRate: *brownShed,
-		},
 	})
 	defer fl.Close()
 	rng := repro.NewRand(7)

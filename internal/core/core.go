@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -74,21 +73,18 @@ func PredictWithUQ(sur Surrogate, x []float64) (mean, std []float64) {
 	return m.Data, s.Data
 }
 
-// Degradable is the one optional extension of Surrogate: the cheaper,
-// lower-fidelity serving modes that ShardedConfig.Quantized and the
-// brownout ladder drive. The contract mirrors the paper's bet —
-// approximate answers are fine exactly when UQ says the decision is
-// clear-cut — so a quantized pass must expose how large its approximation
-// error can be (QuantGateBound) and flag inputs outside its calibrated
-// envelope (ok) so the wrapper can re-decide those rows with PredictInto.
-// A surrogate without it is served at full fidelity at every level.
+// Degradable is the one optional extension of Surrogate: the int8
+// quantized serving mode that ShardedConfig.Quantized turns on. The
+// contract mirrors the paper's bet — approximate answers are fine exactly
+// when UQ says the decision is clear-cut — so a quantized pass must expose
+// how large its approximation error can be (QuantGateBound) and flag
+// inputs outside its calibrated envelope (ok) so the wrapper can re-decide
+// those rows with PredictInto. A surrogate without it is always served
+// through PredictInto.
 type Degradable interface {
 	Surrogate
 	// SetQuantize toggles deriving an int8 program on future Trains.
 	SetQuantize(on bool)
-	// SetMCPassCap bounds UQ prediction to at most n stochastic passes
-	// (0 removes the cap). Safe to call concurrently with serving.
-	SetMCPassCap(n int)
 	// QuantizedReady reports whether a quantized program is compiled and
 	// calibrated; PredictQuantInto may only be called when it is.
 	QuantizedReady() bool
@@ -101,63 +97,6 @@ type Degradable interface {
 	// meaning the row left the calibrated envelope and its answer should
 	// not be trusted against the bound.
 	PredictQuantInto(x, mean, std *tensor.Matrix, ok []bool)
-}
-
-// Brownout ladder levels. A wrapper serving under fleet brownout control
-// steps down this ladder one level at a time: each level trades a little
-// answer fidelity for a lot of compute headroom, and every level is
-// reversible — stepping back to BrownoutOff restores the configured
-// serving mode exactly.
-const (
-	// BrownoutOff is full fidelity: the configured serving mode.
-	BrownoutOff = 0
-	// BrownoutPreferQuant serves UQ lookups through the int8 quantized
-	// program whenever one is compiled, even if the wrapper was not
-	// configured Quantized. Surrogates without a quantized program are
-	// unaffected.
-	BrownoutPreferQuant = 1
-	// BrownoutReducedMC additionally caps MC-dropout UQ at
-	// brownoutMCPasses stochastic passes (down from the surrogate's
-	// configured count) for Degradable surrogates.
-	BrownoutReducedMC = 2
-	// BrownoutNoUQ serves a single stochastic pass: the MC-dropout std
-	// degenerates to zero, so the UQ gate always accepts and no oracle
-	// fallback runs — the cheapest answer the wrapper can produce while
-	// still answering.
-	BrownoutNoUQ = 3
-)
-
-// brownoutMCPasses is the capped MC-dropout pass count at BrownoutReducedMC.
-const brownoutMCPasses = 4
-
-// applyMCCap translates a brownout level into a surrogate's MC pass cap:
-// uncapped below BrownoutReducedMC, brownoutMCPasses at it, and a single
-// pass at BrownoutNoUQ (the single pass's zero variance is what turns
-// the UQ gate off). Surrogates that are not Degradable are left alone.
-func applyMCCap(sur Surrogate, level int) {
-	mt, ok := sur.(Degradable)
-	if !ok {
-		return
-	}
-	switch {
-	case level >= BrownoutNoUQ:
-		mt.SetMCPassCap(1)
-	case level >= BrownoutReducedMC:
-		mt.SetMCPassCap(brownoutMCPasses)
-	default:
-		mt.SetMCPassCap(0)
-	}
-}
-
-// clampBrownout bounds a requested level to the ladder.
-func clampBrownout(level int) int {
-	if level < BrownoutOff {
-		return BrownoutOff
-	}
-	if level > BrownoutNoUQ {
-		return BrownoutNoUQ
-	}
-	return level
 }
 
 // NNSurrogate is the reference Surrogate: a dropout MLP trained on
@@ -197,24 +136,6 @@ type NNSurrogate struct {
 	trained   bool
 
 	stagePool sync.Pool // *tensor.Matrix scaled-batch staging
-
-	// mcCap bounds UQ passes under brownout (0 = uncapped); atomic so a
-	// controller can move it while serving threads are mid-predict.
-	mcCap atomic.Int32
-}
-
-// SetMCPassCap implements Degradable: bound UQ prediction to at most n
-// stochastic passes (0 removes the cap).
-func (s *NNSurrogate) SetMCPassCap(n int) { s.mcCap.Store(int32(n)) }
-
-// passes is the effective MC-dropout pass count: MCPasses bounded by the
-// brownout cap when one is set.
-func (s *NNSurrogate) passes() int {
-	p := s.MCPasses
-	if c := int(s.mcCap.Load()); c > 0 && c < p {
-		p = c
-	}
-	return p
 }
 
 // batchWidth returns the compiled batch chunk width.
@@ -354,7 +275,7 @@ func (s *NNSurrogate) PredictQuantInto(x, mean, std *tensor.Matrix, ok []bool) {
 		panic("core: quantized pass without a quantized program")
 	}
 	xs := s.getStage(x)
-	s.qcompiled.PredictMCBatch(xs, s.passes(), mean, std, ok)
+	s.qcompiled.PredictMCBatch(xs, s.MCPasses, mean, std, ok)
 	s.stagePool.Put(xs)
 	s.unscaleRows(mean, std)
 }
@@ -373,7 +294,7 @@ func (s *NNSurrogate) PredictInto(x, mean, std *tensor.Matrix) {
 	if std == nil {
 		s.compiled.PredictBatch(xs, mean)
 	} else {
-		s.compiled.PredictMCBatch(xs, s.passes(), mean, std)
+		s.compiled.PredictMCBatch(xs, s.MCPasses, mean, std)
 	}
 	s.stagePool.Put(xs)
 	s.unscaleRows(mean, std)

@@ -363,10 +363,6 @@ type ShardedWrapper struct {
 	quantQueries   atomic.Uint64 // lookups served through quantized programs
 	quantFallbacks atomic.Uint64 // of those, re-runs on the float program
 
-	// brownout is the current degradation ladder level (BrownoutOff..
-	// BrownoutNoUQ), moved by SetBrownoutLevel.
-	brownout atomic.Int32
-
 	// publishHook, when set, observes every generation that wins its
 	// publish race — the registry-persistence seam.
 	publishHook atomic.Pointer[PublishHook]
@@ -411,7 +407,6 @@ func (w *ShardedWrapper) WarmStart(si int, sur Surrogate, residBase float64) boo
 	if s.publishedGen >= 0 || s.active.Load() != nil {
 		return false
 	}
-	applyMCCap(sur, int(w.brownout.Load()))
 	s.active.Store(&sur)
 	s.residBase, s.residEWMA = residBase, residBase
 	return true
@@ -432,36 +427,10 @@ func (w *ShardedWrapper) Reinstall(si int, sur Surrogate, residBase float64) {
 	gen := s.nextSnapGen
 	s.nextSnapGen++
 	s.publishedGen = gen
-	applyMCCap(sur, int(w.brownout.Load()))
 	s.active.Store(&sur)
 	s.residBase, s.residEWMA = residBase, residBase
 	s.drifted = false
 	s.driftGen = gen
-}
-
-// SetBrownoutLevel moves every shard to an absolute brownout ladder
-// level (BrownoutOff through BrownoutNoUQ, clamped): published
-// surrogates pick up the MC pass cap immediately, and refits publish
-// their fresh generations already capped. Safe for concurrent use with
-// serving and refits.
-func (w *ShardedWrapper) SetBrownoutLevel(level int) {
-	level = clampBrownout(level)
-	w.brownout.Store(int32(level))
-	for _, s := range w.shards {
-		if surp := s.active.Load(); surp != nil {
-			applyMCCap(*surp, level)
-		}
-	}
-}
-
-// BrownoutLevel reports the current brownout ladder level.
-func (w *ShardedWrapper) BrownoutLevel() int { return int(w.brownout.Load()) }
-
-// quantPreferred reports whether UQ lookups should try shards' quantized
-// programs: configured Quantized, or browned out to BrownoutPreferQuant
-// or deeper.
-func (w *ShardedWrapper) quantPreferred() bool {
-	return w.cfg.Quantized || w.brownout.Load() >= BrownoutPreferQuant
 }
 
 // NewShardedWrapper constructs a sharded, double-buffered wrapper around
@@ -574,27 +543,19 @@ func (w *ShardedWrapper) Query(x []float64) (y []float64, src Source, std []floa
 
 // lookup is the one surrogate lookup every query path runs: sur's
 // predictive mean and std for each row of x, left in sc.mean and sc.std.
-// When quantized serving is preferred and sur has an int8 program ready,
-// that program answers first and the guardrail re-decides its doubtful
-// rows on the float program.
+// When the wrapper is configured Quantized and sur has an int8 program
+// ready, that program answers first and the guardrail re-decides its
+// doubtful rows on the float program.
 func (w *ShardedWrapper) lookup(sur Surrogate, sc *shardScratch, x *tensor.Matrix) {
-	if w.quantPreferred() {
-		if dg, ok := sur.(Degradable); ok && dg.QuantizedReady() {
-			if cap(sc.oks) < x.Rows {
-				sc.oks = make([]bool, x.Rows)
-			}
-			oks := sc.oks[:x.Rows]
-			dg.PredictQuantInto(x, &sc.mean, &sc.std, oks)
-			w.quantQueries.Add(uint64(x.Rows))
-			band := dg.QuantGateBound()
-			if w.brownout.Load() >= BrownoutNoUQ {
-				// The gate is vacuous down here: a float re-run of boundary
-				// decisions would throw away the compute the brownout saves.
-				band = -1
-			}
-			w.quantGuard(sur, sc, x, oks, band)
-			return
+	if dg, ok := sur.(Degradable); ok && w.cfg.Quantized && dg.QuantizedReady() {
+		if cap(sc.oks) < x.Rows {
+			sc.oks = make([]bool, x.Rows)
 		}
+		oks := sc.oks[:x.Rows]
+		dg.PredictQuantInto(x, &sc.mean, &sc.std, oks)
+		w.quantQueries.Add(uint64(x.Rows))
+		w.quantGuard(sur, sc, x, oks, dg.QuantGateBound())
+		return
 	}
 	sur.PredictInto(x, &sc.mean, &sc.std)
 }
@@ -604,9 +565,7 @@ func (w *ShardedWrapper) lookup(sur Surrogate, sc *shardScratch, x *tensor.Matri
 // envelope (ok=false) or whose gating std lands within band of the
 // threshold (the quantization delta could flip the accept/reject
 // decision) are gathered and re-run in one batch on the float program,
-// overwriting their rows, so the gate decides on exact numbers. A
-// negative band disables the boundary re-run (the envelope check still
-// applies).
+// overwriting their rows, so the gate decides on exact numbers.
 func (w *ShardedWrapper) quantGuard(sur Surrogate, sc *shardScratch, x *tensor.Matrix, oks []bool, band float64) {
 	flagged := sc.flagged[:0]
 	for k, ok := range oks {
@@ -860,9 +819,6 @@ func (w *ShardedWrapper) trainAndPublish(s *shard, snapX, snapY *tensor.Matrix, 
 	}
 	dt := time.Since(t0)
 	w.record(func(l *Ledger) { l.RecordTraining(dt, snapX.Rows) })
-	// A generation trained mid-brownout publishes already capped, so the
-	// swap cannot silently restore full MC cost under overload.
-	applyMCCap(sur, int(w.brownout.Load()))
 	base := w.driftBaselineFor(sur, snapX, snapY)
 	if s.publishIfNewer(sur, gen, base) {
 		w.notifyPublish(s.idx, sur, base)

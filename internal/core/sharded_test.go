@@ -962,31 +962,6 @@ func TestFallbackFeedsShardWithoutStaging(t *testing.T) {
 	}
 }
 
-// TestShardedBrownoutPropagates asserts a generation published after the
-// brownout began comes out already capped (the table's ladder rows cover
-// the models serving when the level moves).
-func TestShardedBrownoutPropagates(t *testing.T) {
-	w, _ := brownoutWrapper(t, 2, 100)
-	w.SetBrownoutLevel(BrownoutReducedMC)
-	if err := w.TrainAll(); err != nil {
-		t.Fatal(err)
-	}
-	eachPublished(t, w, func(si int, sur *NNSurrogate) {
-		if st := w.Status()[si]; st.Generation != 1 {
-			t.Fatalf("shard %d serves generation %d, want the mid-brownout refit (1)", si, st.Generation)
-		}
-		if got := sur.passes(); got != brownoutMCPasses {
-			t.Fatalf("shard %d republished uncapped: passes = %d, want %d", si, got, brownoutMCPasses)
-		}
-	})
-	w.SetBrownoutLevel(BrownoutOff)
-	eachPublished(t, w, func(si int, sur *NNSurrogate) {
-		if got := sur.passes(); got != 8 {
-			t.Fatalf("shard %d still capped after recovery: passes = %d", si, got)
-		}
-	})
-}
-
 // TestShardedQuantizedServing checks what the Quantized knob does to the
 // factory: every generation a shard publishes — pretrained or refit —
 // comes out with its int8 program compiled, so the scalar and batched

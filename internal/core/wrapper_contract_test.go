@@ -599,158 +599,6 @@ func TestRetentionClampedToMinTrain(t *testing.T) {
 	})
 }
 
-// brownoutWrapper builds a pretrained stochastic wrapper (dropout 0.3 so
-// UQ gating is live) over a call-counting oracle, with Quantized off so
-// the ladder's prefer-quant rung is observable as a behavior change.
-func brownoutWrapper(t *testing.T, shards int, uqThreshold float64) (*ShardedWrapper, *atomicOracle) {
-	t.Helper()
-	oracle := &atomicOracle{}
-	w := pretrainedWrapper(t, oracle, shards, 0xB0B0, 0.3, ShardedConfig{UQThreshold: uqThreshold}, nil)
-	oracle.calls.Store(0) // pretraining's oracle sweeps don't count
-	return w, oracle
-}
-
-// TestBrownoutLadderMCPassCap walks the ladder's MC rungs on the served
-// models: uncapped, brownoutMCPasses at ReducedMC, one pass at NoUQ, and
-// back — and a cap above MCPasses never raises the pass count.
-func TestBrownoutLadderMCPassCap(t *testing.T) {
-	forShards(t, func(t *testing.T, shards int) {
-		w, _ := brownoutWrapper(t, shards, 100)
-		for _, step := range []struct{ level, passes int }{
-			{BrownoutOff, 8}, {BrownoutPreferQuant, 8}, {BrownoutReducedMC, brownoutMCPasses},
-			{BrownoutNoUQ, 1}, {BrownoutOff, 8},
-		} {
-			w.SetBrownoutLevel(step.level)
-			eachPublished(t, w, func(si int, sur *NNSurrogate) {
-				if got := sur.passes(); got != step.passes {
-					t.Fatalf("level %d: shard %d runs %d passes, want %d", step.level, si, got, step.passes)
-				}
-			})
-		}
-		eachPublished(t, w, func(si int, sur *NNSurrogate) {
-			sur.SetMCPassCap(64)
-			if got := sur.passes(); got != 8 {
-				t.Fatalf("overwide cap raised shard %d to %d passes", si, got)
-			}
-		})
-	})
-}
-
-// TestBrownoutNoUQServesEverything is the bottom rung's contract: with a
-// threshold so tight every stochastic query falls back to the oracle,
-// BrownoutNoUQ (single pass → std identically 0) keeps every answer on
-// the surrogate and the oracle cold.
-func TestBrownoutNoUQServesEverything(t *testing.T) {
-	forShards(t, func(t *testing.T, shards int) {
-		w, oracle := brownoutWrapper(t, shards, 1e-12)
-		rng := xrand.New(0x77)
-		x := func() []float64 { return []float64{rng.Range(-1, 1), rng.Range(-1, 1)} }
-
-		// Level 0: the tight threshold sends stochastic queries to the oracle.
-		for i := 0; i < 8; i++ {
-			if _, _, _, err := w.Query(x()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if oracle.calls.Load() == 0 {
-			t.Fatal("threshold 1e-12 with dropout 0.3 never reached the oracle; test premise broken")
-		}
-
-		w.SetBrownoutLevel(BrownoutNoUQ)
-		if w.BrownoutLevel() != BrownoutNoUQ {
-			t.Fatalf("level = %d, want %d", w.BrownoutLevel(), BrownoutNoUQ)
-		}
-		before := oracle.calls.Load()
-		for i := 0; i < 32; i++ {
-			_, src, _, err := w.Query(x())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if src != FromSurrogate {
-				t.Fatalf("browned-out query %d served from %v, want surrogate", i, src)
-			}
-		}
-		if got := oracle.calls.Load(); got != before {
-			t.Fatalf("oracle called %d times under BrownoutNoUQ, want 0", got-before)
-		}
-
-		// Recovery: stepping back to 0 restores the UQ gate and the oracle
-		// fallback with it.
-		w.SetBrownoutLevel(BrownoutOff)
-		before = oracle.calls.Load()
-		for i := 0; i < 16; i++ {
-			if _, _, _, err := w.Query(x()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if oracle.calls.Load() == before {
-			t.Fatal("oracle fallback did not resume after brownout lifted")
-		}
-		if err := w.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestBrownoutPreferQuant asserts the first rung: a wrapper configured
-// with Quantized off but holding compiled quantized programs starts
-// serving through them at BrownoutPreferQuant.
-func TestBrownoutPreferQuant(t *testing.T) {
-	forShards(t, func(t *testing.T, shards int) {
-		// Deterministic surrogates that compile the int8 program even
-		// though the wrapper prefers the float path (Quantized false).
-		w := pretrainedWrapper(t, &atomicOracle{}, shards, 0x9a27, 0, ShardedConfig{UQThreshold: 100},
-			func(s *NNSurrogate) { s.Quantize = true })
-		eachPublished(t, w, func(si int, sur *NNSurrogate) {
-			if !sur.QuantizedReady() {
-				t.Fatalf("shard %d: quantized program not compiled on Pretrain", si)
-			}
-		})
-		x := []float64{0.25, -0.5}
-		if _, _, _, err := w.Query(x); err != nil {
-			t.Fatal(err)
-		}
-		if q, _ := w.QuantStats(); q != 0 {
-			t.Fatalf("float-preferring wrapper served %d quant queries at level 0", q)
-		}
-		w.SetBrownoutLevel(BrownoutPreferQuant)
-		const n = 16
-		for i := 0; i < n; i++ {
-			if _, _, _, err := w.Query(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if q, _ := w.QuantStats(); q != n {
-			t.Fatalf("quant queries = %d at BrownoutPreferQuant, want %d", q, n)
-		}
-	})
-}
-
-// TestBrownoutClamps asserts out-of-range levels clamp to the ladder.
-func TestBrownoutClamps(t *testing.T) {
-	forShards(t, func(t *testing.T, shards int) {
-		w, _ := brownoutWrapper(t, shards, 100)
-		w.SetBrownoutLevel(99)
-		if w.BrownoutLevel() != BrownoutNoUQ {
-			t.Fatalf("level 99 clamped to %d, want %d", w.BrownoutLevel(), BrownoutNoUQ)
-		}
-		eachPublished(t, w, func(si int, sur *NNSurrogate) {
-			if got := sur.passes(); got != 1 {
-				t.Fatalf("shard %d passes at clamped bottom = %d, want 1", si, got)
-			}
-		})
-		w.SetBrownoutLevel(-5)
-		if w.BrownoutLevel() != BrownoutOff {
-			t.Fatalf("level -5 clamped to %d, want 0", w.BrownoutLevel())
-		}
-		eachPublished(t, w, func(si int, sur *NNSurrogate) {
-			if got := sur.passes(); got != 8 {
-				t.Fatalf("shard %d passes after clearing = %d, want 8", si, got)
-			}
-		})
-	})
-}
-
 // quantWrapper builds a pretrained wrapper serving its quantized
 // programs. Dropout 0 keeps MC passes deterministic, so quant answers are
 // exactly reproducible and the predictive std is exactly zero.

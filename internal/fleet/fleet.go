@@ -13,6 +13,11 @@
 // and per-tenant serving stats (QPS, mean batch width, latency
 // percentiles, refit staleness).
 //
+// Admission shedding is the fleet's only overload lever: a query beyond
+// its tenant's in-flight bound fails fast with ErrOverloaded. Every
+// admitted row is served at the fidelity its backend's UQ gate certifies;
+// overload never buys headroom by loosening the gate.
+//
 // The steady-state query path — tenant lookup, admission, coalesced
 // dispatch through the backend's QueryBatchInto, latency recording — is
 // allocation-free via QueryInto, so consolidating N per-workload
@@ -77,11 +82,6 @@ type Config struct {
 	// (default 4× the coalescer MaxBatch). Queries beyond the bound fail
 	// fast with ErrOverloaded instead of queueing without limit.
 	MaxInFlight int
-	// Brownout, when enabled (a positive P99SLO or MaxShedRate), starts
-	// the fleet-level brownout controller: a background loop that steps
-	// overloaded tenants' backends down a degradation ladder and back up
-	// on recovery. See BrownoutConfig.
-	Brownout BrownoutConfig
 }
 
 func (c *Config) fill() {
@@ -116,13 +116,6 @@ type tenant struct {
 	expired  atomic.Int64
 	queries  atomic.Int64
 	panics   atomic.Int64
-
-	// Brownout controller state: the current ladder level plus step-down
-	// / step-up transition counts (all zero when the backend does not
-	// degrade or the controller is off).
-	brownout atomic.Int32
-	bdowns   atomic.Int64
-	bups     atomic.Int64
 
 	// binding is the tenant's live registry attachment (nil when
 	// unbound); see BindRegistry.
@@ -169,26 +162,16 @@ type Fleet struct {
 	mu      sync.RWMutex
 	tenants map[string]*tenant
 	closed  bool
-
-	// Brownout controller lifecycle (nil when disabled).
-	bstop chan struct{}
-	bdone chan struct{}
 }
 
 // New builds an empty fleet.
 func New(cfg Config) *Fleet {
 	cfg.fill()
-	f := &Fleet{
+	return &Fleet{
 		cfg:     cfg,
 		pool:    serve.NewBatchPool(),
 		tenants: make(map[string]*tenant),
 	}
-	if cfg.Brownout.enabled() {
-		f.bstop = make(chan struct{})
-		f.bdone = make(chan struct{})
-		go f.brownoutLoop()
-	}
-	return f
 }
 
 // Register adds a named tenant served by backend behind a fresh coalescer
@@ -308,10 +291,6 @@ func (f *Fleet) Close() error {
 	}
 	f.tenants = make(map[string]*tenant)
 	f.mu.Unlock()
-	if f.bstop != nil {
-		close(f.bstop)
-		<-f.bdone
-	}
 	for _, t := range ts {
 		t.co.Close()
 		if b := t.binding.Swap(nil); b != nil {
@@ -524,12 +503,9 @@ type TenantStats struct {
 	// quantization error band (or the input clipped the int8 envelope).
 	// Both stay zero for backends without quantized serving.
 	QuantQueries, QuantFallbacks uint64
-	// BrownoutLevel is the tenant's current degradation ladder level (0 =
-	// full fidelity; see core.Brownout* for the ladder), and
-	// BrownoutDowns / BrownoutUps count the controller's step-down /
-	// step-up transitions since registration. All zero while the brownout
-	// controller is disabled or the backend cannot degrade.
-	BrownoutLevel              int
+	// BrownoutDowns and BrownoutUps are always zero. Their only reader is
+	// the benchmark's fleet probe (benchmark/probe_fleet.go), which sums
+	// them into fleet.brownout_steps; they go when that metric does.
 	BrownoutDowns, BrownoutUps int64
 	// RegistryGeneration is the newest artifact generation committed
 	// across the tenant's registry shard keys, and RegistryPublishes /
@@ -588,9 +564,6 @@ func (t *tenant) snapshot() TenantStats {
 	if q, ok := t.backend.(quantStatser); ok {
 		st.QuantQueries, st.QuantFallbacks = q.QuantStats()
 	}
-	st.BrownoutLevel = int(t.brownout.Load())
-	st.BrownoutDowns = t.bdowns.Load()
-	st.BrownoutUps = t.bups.Load()
 	if b := t.binding.Load(); b != nil {
 		gen, rs := b.stats()
 		st.RegistryGeneration = gen
@@ -619,9 +592,7 @@ func (t *tenant) snapshot() TenantStats {
 // (zero until the first query completes). Slots still zero — claimed by
 // an in-flight observe whose store hasn't landed, or never written — are
 // skipped rather than read as 0ns latencies (observe clamps real
-// durations to ≥1ns). Unlike snapshot, this mutates no sampling state,
-// so the brownout controller can poll it without corrupting the
-// user-visible QPS window.
+// durations to ≥1ns).
 func (t *tenant) latPercentiles() (p50, p99 time.Duration) {
 	n := int64(len(t.lats))
 	if q := t.queries.Load(); q < n {

@@ -48,9 +48,6 @@ type tenantHealth struct {
 	MaxDriftRatio float64 `json:"max_drift_ratio"`
 	QuantQueries  uint64  `json:"quant_queries"`
 	QuantFallback uint64  `json:"quant_fallbacks"`
-	BrownoutLevel int     `json:"brownout_level"`
-	BrownoutDowns int64   `json:"brownout_downs"`
-	BrownoutUps   int64   `json:"brownout_ups"`
 	RegGeneration uint64  `json:"registry_generation"`
 	RegPublishes  int64   `json:"registry_publishes"`
 	RegRollbacks  int64   `json:"registry_rollbacks"`
@@ -110,9 +107,6 @@ func (h *Health) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 					MaxDriftRatio: st.MaxDriftRatio,
 					QuantQueries:  st.QuantQueries,
 					QuantFallback: st.QuantFallbacks,
-					BrownoutLevel: st.BrownoutLevel,
-					BrownoutDowns: st.BrownoutDowns,
-					BrownoutUps:   st.BrownoutUps,
 					RegGeneration: st.RegistryGeneration,
 					RegPublishes:  st.RegistryPublishes,
 					RegRollbacks:  st.RegistryRollbacks,

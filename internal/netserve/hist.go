@@ -22,6 +22,8 @@ const (
 // per segment. The zero value is ready to use. Not safe for concurrent
 // writers: give each worker its own and Merge.
 type Hist struct {
+	// counts is 15 KB: loops index it in place, since ranging over it by
+	// value copies the whole array onto the caller's stack.
 	counts [histBuckets]int64
 	n      int64
 	max    int64
@@ -60,8 +62,8 @@ func (h *Hist) RecordSince(t0 time.Time) { h.Record(time.Since(t0).Nanoseconds()
 
 // Merge folds o's samples into h.
 func (h *Hist) Merge(o *Hist) {
-	for i, c := range o.counts {
-		h.counts[i] += c
+	for i := range o.counts {
+		h.counts[i] += o.counts[i]
 	}
 	h.n += o.n
 	if o.max > h.max {
@@ -99,8 +101,8 @@ func (h *Hist) Percentile(p float64) time.Duration {
 	}
 	rank := int64(p * float64(h.n-1))
 	var seen int64
-	for i, c := range h.counts {
-		seen += c
+	for i := range h.counts {
+		seen += h.counts[i]
 		if seen > rank {
 			v := bucketValue(i)
 			if int64(time.Duration(v)) > h.max {

@@ -361,7 +361,7 @@ func (rc *ResilientClient) QueryInto(tenant string, x, y, std []float64, deadlin
 
 // isBreakerFailure classifies outcomes for the breaker window. Overload
 // sheds and deadline expiries are load signals, not tenant-health
-// signals — the backoff and brownout layers own those — and a too-small
+// signals — the retry backoff owns those — and a too-small
 // caller buffer is the caller's bug. Everything else that errs (server
 // errors, unknown tenant, exhausted transport retries) counts.
 func isBreakerFailure(err error) bool {

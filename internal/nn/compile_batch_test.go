@@ -139,9 +139,9 @@ func TestCompiledMCScratchSizedOnceWide(t *testing.T) {
 	}
 }
 
-// TestCompiledMCPassCapLiftKeepsPanels: a context first used under a
-// brownout pass cap (4 passes) serves the next uncapped call (10 passes) on
-// the panels it has; only its mask store may grow, once.
+// TestCompiledMCPassCapLiftKeepsPanels: a context first used for a call
+// with few passes (4) serves the next call with more (10) on the panels it
+// has; only its mask store may grow, once.
 //
 // MemStats.Mallocs counts every goroutine's allocations: now and then the
 // test runner's parent goroutine or the runtime allocates inside the window

@@ -66,6 +66,13 @@ type testWorker struct {
 
 func startWorker(t *testing.T, dir string, seed uint64) *testWorker {
 	t.Helper()
+	return startWorkerWith(t, dir, seed, testWrapper)
+}
+
+// startWorkerWith is startWorker with every placed tenant's wrapper built
+// by mk.
+func startWorkerWith(t *testing.T, dir string, seed uint64, mk func(core.Oracle, uint64) *core.ShardedWrapper) *testWorker {
+	t.Helper()
 	reg, err := registry.Open(registry.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +87,7 @@ func startWorker(t *testing.T, dir string, seed uint64) *testWorker {
 		Registry: reg,
 		Seed:     seed,
 		Make: func(tenant string) (*core.ShardedWrapper, error) {
-			return testWrapper(w.oracle, seed), nil
+			return mk(w.oracle, seed), nil
 		},
 		Pretrain: func(tenant string, sw *core.ShardedWrapper) error {
 			return sw.Pretrain(testDesign(30, seed))

@@ -39,9 +39,10 @@
 // A process serving many surrogates — the paper's "learning everywhere"
 // shape, with an ML model at every layer of the workload — consolidates
 // them behind one Fleet: a named-tenant registry of per-model coalescers
-// over shared dispatch machinery, with bounded per-tenant admission,
-// graceful Register/Deregister lifecycle, panic containment and
-// per-tenant serving stats. The steady-state fleet query path
+// over shared dispatch machinery, with bounded per-tenant admission
+// (overload sheds with ErrTenantOverloaded), graceful
+// Register/Deregister lifecycle, panic containment and per-tenant
+// serving stats. The steady-state fleet query path
 // (QueryInto) is allocation-free:
 //
 //	fl := repro.NewFleet(repro.FleetConfig{})
@@ -231,8 +232,10 @@ var (
 	// ErrDuplicateTenant is returned when registering an existing name.
 	ErrDuplicateTenant = fleet.ErrDuplicateTenant
 	// ErrTenantOverloaded is returned when a tenant's bounded in-flight
-	// admission window is full. Sheds carry a *TenantOverloadedError, so
-	// match with errors.Is (the sentinel compares by identity only).
+	// admission window is full — the fleet's only overload lever: it sheds
+	// the row and never serves one the UQ gate would send to the oracle.
+	// Sheds carry a *TenantOverloadedError, so match with errors.Is (the
+	// sentinel compares by identity only).
 	ErrTenantOverloaded = fleet.ErrOverloaded
 )
 
@@ -282,24 +285,6 @@ type (
 	// WireCircuitOpenError names the tenant an open breaker shed; match
 	// with errors.Is against ErrWireCircuitOpen.
 	WireCircuitOpenError = netserve.CircuitOpenError
-	// BrownoutConfig tunes the fleet's brownout controller (set it on
-	// FleetConfig.Brownout): graceful fidelity degradation — prefer the
-	// quantized program, then cap MC-dropout passes, then single-pass
-	// UQ-off — for tenants breaching their latency or shed-rate SLOs.
-	BrownoutConfig = fleet.BrownoutConfig
-)
-
-// Brownout ladder levels, as reported by TenantStats.BrownoutLevel.
-const (
-	// BrownoutOff serves at full fidelity.
-	BrownoutOff = core.BrownoutOff
-	// BrownoutPreferQuant serves surrogate lookups from the int8
-	// quantized program when one is compiled.
-	BrownoutPreferQuant = core.BrownoutPreferQuant
-	// BrownoutReducedMC caps MC-dropout uncertainty passes.
-	BrownoutReducedMC = core.BrownoutReducedMC
-	// BrownoutNoUQ serves single-pass with the UQ gate disabled.
-	BrownoutNoUQ = core.BrownoutNoUQ
 )
 
 // Wire status errors, re-exported. A WireResilientClient maps every non-OK
