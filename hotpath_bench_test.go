@@ -468,11 +468,13 @@ func BenchmarkMatMulParallelSlope(b *testing.B) {
 
 // BenchmarkMatMulKernels times the three matmul kernels a training step
 // is made of — bias (forward, x·W+b), atb (GW = xᵀ·delta) and abt
-// (dX = delta·Wᵀ) — on one thread, at batch x in x out of the wide
-// batch_sweep layer and of the serving tenants' two layers: their first,
-// where bias is the short path (one to three inputs), and their output,
-// where bias is the narrow path, atb the p = 1 axpy and abt the k = 1
-// scaled copy. ns/MAC is ns/op over batch·in·out multiply-adds.
+// (dX = delta·Wᵀ) — on one thread, at batch x in x out of the layers the
+// fits run: the wide batch_sweep net at a 64-row batch and at its 32-row
+// minibatch (8 → 128 → 128 → 4: the input, hidden and output layers), and
+// the serving tenants' two layers, their first, where bias is the short
+// path (one to three inputs), and their output, where bias is the narrow
+// path, atb the p = 1 column kernel and abt the k = 1 scaled copy. ns/MAC
+// is ns/op over batch·in·out multiply-adds, GFLOP/s two flops a MAC.
 func BenchmarkMatMulKernels(b *testing.B) {
 	rng := xrand.New(0x6e55)
 	random := func(rows, cols int) *tensor.Matrix {
@@ -483,7 +485,7 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		return m
 	}
 	for _, kernel := range []string{"bias", "atb", "abt"} {
-		for _, d := range [][3]int{{64, 128, 128}, {32, 2, 24}, {32, 24, 1}} {
+		for _, d := range [][3]int{{64, 128, 128}, {32, 128, 128}, {32, 8, 128}, {32, 128, 4}, {32, 2, 24}, {32, 24, 1}} {
 			batch, in, out := d[0], d[1], d[2]
 			x, w, delta := random(batch, in), random(in, out), random(batch, out)
 			bias := make([]float64, out)
@@ -509,7 +511,9 @@ func BenchmarkMatMulKernels(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					run()
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch*in*out), "ns/MAC")
+				macs := float64(b.N * batch * in * out)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/macs, "ns/MAC")
+				b.ReportMetric(2*macs/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
 			})
 		}
 	}

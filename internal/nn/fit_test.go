@@ -164,6 +164,31 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFitRejectsWrongWidths: data whose widths are not the network's is an
+// error, not a fit on misaligned targets or a panic inside the tape.
+func TestFitRejectsWrongWidths(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		widths       []int
+		xCols, yCols int
+	}{
+		{"y wider than the one output", []int{2, 24, 1}, 2, 2},
+		{"y narrower than three outputs", []int{2, 24, 3}, 2, 2},
+		{"x narrower than the inputs", []int{3, 24, 1}, 2, 1},
+		{"x wider than the inputs", []int{2, 24, 1}, 3, 1},
+	} {
+		rng := xrand.New(5)
+		x, y := tensor.NewMatrix(64, c.xCols), tensor.NewMatrix(64, c.yCols)
+		for i := range x.Data {
+			x.Data[i] = rng.Range(-1, 1)
+		}
+		net := NewMLP(rng, Tanh, 0.1, c.widths...)
+		if _, err := net.Fit(x, y, TrainConfig{Epochs: 1, Seed: 1}); err == nil {
+			t.Errorf("%s: Fit of %d-wide x and %d-wide y on %v returned no error", c.name, c.xCols, c.yCols, c.widths)
+		}
+	}
+}
+
 // TestFitReleasesArena: Fit trains the network's slab in place, so after
 // it the network holds the trained values in the array it had before and
 // nothing of the fit's arena is reachable through it.

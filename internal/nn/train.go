@@ -212,6 +212,9 @@ func (n *Network) Fit(x, y *tensor.Matrix, cfg TrainConfig) (*History, error) {
 	if x.Rows == 0 {
 		return nil, errors.New("nn: empty training set")
 	}
+	if in, out := n.layers[0].in, n.layers[len(n.layers)-1].out; x.Cols != in || y.Cols != out {
+		return nil, fmt.Errorf("nn: x has %d columns and y %d, the network maps %d inputs to %d outputs", x.Cols, y.Cols, in, out)
+	}
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = 100
 	}

@@ -25,13 +25,16 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func axpyPanel4AVX2(a0, a1, a2, a3 float64, b, y *float64, w, n int)
+func panelTileAVX2(out, a, b, bias *float64, rows, n, arow, astep, p, pv int)
 
 //go:noescape
 func axpy4AVX2(alpha float64, x, y *float64, n int)
 
 //go:noescape
-func dotRows4AVX2(dst, a, b *float64, k, n int)
+func dotTileAVX2(dst, a, b *float64, rows, k, kv, m, mv int)
+
+//go:noescape
+func colAxpyAVX2(d, a, b *float64, n, m, mv int)
 
 //go:noescape
 func shortRowsAVX2(out, a, b0, bm, bl, bias *float64, rows, n, p, pv int) (done int)

@@ -28,54 +28,172 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// PANEL4 is one vector of axpyPanel4's statement
-//	y[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-// at byte offset off: ((a0*b0 + a1*b1) + a2*b2) + a3*b3, then y + that.
-#define PANEL4(off, acc, tmp) \
-	VMULPD off(R8), Y0, acc; \
-	VMULPD off(R9), Y1, tmp; \
-	VADDPD tmp, acc, acc; \
-	VMULPD off(R10), Y2, tmp; \
-	VADDPD tmp, acc, acc; \
-	VMULPD off(R11), Y3, tmp; \
-	VADDPD tmp, acc, acc; \
-	VADDPD off(DI), acc, acc; \
-	VMOVUPD acc, off(DI)
+// BCAST4 broadcasts the four a values of one 4-block of the reduction to
+// Y0..Y3 from R12, whose elements are R10 bytes apart, and steps R12 over
+// them.
+#define BCAST4 \
+	VBROADCASTSD (R12), Y0; \
+	VBROADCASTSD (R12)(R10*1), Y1; \
+	VBROADCASTSD (R12)(R10*2), Y2; \
+	LEAQ         (R12)(R10*2), R12; \
+	VBROADCASTSD (R12)(R10*1), Y3; \
+	LEAQ         (R12)(R10*2), R12
 
-// func axpyPanel4AVX2(a0, a1, a2, a3 float64, b, y *float64, w, n int)
-// Mirrors axpyPanel4 over the first n elements (n a positive multiple of
-// 4) of y and of the four rows b0..b3 that start w elements apart at b.
-TEXT ·axpyPanel4AVX2(SB), NOSPLIT, $0-64
-	VBROADCASTSD a0+0(FP), Y0
-	VBROADCASTSD a1+8(FP), Y1
-	VBROADCASTSD a2+16(FP), Y2
-	VBROADCASTSD a3+24(FP), Y3
-	MOVQ b+32(FP), R8
-	MOVQ y+40(FP), DI
-	MOVQ w+48(FP), DX
-	MOVQ n+56(FP), CX
-	LEAQ (R8)(DX*8), R9
-	LEAQ (R9)(DX*8), R10
-	LEAQ (R10)(DX*8), R11
-	SUBQ $8, CX
-	JLT  panel_last4
-panel_loop8:
-	PANEL4(0, Y4, Y5)
-	PANEL4(32, Y6, Y7)
-	ADDQ $64, R8
-	ADDQ $64, R9
-	ADDQ $64, R10
-	ADDQ $64, R11
-	ADDQ $64, DI
-	SUBQ $8, CX
-	JGE  panel_loop8
-panel_last4:
-	ADDQ $8, CX
-	JEQ  panel_done
-	PANEL4(0, Y4, Y5)
-panel_done:
+// PANEL is one vector of panelRows' 4-block statement
+//	y[c] += a0*b0[c] + a1*b1[c] + a2*b2[c] + a3*b3[c]
+// at byte offset off of the tile, with y held in acc: ((a0*b0 + a1*b1) +
+// a2*b2) + a3*b3, then acc + that. R13, BX, R8 and R9 are b's rows k to
+// k+3 at the tile's first column.
+#define PANEL(off, acc) \
+	VMULPD off(R13), Y0, Y12; \
+	VMULPD off(BX), Y1, Y13; \
+	VADDPD Y13, Y12, Y12; \
+	VMULPD off(R8), Y2, Y14; \
+	VADDPD Y14, Y12, Y12; \
+	VMULPD off(R9), Y3, Y15; \
+	VADDPD Y15, Y12, Y12; \
+	VADDPD Y12, acc, acc
+
+// TAIL is one vector of the tail's y[c] += a_k*b_k[c] with a_k in Y0.
+#define TAIL(off, acc) \
+	VMULPD off(R13), Y0, Y12; \
+	VADDPD Y12, acc, acc
+
+// SEED loads one vector of the seed row (CX) at the tile's column AX.
+#define SEED(off, acc) VMOVUPD off(CX)(AX*1), acc
+#define STORE(off, acc) VMOVUPD acc, off(DI)(AX*1)
+
+#define PANEL1 PANEL(0, Y4)
+#define PANEL2 PANEL1; PANEL(32, Y5)
+#define PANEL4 PANEL2; PANEL(64, Y6); PANEL(96, Y7)
+#define PANEL6 PANEL4; PANEL(128, Y8); PANEL(160, Y9)
+#define PANEL8 PANEL6; PANEL(192, Y10); PANEL(224, Y11)
+#define TAIL1 TAIL(0, Y4)
+#define TAIL2 TAIL1; TAIL(32, Y5)
+#define TAIL4 TAIL2; TAIL(64, Y6); TAIL(96, Y7)
+#define TAIL6 TAIL4; TAIL(128, Y8); TAIL(160, Y9)
+#define TAIL8 TAIL6; TAIL(192, Y10); TAIL(224, Y11)
+#define SEED1 SEED(0, Y4)
+#define SEED2 SEED1; SEED(32, Y5)
+#define SEED4 SEED2; SEED(64, Y6); SEED(96, Y7)
+#define SEED6 SEED4; SEED(128, Y8); SEED(160, Y9)
+#define SEED8 SEED6; SEED(192, Y10); SEED(224, Y11)
+#define ZERO1 VXORPD Y4, Y4, Y4
+#define ZERO2 ZERO1; VXORPD Y5, Y5, Y5
+#define ZERO4 ZERO2; VXORPD Y6, Y6, Y6; VXORPD Y7, Y7, Y7
+#define ZERO6 ZERO4; VXORPD Y8, Y8, Y8; VXORPD Y9, Y9, Y9
+#define ZERO8 ZERO6; VXORPD Y10, Y10, Y10; VXORPD Y11, Y11, Y11
+#define STORE1 STORE(0, Y4)
+#define STORE2 STORE1; STORE(32, Y5)
+#define STORE4 STORE2; STORE(64, Y6); STORE(96, Y7)
+#define STORE6 STORE4; STORE(128, Y8); STORE(160, Y9)
+#define STORE8 STORE6; STORE(192, Y10); STORE(224, Y11)
+
+// func panelTileAVX2(out, a, b, bias *float64, rows, n, arow, astep, p, pv int)
+// Mirrors panelRows over the first pv columns (pv a positive multiple of
+// 4) of rows output rows, rows > 0: row r of out starts r*p elements on,
+// its a values are a[r*arow + k*astep] for k < n, b's row k starts k*p
+// elements on, and a nil bias seeds zero. The columns are cut into tiles
+// of 32, 24, 16, 8 and 4 that stay in registers from seed to store.
+TEXT ·panelTileAVX2(SB), NOSPLIT, $16-80
+	MOVQ arow+48(FP), CX
+	SHLQ $3, CX
+	MOVQ CX, 8(SP)                 // bytes between rows' a values
+	MOVQ astep+56(FP), R10
+	MOVQ p+64(FP), DX
+	SHLQ $3, R10                   // bytes between a values along k
+	SHLQ $3, DX                    // one b or out row
+	LEAQ (DX*4), R11               // four b rows
+	XORQ AX, AX
+
+// PANEL_TILE is one column tile of panelTileAVX2, nv vectors from column
+// byte AX on, run down every output row: the row's tile is held in Y4..
+// across the whole reduction, from its seed (bias, or zero when nil)
+// through the n/4 4-blocks and the n%4 tail, whose zero a_k are skipped
+// as panelRows' tail skips them, to one store. The b columns of the tile
+// stay in cache while the rows go by. Then AX steps past the tile.
+#define PANEL_TILE(seed, zero, panel, tail, store, width, lrow, lzero, lk, lloop, ltail, ltloop, lskip, lstore) \
+lrow: \
+	MOVQ  bias+24(FP), CX; \
+	TESTQ CX, CX; \
+	JZ    lzero; \
+	seed; \
+	JMP   lk; \
+lzero: \
+	zero; \
+lk: \
+	MOVQ  SI, R12; \
+	MOVQ  b+16(FP), R13; \
+	ADDQ  AX, R13; \
+	LEAQ  (R13)(DX*1), BX; \
+	LEAQ  (BX)(DX*1), R8; \
+	LEAQ  (R8)(DX*1), R9; \
+	MOVQ  n+40(FP), R14; \
+	SHRQ  $2, R14; \
+	JZ    ltail; \
+lloop: \
+	BCAST4; \
+	panel; \
+	ADDQ  R11, R13; \
+	ADDQ  R11, BX; \
+	ADDQ  R11, R8; \
+	ADDQ  R11, R9; \
+	DECQ  R14; \
+	JNZ   lloop; \
+ltail: \
+	MOVQ  n+40(FP), R14; \
+	ANDQ  $3, R14; \
+	JZ    lstore; \
+ltloop: \
+	MOVQ  (R12), CX; \
+	SHLQ  $1, CX; \
+	JZ    lskip; \
+	VBROADCASTSD (R12), Y0; \
+	tail; \
+lskip: \
+	ADDQ  R10, R12; \
+	ADDQ  DX, R13; \
+	DECQ  R14; \
+	JNZ   ltloop; \
+lstore: \
+	store; \
+	ADDQ  8(SP), SI; \
+	ADDQ  DX, DI; \
+	DECQ  0(SP); \
+	JNZ   lrow; \
+	ADDQ  $width, AX; \
+	JMP   panel_cols
+
+panel_cols:
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ rows+32(FP), CX
+	MOVQ CX, 0(SP)                 // rows left
+	MOVQ pv+72(FP), CX
+	SHLQ $3, CX
+	SUBQ AX, CX                    // bytes of the row left
+	CMPQ CX, $256
+	JGE  panel_tile8
+	CMPQ CX, $192
+	JGE  panel_tile6
+	CMPQ CX, $128
+	JGE  panel_tile4
+	CMPQ CX, $64
+	JGE  panel_tile2
+	CMPQ CX, $32
+	JGE  panel_tile1
 	VZEROUPPER
 	RET
+panel_tile8:
+	PANEL_TILE(SEED8, ZERO8, PANEL8, TAIL8, STORE8, 256, p8row, p8zero, p8k, p8loop, p8tail, p8tloop, p8skip, p8store)
+panel_tile6:
+	PANEL_TILE(SEED6, ZERO6, PANEL6, TAIL6, STORE6, 192, p6row, p6zero, p6k, p6loop, p6tail, p6tloop, p6skip, p6store)
+panel_tile4:
+	PANEL_TILE(SEED4, ZERO4, PANEL4, TAIL4, STORE4, 128, p4row, p4zero, p4k, p4loop, p4tail, p4tloop, p4skip, p4store)
+panel_tile2:
+	PANEL_TILE(SEED2, ZERO2, PANEL2, TAIL2, STORE2, 64, p2row, p2zero, p2k, p2loop, p2tail, p2tloop, p2skip, p2store)
+panel_tile1:
+	PANEL_TILE(SEED1, ZERO1, PANEL1, TAIL1, STORE1, 32, p1row, p1zero, p1k, p1loop, p1tail, p1tloop, p1skip, p1store)
 
 // func axpy4AVX2(alpha float64, x, y *float64, n int)
 // Mirrors axpy4's y[i] += alpha * x[i] over n elements, n a positive
@@ -96,57 +214,199 @@ axpy_loop:
 	VZEROUPPER
 	RET
 
-// func dotRows4AVX2(dst, a, b *float64, k, n int)
-// Mirrors dot4 for one a row against the four consecutive b rows b[r*k:],
-// r = 0..3, over their first n elements (n a positive multiple of 4):
-// lane l of row r's accumulator is dot4's s_l (s_l += a[i+l]*b[i+l]), and
-// dst[r] = ((s0 + s1) + s2) + s3. dot4's scalar tail is left to the caller.
-TEXT ·dotRows4AVX2(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
+// DOT is one vector step of dot4's s_l += a[i+l]*b[i+l] for the b row in
+// Y10 against the a rows in Y8 (into acc0) and Y9 (into acc1).
+#define DOT(acc0, acc1) \
+	VMULPD Y10, Y8, Y11; \
+	VADDPD Y11, acc0, acc0; \
+	VMULPD Y10, Y9, Y12; \
+	VADDPD Y12, acc1, acc1
+
+// DOTSUMS turns the lane sums of four b rows against one a row, s0..s3,
+// into dot4's ((s_0 + s_1) + s_2) + s_3 of each row, stored at dst: a
+// transpose so that Y8..Y11 hold s_0, s_1, s_2, s_3 of the four rows.
+#define DOTSUMS(s0, s1, s2, s3, dst) \
+	VUNPCKLPD  s1, s0, Y12; \
+	VUNPCKHPD  s1, s0, Y13; \
+	VUNPCKLPD  s3, s2, Y14; \
+	VUNPCKHPD  s3, s2, Y15; \
+	VPERM2F128 $0x20, Y14, Y12, Y8; \
+	VPERM2F128 $0x20, Y15, Y13, Y9; \
+	VPERM2F128 $0x31, Y14, Y12, Y10; \
+	VPERM2F128 $0x31, Y15, Y13, Y11; \
+	VADDPD     Y9, Y8, Y8; \
+	VADDPD     Y10, Y8, Y8; \
+	VADDPD     Y11, Y8, Y8; \
+	VMOVUPD    Y8, dst
+
+// func dotTileAVX2(dst, a, b *float64, rows, k, kv, m, mv int)
+// Mirrors dot4 for rows rows of a (k wide; rows > 0) against the first mv
+// rows of b (k wide; mv a positive multiple of 4) over the first kv
+// elements (kv a positive multiple of 4): dst[i*m + j] = ((s_0 + s_1) +
+// s_2) + s_3, lane l of the accumulator of (i, j) being dot4's s_l. A tile
+// is two a rows by four b rows, eight accumulators whose loads are shared
+// across the tile; an odd last a row runs alone against the four. The four
+// b rows stay in cache while the tiles go down a. dot4's scalar tail past
+// kv is left to the caller.
+TEXT ·dotTileAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), R9             // dst (0, j)
+	MOVQ b+16(FP), AX              // b rows j..j+3
+	MOVQ k+32(FP), CX
+	MOVQ m+48(FP), DX
+	SHLQ $3, CX                    // one a or b row
+	SHLQ $3, DX                    // one dst row
+	LEAQ (CX)(CX*2), R12           // three b rows
+	MOVQ mv+56(FP), R11
+	SHRQ $2, R11
+dot_block:
+	MOVQ R9, DI
 	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R8
-	MOVQ k+24(FP), DX
-	MOVQ n+32(FP), CX
-	SHLQ $3, DX
-	LEAQ (R8)(DX*1), R9
-	LEAQ (R9)(DX*1), R10
-	LEAQ (R10)(DX*1), R11
+	MOVQ rows+24(FP), BX
+dot_pair:
+	CMPQ BX, $2
+	JLT  dot_single
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-dot_loop:
-	VMOVUPD (SI), Y4
-	VMULPD  (R8), Y4, Y5
-	VADDPD  Y5, Y0, Y0
-	VMULPD  (R9), Y4, Y6
-	VADDPD  Y6, Y1, Y1
-	VMULPD  (R10), Y4, Y7
-	VADDPD  Y7, Y2, Y2
-	VMULPD  (R11), Y4, Y8
-	VADDPD  Y8, Y3, Y3
-	ADDQ    $32, SI
-	ADDQ    $32, R8
-	ADDQ    $32, R9
-	ADDQ    $32, R10
-	ADDQ    $32, R11
-	SUBQ    $4, CX
-	JGT     dot_loop
-	// Transpose so that Y8..Y11 hold s0, s1, s2, s3 of the four rows.
-	VUNPCKLPD  Y1, Y0, Y4
-	VUNPCKHPD  Y1, Y0, Y5
-	VUNPCKLPD  Y3, Y2, Y6
-	VUNPCKHPD  Y3, Y2, Y7
-	VPERM2F128 $0x20, Y6, Y4, Y8
-	VPERM2F128 $0x20, Y7, Y5, Y9
-	VPERM2F128 $0x31, Y6, Y4, Y10
-	VPERM2F128 $0x31, Y7, Y5, Y11
-	VADDPD     Y9, Y8, Y8
-	VADDPD     Y10, Y8, Y8
-	VADDPD     Y11, Y8, Y8
-	VMOVUPD    Y8, (DI)
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   SI, R13
+	MOVQ   AX, R14
+	MOVQ   kv+40(FP), R10
+	SHRQ   $2, R10
+dot_pair_k:
+	VMOVUPD (R13), Y8
+	VMOVUPD (R13)(CX*1), Y9
+	VMOVUPD (R14), Y10
+	DOT(Y0, Y4)
+	VMOVUPD (R14)(CX*1), Y10
+	DOT(Y1, Y5)
+	VMOVUPD (R14)(CX*2), Y10
+	DOT(Y2, Y6)
+	VMOVUPD (R14)(R12*1), Y10
+	DOT(Y3, Y7)
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	DECQ    R10
+	JNZ     dot_pair_k
+	DOTSUMS(Y0, Y1, Y2, Y3, (DI))
+	DOTSUMS(Y4, Y5, Y6, Y7, (DI)(DX*1))
+	LEAQ (SI)(CX*2), SI
+	LEAQ (DI)(DX*2), DI
+	SUBQ $2, BX
+	JMP  dot_pair
+dot_single:
+	TESTQ BX, BX
+	JZ    dot_next
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, R13
+	MOVQ   AX, R14
+	MOVQ   kv+40(FP), R10
+	SHRQ   $2, R10
+dot_single_k:
+	VMOVUPD (R13), Y8
+	VMULPD  (R14), Y8, Y10
+	VADDPD  Y10, Y0, Y0
+	VMULPD  (R14)(CX*1), Y8, Y11
+	VADDPD  Y11, Y1, Y1
+	VMULPD  (R14)(CX*2), Y8, Y12
+	VADDPD  Y12, Y2, Y2
+	VMULPD  (R14)(R12*1), Y8, Y13
+	VADDPD  Y13, Y3, Y3
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	DECQ    R10
+	JNZ     dot_single_k
+	DOTSUMS(Y0, Y1, Y2, Y3, (DI))
+dot_next:
+	ADDQ $32, R9
+	LEAQ (AX)(CX*4), AX
+	DECQ R11
+	JNZ  dot_block
 	VZEROUPPER
 	RET
+
+// COL is one vector of the sample-outermost y[j] += b_i*a_i[j], b_i in Y0.
+#define COL(off, acc) \
+	VMULPD off(R13), Y0, Y12; \
+	VADDPD Y12, acc, acc
+
+#define COL1 COL(0, Y4)
+#define COL2 COL1; COL(32, Y5)
+#define COL4 COL2; COL(64, Y6); COL(96, Y7)
+#define COL6 COL4; COL(128, Y8); COL(160, Y9)
+#define COL8 COL6; COL(192, Y10); COL(224, Y11)
+#define DSTORE(off, acc) VMOVUPD acc, off(DI)(AX*1)
+#define DSTORE1 DSTORE(0, Y4)
+#define DSTORE2 DSTORE1; DSTORE(32, Y5)
+#define DSTORE4 DSTORE2; DSTORE(64, Y6); DSTORE(96, Y7)
+#define DSTORE6 DSTORE4; DSTORE(128, Y8); DSTORE(160, Y9)
+#define DSTORE8 DSTORE6; DSTORE(192, Y10); DSTORE(224, Y11)
+
+// COL_TILE is one tile of colAxpyAVX2: nv vectors of d from column byte AX
+// on, zero-seeded and held in Y4.. while every sample adds its product.
+#define COL_TILE(zero, col, store, width, lloop) \
+	zero; \
+	LEAQ (SI)(AX*1), R13; \
+	MOVQ R8, R12; \
+	MOVQ BX, R14; \
+lloop: \
+	VBROADCASTSD (R12), Y0; \
+	col; \
+	ADDQ $8, R12; \
+	ADDQ DX, R13; \
+	DECQ R14; \
+	JNZ  lloop; \
+	store; \
+	ADDQ $width, AX; \
+	JMP  col_cols
+
+// func colAxpyAVX2(d, a, b *float64, n, m, mv int)
+// Mirrors matMulATBRange's one-column product over the first mv elements
+// of d (mv a positive multiple of 4) for n > 0 samples: from d = 0, sample
+// i adds b[i]*a[i*m + j] to d[j], in sample order. The columns are cut
+// into tiles of 32, 24, 16, 8 and 4 that stay in registers across the
+// samples.
+TEXT ·colAxpyAVX2(SB), NOSPLIT, $0-48
+	MOVQ d+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), R8
+	MOVQ n+24(FP), BX
+	MOVQ m+32(FP), DX
+	SHLQ $3, DX                    // one a row
+	XORQ AX, AX
+col_cols:
+	MOVQ mv+40(FP), CX
+	SHLQ $3, CX
+	SUBQ AX, CX
+	CMPQ CX, $256
+	JGE  col_tile8
+	CMPQ CX, $192
+	JGE  col_tile6
+	CMPQ CX, $128
+	JGE  col_tile4
+	CMPQ CX, $64
+	JGE  col_tile2
+	CMPQ CX, $32
+	JGE  col_tile1
+	VZEROUPPER
+	RET
+col_tile8:
+	COL_TILE(ZERO8, COL8, DSTORE8, 256, c8loop)
+col_tile6:
+	COL_TILE(ZERO6, COL6, DSTORE6, 192, c6loop)
+col_tile4:
+	COL_TILE(ZERO4, COL4, DSTORE4, 128, c4loop)
+col_tile2:
+	COL_TILE(ZERO2, COL2, DSTORE2, 64, c2loop)
+col_tile1:
+	COL_TILE(ZERO1, COL1, DSTORE1, 32, c1loop)
 
 // func shortRowsAVX2(out, a, b0, bm, bl, bias *float64, rows, n, p, pv int) (done int)
 // Mirrors matMulShortRange's vector forms over the first pv columns (pv a

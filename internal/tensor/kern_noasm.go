@@ -6,10 +6,12 @@ package tensor
 // kernels below are never reached.
 const useAVX2 = false
 
-func axpyPanel4AVX2(a0, a1, a2, a3 float64, b, y *float64, w, n int)      {}
 func axpy4AVX2(alpha float64, x, y *float64, n int)                       {}
-func dotRows4AVX2(dst, a, b *float64, k, n int)                           {}
 func sweepPairAVX2(c0, c1, ux *uint64, n int) (ae0, ao0, ae1, ao1 uint64) { return }
+
+func panelTileAVX2(out, a, b, bias *float64, rows, n, arow, astep, p, pv int) {}
+func dotTileAVX2(dst, a, b *float64, rows, k, kv, m, mv int)                  {}
+func colAxpyAVX2(d, a, b *float64, n, m, mv int)                              {}
 
 func shortRowsAVX2(out, a, b0, bm, bl, bias *float64, rows, n, p, pv int) (done int) { return }
 func narrowColAVX2(out, a, b *float64, bias float64, blocks, n, p, kn int)           {}

@@ -138,89 +138,180 @@ func TestAxpy4MatchesReference(t *testing.T) {
 	}
 }
 
-// checkDotRows runs one a row against the m rows of b through
-// matMulABTRange (four rows a call in the assembly, the m%4 rest in dot4)
+// checkDotRows runs the rows rows of a (len(a)/rows wide) against the m
+// rows of b through matMulABTRange, as two row ranges (2x4 tiles in the
+// assembly, an odd row of a range alone, the m%4 last rows of b in dot4)
 // and compares every element with dot4 itself.
-func checkDotRows(t *testing.T, a, b []float64, m int) {
+func checkDotRows(t *testing.T, a, b []float64, rows, m int) {
 	t.Helper()
-	k := len(a)
-	am := &Matrix{Rows: 1, Cols: k, Data: a}
-	bm := &Matrix{Rows: m, Cols: k, Data: b}
-	got := NewMatrix(1, m)
-	matMulABTRange(got, am, bm, 0, 1)
-	want := make([]float64, m)
-	for j := range want {
-		want[j] = dot4(a, b[j*k:(j+1)*k])
+	k := len(a) / rows
+	am := &Matrix{Rows: rows, Cols: k, Data: a[:rows*k]}
+	bm := &Matrix{Rows: m, Cols: k, Data: b[:m*k]}
+	got := NewMatrix(rows, m)
+	splitRange(rows, func(lo, hi int) { matMulABTRange(got, am, bm, lo, hi) })
+	want := make([]float64, rows*m)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < m; j++ {
+			want[i*m+j] = dot4(am.Row(i), bm.Row(j))
+		}
 	}
-	checkSame(t, "dot rows", got.Data, want)
+	checkSame(t, fmt.Sprintf("dot rows %dx%dx%d", rows, k, m), got.Data, want)
 }
+
+// tileWidths are the output widths the register tiles are held at: one
+// 4-vector, the 32-column block and each side of it, a tail of 3, and two
+// and a half blocks.
+var tileWidths = []int{4, 8, 28, 31, 32, 33, 36, 64, 68}
 
 func TestDotRowsMatchReference(t *testing.T) {
 	rng := xrand.New(0x5eed03)
-	for _, k := range kernLens() {
-		if k < narrow {
-			continue // matMulABTRange takes no dot there
+	// One a row against seven b rows at every k; then 1 to 9 a rows, odd
+	// counts leaving a tile's tail row, at the tile widths, over ks with
+	// and without a scalar tail.
+	type shape struct {
+		rows, m int
+		ks      []int
+	}
+	shapes := []shape{{1, 7, kernLens()}}
+	for rows := 1; rows <= 9; rows++ {
+		for _, m := range tileWidths {
+			shapes = append(shapes, shape{rows, m, []int{4, 5, 7, 8, 9, 13, 24, 31, 64, 128, 131}})
 		}
-		for off := 0; off < 4; off++ {
-			for _, special := range []bool{false, true} {
-				const m = 7 // one four-row call and three single rows
-				a := make([]float64, off+k)[off:]
-				b := make([]float64, off+m*k)[off:]
-				fillKern(rng, a, special)
-				fillKern(rng, b, special)
-				checkDotRows(t, a, b, m)
+	}
+	for _, sh := range shapes {
+		for _, k := range sh.ks {
+			if k < narrow {
+				continue // matMulABTRange takes no dot there
+			}
+			for off := 0; off < 4; off++ {
+				for _, special := range []bool{false, true} {
+					a := make([]float64, off+sh.rows*k)[off:]
+					b := make([]float64, off+sh.m*k)[off:]
+					fillKern(rng, a, special)
+					fillKern(rng, b, special)
+					checkDotRows(t, a, b, sh.rows, sh.m)
+				}
 			}
 		}
 	}
 }
 
-// The sums the matmul kernels build from the inner kernels: wide shapes,
-// k and p with tails, against the same product from the reference loops.
+// checkProducts runs the three products a training step is made of —
+// out = a·b + bias (a nil bias is zero), gw = aᵀ·delta and dx = delta·bᵀ —
+// through their row-range functions as two ranges, and holds each to the
+// Go loops of the path its shape takes: for out, the bias-seeded panel
+// loop (four rows of b fused a step, the tail's zero multipliers skipped;
+// the short path of a one- to three-column a rounds the same) or for a
+// narrow b narrowRef; for gw the same panel loop over a's columns, or for
+// a narrow delta the plain sample-outermost sum; for dx dot4, or for
+// delta one to three wide the strided sweep.
+func checkProducts(t *testing.T, what string, a, b, delta *Matrix, bias []float64) {
+	t.Helper()
+	rows, n, p := a.Rows, a.Cols, b.Cols
+	// panel is the panel loop over the n terms x(k)·brow(k), k < n, into y.
+	panel := func(y []float64, n int, x func(k int) float64, brow func(k int) []float64) {
+		k := 0
+		for ; k+4 <= n; k += 4 {
+			axpyPanel4(x(k), x(k+1), x(k+2), x(k+3), brow(k), brow(k+1), brow(k+2), brow(k+3), y)
+		}
+		for ; k < n; k++ {
+			if v := x(k); v != 0 {
+				naiveAxpy(v, brow(k), y)
+			}
+		}
+	}
+
+	got, want := NewMatrix(rows, p), NewMatrix(rows, p)
+	splitRange(rows, func(lo, hi int) { matMulBiasRange(got, a, b, bias, lo, hi) })
+	if p < narrow {
+		narrowRef(want, a, b, bias)
+	} else {
+		for i := 0; i < rows; i++ {
+			if bias != nil {
+				copy(want.Row(i), bias)
+			}
+			panel(want.Row(i), n, func(k int) float64 { return a.At(i, k) }, b.Row)
+		}
+	}
+	checkSame(t, what+" a·b+bias", got.Data, want.Data)
+
+	got, want = NewMatrix(n, p), NewMatrix(n, p)
+	splitRange(n, func(lo, hi int) { matMulATBRange(got, a, delta, lo, hi) })
+	for j := 0; j < n; j++ {
+		if p < narrow {
+			for i := 0; i < rows; i++ {
+				for c := 0; c < p; c++ {
+					want.Data[j*p+c] += a.At(i, j) * delta.At(i, c)
+				}
+			}
+			continue
+		}
+		panel(want.Row(j), rows, func(i int) float64 { return a.At(i, j) }, delta.Row)
+	}
+	checkSame(t, what+" aᵀ·delta", got.Data, want.Data)
+
+	got, want = NewMatrix(rows, n), NewMatrix(rows, n)
+	splitRange(rows, func(lo, hi int) { matMulABTRange(got, delta, b, lo, hi) })
+	for i := 0; i < rows; i++ {
+		for j := 0; j < n; j++ {
+			d, w := delta.Row(i), b.Row(j)
+			if p == 0 || p >= narrow {
+				want.Set(i, j, dot4(d, w))
+				continue
+			}
+			s := d[0] * w[0]
+			for c := 1; c < p; c++ {
+				s += d[c] * w[c]
+			}
+			want.Set(i, j, s)
+		}
+	}
+	checkSame(t, what+" delta·bᵀ", got.Data, want.Data)
+}
+
+// The three products against their Go loops: the wide shapes, then 1 to 9
+// rows (odd counts leave the 2-row dot tile a tail row; counts off 4 give
+// aᵀ·delta a reduction tail) at the tile widths, over reductions with and
+// without a tail, zeros planted in each tail and on a 4-block, specials in
+// every lane on every other shape, and every third shape without a bias.
 func TestMatMulKernelsMatchReference(t *testing.T) {
 	rng := xrand.New(0x5eed04)
-	for _, d := range [][3]int{{5, 128, 128}, {3, 131, 67}, {4, 7, 24}, {2, 24, 9}} {
+	shapes := [][3]int{{5, 128, 128}, {3, 131, 67}, {4, 7, 24}, {2, 24, 9}, {32, 128, 4}, {32, 24, 1}, {32, 2, 24}}
+	ns := []int{5, 6, 7, 9, 13, 33, 4, 8, 131, 2}
+	for rows := 1; rows <= 9; rows++ {
+		for i, p := range tileWidths {
+			shapes = append(shapes, [3]int{rows, ns[(rows+i)%len(ns)], p})
+		}
+		for _, n := range tileWidths { // aᵀ·delta's one-column kernel is n wide
+			shapes = append(shapes, [3]int{rows, n, 1 + rows%3})
+		}
+	}
+	for idx, d := range shapes {
 		rows, n, p := d[0], d[1], d[2]
-		a, b := NewMatrix(rows, n), NewMatrix(n, p)
-		fillKern(rng, a.Data, false)
-		fillKern(rng, b.Data, false)
-		a.Data[1] = 0 // the zero-skip of the k tail
-		bias := make([]float64, p)
-		fillKern(rng, bias, false)
-		got := NewMatrix(rows, p)
-		matMulBiasRange(got, a, b, bias, 0, rows)
-		want := NewMatrix(rows, p)
+		special := idx%2 == 1
+		a, b, delta := NewMatrix(rows, n), NewMatrix(n, p), NewMatrix(rows, p)
+		fillKern(rng, a.Data, special)
+		fillKern(rng, b.Data, special)
+		fillKern(rng, delta.Data, special)
+		var bias []float64
+		if idx%3 != 2 {
+			bias = make([]float64, p)
+			fillKern(rng, bias, special)
+		}
 		for i := 0; i < rows; i++ {
-			y := want.Row(i)
-			copy(y, bias)
-			k := 0
-			for ; k+4 <= n; k += 4 {
-				axpyPanel4(a.At(i, k), a.At(i, k+1), a.At(i, k+2), a.At(i, k+3), b.Row(k), b.Row(k+1), b.Row(k+2), b.Row(k+3), y)
+			if n%4 != 0 { // the zero-skip of the k tail
+				a.Set(i, n-1-i%(n%4), [2]float64{0, math.Copysign(0, -1)}[i%2])
 			}
-			for ; k < n; k++ {
-				if v := a.At(i, k); v != 0 {
-					naiveAxpy(v, b.Row(k), y)
-				}
+			if n >= 4 && i%3 == 0 { // a zero a 4-block adds as it is
+				a.Set(i, 1, 0)
 			}
 		}
-		checkSame(t, "matMulBiasRange", got.Data, want.Data)
-
-		// aᵀ·delta: row j of the result gathers a's column j.
-		delta := NewMatrix(rows, p)
-		fillKern(rng, delta.Data, false)
-		got, want = NewMatrix(n, p), NewMatrix(n, p)
-		matMulATBRange(got, a, delta, 0, n)
-		for j := 0; j < n; j++ {
-			i := 0
-			for ; i+4 <= rows; i += 4 {
-				axpyPanel4(a.At(i, j), a.At(i+1, j), a.At(i+2, j), a.At(i+3, j), delta.Row(i), delta.Row(i+1), delta.Row(i+2), delta.Row(i+3), want.Row(j))
-			}
-			for ; i < rows; i++ {
-				if v := a.At(i, j); v != 0 {
-					naiveAxpy(v, delta.Row(i), want.Row(j))
-				}
+		if rows%4 != 0 { // the zero-skip of aᵀ·delta's sample tail
+			for j := 0; j < n; j += 2 {
+				a.Set(rows-1, j, 0)
 			}
 		}
-		checkSame(t, "matMulATBRange", got.Data, want.Data)
+		checkProducts(t, fmt.Sprintf("%dx%dx%d", rows, n, p), a, b, delta, bias)
 	}
 }
 
@@ -480,7 +571,46 @@ func FuzzDotRows(f *testing.F) {
 		if k < narrow {
 			return
 		}
-		checkDotRows(t, s[:k], s[k:6*k], 5)
+		checkDotRows(t, s[:k], s[k:6*k], 1, 5)
+	})
+}
+
+// FuzzMatMulMatchesReference draws a shape of up to 40 rows, a reduction
+// and an output width of up to 140, and fills a, b, delta and the bias
+// from data's bit patterns (so zeros, specials and every tail meet the
+// tiles), and holds the three products to their Go loops.
+func FuzzMatMulMatchesReference(f *testing.F) {
+	rng := xrand.New(0xf023)
+	for _, d := range [][3]uint8{{5, 128, 128}, {9, 31, 33}, {1, 4, 4}, {40, 140, 140}, {32, 24, 1}, {7, 13, 68}, {3, 2, 24}} {
+		s := make([]float64, 61)
+		fillKern(rng, s, true)
+		data := make([]byte, 8*len(s))
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(data[8*i:], math.Float64bits(v))
+		}
+		f.Add(data, d[0], d[1], d[2], false)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rows, n, p uint8, noBias bool) {
+		s := fuzzFloats(data)
+		if len(s) == 0 {
+			return
+		}
+		r, k, c := int(rows)%41, int(n)%141, int(p)%141
+		fill := func(dst []float64, salt int) { // strides coprime to most lengths, so the matrices differ
+			for i := range dst {
+				dst[i] = s[(i*salt+salt)%len(s)]
+			}
+		}
+		a, b, delta := NewMatrix(r, k), NewMatrix(k, c), NewMatrix(r, c)
+		fill(a.Data, 1)
+		fill(b.Data, 3)
+		fill(delta.Data, 5)
+		var bias []float64
+		if !noBias {
+			bias = make([]float64, c)
+			fill(bias, 7)
+		}
+		checkProducts(t, fmt.Sprintf("%dx%dx%d", r, k, c), a, b, delta, bias)
 	})
 }
 

@@ -142,29 +142,15 @@ func TestRepeatRowsInto(t *testing.T) {
 
 // AxpyPanels accumulates dst += Σᵢ x[i]·a[i·w:(i+1)·w] where w = len(dst)
 // — the single-row matmul kernel y += xᵀA for a row-major A (len(a) ==
-// len(x)·len(dst)), streaming A exactly once with four source rows fused
-// per pass. It is the tests' reference: each row of MatMulBiasInto rounds
-// exactly as this does over a bias-seeded row, and kern_test.go holds the
-// panel kernels to it.
+// len(x)·len(dst)), four source rows fused per step, the len(x)%4 last
+// ones skipped when zero. It is one row of panelRows seeded with dst, so
+// it takes the register tile where MatMulBiasInto does: each row of
+// MatMulBiasInto rounds exactly as this does over a bias-seeded row, and
+// kern_test.go holds it to the Go loops.
 func AxpyPanels(dst, x, a []float64) {
 	w := len(dst)
 	if len(a) != len(x)*w {
 		panic(fmt.Sprintf("tensor: axpy-panels %d x %d panel block of len %d", len(x), w, len(a)))
 	}
-	wide := useAVX2 && w >= simdMin
-	i := 0
-	for ; i+4 <= len(x); i += 4 {
-		if wide {
-			axpyPanel4Wide(x[i], x[i+1], x[i+2], x[i+3], a[i*w:(i+4)*w], dst)
-			continue
-		}
-		axpyPanel4(x[i], x[i+1], x[i+2], x[i+3],
-			a[i*w:(i+1)*w], a[(i+1)*w:(i+2)*w],
-			a[(i+2)*w:(i+3)*w], a[(i+3)*w:(i+4)*w], dst)
-	}
-	for ; i < len(x); i++ {
-		if xi := x[i]; xi != 0 {
-			axpy4(xi, a[i*w:(i+1)*w], dst)
-		}
-	}
+	panelRows(dst, x, len(x), 1, a, append([]float64(nil), dst...), 1, len(x), w)
 }

@@ -1,6 +1,6 @@
 // Package tensor implements the dense linear algebra needed by the neural
 // network surrogates: row-major matrices, BLAS-1 vector kernels, and a
-// cache-blocked, goroutine-parallel matrix multiply. It is deliberately
+// register-tiled, goroutine-parallel matrix multiply. It is deliberately
 // small — the paper's surrogate networks are MLPs with tens of hidden
 // units — but the matmul parallelism mirrors the HPCforML kernels the
 // paper discusses in §III-A.
@@ -282,7 +282,7 @@ func Apply(dst, a *Matrix, f func(float64) float64) *Matrix {
 	return dst
 }
 
-// MatMul returns a*b using a cache-blocked ikj kernel. For matrices with
+// MatMul returns a*b using the ikj loop of panelRows. For matrices with
 // enough rows it shards row blocks across GOMAXPROCS goroutines.
 func MatMul(a, b *Matrix) *Matrix {
 	return MatMulInto(NewMatrix(a.Rows, b.Cols), a, b)
@@ -290,8 +290,8 @@ func MatMul(a, b *Matrix) *Matrix {
 
 // MatMulInto stores a*b into dst and returns dst. dst must be a.Rows x
 // b.Cols and must not alias a or b; its prior contents are overwritten.
-// The kernel is the same parallel cache-blocked ikj loop as MatMul but
-// performs no allocation, so hot loops can reuse one dst across steps.
+// The kernel is the same parallel ikj loop as MatMul but performs no
+// allocation, so hot loops can reuse one dst across steps.
 func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -309,11 +309,10 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 
 // MatMulBiasInto stores a*b + bias into dst (bias broadcast over rows,
 // len(bias) == b.Cols) and returns dst. Each destination row is seeded
-// with the bias before the panel-axpy accumulation streams through — no
-// separate zeroing or bias pass: one sweep per output row, four source
-// rows fused per pass, rounding as the one-row reference AxpyPanels
-// (panel_test.go) does over a bias-seeded row. dst must not alias a or b;
-// shapes follow MatMulInto.
+// with the bias and accumulated by panelRows, four source rows fused per
+// step — no separate zeroing or bias pass — rounding as the one-row
+// reference AxpyPanels (panel_test.go) does over a bias-seeded row. dst
+// must not alias a or b; shapes follow MatMulInto.
 func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -332,15 +331,14 @@ func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	return dst
 }
 
-// narrow is the operand width below which a row is too short to pay for a
-// panel or dot call per element (a surrogate's 1- to 3-wide output layer
-// and its gradients): the kernels switch to inline loops there.
+// narrow is the output width below which a row holds less than one
+// 4-vector of a tile (a surrogate's 1- to 3-wide output layer and its
+// gradients): the products switch to the thin-shape paths there.
 const narrow = 4
 
 // matMulBiasRange computes rows [lo,hi) of out = a*b + bias (a nil bias
-// is zero) with an ikj loop order that streams b rows sequentially for
-// cache friendliness. Each out row is seeded before the panel-axpy
-// accumulation, so a reused destination never leaks stale values.
+// is zero): panelRows over a's rows, each out row seeded before it
+// accumulates, so a reused destination never leaks stale values.
 func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 	n, p := a.Cols, b.Cols
 	if p < narrow {
@@ -351,30 +349,52 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 		matMulShortRange(out, a, b, bias, lo, hi)
 		return
 	}
-	wide := useAVX2 && p >= simdMin
-	for i := lo; i < hi; i++ {
-		outRow := out.Data[i*p : (i+1)*p]
-		if bias != nil {
-			copy(outRow, bias)
+	panelRows(out.Data[lo*p:hi*p], a.Data[lo*n:], n, 1, b.Data, bias, hi-lo, n, p)
+}
+
+// panelRows computes rows output rows of one p-wide product, row r at
+// out[r*p:], from the n rows of b and the values a[r*arow + k*astep], k <
+// n, of row r's reduction: the row is seeded from seed (zero when nil),
+// then each 4-block of k adds ((a_k·b_k + a_k+1·b_k+1) + a_k+2·b_k+2) +
+// a_k+3·b_k+3 and each k of the n%4 tail adds a_k·b_k unless a_k is zero.
+// The forward product reads a's rows (arow = n, astep = 1), the weight
+// gradient aᵀ·b its columns (arow = 1, astep = a.Cols). With AVX2,
+// panelTileAVX2 takes the whole 4-vectors of every row, a register tile
+// of up to 32 columns held from seed to store across the reduction, and
+// the loop below the last p%4 columns; the loop alone is the reference.
+func panelRows(out, a []float64, arow, astep int, b, seed []float64, rows, n, p int) {
+	pv := 0
+	if useAVX2 && p >= narrow && n > 0 && rows > 0 {
+		pv = p &^ 3
+		var s *float64
+		if seed != nil {
+			s = &seed[0]
+		}
+		panelTileAVX2(&out[0], &a[0], &b[0], s, rows, n, arow, astep, p, pv)
+		if pv == p {
+			return
+		}
+	}
+	for r := 0; r < rows; r++ {
+		y := out[r*p+pv : (r+1)*p]
+		if seed != nil {
+			copy(y, seed[pv:])
 		} else {
-			for j := range outRow {
-				outRow[j] = 0
+			for j := range y {
+				y[j] = 0
 			}
 		}
-		aRow := a.Data[i*n : (i+1)*n]
-		k := 0
+		if n == 0 {
+			continue
+		}
+		ar, k := a[r*arow:], 0
 		for ; k+4 <= n; k += 4 {
-			if wide {
-				axpyPanel4Wide(aRow[k], aRow[k+1], aRow[k+2], aRow[k+3], b.Data[k*p:(k+4)*p], outRow)
-				continue
-			}
-			axpyPanel4(aRow[k], aRow[k+1], aRow[k+2], aRow[k+3],
-				b.Data[k*p:(k+1)*p], b.Data[(k+1)*p:(k+2)*p],
-				b.Data[(k+2)*p:(k+3)*p], b.Data[(k+3)*p:(k+4)*p], outRow)
+			axpyPanel4(ar[k*astep], ar[(k+1)*astep], ar[(k+2)*astep], ar[(k+3)*astep],
+				b[k*p+pv:(k+1)*p], b[(k+1)*p+pv:(k+2)*p], b[(k+2)*p+pv:(k+3)*p], b[(k+3)*p+pv:(k+4)*p], y)
 		}
 		for ; k < n; k++ {
-			if aik := aRow[k]; aik != 0 {
-				axpy4(aik, b.Data[k*p:(k+1)*p], outRow)
+			if v := ar[k*astep]; v != 0 {
+				axpy4(v, b[k*p+pv:(k+1)*p], y)
 			}
 		}
 	}
@@ -506,49 +526,43 @@ func MatMulATBInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// matMulATBRange computes dst rows [lo,hi) of dst = aᵀ*b.
+// matMulATBRange computes dst rows [lo,hi) of dst = aᵀ*b: panelRows over
+// a's columns, or for p < narrow a sample-outermost loop.
 func matMulATBRange(dst, a, b *Matrix, lo, hi int) {
 	n, m, p := a.Rows, a.Cols, b.Cols
-	if p < narrow {
-		// Sample-outermost: dst[j,:] += a[i,j]*b[i,:] with a's rows
-		// contiguous, and for p == 1 dst itself one contiguous axpy.
-		d := dst.Data[lo*p : hi*p]
-		for x := range d {
-			d[x] = 0
+	if p >= narrow {
+		var cols []float64 // a from column lo on; with no samples, nothing
+		if n > 0 {
+			cols = a.Data[lo:]
 		}
-		for i := 0; i < n; i++ {
-			aRow, bRow := a.Data[i*m+lo:i*m+hi], b.Data[i*p:(i+1)*p]
-			if p == 1 {
-				axpy4(bRow[0], aRow, d)
-				continue
-			}
-			for j, av := range aRow {
-				for c, bv := range bRow {
-					d[j*p+c] += av * bv
-				}
-			}
-		}
+		panelRows(dst.Data[lo*p:hi*p], cols, 1, m, b.Data, nil, hi-lo, n, p)
 		return
 	}
-	wide := useAVX2 && p >= simdMin
-	for j := lo; j < hi; j++ {
-		dstRow := dst.Data[j*p : (j+1)*p]
-		for i := range dstRow {
-			dstRow[i] = 0
+	// Sample-outermost: dst[j,:] += a[i,j]*b[i,:] with a's rows
+	// contiguous, and for p == 1 dst itself one contiguous axpy. With
+	// AVX2, colAxpyAVX2 takes the whole 4-vectors of that axpy, held in
+	// registers across the samples.
+	d := dst.Data[lo*p : hi*p]
+	jv := 0
+	if useAVX2 && p == 1 && len(d) >= 4 && n > 0 {
+		jv = len(d) &^ 3
+		colAxpyAVX2(&d[0], &a.Data[lo], &b.Data[0], n, m, jv)
+	}
+	if d = d[jv*p:]; len(d) == 0 {
+		return
+	}
+	for x := range d {
+		d[x] = 0
+	}
+	for i := 0; i < n; i++ {
+		aRow, bRow := a.Data[i*m+lo+jv:i*m+hi], b.Data[i*p:(i+1)*p]
+		if p == 1 {
+			axpy4(bRow[0], aRow, d)
+			continue
 		}
-		i := 0
-		for ; i+4 <= n; i += 4 {
-			if wide {
-				axpyPanel4Wide(a.Data[i*m+j], a.Data[(i+1)*m+j], a.Data[(i+2)*m+j], a.Data[(i+3)*m+j], b.Data[i*p:(i+4)*p], dstRow)
-				continue
-			}
-			axpyPanel4(a.Data[i*m+j], a.Data[(i+1)*m+j], a.Data[(i+2)*m+j], a.Data[(i+3)*m+j],
-				b.Data[i*p:(i+1)*p], b.Data[(i+1)*p:(i+2)*p],
-				b.Data[(i+2)*p:(i+3)*p], b.Data[(i+3)*p:(i+4)*p], dstRow)
-		}
-		for ; i < n; i++ {
-			if aij := a.Data[i*m+j]; aij != 0 {
-				axpy4(aij, b.Data[i*p:(i+1)*p], dstRow)
+		for j, av := range aRow {
+			for c, bv := range bRow {
+				d[j*p+c] += av * bv
 			}
 		}
 	}
@@ -573,7 +587,9 @@ func MatMulABTInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// matMulABTRange computes dst rows [lo,hi) of dst = a*bᵀ.
+// matMulABTRange computes dst rows [lo,hi) of dst = a*bᵀ: one dot4 a
+// element (with AVX2 the 2x4 tiles of dotTiles take the whole 4-blocks of
+// b's rows), or for k < narrow strided sweeps of b.
 func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 	k, m := a.Cols, b.Rows
 	if k == 1 { // a scaled copy of b's one column a row: an outer product
@@ -592,6 +608,11 @@ func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 		}
 		return
 	}
+	mv := 0
+	if useAVX2 && k >= narrow && m >= 4 && hi > lo {
+		mv = m &^ 3
+		dotTiles(dst, a, b, lo, hi, mv)
+	}
 	for i := lo; i < hi; i++ {
 		aRow := a.Data[i*k : (i+1)*k]
 		dstRow := dst.Data[i*m : (i+1)*m]
@@ -608,32 +629,32 @@ func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 			}
 			continue
 		}
-		j := 0
-		if useAVX2 && k >= narrow {
-			for ; j+4 <= m; j += 4 {
-				dotRows4(dstRow[j:j+4], aRow, b.Data[j*k:(j+4)*k])
-			}
-		}
-		for ; j < m; j++ {
+		for j := mv; j < m; j++ {
 			dstRow[j] = dot4(aRow, b.Data[j*k:(j+1)*k])
 		}
 	}
 }
 
-// dotRows4 stores dot4(a, b[r*len(a):(r+1)*len(a)]) into dst[r] for the
-// four consecutive rows r of b: the assembly kernel covers the whole
-// vectors, dot4's scalar tail follows here in dot4's order.
-func dotRows4(dst, a, b []float64) {
-	k := len(a)
-	n := k &^ 3
-	dst, b = dst[:4], b[:4*k]
-	dotRows4AVX2(&dst[0], &a[0], &b[0], k, n)
-	for r := range dst {
-		s := dst[r]
-		for i := n; i < k; i++ {
-			s += a[i] * b[r*k+i]
+// dotTiles stores dot4(a_i, b_j) into dst[i][j] for rows [lo,hi) of a and
+// the first mv rows of b, k >= narrow, mv a positive multiple of 4: the
+// assembly's 2x4 tiles cover the whole vectors, dot4's scalar tail
+// follows here in dot4's order.
+func dotTiles(dst, a, b *Matrix, lo, hi, mv int) {
+	k, m := a.Cols, b.Rows
+	kv := k &^ 3
+	dotTileAVX2(&dst.Data[lo*m], &a.Data[lo*k], &b.Data[0], hi-lo, k, kv, m, mv)
+	if kv == k {
+		return
+	}
+	for i := lo; i < hi; i++ {
+		aRow, dstRow := a.Data[i*k:(i+1)*k], dst.Data[i*m:i*m+mv]
+		for j := range dstRow {
+			s, bRow := dstRow[j], b.Data[j*k:(j+1)*k]
+			for q := kv; q < k; q++ {
+				s += aRow[q] * bRow[q]
+			}
+			dstRow[j] = s
 		}
-		dst[r] = s
 	}
 }
 
@@ -750,9 +771,9 @@ func Axpy(alpha float64, x, y []float64) {
 	axpy4(alpha, x, y)
 }
 
-// axpyPanel4 computes y += a0*b0 + a1*b1 + a2*b2 + a3*b3 in one sweep.
-// Fusing four source rows per pass quarters the load/store traffic on
-// the accumulator row y, which is what bounds a plain axpy.
+// axpyPanel4 computes y += a0*b0 + a1*b1 + a2*b2 + a3*b3 in one sweep:
+// one 4-block of panelRows' Go loop, and with it the rounding every tile
+// of panelTileAVX2 reproduces.
 func axpyPanel4(a0, a1, a2, a3 float64, b0, b1, b2, b3, y []float64) {
 	b0 = b0[:len(y)] // bounds-check elimination hints
 	b1 = b1[:len(y)]
@@ -763,26 +784,11 @@ func axpyPanel4(a0, a1, a2, a3 float64, b0, b1, b2, b3, y []float64) {
 	}
 }
 
-// simdMin is the row width from which the axpy assembly kernels are
-// called: measured alone, the panel kernel is level with the inlined Go
-// loop at 8 and ahead above it (2x at 16), axpy4's is within 1 ns of its
-// Go loop from 8 to 15 and ahead from 16. Narrower rows, and the last
-// len%4 elements of any row, stay in the Go loops.
+// simdMin is the length from which axpy4 calls its assembly kernel: it is
+// within 1 ns of its Go loop from 8 to 15 and ahead from 16. The products
+// do not go through it; their tiles loop over whole row ranges in one call
+// and take every width from narrow up.
 const simdMin = 8
-
-// axpyPanel4Wide is axpyPanel4 for the four consecutive len(y)-wide rows
-// of b, len(y) >= simdMin: the whole vectors in assembly, the tail in
-// axpyPanel4. The callers choose between the two once per row range, so
-// narrow rows keep axpyPanel4 inlined with no call at all.
-func axpyPanel4Wide(a0, a1, a2, a3 float64, b, y []float64) {
-	w := len(y)
-	n := w &^ 3
-	b = b[:4*w]
-	axpyPanel4AVX2(a0, a1, a2, a3, &b[0], &y[0], w, n)
-	if n < w {
-		axpyPanel4(a0, a1, a2, a3, b[n:w], b[w+n:2*w], b[2*w+n:3*w], b[3*w+n:], y[n:])
-	}
-}
 
 // axpy4 is the unchecked y += alpha*x kernel, 4-way unrolled to cut loop
 // overhead and keep independent stores in flight; where there is an
