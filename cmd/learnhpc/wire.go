@@ -156,6 +156,18 @@ func runServe(args []string) {
 	}
 }
 
+// checkLoad rejects a loadtest that would send nothing, or could not
+// start its callers: fewer than one worker, or no time to drive load.
+func checkLoad(workers int, dur time.Duration) error {
+	if workers < 1 {
+		return fmt.Errorf("-workers %d: need at least 1", workers)
+	}
+	if dur <= 0 {
+		return fmt.Errorf("-dur %v: need a positive duration", dur)
+	}
+	return nil
+}
+
 // runLoadtest is the `learnhpc loadtest` subcommand: a closed-loop poke at
 // a running serve/route/worker address — each worker fires its next query
 // as the previous one answers — printing outcome counts and the latency
@@ -167,6 +179,10 @@ func runLoadtest(args []string) {
 	dur := fs.Duration("dur", 5*time.Second, "how long to drive load")
 	workers := fs.Int("workers", 64, "concurrent closed-loop callers")
 	fs.Parse(args)
+	if err := checkLoad(*workers, *dur); err != nil {
+		fmt.Fprintf(os.Stderr, "learnhpc loadtest: %v\n", err)
+		os.Exit(2)
+	}
 
 	names := strings.Split(*tenants, ",")
 	for i := range names {

@@ -471,10 +471,13 @@ func BenchmarkMatMulParallelSlope(b *testing.B) {
 // (dX = delta·Wᵀ) — on one thread, at batch x in x out of the layers the
 // fits run: the wide batch_sweep net at a 64-row batch and at its 32-row
 // minibatch (8 → 128 → 128 → 4: the input, hidden and output layers), and
-// the serving tenants' two layers, their first, where bias is the short
-// path (one to three inputs), and their output, where bias is the narrow
-// path, atb the p = 1 column kernel and abt the k = 1 scaled copy. ns/MAC
-// is ns/op over batch·in·out multiply-adds, GFLOP/s two flops a MAC.
+// the serving tenants' two layers, their first (one to three inputs: the
+// register tile runs it as all reduction tail), also at one row, a routed
+// row's MC prefix, and their output, where bias is the narrow path, atb
+// the p = 1 column kernel and abt the k = 1 scaled copy; 32x3x30 is the
+// autotuning example's input layer, whose last two columns the tile
+// leaves to the Go loop. ns/MAC is ns/op over batch·in·out multiply-adds,
+// GFLOP/s two flops a MAC.
 func BenchmarkMatMulKernels(b *testing.B) {
 	rng := xrand.New(0x6e55)
 	random := func(rows, cols int) *tensor.Matrix {
@@ -485,7 +488,7 @@ func BenchmarkMatMulKernels(b *testing.B) {
 		return m
 	}
 	for _, kernel := range []string{"bias", "atb", "abt"} {
-		for _, d := range [][3]int{{64, 128, 128}, {32, 128, 128}, {32, 8, 128}, {32, 128, 4}, {32, 2, 24}, {32, 24, 1}} {
+		for _, d := range [][3]int{{64, 128, 128}, {32, 128, 128}, {32, 8, 128}, {32, 128, 4}, {32, 2, 24}, {1, 2, 24}, {32, 3, 30}, {32, 24, 1}} {
 			batch, in, out := d[0], d[1], d[2]
 			x, w, delta := random(batch, in), random(in, out), random(batch, out)
 			bias := make([]float64, out)

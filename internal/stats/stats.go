@@ -1,16 +1,15 @@
 // Package stats provides the statistical machinery the Learning Everywhere
-// experiments rely on: streaming moments, quantiles and histograms for
-// simulation observables, autocorrelation and block analysis for deciding
-// when simulation samples are statistically independent (paper §III-D,
-// "block at a timescale ... greater than the autocorrelation time d_c"),
-// regression metrics for surrogate accuracy, and bootstrap confidence
-// intervals and interval-coverage checks for UQ validation (paper §III-B).
+// experiments rely on: streaming moments and histograms for simulation
+// observables, autocorrelation and block analysis for deciding when
+// simulation samples are statistically independent (paper §III-D, "block
+// at a timescale ... greater than the autocorrelation time d_c"),
+// regression metrics for surrogate accuracy, and interval-coverage checks
+// for UQ validation (paper §III-B).
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by estimators that require at least one sample.
@@ -73,33 +72,6 @@ func Max(xs []float64) float64 {
 	}
 	return m
 }
-
-// Quantile returns the q-th quantile (0<=q<=1) of xs using linear
-// interpolation between order statistics. xs need not be sorted.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Median returns the 0.5 quantile.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
 // Welford is a numerically stable streaming accumulator for mean and
 // variance. The zero value is ready to use.
@@ -458,31 +430,6 @@ func MeanIntervalWidth(lo, hi []float64) float64 {
 		s += hi[i] - lo[i]
 	}
 	return s / float64(len(lo))
-}
-
-// RandSource is the subset of xrand.Rand the bootstrap needs; declared
-// locally to keep stats free of internal dependencies.
-type RandSource interface {
-	Intn(n int) int
-}
-
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// statistic f over xs using the given number of resamples and confidence
-// level (e.g. 0.95).
-func BootstrapCI(xs []float64, f func([]float64) float64, resamples int, level float64, rng RandSource) (lo, hi float64) {
-	if len(xs) == 0 || resamples <= 0 {
-		return math.NaN(), math.NaN()
-	}
-	estimates := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[rng.Intn(len(xs))]
-		}
-		estimates[r] = f(buf)
-	}
-	alpha := (1 - level) / 2
-	return Quantile(estimates, alpha), Quantile(estimates, 1-alpha)
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

@@ -36,31 +36,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {-0.5, 1}, {1.5, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); !almostEq(got, c.want, 1e-12) {
-			t.Fatalf("Quantile(%g) = %g want %g", c.q, got, c.want)
-		}
-	}
-}
-
-func TestQuantileInterpolates(t *testing.T) {
-	xs := []float64{0, 10}
-	if got := Quantile(xs, 0.3); !almostEq(got, 3, 1e-12) {
-		t.Fatalf("interpolated quantile %g want 3", got)
-	}
-}
-
-func TestMedianUnsorted(t *testing.T) {
-	if m := Median([]float64{9, 1, 5}); m != 5 {
-		t.Fatalf("median %g want 5", m)
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	rng := xrand.New(1)
 	xs := make([]float64, 500)
@@ -316,21 +291,6 @@ func TestMeanIntervalWidth(t *testing.T) {
 	hi := []float64{2, 5}
 	if w := MeanIntervalWidth(lo, hi); !almostEq(w, 3, 1e-12) {
 		t.Fatalf("width %g want 3", w)
-	}
-}
-
-func TestBootstrapCIContainsTruth(t *testing.T) {
-	rng := xrand.New(8)
-	xs := make([]float64, 2000)
-	for i := range xs {
-		xs[i] = rng.Normal(10, 2)
-	}
-	lo, hi := BootstrapCI(xs, Mean, 500, 0.95, rng)
-	if lo > 10 || hi < 10 {
-		t.Fatalf("bootstrap 95%% CI [%g,%g] misses true mean 10", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Fatalf("bootstrap CI suspiciously wide: [%g,%g]", lo, hi)
 	}
 }
 

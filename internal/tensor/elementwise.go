@@ -4,7 +4,8 @@ import "math"
 
 // Element-wise slice kernels: the activations, tanh's backward sweep, the
 // Adam update and the dropout mask sweep. Each has a Go reference loop
-// (…Ref) and, on amd64, an AVX2 twin in elementwise_amd64.s that does the
+// (…Ref), and each but Sigmoid, which no served or benchmarked network
+// runs, has on amd64 an AVX2 twin in elementwise_amd64.s that does the
 // reference's operations in the reference's order with separately rounded
 // multiplies and adds, so the two give the same bits; the assembly takes
 // the whole 4-vectors of a slice (of each row, for tanh's backward sweep)
@@ -135,15 +136,9 @@ func Tanh(z []float64) {
 	tanhRef(z[n:])
 }
 
-// Sigmoid replaces every element of z by 1/(1 + e^−z).
-func Sigmoid(z []float64) {
-	n := 0
-	if useAVX2 && len(z) >= 4 {
-		n = len(z) &^ 3
-		sigmoidAVX2(&z[0], n)
-	}
-	sigmoidRef(z[n:])
-}
+// Sigmoid replaces every element of z by 1/(1 + e^−z), in the reference
+// loop on every target.
+func Sigmoid(z []float64) { sigmoidRef(z) }
 
 // tanhBackwardRef is the reference loop of TanhBackward over the columns
 // from on of every row.

@@ -33,8 +33,6 @@
 #define TANHQ0 ·ewTab+672(SB)
 #define TANHQ1 ·ewTab+704(SB)
 #define TANHQ2 ·ewTab+736(SB)
-#define SIGLO  ·ewTab+768(SB)
-#define SIGHI  ·ewTab+800(SB)
 
 DATA signBit<>+0(SB)/8, $0x8000000000000000
 DATA signBit<>+8(SB)/8, $0x8000000000000000
@@ -135,31 +133,6 @@ tanh_divide:
 	ADDQ      $32, DI
 	SUBQ      $4, CX
 	JGT       tanh_loop
-	VZEROUPPER
-	RET
-
-// func sigmoidAVX2(z *float64, n int)
-// Mirrors sigmoidRef. VMINPD and VMAXPD return their second source when
-// an operand is NaN, which is u: the reference's comparisons are false for
-// a NaN and leave u alone too.
-TEXT ·sigmoidAVX2(SB), NOSPLIT, $0-16
-	MOVQ    z+0(FP), DI
-	MOVQ    n+8(FP), CX
-	VMOVUPD ONE, Y12
-	VMOVUPD SIGLO, Y13
-	VMOVUPD SIGHI, Y14
-	VMOVDQU signBit<>(SB), Y15
-sigmoid_loop:
-	VXORPD  (DI), Y15, Y2          // u = −x
-	VMINPD  Y2, Y14, Y2            // hi < u ? hi : u
-	VMAXPD  Y2, Y13, Y2            // lo > u ? lo : u
-	EXPCORE
-	VADDPD  Y12, Y2, Y2
-	VDIVPD  Y2, Y12, Y2            // 1/(e^u + 1)
-	VMOVUPD Y2, (DI)
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JGT     sigmoid_loop
 	VZEROUPPER
 	RET
 

@@ -474,7 +474,6 @@ func BenchmarkElementwise(b *testing.B) {
 	}{
 		{"tanh", []variant{{"vector", unary(Tanh)}, {"reference", unary(tanhRef)}, {"libm", unary(libm)},
 			{"vector-small", unaryAt(Tanh, 0.2)}, {"reference-small", unaryAt(tanhRef, 0.2)}, {"libm-small", unaryAt(libm, 0.2)}}},
-		{"sigmoid", []variant{{"vector", unary(Sigmoid)}, {"reference", unary(sigmoidRef)}}},
 		{"tanhback", []variant{{"vector", tanhBack(TanhBackward)}, {"reference", tanhBack(tanhBackRef)}}},
 		{"adam", []variant{{"vector", adam(AdamStep)}, {"reference", adam(adamStepRef)}}},
 		{"dropout", []variant{{"vector", dropout(DropoutMask)}, {"reference", dropout(dropoutMaskRef)}}},

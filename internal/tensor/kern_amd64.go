@@ -28,16 +28,10 @@ func xgetbv() (eax, edx uint32)
 func panelTileAVX2(out, a, b, bias *float64, rows, n, arow, astep, p, pv int)
 
 //go:noescape
-func axpy4AVX2(alpha float64, x, y *float64, n int)
-
-//go:noescape
 func dotTileAVX2(dst, a, b *float64, rows, k, kv, m, mv int)
 
 //go:noescape
 func colAxpyAVX2(d, a, b *float64, n, m, mv int)
-
-//go:noescape
-func shortRowsAVX2(out, a, b0, bm, bl, bias *float64, rows, n, p, pv int) (done int)
 
 //go:noescape
 func narrowColAVX2(out, a, b *float64, bias float64, blocks, n, p, kn int)

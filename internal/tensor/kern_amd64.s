@@ -195,25 +195,6 @@ panel_tile2:
 panel_tile1:
 	PANEL_TILE(SEED1, ZERO1, PANEL1, TAIL1, STORE1, 32, p1row, p1zero, p1k, p1loop, p1tail, p1tloop, p1skip, p1store)
 
-// func axpy4AVX2(alpha float64, x, y *float64, n int)
-// Mirrors axpy4's y[i] += alpha * x[i] over n elements, n a positive
-// multiple of 4.
-TEXT ·axpy4AVX2(SB), NOSPLIT, $0-32
-	VBROADCASTSD alpha+0(FP), Y0
-	MOVQ x+8(FP), SI
-	MOVQ y+16(FP), DI
-	MOVQ n+24(FP), CX
-axpy_loop:
-	VMULPD  (SI), Y0, Y1
-	VADDPD  (DI), Y1, Y1
-	VMOVUPD Y1, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DI
-	SUBQ    $4, CX
-	JGT     axpy_loop
-	VZEROUPPER
-	RET
-
 // DOT is one vector step of dot4's s_l += a[i+l]*b[i+l] for the b row in
 // Y10 against the a rows in Y8 (into acc0) and Y9 (into acc1).
 #define DOT(acc0, acc1) \
@@ -407,88 +388,6 @@ col_tile2:
 	COL_TILE(ZERO2, COL2, DSTORE2, 64, c2loop)
 col_tile1:
 	COL_TILE(ZERO1, COL1, DSTORE1, 32, c1loop)
-
-// func shortRowsAVX2(out, a, b0, bm, bl, bias *float64, rows, n, p, pv int) (done int)
-// Mirrors matMulShortRange's vector forms over the first pv columns (pv a
-// positive multiple of 4) of up to rows rows, rows > 0: a row of a is n
-// wide (1 to 3), one of out p wide, and b0, bm, bl are the b rows of a's
-// first, middle and last column. It stops before the first row that holds
-// a zero, which the axpy way takes, and returns the number of rows done.
-TEXT ·shortRowsAVX2(SB), NOSPLIT, $0-88
-	MOVQ out+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b0+16(FP), R8
-	MOVQ bm+24(FP), R9
-	MOVQ bl+32(FP), R10
-	MOVQ bias+40(FP), R11
-	MOVQ rows+48(FP), BX
-	MOVQ n+56(FP), CX
-	MOVQ p+64(FP), DX
-	MOVQ pv+72(FP), R12
-	SHLQ $3, DX
-	SHLQ $3, R12
-	LEAQ -1(CX), R14
-	MOVQ R14, R13
-	SHRQ $1, R13
-	SHLQ $3, R13                   // byte offset of a's middle column
-	SHLQ $3, R14                   // and of its last
-short_row:
-	MOVQ (SI), AX                  // ±0 is the only value whose bits shift out to 0
-	SHLQ $1, AX
-	JZ   short_done
-	MOVQ (SI)(R13*1), AX
-	SHLQ $1, AX
-	JZ   short_done
-	MOVQ (SI)(R14*1), AX
-	SHLQ $1, AX
-	JZ   short_done
-	VBROADCASTSD (SI), Y0
-	VBROADCASTSD (SI)(R13*1), Y1
-	VBROADCASTSD (SI)(R14*1), Y2
-	XORQ AX, AX
-	CMPQ CX, $2
-	JLT  short_col1
-	JEQ  short_col2
-short_col3:                        // ((bias + a0·b0) + am·bm) + al·bl
-	VMULPD  (R8)(AX*1), Y0, Y3
-	VADDPD  (R11)(AX*1), Y3, Y3
-	VMULPD  (R9)(AX*1), Y1, Y4
-	VADDPD  Y4, Y3, Y3
-	VMULPD  (R10)(AX*1), Y2, Y4
-	VADDPD  Y4, Y3, Y3
-	VMOVUPD Y3, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, R12
-	JLT     short_col3
-	JMP     short_next
-short_col2:                        // (bias + a0·b0) + al·bl
-	VMULPD  (R8)(AX*1), Y0, Y3
-	VADDPD  (R11)(AX*1), Y3, Y3
-	VMULPD  (R10)(AX*1), Y2, Y4
-	VADDPD  Y4, Y3, Y3
-	VMOVUPD Y3, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, R12
-	JLT     short_col2
-	JMP     short_next
-short_col1:                        // bias + a0·b0
-	VMULPD  (R8)(AX*1), Y0, Y3
-	VADDPD  (R11)(AX*1), Y3, Y3
-	VMOVUPD Y3, (DI)(AX*1)
-	ADDQ    $32, AX
-	CMPQ    AX, R12
-	JLT     short_col1
-short_next:
-	LEAQ (SI)(CX*8), SI
-	ADDQ DX, DI
-	DECQ BX
-	JNZ  short_row
-short_done:
-	MOVQ rows+48(FP), AX
-	SUBQ BX, AX
-	MOVQ AX, done+80(FP)
-	VZEROUPPER
-	RET
 
 // func narrowColAVX2(out, a, b *float64, bias float64, blocks, n, p, kn int)
 // Mirrors matMulNarrowRange's 4-blocks for the output column whose b

@@ -333,20 +333,20 @@ func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 
 // narrow is the output width below which a row holds less than one
 // 4-vector of a tile (a surrogate's 1- to 3-wide output layer and its
-// gradients): the products switch to the thin-shape paths there.
+// gradients): the products switch to the thin-shape paths there, and
+// every wider product runs on panelRows' register tile.
 const narrow = 4
 
 // matMulBiasRange computes rows [lo,hi) of out = a*b + bias (a nil bias
-// is zero): panelRows over a's rows, each out row seeded before it
-// accumulates, so a reused destination never leaks stale values.
+// is zero): for a narrow b matMulNarrowRange, else panelRows over a's
+// rows, each out row seeded before it accumulates, so a reused
+// destination never leaks stale values. A surrogate's one- to three-input
+// layer is all reduction tail there: the bias, then each nonzero a_k·b_k
+// in k order.
 func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 	n, p := a.Cols, b.Cols
 	if p < narrow {
 		matMulNarrowRange(out, a, b, bias, lo, hi)
-		return
-	}
-	if n > 0 && n < 4 && bias != nil {
-		matMulShortRange(out, a, b, bias, lo, hi)
 		return
 	}
 	panelRows(out.Data[lo*p:hi*p], a.Data[lo*n:], n, 1, b.Data, bias, hi-lo, n, p)
@@ -396,67 +396,6 @@ func panelRows(out, a []float64, arow, astep int, b, seed []float64, rows, n, p 
 			if v := ar[k*astep]; v != 0 {
 				axpy4(v, b[k*p+pv:(k+1)*p], y)
 			}
-		}
-	}
-}
-
-// matMulShortRange is matMulBiasRange for an a of one to three columns (a
-// surrogate's input layer): too short for a panel, so each out row is one
-// pass in the order the seed-then-axpy loop there gives it, out[j] =
-// ((bias[j] + a0·b0[j]) + a1·b1[j]) + a2·b2[j]. That loop skips the axpy of
-// a zero multiplier, and x + 0·y is not x for every x and y, so a row of a
-// that holds a zero is computed its way. With AVX2, shortRowsAVX2 takes the
-// whole 4-vectors of each run of rows that hold no zero, and shortRow the
-// rest.
-func matMulShortRange(out, a, b *Matrix, bias []float64, lo, hi int) {
-	n, p := a.Cols, b.Cols
-	mid, last := (n-1)/2, n-1 // with the first, the columns of a; some coincide when n < 3
-	pv := 0
-	if useAVX2 && p >= 4 {
-		pv = p &^ 3
-	}
-	for i := lo; i < hi; {
-		if pv > 0 {
-			done := i + shortRowsAVX2(&out.Data[i*p], &a.Data[i*n], &b.Data[0], &b.Data[mid*p], &b.Data[last*p], &bias[0], hi-i, n, p, pv)
-			for r := i; r < done && pv < p; r++ {
-				shortRow(out, a, b, bias, r, pv)
-			}
-			if i = done; i == hi {
-				break
-			}
-		}
-		shortRow(out, a, b, bias, i, 0)
-		i++
-	}
-}
-
-// shortRow is row i of matMulShortRange from column from on.
-func shortRow(out, a, b *Matrix, bias []float64, i, from int) {
-	n, p := a.Cols, b.Cols
-	mid, last := (n-1)/2, n-1
-	o, ar := out.Data[i*p+from:(i+1)*p], a.Data[i*n:(i+1)*n]
-	w := len(o) // bounds-check elimination hints, as the [:w] below
-	c, b0, bm, bl := bias[from:][:w], b.Data[from:][:w], b.Data[mid*p+from:][:w], b.Data[last*p+from:][:w]
-	a0, am, al := ar[0], ar[mid], ar[last]
-	switch {
-	case a0 == 0 || am == 0 || al == 0: // from is 0: the assembly takes no such row
-		copy(o, c)
-		for k, v := range ar {
-			if v != 0 {
-				axpy4(v, b.Data[k*p:(k+1)*p], o)
-			}
-		}
-	case n == 1:
-		for j := range o {
-			o[j] = c[j] + a0*b0[j]
-		}
-	case n == 2:
-		for j := range o {
-			o[j] = (c[j] + a0*b0[j]) + al*bl[j]
-		}
-	default:
-		for j := range o {
-			o[j] = ((c[j] + a0*b0[j]) + am*bm[j]) + al*bl[j]
 		}
 	}
 }
@@ -784,23 +723,13 @@ func axpyPanel4(a0, a1, a2, a3 float64, b0, b1, b2, b3, y []float64) {
 	}
 }
 
-// simdMin is the length from which axpy4 calls its assembly kernel: it is
-// within 1 ns of its Go loop from 8 to 15 and ahead from 16. The products
-// do not go through it; their tiles loop over whole row ranges in one call
-// and take every width from narrow up.
-const simdMin = 8
-
 // axpy4 is the unchecked y += alpha*x kernel, 4-way unrolled to cut loop
-// overhead and keep independent stores in flight; where there is an
-// assembly kernel it takes the whole vectors of a long enough x and the
-// loops below only the tail.
+// overhead and keep independent stores in flight. With AVX2 the products
+// reach it only for the ≤ 3 elements their tiles leave: panelRows' last
+// p%4 columns and a one-column aᵀ·b's last rows.
 func axpy4(alpha float64, x, y []float64) {
 	y = y[:len(x)] // bounds-check elimination hint
 	i := 0
-	if useAVX2 && len(x) >= simdMin {
-		i = len(x) &^ 3
-		axpy4AVX2(alpha, &x[0], &y[0], i)
-	}
 	for ; i+4 <= len(x); i += 4 {
 		x4, y4 := x[i:i+4:i+4], y[i:i+4:i+4]
 		y4[0] += alpha * x4[0]
