@@ -46,6 +46,10 @@ func runServe(args []string) {
 	regDir := fs.String("registry", "", "artifact registry directory: warm-start tenants from it and persist every published generation (empty disables)")
 	rollback := fs.Float64("rollback-factor", 0, "drift ratio that auto-rolls a tenant shard back one registry generation (0 = off; needs -registry)")
 	fs.Parse(args)
+	if err := checkServe(*regDir, *rollback); err != nil {
+		fmt.Fprintf(os.Stderr, "learnhpc serve: %v\n", err)
+		os.Exit(2)
+	}
 
 	var reg *repro.Registry
 	if *regDir != "" {
@@ -154,6 +158,20 @@ func runServe(args []string) {
 		fmt.Fprintf(os.Stderr, "learnhpc serve: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// checkServe rejects a -rollback-factor that could not do what it says: a
+// negative or non-finite one, or a positive one without the -registry its
+// rollbacks step back through (it would arm drift refits and never a
+// rollback).
+func checkServe(regDir string, rollback float64) error {
+	if rollback < 0 || math.IsNaN(rollback) || math.IsInf(rollback, 0) {
+		return fmt.Errorf("-rollback-factor %v: need 0 (off) or a positive drift ratio", rollback)
+	}
+	if rollback > 0 && regDir == "" {
+		return fmt.Errorf("-rollback-factor %v needs -registry: a rollback steps back one registry generation", rollback)
+	}
+	return nil
 }
 
 // checkLoad rejects a loadtest that would send nothing, or could not

@@ -1,9 +1,34 @@
 package main
 
 import (
+	"math"
 	"testing"
 	"time"
 )
+
+// serve must refuse, before it builds a tenant, a -rollback-factor that
+// would arm no rollback: a positive one without -registry, and a negative
+// or non-finite one.
+func TestCheckServe(t *testing.T) {
+	for _, c := range []struct {
+		regDir   string
+		rollback float64
+		ok       bool
+	}{
+		{"", 0, true},
+		{"/reg", 0, true},
+		{"/reg", 3, true},
+		{"", 3, false},
+		{"", -1, false},
+		{"/reg", -1, false},
+		{"/reg", math.NaN(), false},
+		{"/reg", math.Inf(1), false},
+	} {
+		if err := checkServe(c.regDir, c.rollback); (err == nil) != c.ok {
+			t.Errorf("checkServe(%q, %v) = %v, want ok %v", c.regDir, c.rollback, err, c.ok)
+		}
+	}
+}
 
 // loadtest must refuse, before it dials, a worker count that would panic
 // in make or send nothing, and a duration that sends nothing.

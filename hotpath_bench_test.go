@@ -422,50 +422,6 @@ func BenchmarkDeepUQ(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulParallelSlope measures the matmul fan-out break-even
-// slope the PR-2 heuristic assumes: at the default threshold of
-// 8192·workers flops, fanned-out and inline execution should be within
-// the same order — below it fan-out loses, above it wins. Each sub-bench
-// sizes the product at exactly 8192·workers multiply-accumulates
-// (rows = 32·workers, k = p = 16) and pins both paths; run on a
-// multi-core box (ROADMAP open item) the inline/fanout ratio across the
-// workers axis is the measured slope. GOMAXPROCS is attached as a metric
-// so snapshots record the machine shape.
-func BenchmarkMatMulParallelSlope(b *testing.B) {
-	rng := xrand.New(0x510e)
-	for _, workers := range []int{1, 2, 4, 8} {
-		rows := 32 * workers
-		a := tensor.NewMatrix(rows, 16)
-		bm := tensor.NewMatrix(16, 16)
-		dst := tensor.NewMatrix(rows, 16)
-		for i := range a.Data {
-			a.Data[i] = rng.Range(-1, 1)
-		}
-		for i := range bm.Data {
-			bm.Data[i] = rng.Range(-1, 1)
-		}
-		run := func(b *testing.B, fanout bool) {
-			oldW, oldT := tensor.ParallelWorkers, tensor.ParallelFlopThreshold
-			defer func() {
-				tensor.ParallelWorkers, tensor.ParallelFlopThreshold = oldW, oldT
-			}()
-			if fanout {
-				tensor.ParallelWorkers, tensor.ParallelFlopThreshold = workers, 1
-			} else {
-				tensor.ParallelWorkers, tensor.ParallelFlopThreshold = 1, 1<<60
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tensor.MatMulInto(dst, a, bm)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		}
-		b.Run(fmt.Sprintf("workers=%d/inline", workers), func(b *testing.B) { run(b, false) })
-		b.Run(fmt.Sprintf("workers=%d/fanout", workers), func(b *testing.B) { run(b, true) })
-	}
-}
-
 // BenchmarkMatMulKernels times the three matmul kernels a training step
 // is made of — bias (forward, x·W+b), atb (GW = xᵀ·delta) and abt
 // (dX = delta·Wᵀ) — on one thread, at batch x in x out of the layers the
@@ -506,9 +462,6 @@ func BenchmarkMatMulKernels(b *testing.B) {
 				run = func() { tensor.MatMulABTInto(dst, delta, w) }
 			}
 			b.Run(fmt.Sprintf("%s/%dx%dx%d", kernel, batch, in, out), func(b *testing.B) {
-				workers := tensor.ParallelWorkers
-				tensor.ParallelWorkers = 1
-				defer func() { tensor.ParallelWorkers = workers }()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

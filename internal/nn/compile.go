@@ -45,8 +45,7 @@ type compiledStep struct {
 // All mutable per-call state (ping-pong activation matrices, dropout rng,
 // MC accumulators) lives in batch contexts leased from a free list, so a
 // Compiled value is safe for concurrent use and its warmed calls, a row or
-// a batch, allocate nothing unless a matmul is large enough to fan out
-// across tensor.ParallelWorkers (a row's pass-stacked MC panel can be).
+// a batch, allocate nothing.
 //
 // A Compiled program captures the network weights by copy at Compile
 // time: training the source network afterwards does not affect it, which

@@ -47,41 +47,62 @@ func TestCompiledPredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
+// zeroAllocCase is one network shape the warmed batch calls must serve
+// without allocating: rows spans several chunks on the narrow nets, and
+// the wide one is batch_sweep's serving net (8-128-128-4, one 64-row
+// chunk, 16 MC passes), whose products are the largest any workload runs.
+type zeroAllocCase struct {
+	name     string
+	seed     uint64
+	dropout  float64
+	widths   []int
+	maxBatch int
+	rows     int
+	passes   int
+}
+
+var zeroAllocCases = []zeroAllocCase{
+	{"6x30x48x3", 32, 0.1, []int{6, 30, 48, 3}, 8, 20, 10},
+	{"6x12x8x2", 33, 0.2, []int{6, 12, 8, 2}, 8, 20, 10},
+	{"8x128x128x4", 34, 0.1, []int{8, 128, 128, 4}, DefaultMaxBatch, 64, 16},
+}
+
 // TestCompiledPredictBatchZeroAlloc pins the tentpole contract: a warmed
 // batch forward with a caller-provided destination allocates nothing,
 // even when the input spans several chunks.
 func TestCompiledPredictBatchZeroAlloc(t *testing.T) {
 	skipAllocCheckUnderRace(t)
-	oldT := tensor.ParallelFlopThreshold
-	tensor.ParallelFlopThreshold = 1 << 60 // keep kernels inline: fan-out allocates
-	defer func() { tensor.ParallelFlopThreshold = oldT }()
-	rng := xrand.New(32)
-	net := NewMLP(rng, Tanh, 0.1, 6, 30, 48, 3)
-	c := net.CompileBatch(8)
-	x := batchProbe(rng, 20, 6) // 3 chunks
-	dst := tensor.NewMatrix(20, 3)
-	c.PredictBatch(x, dst) // warm the ctx pool
-	if allocs := testing.AllocsPerRun(100, func() { c.PredictBatch(x, dst) }); allocs != 0 {
-		t.Fatalf("compiled PredictBatch allocates %g times per batch, want 0", allocs)
+	for _, tc := range zeroAllocCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := xrand.New(tc.seed)
+			c := NewMLP(rng, Tanh, tc.dropout, tc.widths...).CompileBatch(tc.maxBatch)
+			x := batchProbe(rng, tc.rows, tc.widths[0])
+			dst := tensor.NewMatrix(tc.rows, tc.widths[len(tc.widths)-1])
+			c.PredictBatch(x, dst) // warm the ctx pool
+			if allocs := testing.AllocsPerRun(100, func() { c.PredictBatch(x, dst) }); allocs != 0 {
+				t.Fatalf("compiled PredictBatch allocates %g times per batch, want 0", allocs)
+			}
+		})
 	}
 }
 
-// TestCompiledPredictMCBatchZeroAlloc pins the same contract for the
-// pass-stacked MC path on a deep two-dropout surrogate.
+// TestCompiledPredictMCBatchZeroAlloc pins the same contract for the MC
+// path: the pass-stacked one on the deep two-dropout nets, at each case's
+// pass count.
 func TestCompiledPredictMCBatchZeroAlloc(t *testing.T) {
 	skipAllocCheckUnderRace(t)
-	oldT := tensor.ParallelFlopThreshold
-	tensor.ParallelFlopThreshold = 1 << 60
-	defer func() { tensor.ParallelFlopThreshold = oldT }()
-	rng := xrand.New(33)
-	net := NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2)
-	c := net.CompileBatch(8)
-	x := batchProbe(rng, 20, 6)
-	mean := tensor.NewMatrix(20, 2)
-	std := tensor.NewMatrix(20, 2)
-	c.PredictMCBatch(x, 10, mean, std)
-	if allocs := testing.AllocsPerRun(100, func() { c.PredictMCBatch(x, 10, mean, std) }); allocs != 0 {
-		t.Fatalf("compiled PredictMCBatch allocates %g times per batch, want 0", allocs)
+	for _, tc := range zeroAllocCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := xrand.New(tc.seed)
+			c := NewMLP(rng, Tanh, tc.dropout, tc.widths...).CompileBatch(tc.maxBatch)
+			x := batchProbe(rng, tc.rows, tc.widths[0])
+			mean := tensor.NewMatrix(tc.rows, tc.widths[len(tc.widths)-1])
+			std := tensor.NewMatrix(tc.rows, tc.widths[len(tc.widths)-1])
+			c.PredictMCBatch(x, tc.passes, mean, std)
+			if allocs := testing.AllocsPerRun(100, func() { c.PredictMCBatch(x, tc.passes, mean, std) }); allocs != 0 {
+				t.Fatalf("compiled PredictMCBatch allocates %g times per batch, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -91,9 +112,6 @@ func TestCompiledPredictMCBatchZeroAlloc(t *testing.T) {
 // pass-stacked path (two dropouts) and the masked-weight tail.
 func TestCompiledMCScratchSizedOnce(t *testing.T) {
 	skipAllocCheckUnderRace(t)
-	oldT := tensor.ParallelFlopThreshold
-	tensor.ParallelFlopThreshold = 1 << 60
-	defer func() { tensor.ParallelFlopThreshold = oldT }()
 	rng := xrand.New(37)
 	for name, net := range map[string]*Network{
 		"passstacked": NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2),
@@ -119,9 +137,6 @@ func TestCompiledMCScratchSizedOnce(t *testing.T) {
 // store and the pass reduction, and nothing sized by passes·rows.
 func TestCompiledMCScratchSizedOnceWide(t *testing.T) {
 	skipAllocCheckUnderRace(t)
-	oldT := tensor.ParallelFlopThreshold
-	tensor.ParallelFlopThreshold = 1 << 60
-	defer func() { tensor.ParallelFlopThreshold = oldT }()
 	const rows, passes = 64, 16
 	rng := xrand.New(39)
 	c := NewMLP(rng, Tanh, 0.1, 8, 128, 128, 4).CompileBatch(rows)
@@ -150,9 +165,6 @@ func TestCompiledMCScratchSizedOnceWide(t *testing.T) {
 // count over several fresh programs is the call's own.
 func TestCompiledMCPassCapLiftKeepsPanels(t *testing.T) {
 	skipAllocCheckUnderRace(t)
-	oldT := tensor.ParallelFlopThreshold
-	tensor.ParallelFlopThreshold = 1 << 60
-	defer func() { tensor.ParallelFlopThreshold = oldT }()
 	rng := xrand.New(38)
 	net := NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2)
 	x := batchProbe(rng, 8, 6)
@@ -185,9 +197,6 @@ func TestCompiledMCPassCapLiftKeepsPanels(t *testing.T) {
 // after garbage collections (two, which is what empties a sync.Pool's victim
 // cache as well). It holds under -race too: nothing here is dropped at random.
 func TestBatchContextsSurviveGC(t *testing.T) {
-	oldT := tensor.ParallelFlopThreshold
-	tensor.ParallelFlopThreshold = 1 << 60
-	defer func() { tensor.ParallelFlopThreshold = oldT }()
 	rng := xrand.New(36)
 	net := NewMLP(rng, Tanh, 0.2, 6, 12, 8, 2)
 	c := net.CompileBatch(8)

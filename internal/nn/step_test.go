@@ -15,11 +15,11 @@ import (
 // the narrow-operand kernels, and the gradient with respect to the input
 // that Backward stores into dx — against central finite differences of the
 // loss, over the shapes the repo trains (serving 2-24-1, the paper's
-// 6-30-48-3, the wide 8-128-128-4 which crosses the matmul fan-out
-// threshold, and a bare 3-1 layer), at a full batch and then at shrinking
-// tail batches on the same tape, with dropout off and on (on, it drops the
-// input of every layer, the first's included). The mask is frozen by
-// restarting the network's stream before every forward.
+// 6-30-48-3, batch_sweep's wide 8-128-128-4, and a bare 3-1 layer), at a
+// full batch and then at shrinking tail batches on the same tape, with
+// dropout off and on (on, it drops the input of every layer, the first's
+// included). The mask is frozen by restarting the network's stream before
+// every forward.
 func TestTrainingStepGradient(t *testing.T) {
 	shapes := [][]int{{2, 24, 1}, {6, 30, 48, 3}, {8, 128, 128, 4}, {3, 1}}
 	for _, widths := range shapes {

@@ -419,63 +419,6 @@ func Coverage(target, lo, hi []float64) float64 {
 	return float64(in) / float64(len(target))
 }
 
-// MeanIntervalWidth returns the average width hi-lo of prediction intervals.
-func MeanIntervalWidth(lo, hi []float64) float64 {
-	mustSameLen(lo, hi)
-	if len(lo) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range lo {
-		s += hi[i] - lo[i]
-	}
-	return s / float64(len(lo))
-}
-
-// Linspace returns n evenly spaced values from lo to hi inclusive.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	if n == 1 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	return out
-}
-
-// Argmax returns the index of the largest element; -1 for empty input.
-func Argmax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Argmin returns the index of the smallest element; -1 for empty input.
-func Argmin(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 func mustSameLen(a, b []float64) {
 	if len(a) != len(b) {
 		panic("stats: length mismatch")

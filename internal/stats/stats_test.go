@@ -286,43 +286,6 @@ func TestCoverage(t *testing.T) {
 	}
 }
 
-func TestMeanIntervalWidth(t *testing.T) {
-	lo := []float64{0, 1}
-	hi := []float64{2, 5}
-	if w := MeanIntervalWidth(lo, hi); !almostEq(w, 3, 1e-12) {
-		t.Fatalf("width %g want 3", w)
-	}
-}
-
-func TestLinspace(t *testing.T) {
-	xs := Linspace(0, 1, 5)
-	want := []float64{0, 0.25, 0.5, 0.75, 1}
-	for i := range want {
-		if !almostEq(xs[i], want[i], 1e-12) {
-			t.Fatalf("linspace[%d] = %g want %g", i, xs[i], want[i])
-		}
-	}
-	if got := Linspace(3, 9, 1); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("Linspace n=1 got %v", got)
-	}
-	if Linspace(0, 1, 0) != nil {
-		t.Fatal("Linspace n=0 should be nil")
-	}
-}
-
-func TestArgmaxArgmin(t *testing.T) {
-	xs := []float64{3, 9, -2, 9}
-	if Argmax(xs) != 1 {
-		t.Fatalf("argmax %d want 1 (first max)", Argmax(xs))
-	}
-	if Argmin(xs) != 2 {
-		t.Fatalf("argmin %d want 2", Argmin(xs))
-	}
-	if Argmax(nil) != -1 || Argmin(nil) != -1 {
-		t.Fatal("empty arg* should be -1")
-	}
-}
-
 // Property: variance is invariant under shift, scales with square of factor.
 func TestVariancePropertiesQuick(t *testing.T) {
 	rng := xrand.New(9)

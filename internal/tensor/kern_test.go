@@ -325,8 +325,8 @@ func thinWidths() []int {
 	return []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 24, 128}
 }
 
-// splitRange runs a row-range kernel over [0, rows) as two ranges, the way
-// a fan-out hands them out.
+// splitRange runs a row-range kernel over [0, rows) as two ranges, so a
+// range that starts past row 0 is held too.
 func splitRange(rows int, f func(lo, hi int)) {
 	f(0, rows/3)
 	f(rows/3, rows)

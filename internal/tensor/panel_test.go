@@ -60,33 +60,6 @@ func TestMatMulBiasIntoMatchesComposition(t *testing.T) {
 	}
 }
 
-// TestMatMulBiasIntoParallelMatchesSerial forces the fan-out path and
-// checks it against the inline kernel.
-func TestMatMulBiasIntoParallelMatchesSerial(t *testing.T) {
-	oldW, oldT := ParallelWorkers, ParallelFlopThreshold
-	defer func() { ParallelWorkers, ParallelFlopThreshold = oldW, oldT }()
-	rng := xrand.New(42)
-	a := NewMatrix(24, 10)
-	b := NewMatrix(10, 6)
-	bias := make([]float64, 6)
-	for i := range a.Data {
-		a.Data[i] = rng.Range(-1, 1)
-	}
-	for i := range b.Data {
-		b.Data[i] = rng.Range(-1, 1)
-	}
-	for i := range bias {
-		bias[i] = rng.Range(-1, 1)
-	}
-	ParallelWorkers, ParallelFlopThreshold = 1, 1<<60
-	serial := MatMulBiasInto(NewMatrix(24, 6), a, b, bias)
-	ParallelWorkers, ParallelFlopThreshold = 4, 1
-	par := MatMulBiasInto(NewMatrix(24, 6), a, b, bias)
-	if !Equal(par, serial, 0) {
-		t.Fatal("parallel MatMulBiasInto differs from serial")
-	}
-}
-
 // TestScaleColumnsBlocks checks per-block column scaling, including the
 // in-place aliasing contract and agreement with element-by-element scaling.
 func TestScaleColumnsBlocks(t *testing.T) {

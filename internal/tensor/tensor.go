@@ -1,16 +1,16 @@
 // Package tensor implements the dense linear algebra needed by the neural
 // network surrogates: row-major matrices, BLAS-1 vector kernels, and a
-// register-tiled, goroutine-parallel matrix multiply. It is deliberately
-// small — the paper's surrogate networks are MLPs with tens of hidden
-// units — but the matmul parallelism mirrors the HPCforML kernels the
-// paper discusses in §III-A.
+// register-tiled matrix multiply, the HPCforML kernels the paper discusses
+// in §III-A. It is deliberately small — the paper's surrogate networks are
+// MLPs with tens of hidden units — and its kernels run on the caller's
+// goroutine: concurrency lives where work is independent and coarse (shard
+// fits, oracle workers, the coalescer and the fleet), not inside one
+// product.
 package tensor
 
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Matrix is a dense row-major matrix.
@@ -282,28 +282,21 @@ func Apply(dst, a *Matrix, f func(float64) float64) *Matrix {
 	return dst
 }
 
-// MatMul returns a*b using the ikj loop of panelRows. For matrices with
-// enough rows it shards row blocks across GOMAXPROCS goroutines.
+// MatMul returns a*b using the ikj loop of panelRows.
 func MatMul(a, b *Matrix) *Matrix {
 	return MatMulInto(NewMatrix(a.Rows, b.Cols), a, b)
 }
 
 // MatMulInto stores a*b into dst and returns dst. dst must be a.Rows x
 // b.Cols and must not alias a or b; its prior contents are overwritten.
-// The kernel is the same parallel ikj loop as MatMul but performs no
-// allocation, so hot loops can reuse one dst across steps.
+// The kernel is the same ikj loop as MatMul but performs no allocation,
+// so hot loops can reuse one dst across steps.
 func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst = ensure(dst, a.Rows, b.Cols)
-	if !useParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulBiasRange(dst, a, b, nil, 0, a.Rows)
-		return dst
-	}
-	parallelRanges(a.Rows, func(lo, hi int) {
-		matMulBiasRange(dst, a, b, nil, lo, hi)
-	})
+	matMulBiasRange(dst, a, b, nil, 0, a.Rows)
 	return dst
 }
 
@@ -321,13 +314,7 @@ func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 		panic(fmt.Sprintf("tensor: bias of len %d for %d-col product", len(bias), b.Cols))
 	}
 	dst = ensure(dst, a.Rows, b.Cols)
-	if !useParallel(a.Rows, a.Rows*a.Cols*b.Cols) {
-		matMulBiasRange(dst, a, b, bias, 0, a.Rows)
-		return dst
-	}
-	parallelRanges(a.Rows, func(lo, hi int) {
-		matMulBiasRange(dst, a, b, bias, lo, hi)
-	})
+	matMulBiasRange(dst, a, b, bias, 0, a.Rows)
 	return dst
 }
 
@@ -452,16 +439,7 @@ func MatMulATBInto(dst, a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmul-ATB shape mismatch %dx%dᵀ * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst = ensure(dst, a.Cols, b.Cols)
-	n, m, p := a.Rows, a.Cols, b.Cols
-	// Parallelize over dst rows (columns of a): each worker owns an
-	// exclusive dst row range and streams all of a and b once.
-	if !useParallel(m, n*m*p) {
-		matMulATBRange(dst, a, b, 0, m)
-		return dst
-	}
-	parallelRanges(m, func(lo, hi int) {
-		matMulATBRange(dst, a, b, lo, hi)
-	})
+	matMulATBRange(dst, a, b, 0, a.Cols)
 	return dst
 }
 
@@ -516,13 +494,7 @@ func MatMulABTInto(dst, a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmul-ABT shape mismatch %dx%d * %dx%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst = ensure(dst, a.Rows, b.Rows)
-	if !useParallel(a.Rows, a.Rows*a.Cols*b.Rows) {
-		matMulABTRange(dst, a, b, 0, a.Rows)
-		return dst
-	}
-	parallelRanges(a.Rows, func(lo, hi int) {
-		matMulABTRange(dst, a, b, lo, hi)
-	})
+	matMulABTRange(dst, a, b, 0, a.Rows)
 	return dst
 }
 
@@ -597,64 +569,13 @@ func dotTiles(dst, a, b *Matrix, lo, hi, mv int) {
 	}
 }
 
-// Matmul fan-out tuning. The original 32³-flop threshold was calibrated on
-// a 1-core container where fan-out never pays; on real multi-core boxes the
-// break-even point scales with how many goroutines a kernel spawns, since
-// each spawn costs on the order of a microsecond. Both knobs are plain
-// package vars so deployments (and tests) can retune without recompiling;
-// they are read at kernel entry, so set them before issuing work, not
-// concurrently with it.
-var (
-	// ParallelWorkers is the fan-out width for row-sharded kernels.
-	// Defaults to GOMAXPROCS at init.
-	ParallelWorkers = runtime.GOMAXPROCS(0)
-	// ParallelFlopThreshold is the minimum multiply-accumulate count at
-	// which a kernel fans out instead of running inline. Defaults to
-	// 16Ki multiply-accumulates per potential worker.
-	ParallelFlopThreshold = defaultFlopThreshold(runtime.GOMAXPROCS(0))
-)
-
-// defaultFlopThreshold derives the fan-out break-even point from the worker
-// count. BENCH_15.cpus2.json's _meta.parallel_slope_ns (2 CPUs, AVX2
-// kernels, 8192·workers multiply-accumulates a pair) puts the inline
-// kernel at 0.18 ns per multiply-accumulate and a fan-out at half the
-// inline time plus 1.3-1.45 µs per range (workers=2: 3076 vs 4231 ns,
-// =4: 5431 vs 8503, =8: 11570 vs 16257). Two workers break even at
-// 2·2.7 µs of inline work, 30 000 multiply-accumulates: 16Ki each, twice
-// the scalar kernels' 8Ki, because the inline side got twice as fast and
-// a goroutine did not.
-func defaultFlopThreshold(workers int) int {
-	return 16384 * workers
-}
-
-// useParallel reports whether a row-sharded kernel should fan out: the
-// fan-out (goroutine spawns plus one closure allocation) only pays for
-// itself on multi-core machines with enough flops per call. Below the
-// threshold kernels run inline and allocation-free.
-func useParallel(rows, work int) bool {
-	return work >= ParallelFlopThreshold && rows > 1 && ParallelWorkers > 1
-}
-
-// parallelRanges splits [0,rows) into up to ParallelWorkers ranges: the
-// caller runs the last one itself, each of the others gets a goroutine.
-func parallelRanges(rows int, f func(lo, hi int)) {
-	workers := ParallelWorkers
-	if workers > rows {
-		workers = rows
-	}
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	lo := 0
-	for ; lo+chunk < rows; lo += chunk {
-		wg.Add(1)
-		go func(lo int) {
-			defer wg.Done()
-			f(lo, lo+chunk)
-		}(lo)
-	}
-	f(lo, rows)
-	wg.Wait()
-}
+// ParallelWorkers is read by nothing: every product runs on the caller's
+// goroutine.
+//
+// Deprecated: it stays declared only because benchmark/probe_tensor.go
+// pins it, and it goes together with that pin in the next edit to
+// benchmark/.
+var ParallelWorkers int
 
 // MulVec returns a * x for a column vector x (len == a.Cols).
 func MulVec(a *Matrix, x []float64) []float64 {

@@ -174,6 +174,8 @@ func TestTransposeProductIdentityQuick(t *testing.T) {
 	}
 }
 
+// TestMatMulLargeParallel holds a product larger than any workload runs to
+// its row-range kernel over all rows.
 func TestMatMulLargeParallel(t *testing.T) {
 	rng := xrand.New(4)
 	a := randomMatrix(rng, 97, 53)
@@ -182,7 +184,30 @@ func TestMatMulLargeParallel(t *testing.T) {
 	want := NewMatrix(97, 61)
 	matMulBiasRange(want, a, b, nil, 0, 97)
 	if !Equal(got, want, 1e-9) {
-		t.Fatal("parallel matmul differs from serial")
+		t.Fatal("large matmul differs from its row-range kernel")
+	}
+}
+
+// TestMatMulZeroAlloc: each product into a caller's destination allocates
+// nothing at the shapes BenchmarkMatMulKernels times, from batch_sweep's
+// 64x128x128 down to a serving tenant's one-row input layer, whatever the
+// core count.
+func TestMatMulZeroAlloc(t *testing.T) {
+	rng := xrand.New(5)
+	for _, d := range [][3]int{{64, 128, 128}, {32, 128, 128}, {32, 8, 128}, {32, 128, 4}, {32, 2, 24}, {1, 2, 24}, {32, 3, 30}, {32, 24, 1}} {
+		batch, in, out := d[0], d[1], d[2]
+		x, w, delta := randomMatrix(rng, batch, in), randomMatrix(rng, in, out), randomMatrix(rng, batch, out)
+		bias := make([]float64, out)
+		y, gw, dx := NewMatrix(batch, out), NewMatrix(in, out), NewMatrix(batch, in)
+		for name, run := range map[string]func(){
+			"bias": func() { MatMulBiasInto(y, x, w, bias) },
+			"atb":  func() { MatMulATBInto(gw, x, delta) },
+			"abt":  func() { MatMulABTInto(dx, delta, w) },
+		} {
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Errorf("%s/%dx%dx%d allocates %g times per call, want 0", name, batch, in, out, allocs)
+			}
+		}
 	}
 }
 

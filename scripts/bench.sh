@@ -26,7 +26,7 @@ if [[ -z "$out" ]]; then
   out="BENCH_$((n + 1)).json"
 fi
 
-benches='BenchmarkTrainEpoch$|BenchmarkDenseForwardBackward|BenchmarkEncodeArtifact|BenchmarkQueryBatch$|BenchmarkQueryLoop|BenchmarkQueryDuringRetrain|BenchmarkOracleFanout|BenchmarkOracleCampaign|BenchmarkCompiledForward|BenchmarkCompiledBatch|BenchmarkQuantizedForward|BenchmarkQuantizedQueryBatch|BenchmarkDeepUQ|BenchmarkMatMulParallelSlope|BenchmarkMatMulKernels|BenchmarkQuantSweep|BenchmarkCoalescedQPS|BenchmarkFleetQPS|BenchmarkWireQPS|BenchmarkRoutedQPS|BenchmarkRegistryColdStart'
+benches='BenchmarkTrainEpoch$|BenchmarkDenseForwardBackward|BenchmarkEncodeArtifact|BenchmarkQueryBatch$|BenchmarkQueryLoop|BenchmarkQueryDuringRetrain|BenchmarkOracleFanout|BenchmarkOracleCampaign|BenchmarkCompiledForward|BenchmarkCompiledBatch|BenchmarkQuantizedForward|BenchmarkQuantizedQueryBatch|BenchmarkDeepUQ|BenchmarkMatMulKernels|BenchmarkQuantSweep|BenchmarkCoalescedQPS|BenchmarkFleetQPS|BenchmarkWireQPS|BenchmarkRoutedQPS|BenchmarkRegistryColdStart'
 runs=3
 raw=""
 for ((r = 1; r <= runs; r++)); do
@@ -37,12 +37,9 @@ for ((r = 1; r <= runs; r++)); do
 done
 echo "$raw"
 
-# The machine shape is recorded alongside the numbers: the matmul fan-out
-# slope (BenchmarkMatMulParallelSlope) is only meaningful relative to the
-# core count it ran on, so snapshots from a 1-core container and a real
-# multi-core box are distinguishable. _meta gets the online CPU count and
-# the full slope sweep so a reader can retune tensor.ParallelFlopThreshold
-# (see README "Retuning the matmul fan-out threshold") without re-running.
+# The machine shape is recorded alongside the numbers, so snapshots from a
+# 1-core container and a real multi-core box are distinguishable: _meta
+# gets the online CPU count and GOMAXPROCS.
 cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 1)"
 gomaxprocs="${GOMAXPROCS:-$cpus}"
 # Which inner kernels the tensor package selected for this build and CPU
@@ -77,13 +74,6 @@ echo "$raw" | awk -v out="$out" -v gomaxprocs="$gomaxprocs" -v cpus="$cpus" -v s
       if (name in best && best[name] + 0 <= ns + 0) next
       if (!(name in best)) order[++n] = name
       best[name] = ns
-      if (name ~ /^BenchmarkMatMulParallelSlope\//) {
-        slope_name = name
-        sub(/^BenchmarkMatMulParallelSlope\//, "", slope_name)
-        is_slope[name] = 1
-        entries[name] = sprintf("\"%s\": %s", slope_name, ns)
-        next
-      }
       entry = sprintf("  \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s",
         name, ns, bytes == "" ? "null" : bytes, allocs == "" ? "null" : allocs)
       if (p50 != "") entry = entry sprintf(", \"p50_ns\": %s, \"p99_ns\": %s", p50, p99)
@@ -91,13 +81,10 @@ echo "$raw" | awk -v out="$out" -v gomaxprocs="$gomaxprocs" -v cpus="$cpus" -v s
     }
   }
   END {
-    slope = ""; body = ""
-    for (i = 1; i <= n; i++) {
-      if (order[i] in is_slope) slope = slope (slope == "" ? "" : ", ") entries[order[i]]
-      else body = body (body == "" ? "" : ",\n") entries[order[i]]
-    }
+    body = ""
+    for (i = 1; i <= n; i++) body = body (body == "" ? "" : ",\n") entries[order[i]]
     printf "{\n" > out
-    printf "  \"_meta\": {\"gomaxprocs\": %s, \"cpus\": %s, \"simd\": \"%s\", \"runs\": %s, \"parallel_slope_ns\": {%s}},\n", gomaxprocs, cpus, simd, runs, slope > out
+    printf "  \"_meta\": {\"gomaxprocs\": %s, \"cpus\": %s, \"simd\": \"%s\", \"runs\": %s},\n", gomaxprocs, cpus, simd, runs > out
     printf "%s\n}\n", body > out
   }
 '
