@@ -46,7 +46,11 @@ func runServe(args []string) {
 	regDir := fs.String("registry", "", "artifact registry directory: warm-start tenants from it and persist every published generation (empty disables)")
 	rollback := fs.Float64("rollback-factor", 0, "drift ratio that auto-rolls a tenant shard back one registry generation (0 = off; needs -registry)")
 	fs.Parse(args)
-	if err := checkServe(*regDir, *rollback); err != nil {
+	names := strings.Split(*tenants, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	if err := checkServe(names, *regDir, *rollback); err != nil {
 		fmt.Fprintf(os.Stderr, "learnhpc serve: %v\n", err)
 		os.Exit(2)
 	}
@@ -66,13 +70,8 @@ func runServe(args []string) {
 	})
 	defer fl.Close()
 	rng := repro.NewRand(7)
-	for _, name := range strings.Split(*tenants, ",") {
-		name = strings.TrimSpace(name)
-		f, ok := demoOracles[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "learnhpc serve: unknown tenant %q (have: potential, tissue, epi)\n", name)
-			os.Exit(2)
-		}
+	for _, name := range names {
+		f := demoOracles[name]
 		oracle := repro.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) { return f(x), nil }}
 		fac := repro.NewNNSurrogateFactory(2, 1, []int{32}, 0.1, rng, func(s *repro.NNSurrogate) {
 			s.Epochs = 120
@@ -160,11 +159,22 @@ func runServe(args []string) {
 	}
 }
 
-// checkServe rejects a -rollback-factor that could not do what it says: a
-// negative or non-finite one, or a positive one without the -registry its
-// rollbacks step back through (it would arm drift refits and never a
-// rollback).
-func checkServe(regDir string, rollback float64) error {
+// checkServe rejects, before the registry opens or a tenant trains, a
+// -tenants list with an unknown, empty or repeated name, and a
+// -rollback-factor that could not do what it says: a negative or
+// non-finite one, or a positive one without the -registry its rollbacks
+// step back through (it would arm drift refits and never a rollback).
+func checkServe(tenants []string, regDir string, rollback float64) error {
+	seen := map[string]bool{}
+	for _, name := range tenants {
+		if _, ok := demoOracles[name]; !ok {
+			return fmt.Errorf("-tenants: unknown tenant %q (have: potential, tissue, epi)", name)
+		}
+		if seen[name] {
+			return fmt.Errorf("-tenants: %q is listed twice", name)
+		}
+		seen[name] = true
+	}
 	if rollback < 0 || math.IsNaN(rollback) || math.IsInf(rollback, 0) {
 		return fmt.Errorf("-rollback-factor %v: need 0 (off) or a positive drift ratio", rollback)
 	}

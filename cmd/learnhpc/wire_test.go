@@ -6,26 +6,34 @@ import (
 	"time"
 )
 
-// serve must refuse, before it builds a tenant, a -rollback-factor that
-// would arm no rollback: a positive one without -registry, and a negative
-// or non-finite one.
+// serve must refuse, before it opens the registry or builds a tenant, a
+// tenant list it could not serve in full (an unknown, empty or repeated
+// name) and a -rollback-factor that would arm no rollback: a positive one
+// without -registry, and a negative or non-finite one.
 func TestCheckServe(t *testing.T) {
+	all := []string{"potential", "tissue", "epi"}
 	for _, c := range []struct {
+		tenants  []string
 		regDir   string
 		rollback float64
 		ok       bool
 	}{
-		{"", 0, true},
-		{"/reg", 0, true},
-		{"/reg", 3, true},
-		{"", 3, false},
-		{"", -1, false},
-		{"/reg", -1, false},
-		{"/reg", math.NaN(), false},
-		{"/reg", math.Inf(1), false},
+		{all, "", 0, true},
+		{all, "/reg", 0, true},
+		{all, "/reg", 3, true},
+		{[]string{"epi"}, "/reg", 0, true},
+		{all, "", 3, false},
+		{all, "", -1, false},
+		{all, "/reg", -1, false},
+		{all, "/reg", math.NaN(), false},
+		{all, "/reg", math.Inf(1), false},
+		{[]string{"potential", "bogus"}, "/reg", 0, false},
+		{[]string{"potential", ""}, "/reg", 0, false}, // -tenants potential,
+		{[]string{""}, "", 0, false},                  // -tenants ""
+		{[]string{"epi", "potential", "epi"}, "/reg", 0, false},
 	} {
-		if err := checkServe(c.regDir, c.rollback); (err == nil) != c.ok {
-			t.Errorf("checkServe(%q, %v) = %v, want ok %v", c.regDir, c.rollback, err, c.ok)
+		if err := checkServe(c.tenants, c.regDir, c.rollback); (err == nil) != c.ok {
+			t.Errorf("checkServe(%q, %q, %v) = %v, want ok %v", c.tenants, c.regDir, c.rollback, err, c.ok)
 		}
 	}
 }

@@ -272,12 +272,12 @@ func BenchmarkCompiledForward(b *testing.B) {
 
 	b.Run("compiled", func(b *testing.B) {
 		c := net.Compile()
-		dst := make([]float64, 3)
-		c.Predict(x, dst)
+		xs, dst := tensor.FromRows([][]float64{x}), tensor.NewMatrix(1, 3)
+		c.PredictBatch(xs, dst)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Predict(x, dst)
+			c.PredictBatch(xs, dst)
 		}
 	})
 }

@@ -197,14 +197,22 @@ func TestSpeedupCurveMonotone(t *testing.T) {
 
 func TestLedgerAccounting(t *testing.T) {
 	var l Ledger
-	l.RecordSimulation(100)
-	l.RecordSimulation(200)
+	// Oracle runs reach the ledger the way a fan-out charges them: two
+	// successful runs of 100 and 200 and one failure of 5, in one record.
+	var tally fanoutTally
+	tally.runs.Store(2)
+	tally.runTime.Store(300)
+	tally.failed.Store(1)
+	tally.failedTime.Store(5)
+	tally.charge(func(f func(*Ledger)) { f(&l) })
 	l.RecordLookup(2)
 	l.RecordLookup(4)
 	l.RecordLookup(6)
 	l.RecordTraining(1000, 2)
 	l.RecordRejectedLookup(1)
-	l.RecordFailedRun(5)
+	if l.NTrain != 2 || l.NFailed != 1 || l.FailedTime != 5 {
+		t.Fatalf("charged %d runs, %d failed in %v; want 2, 1 in 5ns", l.NTrain, l.NFailed, l.FailedTime)
+	}
 	if l.MeanSimTime() != 150 {
 		t.Fatalf("mean sim time %v", l.MeanSimTime())
 	}
@@ -241,11 +249,10 @@ func TestTaxonomyCategories(t *testing.T) {
 		MLaroundHPC:         MLforHPC,
 		MLControl:           MLforHPC,
 	}
-	all := AllInterfaces()
-	if len(all) != 6 {
-		t.Fatalf("%d interfaces want 6", len(all))
+	if int(HPCrunsML) != 0 || int(MLControl) != 5 {
+		t.Fatalf("interfaces number %d..%d, want 0..5", int(HPCrunsML), int(MLControl))
 	}
-	for _, i := range all {
+	for i := HPCrunsML; i <= MLControl; i++ {
 		if i.Category() != wantML[i] {
 			t.Fatalf("%v categorized as %v", i, i.Category())
 		}

@@ -56,12 +56,6 @@ type Ledger struct {
 	LearnSamples  int
 }
 
-// RecordSimulation charges one successful oracle run.
-func (l *Ledger) RecordSimulation(d time.Duration) {
-	l.NTrain++
-	l.SimTime += d
-}
-
 // RecordLookup charges one served surrogate inference.
 func (l *Ledger) RecordLookup(d time.Duration) {
 	l.NLookup++
@@ -72,12 +66,6 @@ func (l *Ledger) RecordLookup(d time.Duration) {
 func (l *Ledger) RecordRejectedLookup(d time.Duration) {
 	l.NRejected++
 	l.RejectedTime += d
-}
-
-// RecordFailedRun charges an oracle error.
-func (l *Ledger) RecordFailedRun(d time.Duration) {
-	l.NFailed++
-	l.FailedTime += d
 }
 
 // RecordTraining charges one surrogate fit over nSamples.

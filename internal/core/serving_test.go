@@ -43,7 +43,8 @@ func TestSurrogateCompiledPathMatchesInterpreted(t *testing.T) {
 	probe := []float64{0.4, -0.3}
 	got := Predict(sur, probe)
 	// Independent reference: the twin's own eval-mode program.
-	want := sur.yScaler.Inverse(net.Compile().Predict(sur.xScaler.TransformVec(probe), nil))
+	xs := tensor.FromRows([][]float64{sur.xScaler.TransformVec(probe)})
+	want := sur.yScaler.Inverse(net.Compile().PredictBatch(xs, nil).Data)
 	if math.Abs(got[0]-want[0]) > 1e-12 {
 		t.Fatalf("compiled Predict %g vs the twin network %g", got[0], want[0])
 	}

@@ -1265,8 +1265,8 @@ func (t *fanoutTally) run(oracle Oracle, x []float64) BatchResult {
 	return BatchResult{Y: y, Src: FromSimulation}
 }
 
-// charge folds the tally into the ledger: the same totals as one
-// RecordSimulation / RecordFailedRun per row.
+// charge folds the tally into the ledger: one successful run or failure
+// per row, and their oracle time.
 func (t *fanoutTally) charge(record func(func(*Ledger))) {
 	record(func(l *Ledger) {
 		l.NTrain += int(t.runs.Load())

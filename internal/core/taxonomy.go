@@ -75,8 +75,3 @@ func (c Category) String() string {
 	}
 	return "MLforHPC"
 }
-
-// AllInterfaces lists the six modes in paper order.
-func AllInterfaces() []Interface {
-	return []Interface{HPCrunsML, SimulationTrainedML, MLautotuning, MLafterHPC, MLaroundHPC, MLControl}
-}

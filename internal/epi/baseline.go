@@ -122,9 +122,6 @@ func (e *EpiFastLike) Calibrate(surveillance []float64, uptoWeek int) error {
 	return nil
 }
 
-// BestBeta returns the calibrated transmissibility.
-func (e *EpiFastLike) BestBeta() float64 { return e.bestBeta }
-
 // ForecastCounty returns the calibrated model's county incidence at week t.
 func (e *EpiFastLike) ForecastCounty(t int) ([]float64, error) {
 	if !e.calibrated {

@@ -208,17 +208,6 @@ func TestSimulateValidation(t *testing.T) {
 	}
 }
 
-func TestCompartmentCounts(t *testing.T) {
-	states := []State{Susceptible, Exposed, Infectious, Recovered, Infectious}
-	s, e, i, r := CompartmentCounts(states)
-	if s != 1 || e != 1 || i != 2 || r != 1 {
-		t.Fatalf("counts %d %d %d %d", s, e, i, r)
-	}
-	if s+e+i+r != len(states) {
-		t.Fatal("compartments do not partition population")
-	}
-}
-
 func TestSurveilProperties(t *testing.T) {
 	rng := xrand.New(5)
 	truth := []float64{0, 10, 100, 50, 5}
@@ -424,8 +413,8 @@ func TestEpiFastLikeCalibration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Calibrated beta should be within the grid around the truth.
-	if ef.BestBeta() < truthParams.Beta*0.4 || ef.BestBeta() > truthParams.Beta*2.1 {
-		t.Fatalf("calibrated beta %g far from truth %g", ef.BestBeta(), truthParams.Beta)
+	if ef.bestBeta < truthParams.Beta*0.4 || ef.bestBeta > truthParams.Beta*2.1 {
+		t.Fatalf("calibrated beta %g far from truth %g", ef.bestBeta, truthParams.Beta)
 	}
 	got, err := ef.ForecastCounty(7)
 	if err != nil {

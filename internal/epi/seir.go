@@ -145,21 +145,3 @@ func Simulate(net *Network, dp DiseaseParams, weeks int, seed uint64) (*SeasonRe
 	res.PeakWeek = peak
 	return res, nil
 }
-
-// CompartmentCounts tallies the current S/E/I/R totals of a state slice;
-// exposed for the conservation property test S+E+I+R == N.
-func CompartmentCounts(states []State) (s, e, i, r int) {
-	for _, st := range states {
-		switch st {
-		case Susceptible:
-			s++
-		case Exposed:
-			e++
-		case Infectious:
-			i++
-		case Recovered:
-			r++
-		}
-	}
-	return
-}

@@ -129,7 +129,7 @@ func TestFleetQueryRowsPanicContainment(t *testing.T) {
 		t.Fatalf("InFlight = %d after panic, want 0", st.InFlight)
 	}
 	// Still serving.
-	if r, err := f.Query("a", []float64{1, 1}); err != nil || r.Y[0] != 3 {
+	if r, err := f.query("a", []float64{1, 1}); err != nil || r.Y[0] != 3 {
 		t.Fatalf("post-panic query: %v %v", r, err)
 	}
 }
@@ -188,7 +188,7 @@ func TestFleetOracleWrongLengthKeepsServing(t *testing.T) {
 		}
 	}
 	within("the bad query", func() {
-		if r, err := f.Query("w", []float64{1, 0}); err == nil {
+		if r, err := f.query("w", []float64{1, 0}); err == nil {
 			t.Errorf("wrong-length answer %v served", r.Y)
 		}
 	})
@@ -198,7 +198,7 @@ func TestFleetOracleWrongLengthKeepsServing(t *testing.T) {
 		}
 	})
 	within("the next query", func() {
-		if r, err := f.Query("w", []float64{-1, 0}); err != nil || r.Y[0] != -1 {
+		if r, err := f.query("w", []float64{-1, 0}); err != nil || r.Y[0] != -1 {
 			t.Errorf("next query = (%v, %v), want the oracle's -1", r.Y, err)
 		}
 	})

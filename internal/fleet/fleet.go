@@ -152,7 +152,7 @@ func (t *tenant) observeN(d time.Duration, n int64) {
 }
 
 // Fleet is the multi-tenant serving registry. All methods are safe for
-// concurrent use; Query/QueryInto are safe to call concurrently with
+// concurrent use; QueryInto and QueryRows are safe to call concurrently with
 // Register, Deregister and Close (a query racing a Deregister of its own
 // tenant completes or fails with ErrUnknownTenant — never hangs).
 type Fleet struct {
@@ -331,19 +331,14 @@ func (f *Fleet) goneErr() error {
 	return ErrUnknownTenant
 }
 
-// Query submits one input point to the named tenant and blocks until its
-// micro-batch has been served. The returned Y/Std slices are
-// caller-owned. A panicking tenant backend is contained: the panic
-// surfaces as this tenant's error, not a process crash.
-func (f *Fleet) Query(name string, x []float64) (serve.Result, error) {
-	return f.QueryInto(name, x, nil, nil)
-}
-
-// QueryInto is the allocation-free form of Query — a burst of one through
-// QueryRows: the answer is copied into y (and, for surrogate answers,
-// std), which must each hold the tenant's output dimensionality (both
-// nil: a fresh array, which is Query). A steady-state caller reusing its
-// buffers performs zero heap allocations per query.
+// QueryInto submits one input point to the named tenant — a burst of one
+// through QueryRows — and blocks until its micro-batch has been served.
+// The answer is copied into y (and, for surrogate answers, std), which
+// must each hold the tenant's output dimensionality; both nil allocates
+// fresh caller-owned slices. A steady-state caller reusing its buffers
+// performs zero heap allocations per query. A panicking tenant backend is
+// contained: the panic surfaces as this tenant's error, not a process
+// crash.
 func (f *Fleet) QueryInto(name string, x, y, std []float64) (res serve.Result, err error) {
 	qerr := f.QueryRows(name, [][]float64{x}, nil, func(_ int, r serve.Result, rerr error) {
 		if res, err = r.CopyOut(y, std); rerr != nil {

@@ -17,6 +17,11 @@ import (
 	"repro/internal/xrand"
 )
 
+// query is one point through QueryInto, answered into fresh slices.
+func (f *Fleet) query(name string, x []float64) (serve.Result, error) {
+	return f.QueryInto(name, x, nil, nil)
+}
+
 // fakeBackend is a deterministic serve.Backend: y = scale*x0 + 2*x1,
 // with optional panic trigger, fixed delay and a block channel to hold
 // batches in flight. Its QueryBatchInto reuses row capacities, so warmed
@@ -71,15 +76,15 @@ func TestFleetRoutesTenants(t *testing.T) {
 		t.Fatalf("Tenants() = %v, want [epi pot]", got)
 	}
 	x := []float64{0.5, 0.25}
-	r, err := f.Query("pot", x)
+	r, err := f.query("pot", x)
 	if err != nil || math.Abs(r.Y[0]-1.0) > 1e-15 {
 		t.Fatalf("pot answered (%v, %v), want 1.0", r.Y, err)
 	}
-	r, err = f.Query("epi", x)
+	r, err = f.query("epi", x)
 	if err != nil || math.Abs(r.Y[0]-(-1.0)) > 1e-15 {
 		t.Fatalf("epi answered (%v, %v), want -1.0", r.Y, err)
 	}
-	if _, err := f.Query("ghost", x); !errors.Is(err, ErrUnknownTenant) {
+	if _, err := f.query("ghost", x); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown tenant returned %v, want ErrUnknownTenant", err)
 	}
 	st, err := f.TenantStats("pot")
@@ -105,7 +110,7 @@ func TestFleetAdmissionBound(t *testing.T) {
 	results := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(i int) {
-			_, err := f.Query("hot", []float64{float64(i), 0})
+			_, err := f.query("hot", []float64{float64(i), 0})
 			results <- err
 		}(g)
 	}
@@ -150,15 +155,15 @@ func TestFleetPanicIsolation(t *testing.T) {
 	if err := f.Register("good", &fakeBackend{scale: 2}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := f.Query("bad", []float64{9, 0})
+	_, err := f.query("bad", []float64{9, 0})
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("poisoned query returned %v, want contained panic error", err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := f.Query("good", []float64{1, 1}); err != nil {
+		if _, err := f.query("good", []float64{1, 1}); err != nil {
 			t.Fatalf("neighbour tenant failed after panic: %v", err)
 		}
-		if _, err := f.Query("bad", []float64{1, 1}); err != nil {
+		if _, err := f.query("bad", []float64{1, 1}); err != nil {
 			t.Fatalf("panicking tenant failed on healthy input: %v", err)
 		}
 	}
@@ -183,14 +188,14 @@ func TestFleetStallIsolation(t *testing.T) {
 	}
 	stuckDone := make(chan error, 1)
 	go func() {
-		_, err := f.Query("stuck", []float64{1, 1})
+		_, err := f.query("stuck", []float64{1, 1})
 		stuckDone <- err
 	}()
 	for stuck.batches.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	for i := 0; i < 200; i++ {
-		if _, err := f.Query("live", []float64{1, 1}); err != nil {
+		if _, err := f.query("live", []float64{1, 1}); err != nil {
 			t.Fatalf("live tenant blocked behind stuck tenant: %v", err)
 		}
 	}
@@ -231,7 +236,7 @@ func TestFleetConcurrentDeregisterQuery(t *testing.T) {
 				}
 				name := names[rng.Intn(len(names))]
 				x := []float64{rng.Range(-1, 1), rng.Range(-1, 1)}
-				r, err := f.Query(name, x)
+				r, err := f.query(name, x)
 				switch {
 				case err == nil:
 					want := scales[name]*x[0] + 2*x[1]
@@ -265,7 +270,7 @@ func TestFleetConcurrentDeregisterQuery(t *testing.T) {
 	if err := f.Register("late", &fakeBackend{scale: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close Register returned %v, want ErrClosed", err)
 	}
-	if _, err := f.Query("a", []float64{0, 0}); !errors.Is(err, ErrClosed) {
+	if _, err := f.query("a", []float64{0, 0}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-Close Query returned %v, want ErrClosed", err)
 	}
 }
@@ -333,7 +338,7 @@ func TestFleetStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := f.Query("s", []float64{1, 1}); err != nil {
+		if _, err := f.query("s", []float64{1, 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,7 +403,7 @@ func TestFleetAgainstWrapper(t *testing.T) {
 			crng := xrand.New(seed)
 			for i := 0; i < 50; i++ {
 				x := []float64{crng.Range(-1, 1), crng.Range(-1, 1)}
-				r, err := f.Query("w", x)
+				r, err := f.query("w", x)
 				if err != nil {
 					t.Error(err)
 					return
@@ -451,10 +456,10 @@ func TestFleetQuantStats(t *testing.T) {
 	const n = 12
 	for i := 0; i < n; i++ {
 		x := []float64{rng.Range(-1, 1), rng.Range(-1, 1)}
-		if _, err := f.Query("q", x); err != nil {
+		if _, err := f.query("q", x); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.Query("plain", x); err != nil {
+		if _, err := f.query("plain", x); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -536,7 +541,7 @@ func TestFleetOverloadedError(t *testing.T) {
 	done := make(chan struct{})
 	go func() { // occupy the single admission slot
 		defer close(done)
-		f.Query("busy", []float64{1, 1})
+		f.query("busy", []float64{1, 1})
 	}()
 	// Wait until the occupier is admitted so the probe below cannot win
 	// the slot itself and block in the backend.
@@ -553,7 +558,7 @@ func TestFleetOverloadedError(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, shedErr := f.Query("busy", []float64{1, 1})
+	_, shedErr := f.query("busy", []float64{1, 1})
 	bk.blockOn.Store(false)
 	close(bk.block)
 	<-done

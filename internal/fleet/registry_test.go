@@ -106,7 +106,7 @@ func TestBindRegistryPublishAndWarmStart(t *testing.T) {
 		t.Fatalf("warmed %d shards, want 1", warmed)
 	}
 	for i := 0; i < 10; i++ {
-		res, err := f2.Query("pot", []float64{-0.4 + 0.08*float64(i), 0.2})
+		res, err := f2.query("pot", []float64{-0.4 + 0.08*float64(i), 0.2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestBindRegistryDriftAutoRollback(t *testing.T) {
 		t.Fatalf("registry generation %d after rollback, want 1", st.RegistryGeneration)
 	}
 	// The reinstalled predecessor serves.
-	if res, err := f.Query("epi", []float64{0.1, -0.3}); err != nil || res.Src != core.FromSurrogate {
+	if res, err := f.query("epi", []float64{0.1, -0.3}); err != nil || res.Src != core.FromSurrogate {
 		t.Fatalf("post-rollback query: src=%v err=%v", res.Src, err)
 	}
 }

@@ -66,13 +66,6 @@ func (s *System) clampToSlit() {
 	}
 }
 
-// Steps runs n timesteps.
-func (s *System) Steps(n int) {
-	for i := 0; i < n; i++ {
-		s.Step()
-	}
-}
-
 // RunConfig controls a production run.
 type RunConfig struct {
 	// EquilSteps are discarded before sampling begins.
@@ -85,12 +78,6 @@ type RunConfig struct {
 	SampleEvery int
 	// Bins is the number of z-bins for the density profile.
 	Bins int
-}
-
-// DefaultRunConfig is a short but adequate production schedule for the
-// laptop-scale reproduction.
-func DefaultRunConfig() RunConfig {
-	return RunConfig{EquilSteps: 400, SampleSteps: 1200, SampleEvery: 10, Bins: 40}
 }
 
 // Result carries the observables of one production run: the paper's three

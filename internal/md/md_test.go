@@ -9,6 +9,13 @@ import (
 	"repro/internal/stats"
 )
 
+// steps runs n timesteps.
+func (s *System) steps(n int) {
+	for i := 0; i < n; i++ {
+		s.Step()
+	}
+}
+
 func testParams() Params {
 	return Params{H: 6, Zp: 1, Zn: 1, C: 0.05, D: 1.0}
 }
@@ -116,7 +123,7 @@ func TestDeterministicTrajectories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Steps(50)
+		s.steps(50)
 		out := make([]float64, len(s.Pos))
 		copy(out, s.Pos)
 		return out
@@ -134,7 +141,7 @@ func TestThermostatMaintainsTemperature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Steps(300) // equilibrate
+	s.steps(300) // equilibrate
 	var w stats.Welford
 	for i := 0; i < 500; i++ {
 		s.Step()
@@ -171,7 +178,7 @@ func TestForcesFiniteAndNewtonish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Steps(100)
+	s.steps(100)
 	s.ComputeForces()
 	// All forces finite.
 	for i, f := range s.Force {
@@ -199,7 +206,7 @@ func TestParallelForcesMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Steps(20)
+		s.steps(20)
 		s.ComputeForces()
 		out := make([]float64, len(s.Force))
 		copy(out, s.Force)
@@ -221,7 +228,7 @@ func TestCellListMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Steps(30)
+	s.steps(30)
 	s.ComputeForces()
 	got := make([]float64, len(s.Force))
 	copy(got, s.Force)
@@ -374,7 +381,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Run(ctx, DefaultRunConfig()); err == nil {
+	if _, err := s.Run(ctx, RunConfig{EquilSteps: 400, SampleSteps: 1200, SampleEvery: 10, Bins: 40}); err == nil {
 		t.Fatal("cancelled run should error")
 	}
 }
@@ -427,7 +434,7 @@ func TestOracleRun(t *testing.T) {
 }
 
 func TestOracleRejectsBadInput(t *testing.T) {
-	o := NewOracle(testConfig(), DefaultRunConfig())
+	o := NewOracle(testConfig(), RunConfig{EquilSteps: 400, SampleSteps: 1200, SampleEvery: 10, Bins: 40})
 	if _, err := o.Run([]float64{6, 1, 1}); err == nil {
 		t.Fatal("short input accepted")
 	}
@@ -474,10 +481,10 @@ func TestBlockingBeyondAutocorrelationTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Steps(200)
+	s.steps(200)
 	series := make([]float64, 400)
 	for i := range series {
-		s.Steps(50)
+		s.steps(50)
 		series[i] = s.Vel[0] // x-velocity of particle 0
 	}
 	tau := stats.IntegratedAutocorrTime(series)

@@ -71,9 +71,6 @@ func (h *Hist) Merge(o *Hist) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Hist) Count() int64 { return h.n }
-
 // Max returns the largest recorded sample.
 func (h *Hist) Max() time.Duration { return time.Duration(h.max) }
 

@@ -693,8 +693,8 @@ func TestHistPercentiles(t *testing.T) {
 	for i := int64(1); i <= 100000; i++ {
 		h.Record(i)
 	}
-	if h.Count() != 100000 {
-		t.Fatalf("count %d", h.Count())
+	if h.n != 100000 {
+		t.Fatalf("count %d", h.n)
 	}
 	for _, tc := range []struct {
 		p    float64
@@ -712,8 +712,8 @@ func TestHistPercentiles(t *testing.T) {
 		b.Record(1000)
 	}
 	a.Merge(&b)
-	if a.Count() != 2000 {
-		t.Fatalf("merged count %d", a.Count())
+	if a.n != 2000 {
+		t.Fatalf("merged count %d", a.n)
 	}
 	if p := a.Percentile(0.25); p != 10 {
 		t.Fatalf("merged p25 = %v", p)

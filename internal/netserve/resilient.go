@@ -398,7 +398,8 @@ func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *transport)
 		}
 		tr, sl := rc.pick()
 		if tr == nil {
-			last = ErrNoConn
+			// No live connection: keep the error of an earlier attempt
+			// that reached one; last is still ErrNoConn if none did.
 			continue
 		}
 		err := call(tr)

@@ -2,6 +2,8 @@ package netserve
 
 import (
 	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,6 +303,38 @@ func TestResilientDeadlineBound(t *testing.T) {
 	}
 	if el := time.Since(start); el > 500*time.Millisecond {
 		t.Fatalf("deadline-bounded retry took %v, want well under the backoff ladder", el)
+	}
+}
+
+// TestResilientRetryKeepsConnLost: a query whose attempt reached a
+// connection and lost it reports that loss, not ErrNoConn, when its
+// retries then find no live connection. The dialer succeeds once and
+// refuses every redial, so the retries always find the slot empty.
+func TestResilientRetryKeepsConnLost(t *testing.T) {
+	bk := &testBackend{in: 2, out: 1}
+	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
+	inj := chaos.New(9)
+	var dialed atomic.Bool
+	rc, err := DialResilient(addr, ResilientConfig{
+		Conns: 1,
+		Client: ClientConfig{Dialer: inj.Dialer(func(addr string, timeout time.Duration) (net.Conn, error) {
+			if dialed.Swap(true) {
+				return nil, errors.New("redial refused")
+			}
+			return net.DialTimeout("tcp", addr, timeout)
+		})},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	inj.KillAll()
+	_, qerr := rc.QueryInto("m", []float64{1, 2}, make([]float64, 1), nil, time.Time{})
+	if !errors.Is(qerr, ErrConnLost) {
+		t.Fatalf("query through a lost, unrepairable connection returned %v, want its ErrConnLost", qerr)
+	}
+	if st := rc.Stats(); st.Retries != maxAttempts-1 || st.Live != 0 {
+		t.Fatalf("%+v: want %d retries and no live connection", st, maxAttempts-1)
 	}
 }
 

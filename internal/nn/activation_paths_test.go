@@ -63,7 +63,7 @@ func TestActivationPathsAgree(t *testing.T) {
 		}
 		c := net.Compile()
 		for r := 0; r < rows; r++ {
-			same("Compiled row", c.Predict(x.Row(r), nil), r)
+			same("Compiled row", c.predict(x.Row(r), nil), r)
 		}
 		for r, out := 0, c.PredictBatch(x, nil); r < rows; r++ {
 			same("Compiled batch", out.Row(r), r)

@@ -46,9 +46,9 @@ func TestEncodeArtifactSizedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if limit := 8*wide.NumParams() + len(a.Meta) + 512; len(data) > limit {
+	if limit := 8*len(wide.slab) + len(a.Meta) + 512; len(data) > limit {
 		t.Fatalf("artifact of %d bytes for %d parameters, want at most %d: the weights are stored more than once",
-			len(data), wide.NumParams(), limit)
+			len(data), len(wide.slab), limit)
 	}
 	h := fnv.New64a()
 	h.Write(data)
@@ -112,8 +112,8 @@ func TestArtifactRoundTripBitIdentical(t *testing.T) {
 		for j := range x {
 			x[j] = rng.Range(-1.5, 1.5)
 		}
-		a.Compiled.Predict(x, want)
-		got.Compiled.Predict(x, have)
+		a.Compiled.predict(x, want)
+		got.Compiled.predict(x, have)
 		for j := range want {
 			if want[j] != have[j] {
 				t.Fatalf("float predict diverged at %d: %v vs %v", j, want[j], have[j])
@@ -133,7 +133,7 @@ func TestArtifactRoundTripBitIdentical(t *testing.T) {
 	// The restored program holds the trained weights: it matches the
 	// encoder's layer graph, the reference, in eval mode.
 	out := evalRow(net, x)
-	got.Compiled.Predict(x, have)
+	got.Compiled.predict(x, have)
 	for j := range out {
 		if math.Abs(out[j]-have[j]) > 1e-12 {
 			t.Fatalf("restored weights drifted: %v vs %v", have[j], out[j])
@@ -234,8 +234,8 @@ func TestArtifactBitFlipDetected(t *testing.T) {
 			a, _ := DecodeArtifact(data)
 			b, _ := DecodeArtifact(mut)
 			x := []float64{0.3, -0.7, 0.9}
-			av := a.Compiled.Predict(x, nil)
-			bv := b.Compiled.Predict(x, nil)
+			av := a.Compiled.predict(x, nil)
+			bv := b.Compiled.predict(x, nil)
 			for j := range av {
 				if av[j] != bv[j] {
 					t.Fatalf("flip at %d undetected but changed output", pos)
@@ -409,7 +409,7 @@ func FuzzArtifactDecode(f *testing.F) {
 		}
 		// A successful decode must yield a servable program set.
 		in, _ := a.Compiled.Dims()
-		a.Compiled.Predict(make([]float64, in), nil)
+		a.Compiled.predict(make([]float64, in), nil)
 		if a.Quant != nil {
 			in, _ := a.Quant.Dims()
 			a.Quant.Predict(make([]float64, in), nil)

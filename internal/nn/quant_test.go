@@ -82,7 +82,7 @@ func TestQuantErrorBoundProperty(t *testing.T) {
 				continue // outside the calibrated envelope: bound not promised
 			}
 			served++
-			c.Predict(x, fout)
+			c.predict(x, fout)
 			for j := range qout {
 				if d := math.Abs(qout[j] - fout[j]); d > bound {
 					t.Fatalf("seed %d trial %d out %d: |quant-float| = %g exceeds bound %g",

@@ -53,7 +53,7 @@ func TestSerializeCompileRoundTrip(t *testing.T) {
 			batch := cb.PredictBatch(probe, nil)
 			for i := 0; i < probe.Rows; i++ {
 				want := evalRow(net, probe.Row(i))
-				single := c.Predict(probe.Row(i), nil)
+				single := c.predict(probe.Row(i), nil)
 				for j := range want {
 					if math.Abs(single[j]-want[j]) > 1e-12 {
 						t.Fatalf("row %d out %d: restored compiled %g vs original %g", i, j, single[j], want[j])

@@ -223,16 +223,6 @@ func TestSGDRecoversPlantedWeights(t *testing.T) {
 	}
 }
 
-func TestReplicaDivergence(t *testing.T) {
-	a := [][]float64{{1, 2}, {1, 2.5}, {1, 2}}
-	if d := ReplicaDivergence(a); math.Abs(d-0.5) > 1e-12 {
-		t.Fatalf("divergence %g want 0.5", d)
-	}
-	if d := ReplicaDivergence([][]float64{{1}, {1}}); d != 0 {
-		t.Fatalf("identical replicas diverge %g", d)
-	}
-}
-
 func BenchmarkRingAllreduce8x1024(b *testing.B) {
 	const p, n = 8, 1024
 	ring := NewRingAllreducer(p)

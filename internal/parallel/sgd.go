@@ -307,19 +307,3 @@ func RunSGD(p *SGDProblem, model SyncModel, cfg SGDConfig) (*Trace, error) {
 	}
 	return tr, nil
 }
-
-// ReplicaDivergence measures the maximum pairwise infinity-norm distance
-// between worker model replicas; for the Allreduce model this must be ~0.
-func ReplicaDivergence(replicas [][]float64) float64 {
-	worst := 0.0
-	for i := 0; i < len(replicas); i++ {
-		for j := i + 1; j < len(replicas); j++ {
-			for k := range replicas[i] {
-				if d := math.Abs(replicas[i][k] - replicas[j][k]); d > worst {
-					worst = d
-				}
-			}
-		}
-	}
-	return worst
-}

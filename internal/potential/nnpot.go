@@ -42,12 +42,6 @@ func NewNNPotential(sf *SymmetryFunctions, hidden []int, rng *xrand.Rand) *NNPot
 	return &NNPotential{SF: sf, Hidden: hidden, Epochs: 150, LR: 3e-3, rng: rng}
 }
 
-// Trained reports whether Fit has succeeded.
-func (p *NNPotential) Trained() bool { return p.trained }
-
-// TrainingSetSize returns the number of configurations last fitted.
-func (p *NNPotential) TrainingSetSize() int { return p.trainSeen }
-
 // Fit trains the atomic network so that summed atomic energies match the
 // provided total energies. Each configuration is one training unit; the
 // per-atom gradient is the standard sum-pooled MSE gradient. A fit whose

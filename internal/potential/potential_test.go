@@ -197,7 +197,7 @@ func TestNNPotentialLearnsOracle(t *testing.T) {
 	if err := p.Fit(trainC, trainE); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Trained() || p.TrainingSetSize() != 120 {
+	if !p.trained || p.trainSeen != 120 {
 		t.Fatal("training state wrong")
 	}
 	mae := p.MAE(testC, testE)

@@ -474,28 +474,6 @@ func (r *Registry) CurrentGeneration(name string) (uint64, bool) {
 	return st.cur, st.cur != 0
 }
 
-// Generations lists the committed generations of name present on disk,
-// ascending.
-func (r *Registry) Generations(name string) ([]uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	st := r.loadStateLocked(name)
-	gens, err := r.scanGens(r.nameDir(name))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []uint64
-	for _, g := range gens {
-		if g <= st.cur {
-			out = append(out, g)
-		}
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------------
 // wire serving: generation-addressed fetch and follower replay
 

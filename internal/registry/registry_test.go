@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
 
@@ -62,7 +63,7 @@ func TestPublishLatestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Compiled.Predict([]float64{0.1, -0.2}, nil)
+	a.Compiled.PredictBatch(tensor.FromRows([][]float64{{0.1, -0.2}}), nil)
 	if _, err := r.Latest("nope"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing name: %v", err)
 	}
@@ -97,7 +98,7 @@ func TestGCRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gens, err := r.Generations("m")
+	gens, err := r.scanGens(r.nameDir("m"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -568,9 +568,3 @@ func (cc *clientConn) flush() {
 	}
 	cc.wmu.Unlock()
 }
-
-// unanswered releases one in-flight slot without a response write —
-// the caller's connection is gone.
-func (cc *clientConn) unanswered() {
-	cc.inflight.Add(-1)
-}

@@ -23,6 +23,38 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
+// matMul is a*b into a fresh matrix through MatMulInto.
+func matMul(a, b *Matrix) *Matrix { return MatMulInto(NewMatrix(a.Rows, b.Cols), a, b) }
+
+// transpose returns mᵀ as a new matrix.
+func transpose(m *Matrix) *Matrix {
+	t := NewMatrix(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return t
+}
+
+// norm2 is the Euclidean norm of x.
+func norm2(x []float64) float64 {
+	s := 0.0
+	for _, v := range x {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+// normInf is the largest absolute element of x.
+func normInf(x []float64) float64 {
+	m := 0.0
+	for _, v := range x {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
+}
+
 func randKernelMatrix(rng *xrand.Rand, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := range m.Data {
@@ -63,7 +95,7 @@ func TestMatMulATBIntoMatchesNaive(t *testing.T) {
 	for _, s := range kernelShapes {
 		a := randKernelMatrix(rng, s.n, s.m) // aᵀ is m x n
 		b := randKernelMatrix(rng, s.n, s.p)
-		want := naiveMatMul(a.T(), b)
+		want := naiveMatMul(transpose(a), b)
 		dst := randKernelMatrix(rng, s.m, s.p)
 		got := MatMulATBInto(dst, a, b)
 		if !Equal(got, want, 1e-10) {
@@ -77,7 +109,7 @@ func TestMatMulABTIntoMatchesNaive(t *testing.T) {
 	for _, s := range kernelShapes {
 		a := randKernelMatrix(rng, s.n, s.m)
 		b := randKernelMatrix(rng, s.p, s.m) // bᵀ is m x p
-		want := naiveMatMul(a, b.T())
+		want := naiveMatMul(a, transpose(b))
 		dst := randKernelMatrix(rng, s.n, s.p)
 		got := MatMulABTInto(dst, a, b)
 		if !Equal(got, want, 1e-10) {

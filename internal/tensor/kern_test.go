@@ -498,7 +498,6 @@ func TestKernelsZeroLength(t *testing.T) {
 	axpyPanel4(1, 2, 3, 4, none, none, none, none, none)
 	AxpyPanels(none, none, none)
 	axpy4(1, none, none)
-	Axpy(1, []float64{}, []float64{})
 	AxpyPanels(none, []float64{1, 2, 3, 4, 5}, none)
 	if Dot(none, none) != 0 {
 		t.Fatal("empty dot")

@@ -34,7 +34,7 @@ func TestMatMulBiasIntoMatchesComposition(t *testing.T) {
 		if n > 2 {
 			bias[p-1] = math.Copysign(0, -1) // -0 + 0·b would be +0, the skipped axpy leaves -0
 		}
-		want := MatMul(a, b)
+		want := matMul(a, b)
 		for i := 0; i < n; i++ {
 			row := want.Row(i)
 			for j := range row {

@@ -221,38 +221,6 @@ func (m *Matrix) SliceRows(lo, hi int) *Matrix {
 	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols : hi*m.Cols]}
 }
 
-// T returns the transpose as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return t
-}
-
-// Add stores a+b into dst (all same shape) and returns dst. dst may alias
-// a or b. If dst is nil a new matrix is allocated.
-func Add(dst, a, b *Matrix) *Matrix {
-	sameShape(a, b)
-	dst = ensure(dst, a.Rows, a.Cols)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] + b.Data[i]
-	}
-	return dst
-}
-
-// Sub stores a-b into dst and returns dst.
-func Sub(dst, a, b *Matrix) *Matrix {
-	sameShape(a, b)
-	dst = ensure(dst, a.Rows, a.Cols)
-	for i := range a.Data {
-		dst.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return dst
-}
-
 // Hadamard stores the element-wise product a*b into dst and returns dst.
 func Hadamard(dst, a, b *Matrix) *Matrix {
 	sameShape(a, b)
@@ -264,33 +232,10 @@ func Hadamard(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// Scale stores s*a into dst and returns dst.
-func Scale(dst *Matrix, s float64, a *Matrix) *Matrix {
-	dst = ensure(dst, a.Rows, a.Cols)
-	for i := range a.Data {
-		dst.Data[i] = s * a.Data[i]
-	}
-	return dst
-}
-
-// Apply stores f(a[i]) into dst element-wise and returns dst.
-func Apply(dst, a *Matrix, f func(float64) float64) *Matrix {
-	dst = ensure(dst, a.Rows, a.Cols)
-	for i := range a.Data {
-		dst.Data[i] = f(a.Data[i])
-	}
-	return dst
-}
-
-// MatMul returns a*b using the ikj loop of panelRows.
-func MatMul(a, b *Matrix) *Matrix {
-	return MatMulInto(NewMatrix(a.Rows, b.Cols), a, b)
-}
-
 // MatMulInto stores a*b into dst and returns dst. dst must be a.Rows x
 // b.Cols and must not alias a or b; its prior contents are overwritten.
-// The kernel is the same ikj loop as MatMul but performs no allocation,
-// so hot loops can reuse one dst across steps.
+// It performs no allocation, so hot loops can reuse one dst across
+// steps.
 func MatMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -577,23 +522,6 @@ func dotTiles(dst, a, b *Matrix, lo, hi, mv int) {
 // benchmark/.
 var ParallelWorkers int
 
-// MulVec returns a * x for a column vector x (len == a.Cols).
-func MulVec(a *Matrix, x []float64) []float64 {
-	if len(x) != a.Cols {
-		panic("tensor: mulvec shape mismatch")
-	}
-	out := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Dot returns the inner product of two equal-length vectors.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -621,14 +549,6 @@ func dot4(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("tensor: axpy length mismatch")
-	}
-	axpy4(alpha, x, y)
 }
 
 // axpyPanel4 computes y += a0*b0 + a1*b1 + a2*b2 + a3*b3 in one sweep:
@@ -662,29 +582,6 @@ func axpy4(alpha float64, x, y []float64) {
 		y[i] += alpha * x[i]
 	}
 }
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum absolute element of x.
-func NormInf(x []float64) float64 {
-	m := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func FrobeniusNorm(m *Matrix) float64 { return Norm2(m.Data) }
 
 // Equal reports whether two matrices have the same shape and all elements
 // within tol of each other.

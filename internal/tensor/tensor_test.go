@@ -87,7 +87,7 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	tr := m.T()
+	tr := transpose(m)
 	if tr.Rows != 3 || tr.Cols != 2 {
 		t.Fatalf("transpose shape %dx%d", tr.Rows, tr.Cols)
 	}
@@ -103,7 +103,7 @@ func TestTranspose(t *testing.T) {
 func TestMatMulKnown(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := MatMul(a, b)
+	c := matMul(a, b)
 	want := FromRows([][]float64{{19, 22}, {43, 50}})
 	if !Equal(c, want, 1e-12) {
 		t.Fatalf("matmul got %v", c.Data)
@@ -117,7 +117,7 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		id.Set(i, i, 1)
 	}
-	if !Equal(MatMul(a, id), a, 1e-12) || !Equal(MatMul(id, a), a, 1e-12) {
+	if !Equal(matMul(a, id), a, 1e-12) || !Equal(matMul(id, a), a, 1e-12) {
 		t.Fatal("identity multiply changed matrix")
 	}
 }
@@ -128,7 +128,7 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("mismatched matmul did not panic")
 		}
 	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
+	matMul(NewMatrix(2, 3), NewMatrix(2, 3))
 }
 
 // Property: parallel blocked matmul agrees with naive triple loop.
@@ -140,7 +140,7 @@ func TestMatMulMatchesNaiveQuick(t *testing.T) {
 		p := int(pr%40) + 1
 		a := randomMatrix(rng, m, n)
 		b := randomMatrix(rng, n, p)
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		want := NewMatrix(m, p)
 		for i := 0; i < m; i++ {
 			for j := 0; j < p; j++ {
@@ -166,8 +166,8 @@ func TestTransposeProductIdentityQuick(t *testing.T) {
 		p := int(pr%20) + 1
 		a := randomMatrix(rng, m, n)
 		b := randomMatrix(rng, n, p)
-		left := MatMul(a, b).T()
-		right := MatMul(b.T(), a.T())
+		left := transpose(matMul(a, b))
+		right := matMul(transpose(b), transpose(a))
 		return Equal(left, right, 1e-9)
 	}, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestMatMulLargeParallel(t *testing.T) {
 	rng := xrand.New(4)
 	a := randomMatrix(rng, 97, 53)
 	b := randomMatrix(rng, 53, 61)
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	want := NewMatrix(97, 61)
 	matMulBiasRange(want, a, b, nil, 0, 97)
 	if !Equal(got, want, 1e-9) {
@@ -211,45 +211,15 @@ func TestMatMulZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestAddSubHadamardScale(t *testing.T) {
+func TestHadamard(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
 	b := FromRows([][]float64{{10, 20}, {30, 40}})
-	if got := Add(nil, a, b); !Equal(got, FromRows([][]float64{{11, 22}, {33, 44}}), 0) {
-		t.Fatal("Add wrong")
-	}
-	if got := Sub(nil, b, a); !Equal(got, FromRows([][]float64{{9, 18}, {27, 36}}), 0) {
-		t.Fatal("Sub wrong")
-	}
 	if got := Hadamard(nil, a, b); !Equal(got, FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
 		t.Fatal("Hadamard wrong")
 	}
-	if got := Scale(nil, 2, a); !Equal(got, FromRows([][]float64{{2, 4}, {6, 8}}), 0) {
-		t.Fatal("Scale wrong")
-	}
-}
-
-func TestAddAliasingDst(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
-	b := FromRows([][]float64{{3, 4}})
-	Add(a, a, b) // dst aliases a
-	if !Equal(a, FromRows([][]float64{{4, 6}}), 0) {
-		t.Fatal("aliased Add wrong")
-	}
-}
-
-func TestApply(t *testing.T) {
-	a := FromRows([][]float64{{1, 4}, {9, 16}})
-	got := Apply(nil, a, math.Sqrt)
-	if !Equal(got, FromRows([][]float64{{1, 2}, {3, 4}}), 1e-12) {
-		t.Fatal("Apply wrong")
-	}
-}
-
-func TestMulVec(t *testing.T) {
-	a := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	got := MulVec(a, []float64{1, 0, -1})
-	if got[0] != -2 || got[1] != -2 {
-		t.Fatalf("MulVec got %v", got)
+	Hadamard(a, a, b) // dst aliases a
+	if !Equal(a, FromRows([][]float64{{10, 40}, {90, 160}}), 0) {
+		t.Fatal("aliased Hadamard wrong")
 	}
 }
 
@@ -259,23 +229,16 @@ func TestDotAxpyNorms(t *testing.T) {
 	if Dot(x, y) != 11 {
 		t.Fatalf("Dot = %g", Dot(x, y))
 	}
-	if Norm2(x) != 3 {
-		t.Fatalf("Norm2 = %g", Norm2(x))
+	if norm2(x) != 3 {
+		t.Fatalf("norm2 = %g", norm2(x))
 	}
-	if NormInf(y) != 4 {
-		t.Fatalf("NormInf = %g", NormInf(y))
+	if normInf(y) != 4 {
+		t.Fatalf("normInf = %g", normInf(y))
 	}
 	z := []float64{1, 1, 1}
-	Axpy(2, x, z)
+	axpy4(2, x, z)
 	if z[0] != 3 || z[1] != 5 || z[2] != 5 {
-		t.Fatalf("Axpy got %v", z)
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromRows([][]float64{{3, 0}, {0, 4}})
-	if FrobeniusNorm(m) != 5 {
-		t.Fatalf("Frobenius = %g", FrobeniusNorm(m))
+		t.Fatalf("axpy4 got %v", z)
 	}
 }
 
@@ -318,7 +281,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	y := randomMatrix(rng, 64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		matMul(x, y)
 	}
 }
 
@@ -328,6 +291,6 @@ func BenchmarkMatMul256(b *testing.B) {
 	y := randomMatrix(rng, 256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMul(x, y)
+		matMul(x, y)
 	}
 }

@@ -54,15 +54,6 @@ func (f *Field) Clone() *Field {
 	return c
 }
 
-// Total returns the integral of u over the domain (sum * cell area).
-func (f *Field) Total() float64 {
-	s := 0.0
-	for _, v := range f.U {
-		s += v
-	}
-	return s * f.H * f.H
-}
-
 // L2Diff returns the root-mean-square difference between two fields of
 // identical shape.
 func L2Diff(a, b *Field) float64 {
@@ -206,21 +197,6 @@ func Restrict(f *Field) *Field {
 		}
 	}
 	return c
-}
-
-// Prolong returns the 2× refined field (piecewise-constant injection).
-func Prolong(c *Field) *Field {
-	f := NewField(c.NX*2, c.NY*2, c.H/2)
-	for j := 0; j < c.NY; j++ {
-		for i := 0; i < c.NX; i++ {
-			v := c.At(i, j)
-			f.Set(2*i, 2*j, v)
-			f.Set(2*i+1, 2*j, v)
-			f.Set(2*i, 2*j+1, v)
-			f.Set(2*i+1, 2*j+1, v)
-		}
-	}
-	return f
 }
 
 // GaussianBump initializes the field with a Gaussian blob, the standard

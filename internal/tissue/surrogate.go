@@ -127,25 +127,6 @@ func (ls *LearnedStencil) Train(proto *Field, fineSolver *Solver, tc TrainConfig
 	return nil
 }
 
-// Snapshot returns an independent trained stencil: it shares the
-// immutable compiled program (a retrain compiles a new one, so the
-// original can keep training or be discarded while snapshots serve) and
-// owns its batch workspaces; give each goroutine its own snapshot to run
-// Advance in parallel — orders of magnitude cheaper than retraining per
-// goroutine.
-func (ls *LearnedStencil) Snapshot() *LearnedStencil {
-	if !ls.trained {
-		panic("tissue: Snapshot of untrained stencil")
-	}
-	return &LearnedStencil{
-		K: ls.K, Patch: ls.Patch, Hidden: ls.Hidden,
-		prog:    ls.prog,
-		scaler:  ls.scaler, // read-only after Train
-		trained: true,
-		rng:     ls.rng.Split(),
-	}
-}
-
 // Advance implements MacroStepper: each call jumps the field K micro-steps
 // using one learned sweep. k must be a multiple of K. The sweep reuses
 // stencil-owned workspaces, so a LearnedStencil is NOT safe for
@@ -185,33 +166,4 @@ func (ls *LearnedStencil) Advance(f *Field, k int) {
 			f.U[idx] = v
 		}
 	}
-}
-
-// ShortCircuitResult compares explicit and surrogate transport for E9.
-type ShortCircuitResult struct {
-	L2Error        float64 // field RMS error after the horizon
-	ExplicitSteps  int
-	SurrogateJumps int
-}
-
-// CompareShortCircuit runs the same initial field through K*jumps explicit
-// fine micro-steps and through the coarse learned stencil, returning the
-// coarse-grid L2 error. fineSolver must match the fine grid, the stencil
-// the coarse grid.
-func CompareShortCircuit(init *Field, fineSolver *Solver, ls *LearnedStencil, jumps int) (*ShortCircuitResult, error) {
-	if !ls.trained {
-		return nil, errors.New("tissue: stencil not trained")
-	}
-	explicit := init.Clone()
-	fineSolver.Steps(explicit, ls.K*jumps)
-	truthCoarse := Restrict(explicit)
-
-	coarse := Restrict(init)
-	ls.Advance(coarse, ls.K*jumps)
-
-	return &ShortCircuitResult{
-		L2Error:        L2Diff(truthCoarse, coarse),
-		ExplicitSteps:  ls.K * jumps,
-		SurrogateJumps: jumps,
-	}, nil
 }

