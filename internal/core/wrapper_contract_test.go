@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -820,4 +821,86 @@ func TestRefitPanicKeepsServing(t *testing.T) {
 			t.Fatalf("after TrainAll's panic the shard served %v from %v (err %v), want generation 2", y, src, err)
 		}
 	})
+}
+
+// TestGateDecisionIsPure: the UQ gate decides a row the same way however
+// and whenever it is asked. One trained shard (2→24→1, dropout 0.1, 10 MC
+// passes) under a binding threshold answers 200 rows alone 20 times each,
+// then inside 64-row and 130-row batches that place every row at every
+// position — first, middle, last, and on both sides of the 64-row chunk
+// boundary. Every row's source, mean and std are the same bits each time.
+func TestGateDecisionIsPure(t *testing.T) {
+	rng := xrand.New(0x13)
+	factory := NewNNSurrogateFactory(2, 1, []int{24}, 0.1, rng.Split(), func(s *NNSurrogate) {
+		s.Epochs, s.MCPasses = 40, 10
+	})
+	w := NewShardedWrapper(&atomicOracle{}, factory, ShardedConfig{Shards: 1, MinTrainSamples: 10})
+	if err := w.Pretrain(uniformRows(rng, 256, 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	xs := uniformRows(rng, 200, 2.5, 1.5) // partly off the training support
+	// The rows' median std is the threshold, so the gate binds: about half
+	// the rows are served, the rest simulated. Nothing has queried yet.
+	var mean, std tensor.Matrix
+	publishedFor(t, w, xs.Row(0)).PredictInto(xs, &mean, &std)
+	stds := append([]float64(nil), std.Data...)
+	slices.Sort(stds)
+	w.cfg.UQThreshold = stds[len(stds)/2]
+
+	want := make([]BatchResult, xs.Rows)
+	served := 0
+	for i := range want {
+		y, src, sd, err := w.Query(xs.Row(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = BatchResult{Y: y, Src: src, Std: sd}
+		if src == FromSurrogate {
+			served++
+		}
+	}
+	if served == 0 || served == xs.Rows {
+		t.Fatalf("%d of %d rows served: the threshold does not bind", served, xs.Rows)
+	}
+	flipped := map[int]bool{}
+	same := func(what string, i int, got BatchResult) {
+		t.Helper()
+		w := want[i]
+		eq := got.Src == w.Src && got.Err == nil && len(got.Y) == len(w.Y) && len(got.Std) == len(w.Std)
+		for j := 0; eq && j < len(w.Y); j++ {
+			eq = math.Float64bits(got.Y[j]) == math.Float64bits(w.Y[j])
+		}
+		for j := 0; eq && j < len(w.Std); j++ {
+			eq = math.Float64bits(got.Std[j]) == math.Float64bits(w.Std[j])
+		}
+		if !eq && !flipped[i] {
+			flipped[i] = true
+			t.Errorf("row %d, %s: %v y %v std %v (err %v); first asked alone: %v y %v std %v",
+				i, what, got.Src, got.Y, got.Std, got.Err, w.Src, w.Y, w.Std)
+		}
+	}
+	for k := 1; k < 20; k++ {
+		for i := 0; i < xs.Rows; i++ {
+			y, src, sd, err := w.Query(xs.Row(i))
+			same(fmt.Sprintf("alone, call %d", k+1), i, BatchResult{Y: y, Src: src, Std: sd, Err: err})
+		}
+	}
+	for _, n := range []int{64, 130} {
+		batch := tensor.NewMatrix(n, 2)
+		for s := 0; s < xs.Rows; s++ {
+			for k := 0; k < n; k++ {
+				copy(batch.Row(k), xs.Row((s+k)%xs.Rows))
+			}
+			res, err := w.QueryBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, r := range res {
+				same(fmt.Sprintf("position %d of a %d-row batch", k, n), (s+k)%xs.Rows, r)
+			}
+		}
+	}
+	if len(flipped) > 0 {
+		t.Fatalf("%d of %d rows answered differently", len(flipped), xs.Rows)
+	}
 }

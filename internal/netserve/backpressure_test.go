@@ -94,10 +94,10 @@ func TestReaderHeldAtInFlightBound(t *testing.T) {
 	var buf []byte
 	seen := map[uint64]bool{}
 	for i := 0; i < frames; i++ {
-		if buf, err = readFrame(br, buf, DefaultMaxFrame); err != nil {
+		if buf, err = ReadRawFrame(br, buf, DefaultMaxFrame); err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		r, err := parseResponse(buf)
+		r, err := parseResponse(buf[lenPrefix:])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -361,24 +361,25 @@ func (tr *transport) readLoop() {
 	buf := make([]byte, 0, 4096)
 	var rerr error
 	for {
-		buf, rerr = readFrame(br, buf, tr.cfg.MaxFrame)
+		buf, rerr = ReadRawFrame(br, buf, tr.cfg.MaxFrame)
 		if rerr != nil {
 			break
 		}
+		frame := buf[lenPrefix:]
 		var id uint64
 		var resp response
 		var ad artData
-		isArt := len(buf) >= 2 && buf[1] == frameArtData
+		isArt := len(frame) >= 2 && frame[1] == frameArtData
 		if isArt {
 			var err error
-			if ad, err = parseArtData(buf); err != nil {
+			if ad, err = parseArtData(frame); err != nil {
 				rerr = err
 				break
 			}
 			id = ad.id
 		} else {
 			var err error
-			if resp, err = parseResponse(buf); err != nil {
+			if resp, err = parseResponse(frame); err != nil {
 				rerr = err
 				break
 			}

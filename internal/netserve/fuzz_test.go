@@ -113,20 +113,21 @@ func FuzzReadFrame(f *testing.F) {
 		r := bufio.NewReader(bytes.NewReader(data))
 		buf := make([]byte, 0, 64)
 		for i := 0; i < 4; i++ { // drain a few frames, never panic
-			out, err := readFrame(r, buf, DefaultMaxFrame)
+			out, err := ReadRawFrame(r, buf, DefaultMaxFrame)
 			if err != nil {
 				if err != io.EOF && err != io.ErrUnexpectedEOF &&
 					err != errEmptyFrame && err != errOversized {
-					t.Fatalf("unexpected readFrame error class: %v", err)
+					t.Fatalf("unexpected ReadRawFrame error class: %v", err)
 				}
 				return
 			}
-			if len(out) == 0 || len(out) > DefaultMaxFrame {
-				t.Fatalf("readFrame returned %d bytes", len(out))
+			body := out[lenPrefix:]
+			if len(body) == 0 || len(body) > DefaultMaxFrame {
+				t.Fatalf("ReadRawFrame returned a %d-byte body", len(body))
 			}
 			if len(data) >= lenPrefix {
-				if declared := int(binary.BigEndian.Uint32(data[:lenPrefix])); i == 0 && len(out) != declared {
-					t.Fatalf("first frame length %d, declared %d", len(out), declared)
+				if declared := int(binary.BigEndian.Uint32(data[:lenPrefix])); i == 0 && len(body) != declared {
+					t.Fatalf("first frame length %d, declared %d", len(body), declared)
 				}
 			}
 			buf = out
@@ -156,7 +157,7 @@ func FuzzClientResponse(f *testing.F) {
 		go func() {
 			br := bufio.NewReader(b)
 			frame := make([]byte, 0, 256)
-			readFrame(br, frame, DefaultMaxFrame) // consume the request
+			ReadRawFrame(br, frame, DefaultMaxFrame) // consume the request
 			b.Write(data)
 			b.Close()
 		}()

@@ -29,11 +29,9 @@
 package netserve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 )
 
@@ -277,40 +275,4 @@ func decodeFloats(dst []float64, raw []byte) []float64 {
 		dst = append(dst, math.Float64frombits(binary.BigEndian.Uint64(raw)))
 	}
 	return dst
-}
-
-// readFrame reads one length-prefixed frame body into buf (grown as
-// needed) and returns the body slice. A frame longer than max kills the
-// read with errOversized before any payload is consumed, bounding what a
-// malicious or corrupt peer can make the server buffer.
-func readFrame(r *bufio.Reader, buf []byte, max int) ([]byte, error) {
-	// Peek+Discard instead of io.ReadFull into a local array: the array
-	// would escape through the io.Reader interface and cost one heap
-	// allocation per frame.
-	hdr, err := r.Peek(lenPrefix)
-	if err != nil {
-		if len(hdr) > 0 && err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return buf, err
-	}
-	n := int(binary.BigEndian.Uint32(hdr))
-	r.Discard(lenPrefix)
-	if n == 0 {
-		return buf, errEmptyFrame
-	}
-	if n > max {
-		return buf, errOversized
-	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return buf, err
-	}
-	return buf, nil
 }

@@ -7,10 +7,11 @@ import (
 	"io"
 )
 
-// Raw-frame helpers for frame-splicing middleboxes (internal/router):
-// read a whole frame with its length prefix intact, validate and patch
-// the two words a forwarder touches (tenant is read, ids are rewritten),
-// and pass the payload through byte-identical. Nothing here decodes
+// Raw-frame helpers: the one frame reader every peer on the wire uses
+// (server, client and the frame-splicing router, internal/router) reads a
+// whole frame with its length prefix intact; a forwarder validates and
+// patches the two words it touches (tenant is read, ids are rewritten)
+// and passes the payload through byte-identical. Nothing here decodes
 // rows — that is the point.
 
 // ErrRawFrame reports a frame a forwarder cannot route: truncated,
@@ -19,9 +20,15 @@ var ErrRawFrame = errors.New("netserve: malformed raw frame")
 
 // ReadRawFrame reads one length-prefixed frame into buf (grown as
 // needed) and returns it with the prefix still in place — ready to be
-// spliced onto another connection after id patching. Frames longer than
-// max fail with an oversize error before any payload is read.
+// spliced onto another connection after id patching, or parsed from
+// frame[lenPrefix:]. Callers keep the returned slice whole for the next
+// read, so its capacity never shrinks. A frame whose body is longer than
+// max fails with an oversize error before any payload is read, bounding
+// what a malicious or corrupt peer can make a reader buffer.
 func ReadRawFrame(br *bufio.Reader, buf []byte, max int) ([]byte, error) {
+	// Peek instead of io.ReadFull into a local array: the array would
+	// escape through the io.Reader interface and cost one heap allocation
+	// per frame.
 	hdr, err := br.Peek(lenPrefix)
 	if err != nil {
 		if len(hdr) > 0 && err == io.EOF {
@@ -90,10 +97,20 @@ func SetRawResponseID(frame []byte, id uint64) {
 }
 
 // RawFrameBuffered reports whether a complete frame (of body length at
-// most max) is already buffered on br — whether a forwarder can gather
-// one more frame into the current burst without blocking.
+// most max) is already buffered on br — whether a reader can gather one
+// more frame into the current burst without blocking. Malformed prefixes
+// return false so the blocking read surfaces the framing error.
 func RawFrameBuffered(br *bufio.Reader, max int) bool {
-	return frameBuffered(br, max)
+	n := br.Buffered()
+	if n < lenPrefix {
+		return false
+	}
+	hdr, _ := br.Peek(lenPrefix)
+	blen := int(binary.BigEndian.Uint32(hdr))
+	if blen <= 0 || blen > max {
+		return false
+	}
+	return n >= lenPrefix+blen
 }
 
 // AppendStatusFrame encodes a rowless result frame carrying status for

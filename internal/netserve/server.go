@@ -3,7 +3,6 @@ package netserve
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -520,7 +519,7 @@ func (cn *serverConn) readLoop() {
 		readMax = DefaultMaxArtifactFrame
 	}
 	for {
-		if !frameBuffered(br, DefaultMaxFrame) {
+		if !RawFrameBuffered(br, DefaultMaxFrame) {
 			// Nothing more to gather without blocking: submit now.
 			cn.submitOpen()
 		}
@@ -531,28 +530,29 @@ func (cn *serverConn) readLoop() {
 			cn.c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 		}
 		var err error
-		buf, err = readFrame(br, buf, readMax)
+		buf, err = ReadRawFrame(br, buf, readMax)
 		if err != nil {
 			if err == errOversized || err == errEmptyFrame {
 				s.protoErrs.Add(1)
 			}
 			return
 		}
-		if len(buf) >= 2 && buf[1] != frameQuery {
+		frame := buf[lenPrefix:]
+		if len(frame) >= 2 && frame[1] != frameQuery {
 			// Control-plane frame: submit the gathered query bursts first,
 			// then hand the artifact op through the same worker pipeline.
 			cn.submitOpen()
-			if !cn.readArtFrame(buf) {
+			if !cn.readArtFrame(frame) {
 				return
 			}
 			continue
 		}
-		if len(buf) > DefaultMaxFrame {
+		if len(frame) > DefaultMaxFrame {
 			// The raised artifact read cap never loosens the query bound.
 			s.protoErrs.Add(1)
 			return
 		}
-		req, err := parseRequest(buf)
+		req, err := parseRequest(frame)
 		if err != nil {
 			s.protoErrs.Add(1)
 			return
@@ -578,23 +578,6 @@ func (cn *serverConn) readLoop() {
 			ct.bu = nil
 		}
 	}
-}
-
-// frameBuffered reports whether a complete frame is already sitting in
-// the read buffer — i.e. whether the reader can gather one more request
-// without blocking. Malformed prefixes return false so the blocking read
-// path surfaces the framing error.
-func frameBuffered(br *bufio.Reader, max int) bool {
-	n := br.Buffered()
-	if n < lenPrefix {
-		return false
-	}
-	hdr, _ := br.Peek(lenPrefix)
-	blen := int(binary.BigEndian.Uint32(hdr))
-	if blen <= 0 || blen > max {
-		return false
-	}
-	return n >= lenPrefix+blen
 }
 
 // readArtFrame decodes one artifact frame and submits it through the

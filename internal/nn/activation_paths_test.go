@@ -73,7 +73,7 @@ func TestActivationPathsAgree(t *testing.T) {
 		// identity read-out layer copies what it is given, so one pass of
 		// [hidden, Dropout, read-out] returns 0 or exactly twice the hidden
 		// activation: the compiled batch program takes its eval prefix and
-		// the fused panel tail.
+		// a one-dense-step pass-stacked suffix.
 		tail := NewNetwork(rng, []Activation{act, Identity}, width, width, width)
 		clear(tail.slab)
 		copy(tail.slab, net.slab)
@@ -105,7 +105,7 @@ func TestActivationPathsAgree(t *testing.T) {
 		}
 		afterHidden := func(r, j int) []float64 { return []float64{0, 2 * want.At(r, j)} }
 		mean, _ := tail.Compile().PredictMCBatch(x, 1, nil, nil)
-		oneOf("Compiled batch, MC panel tail", mean, afterHidden)
+		oneOf("Compiled batch, MC one-step suffix", mean, afterHidden)
 
 		// A dropout before the hidden layer as well makes the stochastic
 		// suffix two dense steps deep, which is the pass-stacked path: the

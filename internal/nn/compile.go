@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -42,10 +41,12 @@ type compiledStep struct {
 }
 
 // Compiled is an immutable, flattened inference program for a Network.
-// All mutable per-call state (ping-pong activation matrices, dropout rng,
-// MC accumulators) lives in batch contexts leased from a free list, so a
-// Compiled value is safe for concurrent use and its warmed calls, a row or
-// a batch, allocate nothing.
+// Its MC-dropout masks are hashed from the program's seed, the row, the
+// dropout step, the pass and the unit (mcKeep), so an MC answer is a pure
+// function of the program and the row. All per-call scratch (ping-pong
+// activation matrices, pass-group panels, MC accumulators) lives in batch
+// contexts leased from a free list, so a Compiled value is safe for
+// concurrent use and its warmed calls, a row or a batch, allocate nothing.
 //
 // A Compiled program captures the network weights by copy at Compile
 // time: training the source network afterwards does not affect it, which
@@ -57,8 +58,7 @@ type Compiled struct {
 	fs       int       // first stochastic step (live dropout), -1 if none
 	maxW     int       // widest activation buffer any step needs
 	maxBatch int       // batch-program chunk width (rows per fused pass)
-	seedBase uint64
-	seedCtr  atomic.Uint64
+	seedBase uint64    // the network's seed: keys every MC-dropout mask
 	bpool    freeList[compiledBatchCtx]
 }
 
@@ -107,11 +107,13 @@ func (n *Network) Compile() *Compiled {
 // maxBatch rows, each served from pooled ping-pong scratch at zero heap
 // allocations. Larger widths amortize per-pass overhead further at the
 // cost of proportionally larger pooled buffers; the MC scratch does not
-// grow with the pass count (the passes run in groups over a fixed panel),
-// only its mask store does.
+// grow with the pass count (the passes run in groups over a fixed panel,
+// and masks are hashed where they are applied, never stored).
 //
 // The program takes one copy of the network's slab: it is immutable, so a
-// later Fit of the network must not reach it.
+// later Fit of the network must not reach it. Every program compiled from
+// one network keys its MC-dropout masks by the network's one seed, so two
+// programs of one generation thin the same units of a row.
 func (n *Network) CompileBatch(maxBatch int) *Compiled {
 	c := &Compiled{seedBase: n.deriveSeed(), maxBatch: max(maxBatch, 1), steps: make([]compiledStep, 0, 2*len(n.layers))}
 	for _, l := range n.layers {
@@ -207,24 +209,24 @@ func (c *Compiled) PredictMC(x []float64, passes int, mean, std []float64) (m, s
 }
 
 // compiledBatchCtx owns the per-call scratch of one in-flight batch
-// inference: ping-pong activation matrices for one chunk, the two
-// pass-group panels and the pass reduction for MC evaluation, the column
-// masks, and a private rng stream. Each matrix is allocated on first use
+// inference: ping-pong activation matrices for one chunk, and the two
+// pass-group panels, the row keys and the pass reduction for MC
+// evaluation. It holds no state between calls, so which context a call
+// leases never shows in its answer. Each buffer is allocated on first use
 // at the largest size the program's chunks can need (maxBatch rows;
 // mcPanel floats for the pass-group panels, whatever the pass count) and
 // then reused via Reshape, so a warmed context serves any chunk at zero
-// heap allocations and chunks of varying width never reallocate it. Only
-// the mask store scales with passes, so a larger pass count than any
-// before grows that alone.
+// heap allocations and a deep stochastic suffix any pass count too. A
+// one-step suffix holds one row's passes in tall instead (predictMCTail),
+// which grows only with the pass count.
 type compiledBatchCtx struct {
-	buf   [2]*tensor.Matrix // chunk ping-pong activations (≤ maxBatch rows)
-	tall  [2]*tensor.Matrix // pass-group panels (mcPanel floats each)
-	masks []float64         // every live dropout's column masks, passes x width each
-	ref   []float64         // pass 0's outputs (maxBatch x out)
-	sum   []float64         // per-(row, out) deviations from ref, summed over passes
-	ssq   []float64         // and their squares
-	view  tensor.Matrix     // reusable window header over the caller's input
-	rng   *xrand.Rand
+	buf  [2]*tensor.Matrix // chunk ping-pong activations (≤ maxBatch rows)
+	tall [2]*tensor.Matrix // pass-group panels (mcPanel floats each)
+	keys []uint64          // the chunk's row keys (maxBatch)
+	ref  []float64         // pass 0's outputs (maxBatch x out)
+	sum  []float64         // per-(row, out) deviations from ref, summed over passes
+	ssq  []float64         // and their squares
+	view tensor.Matrix     // reusable window header over the caller's input
 }
 
 // mcPanelFloats is the floor of a pass-group panel's size in floats
@@ -237,14 +239,67 @@ const mcPanelFloats = 1 << 15
 // pass of a full chunk at the widest step.
 func (c *Compiled) mcPanel() int { return max(mcPanelFloats, c.maxBatch*c.maxW) }
 
-// getBatchCtx leases a warm batch context, minting one with a fresh
-// deterministic rng substream when none is idle.
+// getBatchCtx leases a warm batch context, or a new empty one when none
+// is idle.
 func (c *Compiled) getBatchCtx() *compiledBatchCtx {
 	if ctx := c.bpool.get(); ctx != nil {
 		return ctx
 	}
-	return &compiledBatchCtx{
-		rng: xrand.New(c.seedBase + c.seedCtr.Add(1)*0x9e3779b97f4a7c15),
+	return new(compiledBatchCtx)
+}
+
+// mcRowKey keys one input row of a program seeded with seed: the seed
+// chained over the row's values, so the row's MC-dropout masks follow
+// what the row is, not where it sits or when it is asked.
+func mcRowKey(seed uint64, x []float64) uint64 {
+	k := seed
+	for _, v := range x {
+		k = xrand.Hash(k, math.Float64bits(v))
+	}
+	return k
+}
+
+// mcPassKey keys pass t of dropout step si (its index in the float step
+// table) for the row keyed row.
+func mcPassKey(row uint64, si, t int) uint64 {
+	return xrand.Hash(xrand.Hash(row, uint64(si)), uint64(t))
+}
+
+// mcLimit is the threshold mcKeep holds a unit's 32 hash bits to: they
+// fall below it with probability keep, to within 2⁻³².
+func mcLimit(keep float64) uint64 { return uint64(math.Ceil(keep * (1 << 32))) }
+
+// mcKeep is the one MC-dropout mask rule: unit j survives the pass keyed
+// k when its half of a hash of (k, j/2) falls below lim (mcLimit); one
+// hash serves two units. Every MC path keys a unit by (program seed, row,
+// step, pass, unit) the same way, so the float and int8 programs of one
+// generation thin the same units, and no answer depends on the batch,
+// the chunk, the pass group or the goroutine that computed it.
+func mcKeep(k uint64, j int, lim uint64) bool {
+	return xrand.Hash(k, uint64(j>>1))>>(32*uint(j&1))&(1<<32-1) < lim
+}
+
+// mcThin applies the mask of the pass keyed k to one row of a dropout
+// step's input in place: a unit mcKeep keeps under lim is scaled by inv
+// (1/keep, inverted dropout), the others are zeroed. It is mcKeep two
+// units at a time, with a bit mask rather than a branch selecting the
+// multiplier: a unit is dropped at random, which a branch would
+// mispredict.
+func mcThin(row []float64, k, lim uint64, inv float64) {
+	invBits := math.Float64bits(inv)
+	for j := 0; j < len(row); j += 2 {
+		h := xrand.Hash(k, uint64(j>>1))
+		var lo, hi uint64
+		if h&(1<<32-1) < lim {
+			lo = ^uint64(0)
+		}
+		if h>>32 < lim {
+			hi = ^uint64(0)
+		}
+		row[j] *= math.Float64frombits(invBits & lo)
+		if j+1 < len(row) {
+			row[j+1] *= math.Float64frombits(invBits & hi)
+		}
 	}
 }
 
@@ -262,10 +317,10 @@ func reserve(m **tensor.Matrix, rows, cols, atLeast int) *tensor.Matrix {
 	return (*m).Reshape(rows, cols)
 }
 
-// growFloats returns *buf resized to n, reallocating only on growth.
-func growFloats(buf *[]float64, n int) []float64 {
+// grow returns *buf resized to n, reallocating only on growth.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	*buf = (*buf)[:n]
 	return *buf
@@ -332,22 +387,26 @@ func (c *Compiled) PredictBatch(xs, dst *tensor.Matrix) *tensor.Matrix {
 // and writes per-row predictive means and stds into mean/std (reshaped to
 // xs.Rows x out; nil allocates), returning both.
 //
-// Instead of replaying the stochastic suffix once per pass, the passes
-// are stacked: the deterministic prefix is evaluated once per chunk, its
-// output is tiled into a tall panel one block of rows per pass, and the
-// whole suffix — arbitrarily many [Dropout, Dense, ...] stages — runs over
-// that panel with ONE fused matmul per dense step. Each dropout step
-// samples one column mask per pass (shared across the pass's rows, the
-// same marginals as per-element masking) and scales its pass block, so
-// deep multi-dropout surrogates pay a matmul sweep per dense step and pass
+// A row's masks are a pure function of the program and the row: unit j of
+// dropout step s in pass t is kept by a hash of (the program's seed, the
+// row's values, s, t, j) (mcKeep), so the answer's bits do not depend on
+// the row's position in xs, on the other rows, on the chunking or on
+// earlier calls, and every row draws its own masks, as MC dropout over
+// independent samples does. Instead of replaying the stochastic suffix
+// once per pass, the passes are stacked: the deterministic prefix is
+// evaluated once per chunk, its output is tiled into a tall panel one
+// block of rows per pass, each dropout step thins the panel row by row,
+// and the whole suffix — arbitrarily many [Dropout, Dense, ...] stages —
+// runs over that panel with ONE fused matmul per dense step and pass
 // group rather than per pass. The panel has a fixed size, so passes that
-// do not fit in one run in groups; the answer's bits do not depend on the
-// grouping. A program with no live dropout collapses to one eval pass with
-// zero std. Inputs wider than MaxBatch chunk internally; with
-// caller-provided buffers a warmed call allocates nothing. The variance
-// is accumulated as deviations from the first pass (shifted data), exact
-// for deterministic nets and robust when the spread is small against the
-// mean. Safe for concurrent use.
+// do not fit in one run in groups. A one-step suffix, [Dropout, Dense],
+// needs no chunk-wide panel: each row's passes are one small product
+// (predictMCTail). A program with no live dropout
+// collapses to one eval pass with zero std. Inputs wider than MaxBatch
+// chunk internally; with caller-provided buffers a warmed call allocates
+// nothing. The variance is accumulated as deviations from the first pass
+// (shifted data), exact for deterministic nets and robust when the spread
+// is small against the mean. Safe for concurrent use.
 func (c *Compiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std *tensor.Matrix) (m, s *tensor.Matrix) {
 	if passes < 1 {
 		panic("nn: PredictMCBatch needs at least one pass")
@@ -381,41 +440,40 @@ func (c *Compiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std *tens
 }
 
 // predictMCChunk evaluates rows [lo,lo+b) of xs with MC dropout, writing
-// the reduced statistics into the matching mean/std rows. The canonical
-// [..., Dropout, Dense] tail takes the masked-weight panel fast path
-// (stack every pass's diag(mₜ)·W side by side and run all passes as one
-// b x (passes·out) matmul — O(in·passes·out) mask work); deeper
-// stochastic suffixes take the general pass-stacked path below.
-//
-// That path runs the passes in groups of g, as many as one pass-group
-// panel holds at b rows of the widest step: each group tiles the prefix
-// output g times, applies its passes' masks and runs the suffix's fused
-// matmuls over g·b rows. The masks are all drawn before the first group,
-// in the order a single group would draw them, and a matmul row does not
-// depend on how many rows share its panel, so the grouping never shows in
-// the answer. The groups reduce into per-(row, out) accumulators in pass
-// order: pass 0's outputs are the reference, later passes add their
+// the reduced statistics into the matching mean/std rows. A one-step
+// stochastic suffix goes to predictMCTail; a deeper one runs its
+// passes in groups of g, as many as one pass-group panel holds at b rows
+// of the widest step: each group tiles the prefix output g times, thins
+// each row of its passes at every dropout step by the row's own key and
+// runs the suffix's fused matmuls over g·b rows. A mask is keyed by the
+// row and the pass index, not by the group, and a matmul row does not
+// depend on how many rows share its panel, so the grouping never shows
+// in the answer. The groups reduce into per-(row, out) accumulators in
+// pass order: pass 0's outputs are the reference, later passes add their
 // deviations from it (the shifted-data accumulation PredictMCBatch
 // documents).
 func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, b, passes int, mean, std *tensor.Matrix) {
-	if c.fs == len(c.steps)-2 && c.steps[c.fs+1].kind == stepDense {
-		c.predictMCChunkTail(ctx, xs, lo, b, passes, mean, std)
-		return
+	keys := grow(&ctx.keys, c.maxBatch)[:b]
+	for r := range keys {
+		keys[r] = mcRowKey(c.seedBase, xs.Row(lo+r))
 	}
 	pre := c.forwardBatchPrefix(ctx, xs, lo, b, c.fs)
-	masks := c.drawMasks(ctx, pre.Cols, passes)
+	if c.fs == len(c.steps)-2 && c.steps[c.fs+1].kind == stepDense {
+		c.predictMCTail(ctx, pre, keys, passes, mean.Data[lo*c.out:], std.Data[lo*c.out:])
+		return
+	}
 	panel := c.mcPanel()
 	group := min(panel/(b*c.maxW), passes)
 	n := b * c.out
-	ref := growFloats(&ctx.ref, c.maxBatch*c.out)[:n]
-	sum := growFloats(&ctx.sum, c.maxBatch*c.out)[:n]
-	ssq := growFloats(&ctx.ssq, c.maxBatch*c.out)[:n]
+	ref := grow(&ctx.ref, c.maxBatch*c.out)[:n]
+	sum := grow(&ctx.sum, c.maxBatch*c.out)[:n]
+	ssq := grow(&ctx.ssq, c.maxBatch*c.out)[:n]
 	clear(sum)
 	clear(ssq)
 	for t0 := 0; t0 < passes; t0 += group {
 		g := min(group, passes-t0)
 		tall := tensor.RepeatRowsInto(reserve(&ctx.tall[0], g*b, pre.Cols, panel), pre, g)
-		side, mo := 1, 0 // mo: the current dropout stage's offset in masks
+		side := 1
 		for si := c.fs; si < len(c.steps); si++ {
 			st := &c.steps[si]
 			switch {
@@ -426,138 +484,78 @@ func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, 
 				tall = out
 				side = 1 - side
 			case st.p > 0:
-				w := tall.Cols
-				tensor.ScaleColumnsBlocks(tall, tall, masks[mo+t0*w:mo+(t0+g)*w], b)
-				mo += passes * w
+				lim, inv := mcLimit(1-st.p), 1/(1-st.p)
+				for t := 0; t < g; t++ {
+					for r, key := range keys {
+						mcThin(tall.Row(t*b+r), mcPassKey(key, si, t0+t), lim, inv)
+					}
+				}
 			}
 		}
 		for t := 0; t < g; t++ {
-			blk := tall.Data[t*n : (t+1)*n]
-			if t0+t == 0 {
-				copy(ref, blk)
-				continue
-			}
-			for k, v := range blk {
-				d := v - ref[k]
-				sum[k] += d
-				ssq[k] += d * d
-			}
+			mcAccumulate(tall.Data[t*n:(t+1)*n], t0+t, ref, sum, ssq)
 		}
 	}
+	mcFinish(ref, sum, ssq, passes, mean.Data[lo*c.out:lo*c.out+n], std.Data[lo*c.out:lo*c.out+n])
+}
+
+// predictMCTail is the MC path of a one-step stochastic suffix, [Dropout,
+// Dense] (the serving surrogates' shape): a pass of a row is the row's
+// prefix output, thinned by the row's mask for that pass, times the dense
+// step's weights. So each row runs its passes on its own: its thinned
+// copies stack into a passes x in panel, one product gives every pass's
+// outputs, and no chunk-wide pass-group panel is tiled or held.
+func (c *Compiled) predictMCTail(ctx *compiledBatchCtx, pre *tensor.Matrix, keys []uint64, passes int, mean, std []float64) {
+	dr, nd := &c.steps[c.fs], &c.steps[c.fs+1]
+	lim, inv := mcLimit(1-dr.p), 1/(1-dr.p)
+	out := nd.out
+	thin := reserve(&ctx.tall[0], passes, nd.in, 0)
+	ys := reserve(&ctx.tall[1], passes, out, 0)
+	ref, sum, ssq := grow(&ctx.ref, out), grow(&ctx.sum, out), grow(&ctx.ssq, out)
+	for r, key := range keys {
+		for t := 0; t < passes; t++ {
+			copy(thin.Row(t), pre.Row(r))
+			mcThin(thin.Row(t), mcPassKey(key, c.fs, t), lim, inv)
+		}
+		tensor.MatMulBiasInto(ys, thin, &nd.wm, nd.b)
+		nd.act.applyAll(ys.Data)
+		clear(sum)
+		clear(ssq)
+		for t := 0; t < passes; t++ {
+			mcAccumulate(ys.Row(t), t, ref, sum, ssq)
+		}
+		mcFinish(ref, sum, ssq, passes, mean[r*out:(r+1)*out], std[r*out:(r+1)*out])
+	}
+}
+
+// mcAccumulate folds the outputs y of pass t into the shifted-data
+// accumulators: pass 0's outputs become the reference ref, and each later
+// pass adds its deviations from it to sum and their squares to ssq.
+func mcAccumulate(y []float64, t int, ref, sum, ssq []float64) {
+	if t == 0 {
+		copy(ref, y)
+		return
+	}
+	for k, v := range y {
+		d := v - ref[k]
+		sum[k] += d
+		ssq[k] += d * d
+	}
+}
+
+// mcFinish writes the predictive mean and std of passes MC passes from
+// their shifted-data accumulators (mcAccumulate). Accumulating deviations
+// from the first pass is exact for deterministic nets and robust when
+// the spread is small against the mean.
+func mcFinish(ref, sum, ssq []float64, passes int, mean, std []float64) {
 	invP := 1 / float64(passes)
-	mrow, srow := mean.Data[lo*c.out:lo*c.out+n], std.Data[lo*c.out:lo*c.out+n]
 	for k, r := range ref {
 		d := sum[k] * invP
-		mrow[k] = r + d
+		mean[k] = r + d
 		v := ssq[k]*invP - d*d
 		if v < 0 {
 			v = 0
 		}
-		srow[k] = math.Sqrt(v)
-	}
-}
-
-// drawMasks samples the column masks of every live dropout step of the
-// stochastic suffix for all passes into ctx.masks and returns them: step
-// by step, passes x width each, pass-major — the order one tall panel
-// over all passes reads the rng in. w is the width entering the suffix.
-func (c *Compiled) drawMasks(ctx *compiledBatchCtx, w, passes int) []float64 {
-	n := 0
-	for si, cols := c.fs, w; si < len(c.steps); si++ {
-		if st := &c.steps[si]; st.kind == stepDense {
-			cols = st.out
-		} else if st.p > 0 {
-			n += passes * cols
-		}
-	}
-	masks := growFloats(&ctx.masks, n)
-	k := 0
-	for si, cols := c.fs, w; si < len(c.steps); si++ {
-		if st := &c.steps[si]; st.kind == stepDense {
-			cols = st.out
-		} else if st.p > 0 {
-			keep := 1 - st.p
-			inv := 1 / keep
-			for end := k + passes*cols; k < end; k++ {
-				if ctx.rng.Float64() < keep {
-					masks[k] = inv
-				} else {
-					masks[k] = 0
-				}
-			}
-		}
-	}
-	return masks
-}
-
-// predictMCChunkTail is the canonical-tail fast path: the stochastic
-// suffix is exactly [Dropout, Dense], so each pass's thinned output layer
-// is h·(diag(mₜ)·W) and the passes stack side by side into one
-// b x (passes·out) product
-//
-//	Y = pre · [diag(m₁)W | diag(m₂)W | … ]
-//
-// — one matmul for all passes (catastrophic as passes separate skinny
-// matmuls for an out of 1, the usual surrogate shape) with mask work
-// proportional to the weight panel, not the batch.
-func (c *Compiled) predictMCChunkTail(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, b, passes int, mean, std *tensor.Matrix) {
-	pre := c.forwardBatchPrefix(ctx, xs, lo, b, c.fs)
-	dr := &c.steps[c.fs]
-	nd := &c.steps[c.fs+1]
-	in, out := nd.in, nd.out
-	packW := reserve(&ctx.tall[0], in, passes*out, 0)
-	keep := 1 - dr.p
-	inv := 1 / keep
-	for r := 0; r < in; r++ {
-		src := nd.w[r*out : (r+1)*out]
-		dstRow := packW.Data[r*passes*out : (r+1)*passes*out]
-		for t := 0; t < passes; t++ {
-			m := 0.0
-			if ctx.rng.Float64() < keep {
-				m = inv
-			}
-			seg := dstRow[t*out : (t+1)*out]
-			for j, v := range src {
-				seg[j] = v * m
-			}
-		}
-	}
-	packY := reserve(&ctx.tall[1], b, passes*out, c.maxBatch*passes*out)
-	tensor.MatMulInto(packY, pre, packW)
-	reducePassPanel(packY, nd.b, nd.act, passes, mean.Data[lo*out:], std.Data[lo*out:])
-}
-
-// reducePassPanel finishes a fused MC panel: each row of packY holds the
-// passes side-by-side pre-bias outputs (len(bias) wide each) of one query.
-// Bias and activation are applied to the whole panel in place, then each
-// row's passes reduce into its row of mean and std, accumulating
-// deviations from the first pass (shifted data) as the generic paths do.
-func reducePassPanel(packY *tensor.Matrix, bias []float64, act Activation, passes int, mean, std []float64) {
-	out := len(bias)
-	for k := 0; k < len(packY.Data); k += out {
-		for j, b := range bias {
-			packY.Data[k+j] += b
-		}
-	}
-	act.applyAll(packY.Data)
-	invP := 1 / float64(passes)
-	for r := 0; r < packY.Rows; r++ {
-		yrow := packY.Row(r)
-		mrow, srow := mean[r*out:(r+1)*out], std[r*out:(r+1)*out]
-		for j, ref := range yrow[:out] {
-			sum, ssq := 0.0, 0.0
-			for t := 1; t < passes; t++ {
-				d := yrow[t*out+j] - ref
-				sum += d
-				ssq += d * d
-			}
-			d := sum * invP
-			mrow[j] = ref + d
-			v := ssq*invP - d*d
-			if v < 0 {
-				v = 0
-			}
-			srow[j] = math.Sqrt(v)
-		}
+		std[k] = math.Sqrt(v)
 	}
 }

@@ -329,10 +329,9 @@ func TestCompiledBatchConcurrent(t *testing.T) {
 
 // TestRowIsBatchOfOne: the row entry points are the batch program run on
 // one row. predict(x.Row(r)) is row r of PredictBatch(x) bit for bit, and
-// PredictMC on a row gives what PredictMCBatch gives on that row alone from
-// the same rng stream — on the pass-stacked path (6-30-48-3 and a deeper
-// three-dropout net), the [Dropout, Dense] tail (2-24-1) and a net without
-// dropout, at several chunk widths.
+// PredictMC on a row gives what PredictMCBatch gives on that row alone —
+// with two dropouts (6-30-48-3), three (8-64-64-64-1), a one-step
+// stochastic suffix (2-24-1) and no dropout, at several chunk widths.
 func TestRowIsBatchOfOne(t *testing.T) {
 	rng := xrand.New(43)
 	for _, tc := range []struct {
@@ -356,9 +355,7 @@ func TestRowIsBatchOfOne(t *testing.T) {
 				}
 				check("Predict", c.predict(x.Row(r), nil), batch.Row(r))
 				for _, passes := range []int{1, 10, 30} {
-					restartStreams(c)
 					mean, std := c.PredictMC(x.Row(r), passes, nil, nil)
-					restartStreams(c)
 					bm, bs := c.PredictMCBatch(x.SliceRows(r, r+1), passes, nil, nil)
 					check("PredictMC mean", mean, bm.Data)
 					check("PredictMC std", std, bs.Data)

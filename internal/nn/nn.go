@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/tensor"
 	"repro/internal/xrand"
@@ -187,15 +186,14 @@ type Network struct {
 	rng    *xrand.Rand
 
 	seedOnce sync.Once // seeds seedBase from rng on first use
-	seedBase uint64    // base seed for compiled programs' rng streams
-	seedCtr  atomic.Uint64
+	seedBase uint64    // keys the MC-dropout masks of every compiled program
 }
 
 // NewNetwork builds a fully connected net with the given layer widths (e.g.
 // 6,30,48,3), acts[i] the activation of layer i, and no dropout. The
 // weights are Glorot-uniform draws from rng, layer by layer, and the
-// biases zero; rng then drives dropout masks and the compiled programs'
-// streams.
+// biases zero; rng then drives training's dropout masks and seeds the
+// compiled programs' MC-dropout masks.
 func NewNetwork(rng *xrand.Rand, acts []Activation, widths ...int) *Network {
 	if len(acts) == 0 || len(acts) != len(widths)-1 {
 		panic(fmt.Sprintf("nn: %d activations for %d widths", len(acts), len(widths)))
@@ -239,10 +237,10 @@ func NewMLP(rng *xrand.Rand, act Activation, dropP float64, widths ...int) *Netw
 	return n
 }
 
-// deriveSeed returns a distinct deterministic seed per call, split off the
-// network's rng on first use: every compiled program of one network draws
-// its dropout masks from its own stream.
+// deriveSeed returns the network's seed for compiled programs, split off
+// its rng on first use: every program compiled from one network keys its
+// MC-dropout masks by it, so they all thin the same units.
 func (n *Network) deriveSeed() uint64 {
 	n.seedOnce.Do(func() { n.seedBase = n.rng.Uint64() })
-	return n.seedBase + n.seedCtr.Add(1)*0x9e3779b97f4a7c15
+	return n.seedBase
 }

@@ -3,10 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/tensor"
-	"repro/internal/xrand"
 )
 
 // This file implements the int8 quantized execution mode of the compiled
@@ -99,15 +97,15 @@ type QuantCompiled struct {
 	boundMax float64
 	calErr   float64
 	gate     float64
-	seedBase uint64
-	seedCtr  atomic.Uint64
+	seedBase uint64 // the float program's: the int8 masks thin its units
 	pool     freeList[quantCtx]
 }
 
 // quantCtx owns the per-call scratch of one in-flight quantized
 // inference: int8 ping-pong activation buffers, the packed-word and
 // accumulator scratch the sweep kernel needs, the parked MC prefix, and
-// the float reduction buffers.
+// the float reduction buffers. It holds no state between calls: the MC
+// masks are hashed per row and pass (mcKeep), not drawn from the context.
 type quantCtx struct {
 	qbuf [2][]int8
 	pre  []int8
@@ -117,7 +115,6 @@ type quantCtx struct {
 	ref  []float64
 	sum  []float64
 	ssq  []float64
-	rng  *xrand.Rand
 }
 
 // Quantize derives an int8 program from the compiled float program,
@@ -351,8 +348,7 @@ func (q *QuantCompiled) CalibratedError() float64 { return q.calErr }
 // re-run the float program. It is min(ErrorBound, 8×CalibratedError).
 func (q *QuantCompiled) GateBound() float64 { return q.gate }
 
-// getCtx leases a warm context, minting one with a fresh deterministic
-// rng substream when none is idle.
+// getCtx leases a warm context, minting one when none is idle.
 func (q *QuantCompiled) getCtx() *quantCtx {
 	if ctx := q.pool.get(); ctx != nil {
 		return ctx
@@ -366,17 +362,19 @@ func (q *QuantCompiled) getCtx() *quantCtx {
 		ref:  make([]float64, q.out),
 		sum:  make([]float64, q.out),
 		ssq:  make([]float64, q.out),
-		rng:  xrand.New(q.seedBase + q.seedCtr.Add(1)*0x9e3779b97f4a7c15),
 	}
 }
 
 // run executes steps [lo,hi) on the int8 activations cur, ping-ponging
 // through ctx.qbuf starting at side. The final dense step dequantizes
-// into dst; fused steps stay on the int8 grid throughout. mc toggles
-// dropout sampling and the MC variants of the epilogue coefficients
-// (which carry the survivor scaling). Dropout masks cur in place, so MC
-// callers replay from a parked copy of the prefix.
-func (q *QuantCompiled) run(ctx *quantCtx, cur []int8, side, lo, hi int, mc bool, dst []float64) {
+// into dst; fused steps stay on the int8 grid throughout. pass is the MC
+// pass index, or -1 for an eval-mode run; an MC pass applies the dropout
+// masks of the row keyed row (mcRowKey) and the MC variants of the
+// epilogue coefficients (which carry the survivor scaling). Dropout
+// masks cur in place, so MC callers replay from a parked copy of the
+// prefix.
+func (q *QuantCompiled) run(ctx *quantCtx, cur []int8, side, lo, hi, pass int, row uint64, dst []float64) {
+	mc := pass >= 0
 	for si := lo; si < hi; si++ {
 		st := &q.steps[si]
 		switch st.kind {
@@ -406,9 +404,9 @@ func (q *QuantCompiled) run(ctx *quantCtx, cur []int8, side, lo, hi int, mc bool
 			if !mc || st.p == 0 {
 				continue
 			}
-			keep := 1 - st.p
+			lim, k := mcLimit(1-st.p), mcPassKey(row, si, pass)
 			for i := range cur {
-				if ctx.rng.Float64() >= keep {
+				if !mcKeep(k, i, lim) {
 					cur[i] = 0
 				}
 			}
@@ -441,7 +439,7 @@ func (q *QuantCompiled) Predict(x, dst []float64) ([]float64, bool) {
 	ctx := q.getCtx()
 	qx := ctx.qbuf[0][:q.in]
 	clipped := tensor.QuantizeVec(qx, x, q.invIn)
-	q.run(ctx, qx, 1, 0, len(q.steps), false, dst)
+	q.run(ctx, qx, 1, 0, len(q.steps), -1, 0, dst)
 	q.pool.put(ctx)
 	return dst, !clipped
 }
@@ -475,21 +473,22 @@ func (q *QuantCompiled) PredictMC(x []float64, passes int, mean, std []float64) 
 	clipped := tensor.QuantizeVec(qx, x, q.invIn)
 	ok = !clipped
 	if q.fs < 0 {
-		q.run(ctx, qx, 1, 0, len(q.steps), false, mean)
+		q.run(ctx, qx, 1, 0, len(q.steps), -1, 0, mean)
 		for k := range std {
 			std[k] = 0
 		}
 		q.pool.put(ctx)
 		return mean, std, ok
 	}
-	q.mcFrom(ctx, qx, passes, mean, std)
+	q.mcFrom(ctx, qx, mcRowKey(q.seedBase, x), passes, mean, std)
 	q.pool.put(ctx)
 	return mean, std, ok
 }
 
 // mcFrom runs the MC passes for one already-quantized input row held in
-// ctx.qbuf[0][:q.in], reducing into mean/std.
-func (q *QuantCompiled) mcFrom(ctx *quantCtx, qx []int8, passes int, mean, std []float64) {
+// ctx.qbuf[0][:q.in], whose float values key its masks as row, reducing
+// into mean/std.
+func (q *QuantCompiled) mcFrom(ctx *quantCtx, qx []int8, row uint64, passes int, mean, std []float64) {
 	// Park the deterministic prefix so every pass replays it from an
 	// unmasked copy (dropout zeroes the working buffer in place).
 	var pre []int8
@@ -509,27 +508,10 @@ func (q *QuantCompiled) mcFrom(ctx *quantCtx, qx []int8, passes int, mean, std [
 	for t := 0; t < passes; t++ {
 		cur := ctx.qbuf[0][:len(pre)]
 		copy(cur, pre)
-		q.run(ctx, cur, 1, q.fs, len(q.steps), true, out)
-		if t == 0 {
-			copy(ref, out)
-			continue
-		}
-		for k, v := range out {
-			d := v - ref[k]
-			sum[k] += d
-			ssq[k] += d * d
-		}
+		q.run(ctx, cur, 1, q.fs, len(q.steps), t, row, out)
+		mcAccumulate(out, t, ref, sum, ssq)
 	}
-	invP := 1 / float64(passes)
-	for k := range mean {
-		d := sum[k] * invP
-		mean[k] = ref[k] + d
-		v := ssq[k]*invP - d*d
-		if v < 0 {
-			v = 0
-		}
-		std[k] = math.Sqrt(v)
-	}
+	mcFinish(ref, sum, ssq, passes, mean, std)
 }
 
 // prefixWidth returns the activation width entering step fs.
@@ -592,7 +574,7 @@ func (q *QuantCompiled) PredictBatch(xs, dst *tensor.Matrix, ok []bool) *tensor.
 		if ok != nil {
 			ok[r] = !clipped
 		}
-		q.run(ctx, qx, 1, 0, len(q.steps), false, dst.Data[r*q.out:(r+1)*q.out])
+		q.run(ctx, qx, 1, 0, len(q.steps), -1, 0, dst.Data[r*q.out:(r+1)*q.out])
 	}
 	q.pool.put(ctx)
 	return dst
@@ -634,13 +616,13 @@ func (q *QuantCompiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std 
 		mrow := mean.Data[r*q.out : (r+1)*q.out]
 		srow := std.Data[r*q.out : (r+1)*q.out]
 		if q.fs < 0 {
-			q.run(ctx, qx, 1, 0, len(q.steps), false, mrow)
+			q.run(ctx, qx, 1, 0, len(q.steps), -1, 0, mrow)
 			for k := range srow {
 				srow[k] = 0
 			}
 			continue
 		}
-		q.mcFrom(ctx, qx, passes, mrow, srow)
+		q.mcFrom(ctx, qx, mcRowKey(q.seedBase, xs.Row(r)), passes, mrow, srow)
 	}
 	q.pool.put(ctx)
 	return mean, std

@@ -1,19 +1,13 @@
 // Package stats provides the statistical machinery the Learning Everywhere
 // experiments rely on: streaming moments and histograms for simulation
-// observables, autocorrelation and block analysis for deciding when
-// simulation samples are statistically independent (paper §III-D, "block
-// at a timescale ... greater than the autocorrelation time d_c"),
+// observables, autocorrelation for deciding when simulation samples are
+// statistically independent (paper §III-D, "block at a timescale ...
+// greater than the autocorrelation time d_c"),
 // regression metrics for surrogate accuracy, and interval-coverage checks
 // for UQ validation (paper §III-B).
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrEmpty is returned by estimators that require at least one sample.
-var ErrEmpty = errors.New("stats: empty sample")
+import "math"
 
 // Mean returns the arithmetic mean of xs, or NaN for an empty slice.
 func Mean(xs []float64) float64 {
@@ -44,34 +38,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic(ErrEmpty)
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Welford is a numerically stable streaming accumulator for mean and
 // variance. The zero value is ready to use.
@@ -284,33 +250,6 @@ func IntegratedAutocorrTime(xs []float64) float64 {
 	return tau
 }
 
-// BlockAverage splits xs into contiguous blocks of the given size
-// (discarding any remainder) and returns the per-block means. Block
-// averaging at sizes beyond the autocorrelation time yields approximately
-// independent samples; the paper's MLautotuning exemplar blocks 10M-step
-// runs every 1M steps for exactly this reason.
-func BlockAverage(xs []float64, blockSize int) []float64 {
-	if blockSize <= 0 {
-		panic("stats: non-positive block size")
-	}
-	nBlocks := len(xs) / blockSize
-	out := make([]float64, 0, nBlocks)
-	for b := 0; b < nBlocks; b++ {
-		out = append(out, Mean(xs[b*blockSize:(b+1)*blockSize]))
-	}
-	return out
-}
-
-// StandardErrorBlocked estimates the standard error of the mean of a
-// correlated series by block averaging: SE = std(blockMeans)/sqrt(nBlocks).
-func StandardErrorBlocked(xs []float64, blockSize int) float64 {
-	blocks := BlockAverage(xs, blockSize)
-	if len(blocks) < 2 {
-		return math.NaN()
-	}
-	return StdDev(blocks) / math.Sqrt(float64(len(blocks)))
-}
-
 // MAE returns the mean absolute error between predictions and targets.
 func MAE(pred, target []float64) float64 {
 	mustSameLen(pred, target)
@@ -338,24 +277,6 @@ func RMSE(pred, target []float64) float64 {
 	return math.Sqrt(s / float64(len(pred)))
 }
 
-// MAPE returns the mean absolute percentage error (in percent), skipping
-// entries whose target magnitude is below eps to avoid division blow-ups.
-func MAPE(pred, target []float64, eps float64) float64 {
-	mustSameLen(pred, target)
-	s, n := 0.0, 0
-	for i := range pred {
-		if math.Abs(target[i]) < eps {
-			continue
-		}
-		s += math.Abs((pred[i] - target[i]) / target[i])
-		n++
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return 100 * s / float64(n)
-}
-
 // R2 returns the coefficient of determination of pred against target.
 // A perfect predictor scores 1; predicting the target mean scores 0.
 func R2(pred, target []float64) float64 {
@@ -378,26 +299,6 @@ func R2(pred, target []float64) float64 {
 		return math.Inf(-1)
 	}
 	return 1 - ssRes/ssTot
-}
-
-// Pearson returns the Pearson correlation coefficient of two series.
-func Pearson(xs, ys []float64) float64 {
-	mustSameLen(xs, ys)
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(xs), Mean(ys)
-	num, dx, dy := 0.0, 0.0, 0.0
-	for i := range xs {
-		a, b := xs[i]-mx, ys[i]-my
-		num += a * b
-		dx += a * a
-		dy += b * b
-	}
-	if dx == 0 || dy == 0 {
-		return math.NaN()
-	}
-	return num / math.Sqrt(dx*dy)
 }
 
 // Coverage returns the fraction of targets that fall inside their

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,13 +30,6 @@ func TestMeanEmptyNaN(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max wrong: %g %g", Min(xs), Max(xs))
-	}
-}
-
 func TestWelfordMatchesBatch(t *testing.T) {
 	rng := xrand.New(1)
 	xs := make([]float64, 500)
@@ -50,7 +44,7 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if !almostEq(w.Variance(), Variance(xs), 1e-9) {
 		t.Fatalf("welford var %g batch %g", w.Variance(), Variance(xs))
 	}
-	if w.Min() != Min(xs) || w.Max() != Max(xs) {
+	if w.Min() != slices.Min(xs) || w.Max() != slices.Max(xs) {
 		t.Fatal("welford min/max mismatch")
 	}
 }
@@ -185,47 +179,6 @@ func TestIntegratedAutocorrTimeIID(t *testing.T) {
 	}
 }
 
-func TestBlockAverage(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7}
-	blocks := BlockAverage(xs, 2)
-	want := []float64{1.5, 3.5, 5.5}
-	if len(blocks) != len(want) {
-		t.Fatalf("got %d blocks want %d", len(blocks), len(want))
-	}
-	for i := range want {
-		if !almostEq(blocks[i], want[i], 1e-12) {
-			t.Fatalf("block %d = %g want %g", i, blocks[i], want[i])
-		}
-	}
-}
-
-func TestBlockAveragePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero block size did not panic")
-		}
-	}()
-	BlockAverage([]float64{1}, 0)
-}
-
-func TestStandardErrorBlockedCorrelated(t *testing.T) {
-	// For correlated data, blocked SE at large block size should exceed the
-	// naive i.i.d. SE (which underestimates for positively correlated data).
-	rng := xrand.New(7)
-	const phi = 0.9
-	xs := make([]float64, 100000)
-	x := 0.0
-	for i := range xs {
-		x = phi*x + rng.NormFloat64()
-		xs[i] = x
-	}
-	naive := StdDev(xs) / math.Sqrt(float64(len(xs)))
-	blocked := StandardErrorBlocked(xs, 1000)
-	if blocked <= naive {
-		t.Fatalf("blocked SE %g should exceed naive %g for AR(1)", blocked, naive)
-	}
-}
-
 func TestRegressionMetricsPerfect(t *testing.T) {
 	y := []float64{1, 2, 3, 4}
 	if MAE(y, y) != 0 || RMSE(y, y) != 0 {
@@ -253,27 +206,6 @@ func TestMAERMSEKnown(t *testing.T) {
 	}
 	if rmse := RMSE(pred, target); !almostEq(rmse, math.Sqrt(5.0/3.0), 1e-12) {
 		t.Fatalf("RMSE %g", rmse)
-	}
-}
-
-func TestMAPESkipsSmallTargets(t *testing.T) {
-	pred := []float64{1.1, 5, 100}
-	target := []float64{1, 0, 100}
-	got := MAPE(pred, target, 1e-9)
-	if !almostEq(got, 5, 1e-9) { // only entries 0 (10%) and 2 (0%) count -> 5%
-		t.Fatalf("MAPE %g want 5", got)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{2, 4, 6, 8}
-	if p := Pearson(xs, ys); !almostEq(p, 1, 1e-12) {
-		t.Fatalf("Pearson %g want 1", p)
-	}
-	neg := []float64{8, 6, 4, 2}
-	if p := Pearson(xs, neg); !almostEq(p, -1, 1e-12) {
-		t.Fatalf("Pearson %g want -1", p)
 	}
 }
 

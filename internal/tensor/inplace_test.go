@@ -23,8 +23,8 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMul is a*b into a fresh matrix through MatMulInto.
-func matMul(a, b *Matrix) *Matrix { return MatMulInto(NewMatrix(a.Rows, b.Cols), a, b) }
+// matMul is a*b into a fresh matrix through matMulInto.
+func matMul(a, b *Matrix) *Matrix { return matMulInto(NewMatrix(a.Rows, b.Cols), a, b) }
 
 // transpose returns mᵀ as a new matrix.
 func transpose(m *Matrix) *Matrix {
@@ -80,12 +80,12 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 		b := randKernelMatrix(rng, s.m, s.p)
 		want := naiveMatMul(a, b)
 		dst := randKernelMatrix(rng, s.n, s.p) // stale contents must be overwritten
-		got := MatMulInto(dst, a, b)
+		got := matMulInto(dst, a, b)
 		if got != dst {
-			t.Fatal("MatMulInto did not return dst")
+			t.Fatal("matMulInto did not return dst")
 		}
 		if !Equal(got, want, 1e-10) {
-			t.Fatalf("MatMulInto %dx%d*%dx%d mismatch", s.n, s.m, s.m, s.p)
+			t.Fatalf("matMulInto %dx%d*%dx%d mismatch", s.n, s.m, s.m, s.p)
 		}
 	}
 }
@@ -120,8 +120,8 @@ func TestMatMulABTIntoMatchesNaive(t *testing.T) {
 
 func TestMatMulIntoShapePanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { MatMulInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(4, 2)) },
-		func() { MatMulInto(NewMatrix(3, 2), NewMatrix(2, 3), NewMatrix(3, 2)) },
+		func() { matMulInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(4, 2)) },
+		func() { matMulInto(NewMatrix(3, 2), NewMatrix(2, 3), NewMatrix(3, 2)) },
 		func() { MatMulATBInto(NewMatrix(3, 2), NewMatrix(2, 3), NewMatrix(4, 2)) },
 		func() { MatMulABTInto(NewMatrix(2, 4), NewMatrix(2, 3), NewMatrix(4, 5)) },
 	} {
@@ -173,8 +173,8 @@ func TestMatMulIntoZeroesStaleDst(t *testing.T) {
 	b := FromRows([][]float64{{1, 0}, {0, 1}})
 	dst := NewMatrix(2, 2)
 	dst.Fill(math.NaN())
-	MatMulInto(dst, a, b)
+	matMulInto(dst, a, b)
 	if HasNaN(dst) {
-		t.Fatal("stale dst contents leaked through MatMulInto")
+		t.Fatal("stale dst contents leaked through matMulInto")
 	}
 }

@@ -60,36 +60,6 @@ func TestMatMulBiasIntoMatchesComposition(t *testing.T) {
 	}
 }
 
-// TestScaleColumnsBlocks checks per-block column scaling, including the
-// in-place aliasing contract and agreement with element-by-element scaling.
-func TestScaleColumnsBlocks(t *testing.T) {
-	rng := xrand.New(43)
-	const block, blocks, cols = 3, 4, 5
-	x := NewMatrix(block*blocks, cols)
-	for i := range x.Data {
-		x.Data[i] = rng.Range(-1, 1)
-	}
-	scales := make([]float64, blocks*cols)
-	for i := range scales {
-		scales[i] = rng.Range(0, 2)
-	}
-	want := NewMatrix(x.Rows, cols)
-	for i := 0; i < x.Rows; i++ {
-		for j := 0; j < cols; j++ {
-			want.Set(i, j, x.At(i, j)*scales[(i/block)*cols+j])
-		}
-	}
-	got := ScaleColumnsBlocks(NewMatrix(x.Rows, cols), x, scales, block)
-	if !Equal(got, want, 0) {
-		t.Fatal("ScaleColumnsBlocks differs from element-by-element scaling")
-	}
-	inPlace := x.Clone()
-	ScaleColumnsBlocks(inPlace, inPlace, scales, block)
-	if !Equal(inPlace, want, 0) {
-		t.Fatal("in-place ScaleColumnsBlocks differs from out-of-place")
-	}
-}
-
 // TestRepeatRowsInto checks vertical tiling and dst reuse.
 func TestRepeatRowsInto(t *testing.T) {
 	src := FromRows([][]float64{{1, 2}, {3, 4}})

@@ -160,36 +160,6 @@ func GatherRowsInto(dst, src *Matrix, idx []int) *Matrix {
 	return dst
 }
 
-// ScaleColumnsBlocks scales x block-wise into dst and returns dst: the
-// rows are grouped into consecutive blocks of block rows each, and every
-// row of block t has its columns scaled by scales[t*Cols:(t+1)*Cols].
-// x.Rows must be a multiple of block and len(scales) must cover one mask
-// row per block. dst may alias x for in-place scaling; a nil dst
-// allocates. This is the pass-stacked MC-dropout kernel: each pass's
-// block of the tall panel carries that pass's column-shared mask.
-func ScaleColumnsBlocks(dst, x *Matrix, scales []float64, block int) *Matrix {
-	if block <= 0 || x.Rows%block != 0 {
-		panic(fmt.Sprintf("tensor: block of %d rows does not tile %d rows", block, x.Rows))
-	}
-	blocks := x.Rows / block
-	if len(scales) != blocks*x.Cols {
-		panic(fmt.Sprintf("tensor: scales of len %d for %d blocks of %d cols", len(scales), blocks, x.Cols))
-	}
-	dst = ensure(dst, x.Rows, x.Cols)
-	cols := x.Cols
-	for t := 0; t < blocks; t++ {
-		mask := scales[t*cols : (t+1)*cols]
-		for i := t * block; i < (t+1)*block; i++ {
-			src := x.Data[i*cols : (i+1)*cols]
-			out := dst.Data[i*cols : (i+1)*cols][:len(src)] // [:len(src)]: bounds-check elimination hints
-			for j, m := range mask[:len(src)] {
-				out[j] = src[j] * m
-			}
-		}
-	}
-	return dst
-}
-
 // RepeatRowsInto tiles src vertically times times into dst, reshaping dst
 // to times*src.Rows x src.Cols, and returns dst. A nil dst allocates.
 // This assembles the tall panel pass-stacked MC evaluation runs all
@@ -232,11 +202,11 @@ func Hadamard(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MatMulInto stores a*b into dst and returns dst. dst must be a.Rows x
-// b.Cols and must not alias a or b; its prior contents are overwritten.
-// It performs no allocation, so hot loops can reuse one dst across
-// steps.
-func MatMulInto(dst, a, b *Matrix) *Matrix {
+// matMulInto stores a*b into dst and returns dst: MatMulBiasInto without
+// a bias, the plain product the package's tests build on. dst must be
+// a.Rows x b.Cols and must not alias a or b; its prior contents are
+// overwritten.
+func matMulInto(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -250,7 +220,7 @@ func MatMulInto(dst, a, b *Matrix) *Matrix {
 // with the bias and accumulated by panelRows, four source rows fused per
 // step — no separate zeroing or bias pass — rounding as the one-row
 // reference AxpyPanels (panel_test.go) does over a bias-seeded row. dst
-// must not alias a or b; shapes follow MatMulInto.
+// must be a.Rows x b.Cols and must not alias a or b.
 func MatMulBiasInto(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))

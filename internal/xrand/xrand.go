@@ -13,14 +13,29 @@ import (
 	"math/bits"
 )
 
-// splitMix64 advances a SplitMix64 state and returns the next output.
-// It is used only for seeding and splitting.
-func splitMix64(state *uint64) uint64 {
-	*state += 0x9e3779b97f4a7c15
-	z := *state
+// gamma is SplitMix64's state increment, the golden-ratio constant.
+const gamma = 0x9e3779b97f4a7c15
+
+// mix is SplitMix64's output finalizer: a bijective avalanche of z.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// splitMix64 advances a SplitMix64 state and returns the next output.
+// It is used only for seeding and splitting.
+func splitMix64(state *uint64) uint64 {
+	*state += gamma
+	return mix(*state)
+}
+
+// Hash returns output i of the SplitMix64 stream seeded at seed, without
+// the stream: a pure function of its two arguments, so values keyed by
+// indices (Hash(Hash(seed, a), b) for two of them, with no bound on
+// either) do not depend on the order or the goroutine that asks for them.
+func Hash(seed, i uint64) uint64 {
+	return mix(seed + (i+1)*gamma)
 }
 
 // Rand is a xoshiro256** generator. It is NOT safe for concurrent use;
@@ -43,7 +58,7 @@ func New(seed uint64) *Rand {
 	// xoshiro requires not-all-zero state; SplitMix64 cannot produce four
 	// zeros from any seed, but guard anyway.
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+		r.s[0] = gamma
 	}
 	return r
 }

@@ -35,6 +35,24 @@ func TestFillIsTheUint64Stream(t *testing.T) {
 	}
 }
 
+// TestHashIsTheSplitMixStream: Hash(seed, i) is output i of the
+// SplitMix64 stream seeded at seed, and its low bit is a fair coin over
+// consecutive indices.
+func TestHashIsTheSplitMixStream(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		state, ones := seed, 0
+		for i := uint64(0); i < 4096; i++ {
+			if got, want := Hash(seed, i), splitMix64(&state); got != want {
+				t.Fatalf("Hash(%d, %d) = %x, the stream gives %x", seed, i, got, want)
+			}
+			ones += int(Hash(seed, i) & 1)
+		}
+		if ones < 1848 || ones > 2248 { // ±6.25 σ
+			t.Fatalf("seed %d: %d of 4096 low bits set", seed, ones)
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a := New(1)
 	b := New(2)
