@@ -63,8 +63,8 @@ type Compiled struct {
 }
 
 // freeList is a LIFO of idle contexts. A pool the runtime empties at every
-// garbage collection would mint a context's pass-group panels (a quarter
-// MB each, or more for a wide MaxBatch) again after each one; this list
+// garbage collection would mint a context's pass-group panels (one full
+// chunk at the widest step each) again after each one; this list
 // keeps them, cannot outgrow the peak number of concurrent calls and dies
 // with its program.
 type freeList[T any] struct {
@@ -215,10 +215,8 @@ func (c *Compiled) PredictMC(x []float64, passes int, mean, std []float64) (m, s
 // leases never shows in its answer. Each buffer is allocated on first use
 // at the largest size the program's chunks can need (maxBatch rows;
 // mcPanel floats for the pass-group panels, whatever the pass count) and
-// then reused via Reshape, so a warmed context serves any chunk at zero
-// heap allocations and a deep stochastic suffix any pass count too. A
-// one-step suffix holds one row's passes in tall instead (predictMCTail),
-// which grows only with the pass count.
+// then reused via Reshape, so a warmed context serves any chunk at any
+// pass count with zero heap allocations.
 type compiledBatchCtx struct {
 	buf  [2]*tensor.Matrix // chunk ping-pong activations (≤ maxBatch rows)
 	tall [2]*tensor.Matrix // pass-group panels (mcPanel floats each)
@@ -229,15 +227,12 @@ type compiledBatchCtx struct {
 	view tensor.Matrix     // reusable window header over the caller's input
 }
 
-// mcPanelFloats is the floor of a pass-group panel's size in floats
-// (256 KB). The pass-stacked MC path runs a chunk's passes in groups as
-// tall as the panel holds, so its scratch is the same for 4 passes or 1 024
-// and two panels stay cache-resident next to the weights.
-const mcPanelFloats = 1 << 15
-
-// mcPanel is the size of each pass-group panel in floats: at least one
-// pass of a full chunk at the widest step.
-func (c *Compiled) mcPanel() int { return max(mcPanelFloats, c.maxBatch*c.maxW) }
+// mcPanel is the size of each pass-group panel in floats: one pass of a
+// full chunk at the widest step. The pass-stacked MC path runs a chunk's
+// passes in groups as tall as the panel holds, so its scratch is the same
+// for 4 passes or 1 024, and a chunk narrower than maxBatch stacks more
+// passes in a group.
+func (c *Compiled) mcPanel() int { return c.maxBatch * c.maxW }
 
 // getBatchCtx leases a warm batch context, or a new empty one when none
 // is idle.
@@ -265,40 +260,42 @@ func mcPassKey(row uint64, si, t int) uint64 {
 	return xrand.Hash(xrand.Hash(row, uint64(si)), uint64(t))
 }
 
-// mcLimit is the threshold mcKeep holds a unit's 32 hash bits to: they
-// fall below it with probability keep, to within 2⁻³².
-func mcLimit(keep float64) uint64 { return uint64(math.Ceil(keep * (1 << 32))) }
+// mcLimit is the threshold mcKeep holds a unit's 16 hash bits to: they
+// fall below it with probability keep, to within 2⁻¹⁶.
+func mcLimit(keep float64) uint64 { return uint64(math.Ceil(keep * (1 << 16))) }
 
 // mcKeep is the one MC-dropout mask rule: unit j survives the pass keyed
-// k when its half of a hash of (k, j/2) falls below lim (mcLimit); one
-// hash serves two units. Every MC path keys a unit by (program seed, row,
+// k when its quarter of a hash of (k, j/4) falls below lim (mcLimit); one
+// hash serves four units. Every MC path keys a unit by (program seed, row,
 // step, pass, unit) the same way, so the float and int8 programs of one
 // generation thin the same units, and no answer depends on the batch,
 // the chunk, the pass group or the goroutine that computed it.
 func mcKeep(k uint64, j int, lim uint64) bool {
-	return xrand.Hash(k, uint64(j>>1))>>(32*uint(j&1))&(1<<32-1) < lim
+	return xrand.Hash(k, uint64(j>>2))>>(16*uint(j&3))&(1<<16-1) < lim
 }
 
 // mcThin applies the mask of the pass keyed k to one row of a dropout
 // step's input in place: a unit mcKeep keeps under lim is scaled by inv
-// (1/keep, inverted dropout), the others are zeroed. It is mcKeep two
-// units at a time, with a bit mask rather than a branch selecting the
-// multiplier: a unit is dropped at random, which a branch would
-// mispredict.
+// (1/keep, inverted dropout), the others are zeroed. It is mcKeep four
+// units a hash, unrolled, and the unit's borrow bit (its 16 bits minus
+// lim) picks the multiplier rather than a branch: a unit is dropped at
+// random, which a branch would mispredict.
 func mcThin(row []float64, k, lim uint64, inv float64) {
-	invBits := math.Float64bits(inv)
-	for j := 0; j < len(row); j += 2 {
-		h := xrand.Hash(k, uint64(j>>1))
-		var lo, hi uint64
-		if h&(1<<32-1) < lim {
-			lo = ^uint64(0)
-		}
-		if h>>32 < lim {
-			hi = ^uint64(0)
-		}
-		row[j] *= math.Float64frombits(invBits & lo)
-		if j+1 < len(row) {
-			row[j+1] *= math.Float64frombits(invBits & hi)
+	scale := [2]float64{0, inv}
+	j := 0
+	for ; j+4 <= len(row); j += 4 {
+		h := xrand.Hash(k, uint64(j>>2))
+		r := row[j : j+4 : j+4]
+		r[0] *= scale[(h&(1<<16-1)-lim)>>63]
+		r[1] *= scale[(h>>16&(1<<16-1)-lim)>>63]
+		r[2] *= scale[(h>>32&(1<<16-1)-lim)>>63]
+		r[3] *= scale[(h>>48-lim)>>63]
+	}
+	if j < len(row) {
+		h := xrand.Hash(k, uint64(j>>2))
+		for u := range row[j:] {
+			row[j+u] *= scale[(h&(1<<16-1)-lim)>>63]
+			h >>= 16
 		}
 	}
 }
@@ -399,9 +396,7 @@ func (c *Compiled) PredictBatch(xs, dst *tensor.Matrix) *tensor.Matrix {
 // and the whole suffix — arbitrarily many [Dropout, Dense, ...] stages —
 // runs over that panel with ONE fused matmul per dense step and pass
 // group rather than per pass. The panel has a fixed size, so passes that
-// do not fit in one run in groups. A one-step suffix, [Dropout, Dense],
-// needs no chunk-wide panel: each row's passes are one small product
-// (predictMCTail). A program with no live dropout
+// do not fit in one run in groups. A program with no live dropout
 // collapses to one eval pass with zero std. Inputs wider than MaxBatch
 // chunk internally; with caller-provided buffers a warmed call allocates
 // nothing. The variance is accumulated as deviations from the first pass
@@ -440,8 +435,7 @@ func (c *Compiled) PredictMCBatch(xs *tensor.Matrix, passes int, mean, std *tens
 }
 
 // predictMCChunk evaluates rows [lo,lo+b) of xs with MC dropout, writing
-// the reduced statistics into the matching mean/std rows. A one-step
-// stochastic suffix goes to predictMCTail; a deeper one runs its
+// the reduced statistics into the matching mean/std rows. It runs the
 // passes in groups of g, as many as one pass-group panel holds at b rows
 // of the widest step: each group tiles the prefix output g times, thins
 // each row of its passes at every dropout step by the row's own key and
@@ -458,10 +452,6 @@ func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, 
 		keys[r] = mcRowKey(c.seedBase, xs.Row(lo+r))
 	}
 	pre := c.forwardBatchPrefix(ctx, xs, lo, b, c.fs)
-	if c.fs == len(c.steps)-2 && c.steps[c.fs+1].kind == stepDense {
-		c.predictMCTail(ctx, pre, keys, passes, mean.Data[lo*c.out:], std.Data[lo*c.out:])
-		return
-	}
 	panel := c.mcPanel()
 	group := min(panel/(b*c.maxW), passes)
 	n := b * c.out
@@ -497,35 +487,6 @@ func (c *Compiled) predictMCChunk(ctx *compiledBatchCtx, xs *tensor.Matrix, lo, 
 		}
 	}
 	mcFinish(ref, sum, ssq, passes, mean.Data[lo*c.out:lo*c.out+n], std.Data[lo*c.out:lo*c.out+n])
-}
-
-// predictMCTail is the MC path of a one-step stochastic suffix, [Dropout,
-// Dense] (the serving surrogates' shape): a pass of a row is the row's
-// prefix output, thinned by the row's mask for that pass, times the dense
-// step's weights. So each row runs its passes on its own: its thinned
-// copies stack into a passes x in panel, one product gives every pass's
-// outputs, and no chunk-wide pass-group panel is tiled or held.
-func (c *Compiled) predictMCTail(ctx *compiledBatchCtx, pre *tensor.Matrix, keys []uint64, passes int, mean, std []float64) {
-	dr, nd := &c.steps[c.fs], &c.steps[c.fs+1]
-	lim, inv := mcLimit(1-dr.p), 1/(1-dr.p)
-	out := nd.out
-	thin := reserve(&ctx.tall[0], passes, nd.in, 0)
-	ys := reserve(&ctx.tall[1], passes, out, 0)
-	ref, sum, ssq := grow(&ctx.ref, out), grow(&ctx.sum, out), grow(&ctx.ssq, out)
-	for r, key := range keys {
-		for t := 0; t < passes; t++ {
-			copy(thin.Row(t), pre.Row(r))
-			mcThin(thin.Row(t), mcPassKey(key, c.fs, t), lim, inv)
-		}
-		tensor.MatMulBiasInto(ys, thin, &nd.wm, nd.b)
-		nd.act.applyAll(ys.Data)
-		clear(sum)
-		clear(ssq)
-		for t := 0; t < passes; t++ {
-			mcAccumulate(ys.Row(t), t, ref, sum, ssq)
-		}
-		mcFinish(ref, sum, ssq, passes, mean[r*out:(r+1)*out], std[r*out:(r+1)*out])
-	}
 }
 
 // mcAccumulate folds the outputs y of pass t into the shifted-data

@@ -96,25 +96,6 @@ func TestPassGroupsMatchOnePanel(t *testing.T) {
 	}
 }
 
-// TestMCTailMatchesOnePanel: a one-step stochastic suffix, [Dropout, Dense],
-// runs each row's passes on their own (predictMCTail); it gives the one
-// tall panel's answers up to the order of the dense step's sums.
-func TestMCTailMatchesOnePanel(t *testing.T) {
-	rng := xrand.New(53)
-	for _, widths := range [][]int{{2, 24, 1}, {6, 12, 2}, {3, 9, 4}} {
-		c := NewMLP(rng.Split(), Tanh, 0.2, widths...).CompileBatch(8)
-		x := batchProbe(rng, 19, widths[0])
-		mean, std := c.PredictMCBatch(x, 12, nil, nil)
-		wantMean, wantStd := onePanelMC(c, x, 12)
-		for i := range mean.Data {
-			if math.Abs(mean.Data[i]-wantMean.Data[i]) > 1e-12 || math.Abs(std.Data[i]-wantStd.Data[i]) > 1e-12 {
-				t.Fatalf("%v: element %d is mean %v std %v, one panel gives %v %v",
-					widths, i, mean.Data[i], std.Data[i], wantMean.Data[i], wantStd.Data[i])
-			}
-		}
-	}
-}
-
 // TestMCAnswerIsPure: a row's MC-dropout mean and std are a function of the
 // program and the row alone. On a one-step stochastic suffix (2-24-1), two
 // and three dropouts (6-30-48-3, 8-64-64-64-1) and the int8 program of

@@ -127,8 +127,8 @@ func TestQuantPredictBatchExact(t *testing.T) {
 }
 
 // The MC batch path is the same per-row program, and its masks are keyed
-// by (step, pass, unit) alone, so it reproduces N single-row PredictMC
-// calls on the same program exactly.
+// by (row, step, pass, unit), never by the row's place in the batch, so it
+// reproduces N single-row PredictMC calls on the same program exactly.
 func TestQuantPredictMCBatchExact(t *testing.T) {
 	net, calib := trainQuantNet(t, 115, Tanh, 0.15, 5, 20, 12, 2)
 	q := net.Compile().Quantize(calib)
