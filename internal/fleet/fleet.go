@@ -29,7 +29,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/serve"
+	"repro/internal/stats"
 )
 
 // Fleet lifecycle and admission errors.
@@ -94,10 +95,6 @@ func (c *Config) fill() {
 	}
 }
 
-// latencyWindow is how many recent per-query latencies each tenant retains
-// for the percentile stats. A power of two, so the ring index is a mask.
-const latencyWindow = 1024
-
 // tenant is one registered backend: its coalescer plus admission and
 // stats state. All counters are atomics so the query path takes no
 // tenant lock.
@@ -125,12 +122,11 @@ type tenant struct {
 	// dispatch tier records one); see SetPlacement.
 	placement atomic.Pointer[Placement]
 
-	// lats is a ring of recent query latencies (ns), written with atomic
-	// stores so Stats can read concurrently.
-	lats   [latencyWindow]int64
-	latPos atomic.Uint64
+	// lat holds the burst latencies since the previous snapshot.
+	lat stats.Hist
 
-	// QPS sampling window (Stats-call to Stats-call).
+	// The sampling window (Stats-call to Stats-call) for QPS and the
+	// percentiles.
 	statsMu sync.Mutex
 	lastAt  time.Time
 	lastQ   int64
@@ -138,16 +134,9 @@ type tenant struct {
 
 // observeN counts n completed queries against one shared latency sample:
 // per-row clock reads would cost more than the dispatch they measure, and
-// a burst's rows genuinely share their batch's latency. The latency store
-// lands before the query-count increment (and is clamped to ≥1ns) so a
-// percentile reader sizing its sample by the counter and skipping zero
-// slots never mistakes an unwritten slot for a datum.
+// a burst's rows genuinely share their batch's latency.
 func (t *tenant) observeN(d time.Duration, n int64) {
-	if d <= 0 {
-		d = 1
-	}
-	i := (t.latPos.Add(1) - 1) & (latencyWindow - 1)
-	atomic.StoreInt64(&t.lats[i], int64(d))
+	t.lat.Record(int64(d))
 	t.queries.Add(n)
 }
 
@@ -308,7 +297,7 @@ func (f *Fleet) Tenants() []string {
 		names = append(names, name)
 	}
 	f.mu.RUnlock()
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -457,66 +446,71 @@ func (f *Fleet) QueryRows(name string, rows [][]float64, deadlines []int64, each
 	return err
 }
 
-// TenantStats is one tenant's serving snapshot.
+// TenantStats is one tenant's serving snapshot. Its JSON form is a
+// tenant's /statsz entry (durations in nanoseconds).
 type TenantStats struct {
 	// Queries is the number of completed queries (admitted and served,
 	// successfully or not) since registration.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// Rejected counts queries shed by the in-flight admission bound.
-	Rejected int64
+	Rejected int64 `json:"rejected"`
 	// Expired counts queries shed at admission because their QueryRows
 	// deadline had already passed.
-	Expired int64
+	Expired int64 `json:"expired"`
 	// Panics counts contained backend panics.
-	Panics int64
+	Panics int64 `json:"panics"`
 	// InFlight is the instantaneous admitted-query count.
-	InFlight int64
+	InFlight int64 `json:"in_flight"`
 	// QPS is the query completion rate measured over the interval since
 	// the previous Stats/TenantStats call for this tenant.
-	QPS float64
+	QPS float64 `json:"qps"`
 	// Batches and MeanBatch report the tenant's coalescing effectiveness.
-	Batches   int64
-	MeanBatch float64
-	// P50 and P99 are latency percentiles over the tenant's recent
-	// latency window (zero until the first query completes).
-	P50, P99 time.Duration
+	Batches   int64   `json:"-"`
+	MeanBatch float64 `json:"mean_batch"`
+	// P50 and P99 are latency percentiles over the bursts completed
+	// since the previous Stats/TenantStats call for this tenant, the
+	// window QPS uses (zero when none completed).
+	P50 time.Duration `json:"p50_ns"`
+	P99 time.Duration `json:"p99_ns"`
 	// Staleness is the total count of training samples no published model
 	// has absorbed, summed across the backend's shards, for backends that
 	// report per-shard status (core.ShardedWrapper); -1 otherwise.
-	Staleness int
+	Staleness int `json:"staleness"`
 	// DriftedShards counts the backend's shards whose ingested-residual
 	// EWMA has tripped the drift threshold (they owe a refit), and
 	// MaxDriftRatio is the worst shard's residual-over-baseline ratio —
 	// the signals a health endpoint surfaces so an orchestrator can see a
 	// tenant sliding before its accuracy does. Both stay zero for
 	// backends without per-shard status.
-	DriftedShards int
-	MaxDriftRatio float64
+	DriftedShards int     `json:"drifted_shards"`
+	MaxDriftRatio float64 `json:"max_drift_ratio"`
 	// QuantQueries counts lookups the backend served through int8
 	// quantized programs, and QuantFallbacks the subset re-run on the
 	// retained float program because the UQ decision sat inside the
 	// quantization error band (or the input clipped the int8 envelope).
 	// Both stay zero for backends without quantized serving.
-	QuantQueries, QuantFallbacks uint64
+	QuantQueries   uint64 `json:"quant_queries"`
+	QuantFallbacks uint64 `json:"quant_fallbacks"`
 	// BrownoutDowns and BrownoutUps are always zero. Their only reader is
 	// the benchmark's fleet probe (benchmark/probe_fleet.go), which sums
 	// them into fleet.brownout_steps; they go when that metric does.
-	BrownoutDowns, BrownoutUps int64
+	BrownoutDowns int64 `json:"-"`
+	BrownoutUps   int64 `json:"-"`
 	// RegistryGeneration is the newest artifact generation committed
 	// across the tenant's registry shard keys, and RegistryPublishes /
 	// RegistryRollbacks / RegistryQuarantines the registry's durability
 	// counters summed over them. All zero while the tenant is not bound
 	// to a registry (see BindRegistry).
-	RegistryGeneration  uint64
-	RegistryPublishes   int64
-	RegistryRollbacks   int64
-	RegistryQuarantines int64
+	RegistryGeneration  uint64 `json:"registry_generation"`
+	RegistryPublishes   int64  `json:"registry_publishes"`
+	RegistryRollbacks   int64  `json:"registry_rollbacks"`
+	RegistryQuarantines int64  `json:"registry_quarantines"`
 	// PlacementSource / PlacementGeneration / PlacementWarmShards echo
 	// the tenant's recorded Placement — how a dispatch tier landed it on
 	// this process (empty/zero until SetPlacement).
-	PlacementSource     string
-	PlacementGeneration uint64
-	PlacementWarmShards int
+	PlacementSource     string `json:"placement_source,omitempty"`
+	PlacementGeneration uint64 `json:"placement_generation,omitempty"`
+	PlacementWarmShards int    `json:"placement_warm_shards,omitempty"`
 }
 
 // statuser is the optional backend face that exposes per-shard refit
@@ -571,42 +565,18 @@ func (t *tenant) snapshot() TenantStats {
 		st.PlacementGeneration = p.Generation
 		st.PlacementWarmShards = p.WarmShards
 	}
-	// QPS over the window since the previous snapshot.
+	// QPS and percentiles over the window since the previous snapshot.
 	t.statsMu.Lock()
 	now := time.Now()
 	if dt := now.Sub(t.lastAt).Seconds(); dt > 0 {
 		st.QPS = float64(st.Queries-t.lastQ) / dt
 	}
 	t.lastAt, t.lastQ = now, st.Queries
+	var win stats.Hist // on the stack: snapshots allocate nothing
+	t.lat.Take(&win)
+	st.P50, st.P99 = win.Percentile(0.50), win.Percentile(0.99)
 	t.statsMu.Unlock()
-	st.P50, st.P99 = t.latPercentiles()
 	return st
-}
-
-// latPercentiles reads the tenant's latency ring and returns its p50/p99
-// (zero until the first query completes). Slots still zero — claimed by
-// an in-flight observe whose store hasn't landed, or never written — are
-// skipped rather than read as 0ns latencies (observe clamps real
-// durations to ≥1ns).
-func (t *tenant) latPercentiles() (p50, p99 time.Duration) {
-	n := int64(len(t.lats))
-	if q := t.queries.Load(); q < n {
-		n = q
-	}
-	if n <= 0 {
-		return 0, 0
-	}
-	lats := make([]int64, 0, n)
-	for i := int64(0); i < n; i++ {
-		if v := atomic.LoadInt64(&t.lats[i]); v > 0 {
-			lats = append(lats, v)
-		}
-	}
-	if len(lats) == 0 {
-		return 0, 0
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return time.Duration(lats[len(lats)/2]), time.Duration(lats[len(lats)*99/100])
 }
 
 // TenantStats returns one tenant's serving snapshot.

@@ -367,6 +367,67 @@ func TestFleetStats(t *testing.T) {
 	}
 }
 
+// TestFleetStatsPercentileWindow: P50/P99 cover the bursts since the
+// previous snapshot, as QPS does, so slow bursts a snapshot already
+// reported do not linger in the next one.
+func TestFleetStatsPercentileWindow(t *testing.T) {
+	fb := &fakeBackend{scale: 1, delay: 5 * time.Millisecond}
+	f := New(Config{})
+	defer f.Close()
+	if err := f.Register("w", fb); err != nil {
+		t.Fatal(err)
+	}
+	run := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := f.query("w", []float64{1, 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(40)
+	slow, err := f.TenantStats("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.P50 < 5*time.Millisecond {
+		t.Fatalf("p50 over 5 ms bursts = %v", slow.P50)
+	}
+	fb.delay = 0 // the dispatcher read it before the last answer came back
+	run(20)
+	fast, _ := f.TenantStats("w")
+	if fast.P50 >= 2500*time.Microsecond {
+		t.Fatalf("p50 after 20 instant bursts = %v, want < 2.5 ms: the previous window's bursts leaked in", fast.P50)
+	}
+	if empty, _ := f.TenantStats("w"); empty.P50 != 0 || empty.P99 != 0 {
+		t.Fatalf("p50/p99 over an empty window = %v/%v, want 0", empty.P50, empty.P99)
+	}
+}
+
+// TestFleetTenantStatsZeroAlloc: a snapshot of a tenant with no status,
+// quant or registry face allocates nothing.
+func TestFleetTenantStatsZeroAlloc(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are meaningless under -race")
+	}
+	f := New(Config{})
+	defer f.Close()
+	if err := f.Register("a", &fakeBackend{scale: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := f.query("a", []float64{1, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(64, func() {
+		if _, err := f.TenantStats("a"); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("TenantStats allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // TestFleetAgainstWrapper serves a real UQ-gated wrapper tenant end to
 // end through the fleet: coalesced answers must match the backend's own
 // predictions.

@@ -688,44 +688,6 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 }
 
-func TestHistPercentiles(t *testing.T) {
-	var h Hist
-	for i := int64(1); i <= 100000; i++ {
-		h.Record(i)
-	}
-	if h.n != 100000 {
-		t.Fatalf("count %d", h.n)
-	}
-	for _, tc := range []struct {
-		p    float64
-		want int64
-	}{{0.5, 50000}, {0.9, 90000}, {0.99, 99000}, {1.0, 100000}} {
-		got := int64(h.Percentile(tc.p))
-		relErr := math.Abs(float64(got-tc.want)) / float64(tc.want)
-		if relErr > 0.05 {
-			t.Fatalf("p%.2f = %d, want ≈ %d (rel err %.3f)", tc.p, got, tc.want, relErr)
-		}
-	}
-	var a, b Hist
-	for i := int64(0); i < 1000; i++ {
-		a.Record(10)
-		b.Record(1000)
-	}
-	a.Merge(&b)
-	if a.n != 2000 {
-		t.Fatalf("merged count %d", a.n)
-	}
-	if p := a.Percentile(0.25); p != 10 {
-		t.Fatalf("merged p25 = %v", p)
-	}
-	if p := int64(a.Percentile(0.9)); p < 950 || p > 1050 {
-		t.Fatalf("merged p90 = %v", p)
-	}
-	if a.Max() != 1000 {
-		t.Fatalf("merged max = %v", a.Max())
-	}
-}
-
 func TestWireConcurrentClientsManyTenants(t *testing.T) {
 	tenants := map[string]serve.Backend{}
 	for i := 0; i < 4; i++ {

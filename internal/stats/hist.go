@@ -1,9 +1,10 @@
-package netserve
+package stats
 
 import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,14 +20,14 @@ const (
 
 // Hist is a log-linear (HDR-style) histogram of nanosecond latencies.
 // Values bucket by power-of-two magnitude with histSub linear sub-buckets
-// per segment. The zero value is ready to use. Not safe for concurrent
-// writers: give each worker its own and Merge.
+// per segment. The zero value is ready to use, and every method is safe
+// for concurrent use: Record is one atomic bucket add plus a max check,
+// with no lock and no allocation.
 type Hist struct {
 	// counts is 15 KB: loops index it in place, since ranging over it by
 	// value copies the whole array onto the caller's stack.
-	counts [histBuckets]int64
-	n      int64
-	max    int64
+	counts [histBuckets]atomic.Int64
+	max    atomic.Int64
 }
 
 // histIndex maps a value to its bucket: segment k−4 (k = bit length − 1)
@@ -41,19 +42,23 @@ func histIndex(v int64) int {
 	return (k-4)*histSub + int((v>>(k-5))&(histSub-1))
 }
 
-// Record folds one latency (in nanoseconds; negatives clamp to 0) in.
+// Record folds one latency (in nanoseconds; negatives clamp to 0) in. The
+// max is raised before the bucket count lands, so a Take that sees the
+// count sees a max at least as large.
 func (h *Hist) Record(ns int64) {
 	if ns < 0 {
 		ns = 0
 	}
-	i := histIndex(ns)
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	h.counts[i]++
-	h.n++
-	if ns > h.max {
-		h.max = ns
+	h.raiseMax(ns)
+	h.counts[min(histIndex(ns), histBuckets-1)].Add(1)
+}
+
+// raiseMax lifts h.max to at least v.
+func (h *Hist) raiseMax(v int64) {
+	for m := h.max.Load(); v > m; m = h.max.Load() {
+		if h.max.CompareAndSwap(m, v) {
+			return
+		}
 	}
 }
 
@@ -62,17 +67,42 @@ func (h *Hist) RecordSince(t0 time.Time) { h.Record(time.Since(t0).Nanoseconds()
 
 // Merge folds o's samples into h.
 func (h *Hist) Merge(o *Hist) {
+	h.raiseMax(o.max.Load())
 	for i := range o.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.n += o.n
-	if o.max > h.max {
-		h.max = o.max
+		if c := o.counts[i].Load(); c != 0 {
+			h.counts[i].Add(c)
+		}
 	}
 }
 
-// Max returns the largest recorded sample.
-func (h *Hist) Max() time.Duration { return time.Duration(h.max) }
+// Take moves h's samples into dst, replacing what dst held, and leaves h
+// with none. Each bucket is swapped out atomically, so a sample recorded
+// concurrently lands in exactly one Take. The max is not reset: dst's max
+// is h's all-time max, which bounds every sample taken (see Record), so
+// dst's percentiles stay within their buckets.
+func (h *Hist) Take(dst *Hist) {
+	for i := range h.counts {
+		var c int64
+		if h.counts[i].Load() != 0 { // most buckets are empty; a load is cheaper than a swap
+			c = h.counts[i].Swap(0)
+		}
+		dst.counts[i].Store(c)
+	}
+	dst.max.Store(h.max.Load())
+}
+
+// Max returns the largest sample recorded since h was made (Take does not
+// reset it).
+func (h *Hist) Max() time.Duration { return time.Duration(h.max.Load()) }
+
+// count returns the number of samples recorded.
+func (h *Hist) count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // bucketValue returns the representative (midpoint) value of bucket i.
 func bucketValue(i int) int64 {
@@ -85,36 +115,30 @@ func bucketValue(i int) int64 {
 	return (histSub+sub)<<(seg-1) + step/2
 }
 
-// Percentile returns the approximate p-quantile (p in [0,1]).
+// Percentile returns the approximate p-quantile (p in [0,1]), or 0 when
+// no sample has been recorded.
 func (h *Hist) Percentile(p float64) time.Duration {
-	if h.n == 0 {
+	n := h.count()
+	if n == 0 {
 		return 0
 	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := int64(p * float64(h.n-1))
+	p = min(max(p, 0), 1)
+	rank := int64(p * float64(n-1))
+	m := h.max.Load()
 	var seen int64
 	for i := range h.counts {
-		seen += h.counts[i]
+		seen += h.counts[i].Load()
 		if seen > rank {
-			v := bucketValue(i)
-			if int64(time.Duration(v)) > h.max {
-				v = h.max
-			}
-			return time.Duration(v)
+			return time.Duration(min(bucketValue(i), m))
 		}
 	}
-	return time.Duration(h.max)
+	return time.Duration(m)
 }
 
 // String formats the standard percentile line.
 func (h *Hist) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d", h.n)
+	fmt.Fprintf(&b, "n=%d", h.count())
 	for _, pq := range []struct {
 		label string
 		p     float64

@@ -1,6 +1,7 @@
 // Package stats provides the statistical machinery the Learning Everywhere
-// experiments rely on: streaming moments and histograms for simulation
-// observables, autocorrelation for deciding when simulation samples are
+// experiments rely on: streaming moments for simulation observables, the
+// log-linear latency histogram every serving layer reports percentiles
+// from, autocorrelation for deciding when simulation samples are
 // statistically independent (paper §III-D, "block at a timescale ...
 // greater than the autocorrelation time d_c"),
 // regression metrics for surrogate accuracy, and interval-coverage checks
@@ -45,30 +46,15 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of observations folded in.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean, or NaN when empty.
 func (w *Welford) Mean() float64 {
@@ -88,100 +74,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest observation seen; NaN when empty.
-func (w *Welford) Min() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.min
-}
-
-// Max returns the largest observation seen; NaN when empty.
-func (w *Welford) Max() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.max
-}
-
-// Merge combines another accumulator into this one (parallel reduction).
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n, w.mean, w.m2 = n, mean, m2
-}
-
-// Histogram is a fixed-range uniform-bin histogram.
-type Histogram struct {
-	Lo, Hi   float64
-	Counts   []int
-	Under    int // observations below Lo
-	Over     int // observations at or above Hi
-	binWidth float64
-}
-
-// NewHistogram builds a histogram over [lo, hi) with the given bin count.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic("stats: invalid histogram parameters")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), binWidth: (hi - lo) / float64(bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		i := int((x - h.Lo) / h.binWidth)
-		if i >= len(h.Counts) { // float edge case at upper bound
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
-// Density returns the normalized probability density in bin i.
-func (h *Histogram) Density(i int) float64 {
-	t := h.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / (float64(t) * h.binWidth)
-}
 
 // Autocorrelation returns the normalized autocorrelation function of xs up
 // to maxLag (inclusive). acf[0] == 1 for non-degenerate input.

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -44,90 +43,6 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	if !almostEq(w.Variance(), Variance(xs), 1e-9) {
 		t.Fatalf("welford var %g batch %g", w.Variance(), Variance(xs))
 	}
-	if w.Min() != slices.Min(xs) || w.Max() != slices.Max(xs) {
-		t.Fatal("welford min/max mismatch")
-	}
-}
-
-func TestWelfordMerge(t *testing.T) {
-	rng := xrand.New(2)
-	xs := make([]float64, 400)
-	for i := range xs {
-		xs[i] = rng.Float64() * 10
-	}
-	var whole, left, right Welford
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 150 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged n %d want %d", left.N(), whole.N())
-	}
-	if !almostEq(left.Mean(), whole.Mean(), 1e-9) || !almostEq(left.Variance(), whole.Variance(), 1e-9) {
-		t.Fatal("merged moments mismatch")
-	}
-}
-
-func TestWelfordMergeEmpty(t *testing.T) {
-	var a, b Welford
-	a.Add(1)
-	a.Add(3)
-	a.Merge(&b) // no-op
-	if a.N() != 2 || a.Mean() != 2 {
-		t.Fatal("merge with empty changed accumulator")
-	}
-	b.Merge(&a)
-	if b.N() != 2 || b.Mean() != 2 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, x := range []float64{-1, 0, 0.5, 5, 9.999, 10, 11} {
-		h.Add(x)
-	}
-	if h.Under != 1 || h.Over != 2 {
-		t.Fatalf("under/over = %d/%d want 1/2", h.Under, h.Over)
-	}
-	if h.Total() != 4 {
-		t.Fatalf("total %d want 4", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[5] != 1 || h.Counts[9] != 1 {
-		t.Fatalf("bin counts wrong: %v", h.Counts)
-	}
-	if c := h.BinCenter(0); !almostEq(c, 0.5, 1e-12) {
-		t.Fatalf("bin center %g want 0.5", c)
-	}
-}
-
-func TestHistogramDensityNormalizes(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	rng := xrand.New(3)
-	for i := 0; i < 10000; i++ {
-		h.Add(rng.Float64())
-	}
-	sum := 0.0
-	for i := range h.Counts {
-		sum += h.Density(i) * 0.25
-	}
-	if !almostEq(sum, 1, 1e-9) {
-		t.Fatalf("density integrates to %g", sum)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 5)
 }
 
 func TestAutocorrelationIID(t *testing.T) {

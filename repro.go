@@ -70,6 +70,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/router"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -269,8 +270,9 @@ type (
 	// fleet (GET /healthz, /readyz, /statsz).
 	WireHealth = netserve.Health
 	// LatencyHist is the log-linear latency histogram the wire loadtest
-	// and benchmarks record into.
-	LatencyHist = netserve.Hist
+	// and benchmarks record into, and the one the fleet's P50/P99 read;
+	// Record is safe from many goroutines at once.
+	LatencyHist = stats.Hist
 	// WireResilientClient is the wire client: a pool of multiplexed
 	// connections with automatic reconnect, deadline-aware retries and
 	// per-tenant circuit breaking. Any number of goroutines may query it

@@ -11,6 +11,7 @@ import (
 	"repro/internal/netserve"
 	"repro/internal/router"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -105,12 +106,12 @@ func BenchmarkRoutedQPS(b *testing.B) {
 	b.SetParallelism(1)
 	b.ReportAllocs()
 	b.ResetTimer()
-	hists := make([]netserve.Hist, clients)
+	hists := make([]stats.Hist, clients)
 	var wg sync.WaitGroup
 	for t := 0; t < tenants; t++ {
 		for c := 0; c < clientsPerTenant; c++ {
 			wg.Add(1)
-			go func(cl *netserve.ResilientClient, name string, seed uint64, h *netserve.Hist) {
+			go func(cl *netserve.ResilientClient, name string, seed uint64, h *stats.Hist) {
 				defer wg.Done()
 				rng := xrand.New(seed)
 				x := make([]float64, 2)
@@ -137,7 +138,7 @@ func BenchmarkRoutedQPS(b *testing.B) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	var lat netserve.Hist
+	var lat stats.Hist
 	for i := range hists {
 		lat.Merge(&hists[i])
 	}
