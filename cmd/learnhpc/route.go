@@ -10,24 +10,30 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/netserve"
+	"repro/internal/registry"
+	"repro/internal/router"
+	"repro/internal/tensor"
+	"repro/internal/xrand"
 )
 
 // demoWrapper builds the sharded surrogate stack every routed demo
 // tenant serves from; the tenant name picks its analytic oracle.
-func demoWrapper(name string, seed uint64) (*repro.ShardedWrapper, error) {
+func demoWrapper(name string, seed uint64) (*core.ShardedWrapper, error) {
 	f, ok := demoOracles[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown tenant %q (have: potential, tissue, epi)", name)
 	}
-	rng := repro.NewRand(seed)
-	oracle := repro.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) { return f(x), nil }}
-	fac := repro.NewNNSurrogateFactory(2, 1, []int{32}, 0.1, rng, func(s *repro.NNSurrogate) {
+	rng := xrand.New(seed)
+	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) { return f(x), nil }}
+	fac := core.NewNNSurrogateFactory(2, 1, []int{32}, 0.1, rng, func(s *core.NNSurrogate) {
 		s.Epochs = 120
 		s.MCPasses = 8
 	})
-	return repro.NewShardedWrapper(oracle, fac, repro.ShardedConfig{
-		Router:          repro.HashRouter{Shards: 2},
+	return core.NewShardedWrapper(oracle, fac, core.ShardedConfig{
+		Router:          core.HashRouter{Shards: 2},
 		MinTrainSamples: 40,
 		UQThreshold:     10, // serve from the surrogate; this is a wire demo
 	}), nil
@@ -50,25 +56,25 @@ func runWorker(args []string) {
 		os.Exit(2)
 	}
 
-	reg, err := repro.OpenRegistry(repro.RegistryConfig{Dir: *regDir})
+	reg, err := registry.Open(registry.Config{Dir: *regDir})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "learnhpc worker: registry: %v\n", err)
 		os.Exit(1)
 	}
 	defer reg.Close()
-	fl := repro.NewFleet(repro.FleetConfig{})
+	fl := fleet.New(fleet.Config{})
 	defer fl.Close()
 
-	hooks := &repro.RouterWorkerHooks{
+	hooks := &router.WorkerHooks{
 		Fleet:    fl,
 		Registry: reg,
 		Seed:     *seed,
-		Make: func(tenant string) (*repro.ShardedWrapper, error) {
+		Make: func(tenant string) (*core.ShardedWrapper, error) {
 			return demoWrapper(tenant, *seed)
 		},
-		Pretrain: func(tenant string, w *repro.ShardedWrapper) error {
-			rng := repro.NewRand(*seed ^ 0xbeef)
-			design := repro.NewMatrix(160, 2)
+		Pretrain: func(tenant string, w *core.ShardedWrapper) error {
+			rng := xrand.New(*seed ^ 0xbeef)
+			design := tensor.NewMatrix(160, 2)
 			for i := 0; i < design.Rows; i++ {
 				design.Set(i, 0, rng.Range(-1, 1))
 				design.Set(i, 1, rng.Range(-1, 1))
@@ -77,7 +83,7 @@ func runWorker(args []string) {
 		},
 		Logf: func(format string, a ...any) { fmt.Printf(format+"\n", a...) },
 	}
-	srv := repro.NewWireServer(repro.WireServerConfig{Fleet: fl, Artifacts: hooks, Install: hooks})
+	srv := netserve.NewServer(netserve.Config{Fleet: fl, Artifacts: hooks, Install: hooks})
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
 	fmt.Printf("worker: serving on %s (registry %s), awaiting placements\n", *addr, *regDir)
@@ -118,7 +124,7 @@ func runRoute(args []string) {
 			workers = append(workers, a)
 		}
 	}
-	cfg := repro.WireRouterConfig{
+	cfg := router.Config{
 		Workers: workers,
 		Logf:    func(format string, a ...any) { fmt.Printf(format+"\n", a...) },
 	}
@@ -128,7 +134,7 @@ func runRoute(args []string) {
 		}
 	}
 	if *mirrorDir != "" {
-		mirror, err := repro.OpenRegistry(repro.RegistryConfig{Dir: *mirrorDir})
+		mirror, err := registry.Open(registry.Config{Dir: *mirrorDir})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "learnhpc route: mirror registry: %v\n", err)
 			os.Exit(1)
@@ -137,7 +143,7 @@ func runRoute(args []string) {
 		cfg.Registry = mirror
 	}
 
-	rt, err := repro.NewWireRouter(cfg)
+	rt, err := router.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "learnhpc route: %v\n", err)
 		os.Exit(1)

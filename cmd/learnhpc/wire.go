@@ -14,7 +14,14 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/fleet"
+	"repro/internal/netserve"
+	"repro/internal/registry"
+	"repro/internal/serve"
+	"repro/internal/stats"
+	"repro/internal/tensor"
+	"repro/internal/xrand"
 )
 
 // demoOracles are the analytic stand-ins the serve subcommand offers as
@@ -55,30 +62,30 @@ func runServe(args []string) {
 		os.Exit(2)
 	}
 
-	var reg *repro.Registry
+	var reg *registry.Registry
 	if *regDir != "" {
 		var err error
-		if reg, err = repro.OpenRegistry(repro.RegistryConfig{Dir: *regDir}); err != nil {
+		if reg, err = registry.Open(registry.Config{Dir: *regDir}); err != nil {
 			fmt.Fprintf(os.Stderr, "learnhpc serve: registry: %v\n", err)
 			os.Exit(1)
 		}
 		defer reg.Close()
 	}
 
-	fl := repro.NewFleet(repro.FleetConfig{
-		Coalescer: repro.CoalescerConfig{MaxBatch: *maxBatch},
+	fl := fleet.New(fleet.Config{
+		Coalescer: serve.Config{MaxBatch: *maxBatch},
 	})
 	defer fl.Close()
-	rng := repro.NewRand(7)
+	rng := xrand.New(7)
 	for _, name := range names {
 		f := demoOracles[name]
-		oracle := repro.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) { return f(x), nil }}
-		fac := repro.NewNNSurrogateFactory(2, 1, []int{32}, 0.1, rng, func(s *repro.NNSurrogate) {
+		oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) { return f(x), nil }}
+		fac := core.NewNNSurrogateFactory(2, 1, []int{32}, 0.1, rng, func(s *core.NNSurrogate) {
 			s.Epochs = 120
 			s.MCPasses = 8
 		})
-		scfg := repro.ShardedConfig{
-			Router:          repro.HashRouter{Shards: 2},
+		scfg := core.ShardedConfig{
+			Router:          core.HashRouter{Shards: 2},
 			MinTrainSamples: 40,
 			UQThreshold:     10, // serve from the surrogate; this is a wire demo
 		}
@@ -87,7 +94,7 @@ func runServe(args []string) {
 			// its publish-time baseline; the wrapper must track it.
 			scfg.DriftFactor = *rollback / 2
 		}
-		w := repro.NewShardedWrapper(oracle, fac, scfg)
+		w := core.NewShardedWrapper(oracle, fac, scfg)
 		if err := fl.Register(name, w); err != nil {
 			fmt.Fprintf(os.Stderr, "learnhpc serve: register %s: %v\n", name, err)
 			os.Exit(1)
@@ -95,7 +102,7 @@ func runServe(args []string) {
 		warmed := 0
 		if reg != nil {
 			var err error
-			warmed, err = fl.BindRegistry(name, repro.FleetRegistryConfig{
+			warmed, err = fl.BindRegistry(name, fleet.RegistryConfig{
 				Registry:       reg,
 				RollbackFactor: *rollback,
 				OnError: func(err error) {
@@ -113,7 +120,7 @@ func runServe(args []string) {
 			fmt.Printf("tenant %-10s warm-started from registry (%d shards)\n", name, warmed)
 			continue
 		}
-		design := repro.NewMatrix(160, 2)
+		design := tensor.NewMatrix(160, 2)
 		for i := 0; i < design.Rows; i++ {
 			design.Set(i, 0, rng.Range(-1, 1))
 			design.Set(i, 1, rng.Range(-1, 1))
@@ -125,14 +132,14 @@ func runServe(args []string) {
 		fmt.Printf("tenant %-10s pretrained and registered\n", name)
 	}
 
-	srv := repro.NewWireServer(repro.WireServerConfig{Fleet: fl})
+	srv := netserve.NewServer(netserve.Config{Fleet: fl})
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()
 	fmt.Printf("wire: serving %v on %s\n", fl.Tenants(), *addr)
 
 	if *health != "" {
 		go func() {
-			h := &repro.WireHealth{Fleet: fl, Server: srv}
+			h := &netserve.Health{Fleet: fl, Server: srv}
 			if err := http.ListenAndServe(*health, h); err != nil {
 				fmt.Fprintf(os.Stderr, "learnhpc serve: health endpoint: %v\n", err)
 			}
@@ -197,9 +204,8 @@ func checkLoad(workers int, dur time.Duration) error {
 }
 
 // runLoadtest is the `learnhpc loadtest` subcommand: a closed-loop poke at
-// a running serve/route/worker address — each worker fires its next query
-// as the previous one answers — printing outcome counts and the latency
-// histogram. Measured load generation is `go run ./benchmark`.
+// a running serve/route/worker address, printing outcome counts and the
+// latency histogram. Measured load generation is `go run ./benchmark`.
 func runLoadtest(args []string) {
 	fs := flag.NewFlagSet("loadtest", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9090", "wire server or router address")
@@ -216,47 +222,59 @@ func runLoadtest(args []string) {
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
 	}
-	cl, err := repro.DialWireResilient(*addr, repro.WireResilientConfig{})
+	cl, err := netserve.DialResilient(*addr, netserve.ResilientConfig{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "learnhpc loadtest: %v\n", err)
 		os.Exit(1)
 	}
 	defer cl.Close()
-	var ok, shed, failed atomic.Int64
-	hists := make([]repro.LatencyHist, *workers)
+	start := time.Now()
+	c := drive(cl, names, *workers, *dur)
+	el := time.Since(start)
+	fmt.Printf("loadtest (closed loop, %d workers) over %v:\n  ok=%d shed=%d failed=%d, %.0f q/s\n  latency %s\n",
+		*workers, el.Round(time.Millisecond), c.ok.Load(), c.shed.Load(), c.failed.Load(), float64(c.ok.Load())/el.Seconds(), c.lat.String())
+	if c.failed.Load() > 0 {
+		os.Exit(1)
+	}
+}
+
+// loadCounts is one loadtest's outcome: queries answered, shed and
+// failed, and the latency of the answered ones.
+type loadCounts struct {
+	ok, shed, failed atomic.Int64
+	lat              stats.Hist
+}
+
+// drive runs workers closed-loop callers against cl for dur, each firing
+// its next query as the previous one returns, round-robin over tenants.
+// Only answered queries enter the latency histogram: a failure's round
+// trip is not a serving latency.
+func drive(cl *netserve.ResilientClient, tenants []string, workers int, dur time.Duration) *loadCounts {
+	c := new(loadCounts)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := range hists {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := repro.NewRand(uint64(w) + 1)
+			rng := xrand.New(uint64(w) + 1)
 			x, y, std := make([]float64, 2), make([]float64, 8), make([]float64, 8)
-			for i := w; time.Since(start) < *dur; i++ {
+			for i := w; time.Since(start) < dur; i++ {
 				x[0], x[1] = rng.Range(-1, 1), rng.Range(-1, 1)
 				t0 := time.Now()
-				_, err := cl.QueryInto(names[i%len(names)], x, y, std, time.Time{})
-				hists[w].RecordSince(t0)
+				_, err := cl.QueryInto(tenants[i%len(tenants)], x, y, std, time.Time{})
 				switch {
 				case err == nil:
-					ok.Add(1)
-				case errors.Is(err, repro.ErrWireRetry), errors.Is(err, repro.ErrWireExpired):
-					shed.Add(1)
+					c.lat.RecordSince(t0)
+					c.ok.Add(1)
+				case errors.Is(err, netserve.ErrRetry), errors.Is(err, netserve.ErrExpired):
+					c.shed.Add(1)
 				default:
-					failed.Add(1)
+					c.failed.Add(1)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	var lat repro.LatencyHist
-	for i := range hists {
-		lat.Merge(&hists[i])
-	}
-	el := time.Since(start)
-	fmt.Printf("loadtest (closed loop, %d workers) over %v:\n  ok=%d shed=%d failed=%d, %.0f q/s\n  latency %s\n",
-		*workers, el.Round(time.Millisecond), ok.Load(), shed.Load(), failed.Load(), float64(ok.Load())/el.Seconds(), lat.String())
-	if failed.Load() > 0 {
-		os.Exit(1)
-	}
+	return c
 }

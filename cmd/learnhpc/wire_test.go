@@ -2,8 +2,13 @@ package main
 
 import (
 	"math"
+	"net"
+	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/fleet"
+	"repro/internal/netserve"
 )
 
 // serve must refuse, before it opens the registry or builds a tenant, a
@@ -57,5 +62,33 @@ func TestCheckLoad(t *testing.T) {
 		if err := checkLoad(c.workers, c.dur); (err == nil) != c.ok {
 			t.Errorf("checkLoad(%d, %v) = %v, want ok %v", c.workers, c.dur, err, c.ok)
 		}
+	}
+}
+
+// A loadtest against a server whose fleet lacks the tenant counts every
+// query failed, and its latency line holds no sample: a failed query's
+// round trip is not a serving latency.
+func TestDriveRecordsOnlyAnswered(t *testing.T) {
+	fl := fleet.New(fleet.Config{})
+	defer fl.Close()
+	srv := netserve.NewServer(netserve.Config{Fleet: fl})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	cl, err := netserve.DialResilient(ln.Addr().String(), netserve.ResilientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	c := drive(cl, []string{"absent"}, 2, 50*time.Millisecond)
+	if c.failed.Load() == 0 || c.ok.Load() != 0 {
+		t.Fatalf("ok=%d shed=%d failed=%d, want only failures", c.ok.Load(), c.shed.Load(), c.failed.Load())
+	}
+	if lat := c.lat.String(); !strings.HasPrefix(lat, "n=0 ") {
+		t.Fatalf("latency %s, want no sample", lat)
 	}
 }

@@ -6,7 +6,7 @@
 // worker pool. Concurrent clients hammer the wrapper throughout; the
 // latency histogram shows retraining never freezes serving. A final
 // high-QPS phase runs the same traffic through the adaptive micro-batch
-// coalescer (repro.Serve) with the timer-driven auto-refitter keeping
+// coalescer (serve.NewCoalescer) with the timer-driven auto-refitter keeping
 // shards fresh, comparing direct per-query serving with coalesced
 // serving.
 package main
@@ -19,16 +19,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro"
+	"repro/internal/core"
+	"repro/internal/serve"
+	"repro/internal/tensor"
+	"repro/internal/xrand"
 )
 
 func main() {
-	rng := repro.NewRand(7)
+	rng := xrand.New(7)
 
 	// The "simulation": an analytic surface with artificial latency, the
 	// stand-in for an external HPC run. It is latency-bound, so the
 	// oracle worker pool overlaps runs even on one core.
-	oracle := repro.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
+	oracle := core.OracleFunc{In: 2, Out: 1, F: func(x []float64) ([]float64, error) {
 		time.Sleep(500 * time.Microsecond)
 		return []float64{math.Sin(3*x[0])*math.Cos(2*x[1]) + 0.3*x[0]}, nil
 	}}
@@ -37,12 +40,12 @@ func main() {
 	// MC-dropout serving shape, which the batched UQ path runs as a
 	// single fused panel matmul per micro-batch. MaxBatch matches the
 	// coalescer's micro-batch size so every dispatch is one fused pass.
-	factory := repro.NewNNSurrogateFactory(2, 1, []int{48}, 0.1, rng, func(s *repro.NNSurrogate) {
+	factory := core.NewNNSurrogateFactory(2, 1, []int{48}, 0.1, rng, func(s *core.NNSurrogate) {
 		s.Epochs = 150
 		s.MCPasses = 10
 		s.MaxBatch = 64
 	})
-	w := repro.NewShardedWrapper(oracle, factory, repro.ShardedConfig{
+	w := core.NewShardedWrapper(oracle, factory, core.ShardedConfig{
 		Shards:          2,
 		MinTrainSamples: 40, // per shard
 		RetrainEvery:    60, // refit a shard in the background every 60 fresh samples
@@ -51,11 +54,11 @@ func main() {
 		// Bounded retention: each shard keeps a sliding window of its most
 		// recent samples, so background refits stay O(window) no matter
 		// how long the server runs.
-		Retention: repro.Retention{Policy: repro.RetainWindow, MaxSamples: 400},
+		Retention: core.Retention{Policy: core.RetainWindow, MaxSamples: 400},
 	})
 
 	fmt.Println("Phase 1: pretrain — oracle fan-out fills all shards in parallel")
-	design := repro.NewMatrix(240, 2)
+	design := tensor.NewMatrix(240, 2)
 	for i := 0; i < design.Rows; i++ {
 		design.Set(i, 0, rng.Range(-1, 1))
 		design.Set(i, 1, rng.Range(-1, 1))
@@ -78,7 +81,7 @@ func main() {
 		wg.Add(1)
 		go func(id int, seed uint64) {
 			defer wg.Done()
-			crng := repro.NewRand(seed)
+			crng := xrand.New(seed)
 			for i := 0; i < queriesPerGoro; i++ {
 				// Mostly in-distribution traffic; occasional novel points
 				// fail the UQ gate, run the simulation and feed the
@@ -94,7 +97,7 @@ func main() {
 				if err != nil {
 					panic(err)
 				}
-				if src == repro.FromSurrogate {
+				if src == core.FromSurrogate {
 					surrogateHits.Add(1)
 				} else {
 					simulations.Add(1)
@@ -129,11 +132,11 @@ func main() {
 	// single-point queries into fused micro-batches.
 	w.StartAutoRefit(20 * time.Millisecond)
 	defer w.StopAutoRefit()
-	handle := repro.Serve(w, repro.CoalescerConfig{MaxBatch: 64})
+	handle := serve.NewCoalescer(w, serve.Config{MaxBatch: 64})
 	defer handle.Close()
 
 	const loadClients = 32
-	loadgen := func(label string, query func(rng *repro.Rand) error) {
+	loadgen := func(label string, query func(rng *xrand.Rand) error) {
 		var wg sync.WaitGroup
 		var n atomic.Int64
 		t0 := time.Now()
@@ -141,7 +144,7 @@ func main() {
 			wg.Add(1)
 			go func(seed uint64) {
 				defer wg.Done()
-				crng := repro.NewRand(seed)
+				crng := xrand.New(seed)
 				for i := 0; i < 1500; i++ {
 					if err := query(crng); err != nil {
 						panic(err)
@@ -156,14 +159,14 @@ func main() {
 			label, n.Load(), loadClients, dt.Round(time.Millisecond),
 			float64(n.Load())/dt.Seconds())
 	}
-	point := func(crng *repro.Rand) []float64 {
+	point := func(crng *xrand.Rand) []float64 {
 		return []float64{crng.Range(-1, 1), crng.Range(-1, 1)}
 	}
-	loadgen("direct", func(crng *repro.Rand) error {
+	loadgen("direct", func(crng *xrand.Rand) error {
 		_, _, _, err := w.Query(point(crng))
 		return err
 	})
-	loadgen("coalesced", func(crng *repro.Rand) error {
+	loadgen("coalesced", func(crng *xrand.Rand) error {
 		_, err := handle.Query(point(crng))
 		return err
 	})

@@ -10,18 +10,14 @@ import "repro/internal/tensor"
 // retained window so every refit stays O(window), trading history for
 // recency: a sliding window of the newest samples.
 
-// RetentionPolicy selects how samples beyond the window are retired.
+// RetentionPolicy selects how samples beyond the window are retired. The
+// zero value keeps every sample: the unbounded historical behaviour.
 type RetentionPolicy int
 
-const (
-	// RetainAll keeps every sample: the unbounded historical behaviour and
-	// the zero value.
-	RetainAll RetentionPolicy = iota
-	// RetainWindow keeps (amortized) the most recent MaxSamples samples:
-	// the right policy when the oracle drifts or traffic moves, since
-	// refits then track the live distribution.
-	RetainWindow
-)
+// RetainWindow keeps (amortized) the most recent MaxSamples samples: the
+// right policy when the oracle drifts or traffic moves, since refits then
+// track the live distribution.
+const RetainWindow RetentionPolicy = 1
 
 // String returns the policy name.
 func (p RetentionPolicy) String() string {
@@ -34,7 +30,7 @@ func (p RetentionPolicy) String() string {
 // Retention bounds the training window of each ShardedWrapper shard.
 // The zero value retains everything.
 type Retention struct {
-	// Policy selects the retirement strategy; RetainAll ignores MaxSamples.
+	// Policy selects the retirement strategy; the zero policy ignores MaxSamples.
 	Policy RetentionPolicy
 	// MaxSamples is the retained window size. The wrapper raises it to at
 	// least its MinTrainSamples so the first-fit gate stays

@@ -32,15 +32,11 @@ type Router interface {
 	NumShards() int
 }
 
-// HashRouter distributes points by an FNV-1a hash of their (optionally
-// quantized) coordinates: a stateless, dimension-agnostic partition that
-// balances load for any input distribution.
+// HashRouter distributes points by an FNV-1a hash of their coordinates'
+// float bits: a stateless, dimension-agnostic partition that balances
+// load for any input distribution.
 type HashRouter struct {
 	Shards int
-	// Quantum, when positive, snaps each coordinate onto a grid of this
-	// pitch before hashing so near-identical inputs co-locate; zero hashes
-	// the raw float bits.
-	Quantum float64
 }
 
 // NumShards implements Router.
@@ -54,9 +50,6 @@ func (r HashRouter) Route(x []float64) int {
 	)
 	h := uint64(offset64)
 	for _, v := range x {
-		if r.Quantum > 0 {
-			v = math.Floor(v / r.Quantum)
-		}
 		b := math.Float64bits(v)
 		for s := 0; s < 64; s += 8 {
 			h ^= (b >> s) & 0xff
@@ -1132,8 +1125,8 @@ const (
 // to one Ingest of the whole design's answers followed by TrainAll. The
 // plan assumes the campaign is the shards' only writer while it runs:
 // rows a concurrent query ingests are newer than the plan knows, so they
-// only push more of the campaign's rows out. RetainAll keeps every row, so
-// every row runs.
+// only push more of the campaign's rows out. The zero policy keeps every
+// row, so every row runs.
 //
 // The Ledger charges the runs made, not the design's size. A failing row
 // that the windows would drop is never run, so it cannot abort the
@@ -1198,8 +1191,8 @@ func (w *ShardedWrapper) Pretrain(design *tensor.Matrix) error {
 // campaign's end, which are the first ones routed there. Rows the shard
 // already holds that the full campaign would push out are dropped here, so
 // the kept rows then append with no trim firing and the window ends as the
-// unplanned campaign leaves it. Under RetainAll it returns nil: every row
-// runs.
+// unplanned campaign leaves it. Under the zero policy it returns nil:
+// every row runs.
 func (w *ShardedWrapper) pretrainSkip(design *tensor.Matrix) []int {
 	ret := w.cfg.Retention
 	if !ret.bounded() {

@@ -226,12 +226,6 @@ func TestRouters(t *testing.T) {
 			t.Fatalf("hash router never used shard %d over 512 points", s)
 		}
 	}
-	// Quantized hashing co-locates near-identical points.
-	q := HashRouter{Shards: 16, Quantum: 0.5}
-	if q.Route([]float64{1.01, 2.02}) != q.Route([]float64{1.24, 2.24}) {
-		t.Fatal("quantized hash split points inside one cell")
-	}
-
 	kd := KDRouter{Dim: 1, Cuts: []float64{-1, 0, 1}}
 	if kd.NumShards() != 4 {
 		t.Fatalf("kd shards %d want 4", kd.NumShards())

@@ -487,10 +487,33 @@ func TestBlockingBeyondAutocorrelationTime(t *testing.T) {
 		s.steps(50)
 		series[i] = s.Vel[0] // x-velocity of particle 0
 	}
-	tau := stats.IntegratedAutocorrTime(series)
+	tau := autocorrTime(series)
 	if tau > 25 {
 		t.Fatalf("velocity autocorrelation time %g samples at 50-step stride", tau)
 	}
+}
+
+// autocorrTime estimates the integrated autocorrelation time
+// tau = 1 + 2*sum(acf), stopping the sum at the first non-positive lag
+// (initial-positive-sequence truncation). I.i.d. data gives tau near 1.
+func autocorrTime(xs []float64) float64 {
+	m := stats.Mean(xs)
+	denom := 0.0
+	for _, x := range xs {
+		denom += (x - m) * (x - m)
+	}
+	tau := 1.0
+	for lag := 1; lag <= len(xs)/2 && denom > 0; lag++ {
+		num := 0.0
+		for i := 0; i+lag < len(xs); i++ {
+			num += (xs[i] - m) * (xs[i+lag] - m)
+		}
+		if num <= 0 {
+			break
+		}
+		tau += 2 * num / denom
+	}
+	return tau
 }
 
 func BenchmarkStep(b *testing.B) {

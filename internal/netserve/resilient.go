@@ -328,12 +328,6 @@ func (rc *ResilientClient) Stats() ResilientStats {
 	}
 }
 
-// Query is the allocating convenience form of QueryInto: the answer
-// comes back in fresh caller-owned slices (up to 256 outputs).
-func (rc *ResilientClient) Query(tenant string, x []float64, deadline time.Time) (WireResult, error) {
-	return rc.QueryInto(tenant, x, make([]float64, 256), make([]float64, 256), deadline)
-}
-
 // QueryInto submits one row to the named tenant through the pool with
 // retries and circuit breaking. The answer lands in y (and std, when the
 // surrogate produced one; a nil std asks the server not to send it),

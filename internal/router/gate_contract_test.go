@@ -308,8 +308,9 @@ func serveRouted(t *testing.T, thr float64, rows [][]float64) []gateAnswer {
 	defer rc.Close()
 	// Until the cold placement serves, the router answers Retry.
 	deadline := time.Now().Add(10 * time.Second)
+	y, std := make([]float64, 1), make([]float64, 1)
 	for {
-		_, err := rc.Query(gateTenant, rows[0], time.Time{})
+		_, err := rc.QueryInto(gateTenant, rows[0], y, std, time.Time{})
 		if err == nil {
 			break
 		}

@@ -65,16 +65,6 @@ func (h *Hist) raiseMax(v int64) {
 // RecordSince is Record(now − t0) for a time.Time start.
 func (h *Hist) RecordSince(t0 time.Time) { h.Record(time.Since(t0).Nanoseconds()) }
 
-// Merge folds o's samples into h.
-func (h *Hist) Merge(o *Hist) {
-	h.raiseMax(o.max.Load())
-	for i := range o.counts {
-		if c := o.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-}
-
 // Take moves h's samples into dst, replacing what dst held, and leaves h
 // with none. Each bucket is swapped out atomically, so a sample recorded
 // concurrently lands in exactly one Take. The max is not reset: dst's max

@@ -75,73 +75,6 @@ func (w *Welford) Variance() float64 {
 // StdDev returns the running standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Autocorrelation returns the normalized autocorrelation function of xs up
-// to maxLag (inclusive). acf[0] == 1 for non-degenerate input.
-func Autocorrelation(xs []float64, maxLag int) []float64 {
-	n := len(xs)
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	m := Mean(xs)
-	denom := 0.0
-	for _, x := range xs {
-		d := x - m
-		denom += d * d
-	}
-	acf := make([]float64, maxLag+1)
-	if denom == 0 {
-		acf[0] = 1
-		return acf
-	}
-	for lag := 0; lag <= maxLag; lag++ {
-		num := 0.0
-		for i := 0; i+lag < n; i++ {
-			num += (xs[i] - m) * (xs[i+lag] - m)
-		}
-		acf[lag] = num / denom
-	}
-	return acf
-}
-
-// IntegratedAutocorrTime estimates the integrated autocorrelation time
-// tau = 1 + 2*sum(acf) using the initial-positive-sequence truncation:
-// the sum stops at the first non-positive acf value. For i.i.d. data it
-// returns ~1. The paper uses this timescale (d_c) to decide the blocking
-// interval between training samples (§III-D).
-func IntegratedAutocorrTime(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	denom := 0.0
-	for _, x := range xs {
-		d := x - m
-		denom += d * d
-	}
-	if denom == 0 {
-		return 1
-	}
-	// Compute acf lag by lag and stop at the first non-positive value;
-	// this keeps the estimator O(n * tau) instead of O(n^2).
-	tau := 1.0
-	for lag := 1; lag <= n/2; lag++ {
-		num := 0.0
-		for i := 0; i+lag < n; i++ {
-			num += (xs[i] - m) * (xs[i+lag] - m)
-		}
-		rho := num / denom
-		if rho <= 0 {
-			break
-		}
-		tau += 2 * rho
-	}
-	return tau
-}
-
 // MAE returns the mean absolute error between predictions and targets.
 func MAE(pred, target []float64) float64 {
 	mustSameLen(pred, target)

@@ -45,55 +45,6 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	}
 }
 
-func TestAutocorrelationIID(t *testing.T) {
-	rng := xrand.New(4)
-	xs := make([]float64, 5000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	acf := Autocorrelation(xs, 10)
-	if !almostEq(acf[0], 1, 1e-12) {
-		t.Fatalf("acf[0] = %g want 1", acf[0])
-	}
-	for lag := 1; lag <= 10; lag++ {
-		if math.Abs(acf[lag]) > 0.05 {
-			t.Fatalf("iid acf[%d] = %g, want ~0", lag, acf[lag])
-		}
-	}
-}
-
-func TestAutocorrelationAR1(t *testing.T) {
-	// AR(1) with phi=0.8 has acf[k] ~ 0.8^k and tau ~ (1+phi)/(1-phi) = 9.
-	rng := xrand.New(5)
-	const phi = 0.8
-	xs := make([]float64, 200000)
-	x := 0.0
-	for i := range xs {
-		x = phi*x + rng.NormFloat64()
-		xs[i] = x
-	}
-	acf := Autocorrelation(xs, 5)
-	if !almostEq(acf[1], phi, 0.05) {
-		t.Fatalf("AR1 acf[1] = %g want ~%g", acf[1], phi)
-	}
-	tau := IntegratedAutocorrTime(xs)
-	if tau < 6 || tau > 12 {
-		t.Fatalf("AR1 tau = %g want ~9", tau)
-	}
-}
-
-func TestIntegratedAutocorrTimeIID(t *testing.T) {
-	rng := xrand.New(6)
-	xs := make([]float64, 20000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()
-	}
-	tau := IntegratedAutocorrTime(xs)
-	if tau < 0.5 || tau > 2 {
-		t.Fatalf("iid tau = %g want ~1", tau)
-	}
-}
-
 func TestRegressionMetricsPerfect(t *testing.T) {
 	y := []float64{1, 2, 3, 4}
 	if MAE(y, y) != 0 || RMSE(y, y) != 0 {

@@ -1,10 +1,12 @@
-// deadexports fails when an exported identifier under internal/ has no
-// caller outside tests. Run it from the module root:
+// deadexports fails when an exported identifier of the root package or a
+// package under internal/ has no caller outside tests. Run it from the
+// module root:
 //
 //	go run ./scripts/deadexports
 //
-// An exported package-level identifier of a package under internal/, or
-// an exported method of a type declared there, is live if non-test code
+// An exported package-level identifier of the root package or a package
+// under internal/, or an exported method of a type declared there, is
+// live if non-test code
 // anywhere in the module references it outside its own declaration (a
 // type's declaration includes its methods), or if it is a method that
 // satisfies an interface in use: one the module's code names or types an
@@ -65,8 +67,9 @@ func check(root string, allow []byte) ([]string, error) {
 }
 
 // deadExports maps each finding ("pkg.Name" or "pkg.Type.Method", pkg
-// relative to internal/) to the position of its declaration, and lists
-// the packages under internal/ the same way.
+// relative to internal/, or the module path for the root package) to the
+// position of its declaration, and lists the packages under internal/ the
+// same way.
 func deadExports(root string) (map[string]string, map[string]bool, error) {
 	m, err := loadModule(root)
 	if err != nil {
@@ -184,8 +187,8 @@ func (p *pass) parseDir(dir string) ([]*ast.File, error) {
 	return files, err
 }
 
-// sweep type-checks the module and adds the exported declarations under
-// internal/ to decls. It marks live each name that a declaration other
+// sweep type-checks the module and adds the exported declarations of the
+// swept packages to decls. It marks live each name that a declaration other
 // than its own references, and each method that satisfies an interface
 // in use.
 func (p *pass) sweep(decls map[string]string, live map[string]bool) error {
@@ -228,8 +231,8 @@ func (p *pass) sweep(decls map[string]string, live map[string]bool) error {
 	return nil
 }
 
-// declare adds the exported names that declaration u declares under
-// internal/ to decls, and its exported method to methods. It returns the
+// declare adds the exported names that declaration u declares in a swept
+// package to decls, and its exported method to methods. It returns the
 // keys u belongs to: the names it declares and, for a method, the
 // receiver type.
 func (p *pass) declare(u ast.Node, decls map[string]string, methods map[string]*types.Func) (own []string) {
@@ -275,14 +278,17 @@ func owns(own []string, key string) bool {
 	return false
 }
 
-// key names a package-level object or method of a package under
-// internal/ as "pkg.Name" or "pkg.Type.Method", pkg relative to
-// internal/, and returns "" for anything else.
+// key names a package-level object or method of a swept package as
+// "pkg.Name" or "pkg.Type.Method", pkg relative to internal/ or, for the
+// root package, the module path; it returns "" for anything else.
 func (p *pass) key(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}
 	rel, ok := strings.CutPrefix(obj.Pkg().Path(), p.internal)
+	if obj.Pkg().Path() == p.path {
+		rel, ok = p.path, true
+	}
 	if !ok {
 		return ""
 	}

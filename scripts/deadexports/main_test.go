@@ -6,7 +6,8 @@ import (
 )
 
 // TestFixture runs the check over testdata/fixture, a module with one
-// export of each kind, against allowlists that pass and that fail.
+// export of each kind under internal/ and in its root package, against
+// allowlists that pass and that fail.
 func TestFixture(t *testing.T) {
 	const allow = `
 # test infrastructure
@@ -18,6 +19,7 @@ lib.Listed item 9
 		t.Fatal(err)
 	}
 	want := []string{ // sorted as text
+		"fixture.go:9: fixture.Unused is exported and no non-test code uses it",
 		"internal/lib/lib.go:26: lib.T.Extra is exported and no non-test code uses it",
 		"internal/lib/lib.go:5: lib.Dead is exported and no non-test code uses it",
 		"internal/lib/lib.go:8: lib.TestOnly is exported and no non-test code uses it",
@@ -43,6 +45,7 @@ lib.Listed item 9
 		{"gone", "gone is stale"},                        // no such package
 		{"lib.Dead", `lib.Dead has no "item N" tag`},
 		{"lib.Dead item 9\nlib.Dead item 9", "lib.Dead is listed twice"},
+		{"fixture.Facade item 9", "fixture.Facade is stale"}, // the root package's live export
 	} {
 		problems := applyAllow(dead, pkgs, []byte(tc.allow))
 		if !strings.Contains(strings.Join(problems, "\n"), tc.want) {

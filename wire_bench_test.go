@@ -94,12 +94,12 @@ func BenchmarkWireQPS(b *testing.B) {
 			b.SetParallelism(1)
 			b.ReportAllocs()
 			b.ResetTimer()
-			hists := make([]stats.Hist, clients)
+			var lat stats.Hist // Record is lock-free: every client records into this one
 			var wg sync.WaitGroup
 			for t := 0; t < tenants; t++ {
 				for c := 0; c < clientsPerTenant; c++ {
 					wg.Add(1)
-					go func(cl *netserve.ResilientClient, name string, seed uint64, h *stats.Hist) {
+					go func(cl *netserve.ResilientClient, name string, seed uint64) {
 						defer wg.Done()
 						rng := xrand.New(seed)
 						x := make([]float64, 2)
@@ -121,18 +121,14 @@ func BenchmarkWireQPS(b *testing.B) {
 								return
 							}
 							if sample {
-								h.RecordSince(t0)
+								lat.RecordSince(t0)
 							}
 						}
-					}(conns[t], names[t], uint64(0xf1e0+31*t+c), &hists[t*clientsPerTenant+c])
+					}(conns[t], names[t], uint64(0xf1e0+31*t+c))
 				}
 			}
 			wg.Wait()
 			b.StopTimer()
-			var lat stats.Hist
-			for i := range hists {
-				lat.Merge(&hists[i])
-			}
 			qps := float64(per*clients) / b.Elapsed().Seconds()
 			b.ReportMetric(qps, "queries/s")
 			b.ReportMetric(qps/float64(tenants), "queries/s/tenant")
