@@ -68,7 +68,6 @@ func runWorker(args []string) {
 	hooks := &router.WorkerHooks{
 		Fleet:    fl,
 		Registry: reg,
-		Seed:     *seed,
 		Make: func(tenant string) (*core.ShardedWrapper, error) {
 			return demoWrapper(tenant, *seed)
 		},

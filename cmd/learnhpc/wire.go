@@ -245,10 +245,16 @@ type loadCounts struct {
 	lat              stats.Hist
 }
 
+// openBreakerPause is how long a loadtest caller waits after its query was
+// shed by an open circuit breaker: the breaker answers locally, so a
+// caller that retried at once would spin a CPU on sheds until the
+// breaker's cooldown lets a probe through.
+const openBreakerPause = 10 * time.Millisecond
+
 // drive runs workers closed-loop callers against cl for dur, each firing
-// its next query as the previous one returns, round-robin over tenants.
-// Only answered queries enter the latency histogram: a failure's round
-// trip is not a serving latency.
+// its next query as the previous one returns, round-robin over tenants,
+// and pausing after an open-breaker shed. Only answered queries enter the
+// latency histogram: a failure's round trip is not a serving latency.
 func drive(cl *netserve.ResilientClient, tenants []string, workers int, dur time.Duration) *loadCounts {
 	c := new(loadCounts)
 	var wg sync.WaitGroup
@@ -271,6 +277,9 @@ func drive(cl *netserve.ResilientClient, tenants []string, workers int, dur time
 					c.shed.Add(1)
 				default:
 					c.failed.Add(1)
+					if errors.Is(err, netserve.ErrCircuitOpen) {
+						time.Sleep(openBreakerPause)
+					}
 				}
 			}
 		}(w)

@@ -67,7 +67,10 @@ func TestCheckLoad(t *testing.T) {
 
 // A loadtest against a server whose fleet lacks the tenant counts every
 // query failed, and its latency line holds no sample: a failed query's
-// round trip is not a serving latency.
+// round trip is not a serving latency. The failures trip the tenant's
+// breaker, and the callers then pause instead of spinning on its local
+// sheds: two callers fail a few dozen times in 50 ms, not the ~10^5 a
+// spinning pair does.
 func TestDriveRecordsOnlyAnswered(t *testing.T) {
 	fl := fleet.New(fleet.Config{})
 	defer fl.Close()
@@ -90,5 +93,8 @@ func TestDriveRecordsOnlyAnswered(t *testing.T) {
 	}
 	if lat := c.lat.String(); !strings.HasPrefix(lat, "n=0 ") {
 		t.Fatalf("latency %s, want no sample", lat)
+	}
+	if f := c.failed.Load(); f > 200 {
+		t.Fatalf("failed=%d in 50ms: callers spin on the open breaker", f)
 	}
 }

@@ -39,8 +39,6 @@ const maxMCPasses = 1024
 type surrogateMeta struct {
 	MCPasses    int
 	Epochs      int
-	BatchSize   int
-	LR          float64
 	Quantize    bool
 	QGate       float64
 	XMean, XStd []float64
@@ -62,8 +60,7 @@ func (s *NNSurrogate) EncodeArtifact(residBase float64) ([]byte, error) {
 		return nil, errors.New("core: cannot encode untrained surrogate")
 	}
 	meta := surrogateMeta{
-		MCPasses: s.MCPasses, Epochs: s.Epochs, BatchSize: s.BatchSize,
-		LR: s.LR, Quantize: s.Quantize, QGate: s.qgate,
+		MCPasses: s.MCPasses, Epochs: s.Epochs, Quantize: s.Quantize, QGate: s.qgate,
 		XMean: s.xScaler.Mean, XStd: s.xScaler.Std,
 		YMean: s.yScaler.Mean, YStd: s.yScaler.Std,
 		ResidBase: residBase,
@@ -93,9 +90,8 @@ func DecodeNNSurrogate(data []byte, rng *xrand.Rand) (*NNSurrogate, float64, err
 	if meta.MCPasses < 1 || meta.MCPasses > maxMCPasses {
 		return nil, 0, fmt.Errorf("core: artifact MCPasses %d outside [1, %d]", meta.MCPasses, maxMCPasses)
 	}
-	if meta.Epochs < 0 || meta.BatchSize < 0 || !isFinite(meta.LR) || meta.LR < 0 {
-		return nil, 0, fmt.Errorf("core: artifact refit hyperparameters invalid (epochs %d, batch %d, lr %v)",
-			meta.Epochs, meta.BatchSize, meta.LR)
+	if meta.Epochs < 0 {
+		return nil, 0, fmt.Errorf("core: artifact refit epochs %d invalid", meta.Epochs)
 	}
 	in, out := art.Compiled.Dims()
 	xsc, err := scalerFromMeta(meta.XMean, meta.XStd, in, "input")
@@ -108,8 +104,7 @@ func DecodeNNSurrogate(data []byte, rng *xrand.Rand) (*NNSurrogate, float64, err
 	}
 	return &NNSurrogate{
 		Hidden: art.Compiled.Hidden(), Dropout: art.Compiled.Dropout(), MCPasses: meta.MCPasses,
-		MaxBatch: art.Compiled.MaxBatch(), Epochs: meta.Epochs, BatchSize: meta.BatchSize,
-		LR: meta.LR, Quantize: meta.Quantize,
+		MaxBatch: art.Compiled.MaxBatch(), Epochs: meta.Epochs, Quantize: meta.Quantize,
 		rng: rng.Split(), inDim: in, outDim: out,
 		compiled: art.Compiled, qcompiled: art.Quant,
 		qgate: meta.QGate, xScaler: xsc, yScaler: ysc,

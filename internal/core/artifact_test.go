@@ -91,6 +91,75 @@ func TestDecodeNNSurrogateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRngReachesNoAnswer: the rng a blob is decoded with seeds only
+// a later Train, never an answer. One blob decoded with two different rngs
+// serves bit-identical means and MC stds on 64 rows, which is why the
+// registry binding and the worker decode with one fixed seed.
+func TestDecodeRngReachesNoAnswer(t *testing.T) {
+	_, _, blob := artifactFixture(t)
+	a, _, err := DecodeNNSurrogate(blob, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := DecodeNNSurrogate(blob, xrand.New(0xfeedface))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(0xa29)
+	x := tensor.NewMatrix(64, 2)
+	for i := range x.Data {
+		x.Data[i] = rng.Range(-1, 1)
+	}
+	var meanA, stdA, meanB, stdB tensor.Matrix
+	a.PredictInto(x, &meanA, &stdA)
+	b.PredictInto(x, &meanB, &stdB)
+	if !tensor.Equal(&meanA, &meanB, 0) || !tensor.Equal(&stdA, &stdB, 0) {
+		t.Fatal("the decode rng changed an MC answer")
+	}
+}
+
+// TestDecodeMetaWithRefitFields: blobs written while the meta still carried
+// the refit batch size and learning rate decode, so dropping those fields
+// needed no ArtifactVersion bump (gob skips fields the receiver lacks).
+func TestDecodeMetaWithRefitFields(t *testing.T) {
+	live, x, blob := artifactFixture(t)
+	art, err := nn.DecodeArtifact(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta surrogateMeta
+	if err := gob.NewDecoder(bytes.NewReader(art.Meta)).Decode(&meta); err != nil {
+		t.Fatal(err)
+	}
+	older := struct {
+		MCPasses, Epochs, BatchSize int
+		LR                          float64
+		Quantize                    bool
+		QGate                       float64
+		XMean, XStd, YMean, YStd    []float64
+		ResidBase                   float64
+	}{meta.MCPasses, meta.Epochs, 32, 1e-2, meta.Quantize, meta.QGate, meta.XMean, meta.XStd, meta.YMean, meta.YStd, meta.ResidBase}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&older); err != nil {
+		t.Fatal(err)
+	}
+	art.Meta = buf.Bytes()
+	oldBlob, err := nn.EncodeArtifact(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, _, err := DecodeNNSurrogate(oldBlob, xrand.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got tensor.Matrix
+	live.PredictInto(x, &want, nil)
+	restored.PredictInto(x, &got, nil)
+	if !tensor.Equal(&got, &want, 0) {
+		t.Fatal("a blob with the older meta serves different bits")
+	}
+}
+
 // TestDecodeRejectsHostileMeta: artifacts arrive from other processes, and a
 // well-formed one (every CRC valid) whose meta would panic the first UQ
 // query (MCPasses 0), size its scratch by a wild pass count, or corrupt a
@@ -102,10 +171,6 @@ func TestDecodeRejectsHostileMeta(t *testing.T) {
 		"MCPasses negative":  func(m *surrogateMeta) { m.MCPasses = -1 },
 		"MCPasses 1<<30":     func(m *surrogateMeta) { m.MCPasses = 1 << 30 },
 		"Epochs negative":    func(m *surrogateMeta) { m.Epochs = -1 },
-		"BatchSize negative": func(m *surrogateMeta) { m.BatchSize = -1 },
-		"LR negative":        func(m *surrogateMeta) { m.LR = -1e-3 },
-		"LR NaN":             func(m *surrogateMeta) { m.LR = math.NaN() },
-		"LR infinite":        func(m *surrogateMeta) { m.LR = math.Inf(1) },
 		"input scaler short": func(m *surrogateMeta) { m.XMean = m.XMean[:1] },
 		"target std zero":    func(m *surrogateMeta) { m.YStd = []float64{0} },
 	} {

@@ -114,10 +114,9 @@ type NNSurrogate struct {
 	// scratch footprint versus per-pass amortization. 0 selects
 	// nn.DefaultMaxBatch.
 	MaxBatch int
-	// Train hyperparameters.
-	Epochs    int
-	BatchSize int
-	LR        float64
+	// Epochs is how many passes each Train makes over its data (Adam at
+	// surrogateLR, surrogateBatchSize rows a step).
+	Epochs int
 	// Quantize asks Train to additionally derive an int8 quantized
 	// program from the compiled float program, calibrated against a
 	// held-out slice of the training window. The float program is always
@@ -173,11 +172,16 @@ func (s *NNSurrogate) unscaleRows(mean, std *tensor.Matrix) {
 	}
 }
 
+// Adam's step size and the minibatch size every surrogate fit runs with.
+const (
+	surrogateLR        = 1e-2
+	surrogateBatchSize = 32
+)
+
 // NewNNSurrogate builds an untrained surrogate for an in→out mapping.
 func NewNNSurrogate(in, out int, hidden []int, dropout float64, rng *xrand.Rand) *NNSurrogate {
 	return &NNSurrogate{
-		Hidden: hidden, Dropout: dropout, MCPasses: 30,
-		Epochs: 200, BatchSize: 32, LR: 1e-2,
+		Hidden: hidden, Dropout: dropout, MCPasses: 30, Epochs: 200,
 		rng: rng, inDim: in, outDim: out,
 	}
 }
@@ -198,8 +202,8 @@ func (s *NNSurrogate) Train(x, y *tensor.Matrix) error {
 	widths := append([]int{s.inDim}, append(append([]int(nil), s.Hidden...), s.outDim)...)
 	net := nn.NewMLP(s.rng.Split(), nn.Tanh, s.Dropout, widths...)
 	_, err := net.Fit(xs, ys, nn.TrainConfig{
-		Epochs: s.Epochs, BatchSize: s.BatchSize,
-		Optimizer: nn.NewAdam(s.LR), Seed: s.rng.Uint64(),
+		Epochs: s.Epochs, BatchSize: surrogateBatchSize,
+		Optimizer: nn.NewAdam(surrogateLR), Seed: s.rng.Uint64(),
 	})
 	if err != nil {
 		return fmt.Errorf("core: surrogate training: %w", err)

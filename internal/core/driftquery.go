@@ -78,7 +78,7 @@ func (w *ShardedWrapper) foldFallbackResiduals(s *shard, xs *tensor.Matrix, idx 
 	s.mu.Lock()
 	if s.publishedGen == gen {
 		for k := range rows {
-			s.observeResidualLocked(correctedResid(resids[k], exps[k], s.residBase), w.cfg.DriftFactor, w.cfg.DriftAlpha)
+			s.observeResidualLocked(correctedResid(resids[k], exps[k], s.residBase), w.cfg.DriftFactor)
 		}
 	}
 	s.mu.Unlock()

@@ -36,7 +36,7 @@ func TestSurrogateCompiledPathMatchesInterpreted(t *testing.T) {
 	twin := xrand.New(0xfeed)
 	net := nn.NewMLP(twin.Split(), nn.Tanh, sur.Dropout, 2, 12, 1)
 	if _, err := net.Fit(sur.xScaler.Transform(x), sur.yScaler.Transform(y), nn.TrainConfig{
-		Epochs: sur.Epochs, BatchSize: sur.BatchSize, Optimizer: nn.NewAdam(sur.LR), Seed: twin.Uint64(),
+		Epochs: sur.Epochs, BatchSize: surrogateBatchSize, Optimizer: nn.NewAdam(surrogateLR), Seed: twin.Uint64(),
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -167,9 +167,6 @@ type ShardedConfig struct {
 	// RefitStale / auto-refit tick — so the retrain schedule adapts to
 	// the oracle moving instead of waiting out RetrainEvery.
 	DriftFactor float64
-	// DriftAlpha is the residual-EWMA smoothing factor in (0, 1]
-	// (default 0.1).
-	DriftAlpha float64
 	// Quantized serves every shard from its surrogate's int8 quantized
 	// program when the surrogate provides one (NNSurrogate with bounded
 	// hidden activations). Lookups whose UQ decision lands within the
@@ -182,6 +179,9 @@ type ShardedConfig struct {
 	// every recompile-on-publish refit generation) quantizes on Train.
 	Quantized bool
 }
+
+// driftAlpha is the smoothing factor of each shard's residual EWMA.
+const driftAlpha = 0.1
 
 // driftBaselineRows caps how many snapshot rows the publish-time
 // in-sample residual averages over.
@@ -256,8 +256,8 @@ func (s *shard) publishIfNewer(sur Surrogate, gen int, residBase float64) bool {
 // published model into the shard's drift EWMA and marks the shard
 // drifted when it exceeds factor × the publish-time baseline. Callers
 // hold s.mu.
-func (s *shard) observeResidualLocked(resid, factor, alpha float64) {
-	s.residEWMA += alpha * (resid - s.residEWMA)
+func (s *shard) observeResidualLocked(resid, factor float64) {
+	s.residEWMA += driftAlpha * (resid - s.residEWMA)
 	if s.residEWMA > factor*flooredBase(s.residBase) {
 		s.drifted = true
 		// The sample that (re-)raised the flag will be absorbed by the
@@ -445,9 +445,6 @@ func NewShardedWrapper(oracle Oracle, factory SurrogateFactory, cfg ShardedConfi
 	}
 	if cfg.OracleWorkers <= 0 {
 		cfg.OracleWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.DriftAlpha <= 0 || cfg.DriftAlpha > 1 {
-		cfg.DriftAlpha = 0.1
 	}
 	cfg.Retention = clampRetention(cfg.Retention, cfg.MinTrainSamples)
 	if cfg.Quantized {
@@ -1049,7 +1046,7 @@ func (w *ShardedWrapper) Ingest(xs, ys *tensor.Matrix) error {
 			w.cfg.Retention.add(s.xs, s.ys, xs.Row(i), ys.Row(i))
 			s.newSinceTrain++
 			if resids != nil {
-				s.observeResidualLocked(resids[k], w.cfg.DriftFactor, w.cfg.DriftAlpha)
+				s.observeResidualLocked(resids[k], w.cfg.DriftFactor)
 			}
 		}
 		s.mu.Unlock()

@@ -1,15 +1,10 @@
-// Package data provides dataset containers and the train/test plumbing the
-// paper's exemplars use: the nano-confinement surrogate's 6864-run corpus
-// with its 70/30 split (§III-D), k-fold evaluation, and CSV persistence so
-// generated simulation corpora can be cached between experiment stages.
+// Package data provides the dataset container and the train/test plumbing
+// the paper's exemplars use: the nano-confinement surrogate's 6864-run
+// corpus with its 70/30 split (§III-D), and the Latin-hypercube design
+// that samples its control-parameter space.
 package data
 
 import (
-	"encoding/csv"
-	"fmt"
-	"io"
-	"strconv"
-
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
@@ -20,14 +15,6 @@ type Dataset struct {
 	// FeatureNames and TargetNames are optional column labels.
 	FeatureNames []string
 	TargetNames  []string
-}
-
-// New constructs a dataset, validating row alignment.
-func New(x, y *tensor.Matrix) *Dataset {
-	if x.Rows != y.Rows {
-		panic(fmt.Sprintf("data: X has %d rows, Y has %d", x.Rows, y.Rows))
-	}
-	return &Dataset{X: x, Y: y}
 }
 
 // Len returns the number of samples.
@@ -71,140 +58,6 @@ func (d *Dataset) Split(trainFrac float64, rng *xrand.Rand) (train, test *Datase
 	perm := rng.Perm(d.Len())
 	nTrain := int(trainFrac * float64(d.Len()))
 	return d.Subset(perm[:nTrain]), d.Subset(perm[nTrain:])
-}
-
-// KFold returns k (train, test) index partitions for cross-validation.
-func (d *Dataset) KFold(k int, rng *xrand.Rand) [][2][]int {
-	if k < 2 || k > d.Len() {
-		panic("data: invalid fold count")
-	}
-	perm := rng.Perm(d.Len())
-	folds := make([][2][]int, k)
-	for f := 0; f < k; f++ {
-		lo := f * d.Len() / k
-		hi := (f + 1) * d.Len() / k
-		test := append([]int(nil), perm[lo:hi]...)
-		train := make([]int, 0, d.Len()-(hi-lo))
-		train = append(train, perm[:lo]...)
-		train = append(train, perm[hi:]...)
-		folds[f] = [2][]int{train, test}
-	}
-	return folds
-}
-
-// TargetColumn extracts target column j as a slice.
-func (d *Dataset) TargetColumn(j int) []float64 {
-	out := make([]float64, d.Len())
-	for i := 0; i < d.Len(); i++ {
-		out[i] = d.Y.At(i, j)
-	}
-	return out
-}
-
-// WriteCSV writes the dataset as a CSV with a header row; feature columns
-// first, then target columns.
-func (d *Dataset) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := make([]string, 0, d.X.Cols+d.Y.Cols)
-	for j := 0; j < d.X.Cols; j++ {
-		name := fmt.Sprintf("x%d", j)
-		if j < len(d.FeatureNames) {
-			name = d.FeatureNames[j]
-		}
-		header = append(header, name)
-	}
-	for j := 0; j < d.Y.Cols; j++ {
-		name := fmt.Sprintf("y%d", j)
-		if j < len(d.TargetNames) {
-			name = d.TargetNames[j]
-		}
-		header = append(header, name)
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	rec := make([]string, len(header))
-	for i := 0; i < d.Len(); i++ {
-		for j := 0; j < d.X.Cols; j++ {
-			rec[j] = strconv.FormatFloat(d.X.At(i, j), 'g', -1, 64)
-		}
-		for j := 0; j < d.Y.Cols; j++ {
-			rec[d.X.Cols+j] = strconv.FormatFloat(d.Y.At(i, j), 'g', -1, 64)
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV reads a dataset written by WriteCSV, treating the first nFeatures
-// columns as X and the remainder as Y.
-func ReadCSV(r io.Reader, nFeatures int) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, fmt.Errorf("data: read csv: %w", err)
-	}
-	if len(records) < 1 {
-		return nil, fmt.Errorf("data: empty csv")
-	}
-	header := records[0]
-	if nFeatures <= 0 || nFeatures >= len(header) {
-		return nil, fmt.Errorf("data: nFeatures %d out of range for %d columns", nFeatures, len(header))
-	}
-	nTargets := len(header) - nFeatures
-	rows := records[1:]
-	x := tensor.NewMatrix(len(rows), nFeatures)
-	y := tensor.NewMatrix(len(rows), nTargets)
-	for i, rec := range rows {
-		if len(rec) != len(header) {
-			return nil, fmt.Errorf("data: row %d has %d fields, want %d", i, len(rec), len(header))
-		}
-		for j, field := range rec {
-			v, err := strconv.ParseFloat(field, 64)
-			if err != nil {
-				return nil, fmt.Errorf("data: row %d col %d: %w", i, j, err)
-			}
-			if j < nFeatures {
-				x.Set(i, j, v)
-			} else {
-				y.Set(i, j-nFeatures, v)
-			}
-		}
-	}
-	return &Dataset{
-		X: x, Y: y,
-		FeatureNames: append([]string(nil), header[:nFeatures]...),
-		TargetNames:  append([]string(nil), header[nFeatures:]...),
-	}, nil
-}
-
-// GridSample generates all combinations of the provided per-feature value
-// grids (a full factorial design), the sampling plan used to cover the
-// experimental control-parameter space of the nano-confinement exemplar.
-func GridSample(grids ...[]float64) *tensor.Matrix {
-	if len(grids) == 0 {
-		return tensor.NewMatrix(0, 0)
-	}
-	total := 1
-	for _, g := range grids {
-		if len(g) == 0 {
-			return tensor.NewMatrix(0, len(grids))
-		}
-		total *= len(g)
-	}
-	out := tensor.NewMatrix(total, len(grids))
-	for i := 0; i < total; i++ {
-		rem := i
-		for j := len(grids) - 1; j >= 0; j-- {
-			g := grids[j]
-			out.Set(i, j, g[rem%len(g)])
-			rem /= len(g)
-		}
-	}
-	return out
 }
 
 // LatinHypercube draws n points from the unit hypercube of the given

@@ -1,9 +1,6 @@
 package data
 
 import (
-	"bytes"
-	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,16 +16,7 @@ func mkDataset(n int, rng *xrand.Rand) *Dataset {
 		x.Set(i, 1, float64(i))
 		y.Set(i, 0, float64(i)*10)
 	}
-	return New(x, y)
-}
-
-func TestNewValidatesRows(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched rows did not panic")
-		}
-	}()
-	New(tensor.NewMatrix(2, 1), tensor.NewMatrix(3, 1))
+	return &Dataset{X: x, Y: y}
 }
 
 func TestAppend(t *testing.T) {
@@ -108,116 +96,6 @@ func TestSplitPanicsOnBadFraction(t *testing.T) {
 			}()
 			d.Split(f, rng)
 		}()
-	}
-}
-
-func TestKFoldPartitions(t *testing.T) {
-	rng := xrand.New(4)
-	d := mkDataset(25, rng)
-	folds := d.KFold(5, rng)
-	if len(folds) != 5 {
-		t.Fatalf("%d folds want 5", len(folds))
-	}
-	testCount := map[int]int{}
-	for _, f := range folds {
-		train, test := f[0], f[1]
-		if len(train)+len(test) != 25 {
-			t.Fatalf("fold sizes %d+%d != 25", len(train), len(test))
-		}
-		inTrain := map[int]bool{}
-		for _, i := range train {
-			inTrain[i] = true
-		}
-		for _, i := range test {
-			if inTrain[i] {
-				t.Fatal("index in both train and test")
-			}
-			testCount[i]++
-		}
-	}
-	for i := 0; i < 25; i++ {
-		if testCount[i] != 1 {
-			t.Fatalf("index %d in test %d times, want exactly 1", i, testCount[i])
-		}
-	}
-}
-
-func TestTargetColumn(t *testing.T) {
-	rng := xrand.New(5)
-	d := mkDataset(4, rng)
-	col := d.TargetColumn(0)
-	want := []float64{0, 10, 20, 30}
-	for i := range want {
-		if col[i] != want[i] {
-			t.Fatalf("target col %v want %v", col, want)
-		}
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	rng := xrand.New(6)
-	d := mkDataset(7, rng)
-	d.FeatureNames = []string{"u", "id"}
-	d.TargetNames = []string{"out"}
-	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != d.Len() {
-		t.Fatalf("round-trip len %d want %d", got.Len(), d.Len())
-	}
-	if got.FeatureNames[0] != "u" || got.TargetNames[0] != "out" {
-		t.Fatal("column names lost")
-	}
-	for i := 0; i < d.Len(); i++ {
-		for j := 0; j < 2; j++ {
-			if math.Abs(got.X.At(i, j)-d.X.At(i, j)) > 1e-12 {
-				t.Fatal("X changed in round trip")
-			}
-		}
-		if math.Abs(got.Y.At(i, 0)-d.Y.At(i, 0)) > 1e-12 {
-			t.Fatal("Y changed in round trip")
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader(""), 1); err == nil {
-		t.Fatal("empty csv should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n1,notanumber"), 1); err == nil {
-		t.Fatal("non-numeric field should error")
-	}
-	if _, err := ReadCSV(strings.NewReader("a,b\n1,2"), 5); err == nil {
-		t.Fatal("nFeatures out of range should error")
-	}
-}
-
-func TestGridSample(t *testing.T) {
-	g := GridSample([]float64{1, 2}, []float64{10, 20, 30})
-	if g.Rows != 6 || g.Cols != 2 {
-		t.Fatalf("grid shape %dx%d want 6x2", g.Rows, g.Cols)
-	}
-	// All combinations present exactly once.
-	seen := map[[2]float64]bool{}
-	for i := 0; i < g.Rows; i++ {
-		seen[[2]float64{g.At(i, 0), g.At(i, 1)}] = true
-	}
-	if len(seen) != 6 {
-		t.Fatalf("grid has %d distinct rows want 6", len(seen))
-	}
-}
-
-func TestGridSampleEmpty(t *testing.T) {
-	if g := GridSample(); g.Rows != 0 {
-		t.Fatal("no grids should give empty matrix")
-	}
-	if g := GridSample([]float64{1}, nil); g.Rows != 0 {
-		t.Fatal("empty axis should give zero rows")
 	}
 }
 

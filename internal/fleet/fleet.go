@@ -5,7 +5,7 @@
 // each of those models wants the same serving machinery: micro-batch
 // coalescing, UQ-gated fallback, background refits. A Fleet serves many
 // named tenants (each a serve.Backend) behind per-tenant coalescers that
-// share one recycled batch pool, with a single lifecycle
+// share the process's one recycled batch pool, with a single lifecycle
 // (Register/Deregister/Close with graceful per-tenant drain), per-tenant
 // admission control (a bounded in-flight count, so one hot model's
 // traffic spike cannot starve the rest), fault containment (a panicking
@@ -76,8 +76,7 @@ func (e *OverloadedError) Is(target error) bool { return target == ErrOverloaded
 // Config tunes a Fleet. The zero value selects the defaults.
 type Config struct {
 	// Coalescer is the per-tenant coalescer configuration (zero value =
-	// serve defaults). Its Pool field is ignored: every tenant draws from
-	// the fleet's shared batch pool.
+	// serve defaults).
 	Coalescer serve.Config
 	// MaxInFlight bounds each tenant's concurrently admitted queries
 	// (default 4× the coalescer MaxBatch). Queries beyond the bound fail
@@ -145,8 +144,7 @@ func (t *tenant) observeN(d time.Duration, n int64) {
 // Register, Deregister and Close (a query racing a Deregister of its own
 // tenant completes or fails with ErrUnknownTenant — never hangs).
 type Fleet struct {
-	cfg  Config
-	pool *serve.BatchPool
+	cfg Config
 
 	mu      sync.RWMutex
 	tenants map[string]*tenant
@@ -158,16 +156,8 @@ func New(cfg Config) *Fleet {
 	cfg.fill()
 	return &Fleet{
 		cfg:     cfg,
-		pool:    serve.NewBatchPool(),
 		tenants: make(map[string]*tenant),
 	}
-}
-
-// Register adds a named tenant served by backend behind a fresh coalescer
-// drawing on the fleet's shared batch pool, with the fleet's default
-// coalescer configuration.
-func (f *Fleet) Register(name string, backend serve.Backend) error {
-	return f.RegisterWithConfig(name, backend, f.cfg.Coalescer)
 }
 
 // Backend returns the named tenant's registered backend — the hook a
@@ -211,19 +201,16 @@ func (f *Fleet) SetPlacement(name string, p Placement) error {
 	return nil
 }
 
-// RegisterWithConfig is Register with a per-tenant coalescer
-// configuration (a latency-sensitive tenant can run a smaller MaxBatch
-// than its batch-hungry neighbours). The configuration's Pool field is
-// overridden with the fleet's shared pool.
-func (f *Fleet) RegisterWithConfig(name string, backend serve.Backend, cfg serve.Config) error {
+// Register adds a named tenant served by backend behind a fresh coalescer
+// with the fleet's coalescer configuration.
+func (f *Fleet) Register(name string, backend serve.Backend) error {
 	if backend == nil {
 		return errors.New("fleet: nil backend")
 	}
-	cfg.Pool = f.pool
 	t := &tenant{
 		name:    name,
 		backend: backend,
-		co:      serve.NewCoalescer(backend, cfg),
+		co:      serve.NewCoalescer(backend, f.cfg.Coalescer),
 		limit:   int64(f.cfg.MaxInFlight),
 		overErr: &OverloadedError{Tenant: name},
 		lastAt:  time.Now(),

@@ -19,12 +19,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// RegistryConfig binds one tenant to an artifact registry.
+// RegistryConfig binds one tenant to an artifact registry under the
+// tenant's fleet name.
 type RegistryConfig struct {
 	// Registry is the open registry to bind against. Required.
 	Registry *registry.Registry
-	// Key is the tenant's registry namespace (default: its fleet name).
-	Key string
 	// RollbackFactor, when positive, arms the post-publish drift watch:
 	// a shard whose drift ratio (residual EWMA over publish-time
 	// baseline, see core.ShardedConfig.DriftFactor) reaches this factor
@@ -32,15 +31,20 @@ type RegistryConfig struct {
 	// the wrapper's own DriftFactor so a refit is the first response and
 	// rollback the defense against a generation that made things worse.
 	RollbackFactor float64
-	// Interval is the drift-watch cadence (default 250ms).
-	Interval time.Duration
-	// Seed seeds the rng restored surrogates draw their MC-dropout
-	// streams from (default fixed).
-	Seed uint64
 	// OnError observes background publish / warm-start / rollback
 	// failures. Failures never disturb serving; nil discards them.
 	OnError func(err error)
 }
+
+const (
+	// driftWatchInterval is the drift watch's cadence.
+	driftWatchInterval = 250 * time.Millisecond
+	// restoreSeed seeds the rng a restored surrogate is decoded with. It
+	// reaches no answer: MC-dropout masks hash from the artifact's own
+	// seed, and the rng only seeds Train, which no restored generation
+	// runs (a refit is a fresh factory product).
+	restoreSeed = 0x1e57a9
+)
 
 // registryBinding is one tenant's live registry attachment.
 type registryBinding struct {
@@ -102,39 +106,28 @@ func (f *Fleet) BindRegistry(name string, cfg RegistryConfig) (warmed int, err e
 	if t.binding.Load() != nil {
 		return 0, fmt.Errorf("fleet: tenant %q is already bound to a registry", name)
 	}
-	key := cfg.Key
-	if key == "" {
-		key = name
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 250 * time.Millisecond
-	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x1e57a9
-	}
 	onErr := func(what string, err error) {
 		if cfg.OnError != nil {
 			cfg.OnError(fmt.Errorf("fleet: tenant %q registry %s: %w", name, what, err))
 		}
 	}
-	rng := xrand.New(seed)
+	rng := xrand.New(restoreSeed)
 	w, ok := t.backend.(*core.ShardedWrapper)
 	if !ok {
 		return 0, fmt.Errorf("fleet: tenant %q backend %T cannot bind a registry", name, t.backend)
 	}
-	b := &registryBinding{reg: cfg.Registry, key: key, shards: w.NumShards()}
-	warmed = registry.WarmStartSharded(cfg.Registry, key, w, rng, func(si int, err error) {
+	b := &registryBinding{reg: cfg.Registry, key: name, shards: w.NumShards()}
+	warmed = registry.WarmStartSharded(cfg.Registry, name, w, rng, func(si int, err error) {
 		onErr(fmt.Sprintf("warm-start shard %d", si), err)
 	})
-	w.SetPublishHook(registry.Publisher(cfg.Registry, key, func(si int, err error) {
+	w.SetPublishHook(registry.Publisher(cfg.Registry, name, func(si int, err error) {
 		onErr(fmt.Sprintf("publish shard %d", si), err)
 	}))
 	b.unhook = func() { w.SetPublishHook(nil) }
 	if cfg.RollbackFactor > 0 {
 		b.stop = make(chan struct{})
 		b.done = make(chan struct{})
-		go b.driftWatch(w, cfg, rng, onErr)
+		go b.driftWatch(w, cfg.RollbackFactor, rng, onErr)
 	}
 	t.binding.Store(b)
 	return warmed, nil
@@ -146,9 +139,9 @@ func (f *Fleet) BindRegistry(name string, cfg RegistryConfig) (warmed int, err e
 // generation, so a shard that keeps drifting after its rollback is
 // rolled back again only when a newer (still-bad) generation publishes
 // or the reinstalled model itself regresses.
-func (b *registryBinding) driftWatch(w *core.ShardedWrapper, cfg RegistryConfig, rng *xrand.Rand, onErr func(string, error)) {
+func (b *registryBinding) driftWatch(w *core.ShardedWrapper, factor float64, rng *xrand.Rand, onErr func(string, error)) {
 	defer close(b.done)
-	tick := time.NewTicker(cfg.Interval)
+	tick := time.NewTicker(driftWatchInterval)
 	defer tick.Stop()
 	rolled := make([]int, w.NumShards())
 	for i := range rolled {
@@ -161,7 +154,7 @@ func (b *registryBinding) driftWatch(w *core.ShardedWrapper, cfg RegistryConfig,
 		case <-tick.C:
 		}
 		for si, st := range w.Status() {
-			if !st.Drifted || st.DriftRatio < cfg.RollbackFactor || st.Generation == rolled[si] {
+			if !st.Drifted || st.DriftRatio < factor || st.Generation == rolled[si] {
 				continue
 			}
 			rolled[si] = st.Generation

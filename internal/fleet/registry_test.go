@@ -42,7 +42,6 @@ func regWrapper(oracle core.Oracle, seed uint64, driftFactor float64) *core.Shar
 		MinTrainSamples: 8,
 		UQThreshold:     1e9,
 		DriftFactor:     driftFactor,
-		DriftAlpha:      1, // residual jumps feed straight through: deterministic trip
 	})
 }
 
@@ -146,7 +145,6 @@ func TestBindRegistryDriftAutoRollback(t *testing.T) {
 	if _, err := f.BindRegistry("epi", RegistryConfig{
 		Registry:       reg,
 		RollbackFactor: 3,
-		Interval:       5 * time.Millisecond,
 		OnError:        func(err error) { t.Error(err) },
 	}); err != nil {
 		t.Fatal(err)

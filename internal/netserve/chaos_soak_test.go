@@ -36,7 +36,9 @@ func TestChaosSoak(t *testing.T) {
 	if err := fl.Register("m", bk); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(Config{Fleet: fl, WriteTimeout: 200 * time.Millisecond})
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
+	writeTimeout = 200 * time.Millisecond
+	srv := NewServer(Config{Fleet: fl})
 	ln, err := listenLoopback()
 	if err != nil {
 		t.Fatal(err)

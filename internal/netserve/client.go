@@ -66,10 +66,6 @@ type WireResult struct {
 type ClientConfig struct {
 	// MaxFrame caps accepted response-frame bodies (default 64KiB).
 	MaxFrame int
-	// FlushSpins is how many scheduler yields the write loop donates after
-	// draining the queue before flushing, letting concurrent callers land
-	// their requests in the same syscall (default 2; negative disables).
-	FlushSpins int
 	// Dialer overrides the transport dial — fault-injection harnesses
 	// wrap connections here. Nil uses net.DialTimeout("tcp", ...).
 	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
@@ -78,12 +74,6 @@ type ClientConfig struct {
 func (c *ClientConfig) fill() {
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.FlushSpins == 0 {
-		c.FlushSpins = 2
-	}
-	if c.FlushSpins < 0 {
-		c.FlushSpins = 0
 	}
 }
 
@@ -329,7 +319,7 @@ func (tr *transport) writeLoop() {
 			// flushing: concurrent callers that just received their
 			// previous answers get to enqueue the next round, so one
 			// write syscall carries the whole burst.
-			spins := tr.cfg.FlushSpins
+			spins := flushSpins
 			for {
 				select {
 				case p2 := <-tr.wq:

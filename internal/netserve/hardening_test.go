@@ -20,7 +20,7 @@ func listenLoopback() (net.Listener, error) { return net.Listen("tcp", "127.0.0.
 func dialLoopback(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 
 // TestWriteStallWatchdog wedges the server's write path with an injected
-// stall and asserts the WriteTimeout watchdog fires: the stall is
+// stall and asserts the writeTimeout watchdog fires: the stall is
 // counted, the connection dies, and the in-flight query resolves instead
 // of hanging.
 func TestWriteStallWatchdog(t *testing.T) {
@@ -31,7 +31,9 @@ func TestWriteStallWatchdog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fl.Close()
-	srv := NewServer(Config{Fleet: fl, WriteTimeout: 100 * time.Millisecond})
+	defer func(d time.Duration) { writeTimeout = d }(writeTimeout)
+	writeTimeout = 100 * time.Millisecond
+	srv := NewServer(Config{Fleet: fl})
 	ln, err := listenLoopback()
 	if err != nil {
 		t.Fatal(err)

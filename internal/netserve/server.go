@@ -17,32 +17,19 @@ import (
 
 // Config tunes a Server. The zero value is not usable: Fleet is required.
 // How the reader gathers (readLoop), how many workers a connection has,
-// how many rows a burst may hold, the buffer sizes, the in-flight bound and
-// the frame caps are not options: one value of each is in use, the
-// constants below and DefaultMaxFrame (query frames) and
-// DefaultMaxArtifactFrame (artifact frames).
+// how many rows a burst may hold, the buffer sizes, the flush spins, the
+// write timeout, the in-flight bound and the frame caps are not options:
+// one value of each is in use, the constants below and DefaultMaxFrame
+// (query frames) and DefaultMaxArtifactFrame (artifact frames).
 type Config struct {
 	// Fleet is the multi-tenant dispatch plane every decoded request is
 	// fed into (required).
 	Fleet *fleet.Fleet
-	// FlushSpins is how many scheduler yields the response writer spends
-	// on an empty queue while requests of its connection are still in
-	// flight — the other bursts of the same read, about to answer — before
-	// it flushes anyway (default 2). With nothing in flight it flushes at
-	// once.
-	FlushSpins int
 	// ReadTimeout bounds each frame read: a connection that goes silent
 	// mid-frame for longer is torn down. 0 (the default) disables it —
 	// idle-but-healthy connections are normal for request/response
 	// clients, so this is opt-in.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each response write and flush (default 10s).
-	// Without it a peer that stops reading stalls this connection's
-	// writer forever, pinning its pooled bursts and — through the
-	// in-flight bound — eventually its reader. A stall past the deadline
-	// counts in Stats.WriteStalls and kills the connection. Negative
-	// disables.
-	WriteTimeout time.Duration
 	// Artifacts, when set, serves artifact-fetch frames from the store
 	// (typically a *registry.Registry) — the over-the-wire pull a router
 	// mirror or a freshly placed worker warm-starts from. Nil treats the
@@ -65,6 +52,13 @@ const (
 	// maxBurst caps the rows of one burst — the server-side mirror of the
 	// coalescer's MaxBatch. A burst that reaches it is submitted alone.
 	maxBurst = 64
+	// flushSpins is how many scheduler yields a write loop spends on an
+	// empty queue before it flushes, letting the answers (server) or
+	// requests (client) about to land join the same syscall. The server's
+	// writer spins only while requests of its connection are still in
+	// flight — the other bursts of the same read; with nothing in flight
+	// it flushes at once.
+	flushSpins = 2
 )
 
 // maxConnInFlight bounds how many decoded-but-unanswered requests one
@@ -74,17 +68,13 @@ const (
 // back-pressure test can reach the bound.
 var maxConnInFlight = 1024
 
-func (c *Config) fill() {
-	if c.FlushSpins <= 0 {
-		c.FlushSpins = 2
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.WriteTimeout < 0 {
-		c.WriteTimeout = 0
-	}
-}
+// writeTimeout bounds each response write and flush. Without it a peer
+// that stops reading stalls its connection's writer forever, pinning its
+// pooled bursts and — through the in-flight bound — eventually its
+// reader. A stall past the deadline counts in Stats.WriteStalls and kills
+// the connection. A server reads it once, in NewServer; a variable only so
+// the stall tests can shorten it.
+var writeTimeout = 10 * time.Second
 
 // Stats is a snapshot of server-wide wire counters.
 type Stats struct {
@@ -100,7 +90,7 @@ type Stats struct {
 	// ProtoErrors counts connections killed by malformed frames.
 	ProtoErrors int64
 	// WriteStalls counts connections killed by the write-stall watchdog:
-	// a response write or flush that sat blocked past WriteTimeout.
+	// a response write or flush that sat blocked past writeTimeout.
 	WriteStalls int64
 }
 
@@ -207,8 +197,9 @@ func (bu *burst) failRemaining(err error, msg string) {
 // Server serves a Fleet over TCP. All exported methods are safe for
 // concurrent use.
 type Server struct {
-	cfg Config
-	fl  *fleet.Fleet
+	cfg          Config
+	fl           *fleet.Fleet
+	writeTimeout time.Duration
 
 	pool  sync.Pool // *reqCtx
 	bpool sync.Pool // *burst
@@ -235,12 +226,12 @@ func NewServer(cfg Config) *Server {
 	if cfg.Fleet == nil {
 		panic("netserve: Config.Fleet is required")
 	}
-	cfg.fill()
 	return &Server{
-		cfg:   cfg,
-		fl:    cfg.Fleet,
-		lns:   make(map[net.Listener]struct{}),
-		conns: make(map[*serverConn]struct{}),
+		cfg:          cfg,
+		fl:           cfg.Fleet,
+		writeTimeout: writeTimeout,
+		lns:          make(map[net.Listener]struct{}),
+		conns:        make(map[*serverConn]struct{}),
 	}
 }
 
@@ -738,7 +729,7 @@ func (cn *serverConn) serveArt(bu *burst) {
 // writeLoop writes completed bursts with flush coalescing: after writing
 // a burst's responses it greedily drains everything already queued, and
 // on an empty queue, while the connection still has requests in flight,
-// it donates up to FlushSpins scheduler yields for their workers to
+// it donates up to flushSpins scheduler yields for their workers to
 // enqueue — so the responses of one gather leave in one buffered flush
 // instead of one syscall each. A write error degrades the loop to a pure
 // drain (requests still recycle; the reader is unblocked by closing the
@@ -749,8 +740,8 @@ func (cn *serverConn) writeLoop() {
 	bw := bufio.NewWriterSize(cn.c, connBuffer)
 	var werr error
 	write := func(bu *burst) {
-		if werr == nil && s.cfg.WriteTimeout > 0 {
-			cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		if werr == nil {
+			cn.c.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		}
 		for _, rc := range bu.reqs {
 			if werr == nil {
@@ -787,7 +778,7 @@ func (cn *serverConn) writeLoop() {
 				write(bu2)
 				spins = 0
 			default:
-				if len(cn.sem) > 0 && spins < s.cfg.FlushSpins {
+				if len(cn.sem) > 0 && spins < flushSpins {
 					spins++
 					runtime.Gosched()
 					continue
@@ -796,9 +787,7 @@ func (cn *serverConn) writeLoop() {
 			}
 		}
 		if werr == nil {
-			if s.cfg.WriteTimeout > 0 {
-				cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-			}
+			cn.c.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 			if werr = bw.Flush(); werr != nil {
 				cn.noteWriteError(werr)
 			} else {
@@ -807,9 +796,7 @@ func (cn *serverConn) writeLoop() {
 		}
 	}
 	if werr == nil {
-		if s.cfg.WriteTimeout > 0 {
-			cn.c.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		}
+		cn.c.SetWriteDeadline(time.Now().Add(s.writeTimeout))
 		bw.Flush()
 	}
 }

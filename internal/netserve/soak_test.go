@@ -52,7 +52,6 @@ func TestWireSoakChurnAndDrift(t *testing.T) {
 			RetrainEvery:    0,
 			UQThreshold:     1, // zero claimed std → always serve surrogate
 			DriftFactor:     2,
-			DriftAlpha:      0.5,
 		})
 	seed := tensor.NewMatrix(8, 2)
 	rng := xrand.New(7)

@@ -85,7 +85,6 @@ func startWorkerWith(t *testing.T, dir string, seed uint64, mk func(core.Oracle,
 	w.hooks = &WorkerHooks{
 		Fleet:    w.fl,
 		Registry: reg,
-		Seed:     seed,
 		Make: func(tenant string) (*core.ShardedWrapper, error) {
 			return mk(w.oracle, seed), nil
 		},

@@ -30,11 +30,6 @@ type WorkerHooks struct {
 	// Pretrain seeds a cold-placed tenant with oracle data before it
 	// registers. Nil skips pretraining (the wrapper trains online).
 	Pretrain func(tenant string, w *core.ShardedWrapper) error
-	// Bind templates each placed tenant's registry binding; Registry is
-	// filled in from the field above.
-	Bind fleet.RegistryConfig
-	// Seed seeds surrogate decode rngs (default fixed).
-	Seed uint64
 	// Logf observes placements; nil discards.
 	Logf func(format string, args ...any)
 
@@ -48,13 +43,11 @@ func (h *WorkerHooks) logf(format string, args ...any) {
 	}
 }
 
-func (h *WorkerHooks) rng() *xrand.Rand {
-	seed := h.Seed
-	if seed == 0 {
-		seed = 0x90a7e4
-	}
-	return xrand.New(seed)
-}
+// decodeSeed seeds the rng a pushed artifact is decoded with. It reaches
+// no answer: MC-dropout masks hash from the artifact's own seed, and the
+// rng only seeds Train, which no installed generation runs (a refit is a
+// fresh factory product).
+const decodeSeed = 0x90a7e4
 
 // FetchArtifact implements netserve.ArtifactStore against the local
 // registry (zero-copy: the returned bytes alias the registry's mmap,
@@ -161,9 +154,7 @@ func (h *WorkerHooks) bindLocked(tenant string, w *core.ShardedWrapper) (warmed 
 	if err := h.Fleet.Register(tenant, w); err != nil {
 		return 0, fmt.Errorf("router: register %q: %w", tenant, err)
 	}
-	cfg := h.Bind
-	cfg.Registry = h.Registry
-	warmed, err = h.Fleet.BindRegistry(tenant, cfg)
+	warmed, err = h.Fleet.BindRegistry(tenant, fleet.RegistryConfig{Registry: h.Registry})
 	if err != nil {
 		h.Fleet.Deregister(tenant)
 		return 0, fmt.Errorf("router: bind %q: %w", tenant, err)
@@ -182,7 +173,7 @@ func (h *WorkerHooks) installShardLocked(tenant string, si int, data []byte) err
 	if si < 0 || si >= w.NumShards() {
 		return fmt.Errorf("router: shard %d out of range for tenant %q", si, tenant)
 	}
-	sur, base, err := core.DecodeNNSurrogate(data, h.rng())
+	sur, base, err := core.DecodeNNSurrogate(data, xrand.New(decodeSeed))
 	if err != nil {
 		return fmt.Errorf("router: decode pushed artifact for %s/%d: %w", tenant, si, err)
 	}

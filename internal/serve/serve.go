@@ -17,10 +17,10 @@
 // rather than taxed with a pointless wait.
 //
 // All per-batch state — the input matrix, the result rows, the dispatch
-// bookkeeping — is recycled through a BatchPool, so the steady-state
-// query path performs zero heap allocations (QueryInto) and coalescers
-// of a multi-tenant fleet can share one pool instead of each warming a
-// private one.
+// bookkeeping — is recycled through one process-wide pool, so the
+// steady-state query path performs zero heap allocations (QueryInto) and
+// the coalescers of a multi-tenant fleet share their gather buffers
+// instead of each warming a private set.
 //
 // This is the per-request → stream-oriented execution bridge the paper's
 // serving story needs: the UQ-gated surrogate answers millions of
@@ -59,10 +59,6 @@ type Config struct {
 	// MaxBatch dispatches a batch as soon as it gathers this many
 	// requests (default 64).
 	MaxBatch int
-	// Pool supplies the recycled batch/dispatch state. Coalescers sharing
-	// one pool (the per-tenant instances of a fleet) amortize their gather
-	// buffers across tenants; nil gives the coalescer a private pool.
-	Pool *BatchPool
 }
 
 // ewmaAlpha is the smoothing factor of the arrival-interval estimate in
@@ -84,9 +80,6 @@ var (
 func (c *Config) fill() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.Pool == nil {
-		c.Pool = NewBatchPool()
 	}
 }
 
@@ -139,23 +132,17 @@ type batch struct {
 	refs     atomic.Int32 // callers yet to consume; last one recycles
 }
 
-// BatchPool recycles batch/dispatch state across coalescer instances.
-// Batches are dimension-agnostic buffers (the input matrix is reshaped on
-// lease, result-row capacities regrow on demand), so coalescers fronting
-// backends of different shapes — the per-tenant instances of a fleet —
-// can draw from one shared pool instead of each warming a private one.
-// The zero value is NOT ready; use NewBatchPool.
-type BatchPool struct {
-	pool sync.Pool // *batch
-}
-
-// NewBatchPool builds an empty shared pool.
-func NewBatchPool() *BatchPool { return &BatchPool{} }
+// batches recycles batch/dispatch state across every coalescer in the
+// process. Batches are dimension-agnostic buffers (the input matrix is
+// reshaped on lease, result-row capacities regrow on demand), so
+// coalescers fronting backends of different shapes — the per-tenant
+// instances of a fleet — draw from the one pool.
+var batches sync.Pool // *batch
 
 // lease takes a recycled batch (or mints one) ready for filling with
 // in-dimensional rows.
-func (p *BatchPool) lease(in int) *batch {
-	b, _ := p.pool.Get().(*batch)
+func lease(in int) *batch {
+	b, _ := batches.Get().(*batch)
 	if b == nil {
 		b = &batch{xs: tensor.NewMatrix(0, in)}
 	}
@@ -165,9 +152,6 @@ func (p *BatchPool) lease(in int) *batch {
 	b.err, b.panicked = nil, nil
 	return b
 }
-
-// put recycles b after its last caller released it.
-func (p *BatchPool) put(b *batch) { p.pool.Put(b) }
 
 // Coalescer gathers concurrent queries into micro-batches for a
 // Backend. All methods are safe for concurrent use. Close drains
@@ -189,14 +173,13 @@ type Coalescer struct {
 	nBatches   int64
 
 	inflight sync.WaitGroup // dispatched batches not yet completed
-	pool     *BatchPool
 }
 
 // NewCoalescer builds a coalescer over backend.
 func NewCoalescer(backend Backend, cfg Config) *Coalescer {
 	cfg.fill()
 	in, out := backend.Dims()
-	return &Coalescer{backend: backend, in: in, out: out, cfg: cfg, pool: cfg.Pool}
+	return &Coalescer{backend: backend, in: in, out: out, cfg: cfg}
 }
 
 // Query submits one input point — a burst of one through QueryRows — and
@@ -381,7 +364,7 @@ func (c *Coalescer) run(b *batch) {
 // releaseN retires k claims at once (a burst waiter's rows).
 func (c *Coalescer) releaseN(b *batch, k int) {
 	if b.refs.Add(int32(-k)) == 0 {
-		c.pool.put(b)
+		batches.Put(b)
 	}
 }
 
@@ -423,7 +406,7 @@ func (c *Coalescer) QueryRows(rows [][]float64, each func(i int, res Result, err
 		b := c.cur
 		leader, solo := false, false
 		if b == nil {
-			b = c.pool.lease(c.in)
+			b = lease(c.in)
 			if c.active.Load() == 1 && !c.denseLocked() {
 				// No other waiter in flight and none imminent: the burst
 				// already IS a batch — dispatch it whole, immediately,

@@ -646,17 +646,16 @@ func (z *zeroAllocBackend) QueryBatchInto(xs *tensor.Matrix, res []core.BatchRes
 }
 
 // TestCoalescerSharedPool runs two coalescers of different backend shapes
-// over one shared BatchPool under concurrent load (run with -race): the
-// recycled batches are reshaped per lease, so tenants never observe each
-// other's rows.
+// over the process's one batch pool under concurrent load (run with
+// -race): the recycled batches are reshaped per lease, so tenants never
+// observe each other's rows.
 func TestCoalescerSharedPool(t *testing.T) {
-	pool := NewBatchPool()
 	fb2 := newFakeBackend() // 2-in: y = x0 + 2*x1
 	fb2.delay = 20 * time.Microsecond
 	wide := &wideBackend{} // 3-in, 2-out
-	c2 := NewCoalescer(fb2, Config{MaxBatch: 8, Pool: pool})
+	c2 := NewCoalescer(fb2, Config{MaxBatch: 8})
 	defer c2.Close()
-	c3 := NewCoalescer(wide, Config{MaxBatch: 8, Pool: pool})
+	c3 := NewCoalescer(wide, Config{MaxBatch: 8})
 	defer c3.Close()
 
 	var wg sync.WaitGroup

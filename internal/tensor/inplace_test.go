@@ -23,8 +23,10 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMul is a*b into a fresh matrix through matMulInto.
-func matMul(a, b *Matrix) *Matrix { return matMulInto(NewMatrix(a.Rows, b.Cols), a, b) }
+// matMul is a*b into a fresh matrix: MatMulBiasInto with a zero bias.
+func matMul(a, b *Matrix) *Matrix {
+	return MatMulBiasInto(NewMatrix(a.Rows, b.Cols), a, b, make([]float64, b.Cols))
+}
 
 // transpose returns mᵀ as a new matrix.
 func transpose(m *Matrix) *Matrix {
@@ -80,12 +82,12 @@ func TestMatMulIntoMatchesNaive(t *testing.T) {
 		b := randKernelMatrix(rng, s.m, s.p)
 		want := naiveMatMul(a, b)
 		dst := randKernelMatrix(rng, s.n, s.p) // stale contents must be overwritten
-		got := matMulInto(dst, a, b)
+		got := MatMulBiasInto(dst, a, b, make([]float64, s.p))
 		if got != dst {
-			t.Fatal("matMulInto did not return dst")
+			t.Fatal("MatMulBiasInto did not return dst")
 		}
 		if !Equal(got, want, 1e-10) {
-			t.Fatalf("matMulInto %dx%d*%dx%d mismatch", s.n, s.m, s.m, s.p)
+			t.Fatalf("MatMulBiasInto %dx%d*%dx%d mismatch", s.n, s.m, s.m, s.p)
 		}
 	}
 }
@@ -120,8 +122,8 @@ func TestMatMulABTIntoMatchesNaive(t *testing.T) {
 
 func TestMatMulIntoShapePanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { matMulInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(4, 2)) },
-		func() { matMulInto(NewMatrix(3, 2), NewMatrix(2, 3), NewMatrix(3, 2)) },
+		func() { MatMulBiasInto(NewMatrix(2, 2), NewMatrix(2, 3), NewMatrix(4, 2), make([]float64, 2)) },
+		func() { MatMulBiasInto(NewMatrix(3, 2), NewMatrix(2, 3), NewMatrix(3, 2), make([]float64, 2)) },
 		func() { MatMulATBInto(NewMatrix(3, 2), NewMatrix(2, 3), NewMatrix(4, 2)) },
 		func() { MatMulABTInto(NewMatrix(2, 4), NewMatrix(2, 3), NewMatrix(4, 5)) },
 	} {
@@ -173,8 +175,8 @@ func TestMatMulIntoZeroesStaleDst(t *testing.T) {
 	b := FromRows([][]float64{{1, 0}, {0, 1}})
 	dst := NewMatrix(2, 2)
 	dst.Fill(math.NaN())
-	matMulInto(dst, a, b)
+	MatMulBiasInto(dst, a, b, make([]float64, 2))
 	if HasNaN(dst) {
-		t.Fatal("stale dst contents leaked through matMulInto")
+		t.Fatal("stale dst contents leaked through MatMulBiasInto")
 	}
 }

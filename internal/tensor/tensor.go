@@ -202,19 +202,6 @@ func Hadamard(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// matMulInto stores a*b into dst and returns dst: MatMulBiasInto without
-// a bias, the plain product the package's tests build on. dst must be
-// a.Rows x b.Cols and must not alias a or b; its prior contents are
-// overwritten.
-func matMulInto(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	dst = ensure(dst, a.Rows, b.Cols)
-	matMulBiasRange(dst, a, b, nil, 0, a.Rows)
-	return dst
-}
-
 // MatMulBiasInto stores a*b + bias into dst (bias broadcast over rows,
 // len(bias) == b.Cols) and returns dst. Each destination row is seeded
 // with the bias and accumulated by panelRows, four source rows fused per

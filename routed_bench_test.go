@@ -45,7 +45,7 @@ func BenchmarkRoutedQPS(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		srv := netserve.NewServer(netserve.Config{Fleet: fl, FlushSpins: 8})
+		srv := netserve.NewServer(netserve.Config{Fleet: fl})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -69,10 +69,7 @@ func BenchmarkRoutedQPS(b *testing.B) {
 	clients := clientsPerTenant * tenants
 	conns := make([]*netserve.ResilientClient, tenants)
 	for i := range conns {
-		cl, err := netserve.DialResilient(ln.Addr().String(), netserve.ResilientConfig{
-			Conns:  1,
-			Client: netserve.ClientConfig{FlushSpins: 8},
-		})
+		cl, err := netserve.DialResilient(ln.Addr().String(), netserve.ResilientConfig{Conns: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -42,11 +42,7 @@ func BenchmarkWireQPS(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			// FlushSpins 8 on both ends: a throughput-oriented deployment
-			// donates more writer yields so a pipeline's frames share
-			// syscalls (worth ~15% on one core; the default 2 favours
-			// latency under sparse traffic).
-			srv := netserve.NewServer(netserve.Config{Fleet: fl, FlushSpins: 8})
+			srv := netserve.NewServer(netserve.Config{Fleet: fl})
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				b.Fatal(err)
@@ -57,10 +53,7 @@ func BenchmarkWireQPS(b *testing.B) {
 			clients := clientsPerTenant * tenants
 			conns := make([]*netserve.ResilientClient, tenants)
 			for i := range conns {
-				cl, err := netserve.DialResilient(ln.Addr().String(), netserve.ResilientConfig{
-					Conns:  1,
-					Client: netserve.ClientConfig{FlushSpins: 8},
-				})
+				cl, err := netserve.DialResilient(ln.Addr().String(), netserve.ResilientConfig{Conns: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
