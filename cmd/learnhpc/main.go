@@ -12,11 +12,12 @@
 //
 // Small scale finishes in seconds per experiment; full scale is the
 // documented reproduction configuration. The serve subcommand puts a
-// demo fleet on the TCP wire protocol (with /healthz, /readyz and
-// /statsz endpoints); worker and route are the dispatch tier; loadtest
-// is a closed-loop poke at any of those addresses that prints outcome
-// counts and a latency histogram (measured load generation is
-// go run ./benchmark -workload routed_open|routed_closed).
+// demo fleet on the TCP wire protocol (with /healthz, /readyz, /statsz,
+// /metricsz and /debug/pprof/ endpoints); worker and route are the
+// dispatch tier; loadtest is a closed-loop poke at any of those
+// addresses that prints outcome counts and a latency histogram
+// (measured load generation is go run ./benchmark -workload
+// routed_open|routed_closed).
 package main
 
 import (

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof/ on http.DefaultServeMux
 	"os"
 	"os/signal"
 	"strings"
@@ -23,6 +24,16 @@ import (
 	"repro/internal/tensor"
 	"repro/internal/xrand"
 )
+
+// healthMux serves h, and net/http/pprof's profiles of the running
+// process under /debug/pprof/: go tool pprof reaches a live server without
+// a rebuild.
+func healthMux(h http.Handler) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	mux.Handle("/debug/pprof/", http.DefaultServeMux)
+	return mux
+}
 
 // demoOracles are the analytic stand-ins the serve subcommand offers as
 // wire tenants: the same three workload shapes the fleet example uses.
@@ -139,12 +150,12 @@ func runServe(args []string) {
 
 	if *health != "" {
 		go func() {
-			h := &netserve.Health{Fleet: fl, Server: srv}
+			h := healthMux(&netserve.Health{Fleet: fl, Server: srv})
 			if err := http.ListenAndServe(*health, h); err != nil {
 				fmt.Fprintf(os.Stderr, "learnhpc serve: health endpoint: %v\n", err)
 			}
 		}()
-		fmt.Printf("http: /healthz /readyz /statsz on %s\n", *health)
+		fmt.Printf("http: /healthz /readyz /statsz /metricsz /debug/pprof/ on %s\n", *health)
 	}
 
 	sig := make(chan os.Signal, 1)

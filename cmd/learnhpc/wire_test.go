@@ -1,8 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
+	"fmt"
+	"io"
 	"math"
 	"net"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -96,5 +102,58 @@ func TestDriveRecordsOnlyAnswered(t *testing.T) {
 	}
 	if f := c.failed.Load(); f > 200 {
 		t.Fatalf("failed=%d in 50ms: callers spin on the open breaker", f)
+	}
+}
+
+// TestHealthMuxServesProfiles makes one request to each endpoint serve's
+// -health address offers for a live fleet: the Health pages, the pprof
+// index, a named profile (which must decode as a non-empty gzip stream),
+// the CPU profile, a symbol lookup and the execution trace.
+func TestHealthMuxServesProfiles(t *testing.T) {
+	fl := fleet.New(fleet.Config{})
+	defer fl.Close()
+	srv := netserve.NewServer(netserve.Config{Fleet: fl})
+	defer srv.Close()
+	ts := httptest.NewServer(healthMux(&netserve.Health{Fleet: fl, Server: srv}))
+	defer ts.Close()
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s = %d: %s", path, resp.StatusCode, body)
+		}
+		return body
+	}
+
+	get("/healthz")
+	get("/statsz")
+	get("/metricsz")
+	if body := get("/debug/pprof/"); !bytes.Contains(body, []byte("goroutine")) {
+		t.Errorf("pprof index lists no goroutine profile:\n%s", body)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(get("/debug/pprof/heap")))
+	if err != nil {
+		t.Fatalf("heap profile is not gzip: %v", err)
+	}
+	if prof, err := io.ReadAll(zr); err != nil || len(prof) == 0 {
+		t.Errorf("heap profile decodes to %d bytes (%v)", len(prof), err)
+	}
+	if len(get("/debug/pprof/profile?seconds=1")) == 0 {
+		t.Error("empty CPU profile")
+	}
+	pc := reflect.ValueOf(TestHealthMuxServesProfiles).Pointer()
+	if body := get(fmt.Sprintf("/debug/pprof/symbol?%#x", pc)); !bytes.Contains(body, []byte("TestHealthMuxServesProfiles")) {
+		t.Errorf("symbol lookup of %#x answered:\n%s", pc, body)
+	}
+	if len(get("/debug/pprof/trace?seconds=0.1")) == 0 {
+		t.Error("empty execution trace")
 	}
 }

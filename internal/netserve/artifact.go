@@ -3,7 +3,6 @@ package netserve
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 )
 
 // Artifact frames are the control plane of the dispatch tier: a router
@@ -255,34 +254,56 @@ type ArtifactSink interface {
 	InstallArtifact(key string, gen uint64, data []byte) error
 }
 
-// artCallTimeout bounds every artifact call client-side. Artifact frames
-// carry no deadline the server could shed on, so without it a stalled-but-
-// open connection would hold the caller — the router's serial mirror loop —
-// forever. Generous, because a cold placement pretrains inside the call.
-var artCallTimeout = 10 * time.Second
+// StatArtifact asks the server for key's current registry generation.
+// ok=false means the key has no committed generation.
+func (cn *Conn) StatArtifact(key string) (gen uint64, ok bool, err error) {
+	_, gen, ok, err = cn.artCall(frameArtFetch, key, 0, FlagArtStat, nil)
+	return gen, ok, err
+}
+
+// FetchArtifact pulls key's artifact at generation gen (0 = newest);
+// ok=false means no such key/generation, and the returned bytes are
+// caller-owned. ClientConfig.MaxFrame must admit artifact-sized responses
+// (DefaultMaxArtifactFrame).
+func (cn *Conn) FetchArtifact(key string, gen uint64) (data []byte, actual uint64, ok bool, err error) {
+	return cn.artCall(frameArtFetch, key, gen, 0, nil)
+}
+
+// PushArtifact installs data as generation gen of key on the server. A
+// nil data with gen 0 is a cold placement request: the server creates the
+// key's tenant without an artifact. Installs are replay-idempotent, so a
+// caller may retry one whose fate a lost connection left unknown.
+func (cn *Conn) PushArtifact(key string, gen uint64, data []byte) error {
+	var flags byte
+	if data == nil {
+		flags = FlagArtCold
+	}
+	_, _, _, err := cn.artCall(frameArtPush, key, gen, flags, data)
+	return err
+}
 
 // artCall runs one artifact exchange (a fetch, a FlagArtStat poll, or a
-// push of the bytes in push) through the transport's round-trip, sharing
+// push of the bytes in push) through the connection's round-trip, sharing
 // the id space and demux with queries. It answers with the payload copied
-// off the read buffer, the generation served and the found bit. A call
-// still unanswered after artCallTimeout reports the connection lost, so
-// the resilient ladder condemns it and retries on a fresh one.
-func (tr *transport) artCall(op byte, key string, gen uint64, flags byte, push []byte) (data []byte, actual uint64, ok bool, err error) {
-	p, id := tr.lease()
+// off the read buffer, the generation served and the found bit. Artifact
+// frames carry no deadline; the stall watch bounds the wait while the
+// peer is dead, not while it is busy.
+func (cn *Conn) artCall(op byte, key string, gen uint64, flags byte, push []byte) (data []byte, actual uint64, ok bool, err error) {
+	p, id := cn.lease()
 	if op == frameArtPush {
 		p.buf, err = appendArtPush(p.buf[:0], id, gen, flags, key, push)
 	} else {
 		p.buf, err = appendArtFetch(p.buf[:0], id, gen, flags, key)
 	}
 	if err != nil {
-		tr.release(p)
+		cn.release(p)
 		return nil, 0, false, err
 	}
-	if !tr.roundTrip(p, id, artCallTimeout) {
-		return nil, 0, false, fmt.Errorf("%w: artifact call unanswered after %v", ErrConnLost, artCallTimeout)
-	}
+	cn.arts.Add(1)
+	cn.roundTrip(p, id, 0)
+	cn.arts.Add(-1)
 	data, actual, ok, err = p.artData, p.artGen, p.artOK, p.err
-	tr.release(p)
+	cn.release(p)
 	return data, actual, ok, err
 }
 

@@ -152,7 +152,7 @@ func FuzzClientResponse(f *testing.F) {
 		a, b := netPipe()
 		var cfg ClientConfig
 		cfg.fill()
-		cl := newTransport(a, cfg)
+		cl := newConn(a, cfg)
 		defer cl.Close()
 		go func() {
 			br := bufio.NewReader(b)

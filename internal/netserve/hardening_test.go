@@ -41,7 +41,7 @@ func TestWriteStallWatchdog(t *testing.T) {
 	go srv.Serve(inj.Listener(ln))
 	defer srv.Close()
 
-	cl, err := dial(ln.Addr().String(), ClientConfig{})
+	cl, err := Dial(ln.Addr().String(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestReadTimeoutReapsSilentConn(t *testing.T) {
 func TestReadyzDrainOrdering(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	fl, srv, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCloseUnderLoadLeaksNothing(t *testing.T) {
 	go srv.Serve(ln)
 	addr := ln.Addr().String()
 
-	plain, err := dial(addr, ClientConfig{})
+	plain, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package netserve
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/fleet"
@@ -20,6 +22,9 @@ import (
 //	               shards, max drift ratio, quantized-serving fallbacks)
 //	               plus the wire server's connection/frame counters under
 //	               "_server".
+//	GET /metricsz — JSON dump of every runtime/metrics sample, by name
+//	               (a histogram as its counts and bucket edges, an
+//	               unbounded edge as null).
 //
 // Durations are reported in nanoseconds (Go's time.Duration JSON form).
 // Health is an http.Handler; mount it on any mux or serve it directly.
@@ -73,11 +78,46 @@ func (h *Health) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			st := h.Server.Stats()
 			out.Server = &st
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(out)
+		writeJSON(w, out)
+	case "/metricsz":
+		writeJSON(w, runtimeMetrics())
 	default:
 		http.NotFound(w, r)
 	}
+}
+
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
+// runtimeMetrics reads every supported runtime/metrics sample.
+func runtimeMetrics() map[string]any {
+	descs := metrics.All()
+	samples := make([]metrics.Sample, len(descs))
+	for i, d := range descs {
+		samples[i].Name = d.Name
+	}
+	metrics.Read(samples)
+	out := make(map[string]any, len(samples))
+	for _, s := range samples {
+		switch s.Value.Kind() {
+		case metrics.KindUint64:
+			out[s.Name] = s.Value.Uint64()
+		case metrics.KindFloat64:
+			out[s.Name] = s.Value.Float64()
+		case metrics.KindFloat64Histogram:
+			h := s.Value.Float64Histogram()
+			edges := make([]*float64, len(h.Buckets))
+			for i := range h.Buckets {
+				if !math.IsInf(h.Buckets[i], 0) {
+					edges[i] = &h.Buckets[i]
+				}
+			}
+			out[s.Name] = map[string]any{"counts": h.Counts, "buckets": edges}
+		}
+	}
+	return out
 }

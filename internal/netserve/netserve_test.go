@@ -111,7 +111,7 @@ func query(q querier, tenant string, x []float64, deadline time.Time) (WireResul
 func TestWireRoundTrip(t *testing.T) {
 	bk := &testBackend{in: 3, out: 2}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestWireNoStdFlag(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
 	tap := &tapConn{}
-	cl, err := dial(addr, ClientConfig{Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+	cl, err := Dial(addr, ClientConfig{Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout("tcp", addr, timeout)
 		tap.Conn = c
 		return tap, err
@@ -237,7 +237,7 @@ func TestWireNoStdFlag(t *testing.T) {
 func TestWireExpiredDeadlineNeverReachesBackend(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	fl, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestWireExpiredDeadlineNeverReachesBackend(t *testing.T) {
 func TestWireUnknownTenant(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestWireOverloadRetryStatus(t *testing.T) {
 	_, _, addr := newTestServer(t,
 		fleet.Config{MaxInFlight: 1, Coalescer: serve.Config{MaxBatch: 1}},
 		Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestWireOverloadRetryStatus(t *testing.T) {
 func TestWireRowErrorAndPanicContainment(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestWireStatusMapping(t *testing.T) {
 		name string
 		dial func(addr string) (client, error)
 	}{
-		{"transport", func(addr string) (client, error) { return dial(addr, ClientConfig{}) }},
+		{"transport", func(addr string) (client, error) { return Dial(addr, ClientConfig{}) }},
 		{"resilient", func(addr string) (client, error) {
 			return DialResilient(addr, ResilientConfig{Conns: 1})
 		}},
@@ -444,7 +444,7 @@ func TestWireGarbageFramesKillOnlyTheirConnection(t *testing.T) {
 		t.Fatalf("ProtoErrors = %d, want ≥ 4", n)
 	}
 	// A well-formed client on a fresh connection is unaffected.
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +467,13 @@ func TestWireCrossConnectionCoalescing(t *testing.T) {
 	const perConn = 60
 	var wg sync.WaitGroup
 	for cI := 0; cI < conns; cI++ {
-		cl, err := dial(addr, ClientConfig{})
+		cl, err := Dial(addr, ClientConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close()
 		wg.Add(1)
-		go func(cl *transport, seed int) {
+		go func(cl *Conn, seed int) {
 			defer wg.Done()
 			y := make([]float64, 1)
 			std := make([]float64, 1)
@@ -520,7 +520,7 @@ func TestWireServerCloseDrains(t *testing.T) {
 	}
 	go srv.Serve(ln)
 
-	cl, err := dial(ln.Addr().String(), ClientConfig{})
+	cl, err := Dial(ln.Addr().String(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +586,7 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 	}
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,7 +613,7 @@ func TestWireSteadyStateAllocs(t *testing.T) {
 func TestHealthEndpoints(t *testing.T) {
 	bk := &testBackend{in: 2, out: 1}
 	fl, srv, addr := newTestServer(t, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,13 +696,13 @@ func TestWireConcurrentClientsManyTenants(t *testing.T) {
 	fl, _, addr := newTestServer(t, fleet.Config{}, Config{}, tenants)
 	var wg sync.WaitGroup
 	for c := 0; c < 8; c++ {
-		cl, err := dial(addr, ClientConfig{})
+		cl, err := Dial(addr, ClientConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close()
 		wg.Add(1)
-		go func(cl *transport, c int) {
+		go func(cl *Conn, c int) {
 			defer wg.Done()
 			y := make([]float64, 1)
 			std := make([]float64, 1)
@@ -730,7 +730,7 @@ func TestWireConcurrentClientsManyTenants(t *testing.T) {
 func BenchmarkWireLoopback(b *testing.B) {
 	bk := &testBackend{in: 2, out: 1}
 	_, _, addr := newTestServer(b, fleet.Config{}, Config{}, map[string]serve.Backend{"m": bk})
-	cl, err := dial(addr, ClientConfig{})
+	cl, err := Dial(addr, ClientConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}

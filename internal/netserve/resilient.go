@@ -1,13 +1,13 @@
 package netserve
 
 // This file implements ResilientClient, the wire client: a small pool of
-// multiplexed connections (transport, client.go) with automatic reconnect
+// multiplexed connections (Conn, client.go) with automatic reconnect
 // under jittered exponential backoff, a deadline-aware retry budget over
 // the protocol's explicit retry signal and transport failures, and a
 // per-tenant circuit breaker so a hard-down tenant sheds locally instead of
 // burning its callers' retry budgets. The steady state — healthy
 // connection, first attempt succeeds — adds only atomic bookkeeping to the
-// transport's round-trip and stays allocation-free.
+// connection's round-trip and stays allocation-free.
 
 import (
 	"errors"
@@ -181,8 +181,6 @@ func (c *ResilientConfig) fill() {
 	if c.Conns <= 0 {
 		c.Conns = 2
 	}
-	// c.Client is filled by dial on each (re)connect; filling it here too
-	// would double-apply the negative-means-disable conversion.
 }
 
 // Retry, reconnect and blackhole-detection constants.
@@ -204,18 +202,18 @@ const (
 	reconnectBackoffMax = time.Second
 	// expireStreak is how many consecutive client-side deadline
 	// expirations on one connection condemn it as blackholed and force a
-	// reconnect. A stalled-but-open TCP connection never yields a
-	// transport error on its own — this streak is the only signal that
-	// crosses it.
+	// reconnect. A stalled-but-open TCP connection yields no transport
+	// error of its own; the connection's stall watch condemns it only
+	// after stallTimeout, the streak at the pace of the callers' deadlines.
 	expireStreak = 8
 	// jitterSeed fixes the jitter stream.
 	jitterSeed = 1
 )
 
-// rslot is one pooled connection slot: the live transport (nil while
+// rslot is one pooled connection slot: the live connection (nil while
 // down) and its repair/blackhole-detection state.
 type rslot struct {
-	cl        atomic.Pointer[transport]
+	cl        atomic.Pointer[Conn]
 	repairing atomic.Bool
 	expStreak atomic.Int32 // consecutive client-side expirations
 }
@@ -273,7 +271,7 @@ func DialResilient(addr string, cfg ResilientConfig) (*ResilientClient, error) {
 	for i := range rc.slots {
 		sl := &rslot{}
 		rc.slots[i] = sl
-		cl, err := dial(addr, cfg.Client)
+		cl, err := Dial(addr, cfg.Client)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -345,7 +343,7 @@ func (rc *ResilientClient) QueryInto(tenant string, x, y, std []float64, deadlin
 		return WireResult{}, br.openErr
 	}
 	var res WireResult
-	err := rc.attempts(deadline, func(tr *transport) (err error) {
+	err := rc.attempts(deadline, func(tr *Conn) (err error) {
 		res, err = tr.QueryInto(tenant, x, y, std, deadline)
 		return err
 	})
@@ -363,12 +361,11 @@ func isBreakerFailure(err error) bool {
 		!errors.Is(err, ErrExpired) && !errors.Is(err, errShortBuffer)
 }
 
-// attempts is the one retry ladder, for queries and artifact calls alike:
-// up to maxAttempts tries of call across the pool, jittered exponential
-// backoff between them, never sleeping past a non-zero deadline.
-// Transport failures condemn the connection and try another, explicit
-// sheds back off, definitive answers return at once.
-func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *transport) error) error {
+// attempts is the retry ladder: up to maxAttempts tries of call across
+// the pool, jittered exponential backoff between them, never sleeping past
+// a non-zero deadline. Transport failures condemn the connection and try
+// another, explicit sheds back off, definitive answers return at once.
+func (rc *ResilientClient) attempts(deadline time.Time, call func(tr *Conn) error) error {
 	if rc.closed.Load() {
 		return ErrClientClosed
 	}
@@ -432,7 +429,7 @@ func isTransport(err error) bool {
 
 // pick round-robins over live slots. A one-connection pool has nothing to
 // rotate, so it skips the counter.
-func (rc *ResilientClient) pick() (*transport, *rslot) {
+func (rc *ResilientClient) pick() (*Conn, *rslot) {
 	n := len(rc.slots)
 	if n == 1 {
 		sl := rc.slots[0]
@@ -455,7 +452,7 @@ func (rc *ResilientClient) pick() (*transport, *rslot) {
 // repair loop. The CAS makes condemnation single-winner: concurrent
 // callers seeing the same dead client race to nil it, and only the winner
 // closes and repairs.
-func (rc *ResilientClient) markBroken(sl *rslot, cl *transport) {
+func (rc *ResilientClient) markBroken(sl *rslot, cl *Conn) {
 	if !sl.cl.CompareAndSwap(cl, nil) {
 		return
 	}
@@ -464,10 +461,9 @@ func (rc *ResilientClient) markBroken(sl *rslot, cl *transport) {
 }
 
 // noteExpired advances a slot's consecutive-expiry streak; at
-// expireStreak the connection is condemned as blackholed — an open-but-
-// silent connection yields no transport error, so the streak is the only
-// crossing signal.
-func (rc *ResilientClient) noteExpired(sl *rslot, cl *transport) {
+// expireStreak the connection is condemned as blackholed (see
+// expireStreak).
+func (rc *ResilientClient) noteExpired(sl *rslot, cl *Conn) {
 	if sl.expStreak.Add(1) >= expireStreak {
 		sl.expStreak.Store(0)
 		rc.markBroken(sl, cl)
@@ -503,7 +499,7 @@ func (rc *ResilientClient) repair(sl *rslot) {
 		if rc.closed.Load() {
 			return
 		}
-		cl, err := dial(rc.addr, rc.cfg.Client)
+		cl, err := Dial(rc.addr, rc.cfg.Client)
 		if err == nil {
 			sl.expStreak.Store(0)
 			sl.cl.Store(cl)
@@ -554,47 +550,4 @@ func (rc *ResilientClient) jitter(d time.Duration) time.Duration {
 	f := rc.rng.Float64()
 	rc.rmu.Unlock()
 	return d/2 + time.Duration(f*float64(d/2))
-}
-
-// ---------------------------------------------------------------------------
-// artifact control plane
-//
-// Artifact ops ride the same retry ladder as queries. They are idempotent
-// by contract (generation-addressed reads, replay-idempotent installs), so
-// retrying after an unknown-fate transport failure is safe.
-
-// StatArtifact asks the server for key's current registry generation.
-// ok=false means the key has no committed generation.
-func (rc *ResilientClient) StatArtifact(key string) (gen uint64, ok bool, err error) {
-	err = rc.attempts(time.Time{}, func(tr *transport) (e error) {
-		_, gen, ok, e = tr.artCall(frameArtFetch, key, 0, FlagArtStat, nil)
-		return e
-	})
-	return gen, ok, err
-}
-
-// FetchArtifact pulls key's artifact at generation gen (0 = newest);
-// ok=false means no such key/generation, and the returned bytes are
-// caller-owned. ResilientConfig.Client.MaxFrame must admit artifact-sized
-// responses (DefaultMaxArtifactFrame).
-func (rc *ResilientClient) FetchArtifact(key string, gen uint64) (data []byte, actual uint64, ok bool, err error) {
-	err = rc.attempts(time.Time{}, func(tr *transport) (e error) {
-		data, actual, ok, e = tr.artCall(frameArtFetch, key, gen, 0, nil)
-		return e
-	})
-	return data, actual, ok, err
-}
-
-// PushArtifact installs data as generation gen of key on the server. A
-// nil data with gen 0 is a cold placement request: the server creates the
-// key's tenant without an artifact.
-func (rc *ResilientClient) PushArtifact(key string, gen uint64, data []byte) error {
-	var flags byte
-	if data == nil {
-		flags = FlagArtCold
-	}
-	return rc.attempts(time.Time{}, func(tr *transport) error {
-		_, _, _, err := tr.artCall(frameArtPush, key, gen, flags, data)
-		return err
-	})
 }

@@ -215,14 +215,14 @@ func (oneGenStore) FetchArtifact(string, uint64) ([]byte, uint64, bool, error) {
 }
 func (oneGenStore) StatArtifact(string) (uint64, bool) { return 3, true }
 
-// TestResilientArtifactCallBounded blackholes the control connection —
-// open, silent, no transport error ever — and asserts an artifact call
-// gives up at artCallTimeout with a connection-lost error (it used to
-// wait forever, wedging the router's serial mirror loop), and that the
-// condemned connection is replaced once the path heals.
+// TestResilientArtifactCallBounded blackholes a pooled connection — open,
+// silent, no transport error ever — and asserts an artifact call through
+// the pool's retry ladder gives up at the stall timeout with a
+// connection-lost error (without the stall watch it would wait forever),
+// and that the condemned connection is replaced once the path heals.
 func TestResilientArtifactCallBounded(t *testing.T) {
-	defer func(d time.Duration) { artCallTimeout = d }(artCallTimeout)
-	artCallTimeout = 100 * time.Millisecond
+	defer func(d time.Duration) { stallTimeout = d }(stallTimeout)
+	stallTimeout = 100 * time.Millisecond
 	inj := chaos.New(7)
 	_, _, addr := newTestServer(t, fleet.Config{}, Config{Artifacts: oneGenStore{}}, nil)
 	rc, err := DialResilient(addr, ResilientConfig{
@@ -233,14 +233,21 @@ func TestResilientArtifactCallBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if gen, ok, err := rc.StatArtifact("k/shard-0"); err != nil || !ok || gen != 3 {
-		t.Fatalf("healthy stat: gen %d ok %v err %v", gen, ok, err)
+	fetch := func() (data []byte, gen uint64, ok bool, err error) {
+		err = rc.attempts(time.Time{}, func(cn *Conn) (e error) {
+			data, gen, ok, e = cn.FetchArtifact("k/shard-0", 0)
+			return e
+		})
+		return data, gen, ok, err
+	}
+	if _, gen, ok, err := fetch(); err != nil || !ok || gen != 3 {
+		t.Fatalf("healthy fetch: gen %d ok %v err %v", gen, ok, err)
 	}
 
 	inj.SetBlackhole(true)
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := rc.FetchArtifact("k/shard-0", 0)
+		_, _, _, err := fetch()
 		done <- err
 	}()
 	select {
@@ -255,7 +262,7 @@ func TestResilientArtifactCallBounded(t *testing.T) {
 	inj.SetBlackhole(false)
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		data, gen, ok, err := rc.FetchArtifact("k/shard-0", 0)
+		data, gen, ok, err := fetch()
 		if err == nil {
 			if !ok || gen != 3 || string(data) != "weights" {
 				t.Fatalf("healed fetch: %q gen %d ok %v", data, gen, ok)

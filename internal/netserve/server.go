@@ -32,13 +32,14 @@ type Config struct {
 	ReadTimeout time.Duration
 	// Artifacts, when set, serves artifact-fetch frames from the store
 	// (typically a *registry.Registry) — the over-the-wire pull a router
-	// mirror or a freshly placed worker warm-starts from. Nil treats the
-	// frame type as a protocol violation.
+	// mirror or a freshly placed worker warm-starts from. Nil answers
+	// such frames StatusError (the connection and its queries live on).
 	Artifacts ArtifactStore
 	// Install, when set, accepts artifact-push frames: the sink installs
 	// pushed generations (or cold-places a tenant) so a router can move a
-	// placement onto this worker without retraining. Nil treats the frame
-	// type as a protocol violation.
+	// placement onto this worker without retraining. Nil answers such
+	// frames StatusError; with neither hook set, frames past
+	// DefaultMaxFrame still end the connection.
 	Install ArtifactSink
 }
 
@@ -571,65 +572,42 @@ func (cn *serverConn) readLoop() {
 	}
 }
 
+// errNoArtifactHook answers an artifact op on a server whose hook for
+// it (Config.Artifacts, Config.Install) is unset.
+const errNoArtifactHook = "netserve: server takes no artifact frames of this type"
+
 // readArtFrame decodes one artifact frame and submits it through the
-// worker pipeline as a single-request burst. False means the frame was
-// malformed or its hook is not configured — the stream dies.
+// worker pipeline as a single-request burst (serveArt answers a frame
+// whose hook is unset StatusError). False means the frame was malformed —
+// the stream dies.
 func (cn *serverConn) readArtFrame(buf []byte) bool {
 	s := cn.srv
-	bu := (*burst)(nil)
+	var a artPush
+	var err error
 	switch buf[1] {
 	case frameArtFetch:
-		if s.cfg.Artifacts == nil {
-			s.protoErrs.Add(1)
-			return false
-		}
-		af, err := parseArtFetch(buf)
-		if err != nil {
-			s.protoErrs.Add(1)
-			return false
-		}
-		cn.sem <- struct{}{}
-		bu = s.leaseBurst()
-		bu.artOp = frameArtFetch
-		bu.artFlags = af.flags
-		bu.artGen = af.gen
-		bu.artKey = string(af.key)
-		rc := s.lease()
-		rc.id = af.id
-		rc.flags = 0
-		rc.out = rc.out[:0]
-		rc.aux = nil
-		bu.reqs = append(bu.reqs, rc)
+		var af artFetch
+		af, err = parseArtFetch(buf)
+		a = artPush{id: af.id, gen: af.gen, flags: af.flags, key: af.key}
 	case frameArtPush:
-		if s.cfg.Install == nil {
-			s.protoErrs.Add(1)
-			return false
+		if a, err = parseArtPush(buf); a.flags&FlagArtCold != 0 {
+			a.data = nil // the cold-place marker
+		} else {
+			a.data = append([]byte{}, a.data...) // off the read buffer
 		}
-		ap, err := parseArtPush(buf)
-		if err != nil {
-			s.protoErrs.Add(1)
-			return false
-		}
-		cn.sem <- struct{}{}
-		bu = s.leaseBurst()
-		bu.artOp = frameArtPush
-		bu.artFlags = ap.flags
-		bu.artGen = ap.gen
-		bu.artKey = string(ap.key)
-		if ap.flags&FlagArtCold == 0 {
-			// Copy off the read buffer; nil stays the cold-place marker.
-			bu.artData = append([]byte{}, ap.data...)
-		}
-		rc := s.lease()
-		rc.id = ap.id
-		rc.flags = 0
-		rc.out = rc.out[:0]
-		rc.aux = nil
-		bu.reqs = append(bu.reqs, rc)
 	default:
+		err = errBadType
+	}
+	if err != nil {
 		s.protoErrs.Add(1)
 		return false
 	}
+	cn.sem <- struct{}{}
+	bu := s.leaseBurst()
+	bu.artOp, bu.artFlags, bu.artGen, bu.artKey, bu.artData = buf[1], a.flags, a.gen, string(a.key), a.data
+	rc := s.lease()
+	rc.id, rc.flags, rc.out, rc.aux = a.id, 0, rc.out[:0], nil
+	bu.reqs = append(bu.reqs, rc)
 	s.reqs.Add(1)
 	cn.work <- bu
 	return true
@@ -696,6 +674,12 @@ func (cn *serverConn) serveArt(bu *burst) {
 			rc.out = appendArtData(rc.out[:0], rc.id, 0, StatusError, []byte(fmt.Sprint(pv)))
 		}
 	}()
+	if (bu.artOp == frameArtFetch && s.cfg.Artifacts == nil) || (bu.artOp == frameArtPush && s.cfg.Install == nil) {
+		// A worker whose control plane is off refuses the op but keeps
+		// the connection: it carries the worker's hot traffic too.
+		rc.out = appendArtData(rc.out[:0], rc.id, 0, StatusError, []byte(errNoArtifactHook))
+		return
+	}
 	switch bu.artOp {
 	case frameArtFetch:
 		if bu.artFlags&FlagArtStat != 0 {

@@ -147,9 +147,9 @@ func TestWireSoakChurnAndDrift(t *testing.T) {
 	names := []string{"stable0", "stable1", "stable2", "drifty", "churn0", "churn2"}
 	var sent, ok64, unknown, failed atomic.Int64
 	var trafficWG sync.WaitGroup
-	clients := make([]*transport, conns)
+	clients := make([]*Conn, conns)
 	for c := range clients {
-		cl, err := dial(addr, ClientConfig{})
+		cl, err := Dial(addr, ClientConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestWireSoakChurnAndDrift(t *testing.T) {
 	for c := 0; c < conns; c++ {
 		for w := 0; w < workersPerConn; w++ {
 			trafficWG.Add(1)
-			go func(cl *transport, seed uint64) {
+			go func(cl *Conn, seed uint64) {
 				defer trafficWG.Done()
 				rng := xrand.New(seed)
 				y := make([]float64, 1)

@@ -198,19 +198,17 @@ func TestChaosPartitionFailover(t *testing.T) {
 	waitGoroutines(t, base, 3)
 }
 
-// TestStallWatchCondemnsBlackholedWorker blackholes the router's hot
-// connection to its only worker mid-load: writes vanish, so the worker
-// never answers and no transport error surfaces. The stall watch must
-// condemn the connection, so every query resolves — ok, or Retry and the
-// other typed errors — within a bounded time instead of hanging; the router
-// logs the condemnation; and once the fault clears the worker rejoins the
-// ring and serves again.
+// TestStallWatchCondemnsBlackholedWorker resets the router's connection
+// to its only worker mid-load, and refuses redials while the fault holds.
+// The router must condemn the connection: every query resolves — ok, or
+// Retry and the other typed errors — the router logs the lost connection,
+// the worker leaves the ring, and once the fault clears it rejoins and
+// serves again. (A blackhole, which no transport error reveals, is the
+// connection's own stall watch: netserve's TestSpliceContract.)
 func TestStallWatchCondemnsBlackholedWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a worker stack under fault injection")
 	}
-	defer func(d time.Duration) { stallTimeout = d }(stallTimeout)
-	stallTimeout = 100 * time.Millisecond
 	base := runtime.NumGoroutine()
 	w := startWorker(t, filepath.Join(t.TempDir(), "w"), 1)
 	sw := testWrapper(w.oracle, 1)
@@ -266,11 +264,8 @@ func TestStallWatchCondemnsBlackholedWorker(t *testing.T) {
 	}
 	waitServe()
 
-	// Load through the blackhole. A query's deadline is far beyond the
-	// stall timeout, so one that resolves slowly has hung on the dead
-	// connection rather than been failed by it.
-	const bound = time.Second
-	var issued, okCount, typedErr, slow atomic.Int64
+	// Load through the fault.
+	var issued, okCount, typedErr atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -285,11 +280,7 @@ func TestStallWatchCondemnsBlackholedWorker(t *testing.T) {
 				default:
 				}
 				issued.Add(1)
-				t0 := time.Now()
-				_, qerr := rc.QueryInto("pot", []float64{0.2, -0.1}, yy, ss, t0.Add(5*time.Second))
-				if time.Since(t0) > bound {
-					slow.Add(1)
-				}
+				_, qerr := rc.QueryInto("pot", []float64{0.2, -0.1}, yy, ss, time.Now().Add(5*time.Second))
 				var re *netserve.RemoteError
 				switch {
 				case qerr == nil:
@@ -299,39 +290,36 @@ func TestStallWatchCondemnsBlackholedWorker(t *testing.T) {
 					errors.As(qerr, &re):
 					typedErr.Add(1)
 				default:
-					t.Errorf("untyped query error under blackhole: %v", qerr)
+					t.Errorf("untyped query error under the fault: %v", qerr)
 					return
 				}
 			}
 		}()
 	}
-	time.Sleep(30 * time.Millisecond) // load flowing through the hot connection
+	time.Sleep(30 * time.Millisecond) // load flowing through the worker connection
 	refuse.Store(true)
-	inj.SetBlackhole(true)
+	inj.KillAll()
 	time.Sleep(400 * time.Millisecond)
 	close(stop)
 	wg.Wait()
 
-	if n := slow.Load(); n > 0 {
-		t.Errorf("%d queries took over %v to resolve through the blackhole", n, bound)
-	}
 	if got := okCount.Load() + typedErr.Load(); got != issued.Load() {
 		t.Errorf("accounting hole: ok %d + typed %d != issued %d", okCount.Load(), typedErr.Load(), issued.Load())
 	}
 	if typedErr.Load() == 0 {
-		t.Error("no query failed through the blackhole: the stall was never seen")
+		t.Error("no query failed through the fault: the lost connection was never seen")
 	}
 	logMu.Lock()
 	condemned := false
 	for _, l := range logs {
-		condemned = condemned || strings.Contains(l, "stalled") && strings.Contains(l, "condemning")
+		condemned = condemned || strings.Contains(l, "connection lost")
 	}
 	logMu.Unlock()
 	if !condemned {
-		t.Errorf("router never logged the condemnation; log %q", logs)
+		t.Errorf("router never logged the lost connection; log %q", logs)
 	}
-	if st := rt.Stats(); st.WorkersLive != 0 {
-		t.Errorf("blackholed worker still live: %+v", st)
+	if st := rt.Stats(); st.WorkersLive != 0 || st.Retries == 0 {
+		t.Errorf("reset worker still live, or no Retry answered: %+v", st)
 	}
 
 	// Heal: the repair loop redials, the worker rejoins and serves.
@@ -339,7 +327,7 @@ func TestStallWatchCondemnsBlackholedWorker(t *testing.T) {
 	refuse.Store(false)
 	waitServe()
 	if got := rt.Placements()["pot"]; got != w.addr {
-		t.Errorf("after the stall pot placed at %q, want %q", got, w.addr)
+		t.Errorf("after the fault pot placed at %q, want %q", got, w.addr)
 	}
 	t.Logf("issued=%d ok=%d typed=%d router=%+v", issued.Load(), okCount.Load(), typedErr.Load(), rt.Stats())
 

@@ -3,6 +3,7 @@ package router
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -305,4 +306,65 @@ func TestInFlightBoundsAnswerRetry(t *testing.T) {
 			}
 		})
 	}
+}
+
+// failWrites is a connection every write to which fails.
+type failWrites struct{ net.Conn }
+
+func (failWrites) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+
+// TestSpliceWriteFailureAnsweredOnce sends one frame too large for the
+// worker connection's write buffer over a connection whose writes fail,
+// so the splice itself hits the error. The frame must be answered exactly
+// once, with Retry; Stats.Retries must count that one answer; and no
+// in-flight count may be left off zero — a count that outlives its
+// connection would loosen the in-flight bounds for good.
+func TestSpliceWriteFailureAnsweredOnce(t *testing.T) {
+	h := startHeldWorker(t)
+	defer h.ln.Close()
+	rt, err := New(Config{Workers: []string{h.ln.Addr().String()}, Logf: t.Logf,
+		Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+			c, err := net.DialTimeout("tcp", addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return failWrites{c}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.Serve(ln)
+	p := dialRaw(t, ln.Addr().String())
+	defer p.c.Close()
+
+	// 4 500 values: a 36 KB frame spills past the 32 KB buffer at once.
+	if _, err := p.c.Write(buildQueryFrame("m", 1, make([]float64, 4500))); err != nil {
+		t.Fatal(err)
+	}
+	if id, status := p.next(t); id != 1 || status != netserve.StatusRetry {
+		t.Fatalf("answered id %d status %d, want id 1 Retry", id, status)
+	}
+	p.c.SetReadDeadline(time.Now().Add(300 * time.Millisecond))
+	if buf, err := netserve.ReadRawFrame(p.br, p.buf, netserve.DefaultMaxFrame); err == nil {
+		id, _ := netserve.RawResponseID(buf)
+		t.Fatalf("a second answer, for id %d", id)
+	}
+	if st := rt.Stats(); st.Retries != 1 {
+		t.Errorf("router counted %d retries for one Retry answer", st.Retries)
+	}
+	if bal := rt.poolBalance(); bal != 0 {
+		t.Errorf("%d splices left in flight", bal)
+	}
+	rt.mu.Lock()
+	for cc := range rt.conns {
+		if n := cc.inflight.Load(); n != 0 {
+			t.Errorf("frontend connection in flight %d, want 0", n)
+		}
+	}
+	rt.mu.Unlock()
 }

@@ -3,17 +3,19 @@ package router
 import (
 	"time"
 
+	"repro/internal/netserve"
 	"repro/internal/registry"
 )
 
 // rebalanceLocked rebuilds the ring from the live workers and
 // reconciles every placement against its new owner. Caller holds pmu.
 //
-// A placement whose owner changed enters the moving state — the
-// frontend answers Retry for its traffic — and a background mover
+// A provisioned placement whose owner changed enters the moving state —
+// the frontend answers Retry for its traffic — and a background mover
 // pushes the tenant's mirrored artifacts to the new owner before
 // committing the switch, so the first routed query after a move hits a
-// warm-started model, never a retraining stall.
+// warm-started model, never a retraining stall. An on-demand placement
+// switches owner at once.
 func (rt *Router) rebalanceLocked() {
 	ring := buildRing(rt.workers, ringReplicas)
 	rt.ring.Store(ring)
@@ -26,6 +28,12 @@ func (rt *Router) rebalanceLocked() {
 			p.moveSeq++
 			p.wk.Store(nil)
 			p.state.Store(placeDown)
+			continue
+		}
+		if !p.provisioned {
+			// Routed on demand: follow the ring, push nothing.
+			p.wk.Store(newWant)
+			p.state.Store(placeReady)
 			continue
 		}
 		cur := p.wk.Load()
@@ -48,58 +56,50 @@ func (rt *Router) rebalanceLocked() {
 // rebalance bumps moveSeq and this mover abandons silently.
 func (rt *Router) move(p *placement, target *worker, seq uint64) {
 	defer rt.bg.Done()
-	backoff := reconnectBackoff
-	for {
-		select {
-		case <-rt.quit:
-			return
-		default:
-		}
+	for backoff := reconnectBackoff; ; backoff = min(2*backoff, reconnectBackoffMax) {
 		rt.pmu.RLock()
 		stale := p.moveSeq != seq
 		rt.pmu.RUnlock()
 		if stale {
 			return
 		}
-		if !target.live() {
-			// The destination died before we arrived; the teardown's
-			// rebalance will bump seq and retarget us. Wait it out.
-			select {
-			case <-rt.quit:
+		// A destination that died before we arrived is waited out: the
+		// rebalance its death causes bumps seq and retargets us.
+		if target.live() {
+			warm, err := rt.pushTenant(p.tenant, target.conn.Load())
+			if err == nil {
+				rt.commit(p, target, seq, warm)
 				return
-			case <-time.After(backoff):
 			}
-			continue
-		}
-		warm, err := rt.pushTenant(p.tenant, target)
-		if err != nil {
 			rt.logf("router: push %s to %s: %v (retrying)", p.tenant, target.addr, err)
-			select {
-			case <-rt.quit:
-				return
-			case <-time.After(backoff):
-			}
-			backoff = min(2*backoff, reconnectBackoffMax)
-			continue
 		}
-		rt.pmu.Lock()
-		if p.moveSeq != seq {
-			rt.pmu.Unlock()
+		select {
+		case <-rt.quit:
 			return
+		case <-time.After(backoff):
 		}
-		p.wk.Store(target)
-		p.state.Store(placeReady)
-		p.want = nil
+	}
+}
+
+// commit switches the placement to target once its push is acknowledged,
+// unless a later rebalance has fenced this mover off.
+func (rt *Router) commit(p *placement, target *worker, seq uint64, warm bool) {
+	rt.pmu.Lock()
+	if p.moveSeq != seq {
 		rt.pmu.Unlock()
-		rt.moves.Add(1)
-		if warm {
-			rt.warmStarts.Add(1)
-			rt.logf("router: %s warm-started on %s", p.tenant, target.addr)
-		} else {
-			rt.coldStarts.Add(1)
-			rt.logf("router: %s placed cold on %s", p.tenant, target.addr)
-		}
 		return
+	}
+	p.wk.Store(target)
+	p.state.Store(placeReady)
+	p.want = nil
+	rt.pmu.Unlock()
+	rt.moves.Add(1)
+	if warm {
+		rt.warmStarts.Add(1)
+		rt.logf("router: %s warm-started on %s", p.tenant, target.addr)
+	} else {
+		rt.coldStarts.Add(1)
+		rt.logf("router: %s placed cold on %s", p.tenant, target.addr)
 	}
 }
 
@@ -107,15 +107,12 @@ func (rt *Router) move(p *placement, target *worker, seq uint64) {
 // below this; the cap only bounds work against a corrupt mirror.
 const maxShards = 64
 
-// pushTenant ships the tenant's newest mirrored registry generations to
-// target over the wire (warm=true), or asks it to place the tenant cold
-// when the mirror has nothing. Shard keys are dense from 0, so the
-// probe stops at the first missing shard.
-func (rt *Router) pushTenant(tenant string, target *worker) (warm bool, err error) {
-	ctl, err := target.control()
-	if err != nil {
-		return false, err
-	}
+// pushTenant ships the tenant's newest mirrored registry generations
+// over the target worker's connection (warm=true), or asks it to place
+// the tenant cold when the mirror has nothing. Shard keys are dense from
+// 0, so the probe stops at the first missing shard. An error leaves the
+// retry to the mover: installs are replay-idempotent.
+func (rt *Router) pushTenant(tenant string, cn *netserve.Conn) (warm bool, err error) {
 	pushed := 0
 	if rt.reg != nil {
 		for si := 0; si < maxShards; si++ {
@@ -127,7 +124,7 @@ func (rt *Router) pushTenant(tenant string, target *worker) (warm bool, err erro
 			if !ok {
 				break
 			}
-			if perr := ctl.PushArtifact(key, gen, data); perr != nil {
+			if perr := cn.PushArtifact(key, gen, data); perr != nil {
 				return false, perr
 			}
 			pushed++
@@ -136,10 +133,7 @@ func (rt *Router) pushTenant(tenant string, target *worker) (warm bool, err erro
 	if pushed == 0 {
 		// Nothing mirrored: cold placement (the worker constructs and
 		// pretrains the tenant itself).
-		if perr := ctl.PushArtifact(tenant, 0, nil); perr != nil {
-			return false, perr
-		}
-		return false, nil
+		return false, cn.PushArtifact(tenant, 0, nil)
 	}
 	return true, nil
 }
@@ -163,11 +157,13 @@ func (rt *Router) mirrorLoop() {
 	}
 }
 
-// mirrorOnce runs one poll cycle over the ready placements.
+// mirrorOnce runs one poll cycle over the ready placements, on each
+// owner's connection. A failed call skips to the next shard or tenant;
+// the next cycle is the retry.
 func (rt *Router) mirrorOnce() {
 	type target struct {
 		tenant string
-		wk     *worker
+		cn     *netserve.Conn
 	}
 	rt.pmu.RLock()
 	targets := make([]target, 0, len(rt.placements))
@@ -176,25 +172,21 @@ func (rt *Router) mirrorOnce() {
 			continue
 		}
 		if wk := p.wk.Load(); wk != nil && wk.live() {
-			targets = append(targets, target{p.tenant, wk})
+			targets = append(targets, target{p.tenant, wk.conn.Load()})
 		}
 	}
 	rt.pmu.RUnlock()
 	for _, tg := range targets {
-		ctl, err := tg.wk.control()
-		if err != nil {
-			continue
-		}
 		for si := 0; si < maxShards; si++ {
 			key := registry.ShardKey(tg.tenant, si)
-			gen, ok, err := ctl.StatArtifact(key)
+			gen, ok, err := tg.cn.StatArtifact(key)
 			if err != nil || !ok {
 				break // dense shard keys: first miss ends the tenant
 			}
 			if cur, ok := rt.reg.CurrentGeneration(key); ok && gen <= cur {
 				continue
 			}
-			data, actual, ok, err := ctl.FetchArtifact(key, 0)
+			data, actual, ok, err := tg.cn.FetchArtifact(key, 0)
 			if err != nil || !ok {
 				continue
 			}

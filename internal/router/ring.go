@@ -1,6 +1,9 @@
 package router
 
-import "sort"
+import (
+	"encoding/binary"
+	"sort"
+)
 
 // hashRing is a consistent-hash ring over the live workers: each worker
 // contributes ringReplicas virtual nodes at FNV-1a points on the uint64
@@ -14,29 +17,26 @@ import "sort"
 // The ring is immutable after build and swapped atomically, so the hot
 // path reads it lock-free; owner() is allocation-free.
 type hashRing struct {
-	points  []uint64
-	holders []*worker
+	nodes []vnode // sorted by point
 }
 
+// vnode is one virtual node: a point on the circle and its worker.
+type vnode struct {
+	point uint64
+	wk    *worker
+}
+
+// fnvOffset and fnvPrime are FNV-1a's 64-bit parameters.
 const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
 
-// fnv1a hashes b without allocating (hash/fnv's interface forces a
-// write call; the hot path cannot afford it).
-func fnv1a(b []byte) uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
-
-// fnv1aSeed extends h with b — used to derive virtual-node points from
-// a worker address without building the "addr#i" string.
-func fnv1aSeed(h uint64, b []byte) uint64 {
+// fnv1a extends the FNV-1a hash h (fnvOffset to start one) with b,
+// without allocating (hash/fnv's interface forces a write call; the hot
+// path cannot afford it). Extending a worker address's hash derives its
+// virtual-node points without building an "addr#i" string.
+func fnv1a(h uint64, b []byte) uint64 {
 	for _, c := range b {
 		h ^= uint64(c)
 		h *= fnvPrime
@@ -65,53 +65,27 @@ func buildRing(workers []*worker, replicas int) *hashRing {
 		if !wk.live() {
 			continue
 		}
-		base := fnv1a([]byte(wk.addr))
+		base := fnv1a(fnvOffset, []byte(wk.addr))
 		for i := 0; i < replicas; i++ {
 			var vb [8]byte
-			v := uint64(i)
-			for j := 0; j < 8; j++ {
-				vb[j] = byte(v >> (8 * j))
-			}
-			r.points = append(r.points, mix64(fnv1aSeed(base, vb[:])))
-			r.holders = append(r.holders, wk)
+			binary.LittleEndian.PutUint64(vb[:], uint64(i))
+			r.nodes = append(r.nodes, vnode{mix64(fnv1a(base, vb[:])), wk})
 		}
 	}
-	if len(r.points) == 0 {
-		return r
-	}
-	// Sort points and holders together.
-	idx := make([]int, len(r.points))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return r.points[idx[a]] < r.points[idx[b]] })
-	pts := make([]uint64, len(idx))
-	hds := make([]*worker, len(idx))
-	for i, j := range idx {
-		pts[i], hds[i] = r.points[j], r.holders[j]
-	}
-	r.points, r.holders = pts, hds
+	sort.Slice(r.nodes, func(a, b int) bool { return r.nodes[a].point < r.nodes[b].point })
 	return r
 }
 
 // owner returns the worker owning tenant, nil when the ring is empty.
-// Allocation-free: binary search over the sorted point slice.
+// Allocation-free: binary search over the sorted points.
 func (r *hashRing) owner(tenant []byte) *worker {
-	if len(r.points) == 0 {
+	if len(r.nodes) == 0 {
 		return nil
 	}
-	h := mix64(fnv1a(tenant))
-	lo, hi := 0, len(r.points)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.points[mid] < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	h := mix64(fnv1a(fnvOffset, tenant))
+	i := sort.Search(len(r.nodes), func(i int) bool { return r.nodes[i].point >= h })
+	if i == len(r.nodes) {
+		i = 0 // wrap: first point clockwise of the top of the circle
 	}
-	if lo == len(r.points) {
-		lo = 0 // wrap: first point clockwise of the top of the circle
-	}
-	return r.holders[lo]
+	return r.nodes[i].wk
 }

@@ -10,9 +10,12 @@
 // about to block, flush every destination touched, once. Frames of one
 // read therefore reach each worker as one chunk however their tenants
 // interleave, and netserve's readLoop regroups them per tenant by the
-// same rule. Responses demux back through pooled per-connection
-// id-remap tables, so the routed hot path keeps the serving plane's
-// zero-allocation steady state.
+// same rule. Each worker is one netserve connection, which carries the
+// spliced frames and the artifact calls alike; responses demux back
+// through its pending table, and its reader hands each one, its caller's
+// id restored, to the caller's connection by the same gather rule — so
+// the routed hot path keeps the serving plane's zero-allocation steady
+// state.
 //
 // Failure semantics uphold the stack's never-silently-dropped
 // contract: a worker death fails that worker's in-flight requests with
@@ -30,6 +33,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,9 +53,10 @@ type Config struct {
 	// and the source of the warm-start pushes that move placements
 	// without retraining. Nil disables mirroring; moves place cold.
 	Registry *registry.Registry
-	// Tenants are placed (and pushed to their owners) at start. Tenants
-	// not listed are routed on demand to their ring owner without a
-	// provisioning push.
+	// Tenants are placed (and pushed to their owners) at start, and
+	// pushed again whenever a rehash moves them. Tenants not listed are
+	// routed on demand to their ring owner, before and after a rehash,
+	// without a push.
 	Tenants []string
 	// Dialer overrides the backend transport dial — fault-injection
 	// harnesses wrap connections here. Nil uses net.DialTimeout("tcp").
@@ -68,11 +73,9 @@ const (
 	connBuffer = 32 << 10
 	// mirrorInterval is the artifact-mirror poll cadence.
 	mirrorInterval = 500 * time.Millisecond
-	// writeTimeout bounds each backend/frontend write and flush. A stall
-	// past it condemns the connection.
+	// writeTimeout bounds each frontend write and flush. A stall past it
+	// condemns the connection.
 	writeTimeout = 10 * time.Second
-	// dialTimeout bounds each backend dial.
-	dialTimeout = 2 * time.Second
 	// reconnectBackoff and reconnectBackoffMax shape the ladders a worker
 	// redial and a placement move retry on.
 	reconnectBackoff    = 25 * time.Millisecond
@@ -87,12 +90,6 @@ var (
 	maxConnInFlight   int64 = 1024
 	maxWorkerInFlight int64 = 4096
 )
-
-// stallTimeout condemns a worker connection that holds in-flight requests
-// but delivers no response bytes for this long — the blackhole analog of
-// the resilient client's expiry streak. A variable only so the tests can
-// reach it.
-var stallTimeout = 10 * time.Second
 
 // Stats is a snapshot of router-wide counters.
 type Stats struct {
@@ -132,9 +129,10 @@ const (
 // per tenant and never replaced, so frontend connections cache the
 // pointer; owner and state are atomics read on every frame.
 type placement struct {
-	tenant string
-	wk     atomic.Pointer[worker] // serving owner; nil until first ready
-	state  atomic.Int32
+	tenant      string
+	provisioned bool                   // listed in Config.Tenants: every move pushes it
+	wk          atomic.Pointer[worker] // serving owner; nil until first ready
+	state       atomic.Int32
 
 	// Move bookkeeping, guarded by Router.pmu: the destination of the
 	// in-flight move and a sequence number that fences stale movers.
@@ -142,21 +140,18 @@ type placement struct {
 	moveSeq uint64
 }
 
-// route returns the owner to forward to; ok is false when the router
-// must answer Retry itself (moving, down, owner connection dead).
-func (p *placement) route() (*backendConn, bool) {
+// route returns the owner's connection to forward to; ok is false when
+// the router must answer Retry itself (moving, down, owner connection
+// dead).
+func (p *placement) route() (*netserve.Conn, bool) {
 	if p.state.Load() != placeReady {
 		return nil, false
 	}
 	wk := p.wk.Load()
-	if wk == nil {
+	if wk == nil || !wk.live() {
 		return nil, false
 	}
-	bc := wk.hot.Load()
-	if bc == nil {
-		return nil, false
-	}
-	return bc, true
+	return wk.conn.Load(), true
 }
 
 // Router is the dispatch tier. All exported methods are safe for
@@ -178,13 +173,12 @@ type Router struct {
 	closed bool
 
 	quit chan struct{}
-	bg   sync.WaitGroup // mirror loop, movers, repair loops
+	bg   sync.WaitGroup // mirror loop, movers, worker loops
 	wg   sync.WaitGroup // frontend connection handlers
 
-	conns64, open, frames, bursts, retries       atomic.Int64
-	rehashes, moves, warmStarts, coldStarts      atomic.Int64
-	drops, mirrorGens, protoErrs                 atomic.Int64
-	remapLeases, remapReleases, unexpectedFrames atomic.Int64
+	conns64, open, frames, bursts, retries  atomic.Int64
+	rehashes, moves, warmStarts, coldStarts atomic.Int64
+	drops, mirrorGens, protoErrs            atomic.Int64
 }
 
 // New builds a router over cfg.Workers, dials each worker (down ones
@@ -202,20 +196,21 @@ func New(cfg Config) (*Router, error) {
 		conns:      map[*clientConn]struct{}{},
 		quit:       make(chan struct{}),
 	}
-	for i, addr := range cfg.Workers {
-		wk := &worker{rt: rt, addr: addr, idx: i}
-		rt.workers = append(rt.workers, wk)
+	for _, addr := range cfg.Workers {
+		rt.workers = append(rt.workers, &worker{rt: rt, addr: addr})
 	}
 	rt.ring.Store(&hashRing{})
 	for _, wk := range rt.workers {
-		if err := wk.connect(); err != nil {
+		cn, err := wk.connect()
+		if err != nil {
 			rt.logf("router: worker %s down at start: %v", wk.addr, err)
-			wk.spawnRepair()
 		}
+		rt.bg.Add(1)
+		go wk.keep(cn)
 	}
 	rt.pmu.Lock()
 	for _, name := range cfg.Tenants {
-		p := &placement{tenant: name}
+		p := &placement{tenant: name, provisioned: true}
 		p.state.Store(placeMoving) // provisioned by the initial move
 		rt.placements[name] = p
 	}
@@ -259,10 +254,17 @@ func (rt *Router) Stats() Stats {
 	}
 }
 
-// poolBalance reports outstanding pooled remap entries — zero once
-// every connection and worker has drained. The leak tests assert it.
+// poolBalance reports the splices awaiting their answers over all
+// workers — zero once every connection has drained. The leak tests
+// assert it.
 func (rt *Router) poolBalance() int64 {
-	return rt.remapLeases.Load() - rt.remapReleases.Load()
+	var n int64
+	for _, wk := range rt.workers {
+		if cn := wk.conn.Load(); cn != nil {
+			n += cn.InFlight()
+		}
+	}
+	return n
 }
 
 // Placements snapshots tenant → worker-address routing (empty address
@@ -340,8 +342,8 @@ func (rt *Router) ListenAndServe(addr string) error {
 
 // Close tears the router down: listeners close, frontend connections
 // close (their callers see connection loss, which the resilient client
-// maps to typed errors), backend connections fail their in-flight
-// remaps, and every background loop exits.
+// maps to typed errors), worker connections answer their in-flight
+// splices Retry, and every background loop exits.
 func (rt *Router) Close() error {
 	rt.mu.Lock()
 	if rt.closed {
@@ -375,18 +377,17 @@ func (rt *Router) Close() error {
 // frontend connections
 
 // clientConn is one accepted frontend connection: a reader goroutine
-// that validates, patches and splices frames to backend connections,
-// and a write side (shared with every backend read loop delivering
-// responses) guarded by wmu.
+// that validates frames and splices them onto worker connections, and a
+// write side (shared with every worker connection's reader delivering
+// answers — it is their netserve.Sink) guarded by wmu.
 type clientConn struct {
 	rt *Router
 	c  net.Conn
 
 	wmu     sync.Mutex
 	bw      *bufio.Writer
-	werr    error  // sticky write error
-	sbuf    []byte // status-frame scratch, guarded by wmu
-	pending bool   // buffered bytes awaiting flush, guarded by wmu
+	werr    error // sticky write error
+	pending bool  // buffered bytes awaiting flush, guarded by wmu
 
 	closed   atomic.Bool
 	inflight atomic.Int64 // forwarded-but-unanswered frames
@@ -416,22 +417,23 @@ func (cc *clientConn) handle() {
 // resolves each one's placement through the per-connection cache and
 // splices it onto the owning worker's connection (whose write lock is
 // held for that one splice only); before it blocks it flushes every
-// backend it touched, once. A pipelined client write thus
+// worker it touched, once. A pipelined client write thus
 // reaches each worker as one chunk, whatever order its tenants came in.
 func (cc *clientConn) readLoop() {
 	rt := cc.rt
 	br := bufio.NewReaderSize(cc.c, connBuffer)
 	buf := make([]byte, 0, 4096)
 	cache := make(map[string]*placement)
-	var touched []*backendConn
-	defer func() { flushAll(touched) }()
+	var sbuf []byte // the router's own status answers
+	var touched []*netserve.Conn
+	defer func() { rt.flushWorkers(touched) }()
 
 	for {
 		if !netserve.RawFrameBuffered(br, netserve.DefaultMaxFrame) {
 			// About to block: hand over what was gathered, and flush any
 			// Retry frames owed to this caller.
-			touched = flushAll(touched)
-			cc.flush()
+			touched = rt.flushWorkers(touched)
+			cc.Flush()
 		}
 		var err error
 		buf, err = netserve.ReadRawFrame(br, buf, netserve.DefaultMaxFrame)
@@ -452,39 +454,37 @@ func (cc *clientConn) readLoop() {
 			p = rt.getPlacement(tenant)
 			cache[p.tenant] = p
 		}
-		bc, ok := p.route()
-		if ok && cc.inflight.Load() < maxConnInFlight && bc.wk.inflight.Load() < maxWorkerInFlight &&
-			bc.splice(cc, id, buf) {
-			touched = touch(touched, bc)
-			continue
+		cn, ok := p.route()
+		if ok && cc.inflight.Load() < maxConnInFlight && cn.InFlight() < maxWorkerInFlight {
+			cc.inflight.Add(1)
+			if cn.Splice(cc, buf) {
+				if !slices.Contains(touched, cn) {
+					touched = append(touched, cn)
+				}
+				continue
+			}
+			cc.inflight.Add(-1)
 		}
-		// No owner to route to, a bound reached, or the backend died under
-		// the splice (its teardown fails the frames already in flight the
-		// same way): the router answers.
-		cc.writeStatus(id, netserve.StatusRetry)
+		// No owner to route to, a bound reached, or the worker connection
+		// dead (its in-flight frames are answered Retry the same way): the
+		// router answers, buffered until the reader is about to block.
+		sbuf = netserve.AppendStatusFrame(sbuf[:0], id, netserve.StatusRetry)
+		cc.writeRaw(sbuf)
 		rt.retries.Add(1)
 	}
 }
 
-// touch adds v to the small set of connections a reader owes a flush.
-func touch[T comparable](set []T, v T) []T {
-	for _, t := range set {
-		if t == v {
-			return set
+// flushWorkers flushes every worker connection a reader touched, counting
+// the flushes that carried frames, and returns the set emptied, its
+// entries cleared so that a dead connection does not stay pinned.
+func (rt *Router) flushWorkers(touched []*netserve.Conn) []*netserve.Conn {
+	for i, cn := range touched {
+		if cn.Flush() {
+			rt.bursts.Add(1)
 		}
+		touched[i] = nil
 	}
-	return append(set, v)
-}
-
-// flushAll flushes every connection of the set and returns it emptied,
-// its entries cleared so that a closed connection does not stay pinned.
-func flushAll[T interface{ flush() }](set []T) []T {
-	var none T
-	for i, c := range set {
-		c.flush()
-		set[i] = none
-	}
-	return set[:0]
+	return touched[:0]
 }
 
 // getPlacement resolves (or creates) the global placement for a tenant
@@ -514,23 +514,20 @@ func (rt *Router) getPlacement(tenant []byte) *placement {
 	return p
 }
 
-// writeStatus answers a frame from the router itself with a rowless
-// status frame (the explicit Retry of the move/outage path). Buffered;
-// flushed when the reader is about to block, or by a response burst.
-func (cc *clientConn) writeStatus(id uint64, status byte) {
-	cc.wmu.Lock()
-	if cc.werr == nil && !cc.closed.Load() {
-		cc.sbuf = netserve.AppendStatusFrame(cc.sbuf[:0], id, status)
-		if _, err := cc.bw.Write(cc.sbuf); err != nil {
-			cc.werr = err
-		} else {
-			cc.pending = true
-		}
+// Answer implements netserve.Sink: one spliced frame's answer from its
+// worker, or the Retry its worker connection answers when it dies first.
+func (cc *clientConn) Answer(frame []byte, lost bool) {
+	switch {
+	case lost:
+		cc.rt.retries.Add(1)
+		cc.writeRaw(frame)
+	case !cc.writeRaw(frame):
+		cc.rt.drops.Add(1)
 	}
-	cc.wmu.Unlock()
+	cc.inflight.Add(-1)
 }
 
-// writeRaw splices a response frame to the caller. False means the
+// writeRaw writes one answer frame to the caller. False means the
 // connection is gone and the frame was dropped.
 func (cc *clientConn) writeRaw(frame []byte) bool {
 	cc.wmu.Lock()
@@ -553,8 +550,8 @@ func (cc *clientConn) writeRaw(frame []byte) bool {
 	return true
 }
 
-// flush pushes buffered response/status bytes to the caller.
-func (cc *clientConn) flush() {
+// Flush pushes buffered response/status bytes to the caller.
+func (cc *clientConn) Flush() {
 	cc.wmu.Lock()
 	if cc.pending && cc.werr == nil && !cc.closed.Load() {
 		cc.c.SetWriteDeadline(time.Now().Add(writeTimeout))

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net"
 	"path/filepath"
@@ -110,7 +111,30 @@ func startWorkerWith(t *testing.T, dir string, seed uint64, mk func(core.Oracle,
 func (w *testWorker) kill() {
 	w.srv.Close()
 	w.fl.Close()
-	w.reg.Close()
+	if w.reg != nil {
+		w.reg.Close()
+	}
+}
+
+// startPlainWorker starts a worker as the benchmark builds them: a fleet
+// serving the tenants registered at boot, and no artifact hooks.
+func startPlainWorker(t *testing.T, seed uint64, tenants []string) *testWorker {
+	t.Helper()
+	w := &testWorker{fl: fleet.New(fleet.Config{}), oracle: &testOracle{}}
+	for _, tn := range tenants {
+		if err := w.fl.Register(tn, testWrapper(w.oracle, seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.srv = netserve.NewServer(netserve.Config{Fleet: w.fl})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ln, w.addr = ln, ln.Addr().String()
+	go w.srv.Serve(ln)
+	t.Cleanup(w.kill)
+	return w
 }
 
 func dialRouter(t *testing.T, addr string) *netserve.ResilientClient {
@@ -181,6 +205,28 @@ func TestRingPlacement(t *testing.T) {
 	}
 	if empty := buildRing(nil, 64); empty.owner([]byte("x")) != nil {
 		t.Error("empty ring returned an owner")
+	}
+}
+
+// TestRingOwnersPinned pins which worker owns each of 3 000 tenants on
+// rings of one to six workers, by a hash of the owners' addresses. The
+// owner decides where a tenant's warm state lives, so a change to the
+// ring's arithmetic that moved owners would move tenants on every router
+// upgrade; one that keeps the hash is free to restructure the ring.
+func TestRingOwnersPinned(t *testing.T) {
+	h := fnv.New64a()
+	var ws []*worker
+	for n := 1; n <= 6; n++ {
+		wk := &worker{addr: fmt.Sprintf("10.0.0.%d:7000", n)}
+		wk.alive.Store(true)
+		ws = append(ws, wk)
+		r := buildRing(ws, ringReplicas)
+		for i := 0; i < 3000; i++ {
+			fmt.Fprintf(h, "%s;", r.owner([]byte(fmt.Sprintf("tenant-%d", i))).addr)
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xe62e787c92c74960); got != want {
+		t.Errorf("ring owners hash %#x, want %#x", got, want)
 	}
 }
 
@@ -290,6 +336,68 @@ func TestRoutedQueries(t *testing.T) {
 	waitGoroutines(t, base, 3)
 }
 
+// TestOneConnectionPerWorker counts the connections each worker accepts
+// while a router places four tenants cold (pushes), routes their queries,
+// and mirrors their generations (stat and fetch calls): the hot frames and
+// the artifact calls share one connection per worker.
+func TestOneConnectionPerWorker(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker stacks")
+	}
+	dir := t.TempDir()
+	w1 := startWorker(t, filepath.Join(dir, "w1"), 1)
+	w2 := startWorker(t, filepath.Join(dir, "w2"), 2)
+	defer w1.kill()
+	defer w2.kill()
+	mirror, err := registry.Open(registry.Config{Dir: filepath.Join(dir, "mirror")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mirror.Close()
+	tenants := []string{"alpha", "beta", "gamma", "delta"}
+	rt, err := New(Config{Workers: []string{w1.addr, w2.addr}, Registry: mirror, Tenants: tenants, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.Serve(ln)
+	rc := dialRouter(t, ln.Addr().String())
+	defer rc.Close()
+
+	y, std := make([]float64, 1), make([]float64, 1)
+	deadline := time.Now().Add(10 * time.Second)
+	for _, tn := range tenants {
+		for {
+			_, qerr := rc.QueryInto(tn, []float64{0.3, -0.2}, y, std, time.Now().Add(time.Second))
+			if qerr == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("tenant %s never served: %v", tn, qerr)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		for {
+			if g, ok := mirror.CurrentGeneration(registry.ShardKey(tn, 0)); ok && g >= 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("mirror never replayed %s", tn)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	for _, w := range []*testWorker{w1, w2} {
+		if st := w.srv.Stats(); st.Conns != 1 || st.Open != 1 {
+			t.Errorf("worker %s accepted %d connections (%d open), want 1", w.addr, st.Conns, st.Open)
+		}
+	}
+}
+
 // Killing the worker that owns a tenant rehashes it onto the survivor,
 // which warm-starts from the router's mirrored artifacts: the tenant
 // serves again from a surrogate with zero oracle runs on the survivor.
@@ -389,4 +497,164 @@ func TestFailoverWarmStart(t *testing.T) {
 			fst.PlacementSource, fst.PlacementWarmShards)
 	}
 	survivor.kill()
+}
+
+// TestHooklessWorkersKeepTheirConnection runs the router's control plane
+// against workers without artifact hooks: a provisioned tenant's pushes
+// and the mirror's stat polls are refused, but each worker keeps the one
+// connection that carries its hot traffic. When a worker dies, its
+// on-demand tenants follow the ring to the survivor without a push, and
+// every query the survivor then takes is answered.
+func TestHooklessWorkersKeepTheirConnection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker stacks")
+	}
+	tenants := []string{"t0", "t1", "t2", "t3"}
+	names := []string{"wk0:1", "wk1:1"} // twoByTwo's names: the ring places 2:2
+	byName := map[string]*testWorker{}
+	for i, name := range names {
+		byName[name] = startPlainWorker(t, uint64(i+1), tenants)
+	}
+	mirror, err := registry.Open(registry.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mirror.Close()
+	rt, err := New(Config{Workers: names, Registry: mirror, Tenants: []string{"prov"}, Logf: t.Logf,
+		Dialer: func(name string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", byName[name].addr, timeout)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.Serve(ln)
+	rc := dialRouter(t, ln.Addr().String())
+	defer rc.Close()
+	y, std := make([]float64, 1), make([]float64, 1)
+	ask := func(tn string) error {
+		_, err := rc.QueryInto(tn, []float64{0.3, -0.2}, y, std, time.Now().Add(time.Second))
+		return err
+	}
+	oneConn := func(w *testWorker) {
+		t.Helper()
+		if st := w.srv.Stats(); st.Conns != 1 || st.ProtoErrors != 0 {
+			t.Errorf("worker %s accepted %d connections with %d protocol errors, want 1 and 0", w.addr, st.Conns, st.ProtoErrors)
+		}
+	}
+
+	// Three mirror polls and the refused pushes run under the traffic.
+	for end := time.Now().Add(3 * mirrorInterval); time.Now().Before(end); {
+		for _, tn := range tenants {
+			if err := ask(tn); err != nil {
+				t.Fatalf("query %s: %v", tn, err)
+			}
+		}
+	}
+	if st := rt.Stats(); st.Retries != 0 || st.Rehashes != 1 {
+		t.Errorf("steady state: %d Retries, %d rehashes; want 0 and 1", st.Retries, st.Rehashes)
+	}
+	for _, w := range byName {
+		oneConn(w)
+	}
+
+	victimName := rt.Placements()["t0"]
+	survivor := byName[names[0]]
+	if victimName == names[0] {
+		survivor = byName[names[1]]
+	}
+	byName[victimName].kill()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, tn := range tenants {
+		for err := ask(tn); err != nil; err = ask(tn) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never served after the failover: %v", tn, err)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	before := rt.Stats().Retries
+	for i := 0; i < 50; i++ {
+		for _, tn := range tenants {
+			if err := ask(tn); err != nil {
+				t.Fatalf("query %s after the failover: %v", tn, err)
+			}
+		}
+	}
+	if st := rt.Stats(); st.Retries != before {
+		t.Errorf("the survivor's traffic drew %d Retries", st.Retries-before)
+	}
+	placed := rt.Placements()
+	for _, tn := range tenants {
+		if byName[placed[tn]] != survivor {
+			t.Errorf("%s placed at %q, want the survivor", tn, placed[tn])
+		}
+	}
+	oneConn(survivor)
+}
+
+// TestPushDoesNotHoldHotAnswers holds a provisioned tenant's cold push
+// inside its pretraining while a tenant the worker already serves takes
+// routed traffic over the same connection: every hot query is answered
+// while the push waits, and the push then completes.
+func TestPushDoesNotHoldHotAnswers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker stacks")
+	}
+	w := startWorker(t, t.TempDir(), 1)
+	defer w.kill()
+	if err := w.fl.Register("hot", testWrapper(w.oracle, 1)); err != nil {
+		t.Fatal(err)
+	}
+	inPush, release := make(chan struct{}), make(chan struct{})
+	pretrain := w.hooks.Pretrain
+	w.hooks.Pretrain = func(tenant string, sw *core.ShardedWrapper) error {
+		close(inPush)
+		<-release
+		return pretrain(tenant, sw)
+	}
+	rt, err := New(Config{Workers: []string{w.addr}, Tenants: []string{"cold"}, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.Serve(ln)
+	rc := dialRouter(t, ln.Addr().String())
+	defer rc.Close()
+	y, std := make([]float64, 1), make([]float64, 1)
+
+	<-inPush
+	start := time.Now()
+	for i := 0; i < 200; i++ {
+		if _, err := rc.QueryInto("hot", []float64{0.3, -0.2}, y, std, time.Now().Add(time.Second)); err != nil {
+			t.Fatalf("hot query %d during the push: %v", i, err)
+		}
+	}
+	t.Logf("200 hot queries answered in %v with the push held", time.Since(start))
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		_, err := rc.QueryInto("cold", []float64{0.3, -0.2}, y, std, time.Now().Add(time.Second))
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the pushed tenant never served: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := rt.Stats(); st.ColdStarts != 1 || st.Moves != 1 {
+		t.Errorf("router %+v, want one cold start", st)
+	}
+	if st := w.srv.Stats(); st.Conns != 1 {
+		t.Errorf("worker accepted %d connections, want 1", st.Conns)
+	}
 }

@@ -107,15 +107,6 @@ func (r *Result) Utilization() float64 {
 	return float64(sum) / (float64(r.Makespan) * float64(len(r.BusyTime)))
 }
 
-// TotalTasks returns the number of tasks executed.
-func (r *Result) TotalTasks() int {
-	n := 0
-	for _, c := range r.TaskCount {
-		n += c
-	}
-	return n
-}
-
 // RunStatic pre-assigns tasks round-robin and lets each worker drain its
 // own list: the placement that ignores heterogeneity and suffers when
 // cheap inferences and expensive simulations interleave unevenly.
