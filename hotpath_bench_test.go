@@ -430,9 +430,9 @@ func BenchmarkDeepUQ(b *testing.B) {
 // the serving tenants' two layers, their first (one to three inputs: the
 // register tile runs it as all reduction tail), also at one row, a routed
 // row's MC prefix, and their output, where bias is the narrow path, atb
-// the p = 1 column kernel and abt the k = 1 scaled copy; 32x3x30 is the
-// autotuning example's input layer, whose last two columns the tile
-// leaves to the Go loop. ns/MAC is ns/op over batch·in·out multiply-adds,
+// the p = 1 column kernel and abt the k = 1 scaled copy; 32x3x30 is a
+// three-input layer 30 wide, whose last two columns the tiles leave to the
+// Go loop. ns/MAC is ns/op over batch·in·out multiply-adds,
 // GFLOP/s two flops a MAC.
 func BenchmarkMatMulKernels(b *testing.B) {
 	rng := xrand.New(0x6e55)

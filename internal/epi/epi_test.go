@@ -40,9 +40,18 @@ func TestGeneratePopulationStructure(t *testing.T) {
 	if total != len(net.People) {
 		t.Fatal("county populations do not sum to total")
 	}
-	if d := net.MeanDegree(); d < 3 || d > 40 {
+	if d := meanDegree(net); d < 3 || d > 40 {
 		t.Fatalf("mean degree %g implausible", d)
 	}
+}
+
+// meanDegree is the average contact count per person.
+func meanDegree(n *Network) float64 {
+	total := 0
+	for _, adj := range n.Adj {
+		total += len(adj)
+	}
+	return float64(total) / float64(len(n.People))
 }
 
 func TestGeneratePopulationAdjacencySymmetric(t *testing.T) {

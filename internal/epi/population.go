@@ -176,12 +176,3 @@ func (n *Network) CountyPopulations() []int {
 	}
 	return out
 }
-
-// MeanDegree returns the average contact count per person.
-func (n *Network) MeanDegree() float64 {
-	total := 0
-	for _, adj := range n.Adj {
-		total += len(adj)
-	}
-	return float64(total) / float64(len(n.People))
-}

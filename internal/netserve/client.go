@@ -35,6 +35,10 @@ var (
 	// errors.Is. Unlike the status errors above, the request's fate is
 	// unknown — a ResilientClient retries it on another connection.
 	ErrConnLost = errors.New("netserve: connection lost")
+	// ErrNoArtifactHook matches (errors.Is) the RemoteError a server
+	// answers an artifact call with when it lacks the hook for it
+	// (Config.Artifacts, Config.Install): a refusal no retry changes.
+	ErrNoArtifactHook = errors.New(errNoArtifactHook)
 	// errShortBuffer reports caller result buffers smaller than the
 	// response row.
 	errShortBuffer = errors.New("netserve: result buffer smaller than response row")
@@ -47,6 +51,11 @@ type RemoteError struct {
 }
 
 func (e *RemoteError) Error() string { return "netserve: server error: " + e.Msg }
+
+// Is reports a hookless server's refusal as ErrNoArtifactHook.
+func (e *RemoteError) Is(target error) bool {
+	return target == ErrNoArtifactHook && e.Msg == errNoArtifactHook
+}
 
 // WireResult is one wire query's answer.
 type WireResult struct {

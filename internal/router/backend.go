@@ -48,13 +48,18 @@ func (wk *worker) connect() (*netserve.Conn, error) {
 // dialled (nil if the worker was down). While the connection lives it
 // waits. When it dies — every splice on it answered Retry by then — the
 // worker leaves the ring and its placements rehash; then it redials
-// under backoff and, once back, rejoins the ring. It ends when the
-// router closes.
+// under backoff and, once back, rejoins the ring. The backoff carries
+// across reconnects and starts over only after a connection has held for
+// reconnectBackoffMax, so a worker that accepts connections but fails
+// them on first use is redialled at most once a reconnectBackoffMax, not
+// every reconnectBackoff. It ends when the router closes.
 func (wk *worker) keep(cn *netserve.Conn) {
 	rt := wk.rt
 	defer rt.bg.Done()
+	backoff := reconnectBackoff
 	for {
 		if cn != nil {
+			up := time.Now()
 			err := cn.Wait()
 			wk.alive.Store(false)
 			if wk.closed.Load() {
@@ -64,13 +69,17 @@ func (wk *worker) keep(cn *netserve.Conn) {
 			rt.pmu.Lock()
 			rt.rebalanceLocked()
 			rt.pmu.Unlock()
+			if time.Since(up) >= reconnectBackoffMax {
+				backoff = reconnectBackoff
+			}
 		}
-		for backoff := reconnectBackoff; ; backoff = min(2*backoff, reconnectBackoffMax) {
+		for {
 			select {
 			case <-rt.quit:
 				return
 			case <-time.After(backoff):
 			}
+			backoff = min(2*backoff, reconnectBackoffMax)
 			var err error
 			if cn, err = wk.connect(); err == nil {
 				break

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"time"
 
 	"repro/internal/netserve"
@@ -15,7 +16,8 @@ import (
 // pushes the tenant's mirrored artifacts to the new owner before
 // committing the switch, so the first routed query after a move hits a
 // warm-started model, never a retraining stall. An on-demand placement
-// switches owner at once.
+// switches owner at once, and a provisioned one becomes on-demand when
+// its owner refuses the push (unprovision).
 func (rt *Router) rebalanceLocked() {
 	ring := buildRing(rt.workers, ringReplicas)
 	rt.ring.Store(ring)
@@ -71,6 +73,10 @@ func (rt *Router) move(p *placement, target *worker, seq uint64) {
 				rt.commit(p, target, seq, warm)
 				return
 			}
+			if errors.Is(err, netserve.ErrNoArtifactHook) {
+				rt.unprovision(p, target, seq)
+				return
+			}
 			rt.logf("router: push %s to %s: %v (retrying)", p.tenant, target.addr, err)
 		}
 		select {
@@ -101,6 +107,24 @@ func (rt *Router) commit(p *placement, target *worker, seq uint64, warm bool) {
 		rt.coldStarts.Add(1)
 		rt.logf("router: %s placed cold on %s", p.tenant, target.addr)
 	}
+}
+
+// unprovision routes a provisioned tenant on demand from now on, as an
+// unlisted one is, once target has refused its push for want of an
+// install hook: that refusal is permanent, and retrying it would answer
+// the tenant's traffic Retry for good. The owner answers the traffic as
+// it can (UnknownTenant if it does not serve the tenant).
+func (rt *Router) unprovision(p *placement, target *worker, seq uint64) {
+	rt.pmu.Lock()
+	defer rt.pmu.Unlock()
+	if p.moveSeq != seq {
+		return
+	}
+	p.provisioned = false
+	p.want = nil
+	p.wk.Store(target)
+	p.state.Store(placeReady)
+	rt.logf("router: %s routed unprovisioned: %s takes no pushes", p.tenant, target.addr)
 }
 
 // maxShards bounds the dense shard-key probe. Fleet tenants shard far

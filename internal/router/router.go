@@ -56,7 +56,8 @@ type Config struct {
 	// Tenants are placed (and pushed to their owners) at start, and
 	// pushed again whenever a rehash moves them. Tenants not listed are
 	// routed on demand to their ring owner, before and after a rehash,
-	// without a push.
+	// without a push; so is a listed tenant from the first push a worker
+	// refuses for want of netserve.Config.Install.
 	Tenants []string
 	// Dialer overrides the backend transport dial — fault-injection
 	// harnesses wrap connections here. Nil uses net.DialTimeout("tcp").

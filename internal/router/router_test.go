@@ -1,6 +1,7 @@
 package router
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -500,9 +501,10 @@ func TestFailoverWarmStart(t *testing.T) {
 }
 
 // TestHooklessWorkersKeepTheirConnection runs the router's control plane
-// against workers without artifact hooks: a provisioned tenant's pushes
+// against workers without artifact hooks: a provisioned tenant's push
 // and the mirror's stat polls are refused, but each worker keeps the one
-// connection that carries its hot traffic. When a worker dies, its
+// connection that carries its hot traffic, and the refused tenant is
+// routed unprovisioned. When a worker dies, its
 // on-demand tenants follow the ring to the survivor without a push, and
 // every query the survivor then takes is answered.
 func TestHooklessWorkersKeepTheirConnection(t *testing.T) {
@@ -562,6 +564,20 @@ func TestHooklessWorkersKeepTheirConnection(t *testing.T) {
 		oneConn(w)
 	}
 
+	// prov's owner refused its push, which no retry changes: prov is
+	// routed unprovisioned, and its owner, which does not serve it,
+	// answers UnknownTenant, not the Retry of a placement moving for good.
+	for end := time.Now().Add(time.Second); ; {
+		err := ask("prov")
+		if errors.Is(err, netserve.ErrUnknownTenant) {
+			break
+		}
+		if !errors.Is(err, netserve.ErrRetry) || time.Now().After(end) {
+			t.Fatalf("query prov: %v; want ErrUnknownTenant within 1 s", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
 	victimName := rt.Placements()["t0"]
 	survivor := byName[names[0]]
 	if victimName == names[0] {
@@ -595,6 +611,59 @@ func TestHooklessWorkersKeepTheirConnection(t *testing.T) {
 		}
 	}
 	oneConn(survivor)
+}
+
+// TestFailingWorkerRedialsUnderBackoff holds, under steady traffic, a
+// worker whose connections are accepted and then fail on first use (every
+// write errors). Its redial backoff carries across those reconnects, so
+// the router dials it no more often than the ladder allows: one dial a
+// rung from reconnectBackoff up to reconnectBackoffMax, then one a
+// reconnectBackoffMax — not one every reconnectBackoff.
+func TestFailingWorkerRedialsUnderBackoff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a worker stack")
+	}
+	w := startPlainWorker(t, 1, []string{"t0"})
+	var dials atomic.Int64
+	begin := time.Now()
+	rt, err := New(Config{Workers: []string{w.addr},
+		Dialer: func(addr string, timeout time.Duration) (net.Conn, error) {
+			dials.Add(1)
+			c, err := net.DialTimeout("tcp", addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return failWrites{c}, nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.Serve(ln)
+	rc := dialRouter(t, ln.Addr().String())
+	defer rc.Close()
+	y, std := make([]float64, 1), make([]float64, 1)
+	for end := time.Now().Add(1500 * time.Millisecond); time.Now().Before(end); {
+		// Answered Retry: the worker's connection fails this query or
+		// is already down.
+		rc.QueryInto("t0", []float64{0.3, -0.2}, y, std, time.Now().Add(100*time.Millisecond))
+	}
+	got, elapsed := dials.Load(), time.Since(begin)
+	limit := 1 + int64(elapsed/reconnectBackoffMax) // New's dial, then one a reconnectBackoffMax
+	for b := reconnectBackoff; b < reconnectBackoffMax; b *= 2 {
+		limit++ // and one a rung of the ladder
+	}
+	t.Logf("%d dials in %v (limit %d)", got, elapsed.Round(time.Millisecond), limit)
+	if got > limit {
+		t.Errorf("the router dialled the failing worker %d times in %v, want at most %d", got, elapsed, limit)
+	}
+	if got < 3 {
+		t.Errorf("%d dials: the worker's connections never failed under the traffic", got)
+	}
 }
 
 // TestPushDoesNotHoldHotAnswers holds a provisioned tenant's cold push

@@ -2,10 +2,11 @@
 
 #include "textflag.h"
 
-// AVX2 inner kernels. Each one does the arithmetic of the Go loop named
-// in its comment in that loop's association order, with VMULPD and VADDPD
-// as separate, separately rounded instructions (no FMA), so a float
-// result has the bits the Go loop gives; the integer kernel is exact.
+// AVX2 inner kernels, and AVX-512 twins of the training products' tiles.
+// Each one does the arithmetic of the Go loop named in its comment in
+// that loop's association order, with VMULPD and VADDPD as separate,
+// separately rounded instructions (no FMA), so a float result has the
+// bits the Go loop gives; the integer kernel is exact.
 // Callers pass element counts that are whole vectors and finish the tail
 // in Go.
 
@@ -310,6 +311,345 @@ dot_next:
 	LEAQ (AX)(CX*4), AX
 	DECQ R11
 	JNZ  dot_block
+	VZEROUPPER
+	RET
+
+// The AVX-512 tier of the training products (useAVX512): the same
+// statements, roundings and order as the AVX2 tiles above, eight lanes a
+// vector, in Z registers.
+
+// ZBCAST4 is BCAST4 into Z0..Z3.
+#define ZBCAST4 \
+	VBROADCASTSD (R12), Z0; \
+	VBROADCASTSD (R12)(R10*1), Z1; \
+	VBROADCASTSD (R12)(R10*2), Z2; \
+	LEAQ         (R12)(R10*2), R12; \
+	VBROADCASTSD (R12)(R10*1), Z3; \
+	LEAQ         (R12)(R10*2), R12
+
+// ZPANEL is PANEL on one 8-vector.
+#define ZPANEL(off, acc) \
+	VMULPD off(R13), Z0, Z12; \
+	VMULPD off(BX), Z1, Z13; \
+	VADDPD Z13, Z12, Z12; \
+	VMULPD off(R8), Z2, Z14; \
+	VADDPD Z14, Z12, Z12; \
+	VMULPD off(R9), Z3, Z15; \
+	VADDPD Z15, Z12, Z12; \
+	VADDPD Z12, acc, acc
+
+#define ZTAIL(off, acc) \
+	VMULPD off(R13), Z0, Z12; \
+	VADDPD Z12, acc, acc
+
+#define ZSEED(off, acc) VMOVUPD off(CX)(AX*1), acc
+#define ZSTORE(off, acc) VMOVUPD acc, off(DI)(AX*1)
+
+#define ZPANEL1 ZPANEL(0, Z4)
+#define ZPANEL2 ZPANEL1; ZPANEL(64, Z5)
+#define ZPANEL3 ZPANEL2; ZPANEL(128, Z6)
+#define ZPANEL4 ZPANEL3; ZPANEL(192, Z7)
+#define ZPANEL6 ZPANEL4; ZPANEL(256, Z8); ZPANEL(320, Z9)
+#define ZPANEL8 ZPANEL6; ZPANEL(384, Z10); ZPANEL(448, Z11)
+#define ZTAIL1 ZTAIL(0, Z4)
+#define ZTAIL2 ZTAIL1; ZTAIL(64, Z5)
+#define ZTAIL3 ZTAIL2; ZTAIL(128, Z6)
+#define ZTAIL4 ZTAIL3; ZTAIL(192, Z7)
+#define ZTAIL6 ZTAIL4; ZTAIL(256, Z8); ZTAIL(320, Z9)
+#define ZTAIL8 ZTAIL6; ZTAIL(384, Z10); ZTAIL(448, Z11)
+#define ZSEED1 ZSEED(0, Z4)
+#define ZSEED2 ZSEED1; ZSEED(64, Z5)
+#define ZSEED3 ZSEED2; ZSEED(128, Z6)
+#define ZSEED4 ZSEED3; ZSEED(192, Z7)
+#define ZSEED6 ZSEED4; ZSEED(256, Z8); ZSEED(320, Z9)
+#define ZSEED8 ZSEED6; ZSEED(384, Z10); ZSEED(448, Z11)
+#define ZZERO1 VPXORQ Z4, Z4, Z4
+#define ZZERO2 ZZERO1; VPXORQ Z5, Z5, Z5
+#define ZZERO3 ZZERO2; VPXORQ Z6, Z6, Z6
+#define ZZERO4 ZZERO3; VPXORQ Z7, Z7, Z7
+#define ZZERO6 ZZERO4; VPXORQ Z8, Z8, Z8; VPXORQ Z9, Z9, Z9
+#define ZZERO8 ZZERO6; VPXORQ Z10, Z10, Z10; VPXORQ Z11, Z11, Z11
+#define ZSTORE1 ZSTORE(0, Z4)
+#define ZSTORE2 ZSTORE1; ZSTORE(64, Z5)
+#define ZSTORE3 ZSTORE2; ZSTORE(128, Z6)
+#define ZSTORE4 ZSTORE3; ZSTORE(192, Z7)
+#define ZSTORE6 ZSTORE4; ZSTORE(256, Z8); ZSTORE(320, Z9)
+#define ZSTORE8 ZSTORE6; ZSTORE(384, Z10); ZSTORE(448, Z11)
+
+// func panelTileAVX512(out, a, b, seed *float64, sstep, rows, n, arow, astep, p, pv int)
+// is panelTileAVX2 over the first pv columns, pv a positive multiple of
+// 8, in tiles of 64, 48, 32, 24, 16 and 8 columns, with one more argument:
+// row r is seeded from seed + r*sstep (sstep 0 for a bias, p for the
+// rows a previous pass stored; a nil seed is zero). panelTilesAVX512
+// cuts the reduction into the passes that keep a tile's b in L1.
+TEXT ·panelTileAVX512(SB), NOSPLIT, $32-88
+	MOVQ arow+56(FP), CX
+	SHLQ $3, CX
+	MOVQ CX, 8(SP)                 // bytes between rows' a values
+	MOVQ sstep+32(FP), CX
+	SHLQ $3, CX
+	MOVQ CX, 16(SP)                // bytes between seed rows
+	MOVQ astep+64(FP), R10
+	MOVQ p+72(FP), DX
+	SHLQ $3, R10                   // bytes between a values along k
+	SHLQ $3, DX                    // one b or out row
+	LEAQ (DX*4), R11               // four b rows
+	XORQ AX, AX
+
+// ZPANEL_TILE is PANEL_TILE in Z registers, the seed row (24(SP))
+// stepping sstep with the output row.
+#define ZPANEL_TILE(seed, zero, panel, tail, store, width, lrow, lzero, lk, lloop, ltail, ltloop, lskip, lstore) \
+lrow: \
+	MOVQ  24(SP), CX; \
+	TESTQ CX, CX; \
+	JZ    lzero; \
+	seed; \
+	ADDQ  16(SP), CX; \
+	MOVQ  CX, 24(SP); \
+	JMP   lk; \
+lzero: \
+	zero; \
+lk: \
+	MOVQ  SI, R12; \
+	MOVQ  b+16(FP), R13; \
+	ADDQ  AX, R13; \
+	LEAQ  (R13)(DX*1), BX; \
+	LEAQ  (BX)(DX*1), R8; \
+	LEAQ  (R8)(DX*1), R9; \
+	MOVQ  n+48(FP), R14; \
+	SHRQ  $2, R14; \
+	JZ    ltail; \
+lloop: \
+	ZBCAST4; \
+	panel; \
+	ADDQ  R11, R13; \
+	ADDQ  R11, BX; \
+	ADDQ  R11, R8; \
+	ADDQ  R11, R9; \
+	DECQ  R14; \
+	JNZ   lloop; \
+ltail: \
+	MOVQ  n+48(FP), R14; \
+	ANDQ  $3, R14; \
+	JZ    lstore; \
+ltloop: \
+	MOVQ  (R12), CX; \
+	SHLQ  $1, CX; \
+	JZ    lskip; \
+	VBROADCASTSD (R12), Z0; \
+	tail; \
+lskip: \
+	ADDQ  R10, R12; \
+	ADDQ  DX, R13; \
+	DECQ  R14; \
+	JNZ   ltloop; \
+lstore: \
+	store; \
+	ADDQ  8(SP), SI; \
+	ADDQ  DX, DI; \
+	DECQ  0(SP); \
+	JNZ   lrow; \
+	ADDQ  $width, AX; \
+	JMP   zpanel_cols
+
+zpanel_cols:
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ seed+24(FP), CX
+	MOVQ CX, 24(SP)                // row 0's seed
+	MOVQ rows+40(FP), CX
+	MOVQ CX, 0(SP)                 // rows left
+	MOVQ pv+80(FP), CX
+	SHLQ $3, CX
+	SUBQ AX, CX                    // bytes of the row left
+	CMPQ CX, $512
+	JGE  zpanel_tile8
+	CMPQ CX, $384
+	JGE  zpanel_tile6
+	CMPQ CX, $256
+	JGE  zpanel_tile4
+	CMPQ CX, $192
+	JGE  zpanel_tile3
+	CMPQ CX, $128
+	JGE  zpanel_tile2
+	CMPQ CX, $64
+	JGE  zpanel_tile1
+	VZEROUPPER
+	RET
+zpanel_tile8:
+	ZPANEL_TILE(ZSEED8, ZZERO8, ZPANEL8, ZTAIL8, ZSTORE8, 512, z8row, z8zero, z8k, z8loop, z8tail, z8tloop, z8skip, z8store)
+zpanel_tile6:
+	ZPANEL_TILE(ZSEED6, ZZERO6, ZPANEL6, ZTAIL6, ZSTORE6, 384, z6row, z6zero, z6k, z6loop, z6tail, z6tloop, z6skip, z6store)
+zpanel_tile4:
+	ZPANEL_TILE(ZSEED4, ZZERO4, ZPANEL4, ZTAIL4, ZSTORE4, 256, z4row, z4zero, z4k, z4loop, z4tail, z4tloop, z4skip, z4store)
+zpanel_tile3:
+	ZPANEL_TILE(ZSEED3, ZZERO3, ZPANEL3, ZTAIL3, ZSTORE3, 192, z3row, z3zero, z3k, z3loop, z3tail, z3tloop, z3skip, z3store)
+zpanel_tile2:
+	ZPANEL_TILE(ZSEED2, ZZERO2, ZPANEL2, ZTAIL2, ZSTORE2, 128, z2row, z2zero, z2k, z2loop, z2tail, z2tloop, z2skip, z2store)
+zpanel_tile1:
+	ZPANEL_TILE(ZSEED1, ZZERO1, ZPANEL1, ZTAIL1, ZSTORE1, 64, z1row, z1zero, z1k, z1loop, z1tail, z1tloop, z1skip, z1store)
+
+// VPERMI2PD indices that gather, from the lane sums of two pairs of b
+// rows (j, j+1 | j+2, j+3), s_0 | s_1 and s_2 | s_3 of the four rows.
+DATA dotPairLo<>+0(SB)/8, $0
+DATA dotPairLo<>+8(SB)/8, $4
+DATA dotPairLo<>+16(SB)/8, $8
+DATA dotPairLo<>+24(SB)/8, $12
+DATA dotPairLo<>+32(SB)/8, $1
+DATA dotPairLo<>+40(SB)/8, $5
+DATA dotPairLo<>+48(SB)/8, $9
+DATA dotPairLo<>+56(SB)/8, $13
+GLOBL dotPairLo<>(SB), RODATA|NOPTR, $64
+DATA dotPairHi<>+0(SB)/8, $2
+DATA dotPairHi<>+8(SB)/8, $6
+DATA dotPairHi<>+16(SB)/8, $10
+DATA dotPairHi<>+24(SB)/8, $14
+DATA dotPairHi<>+32(SB)/8, $3
+DATA dotPairHi<>+40(SB)/8, $7
+DATA dotPairHi<>+48(SB)/8, $11
+DATA dotPairHi<>+56(SB)/8, $15
+GLOBL dotPairHi<>(SB), RODATA|NOPTR, $64
+
+// ZBPAIRS loads one 4-block of b rows j..j+7 (R14 row j, R8 row j+4) as
+// four pairs, row j+2q in the low half of Z16+q and row j+2q+1 in the
+// high half.
+#define ZBPAIRS \
+	VBROADCASTF64X4 (R14), Z16; \
+	VINSERTF64X4    $1, (R14)(CX*1), Z16, Z16; \
+	VBROADCASTF64X4 (R14)(CX*2), Z17; \
+	VINSERTF64X4    $1, (R14)(R12*1), Z17, Z17; \
+	VBROADCASTF64X4 (R8), Z18; \
+	VINSERTF64X4    $1, (R8)(CX*1), Z18, Z18; \
+	VBROADCASTF64X4 (R8)(CX*2), Z19; \
+	VINSERTF64X4    $1, (R8)(R12*1), Z19, Z19
+
+// ZDOT is one step of dot4's s_l += a[i+l]*b[i+l] of the a row at arow,
+// its 4-block in both halves, against the four pairs: lane l of each half
+// of s0..s3 is s_l of one b row.
+#define ZDOT(arow, s0, s1, s2, s3) \
+	VBROADCASTF64X4 arow, Z20; \
+	VMULPD          Z16, Z20, Z21; \
+	VADDPD          Z21, s0, s0; \
+	VMULPD          Z17, Z20, Z22; \
+	VADDPD          Z22, s1, s1; \
+	VMULPD          Z18, Z20, Z23; \
+	VADDPD          Z23, s2, s2; \
+	VMULPD          Z19, Z20, Z24; \
+	VADDPD          Z24, s3, s3
+
+// ZDOTSUMS turns the lane sums of one a row against b rows j..j+7 into
+// dot4's ((s_0 + s_1) + s_2) + s_3 of each, stored at dst: Z29 and Z30
+// gather s_l of the eight rows, s0..s3 are clobbered.
+#define ZDOTSUMS(s0, s1, s2, s3, dst) \
+	VMOVAPD    Z25, Z27; \
+	VPERMI2PD  s1, s0, Z27; \
+	VPERMT2PD  s1, Z26, s0; \
+	VMOVAPD    Z25, Z28; \
+	VPERMI2PD  s3, s2, Z28; \
+	VPERMT2PD  s3, Z26, s2; \
+	VSHUFF64X2 $0x44, Z28, Z27, Z29; \
+	VSHUFF64X2 $0xee, Z28, Z27, Z30; \
+	VADDPD     Z30, Z29, Z29; \
+	VSHUFF64X2 $0x44, s2, s0, Z30; \
+	VADDPD     Z30, Z29, Z29; \
+	VSHUFF64X2 $0xee, s2, s0, Z30; \
+	VADDPD     Z30, Z29, Z29; \
+	VMOVUPD    Z29, dst
+
+// func dotTileAVX512(dst, a, b *float64, rows, k, kv, m, mv int)
+// is dotTileAVX2 with mv a positive multiple of 8 and tiles of four a
+// rows by eight b rows, an a row's lane sums against two b rows sharing
+// one Z register; the rows%4 last a rows run alone against the eight.
+TEXT ·dotTileAVX512(SB), NOSPLIT, $0-64
+	MOVQ    dst+0(FP), R9          // dst (0, j)
+	MOVQ    b+16(FP), AX           // b rows j..j+7
+	MOVQ    k+32(FP), CX
+	MOVQ    m+48(FP), DX
+	SHLQ    $3, CX                 // one a or b row
+	SHLQ    $3, DX                 // one dst row
+	LEAQ    (CX)(CX*2), R12        // three a or b rows
+	MOVQ    mv+56(FP), R11
+	SHRQ    $3, R11
+	VMOVUPD dotPairLo<>(SB), Z25
+	VMOVUPD dotPairHi<>(SB), Z26
+zdot_block:
+	MOVQ R9, DI
+	MOVQ a+8(FP), SI
+	MOVQ rows+24(FP), BX
+zdot_quad:
+	CMPQ   BX, $4
+	JLT    zdot_single
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+	VPXORQ Z9, Z9, Z9
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPXORQ Z12, Z12, Z12
+	VPXORQ Z13, Z13, Z13
+	VPXORQ Z14, Z14, Z14
+	VPXORQ Z15, Z15, Z15
+	MOVQ   SI, R13
+	MOVQ   AX, R14
+	LEAQ   (AX)(CX*4), R8
+	MOVQ   kv+40(FP), R10
+	SHRQ   $2, R10
+zdot_quad_k:
+	ZBPAIRS
+	ZDOT((R13), Z0, Z1, Z2, Z3)
+	ZDOT((R13)(CX*1), Z4, Z5, Z6, Z7)
+	ZDOT((R13)(CX*2), Z8, Z9, Z10, Z11)
+	ZDOT((R13)(R12*1), Z12, Z13, Z14, Z15)
+	ADDQ $32, R13
+	ADDQ $32, R14
+	ADDQ $32, R8
+	DECQ R10
+	JNZ  zdot_quad_k
+	ZDOTSUMS(Z0, Z1, Z2, Z3, (DI))
+	ZDOTSUMS(Z4, Z5, Z6, Z7, (DI)(DX*1))
+	ZDOTSUMS(Z8, Z9, Z10, Z11, (DI)(DX*2))
+	LEAQ (DI)(DX*2), R10
+	ZDOTSUMS(Z12, Z13, Z14, Z15, (R10)(DX*1))
+	LEAQ (SI)(CX*4), SI
+	LEAQ (DI)(DX*4), DI
+	SUBQ $4, BX
+	JMP  zdot_quad
+zdot_single:
+	TESTQ  BX, BX
+	JZ     zdot_next
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	MOVQ   SI, R13
+	MOVQ   AX, R14
+	LEAQ   (AX)(CX*4), R8
+	MOVQ   kv+40(FP), R10
+	SHRQ   $2, R10
+zdot_single_k:
+	ZBPAIRS
+	ZDOT((R13), Z0, Z1, Z2, Z3)
+	ADDQ $32, R13
+	ADDQ $32, R14
+	ADDQ $32, R8
+	DECQ R10
+	JNZ  zdot_single_k
+	ZDOTSUMS(Z0, Z1, Z2, Z3, (DI))
+	ADDQ CX, SI
+	ADDQ DX, DI
+	DECQ BX
+	JMP  zdot_single
+zdot_next:
+	ADDQ $64, R9
+	LEAQ (AX)(CX*8), AX
+	DECQ R11
+	JNZ  zdot_block
 	VZEROUPPER
 	RET
 

@@ -11,15 +11,20 @@ import (
 
 // The kernels are checked through the functions that dispatch to them, so
 // the same file passes with the assembly (amd64) and without it (-tags
-// purego, other targets), where both sides are the Go loops.
+// purego, other targets), where both sides are the Go loops. The training
+// products are run on every tier the CPU has (eachTier), each held to the
+// Go reference.
 
 // TestKernelPath reports which inner kernels this build and CPU selected;
-// scripts/bench.sh records the line as _meta.simd, and CI requires
-// simd=avx2 on its amd64 runner, where the tests below would otherwise
+// scripts/bench.sh records the line as _meta.simd, and CI requires an
+// assembly tier on its amd64 runner, where the tests below would otherwise
 // hold the Go loops to themselves.
 func TestKernelPath(t *testing.T) {
 	path := "none"
-	if useAVX2 {
+	switch {
+	case useAVX512:
+		path = "avx512"
+	case useAVX2:
 		path = "avx2"
 	}
 	t.Logf("simd=%s", path)
@@ -142,72 +147,92 @@ func TestAxpy4MatchesReference(t *testing.T) {
 }
 
 // checkDotRows runs the rows rows of a (len(a)/rows wide) against the m
-// rows of b through matMulABTRange, as two row ranges (2x4 tiles in the
-// assembly, an odd row of a range alone, the m%4 last rows of b in dot4)
-// and compares every element with dot4 itself.
+// rows of b through matMulABTRange on every tier, as two row ranges (the
+// tiles' a rows, a range's last rows alone, the b rows past the whole
+// 8- and 4-row groups in dot4) and compares every element with dot4 itself.
 func checkDotRows(t *testing.T, a, b []float64, rows, m int) {
 	t.Helper()
 	k := len(a) / rows
 	am := &Matrix{Rows: rows, Cols: k, Data: a[:rows*k]}
 	bm := &Matrix{Rows: m, Cols: k, Data: b[:m*k]}
-	got := NewMatrix(rows, m)
-	splitRange(rows, func(lo, hi int) { matMulABTRange(got, am, bm, lo, hi) })
 	want := make([]float64, rows*m)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < m; j++ {
 			want[i*m+j] = dot4(am.Row(i), bm.Row(j))
 		}
 	}
-	checkSame(t, fmt.Sprintf("dot rows %dx%dx%d", rows, k, m), got.Data, want)
+	eachTier(t, func(tier string) {
+		got := NewMatrix(rows, m)
+		splitRange(rows, func(lo, hi int) { matMulABTRange(got, am, bm, lo, hi) })
+		checkSame(t, fmt.Sprintf("%s dot rows %dx%dx%d", tier, rows, k, m), got.Data, want)
+	})
 }
 
-// tileWidths are the output widths the register tiles are held at: one
-// 4-vector, the 32-column block and each side of it, a tail of 3, and two
-// and a half blocks.
-var tileWidths = []int{4, 8, 28, 31, 32, 33, 36, 64, 68}
+// tileWidths are the output widths the register tiles are held at: every
+// width from one 4-vector to 131, so every remainder of every YMM tile
+// and, from zmmWidth on, of every ZMM tile, past the wide net's 128.
+func tileWidths() []int {
+	w := make([]int, 0, 128)
+	for p := 4; p <= 131; p++ {
+		w = append(w, p)
+	}
+	return w
+}
+
+// kBlockEdges are reductions on each side of the AVX-512 panel's k-block
+// boundaries: one, two and three blocks, each exact and ±1–3, so the last
+// pass is whole, short, or a pass with a tail.
+func kBlockEdges() []int {
+	var ks []int
+	for b := 1; b <= 3; b++ {
+		for d := -3; d <= 3; d++ {
+			ks = append(ks, b*panelKBlock+d)
+		}
+	}
+	return ks
+}
 
 func TestDotRowsMatchReference(t *testing.T) {
 	rng := xrand.New(0x5eed03)
-	// One a row against seven b rows at every k; then 1 to 9 a rows, odd
-	// counts leaving a tile's tail row, at the tile widths, over ks with
-	// and without a scalar tail.
-	type shape struct {
-		rows, m int
-		ks      []int
+	dotCase := func(rows, m, k, off int, special bool) {
+		a := make([]float64, off+rows*k)[off:]
+		b := make([]float64, off+m*k)[off:]
+		fillKern(rng, a, special)
+		fillKern(rng, b, special)
+		checkDotRows(t, a, b, rows, m)
 	}
-	shapes := []shape{{1, 7, kernLens()}}
-	for rows := 1; rows <= 9; rows++ {
-		for _, m := range tileWidths {
-			shapes = append(shapes, shape{rows, m, []int{4, 5, 7, 8, 9, 13, 24, 31, 64, 128, 131}})
+	// One a row against seven b rows at every k, every load offset, with
+	// and without specials.
+	for _, k := range kernLens() {
+		if k < narrow {
+			continue // matMulABTRange takes no dot there
+		}
+		for off := 0; off < 4; off++ {
+			dotCase(1, 7, k, off, false)
+			dotCase(1, 7, k, off, true)
 		}
 	}
-	for _, sh := range shapes {
-		for _, k := range sh.ks {
-			if k < narrow {
-				continue // matMulABTRange takes no dot there
-			}
-			for off := 0; off < 4; off++ {
-				for _, special := range []bool{false, true} {
-					a := make([]float64, off+sh.rows*k)[off:]
-					b := make([]float64, off+sh.m*k)[off:]
-					fillKern(rng, a, special)
-					fillKern(rng, b, special)
-					checkDotRows(t, a, b, sh.rows, sh.m)
-				}
-			}
+	// 1 to 9 a rows, counts off 4 and 2 leaving the tiles' last rows, at
+	// the tile widths, over two of the ks (with and without a scalar tail)
+	// each, the load offsets and specials taking turns.
+	ks := []int{4, 5, 7, 8, 9, 13, 24, 31, 64, 128, 131}
+	for rows := 1; rows <= 9; rows++ {
+		for i, m := range tileWidths() {
+			dotCase(rows, m, ks[(rows+i)%len(ks)], (rows+i)%4, i%2 == 0)
+			dotCase(rows, m, ks[(rows+i+1+i%10)%len(ks)], (rows+2*i)%4, i%2 == 1)
 		}
 	}
 }
 
 // checkProducts runs the three products a training step is made of —
 // out = a·b + bias (a nil bias is zero), gw = aᵀ·delta and dx = delta·bᵀ —
-// through their row-range functions as two ranges, and holds each to the
-// Go loops of the path its shape takes: for out, the bias-seeded panel
-// loop (four rows of b fused a step, the tail's zero multipliers skipped;
-// a one- to three-column a is all tail) or for a narrow b narrowRef; for
-// gw the same panel loop over a's columns, or for a narrow delta the
-// plain sample-outermost sum; for dx dot4, or for delta one to three wide
-// the strided sweep.
+// through their row-range functions as two ranges on every tier, and holds
+// each to the Go loops of the path its shape takes: for out, the
+// bias-seeded panel loop (four rows of b fused a step, the tail's zero
+// multipliers skipped; a one- to three-column a is all tail) or for a
+// narrow b narrowRef; for gw the same panel loop over a's columns, or for a
+// narrow delta the plain sample-outermost sum; for dx dot4, or for delta
+// one to three wide the strided sweep.
 func checkProducts(t *testing.T, what string, a, b, delta *Matrix, bias []float64) {
 	t.Helper()
 	rows, n, p := a.Rows, a.Cols, b.Cols
@@ -224,97 +249,136 @@ func checkProducts(t *testing.T, what string, a, b, delta *Matrix, bias []float6
 		}
 	}
 
-	got, want := NewMatrix(rows, p), NewMatrix(rows, p)
-	splitRange(rows, func(lo, hi int) { matMulBiasRange(got, a, b, bias, lo, hi) })
+	out := NewMatrix(rows, p)
 	if p < narrow {
-		narrowRef(want, a, b, bias)
+		narrowRef(out, a, b, bias)
 	} else {
 		for i := 0; i < rows; i++ {
 			if bias != nil {
-				copy(want.Row(i), bias)
+				copy(out.Row(i), bias)
 			}
-			panel(want.Row(i), n, func(k int) float64 { return a.At(i, k) }, b.Row)
+			panel(out.Row(i), n, func(k int) float64 { return a.At(i, k) }, b.Row)
 		}
 	}
-	checkSame(t, what+" a·b+bias", got.Data, want.Data)
 
-	got, want = NewMatrix(n, p), NewMatrix(n, p)
-	splitRange(n, func(lo, hi int) { matMulATBRange(got, a, delta, lo, hi) })
+	gw := NewMatrix(n, p)
 	for j := 0; j < n; j++ {
 		if p < narrow {
 			for i := 0; i < rows; i++ {
 				for c := 0; c < p; c++ {
-					want.Data[j*p+c] += a.At(i, j) * delta.At(i, c)
+					gw.Data[j*p+c] += a.At(i, j) * delta.At(i, c)
 				}
 			}
 			continue
 		}
-		panel(want.Row(j), rows, func(i int) float64 { return a.At(i, j) }, delta.Row)
+		panel(gw.Row(j), rows, func(i int) float64 { return a.At(i, j) }, delta.Row)
 	}
-	checkSame(t, what+" aᵀ·delta", got.Data, want.Data)
 
-	got, want = NewMatrix(rows, n), NewMatrix(rows, n)
-	splitRange(rows, func(lo, hi int) { matMulABTRange(got, delta, b, lo, hi) })
+	dx := NewMatrix(rows, n)
 	for i := 0; i < rows; i++ {
 		for j := 0; j < n; j++ {
 			d, w := delta.Row(i), b.Row(j)
 			if p == 0 || p >= narrow {
-				want.Set(i, j, dot4(d, w))
+				dx.Set(i, j, dot4(d, w))
 				continue
 			}
 			s := d[0] * w[0]
 			for c := 1; c < p; c++ {
 				s += d[c] * w[c]
 			}
-			want.Set(i, j, s)
+			dx.Set(i, j, s)
 		}
 	}
-	checkSame(t, what+" delta·bᵀ", got.Data, want.Data)
+
+	eachTier(t, func(tier string) {
+		got := NewMatrix(rows, p)
+		splitRange(rows, func(lo, hi int) { matMulBiasRange(got, a, b, bias, lo, hi) })
+		checkSame(t, tier+" "+what+" a·b+bias", got.Data, out.Data)
+		got = NewMatrix(n, p)
+		splitRange(n, func(lo, hi int) { matMulATBRange(got, a, delta, lo, hi) })
+		checkSame(t, tier+" "+what+" aᵀ·delta", got.Data, gw.Data)
+		got = NewMatrix(rows, n)
+		splitRange(rows, func(lo, hi int) { matMulABTRange(got, delta, b, lo, hi) })
+		checkSame(t, tier+" "+what+" delta·bᵀ", got.Data, dx.Data)
+	})
+}
+
+// plantZeros puts zeros into a where the products skip or keep them: a
+// signed zero at a k-tail position of every row (the forward product's
+// zero skip), a zero on a 4-block of every third row (added as it is),
+// and, when the row count leaves aᵀ·delta a sample tail, zeros along the
+// last row (that product's zero skip).
+func plantZeros(a *Matrix) {
+	rows, n := a.Rows, a.Cols
+	for i := 0; i < rows; i++ {
+		if n%4 != 0 {
+			a.Set(i, n-1-i%(n%4), [2]float64{0, math.Copysign(0, -1)}[i%2])
+		}
+		if n >= 4 && i%3 == 0 {
+			a.Set(i, 1, 0)
+		}
+	}
+	if rows%4 != 0 {
+		for j := 0; j < n; j += 2 {
+			a.Set(rows-1, j, 0)
+		}
+	}
+}
+
+// productCase fills a rows x n a, an n x p b and delta and (unless
+// noBias) a bias, specials in every lane when special, plants plantZeros'
+// zeros and runs checkProducts.
+func productCase(t *testing.T, rng *xrand.Rand, rows, n, p int, special, noBias bool) {
+	t.Helper()
+	a, b, delta := NewMatrix(rows, n), NewMatrix(n, p), NewMatrix(rows, p)
+	fillKern(rng, a.Data, special)
+	fillKern(rng, b.Data, special)
+	fillKern(rng, delta.Data, special)
+	var bias []float64
+	if !noBias {
+		bias = make([]float64, p)
+		fillKern(rng, bias, special)
+	}
+	plantZeros(a)
+	checkProducts(t, fmt.Sprintf("%dx%dx%d", rows, n, p), a, b, delta, bias)
 }
 
 // The three products against their Go loops: the wide shapes, then 1 to 9
-// rows (odd counts leave the 2-row dot tile a tail row; counts off 4 give
-// aᵀ·delta a reduction tail) at the tile widths, over reductions with and
-// without a tail, zeros planted in each tail and on a 4-block, specials in
-// every lane on every other shape, and every third shape without a bias.
+// rows (counts off 4 and 2 leave the dot tiles' last rows and aᵀ·delta a
+// reduction tail) at the tile widths, over reductions with and without a
+// tail, zeros planted in each tail and on a 4-block, specials in every
+// lane on every other shape, and every third shape without a bias.
 func TestMatMulKernelsMatchReference(t *testing.T) {
 	rng := xrand.New(0x5eed04)
 	shapes := [][3]int{{5, 128, 128}, {3, 131, 67}, {4, 7, 24}, {2, 24, 9}, {32, 128, 4}, {32, 24, 1}, {32, 2, 24}}
 	ns := []int{5, 6, 7, 9, 13, 33, 4, 8, 131, 2}
 	for rows := 1; rows <= 9; rows++ {
-		for i, p := range tileWidths {
+		for i, p := range tileWidths() {
 			shapes = append(shapes, [3]int{rows, ns[(rows+i)%len(ns)], p})
 		}
-		for _, n := range tileWidths { // aᵀ·delta's one-column kernel is n wide
+		for _, n := range []int{4, 8, 28, 31, 32, 33, 36, 64, 68} { // aᵀ·delta's one-column kernel is n wide
 			shapes = append(shapes, [3]int{rows, n, 1 + rows%3})
 		}
 	}
 	for idx, d := range shapes {
-		rows, n, p := d[0], d[1], d[2]
-		special := idx%2 == 1
-		a, b, delta := NewMatrix(rows, n), NewMatrix(n, p), NewMatrix(rows, p)
-		fillKern(rng, a.Data, special)
-		fillKern(rng, b.Data, special)
-		fillKern(rng, delta.Data, special)
-		var bias []float64
-		if idx%3 != 2 {
-			bias = make([]float64, p)
-			fillKern(rng, bias, special)
+		productCase(t, rng, d[0], d[1], d[2], idx%2 == 1, idx%3 == 2)
+	}
+}
+
+// The products across the AVX-512 panel's k-block boundaries: every tile
+// width against a forward reduction (n, every other width) or an
+// aᵀ·delta reduction (rows, the rest) from kBlockEdges, so the passes
+// meet each tile remainder, with the planted zeros in the tails of the
+// last pass.
+func TestMatMulKBlocksMatchReference(t *testing.T) {
+	rng := xrand.New(0x5eed08)
+	ks := kBlockEdges()
+	for i, p := range tileWidths() {
+		rows, n := 1+i%9, ks[i%len(ks)]
+		if i%2 == 1 {
+			rows, n = n, 5+i%9
 		}
-		for i := 0; i < rows; i++ {
-			if n%4 != 0 { // the zero-skip of the k tail
-				a.Set(i, n-1-i%(n%4), [2]float64{0, math.Copysign(0, -1)}[i%2])
-			}
-			if n >= 4 && i%3 == 0 { // a zero a 4-block adds as it is
-				a.Set(i, 1, 0)
-			}
-		}
-		if rows%4 != 0 { // the zero-skip of aᵀ·delta's sample tail
-			for j := 0; j < n; j += 2 {
-				a.Set(rows-1, j, 0)
-			}
-		}
-		checkProducts(t, fmt.Sprintf("%dx%dx%d", rows, n, p), a, b, delta, bias)
+		productCase(t, rng, rows, n, p, i%4 >= 2, i%3 == 2)
 	}
 }
 
@@ -333,7 +397,7 @@ func splitRange(rows int, f func(lo, hi int)) {
 }
 
 // A one- to three-input layer (an a of one to three columns) on the
-// register tile, all reduction tail, against what it stands for: the
+// register tiles of every tier, all reduction tail, against what it stands for: the
 // bias-seeded axpy loop that skips a zero multiplier, with zero and
 // special values planted in a, b and the bias. Narrower b go to the
 // narrow path, which TestNarrowRangeMatchesReference holds.
@@ -352,8 +416,7 @@ func TestShortRangeMatchesReference(t *testing.T) {
 				fillKern(rng, bias, special)
 				a.Data[rng.Intn(len(a.Data))] = 0
 				a.Data[rng.Intn(len(a.Data))] = math.Copysign(0, -1)
-				got, want := NewMatrix(rows, p), NewMatrix(rows, p)
-				splitRange(rows, func(lo, hi int) { matMulBiasRange(got, a, b, bias, lo, hi) })
+				want := NewMatrix(rows, p)
 				for i := 0; i < rows; i++ {
 					y := want.Row(i)
 					copy(y, bias)
@@ -363,7 +426,11 @@ func TestShortRangeMatchesReference(t *testing.T) {
 						}
 					}
 				}
-				checkSame(t, fmt.Sprintf("matMulBiasRange %dx%dx%d", rows, n, p), got.Data, want.Data)
+				eachTier(t, func(tier string) {
+					got := NewMatrix(rows, p)
+					splitRange(rows, func(lo, hi int) { matMulBiasRange(got, a, b, bias, lo, hi) })
+					checkSame(t, fmt.Sprintf("%s matMulBiasRange %dx%dx%d", tier, rows, n, p), got.Data, want.Data)
+				})
 			}
 		}
 	}

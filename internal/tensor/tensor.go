@@ -249,17 +249,26 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 // The forward product reads a's rows (arow = n, astep = 1), the weight
 // gradient aᵀ·b its columns (arow = 1, astep = a.Cols). With AVX2,
 // panelTileAVX2 takes the whole 4-vectors of every row, a register tile
-// of up to 32 columns held from seed to store across the reduction, and
-// the loop below the last p%4 columns; the loop alone is the reference.
+// of up to 32 columns held from seed to store across the reduction; with
+// AVX-512, panelTilesAVX512 takes the whole 8-vectors and panelTileAVX2
+// the 4-vector left over. The loop below takes the last p%4 columns; the
+// loop alone is the reference.
 func panelRows(out, a []float64, arow, astep int, b, seed []float64, rows, n, p int) {
 	pv := 0
 	if useAVX2 && p >= narrow && n > 0 && rows > 0 {
 		pv = p &^ 3
-		var s *float64
-		if seed != nil {
-			s = &seed[0]
+		pz := 0
+		if useAVX512 && p >= zmmWidth {
+			pz = p &^ 7
+			panelTilesAVX512(out, a, arow, astep, b, seed, rows, n, p, pz)
 		}
-		panelTileAVX2(&out[0], &a[0], &b[0], s, rows, n, arow, astep, p, pv)
+		if pz < pv {
+			var s *float64
+			if seed != nil {
+				s = &seed[pz]
+			}
+			panelTileAVX2(&out[pz], &a[0], &b[pz], s, rows, n, arow, astep, p, pv-pz)
+		}
 		if pv == p {
 			return
 		}
@@ -286,6 +295,39 @@ func panelRows(out, a []float64, arow, astep int, b, seed []float64, rows, n, p 
 				axpy4(v, b[k*p+pv:(k+1)*p], y)
 			}
 		}
+	}
+}
+
+// zmmWidth is the narrowest output that the AVX-512 tiles take: one full
+// ZMM panel tile. Narrower products (the serving net's 24-wide layer) stay
+// on AVX2, where a fit of that net runs faster: its few ZMM instructions
+// a step cost more clock than they save.
+const zmmWidth = 64
+
+// panelKBlock is the depth of one pass of panelTilesAVX512: 32 rows of b
+// under a 64-column tile are 16 KB, which stay in L1 while the output
+// rows go by, where the whole 128-row strip of the wide net's layer (64
+// KB) would not.
+const panelKBlock = 32
+
+// panelTilesAVX512 is panelRows' AVX-512 tier over the first pz columns
+// (pz a multiple of 8, rows and n positive): the reduction runs in passes
+// of panelKBlock k, a multiple of 4, so only the last pass has a tail.
+// The first pass seeds from seed, each later one from the row the pass
+// before it stored, which is exact: every output sees the same roundings
+// in the same order as in one pass.
+func panelTilesAVX512(out, a []float64, arow, astep int, b, seed []float64, rows, n, p, pz int) {
+	if pz == 0 {
+		return
+	}
+	var s *float64
+	if seed != nil {
+		s = &seed[0]
+	}
+	sstep := 0
+	for k0 := 0; k0 < n; k0 += panelKBlock {
+		panelTileAVX512(&out[0], &a[k0*astep], &b[k0*p], s, sstep, rows, min(panelKBlock, n-k0), arow, astep, p, pz)
+		s, sstep = &out[0], p
 	}
 }
 
@@ -401,8 +443,8 @@ func MatMulABTInto(dst, a, b *Matrix) *Matrix {
 }
 
 // matMulABTRange computes dst rows [lo,hi) of dst = a*bᵀ: one dot4 a
-// element (with AVX2 the 2x4 tiles of dotTiles take the whole 4-blocks of
-// b's rows), or for k < narrow strided sweeps of b.
+// element (with AVX2 the tiles of dotTiles take the whole 4-blocks of b's
+// rows), or for k < narrow strided sweeps of b.
 func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 	k, m := a.Cols, b.Rows
 	if k == 1 { // a scaled copy of b's one column a row: an outer product
@@ -450,12 +492,20 @@ func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 
 // dotTiles stores dot4(a_i, b_j) into dst[i][j] for rows [lo,hi) of a and
 // the first mv rows of b, k >= narrow, mv a positive multiple of 4: the
-// assembly's 2x4 tiles cover the whole vectors, dot4's scalar tail
-// follows here in dot4's order.
+// assembly's tiles cover the whole vectors (with AVX-512 4x8 tiles over
+// the whole 8-row groups of b, and a 2x4 AVX2 tile over a 4-row group
+// left over), dot4's scalar tail follows here in dot4's order.
 func dotTiles(dst, a, b *Matrix, lo, hi, mv int) {
 	k, m := a.Cols, b.Rows
 	kv := k &^ 3
-	dotTileAVX2(&dst.Data[lo*m], &a.Data[lo*k], &b.Data[0], hi-lo, k, kv, m, mv)
+	mz := 0
+	if useAVX512 && mv >= zmmWidth {
+		mz = mv &^ 7
+		dotTileAVX512(&dst.Data[lo*m], &a.Data[lo*k], &b.Data[0], hi-lo, k, kv, m, mz)
+	}
+	if mz < mv {
+		dotTileAVX2(&dst.Data[lo*m+mz], &a.Data[lo*k], &b.Data[mz*k], hi-lo, k, kv, m, mv-mz)
+	}
 	if kv == k {
 		return
 	}

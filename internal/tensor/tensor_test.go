@@ -191,7 +191,7 @@ func TestMatMulLargeParallel(t *testing.T) {
 // TestMatMulZeroAlloc: each product into a caller's destination allocates
 // nothing at the shapes BenchmarkMatMulKernels times, from batch_sweep's
 // 64x128x128 down to a serving tenant's one-row input layer, whatever the
-// core count.
+// core count, on every tier.
 func TestMatMulZeroAlloc(t *testing.T) {
 	rng := xrand.New(5)
 	for _, d := range [][3]int{{64, 128, 128}, {32, 128, 128}, {32, 8, 128}, {32, 128, 4}, {32, 2, 24}, {1, 2, 24}, {32, 3, 30}, {32, 24, 1}} {
@@ -199,15 +199,17 @@ func TestMatMulZeroAlloc(t *testing.T) {
 		x, w, delta := randomMatrix(rng, batch, in), randomMatrix(rng, in, out), randomMatrix(rng, batch, out)
 		bias := make([]float64, out)
 		y, gw, dx := NewMatrix(batch, out), NewMatrix(in, out), NewMatrix(batch, in)
-		for name, run := range map[string]func(){
-			"bias": func() { MatMulBiasInto(y, x, w, bias) },
-			"atb":  func() { MatMulATBInto(gw, x, delta) },
-			"abt":  func() { MatMulABTInto(dx, delta, w) },
-		} {
-			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-				t.Errorf("%s/%dx%dx%d allocates %g times per call, want 0", name, batch, in, out, allocs)
+		eachTier(t, func(tier string) {
+			for name, run := range map[string]func(){
+				"bias": func() { MatMulBiasInto(y, x, w, bias) },
+				"atb":  func() { MatMulATBInto(gw, x, delta) },
+				"abt":  func() { MatMulABTInto(dx, delta, w) },
+			} {
+				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+					t.Errorf("%s %s/%dx%dx%d allocates %g times per call, want 0", tier, name, batch, in, out, allocs)
+				}
 			}
-		}
+		})
 	}
 }
 

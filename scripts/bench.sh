@@ -43,8 +43,8 @@ echo "$raw"
 cpus="$(getconf _NPROCESSORS_ONLN 2>/dev/null || nproc 2>/dev/null || echo 1)"
 gomaxprocs="${GOMAXPROCS:-$cpus}"
 # Which inner kernels the tensor package selected for this build and CPU
-# ("avx2" or "none"): scalar and vector snapshots do not compare, and
-# bench_diff refuses to.
+# ("avx512", "avx2" or "none"): snapshots taken on different tiers do not
+# compare, and bench_diff refuses to.
 simd="$(go test -count=1 -run '^TestKernelPath$' -v ./internal/tensor | sed -n 's/.*simd=\([a-z0-9]*\).*/\1/p' | head -n 1)"
 [[ -n "$simd" ]] || { echo "bench.sh: tensor's TestKernelPath did not report a kernel path" >&2; exit 1; }
 

@@ -33,6 +33,7 @@ func TestSameShape(t *testing.T) {
 	const (
 		avx2   = `"_meta": {"gomaxprocs": 1, "cpus": 2, "simd": "avx2", "parallel_slope_ns": {"workers=1/inline": 2668}},`
 		none   = `"_meta": {"gomaxprocs": 1, "cpus": 2, "simd": "none", "parallel_slope_ns": {}},`
+		avx512 = `"_meta": {"gomaxprocs": 1, "cpus": 2, "simd": "avx512", "parallel_slope_ns": {}},`
 		cpus4  = `"_meta": {"gomaxprocs": 1, "cpus": 4, "simd": "avx2", "parallel_slope_ns": {}},`
 		procs2 = `"_meta": {"gomaxprocs": 2, "cpus": 2, "simd": "avx2", "parallel_slope_ns": {}},`
 		legacy = `"_meta": {"gomaxprocs": 1, "cpus": 2, "parallel_slope_ns": {}},` // before _meta.simd
@@ -45,6 +46,7 @@ func TestSameShape(t *testing.T) {
 	}{
 		{"match", avx2, true},
 		{"simd differs", none, false},
+		{"assembly tier differs", avx512, false},
 		{"cpus differ", cpus4, false},
 		{"gomaxprocs differs", procs2, false},
 		{"legacy without simd", legacy, true},
