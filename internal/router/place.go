@@ -16,8 +16,8 @@ import (
 // pushes the tenant's mirrored artifacts to the new owner before
 // committing the switch, so the first routed query after a move hits a
 // warm-started model, never a retraining stall. An on-demand placement
-// switches owner at once, and a provisioned one becomes on-demand when
-// its owner refuses the push (unprovision).
+// switches owner at once, and so does a provisioned one whose new owner
+// already refused its push on the connection it still holds (refuse).
 func (rt *Router) rebalanceLocked() {
 	ring := buildRing(rt.workers, ringReplicas)
 	rt.ring.Store(ring)
@@ -45,6 +45,14 @@ func (rt *Router) rebalanceLocked() {
 		if p.state.Load() == placeMoving && p.want == newWant {
 			continue // a mover is already heading there
 		}
+		if p.refused != nil && p.refused == newWant.conn.Load() {
+			// That owner takes no pushes: follow the ring without one.
+			p.want = nil
+			p.moveSeq++
+			p.wk.Store(newWant)
+			p.state.Store(placeReady)
+			continue
+		}
 		p.want = newWant
 		p.moveSeq++
 		p.state.Store(placeMoving)
@@ -68,13 +76,14 @@ func (rt *Router) move(p *placement, target *worker, seq uint64) {
 		// A destination that died before we arrived is waited out: the
 		// rebalance its death causes bumps seq and retargets us.
 		if target.live() {
-			warm, err := rt.pushTenant(p.tenant, target.conn.Load())
+			cn := target.conn.Load()
+			warm, err := rt.pushTenant(p.tenant, cn)
 			if err == nil {
 				rt.commit(p, target, seq, warm)
 				return
 			}
 			if errors.Is(err, netserve.ErrNoArtifactHook) {
-				rt.unprovision(p, target, seq)
+				rt.refuse(p, target, cn, seq)
 				return
 			}
 			rt.logf("router: push %s to %s: %v (retrying)", p.tenant, target.addr, err)
@@ -98,6 +107,7 @@ func (rt *Router) commit(p *placement, target *worker, seq uint64, warm bool) {
 	p.wk.Store(target)
 	p.state.Store(placeReady)
 	p.want = nil
+	p.refused = nil
 	rt.pmu.Unlock()
 	rt.moves.Add(1)
 	if warm {
@@ -109,22 +119,23 @@ func (rt *Router) commit(p *placement, target *worker, seq uint64, warm bool) {
 	}
 }
 
-// unprovision routes a provisioned tenant on demand from now on, as an
-// unlisted one is, once target has refused its push for want of an
-// install hook: that refusal is permanent, and retrying it would answer
-// the tenant's traffic Retry for good. The owner answers the traffic as
-// it can (UnknownTenant if it does not serve the tenant).
-func (rt *Router) unprovision(p *placement, target *worker, seq uint64) {
+// refuse places the tenant on target without a push once target has
+// refused it over cn for want of an install hook. No retry changes that
+// answer, and retrying would answer the tenant's traffic Retry for good;
+// the owner serves the traffic as it can (UnknownTenant if it does not
+// serve the tenant). The tenant stays provisioned: a rehash to any other
+// owner, or to this one on a new connection, pushes it again.
+func (rt *Router) refuse(p *placement, target *worker, cn *netserve.Conn, seq uint64) {
 	rt.pmu.Lock()
 	defer rt.pmu.Unlock()
 	if p.moveSeq != seq {
 		return
 	}
-	p.provisioned = false
+	p.refused = cn
 	p.want = nil
 	p.wk.Store(target)
 	p.state.Store(placeReady)
-	rt.logf("router: %s routed unprovisioned: %s takes no pushes", p.tenant, target.addr)
+	rt.logf("router: %s placed on %s without a push: it takes no pushes", p.tenant, target.addr)
 }
 
 // maxShards bounds the dense shard-key probe. Fleet tenants shard far

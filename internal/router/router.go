@@ -56,8 +56,8 @@ type Config struct {
 	// Tenants are placed (and pushed to their owners) at start, and
 	// pushed again whenever a rehash moves them. Tenants not listed are
 	// routed on demand to their ring owner, before and after a rehash,
-	// without a push; so is a listed tenant from the first push a worker
-	// refuses for want of netserve.Config.Install.
+	// without a push; so is a listed tenant while its owner is a worker
+	// that refused its push for want of netserve.Config.Install.
 	Tenants []string
 	// Dialer overrides the backend transport dial — fault-injection
 	// harnesses wrap connections here. Nil uses net.DialTimeout("tcp").
@@ -131,7 +131,7 @@ const (
 // pointer; owner and state are atomics read on every frame.
 type placement struct {
 	tenant      string
-	provisioned bool                   // listed in Config.Tenants: every move pushes it
+	provisioned bool                   // listed in Config.Tenants: a move pushes it
 	wk          atomic.Pointer[worker] // serving owner; nil until first ready
 	state       atomic.Int32
 
@@ -139,6 +139,9 @@ type placement struct {
 	// in-flight move and a sequence number that fences stale movers.
 	want    *worker
 	moveSeq uint64
+	// refused is the owner connection that refused the tenant's push (no
+	// install hook); while the ring's owner is on it, no push is tried.
+	refused *netserve.Conn
 }
 
 // route returns the owner's connection to forward to; ok is false when

@@ -504,7 +504,7 @@ func TestFailoverWarmStart(t *testing.T) {
 // against workers without artifact hooks: a provisioned tenant's push
 // and the mirror's stat polls are refused, but each worker keeps the one
 // connection that carries its hot traffic, and the refused tenant is
-// routed unprovisioned. When a worker dies, its
+// placed on its owner without a push. When a worker dies, its
 // on-demand tenants follow the ring to the survivor without a push, and
 // every query the survivor then takes is answered.
 func TestHooklessWorkersKeepTheirConnection(t *testing.T) {
@@ -565,7 +565,7 @@ func TestHooklessWorkersKeepTheirConnection(t *testing.T) {
 	}
 
 	// prov's owner refused its push, which no retry changes: prov is
-	// routed unprovisioned, and its owner, which does not serve it,
+	// placed on it without a push, and that owner, which does not serve it,
 	// answers UnknownTenant, not the Retry of a placement moving for good.
 	for end := time.Now().Add(time.Second); ; {
 		err := ask("prov")
@@ -611,6 +611,82 @@ func TestHooklessWorkersKeepTheirConnection(t *testing.T) {
 		}
 	}
 	oneConn(survivor)
+}
+
+// TestRefusedTenantPushedOnRehash places a provisioned tenant on a
+// worker without artifact hooks, which refuses its push, and then kills
+// that worker: the rehash moves the tenant to a worker that has the hooks,
+// which is pushed it and serves it, as a provisioned tenant is.
+func TestRefusedTenantPushedOnRehash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker stacks")
+	}
+	names := []string{"wk0:1", "wk1:1"}
+	var ring []*worker
+	for _, name := range names {
+		wk := &worker{addr: name}
+		wk.alive.Store(true)
+		ring = append(ring, wk)
+	}
+	plainName := buildRing(ring, ringReplicas).owner([]byte("prov")).addr
+	plain := startPlainWorker(t, 1, nil)
+	hooked := startWorker(t, t.TempDir(), 2)
+	defer hooked.kill()
+	byName := map[string]*testWorker{}
+	for _, name := range names {
+		byName[name] = hooked
+	}
+	byName[plainName] = plain
+	rt, err := New(Config{Workers: names, Tenants: []string{"prov"}, Logf: t.Logf,
+		Dialer: func(name string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", byName[name].addr, timeout)
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rt.Serve(ln)
+	rc := dialRouter(t, ln.Addr().String())
+	defer rc.Close()
+	y, std := make([]float64, 1), make([]float64, 1)
+	ask := func() error {
+		_, err := rc.QueryInto("prov", []float64{0.3, -0.2}, y, std, time.Now().Add(time.Second))
+		return err
+	}
+
+	// The hookless owner refuses the push and answers UnknownTenant.
+	for end := time.Now().Add(time.Second); ; {
+		err := ask()
+		if errors.Is(err, netserve.ErrUnknownTenant) {
+			break
+		}
+		if !errors.Is(err, netserve.ErrRetry) || time.Now().After(end) {
+			t.Fatalf("query prov on the hookless owner: %v; want ErrUnknownTenant within 1 s", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	plain.kill()
+	for end := time.Now().Add(10 * time.Second); ; {
+		err := ask()
+		if err == nil {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("prov never served after the rehash: %v; router %+v", err, rt.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := rt.Placements()["prov"]; byName[got] != hooked {
+		t.Errorf("prov placed at %q, want the hooked worker", got)
+	}
+	if st := rt.Stats(); st.ColdStarts != 1 {
+		t.Errorf("%d cold starts, want the one push to the hooked worker", st.ColdStarts)
+	}
 }
 
 // TestFailingWorkerRedialsUnderBackoff holds, under steady traffic, a

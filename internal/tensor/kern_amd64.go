@@ -34,7 +34,7 @@ func xgetbv() (eax, edx uint32)
 func panelTileAVX2(out, a, b, bias *float64, rows, n, arow, astep, p, pv int)
 
 //go:noescape
-func panelTileAVX512(out, a, b, seed *float64, sstep, rows, n, arow, astep, p, pv int)
+func panelTileAVX512(out, a, b, seed *float64, rows, n, arow, astep, p, pv int)
 
 //go:noescape
 func dotTileAVX2(dst, a, b *float64, rows, k, kv, m, mv int)

@@ -345,149 +345,129 @@ dot_next:
 #define ZSEED(off, acc) VMOVUPD off(CX)(AX*1), acc
 #define ZSTORE(off, acc) VMOVUPD acc, off(DI)(AX*1)
 
-#define ZPANEL1 ZPANEL(0, Z4)
-#define ZPANEL2 ZPANEL1; ZPANEL(64, Z5)
-#define ZPANEL3 ZPANEL2; ZPANEL(128, Z6)
-#define ZPANEL4 ZPANEL3; ZPANEL(192, Z7)
-#define ZPANEL6 ZPANEL4; ZPANEL(256, Z8); ZPANEL(320, Z9)
-#define ZPANEL8 ZPANEL6; ZPANEL(384, Z10); ZPANEL(448, Z11)
-#define ZTAIL1 ZTAIL(0, Z4)
-#define ZTAIL2 ZTAIL1; ZTAIL(64, Z5)
-#define ZTAIL3 ZTAIL2; ZTAIL(128, Z6)
-#define ZTAIL4 ZTAIL3; ZTAIL(192, Z7)
-#define ZTAIL6 ZTAIL4; ZTAIL(256, Z8); ZTAIL(320, Z9)
-#define ZTAIL8 ZTAIL6; ZTAIL(384, Z10); ZTAIL(448, Z11)
-#define ZSEED1 ZSEED(0, Z4)
-#define ZSEED2 ZSEED1; ZSEED(64, Z5)
-#define ZSEED3 ZSEED2; ZSEED(128, Z6)
-#define ZSEED4 ZSEED3; ZSEED(192, Z7)
-#define ZSEED6 ZSEED4; ZSEED(256, Z8); ZSEED(320, Z9)
-#define ZSEED8 ZSEED6; ZSEED(384, Z10); ZSEED(448, Z11)
-#define ZZERO1 VPXORQ Z4, Z4, Z4
-#define ZZERO2 ZZERO1; VPXORQ Z5, Z5, Z5
-#define ZZERO3 ZZERO2; VPXORQ Z6, Z6, Z6
-#define ZZERO4 ZZERO3; VPXORQ Z7, Z7, Z7
-#define ZZERO6 ZZERO4; VPXORQ Z8, Z8, Z8; VPXORQ Z9, Z9, Z9
-#define ZZERO8 ZZERO6; VPXORQ Z10, Z10, Z10; VPXORQ Z11, Z11, Z11
-#define ZSTORE1 ZSTORE(0, Z4)
-#define ZSTORE2 ZSTORE1; ZSTORE(64, Z5)
-#define ZSTORE3 ZSTORE2; ZSTORE(128, Z6)
-#define ZSTORE4 ZSTORE3; ZSTORE(192, Z7)
-#define ZSTORE6 ZSTORE4; ZSTORE(256, Z8); ZSTORE(320, Z9)
-#define ZSTORE8 ZSTORE6; ZSTORE(384, Z10); ZSTORE(448, Z11)
+// The eight vectors of one 64-column tile, in Z4..Z11.
+#define ZSEED8 ZSEED(0, Z4); ZSEED(64, Z5); ZSEED(128, Z6); ZSEED(192, Z7); \
+	ZSEED(256, Z8); ZSEED(320, Z9); ZSEED(384, Z10); ZSEED(448, Z11)
+#define ZZERO8 VPXORQ Z4, Z4, Z4; VPXORQ Z5, Z5, Z5; VPXORQ Z6, Z6, Z6; VPXORQ Z7, Z7, Z7; \
+	VPXORQ Z8, Z8, Z8; VPXORQ Z9, Z9, Z9; VPXORQ Z10, Z10, Z10; VPXORQ Z11, Z11, Z11
+#define ZPANEL8 ZPANEL(0, Z4); ZPANEL(64, Z5); ZPANEL(128, Z6); ZPANEL(192, Z7); \
+	ZPANEL(256, Z8); ZPANEL(320, Z9); ZPANEL(384, Z10); ZPANEL(448, Z11)
+#define ZTAIL8 ZTAIL(0, Z4); ZTAIL(64, Z5); ZTAIL(128, Z6); ZTAIL(192, Z7); \
+	ZTAIL(256, Z8); ZTAIL(320, Z9); ZTAIL(384, Z10); ZTAIL(448, Z11)
+#define ZSTORE8 ZSTORE(0, Z4); ZSTORE(64, Z5); ZSTORE(128, Z6); ZSTORE(192, Z7); \
+	ZSTORE(256, Z8); ZSTORE(320, Z9); ZSTORE(384, Z10); ZSTORE(448, Z11)
 
-// func panelTileAVX512(out, a, b, seed *float64, sstep, rows, n, arow, astep, p, pv int)
+// func panelTileAVX512(out, a, b, seed *float64, rows, n, arow, astep, p, pv int)
 // is panelTileAVX2 over the first pv columns, pv a positive multiple of
-// 8, in tiles of 64, 48, 32, 24, 16 and 8 columns, with one more argument:
-// row r is seeded from seed + r*sstep (sstep 0 for a bias, p for the
-// rows a previous pass stored; a nil seed is zero). panelTilesAVX512
-// cuts the reduction into the passes that keep a tile's b in L1.
-TEXT ·panelTileAVX512(SB), NOSPLIT, $32-88
-	MOVQ arow+56(FP), CX
+// 64, in tiles of 64 columns (eight Z accumulators). The reduction runs
+// in passes of 32 k (panelKBlock), so a tile's 16 KB of b stays in L1
+// while the rows go by: the first pass seeds each row from seed (nil is
+// zero), each later one from the row the pass before it stored, which is
+// exact. Only the last pass has a tail.
+TEXT ·panelTileAVX512(SB), NOSPLIT, $80-80
+	MOVQ arow+48(FP), CX
 	SHLQ $3, CX
 	MOVQ CX, 8(SP)                 // bytes between rows' a values
-	MOVQ sstep+32(FP), CX
-	SHLQ $3, CX
-	MOVQ CX, 16(SP)                // bytes between seed rows
-	MOVQ astep+64(FP), R10
-	MOVQ p+72(FP), DX
+	MOVQ astep+56(FP), R10
+	MOVQ p+64(FP), DX
 	SHLQ $3, R10                   // bytes between a values along k
 	SHLQ $3, DX                    // one b or out row
 	LEAQ (DX*4), R11               // four b rows
+	MOVQ $0, 16(SP)                // bytes between seed rows: 0, then a row
+	MOVQ seed+24(FP), CX
+	MOVQ CX, 32(SP)                // the pass's seed: seed, then out
+	MOVQ a+8(FP), CX
+	MOVQ CX, 48(SP)                // the pass's a
+	MOVQ b+16(FP), CX
+	MOVQ CX, 56(SP)                // the pass's b
+	MOVQ n+40(FP), CX
+	MOVQ CX, 72(SP)                // k left
+zpanel_pass:
+	MOVQ 72(SP), CX
+	CMPQ CX, $32
+	JLE  zpanel_last
+	MOVQ $32, CX
+zpanel_last:
+	MOVQ CX, 64(SP)                // the pass's k
 	XORQ AX, AX
-
-// ZPANEL_TILE is PANEL_TILE in Z registers, the seed row (24(SP))
-// stepping sstep with the output row.
-#define ZPANEL_TILE(seed, zero, panel, tail, store, width, lrow, lzero, lk, lloop, ltail, ltloop, lskip, lstore) \
-lrow: \
-	MOVQ  24(SP), CX; \
-	TESTQ CX, CX; \
-	JZ    lzero; \
-	seed; \
-	ADDQ  16(SP), CX; \
-	MOVQ  CX, 24(SP); \
-	JMP   lk; \
-lzero: \
-	zero; \
-lk: \
-	MOVQ  SI, R12; \
-	MOVQ  b+16(FP), R13; \
-	ADDQ  AX, R13; \
-	LEAQ  (R13)(DX*1), BX; \
-	LEAQ  (BX)(DX*1), R8; \
-	LEAQ  (R8)(DX*1), R9; \
-	MOVQ  n+48(FP), R14; \
-	SHRQ  $2, R14; \
-	JZ    ltail; \
-lloop: \
-	ZBCAST4; \
-	panel; \
-	ADDQ  R11, R13; \
-	ADDQ  R11, BX; \
-	ADDQ  R11, R8; \
-	ADDQ  R11, R9; \
-	DECQ  R14; \
-	JNZ   lloop; \
-ltail: \
-	MOVQ  n+48(FP), R14; \
-	ANDQ  $3, R14; \
-	JZ    lstore; \
-ltloop: \
-	MOVQ  (R12), CX; \
-	SHLQ  $1, CX; \
-	JZ    lskip; \
-	VBROADCASTSD (R12), Z0; \
-	tail; \
-lskip: \
-	ADDQ  R10, R12; \
-	ADDQ  DX, R13; \
-	DECQ  R14; \
-	JNZ   ltloop; \
-lstore: \
-	store; \
-	ADDQ  8(SP), SI; \
-	ADDQ  DX, DI; \
-	DECQ  0(SP); \
-	JNZ   lrow; \
-	ADDQ  $width, AX; \
-	JMP   zpanel_cols
-
 zpanel_cols:
 	MOVQ out+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ seed+24(FP), CX
+	MOVQ 48(SP), SI
+	MOVQ 32(SP), CX
 	MOVQ CX, 24(SP)                // row 0's seed
-	MOVQ rows+40(FP), CX
+	MOVQ rows+32(FP), CX
 	MOVQ CX, 0(SP)                 // rows left
-	MOVQ pv+80(FP), CX
+	MOVQ pv+72(FP), CX
 	SHLQ $3, CX
-	SUBQ AX, CX                    // bytes of the row left
-	CMPQ CX, $512
-	JGE  zpanel_tile8
-	CMPQ CX, $384
-	JGE  zpanel_tile6
-	CMPQ CX, $256
-	JGE  zpanel_tile4
-	CMPQ CX, $192
-	JGE  zpanel_tile3
-	CMPQ CX, $128
-	JGE  zpanel_tile2
-	CMPQ CX, $64
-	JGE  zpanel_tile1
+	CMPQ AX, CX                    // AX: this tile's byte offset in a row
+	JLT  zpanel_row
+	MOVQ 64(SP), CX
+	SUBQ CX, 72(SP)
+	JZ   zpanel_done
+	MOVQ CX, R12
+	IMULQ R10, R12
+	ADDQ R12, 48(SP)               // a past the pass's k
+	IMULQ DX, CX
+	ADDQ CX, 56(SP)                // b past the pass's k rows
+	MOVQ out+0(FP), CX
+	MOVQ CX, 32(SP)
+	MOVQ DX, 16(SP)
+	JMP  zpanel_pass
+zpanel_done:
 	VZEROUPPER
 	RET
-zpanel_tile8:
-	ZPANEL_TILE(ZSEED8, ZZERO8, ZPANEL8, ZTAIL8, ZSTORE8, 512, z8row, z8zero, z8k, z8loop, z8tail, z8tloop, z8skip, z8store)
-zpanel_tile6:
-	ZPANEL_TILE(ZSEED6, ZZERO6, ZPANEL6, ZTAIL6, ZSTORE6, 384, z6row, z6zero, z6k, z6loop, z6tail, z6tloop, z6skip, z6store)
-zpanel_tile4:
-	ZPANEL_TILE(ZSEED4, ZZERO4, ZPANEL4, ZTAIL4, ZSTORE4, 256, z4row, z4zero, z4k, z4loop, z4tail, z4tloop, z4skip, z4store)
-zpanel_tile3:
-	ZPANEL_TILE(ZSEED3, ZZERO3, ZPANEL3, ZTAIL3, ZSTORE3, 192, z3row, z3zero, z3k, z3loop, z3tail, z3tloop, z3skip, z3store)
-zpanel_tile2:
-	ZPANEL_TILE(ZSEED2, ZZERO2, ZPANEL2, ZTAIL2, ZSTORE2, 128, z2row, z2zero, z2k, z2loop, z2tail, z2tloop, z2skip, z2store)
-zpanel_tile1:
-	ZPANEL_TILE(ZSEED1, ZZERO1, ZPANEL1, ZTAIL1, ZSTORE1, 64, z1row, z1zero, z1k, z1loop, z1tail, z1tloop, z1skip, z1store)
+zpanel_row:
+	MOVQ  24(SP), CX
+	TESTQ CX, CX
+	JZ    zpanel_zero
+	ZSEED8
+	ADDQ  16(SP), CX
+	MOVQ  CX, 24(SP)
+	JMP   zpanel_k
+zpanel_zero:
+	ZZERO8
+zpanel_k:
+	MOVQ  SI, R12
+	MOVQ  56(SP), R13
+	ADDQ  AX, R13
+	LEAQ  (R13)(DX*1), BX
+	LEAQ  (BX)(DX*1), R8
+	LEAQ  (R8)(DX*1), R9
+	MOVQ  64(SP), R14
+	SHRQ  $2, R14
+	JZ    zpanel_tail
+zpanel_loop:
+	ZBCAST4
+	ZPANEL8
+	ADDQ  R11, R13
+	ADDQ  R11, BX
+	ADDQ  R11, R8
+	ADDQ  R11, R9
+	DECQ  R14
+	JNZ   zpanel_loop
+zpanel_tail:
+	MOVQ  64(SP), R14
+	ANDQ  $3, R14
+	JZ    zpanel_store
+zpanel_tloop:
+	MOVQ  (R12), CX
+	SHLQ  $1, CX                   // drops the sign: ±0 skips
+	JZ    zpanel_skip
+	VBROADCASTSD (R12), Z0
+	ZTAIL8
+zpanel_skip:
+	ADDQ  R10, R12
+	ADDQ  DX, R13
+	DECQ  R14
+	JNZ   zpanel_tloop
+zpanel_store:
+	ZSTORE8
+	ADDQ  8(SP), SI
+	ADDQ  DX, DI
+	DECQ  0(SP)
+	JNZ   zpanel_row
+	ADDQ  $512, AX
+	JMP   zpanel_cols
 
 // VPERMI2PD indices that gather, from the lane sums of two pairs of b
 // rows (j, j+1 | j+2, j+3), s_0 | s_1 and s_2 | s_3 of the four rows.

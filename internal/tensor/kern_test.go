@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
@@ -168,16 +169,26 @@ func checkDotRows(t *testing.T, a, b []float64, rows, m int) {
 	})
 }
 
-// tileWidths are the output widths the register tiles are held at: every
-// width from one 4-vector to 131, so every remainder of every YMM tile
-// and, from zmmWidth on, of every ZMM tile, past the wide net's 128.
-func tileWidths() []int {
-	w := make([]int, 0, 128)
-	for p := 4; p <= 131; p++ {
-		w = append(w, p)
+// tileWidths are the output widths the register tiles are held at: one
+// 4-vector, the 32-column block and each side of it, a tail of 3, and two
+// and a half blocks.
+var tileWidths = []int{4, 8, 28, 31, 32, 33, 36, 64, 68}
+
+// remainderWidths are the widths past tileWidths that meet every other
+// remainder of the YMM tiles (4 to 68), and the 64-column ZMM tile once
+// and twice with a YMM tile and the Go loop's tail after it.
+func remainderWidths() []int {
+	var w []int
+	for p := 4; p <= 68; p++ {
+		if !slices.Contains(tileWidths, p) {
+			w = append(w, p)
+		}
 	}
-	return w
+	return append(w, 100, 127, 128, 131)
 }
+
+// allWidths is tileWidths followed by remainderWidths.
+func allWidths() []int { return append(slices.Clone(tileWidths), remainderWidths()...) }
 
 // kBlockEdges are reductions on each side of the AVX-512 panel's k-block
 // boundaries: one, two and three blocks, each exact and ±1–3, so the last
@@ -213,11 +224,20 @@ func TestDotRowsMatchReference(t *testing.T) {
 		}
 	}
 	// 1 to 9 a rows, counts off 4 and 2 leaving the tiles' last rows, at
-	// the tile widths, over two of the ks (with and without a scalar tail)
-	// each, the load offsets and specials taking turns.
+	// the tile widths, over ks with and without a scalar tail, every load
+	// offset, with and without specials; then at the remainder widths over
+	// two of those ks each, the load offsets and specials taking turns.
 	ks := []int{4, 5, 7, 8, 9, 13, 24, 31, 64, 128, 131}
 	for rows := 1; rows <= 9; rows++ {
-		for i, m := range tileWidths() {
+		for _, m := range tileWidths {
+			for _, k := range ks {
+				for off := 0; off < 4; off++ {
+					dotCase(rows, m, k, off, false)
+					dotCase(rows, m, k, off, true)
+				}
+			}
+		}
+		for i, m := range remainderWidths() {
 			dotCase(rows, m, ks[(rows+i)%len(ks)], (rows+i)%4, i%2 == 0)
 			dotCase(rows, m, ks[(rows+i+1+i%10)%len(ks)], (rows+2*i)%4, i%2 == 1)
 		}
@@ -353,10 +373,10 @@ func TestMatMulKernelsMatchReference(t *testing.T) {
 	shapes := [][3]int{{5, 128, 128}, {3, 131, 67}, {4, 7, 24}, {2, 24, 9}, {32, 128, 4}, {32, 24, 1}, {32, 2, 24}}
 	ns := []int{5, 6, 7, 9, 13, 33, 4, 8, 131, 2}
 	for rows := 1; rows <= 9; rows++ {
-		for i, p := range tileWidths() {
+		for i, p := range allWidths() {
 			shapes = append(shapes, [3]int{rows, ns[(rows+i)%len(ns)], p})
 		}
-		for _, n := range []int{4, 8, 28, 31, 32, 33, 36, 64, 68} { // aᵀ·delta's one-column kernel is n wide
+		for _, n := range tileWidths { // aᵀ·delta's one-column kernel is n wide
 			shapes = append(shapes, [3]int{rows, n, 1 + rows%3})
 		}
 	}
@@ -373,7 +393,7 @@ func TestMatMulKernelsMatchReference(t *testing.T) {
 func TestMatMulKBlocksMatchReference(t *testing.T) {
 	rng := xrand.New(0x5eed08)
 	ks := kBlockEdges()
-	for i, p := range tileWidths() {
+	for i, p := range allWidths() {
 		rows, n := 1+i%9, ks[i%len(ks)]
 		if i%2 == 1 {
 			rows, n = n, 5+i%9

@@ -250,24 +250,24 @@ func matMulBiasRange(out, a, b *Matrix, bias []float64, lo, hi int) {
 // gradient aᵀ·b its columns (arow = 1, astep = a.Cols). With AVX2,
 // panelTileAVX2 takes the whole 4-vectors of every row, a register tile
 // of up to 32 columns held from seed to store across the reduction; with
-// AVX-512, panelTilesAVX512 takes the whole 8-vectors and panelTileAVX2
-// the 4-vector left over. The loop below takes the last p%4 columns; the
-// loop alone is the reference.
+// AVX-512, panelTileAVX512 takes the whole 64-column tiles first and
+// panelTileAVX2 the 4-vectors left over. The loop below takes the last
+// p%4 columns; the loop alone is the reference.
 func panelRows(out, a []float64, arow, astep int, b, seed []float64, rows, n, p int) {
 	pv := 0
 	if useAVX2 && p >= narrow && n > 0 && rows > 0 {
 		pv = p &^ 3
+		// seedAt twice, not one pointer held across the ZMM call: the
+		// serving nets' forward passes run through this frame on
+		// goroutines whose stacks sit near a doubling, and 8 bytes more
+		// here added 0.4 MB of stack to routed_closed's peak RSS.
 		pz := 0
 		if useAVX512 && p >= zmmWidth {
-			pz = p &^ 7
-			panelTilesAVX512(out, a, arow, astep, b, seed, rows, n, p, pz)
+			pz = p &^ (zmmWidth - 1)
+			panelTileAVX512(&out[0], &a[0], &b[0], seedAt(seed, 0), rows, n, arow, astep, p, pz)
 		}
 		if pz < pv {
-			var s *float64
-			if seed != nil {
-				s = &seed[pz]
-			}
-			panelTileAVX2(&out[pz], &a[0], &b[pz], s, rows, n, arow, astep, p, pv-pz)
+			panelTileAVX2(&out[pz], &a[0], &b[pz], seedAt(seed, pz), rows, n, arow, astep, p, pv-pz)
 		}
 		if pv == p {
 			return
@@ -298,38 +298,25 @@ func panelRows(out, a []float64, arow, astep int, b, seed []float64, rows, n, p 
 	}
 }
 
-// zmmWidth is the narrowest output that the AVX-512 tiles take: one full
-// ZMM panel tile. Narrower products (the serving net's 24-wide layer) stay
-// on AVX2, where a fit of that net runs faster: its few ZMM instructions
-// a step cost more clock than they save.
+// zmmWidth is the narrowest output that the AVX-512 tiles take, and the
+// width of the one ZMM panel tile. Narrower products (the serving net's
+// 24-wide layer) stay on AVX2, where a fit of that net runs faster: its
+// few ZMM instructions a step cost more clock than they save.
 const zmmWidth = 64
 
-// panelKBlock is the depth of one pass of panelTilesAVX512: 32 rows of b
+// seedAt is the address of seed[j], or nil for a nil (zero) seed.
+func seedAt(seed []float64, j int) *float64 {
+	if seed == nil {
+		return nil
+	}
+	return &seed[j]
+}
+
+// panelKBlock is the depth of one pass of panelTileAVX512: 32 rows of b
 // under a 64-column tile are 16 KB, which stay in L1 while the output
 // rows go by, where the whole 128-row strip of the wide net's layer (64
 // KB) would not.
 const panelKBlock = 32
-
-// panelTilesAVX512 is panelRows' AVX-512 tier over the first pz columns
-// (pz a multiple of 8, rows and n positive): the reduction runs in passes
-// of panelKBlock k, a multiple of 4, so only the last pass has a tail.
-// The first pass seeds from seed, each later one from the row the pass
-// before it stored, which is exact: every output sees the same roundings
-// in the same order as in one pass.
-func panelTilesAVX512(out, a []float64, arow, astep int, b, seed []float64, rows, n, p, pz int) {
-	if pz == 0 {
-		return
-	}
-	var s *float64
-	if seed != nil {
-		s = &seed[0]
-	}
-	sstep := 0
-	for k0 := 0; k0 < n; k0 += panelKBlock {
-		panelTileAVX512(&out[0], &a[k0*astep], &b[k0*p], s, sstep, rows, min(panelKBlock, n-k0), arow, astep, p, pz)
-		s, sstep = &out[0], p
-	}
-}
 
 // matMulNarrowRange is matMulBiasRange for a narrow b: one strided dot per
 // output element, summed in the panel kernel's order (four products per
